@@ -14,6 +14,7 @@ from swarmsim.estimation import EstimationFault
 from swarmsim.planning import PlanningError
 from swarmsim.cli.runner import (
     COMPARE_VARIANTS,
+    DEFAULT_COMPARE_VARIANTS,
     RuntimeFault,
     format_summary,
     run_compare,
@@ -53,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="set a scenario field by dotted path; repeatable")
         if name == "compare":
             cmd.add_argument("--variants", nargs="+", choices=COMPARE_VARIANTS,
-                             metavar="NAME",
+                             default=DEFAULT_COMPARE_VARIANTS, metavar="NAME",
                              help="estimator variants to run (default: "
-                                  "adaptive nonadaptive fixed_dt wheels)")
+                                  f"{' '.join(DEFAULT_COMPARE_VARIANTS)})")
     return parser
 
 
@@ -85,10 +86,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "compare":
-            if args.variants:
-                summary = run_compare(scenario, out_dir, tuple(args.variants))
-            else:
-                summary = run_compare(scenario, out_dir)
+            summary = run_compare(scenario, out_dir, tuple(args.variants))
         else:
             summary = run_scenario(scenario, out_dir)
     except ScenarioError as exc:

@@ -42,14 +42,9 @@ from swarmsim.core import (
 )
 from swarmsim.estimation import (
     EkfConfig,
-    SlipDetector,
-    ekf_predict,
-    ekf_update,
+    StreamingEstimator,
     dead_reckon,
-    initial_belief,
-    measurement_from_packets,
     run_estimator,
-    StaleData,
 )
 from swarmsim.planning import (
     InvalidEndpoint,
@@ -93,6 +88,7 @@ class RuntimeFault(Exception):
  STREAM_SCHEDULE) = range(6)
 
 COMPARE_VARIANTS = ("adaptive", "nonadaptive", "fixed_dt", "wheels", "flow")
+DEFAULT_COMPARE_VARIANTS = ("adaptive", "nonadaptive", "fixed_dt", "wheels")
 
 
 def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
@@ -511,11 +507,8 @@ def _track_estimator_loop(scenario, traj, gains, period_s, start, steps,
                    slip_schedule=build_slip(data), rates=rates)
     channel = StarChannel(build_channel(data),
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
-    belief = initial_belief(start)
-    detector = SlipDetector(cfg)
-    prev = SensorPacket(robot_id=0, t_sent=0, ticks_left=0, ticks_right=0,
-                        flow_dx_left=0.0, flow_dx_right=0.0,
-                        gyro_heading=start.theta)
+    est = StreamingEstimator(start, geometry, cfg, adaptive=adaptive,
+                             fixed_dt_s=fixed_dt)
     period_us = round(period_s * 1e6)
     rows = []
     for i in range(steps):
@@ -528,17 +521,11 @@ def _track_estimator_loop(scenario, traj, gains, period_s, start, steps,
                 packet = decode_frame(delivery.data)
             except FrameError:
                 continue
-            try:
-                meas = measurement_from_packets(prev, packet, geometry)
-            except StaleData:
-                continue
-            prev = packet
-            slip = detector.update(meas)
-            belief = ekf_predict(belief, fixed_dt or meas.dt, cfg)
-            belief = ekf_update(belief, meas, cfg, slip and adaptive)
+            est.push(packet)
         t = i * period_s
         ref, v_r, w_r = traj.reference_at(t)
-        wheels = tracking_control(ref, belief.pose, v_r, w_r, gains, geometry)
+        wheels = tracking_control(ref, est.belief.pose, v_r, w_r, gains,
+                                  geometry)
         sim.set_command(wheels)
         truth = sim.pose
         err = error_posture(ref, truth)
@@ -583,15 +570,15 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
     run = simulate_reports(data, scenario.seed)
     estimate = run_estimator(run.delivered, start, geometry, cfg,
                              adaptive=adaptive, fixed_dt_s=fixed_dt)
-    rows = []
-    for t, mean, slip in zip(estimate.times_ms, estimate.means,
-                             estimate.slip_flags):
-        truth = run.truth_at_send[int(t)]
-        err = math.hypot(mean[0] - truth.x, mean[1] - truth.y)
-        rows.append((t / 1e3, truth.x, truth.y, truth.theta,
-                     mean[0], mean[1], wrap_angle(mean[2]), err, int(slip)))
     errors = position_errors(estimate.times_ms, estimate.means,
                              run.truth_at_send)
+    rows = []
+    for t, mean, slip, err in zip(estimate.times_ms, estimate.means,
+                                  estimate.slip_flags, errors):
+        truth = run.truth_at_send[int(t)]
+        rows.append((t / 1e3, truth.x, truth.y, truth.theta,
+                     mean[0], mean[1], wrap_angle(mean[2]), float(err),
+                     int(slip)))
     summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
                          scenario.digest)
     summary.metrics = {
@@ -612,9 +599,8 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
 
 
 def run_compare(scenario: Scenario, out_dir: Path,
-                variants: tuple[str, ...] = ("adaptive", "nonadaptive",
-                                             "fixed_dt", "wheels")) -> RunSummary:
-    """One run per estimator variant on identical noise streams."""
+                variants: tuple[str, ...] = DEFAULT_COMPARE_VARIANTS) -> RunSummary:
+    """Simulate the report stream once and run every variant on it."""
     t0 = time.perf_counter()
     data = scenario.data
     geometry = build_geometry(data)
@@ -623,26 +609,20 @@ def run_compare(scenario: Scenario, out_dir: Path,
     start = build_start(data)
     cfg, _, _ = build_ekf_config(data, noise, geometry, rates)
     period_s = rates.report_period_ms / 1e3
-    digests = {}
+    run = simulate_reports(data, scenario.seed)
     rows = []
     for name in variants:
-        run = simulate_reports(data, scenario.seed)
-        digests[name] = run.noise_digest
         estimate = _run_variant(name, run, start, geometry, cfg, period_s)
         errors = position_errors(estimate.times_ms, estimate.means,
                                  run.truth_at_send)
         terminal = float(errors[-1]) if errors.size else 0.0
         rows.append((name, _rmse(errors), terminal, estimate.stale_skipped))
-    if len(set(digests.values())) > 1:
-        raise RuntimeFault(
-            "common-random-number discipline violated: variant noise digests "
-            f"differ: {digests}")
     summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
                          scenario.digest)
     for name, rmse, terminal, stale in rows:
         summary.metrics[f"{name}_rmse_mm"] = rmse
         summary.metrics[f"{name}_terminal_mm"] = terminal
-    summary.metrics["noise_digest"] = next(iter(digests.values()))[:12]
+    summary.metrics["noise_digest"] = run.noise_digest[:12]
     summary.files.append(write_csv(
         out_dir / "compare.csv",
         ["variant", "rmse_mm", "terminal_mm", "stale_skipped"], rows))

@@ -8,6 +8,7 @@ little-endian packed sensor report, see SensorPacket.
 
 from __future__ import annotations
 
+import binascii
 import heapq
 import math
 import struct
@@ -52,15 +53,8 @@ class BadPayload(FrameError):
 
 
 def crc16(data: bytes, crc: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE, bit-serial MSB first."""
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT-FALSE; crc seeds the register, so calls chain."""
+    return binascii.crc_hqx(data, crc)
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,72 @@ class SlipDetector:
         return 2 * sum(self._votes) > self.window
 
 
+class StreamingEstimator:
+    """Pose estimate folded in one report at a time, in arrival order.
+
+    Each report is differenced against the newest processed one; a report
+    that does not postdate it is counted in stale_skipped and ignored.
+    With source None the EKF fuses every channel: adaptive=False keeps the
+    slip detector voting but never inflates anything (the fixed-trust
+    baseline), and fixed_dt_s hardwires the prediction interval no matter
+    what the report timestamps say, the naive constant-cadence assumption
+    this design argues against.  With source "wheels" or "flow" the pose is
+    dead-reckoned from that one velocity source and carries zero
+    covariance.
+    """
+
+    def __init__(self, start: Posture, geometry: RobotGeometry,
+                 cfg: EkfConfig | None = None, start_t_ms: int = 0,
+                 adaptive: bool = True, fixed_dt_s: float | None = None,
+                 source: str | None = None):
+        if source not in (None, "wheels", "flow"):
+            raise ValueError(f"unknown dead-reckoning source {source!r}")
+        self.geometry = geometry
+        self.cfg = cfg
+        self.adaptive = adaptive
+        self.fixed_dt_s = fixed_dt_s
+        self.source = source
+        if source is None:
+            self.belief = initial_belief(start, float(start_t_ms))
+            self._detector = SlipDetector(cfg)
+        else:
+            self.belief = EkfBelief(
+                np.array([start.x, start.y, start.theta, 0.0, 0.0]),
+                np.zeros((STATE_DIM, STATE_DIM)), float(start_t_ms))
+        self.slip = False
+        self.stale_skipped = 0
+        # Odometry counters start at zero, so the first report is
+        # differenced against a virtual report at the start time.
+        self._prev = SensorPacket(
+            robot_id=0, t_sent=start_t_ms, ticks_left=0, ticks_right=0,
+            flow_dx_left=0.0, flow_dx_right=0.0, gyro_heading=0.0)
+
+    def push(self, packet: SensorPacket) -> EkfBelief | None:
+        """Fold one report in; None when it is stale."""
+        try:
+            meas = measurement_from_packets(self._prev, packet, self.geometry)
+        except StaleData:
+            self.stale_skipped += 1
+            return None
+        self._prev = packet
+        if self.source is None:
+            self.slip = self._detector.update(meas)
+            belief = ekf_predict(self.belief, self.fixed_dt_s or meas.dt,
+                                 self.cfg)
+            self.belief = ekf_update(belief, meas, self.cfg,
+                                     self.slip and self.adaptive)
+        else:
+            if self.source == "wheels":
+                twist = Twist(meas.v_wheel, meas.w_wheel)
+            else:
+                twist = Twist(meas.v_flow, meas.w_flow)
+            pose = integrate_unicycle(self.belief.pose, twist, meas.dt)
+            self.belief = EkfBelief(
+                np.array([pose.x, pose.y, pose.theta, twist.v, twist.w]),
+                self.belief.cov, meas.t_ms)
+        return self.belief
+
+
 @dataclass
 class EstimationRun:
     """Belief trajectory of one estimator over a report stream."""
@@ -245,79 +311,37 @@ class EstimationRun:
     slip_flags: list[bool] = field(default_factory=list)
     stale_skipped: int = 0
 
-    def positions(self) -> np.ndarray:
-        return np.array([[m[0], m[1]] for m in self.means])
-
     def final_pose(self) -> Posture:
         m = self.means[-1]
         return Posture(m[0], m[1], m[2])
+
+
+def _collect(est: StreamingEstimator, packets: list[SensorPacket]) -> EstimationRun:
+    run = EstimationRun()
+    for packet in packets:
+        belief = est.push(packet)
+        if belief is None:
+            continue
+        run.times_ms.append(float(packet.t_sent))
+        run.means.append(belief.mean.copy())
+        run.cov_diags.append(np.diag(belief.cov).copy())
+        run.slip_flags.append(est.slip)
+    run.stale_skipped = est.stale_skipped
+    return run
 
 
 def run_estimator(packets: list[SensorPacket], start: Posture,
                   geometry: RobotGeometry, cfg: EkfConfig,
                   start_t_ms: int = 0, adaptive: bool = True,
                   fixed_dt_s: float | None = None) -> EstimationRun:
-    """Run the filter over reports in arrival order.
-
-    Reports that do not postdate the newest processed one are skipped and
-    counted.  With adaptive=False the slip detector still runs but never
-    inflates anything (the fixed-trust baseline).  fixed_dt_s hardwires the
-    filter's sampling time: every prediction advances by that interval no
-    matter what the report timestamps say, which is the naive
-    constant-cadence assumption this design argues against.
-    """
-    belief = initial_belief(start, float(start_t_ms))
-    detector = SlipDetector(cfg)
-    prev = _virtual_origin_packet(packets, start_t_ms)
-    run = EstimationRun()
-    for packet in packets:
-        try:
-            meas = measurement_from_packets(prev, packet, geometry)
-        except StaleData:
-            run.stale_skipped += 1
-            continue
-        prev = packet
-        slip = detector.update(meas)
-        belief = ekf_predict(belief, fixed_dt_s or meas.dt, cfg)
-        belief = ekf_update(belief, meas, cfg, slip and adaptive)
-        run.times_ms.append(float(packet.t_sent))
-        run.means.append(belief.mean.copy())
-        run.cov_diags.append(np.diag(belief.cov).copy())
-        run.slip_flags.append(slip)
-    return run
+    """Run the filter over reports in arrival order (see StreamingEstimator)."""
+    return _collect(StreamingEstimator(start, geometry, cfg, start_t_ms,
+                                       adaptive, fixed_dt_s), packets)
 
 
 def dead_reckon(packets: list[SensorPacket], start: Posture,
                 geometry: RobotGeometry, source: str,
                 start_t_ms: int = 0) -> EstimationRun:
     """Open-loop integration of one velocity source, same staleness rules."""
-    if source not in ("wheels", "flow"):
-        raise ValueError(f"unknown dead-reckoning source {source!r}")
-    pose = start
-    prev = _virtual_origin_packet(packets, start_t_ms)
-    run = EstimationRun()
-    for packet in packets:
-        try:
-            meas = measurement_from_packets(prev, packet, geometry)
-        except StaleData:
-            run.stale_skipped += 1
-            continue
-        prev = packet
-        if source == "wheels":
-            twist = Twist(meas.v_wheel, meas.w_wheel)
-        else:
-            twist = Twist(meas.v_flow, meas.w_flow)
-        pose = integrate_unicycle(pose, twist, meas.dt)
-        run.times_ms.append(float(packet.t_sent))
-        run.means.append(np.array([pose.x, pose.y, pose.theta, twist.v, twist.w]))
-        run.cov_diags.append(np.zeros(STATE_DIM))
-        run.slip_flags.append(False)
-    return run
-
-
-def _virtual_origin_packet(packets: list[SensorPacket], start_t_ms: int) -> SensorPacket:
-    robot_id = packets[0].robot_id if packets else 0
-    return SensorPacket(
-        robot_id=robot_id, t_sent=start_t_ms, ticks_left=0, ticks_right=0,
-        flow_dx_left=0.0, flow_dx_right=0.0, gyro_heading=0.0,
-    )
+    return _collect(StreamingEstimator(start, geometry, start_t_ms=start_t_ms,
+                                       source=source), packets)

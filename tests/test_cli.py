@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from swarmsim.cli import runner
 from swarmsim.cli.main import main
+from swarmsim.cli.scenario import load_scenario
+from swarmsim.estimation import dead_reckon, run_estimator
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "swarmsim" / "scenarios"
 CIRCLE = str(SCENARIOS / "circle_track.yaml")
@@ -122,6 +125,55 @@ def test_compare_single_variant(tmp_path, capsys):
     capsys.readouterr()
     rows = read_rows(tmp_path / "compare.csv")
     assert len(rows) == 1 and rows[0]["variant"] == "adaptive"
+
+
+def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
+                                                       monkeypatch):
+    calls = []
+    simulate = runner.simulate_reports
+
+    def counting(data, seed):
+        calls.append(seed)
+        return simulate(data, seed)
+
+    monkeypatch.setattr(runner, "simulate_reports", counting)
+    variants = ["adaptive", "nonadaptive", "fixed_dt", "wheels", "flow"]
+    assert main(["compare", SLIP, "--out", str(tmp_path),
+                 "--override", "duration_s=10.0",
+                 "--override", "channel.loss_prob=0.2",
+                 "--override", "channel.latency_max_ms=400",
+                 "--variants", *variants]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+    scenario = load_scenario(SLIP, ("duration_s=10.0", "channel.loss_prob=0.2",
+                                    "channel.latency_max_ms=400"))
+    data = scenario.data
+    geometry = runner.build_geometry(data)
+    rates = runner.build_rates(data)
+    start = runner.build_start(data)
+    cfg, _, _ = runner.build_ekf_config(data, runner.build_noise(data),
+                                        geometry, rates)
+    stream = simulate(data, scenario.seed)
+    args = (stream.delivered, start, geometry)
+    direct = {
+        "adaptive": run_estimator(*args, cfg),
+        "nonadaptive": run_estimator(*args, cfg, adaptive=False),
+        "fixed_dt": run_estimator(*args, cfg,
+                                  fixed_dt_s=rates.report_period_ms / 1e3),
+        "wheels": dead_reckon(*args, "wheels"),
+        "flow": dead_reckon(*args, "flow"),
+    }
+    rows = read_rows(tmp_path / "compare.csv")
+    assert [row["variant"] for row in rows] == variants
+    assert any(int(row["stale_skipped"]) > 0 for row in rows)
+    for row in rows:
+        estimate = direct[row["variant"]]
+        errors = runner.position_errors(estimate.times_ms, estimate.means,
+                                        stream.truth_at_send)
+        assert row["rmse_mm"] == f"{runner._rmse(errors):.6g}"
+        assert row["terminal_mm"] == f"{float(errors[-1]):.6g}"
+        assert row["stale_skipped"] == str(estimate.stale_skipped)
 
 
 def test_compare_variants_agree_without_noise_or_slip(tmp_path, capsys):

@@ -76,6 +76,11 @@ def test_crc_matches_table_reference(data):
     assert crc16(data) == crc16_reference(data)
 
 
+@given(st.binary(max_size=64), st.binary(max_size=64))
+def test_crc_seed_chains(a, b):
+    assert crc16(b, crc16(a)) == crc16(a + b) == crc16_reference(a + b)
+
+
 def test_crc_matches_reference_bulk():
     rng = np.random.default_rng(7)
     for _ in range(500):

@@ -13,6 +13,7 @@ from swarmsim.estimation import (
     EstimationFault,
     SlipDetector,
     StaleData,
+    StreamingEstimator,
     VelocityMeasurement,
     dead_reckon,
     ekf_predict,
@@ -326,6 +327,36 @@ def test_run_estimator_skips_stale_reports():
     assert run.stale_skipped == 1
     assert len(run.times_ms) == 5
     assert run.times_ms == sorted(run.times_ms)
+
+
+def test_streaming_push_matches_run_estimator():
+    pkts = _straight_packets(12)
+    order = [0, 2, 1, 3, 3, 6, 4, 5, 7, 11, 8, 9, 10]
+    shuffled = [pkts[i] for i in order]
+    est = StreamingEstimator(Posture(0, 0, 0), GEOM, CFG)
+    newest, stale, means = 0, 0, []
+    for p in shuffled:
+        before = est.belief
+        belief = est.push(p)
+        if p.t_sent <= newest:
+            stale += 1
+            assert belief is None
+            assert est.belief is before
+        else:
+            newest = p.t_sent
+            assert belief is est.belief and belief.t_ms == p.t_sent
+            means.append(belief.mean)
+    assert stale == 7
+    batch = run_estimator(shuffled, Posture(0, 0, 0), GEOM, CFG)
+    assert est.stale_skipped == batch.stale_skipped == stale
+    assert len(batch.means) == len(means)
+    for a, b in zip(means, batch.means):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_streaming_rejects_unknown_source():
+    with pytest.raises(ValueError):
+        StreamingEstimator(Posture(0, 0, 0), GEOM, CFG, source="lidar")
 
 
 def test_run_estimator_converges_on_straight_run():
