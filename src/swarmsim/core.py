@@ -125,19 +125,24 @@ def twist_to_wheels(twist: Twist, geometry: RobotGeometry) -> WheelSpeeds:
 def integrate_unicycle(pose: Posture, twist: Twist, dt: float) -> Posture:
     """Advance a pose under a constant twist for dt seconds.
 
-    Uses the exact circular-arc solution; when |w * dt| <= ARC_EPSILON the
-    first-order straight-line limit is used instead.
+    Uses the exact circular-arc solution in its chord form: the robot moves
+    2 R sin(swept / 2) along the heading theta + swept / 2.  Written as
+    v * dt * sinc(swept / 2), this avoids the cancellation of
+    R * (sin(theta + swept) - sin(theta)) when the radius is huge.  When
+    |w * dt| <= ARC_EPSILON the straight-line limit (sinc = 1) is used.
     """
     if not math.isfinite(dt) or dt < 0:
         raise ValueError(f"dt must be finite and non-negative, got {dt!r}")
     swept = twist.w * dt
     if abs(swept) > ARC_EPSILON:
-        radius = twist.v / twist.w
-        x = pose.x + radius * (math.sin(pose.theta + swept) - math.sin(pose.theta))
-        y = pose.y + radius * (-math.cos(pose.theta + swept) + math.cos(pose.theta))
+        half = 0.5 * swept
+        chord = twist.v * dt * math.sin(half) / half
+        heading = pose.theta + half
     else:
-        x = pose.x + twist.v * dt * math.cos(pose.theta)
-        y = pose.y + twist.v * dt * math.sin(pose.theta)
+        chord = twist.v * dt
+        heading = pose.theta
+    x = pose.x + chord * math.cos(heading)
+    y = pose.y + chord * math.sin(heading)
     return Posture(x, y, wrap_angle(pose.theta + swept))
 
 

@@ -235,12 +235,14 @@ class PlantLoop:
         swept = w * dt
         theta = self.theta
         if abs(swept) > ARC_EPSILON:
-            radius = v / w
-            self.x += radius * (math.sin(theta + swept) - math.sin(theta))
-            self.y += radius * (-math.cos(theta + swept) + math.cos(theta))
+            half = 0.5 * swept
+            chord = v * dt * math.sin(half) / half
+            heading = theta + half
         else:
-            self.x += v * dt * math.cos(theta)
-            self.y += v * dt * math.sin(theta)
+            chord = v * dt
+            heading = theta
+        self.x += chord * math.cos(heading)
+        self.y += chord * math.sin(heading)
         self.theta = wrap_angle(theta + swept)
         self.time_ms += dt * 1e3
         self.slip_active = slip is not None
