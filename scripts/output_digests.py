@@ -1,0 +1,100 @@
+"""Print one sha256 per fixed CLI invocation, to compare two trees' outputs.
+
+    python3 scripts/output_digests.py > digests.txt
+
+Each invocation runs `python -m swarmsim` from this tree's `src/` in a fresh
+process with its own `--out` directory. The digest covers the exit code,
+stdout without the `wall_clock_s:` and `wrote:` lines, stderr with the tree
+path masked, and the name and bytes of every file written under `--out`.
+Run it in two checkouts and `diff` the two listings: a line that matches
+means that invocation's outputs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "src" / "swarmsim" / "scenarios"
+
+LOSSY_TRACK = ("channel.loss_prob=0.3", "channel.latency_max_ms=300",
+               "channel.bit_flip_prob=0.001")
+LOSSY_LOCALIZE = ("channel.loss_prob=0.2", "channel.bit_flip_prob=0.001",
+                  "channel.latency_max_ms=400")
+NOISY_SWARM = ("consensus.headings=[-1.2, -0.85, -0.5, -0.15, 0.2, 0.55, 0.9, 1.25]",
+               "robot.noiseless=false", "channel.loss_prob=0.1",
+               "channel.latency_min_ms=50", "channel.latency_max_ms=100",
+               "channel.bit_flip_prob=0.001", "consensus.round_period_ms=70.5")
+
+# (label, command, scenario file, extra arguments)
+INVOCATIONS = (
+    ("track bundled", "track", "circle_track.yaml", ()),
+    ("track estimator", "track", "circle_track.yaml",
+     ("--override", "control.feedback=estimator")),
+    ("track estimator lossy", "track", "circle_track.yaml",
+     ("--override", "control.feedback=estimator",
+      *[a for spec in LOSSY_TRACK for a in ("--override", spec)])),
+    ("localize slip", "localize", "localize_slip.yaml", ()),
+    ("localize jitter", "localize", "localize_jitter.yaml", ()),
+    ("localize slip lossy", "localize", "localize_slip.yaml",
+     tuple(a for spec in LOSSY_LOCALIZE for a in ("--override", spec))),
+    ("compare slip", "compare", "localize_slip.yaml", ()),
+    ("compare jitter", "compare", "localize_jitter.yaml", ()),
+    ("compare slip seed 7 all variants", "compare", "localize_slip.yaml",
+     ("--seed", "7", "--variants", "adaptive", "nonadaptive", "fixed_dt",
+      "wheels", "flow")),
+    ("compare jitter lossy flow wheels adaptive", "compare", "localize_jitter.yaml",
+     ("--variants", "flow", "wheels", "adaptive",
+      *[a for spec in LOSSY_LOCALIZE for a in ("--override", spec)])),
+    ("consensus bundled", "consensus", "consensus_demo.yaml", ()),
+    ("consensus 8 robots noisy lossy", "consensus", "consensus_demo.yaml",
+     tuple(a for spec in NOISY_SWARM for a in ("--override", spec))),
+    ("plan bundled", "plan", "plan_arena.yaml", ()),
+    ("plan noisy 25 mm", "plan", "plan_arena.yaml",
+     ("--override", "robot.noiseless=false",
+      "--override", "robot.noise.ir_sigma=25")),
+    ("localize slip nothing delivered", "localize", "localize_slip.yaml",
+     ("--override", "channel.loss_prob=1.0")),
+    ("localize slip out of world", "localize", "localize_slip.yaml",
+     ("--override", "world={bounds: [-300,-300,300,300]}")),
+)
+
+
+def digest(command: str, scenario: str, extra: tuple[str, ...]) -> tuple[str, int]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "swarmsim", command, str(SCENARIOS / scenario),
+             "--out", str(out), *extra],
+            env=env, capture_output=True, text=True, check=False)
+        h = hashlib.sha256()
+        h.update(f"exit {proc.returncode}\n".encode())
+        for line in proc.stdout.splitlines():
+            if not line.startswith(("wall_clock_s:", "wrote:")):
+                h.update(f"stdout {line}\n".encode())
+        h.update(proc.stderr.replace(str(ROOT), "<tree>").encode())
+        files = sorted(out.rglob("*")) if out.is_dir() else []
+        for path in files:
+            if path.is_file():
+                h.update(f"\nfile {path.relative_to(out).as_posix()}\n".encode())
+                h.update(path.read_bytes())
+    return h.hexdigest(), proc.returncode
+
+
+def main() -> int:
+    for label, command, scenario, extra in INVOCATIONS:
+        sha, code = digest(command, scenario, extra)
+        print(f"{sha}  exit={code}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

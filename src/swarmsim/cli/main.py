@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from swarmsim.estimation import EstimationFault
@@ -15,6 +16,7 @@ from swarmsim.planning import PlanningError
 from swarmsim.cli.runner import (
     COMPARE_VARIANTS,
     DEFAULT_COMPARE_VARIANTS,
+    RunSummary,
     RuntimeFault,
     format_summary,
     run_compare,
@@ -76,19 +78,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario, tuple(overrides))
         if args.command == "validate":
-            print(f"scenario: {scenario.name}")
-            print(f"kind: {scenario.kind}")
-            print(f"seed: {scenario.seed}")
-            print(f"config_digest: {scenario.digest}")
-            print("valid: true")
+            print(format_summary(RunSummary(scenario, {"valid": True})))
             return EXIT_OK
         _check_kind(args.command, scenario)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
         if args.command == "compare":
             summary = run_compare(scenario, out_dir, tuple(args.variants))
         else:
             summary = run_scenario(scenario, out_dir)
+        wall_clock_s = time.perf_counter() - t0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -96,6 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
     print(format_summary(summary))
+    print(f"wall_clock_s: {wall_clock_s:.3f}")
     return EXIT_OK
 
 

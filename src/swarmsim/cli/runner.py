@@ -3,14 +3,14 @@
 Each runner consumes a validated Scenario, writes its artifact files into
 an output directory, and returns a RunSummary. Output files never contain
 wall-clock time, so an identical (scenario, seed) pair reproduces them
-byte for byte; timing appears only in the printed summary.
+byte for byte; the command line times each run and prints the time only
+on stdout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -18,11 +18,11 @@ import numpy as np
 
 from swarmsim.comms import (
     ChannelModel,
-    FrameError,
     SensorPacket,
     StarChannel,
-    decode_frame,
     encode_frame,
+    wrap_flow,
+    wrap_i16,
 )
 from swarmsim.control import (
     Gains,
@@ -232,25 +232,21 @@ def write_csv(path: Path, header: list[str], rows) -> Path:
 class RunSummary:
     """What one scenario run produced; printed as structured text."""
 
-    name: str
-    kind: str
-    seed: int
-    digest: str
+    scenario: Scenario
     metrics: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
-    wall_clock_s: float = 0.0
 
 
 def format_summary(summary: RunSummary) -> str:
+    scenario = summary.scenario
     lines = [
-        f"scenario: {summary.name}",
-        f"kind: {summary.kind}",
-        f"seed: {summary.seed}",
-        f"config_digest: {summary.digest}",
+        f"scenario: {scenario.name}",
+        f"kind: {scenario.kind}",
+        f"seed: {scenario.seed}",
+        f"config_digest: {scenario.digest}",
     ]
     lines += [f"{key}: {_fmt(value)}" for key, value in summary.metrics.items()]
     lines += [f"wrote: {path}" for path in summary.files]
-    lines.append(f"wall_clock_s: {summary.wall_clock_s:.3f}")
     return "\n".join(lines)
 
 
@@ -344,20 +340,15 @@ class RobotSim:
                 self._next_report += self._report_interval()
         return sent
 
-    @staticmethod
-    def _wrap_i16(value: int) -> int:
-        return ((value + 0x8000) & 0xFFFF) - 0x8000
-
-    @classmethod
-    def _wrap_flow(cls, mm: float) -> float:
-        # Snap to the 0.1 mm wire grid before wrapping so the wrapped value
-        # quantizes back to the same i16.
-        return cls._wrap_i16(round(mm / 0.1)) * 0.1
-
     def _assemble_report(self) -> SensorPacket:
         """Snapshot the free-running odometry counters at send time."""
         pose = self.pose
         if self.world is not None:
+            if not self.world.bounds.contains(pose.x, pose.y):
+                raise RuntimeFault(
+                    f"robot {self.robot_id} left the world bounds at "
+                    f"t={self.t_us / 1e6:g} s (x={pose.x:.1f} mm, "
+                    f"y={pose.y:.1f} mm)")
             ir = tuple(sample_ir(self.world, pose, self.geometry, self.noise,
                                  self.ir_rng))
         else:
@@ -365,10 +356,10 @@ class RobotSim:
         packet = SensorPacket(
             robot_id=self.robot_id,
             t_sent=self.t_us // 1000,
-            ticks_left=self._wrap_i16(self._ticks_l),
-            ticks_right=self._wrap_i16(self._ticks_r),
-            flow_dx_left=self._wrap_flow(self._flow_l),
-            flow_dx_right=self._wrap_flow(self._flow_r),
+            ticks_left=wrap_i16(self._ticks_l),
+            ticks_right=wrap_i16(self._ticks_r),
+            flow_dx_left=wrap_flow(self._flow_l),
+            flow_dx_right=wrap_flow(self._flow_r),
             gyro_heading=sample_gyro(pose, self.noise, self.gyro_rng),
             ir=ir,
         )
@@ -391,7 +382,11 @@ class SensorRun:
 
 
 def simulate_reports(data: dict, seed: int) -> SensorRun:
-    """Open-loop run under a constant wheel command, reports via the channel."""
+    """Open-loop run under a constant wheel command, reports via the channel.
+
+    Raises RuntimeFault when no report reaches the server, since no
+    estimate can then be made.
+    """
     geometry = build_geometry(data)
     noise = build_noise(data)
     rates = build_rates(data)
@@ -404,8 +399,6 @@ def simulate_reports(data: dict, seed: int) -> SensorRun:
     channel = StarChannel(build_channel(data), stream_rng(seed, 0, STREAM_CHANNEL))
     digest = hashlib.sha256()
     delivered: list[SensorPacket] = []
-    undecodable = 0
-    sent = 0
     duration_us = round(data["duration_s"] * 1e6)
     step_us = rates.report_period_us
     t_us = 0
@@ -415,25 +408,29 @@ def simulate_reports(data: dict, seed: int) -> SensorRun:
             frame = encode_frame(packet)
             digest.update(frame)
             channel.send(frame, float(packet.t_sent), packet.robot_id)
-            sent += 1
-        for delivery in channel.pop_due(t_us / 1e3):
-            try:
-                delivered.append(decode_frame(delivery.data))
-            except FrameError:
-                undecodable += 1
+        delivered += channel.receive(t_us / 1e3)
+    if not delivered:
+        raise RuntimeFault(
+            f"no report reached the server: {channel.sent} sent, "
+            f"{channel.dropped} lost, {channel.undecodable} undecodable, "
+            f"{channel.pending} still in flight")
     return SensorRun(
         delivered=delivered,
         truth_at_send=sim.truth_at_send,
         final_truth=sim.pose,
         noise_digest=digest.hexdigest(),
-        sent=sent,
+        sent=channel.sent,
         dropped=channel.dropped,
-        undecodable=undecodable,
+        undecodable=channel.undecodable,
         undelivered=channel.pending,
     )
 
 
 def position_errors(times_ms, means, truth_at: dict[int, Posture]) -> np.ndarray:
+    if not times_ms:
+        # Only reports stamped 0 ms arrived: none postdates the start.
+        raise RuntimeFault("no delivered report postdates the start time, "
+                           "so none could be processed")
     errors = []
     for t, mean in zip(times_ms, means):
         truth = truth_at[int(t)]
@@ -442,7 +439,7 @@ def position_errors(times_ms, means, truth_at: dict[int, Posture]) -> np.ndarray
 
 
 def _rmse(errors: np.ndarray) -> float:
-    return float(math.sqrt(float(np.mean(np.square(errors))))) if errors.size else 0.0
+    return float(math.sqrt(float(np.mean(np.square(errors)))))
 
 
 # --- track -------------------------------------------------------------------------
@@ -453,7 +450,6 @@ TRACK_COLUMNS = ["t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c",
 
 
 def run_track(scenario: Scenario, out_dir: Path) -> RunSummary:
-    t0 = time.perf_counter()
     data = scenario.data
     geometry = build_geometry(data)
     traj, gains, period_s, start = build_trajectory(data, geometry)
@@ -465,17 +461,14 @@ def run_track(scenario: Scenario, out_dir: Path) -> RunSummary:
         rows = _track_estimator_loop(scenario, traj, gains, period_s, start,
                                      steps, geometry)
     planar = [math.hypot(r[7], r[8]) for r in rows]
-    summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
-                         scenario.digest)
-    summary.metrics = {
+    summary = RunSummary(scenario, {
         "steps": len(rows),
         "tracking_rmse_mm": _rmse(np.asarray(planar)),
         "terminal_error_mm": planar[-1],
         "terminal_heading_error_rad": abs(rows[-1][9]),
         "final_V": rows[-1][12],
-    }
+    })
     summary.files.append(write_csv(out_dir / "track.csv", TRACK_COLUMNS, rows))
-    summary.wall_clock_s = time.perf_counter() - t0
     return summary
 
 
@@ -516,11 +509,7 @@ def _track_estimator_loop(scenario, traj, gains, period_s, start, steps,
         for packet in sim.advance_to(t_us):
             channel.send(encode_frame(packet), float(packet.t_sent),
                          packet.robot_id)
-        for delivery in channel.pop_due(t_us / 1e3):
-            try:
-                packet = decode_frame(delivery.data)
-            except FrameError:
-                continue
+        for packet in channel.receive(t_us / 1e3):
             est.push(packet)
         t = i * period_s
         ref, v_r, w_r = traj.reference_at(t)
@@ -560,7 +549,6 @@ def _run_variant(name: str, run: SensorRun, start: Posture,
 
 
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
-    t0 = time.perf_counter()
     data = scenario.data
     geometry = build_geometry(data)
     noise = build_noise(data)
@@ -579,9 +567,7 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
         rows.append((t / 1e3, truth.x, truth.y, truth.theta,
                      mean[0], mean[1], wrap_angle(mean[2]), float(err),
                      int(slip)))
-    summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
-                         scenario.digest)
-    summary.metrics = {
+    summary = RunSummary(scenario, {
         "reports_sent": run.sent,
         "reports_processed": len(rows),
         "frames_lost": run.dropped,
@@ -589,19 +575,17 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
         "stale_skipped": estimate.stale_skipped,
         "slip_flagged_reports": int(sum(estimate.slip_flags)),
         "position_rmse_mm": _rmse(errors),
-        "terminal_error_mm": float(errors[-1]) if errors.size else 0.0,
+        "terminal_error_mm": float(errors[-1]),
         "noise_digest": run.noise_digest[:12],
-    }
+    })
     summary.files.append(write_csv(out_dir / "estimates.csv",
                                    ESTIMATE_COLUMNS, rows))
-    summary.wall_clock_s = time.perf_counter() - t0
     return summary
 
 
 def run_compare(scenario: Scenario, out_dir: Path,
                 variants: tuple[str, ...] = DEFAULT_COMPARE_VARIANTS) -> RunSummary:
     """Simulate the report stream once and run every variant on it."""
-    t0 = time.perf_counter()
     data = scenario.data
     geometry = build_geometry(data)
     noise = build_noise(data)
@@ -615,10 +599,9 @@ def run_compare(scenario: Scenario, out_dir: Path,
         estimate = _run_variant(name, run, start, geometry, cfg, period_s)
         errors = position_errors(estimate.times_ms, estimate.means,
                                  run.truth_at_send)
-        terminal = float(errors[-1]) if errors.size else 0.0
-        rows.append((name, _rmse(errors), terminal, estimate.stale_skipped))
-    summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
-                         scenario.digest)
+        rows.append((name, _rmse(errors), float(errors[-1]),
+                     estimate.stale_skipped))
+    summary = RunSummary(scenario)
     for name, rmse, terminal, stale in rows:
         summary.metrics[f"{name}_rmse_mm"] = rmse
         summary.metrics[f"{name}_terminal_mm"] = terminal
@@ -626,7 +609,6 @@ def run_compare(scenario: Scenario, out_dir: Path,
     summary.files.append(write_csv(
         out_dir / "compare.csv",
         ["variant", "rmse_mm", "terminal_mm", "stale_skipped"], rows))
-    summary.wall_clock_s = time.perf_counter() - t0
     return summary
 
 
@@ -634,7 +616,6 @@ def run_compare(scenario: Scenario, out_dir: Path,
 
 
 def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
-    t0 = time.perf_counter()
     data = scenario.data
     section = dict(data["consensus"])
     headings = section.pop("headings")
@@ -654,18 +635,15 @@ def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
     header = ["t", "round", "mean", "spread"] + [f"h{i}" for i in range(n)]
     rows = [(rec.t_s, i, rec.mean, rec.spread, *rec.headings)
             for i, rec in enumerate(result.trace)]
-    summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
-                         scenario.digest)
-    summary.metrics = {
+    summary = RunSummary(scenario, {
         "robots": n,
         "converged": result.converged,
         "rounds": result.rounds,
         "time_s": result.time_s,
         "final_spread_rad": result.trace[-1].spread if result.trace else 0.0,
         "staleness_warnings": result.staleness_warnings,
-    }
+    })
     summary.files.append(write_csv(out_dir / "consensus.csv", header, rows))
-    summary.wall_clock_s = time.perf_counter() - t0
     return summary
 
 
@@ -709,7 +687,6 @@ def survey_poses(plan: dict, world: World) -> list[Posture]:
 
 
 def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
-    t0 = time.perf_counter()
     data = scenario.data
     geometry = build_geometry(data)
     noise = build_noise(data)
@@ -738,9 +715,7 @@ def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
     path = astar(planner_grid, start, goal)
     clear = min(world_clearance(*planner_grid.cell_center(c), world)
                 for c in path.cells)
-    summary = RunSummary(scenario.name, scenario.kind, scenario.seed,
-                         scenario.digest)
-    summary.metrics = {
+    summary = RunSummary(scenario, {
         "scans": len(poses),
         "skipped_readings": grid.skipped_readings,
         "occupied_cells": int(np.count_nonzero(filtered.occupancy())),
@@ -751,7 +726,7 @@ def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
         "path_length_mm": path.cost * planner_grid.resolution,
         "cells_expanded": len(path.expanded),
         "min_true_clearance_mm": clear,
-    }
+    })
     pgm, txt = save_grid(filtered, out_dir / "map")
     rows = [(ix, iy, *planner_grid.cell_center((ix, iy)))
             for ix, iy in path.cells]
@@ -759,7 +734,6 @@ def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
         pgm, txt,
         write_csv(out_dir / "path.csv", ["ix", "iy", "x_mm", "y_mm"], rows),
     ]
-    summary.wall_clock_s = time.perf_counter() - t0
     return summary
 
 

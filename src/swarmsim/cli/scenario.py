@@ -341,7 +341,3 @@ def load_scenario(path: str | Path, overrides: tuple[str, ...] = ()) -> Scenario
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(text, overrides)
-
-
-def bundled_scenario_dir() -> Path:
-    return Path(__file__).resolve().parent.parent / "scenarios"

@@ -52,6 +52,19 @@ class BadPayload(FrameError):
     """Checksum passed but the payload is not a valid sensor report."""
 
 
+def wrap_i16(value: int) -> int:
+    """Wrap an integer counter onto the signed 16-bit wire range."""
+    return ((value + 0x8000) & 0xFFFF) - 0x8000
+
+
+def wrap_flow(mm: float) -> float:
+    """Wrap a flow distance counter (mm) onto its i16 wire field.
+
+    Snaps to the 0.1 mm wire grid before wrapping, so the wrapped value
+    quantizes back to the same i16."""
+    return wrap_i16(round(mm / FLOW_UNIT_MM)) * FLOW_UNIT_MM
+
+
 def crc16(data: bytes, crc: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE; crc seeds the register, so calls chain."""
     return binascii.crc_hqx(data, crc)
@@ -203,23 +216,26 @@ class StarChannel:
 
     Latency jitter can reorder frames from the same robot when the jitter
     span exceeds the send period; the tie-break keeps delivery deterministic.
+    Every frame sent is counted once: dropped in flight, undecodable on
+    receipt, returned by receive, or still pending.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
         self.model = model
         self.rng = rng
+        self.sent = 0
         self.dropped = 0
-        self._seq = 0
+        self.undecodable = 0
         self._queue: list[tuple[float, int, int, bytes]] = []
 
     def send(self, frame: bytes, t_now_ms: float, robot_id: int) -> None:
-        self._seq += 1
+        self.sent += 1
         if self.rng.random() < self.model.loss_prob:
             self.dropped += 1
             return
         data = corrupt(frame, self.model.bit_flip_prob, self.rng)
         latency = self.rng.uniform(self.model.latency_min_ms, self.model.latency_max_ms)
-        heapq.heappush(self._queue, (t_now_ms + latency, robot_id, self._seq, data))
+        heapq.heappush(self._queue, (t_now_ms + latency, robot_id, self.sent, data))
 
     def pop_due(self, t_now_ms: float) -> list[Delivery]:
         """All deliveries due at or before t_now_ms, in delivery order."""
@@ -228,6 +244,17 @@ class StarChannel:
             deliver_ms, robot_id, seq, data = heapq.heappop(self._queue)
             due.append(Delivery(deliver_ms, robot_id, seq, data))
         return due
+
+    def receive(self, t_now_ms: float) -> list[SensorPacket]:
+        """Reports due at or before t_now_ms, decoded, in delivery order;
+        frames that fail to decode are counted in undecodable."""
+        packets = []
+        for delivery in self.pop_due(t_now_ms):
+            try:
+                packets.append(decode_frame(delivery.data))
+            except FrameError:
+                self.undecodable += 1
+        return packets
 
     @property
     def pending(self) -> int:

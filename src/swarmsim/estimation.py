@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import FLOW_WRAP_MM, SensorPacket
+from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
 from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
 
 STATE_DIM = 5
@@ -103,10 +103,10 @@ class EkfBelief:
         return Posture(self.mean[0], self.mean[1], self.mean[2])
 
 
-def initial_belief(pose: Posture, t_ms: float = 0.0) -> EkfBelief:
+def initial_belief(pose: Posture) -> EkfBelief:
     mean = np.array([pose.x, pose.y, pose.theta, 0.0, 0.0])
     cov = np.diag([1.0, 1.0, 1e-4, 100.0, 0.1])
-    return EkfBelief(mean, cov, t_ms)
+    return EkfBelief(mean, cov, 0.0)
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,6 @@ class VelocityMeasurement:
     def vector(self) -> np.ndarray:
         return np.array([self.v_wheel, self.w_wheel, self.v_flow, self.w_flow,
                          self.heading])
-
-
-def _diff_ticks(curr: int, prev: int) -> int:
-    """Signed difference of two i16 free-running tick counters."""
-    return ((curr - prev + 0x8000) & 0xFFFF) - 0x8000
 
 
 def _diff_flow(curr: float, prev: float) -> float:
@@ -152,8 +147,8 @@ def measurement_from_packets(prev: SensorPacket, curr: SensorPacket,
         raise StaleData(f"report at {curr.t_sent} ms does not postdate {prev.t_sent} ms")
     dt = (curr.t_sent - prev.t_sent) / 1e3
     mmpt = geometry.mm_per_tick
-    v_right = _diff_ticks(curr.ticks_right, prev.ticks_right) * mmpt / dt
-    v_left = _diff_ticks(curr.ticks_left, prev.ticks_left) * mmpt / dt
+    v_right = wrap_i16(curr.ticks_right - prev.ticks_right) * mmpt / dt
+    v_left = wrap_i16(curr.ticks_left - prev.ticks_left) * mmpt / dt
     dx_left = _diff_flow(curr.flow_dx_left, prev.flow_dx_left)
     dx_right = _diff_flow(curr.flow_dx_right, prev.flow_dx_right)
     v_flow = (dx_left + dx_right) / (2.0 * dt)
@@ -250,9 +245,8 @@ class StreamingEstimator:
     """
 
     def __init__(self, start: Posture, geometry: RobotGeometry,
-                 cfg: EkfConfig | None = None, start_t_ms: int = 0,
-                 adaptive: bool = True, fixed_dt_s: float | None = None,
-                 source: str | None = None):
+                 cfg: EkfConfig | None = None, adaptive: bool = True,
+                 fixed_dt_s: float | None = None, source: str | None = None):
         if source not in (None, "wheels", "flow"):
             raise ValueError(f"unknown dead-reckoning source {source!r}")
         self.geometry = geometry
@@ -261,18 +255,18 @@ class StreamingEstimator:
         self.fixed_dt_s = fixed_dt_s
         self.source = source
         if source is None:
-            self.belief = initial_belief(start, float(start_t_ms))
+            self.belief = initial_belief(start)
             self._detector = SlipDetector(cfg)
         else:
             self.belief = EkfBelief(
                 np.array([start.x, start.y, start.theta, 0.0, 0.0]),
-                np.zeros((STATE_DIM, STATE_DIM)), float(start_t_ms))
+                np.zeros((STATE_DIM, STATE_DIM)), 0.0)
         self.slip = False
         self.stale_skipped = 0
         # Odometry counters start at zero, so the first report is
-        # differenced against a virtual report at the start time.
+        # differenced against a virtual report at time zero.
         self._prev = SensorPacket(
-            robot_id=0, t_sent=start_t_ms, ticks_left=0, ticks_right=0,
+            robot_id=0, t_sent=0, ticks_left=0, ticks_right=0,
             flow_dx_left=0.0, flow_dx_right=0.0, gyro_heading=0.0)
 
     def push(self, packet: SensorPacket) -> EkfBelief | None:
@@ -332,16 +326,15 @@ def _collect(est: StreamingEstimator, packets: list[SensorPacket]) -> Estimation
 
 def run_estimator(packets: list[SensorPacket], start: Posture,
                   geometry: RobotGeometry, cfg: EkfConfig,
-                  start_t_ms: int = 0, adaptive: bool = True,
+                  adaptive: bool = True,
                   fixed_dt_s: float | None = None) -> EstimationRun:
     """Run the filter over reports in arrival order (see StreamingEstimator)."""
-    return _collect(StreamingEstimator(start, geometry, cfg, start_t_ms,
-                                       adaptive, fixed_dt_s), packets)
+    return _collect(StreamingEstimator(start, geometry, cfg, adaptive,
+                                       fixed_dt_s), packets)
 
 
 def dead_reckon(packets: list[SensorPacket], start: Posture,
-                geometry: RobotGeometry, source: str,
-                start_t_ms: int = 0) -> EstimationRun:
+                geometry: RobotGeometry, source: str) -> EstimationRun:
     """Open-loop integration of one velocity source, same staleness rules."""
-    return _collect(StreamingEstimator(start, geometry, start_t_ms=start_t_ms,
-                                       source=source), packets)
+    return _collect(StreamingEstimator(start, geometry, source=source),
+                    packets)

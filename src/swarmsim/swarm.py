@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comms import ChannelModel, FrameError, FreshnessBuffer, SensorPacket, StarChannel, decode_frame, encode_frame
+from .comms import ChannelModel, FreshnessBuffer, SensorPacket, StarChannel, encode_frame
 from .control import Gains, tracking_control
 from .core import Posture, RobotGeometry, integrate_unicycle, wheels_to_twist, wrap_angle
 
@@ -227,11 +227,8 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
         t_ms = round_idx * cfg.round_period_ms
         for robot in robots:
             channel.send(robot.report(t_ms), t_ms, robot.robot_id)
-        for delivery in channel.pop_due(t_ms):
-            try:
-                buffer.update(decode_frame(delivery.data))
-            except FrameError:
-                continue
+        for packet in channel.receive(t_ms):
+            buffer.update(packet)
         if buffer.robot_ids() == expected_ids:
             latest = [buffer.latest(i) for i in expected_ids]
             for packet in latest:

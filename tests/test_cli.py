@@ -196,6 +196,40 @@ def test_plan_endpoint_inside_wall_faults(tmp_path, capsys):
     assert "fault:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["localize", "compare"])
+@pytest.mark.parametrize("override", ["channel.loss_prob=1.0",
+                                      "channel.bit_flip_prob=1.0"])
+def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
+                                              override):
+    assert main([command, SLIP, "--out", str(tmp_path),
+                 "--override", "duration_s=3.0", "--override", override]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fault: ")
+    assert "sent" in lines[0] and "undecodable" in lines[0]
+
+
+def test_run_without_processable_reports_faults(tmp_path, capsys):
+    # A sub-millisecond report period stamps every report 0 ms, so each
+    # delivered report is stale against the start and none is processed.
+    assert main(["localize", SLIP, "--out", str(tmp_path),
+                 "--override", "duration_s=0.0005",
+                 "--override", "rates.report_period_ms=0.5",
+                 "--override", "channel.latency_min_ms=0",
+                 "--override", "channel.latency_max_ms=0"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fault: ")
+
+
+def test_robot_leaving_the_world_faults(tmp_path, capsys):
+    assert main(["localize", SLIP, "--out", str(tmp_path),
+                 "--override", "world={bounds: [-300,-300,300,300]}"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fault: ")
+    assert "world" in lines[0]
+
+
 def test_outputs_carry_no_wall_clock(tmp_path, capsys):
     assert main(["localize", SLIP, "--out", str(tmp_path),
                  "--override", "duration_s=5.0"]) == 0

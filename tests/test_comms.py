@@ -21,6 +21,8 @@ from swarmsim.comms import (
     crc16,
     decode_frame,
     encode_frame,
+    wrap_flow,
+    wrap_i16,
 )
 
 # Independent table-driven CRC-16/CCITT-FALSE reference.
@@ -272,6 +274,50 @@ def test_corrupted_channel_frames_fail_decode():
             outcomes.append(False)
     # With ~2% bit flips on a 240-bit frame almost every frame is corrupted.
     assert outcomes.count(False) > 150
+
+
+def test_receive_matches_decoding_a_twin_channel():
+    model = ChannelModel(latency_min_ms=0, latency_max_ms=150, loss_prob=0.2,
+                         bit_flip_prob=0.002)
+    ch = StarChannel(model, np.random.default_rng(15))
+    twin = StarChannel(model, np.random.default_rng(15))
+    rng = np.random.default_rng(16)
+    received = 0
+    for step in range(400):
+        t = 10.0 * step
+        for robot_id in range(3):
+            frame = encode_frame(make_packet(rng, robot_id=robot_id, t_sent=step))
+            ch.send(frame, t, robot_id)
+            twin.send(frame, t, robot_id)
+        expected = []
+        for d in twin.pop_due(t):
+            try:
+                expected.append(decode_frame(d.data))
+            except FrameError:
+                pass
+        got = ch.receive(t)
+        assert got == expected
+        received += len(got)
+        assert ch.sent == ch.dropped + received + ch.undecodable + ch.pending
+    assert ch.sent == 1200
+    assert min(ch.dropped, received, ch.undecodable, ch.pending) > 0
+
+
+@given(st.integers(min_value=-10**9, max_value=10**9))
+def test_wrap_i16_is_congruent_and_in_range(value):
+    wrapped = wrap_i16(value)
+    assert -0x8000 <= wrapped <= 0x7FFF
+    assert (wrapped - value) % 0x10000 == 0
+
+
+@given(st.floats(min_value=-1e6, max_value=1e6))
+def test_wrap_flow_fits_the_wire_field(mm):
+    packet = SensorPacket(robot_id=0, t_sent=0, ticks_left=0, ticks_right=0,
+                          flow_dx_left=wrap_flow(mm), flow_dx_right=0.0,
+                          gyro_heading=0.0)
+    decoded = decode_frame(encode_frame(packet))
+    assert decoded.flow_dx_left == pytest.approx(wrap_flow(mm), abs=1e-9)
+    assert (round(mm / 0.1) - round(decoded.flow_dx_left / 0.1)) % 0x10000 == 0
 
 
 def test_corrupt_zero_probability_is_identity():
