@@ -58,6 +58,18 @@ INVOCATIONS = (
     ("plan noisy 25 mm", "plan", "plan_arena.yaml",
      ("--override", "robot.noiseless=false",
       "--override", "robot.noise.ir_sigma=25")),
+    # Engine branches the bundled scenarios do not reach.
+    ("localize scale slip", "localize", "localize_slip.yaml",
+     ("--override",
+      "robot.slip=[{start_ms: 4000, end_ms: 9000, mode: scale, factor: 0.4}]")),
+    ("localize 333 Hz encoder 700 Hz flow 30 ms jitter", "localize",
+     "localize_slip.yaml",
+     ("--override", "rates.encoder_hz=333", "--override", "rates.flow_hz=700",
+      "--override", "rates.report_jitter_ms=30")),
+    ("localize saturating command", "localize", "localize_slip.yaml",
+     ("--override", "robot.command=[400, -250]")),
+    ("compare noiseless", "compare", "localize_slip.yaml",
+     ("--override", "robot.noiseless=true")),
     ("localize slip nothing delivered", "localize", "localize_slip.yaml",
      ("--override", "channel.loss_prob=1.0")),
     ("localize slip out of world", "localize", "localize_slip.yaml",

@@ -32,6 +32,7 @@ from swarmsim.control import (
     tracking_control,
 )
 from swarmsim.core import (
+    ARC_EPSILON,
     Posture,
     RobotGeometry,
     WheelSpeeds,
@@ -56,17 +57,14 @@ from swarmsim.planning import (
     save_grid,
 )
 from swarmsim.sim import (
-    EncoderModel,
-    FlowModel,
+    MAX_STEP_S,
     PiConfig,
-    PlantLoop,
-    PlantState,
+    Rates,
     Rect,
     Segment,
     SensorNoise,
     SlipEvent,
     World,
-    active_slip,
     sample_gyro,
     sample_ir,
 )
@@ -91,43 +89,15 @@ COMPARE_VARIANTS = ("adaptive", "nonadaptive", "fixed_dt", "wheels", "flow")
 DEFAULT_COMPARE_VARIANTS = ("adaptive", "nonadaptive", "fixed_dt", "wheels")
 
 
+# Encoder and flow noise is drawn this many normals at a time.
+NOISE_BLOCK = 4096
+
+
 def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, robot_id, purpose])
 
 
 # --- scenario section builders ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rates:
-    """Sensor sampling and report schedule.
-
-    report_jitter_ms > 0 spreads each inter-report interval uniformly over
-    period +- jitter, modeling a robot whose send loop does not keep exact
-    time. The report payload still covers the true interval and carries the
-    true send timestamp, so a timestamp-driven consumer stays consistent.
-    """
-
-    encoder_hz: float = 400.0
-    flow_hz: float = 1000.0
-    report_period_ms: float = 70.0
-    report_jitter_ms: float = 0.0
-
-    @property
-    def encoder_period_us(self) -> int:
-        return round(1e6 / self.encoder_hz)
-
-    @property
-    def flow_period_us(self) -> int:
-        return round(1e6 / self.flow_hz)
-
-    @property
-    def report_period_us(self) -> int:
-        return round(1e3 * self.report_period_ms)
-
-    @property
-    def report_jitter_us(self) -> int:
-        return round(1e3 * self.report_jitter_ms)
 
 
 def build_rates(data: dict) -> Rates:
@@ -259,6 +229,16 @@ class RobotSim:
     Time advances on an integer microsecond grid so the 400 Hz encoder,
     1000 Hz flow, and report clocks stay exactly commensurate; every event
     fires at its true instant regardless of the other rates.
+
+    ``advance_to`` is one fused event loop: the wheel PI update and arc step
+    of ``PlantLoop.advance``, the slip lookup, the encoder quantization of
+    ``EncoderModel.sample_speeds`` and the flow sample of
+    ``FlowModel.sample_vw`` are written inline, float operation for float
+    operation, with the state held in locals between reports.  Encoder and
+    flow noise come from ``standard_normal(NOISE_BLOCK)`` blocks of the same
+    per-stream generators, which yield the same sequence as scalar draws.
+    A reference loop built from those per-step calls is the oracle of the
+    engine equivalence test.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -271,12 +251,17 @@ class RobotSim:
         self.pi_cfg = pi_cfg
         self.world = world
         self.robot_id = robot_id
-        self.slip_schedule = slip_schedule
-        self._loop = PlantLoop(PlantState(pose=start), pi_cfg, geometry)
-        self.encoders = EncoderModel(geometry, noise,
-                                     stream_rng(seed, robot_id, STREAM_ENCODER))
-        self.flow = FlowModel(geometry, noise,
-                              stream_rng(seed, robot_id, STREAM_FLOW))
+        self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
+                            for e in slip_schedule)
+        self._x, self._y, self._theta = start.x, start.y, start.theta
+        self._cmd_right = self._cmd_left = 0.0
+        self._act_right = self._act_left = 0.0
+        self._int_right = self._int_left = 0.0
+        self._enc_rng = stream_rng(seed, robot_id, STREAM_ENCODER)
+        self._flow_rng = stream_rng(seed, robot_id, STREAM_FLOW)
+        self._enc_noise: list[float] = []
+        self._flow_noise: list[float] = []
+        self._enc_i = self._flow_i = NOISE_BLOCK   # both blocks drawn lazily
         self.gyro_rng = stream_rng(seed, robot_id, STREAM_GYRO)
         self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
         self.truth_at_send: dict[int, Posture] = {}
@@ -289,6 +274,7 @@ class RobotSim:
         self._next_enc = self._enc_us
         self._next_flow = self._flow_us
         self._next_report = self._report_interval()
+        self._carry_right = self._carry_left = 0.0
         self._ticks_l = 0
         self._ticks_r = 0
         self._flow_l = 0.0
@@ -302,42 +288,171 @@ class RobotSim:
             self._report_us + self._jitter_us + 1))
 
     def set_command(self, wheels: WheelSpeeds) -> None:
-        self._loop.set_command(wheels.right, wheels.left)
+        self._cmd_right = wheels.right
+        self._cmd_left = wheels.left
 
     @property
     def pose(self) -> Posture:
-        loop = self._loop
-        return Posture(loop.x, loop.y, loop.theta)
+        return Posture(self._x, self._y, self._theta)
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         """Run plant and sensors up to target time; returns reports sent."""
         sent: list[SensorPacket] = []
-        loop = self._loop
-        schedule = self.slip_schedule
-        flow_dt = self._flow_us * 1e-6
-        enc_dt = self._enc_us * 1e-6
-        while self.t_us < target_us:
-            t_next = min(target_us, self._next_enc, self._next_flow,
-                         self._next_report)
-            slip = active_slip(schedule, self.t_us / 1e3) if schedule else None
-            loop.advance((t_next - self.t_us) * 1e-6, slip)
-            self.t_us = t_next
-            if self.t_us == self._next_flow:
-                v = 0.5 * (loop.ground_right + loop.ground_left)
-                w = (loop.ground_right - loop.ground_left) / self.geometry.wheel_base
-                dl, dr = self.flow.sample_vw(v, w, flow_dt)
-                self._flow_l += dl
-                self._flow_r += dr
-                self._next_flow += self._flow_us
-            if self.t_us == self._next_enc:
-                tr, tl = self.encoders.sample_speeds(loop.act_right,
-                                                     loop.act_left, enc_dt)
-                self._ticks_r += tr
-                self._ticks_l += tl
-                self._next_enc += self._enc_us
-            if self.t_us == self._next_report:
+        t_us = self.t_us
+        cfg = self.pi_cfg
+        kp, ki, tau = cfg.kp, cfg.ki, cfg.motor_tau
+        v_max = cfg.v_max
+        v_min = -v_max
+        wheel_base = self.geometry.wheel_base
+        half_sep = 0.5 * self.geometry.flow_separation
+        mm_per_tick = self.geometry.mm_per_tick
+        enc_sigma = self.noise.encoder_sigma
+        flow_scale = self.noise.flow_scale
+        enc_us, flow_us = self._enc_us, self._flow_us
+        enc_dt = enc_us * 1e-6
+        flow_dt = flow_us * 1e-6
+        flow_sigma = self.noise.flow_sigma * flow_dt
+        slips = self._slips
+        sin, cos, pi = math.sin, math.cos, math.pi
+        arc_eps, neg_arc_eps = ARC_EPSILON, -ARC_EPSILON
+        # Saturated wheel targets; the command holds for the whole call.
+        cmd = self._cmd_right
+        target_r = cmd if cmd < v_max else v_max
+        target_r = target_r if target_r > v_min else v_min
+        cmd = self._cmd_left
+        target_l = cmd if cmd < v_max else v_max
+        target_l = target_l if target_l > v_min else v_min
+        # Window state, written back before each report and at the end.
+        x, y, theta = self._x, self._y, self._theta
+        act_r, act_l = self._act_right, self._act_left
+        int_r, int_l = self._int_right, self._int_left
+        carry_r, carry_l = self._carry_right, self._carry_left
+        ticks_r, ticks_l = self._ticks_r, self._ticks_l
+        flow_l, flow_r = self._flow_l, self._flow_r
+        next_enc, next_flow = self._next_enc, self._next_flow
+        next_report = self._next_report
+        enc_noise, enc_i = self._enc_noise, self._enc_i
+        flow_noise, flow_i = self._flow_noise, self._flow_i
+        window_slips = ()
+        while t_us < target_us:
+            stop = next_report if next_report < target_us else target_us
+            if slips:
+                # Events that can be active at some step start in
+                # [t_us, stop); t / 1e3 is monotone in t.
+                lo_ms, hi_ms = t_us / 1e3, stop / 1e3
+                window_slips = tuple(e for e in slips
+                                     if e[1] > lo_ms and e[0] <= hi_ms)
+            # At least one step per window, so a report clock that does not
+            # advance fails the dt check instead of looping forever.
+            while True:
+                t_next = stop
+                if next_enc < t_next:
+                    t_next = next_enc
+                if next_flow < t_next:
+                    t_next = next_flow
+                dt = (t_next - t_us) * 1e-6
+                if not 0 < dt <= MAX_STEP_S:
+                    raise ValueError(
+                        f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
+                # Wheel speed loops: PI trim, anti-windup, motor lag.
+                error = target_r - act_r
+                drive = target_r + kp * error + ki * int_r
+                if drive > v_max:
+                    drive = v_max
+                elif drive < v_min:
+                    drive = v_min
+                else:
+                    int_r += error * dt
+                act_r += dt * (drive - act_r) / tau
+                error = target_l - act_l
+                drive = target_l + kp * error + ki * int_l
+                if drive > v_max:
+                    drive = v_max
+                elif drive < v_min:
+                    drive = v_min
+                else:
+                    int_l += error * dt
+                act_l += dt * (drive - act_l) / tau
+                # Ground contact under the first active slip event.
+                g_r, g_l = act_r, act_l
+                if window_slips:
+                    t_ms = t_us / 1e3
+                    for start_ms, end_ms, stuck, factor in window_slips:
+                        if start_ms <= t_ms < end_ms:
+                            if stuck:
+                                g_r = g_l = 0.0
+                            else:
+                                g_r = factor * act_r
+                                g_l = factor * act_l
+                            break
+                # Body motion: chord form of the constant-twist arc.
+                v = 0.5 * (g_r + g_l)
+                w = (g_r - g_l) / wheel_base
+                swept = w * dt
+                if swept > arc_eps or swept < neg_arc_eps:
+                    half = 0.5 * swept
+                    chord = v * dt * sin(half) / half
+                    heading = theta + half
+                else:
+                    chord = v * dt
+                    heading = theta
+                x += chord * cos(heading)
+                y += chord * sin(heading)
+                # wrap_angle returns a heading in (-pi, pi] unchanged.
+                theta += swept
+                if not -pi < theta <= pi:
+                    theta = wrap_angle(theta)
+                t_us = t_next
+                if t_us == next_flow:
+                    if flow_i == NOISE_BLOCK:
+                        flow_noise = self._flow_rng.standard_normal(
+                            NOISE_BLOCK).tolist()
+                        flow_i = 0
+                    half = half_sep * w
+                    flow_l += ((v - half) * flow_dt * flow_scale
+                               + flow_sigma * flow_noise[flow_i])
+                    flow_r += ((v + half) * flow_dt * flow_scale
+                               + flow_sigma * flow_noise[flow_i + 1])
+                    flow_i += 2
+                    next_flow += flow_us
+                if t_us == next_enc:
+                    if enc_i == NOISE_BLOCK:
+                        enc_noise = self._enc_rng.standard_normal(
+                            NOISE_BLOCK).tolist()
+                        enc_i = 0
+                    noisy = act_r + enc_sigma * enc_noise[enc_i]
+                    total = carry_r + noisy * enc_dt
+                    ticks = int(total / mm_per_tick)
+                    carry_r = total - ticks * mm_per_tick
+                    ticks_r += ticks
+                    noisy = act_l + enc_sigma * enc_noise[enc_i + 1]
+                    total = carry_l + noisy * enc_dt
+                    ticks = int(total / mm_per_tick)
+                    carry_l = total - ticks * mm_per_tick
+                    ticks_l += ticks
+                    enc_i += 2
+                    next_enc += enc_us
+                if t_us == stop:
+                    break
+            if t_us == next_report:
+                # What _assemble_report reads.
+                self._x, self._y, self._theta = x, y, theta
+                self.t_us = t_us
+                self._ticks_r, self._ticks_l = ticks_r, ticks_l
+                self._flow_l, self._flow_r = flow_l, flow_r
                 sent.append(self._assemble_report())
-                self._next_report += self._report_interval()
+                next_report += self._report_interval()
+        self._x, self._y, self._theta = x, y, theta
+        self._act_right, self._act_left = act_r, act_l
+        self._int_right, self._int_left = int_r, int_l
+        self._carry_right, self._carry_left = carry_r, carry_l
+        self._ticks_r, self._ticks_l = ticks_r, ticks_l
+        self._flow_l, self._flow_r = flow_l, flow_r
+        self._next_enc, self._next_flow = next_enc, next_flow
+        self._next_report = next_report
+        self._enc_noise, self._enc_i = enc_noise, enc_i
+        self._flow_noise, self._flow_i = flow_noise, flow_i
+        self.t_us = t_us
         return sent
 
     def _assemble_report(self) -> SensorPacket:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
+
+from swarmsim.sim import MAX_STEP_S, Rates
 
 KINDS = ("track", "localize", "consensus", "plan")
 
@@ -306,6 +309,37 @@ def apply_override(raw: dict, spec: str) -> None:
     node[keys[-1]] = value
 
 
+def _check_rates(rates: dict) -> None:
+    """Reject rates whose microsecond clocks give an invalid plant step.
+
+    The engine steps the plant from one sensor or report event to the next
+    on an integer microsecond grid, so every period must round to at least
+    1 us, the shortest jittered report interval must stay positive, and
+    some clock must fire at least every MAX_STEP_S seconds.
+    """
+    for key, value in rates.items():
+        if not math.isfinite(value):
+            raise ScenarioError(f"rates.{key}: must be finite, got {value!r}")
+    r = Rates(**rates)
+    for key, period_us in (("encoder_hz", r.encoder_period_us),
+                           ("flow_hz", r.flow_period_us),
+                           ("report_period_ms", r.report_period_us)):
+        if period_us < 1:
+            raise ScenarioError(f"rates.{key}: the period rounds to 0 us, "
+                                f"got {getattr(r, key):g}")
+    if r.report_jitter_us >= r.report_period_us:
+        raise ScenarioError(
+            f"rates.report_jitter_ms: must be less than rates.report_period_ms "
+            f"({r.report_period_ms:g}), got {r.report_jitter_ms:g}")
+    longest_us = min(r.encoder_period_us, r.flow_period_us,
+                     r.report_period_us + r.report_jitter_us)
+    if longest_us * 1e-6 > MAX_STEP_S:
+        raise ScenarioError(
+            f"rates: a plant step can last {longest_us / 1e6:g} s, "
+            f"above {MAX_STEP_S:g} s; raise rates.encoder_hz or rates.flow_hz, "
+            f"or lower rates.report_period_ms")
+
+
 def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     """Parse, override, and validate scenario text."""
     try:
@@ -325,6 +359,7 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
                 f"kind {kind!r} requires the {section!r} section")
     if kind == "localize" and "command" not in data["robot"]:
         raise ScenarioError("kind 'localize' requires robot.command")
+    _check_rates(data.get("rates", {}))
     return Scenario(
         name=data["name"],
         kind=kind,

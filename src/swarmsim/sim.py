@@ -58,6 +58,10 @@ class PlantState:
     slip_active: bool = False
 
 
+# Longest plant step (s) the Euler integration accepts.
+MAX_STEP_S = 0.2
+
+
 def _clamp(value: float, limit: float) -> float:
     return max(-limit, min(limit, value))
 
@@ -132,8 +136,8 @@ def ground_wheels(state: PlantState, slip: SlipEvent | None) -> WheelSpeeds:
 def step_plant(state: PlantState, geometry: RobotGeometry, dt: float,
                slip: SlipEvent | None = None) -> PlantState:
     """Move the body for dt seconds at its current wheel speeds."""
-    if not 0 < dt <= 0.2:
-        raise ValueError(f"dt must be in (0, 0.2], got {dt!r}")
+    if not 0 < dt <= MAX_STEP_S:
+        raise ValueError(f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
     twist = wheels_to_twist(ground_wheels(state, slip), geometry)
     return replace(
         state,
@@ -144,14 +148,17 @@ def step_plant(state: PlantState, geometry: RobotGeometry, dt: float,
 
 
 class PlantLoop:
-    """Fused wheel-PI + motion stepper for long runs.
+    """Fused wheel-PI + motion stepper, one call per plant step.
 
     Arithmetic is kept line-for-line identical to
     ``step_plant(wheel_pi_step(state, cfg, dt), geometry, dt, slip)`` but the
-    state lives in plain floats, so a multi-minute simulation does not spend
-    most of its time constructing frozen dataclasses.  ``snapshot()``
-    materializes the same PlantState the one-step functions would have
-    produced, bit for bit (see the equivalence test).
+    state lives in plain floats.  ``snapshot()`` materializes the same
+    PlantState the one-step functions would have produced, bit for bit (see
+    the equivalence test).
+
+    The CLI's sensor engine, ``RobotSim.advance_to``, inlines this step
+    instead of calling it; this class is its per-step reference in the
+    engine equivalence test, and a tracing target of the benchmark.
     """
 
     def __init__(self, state: PlantState, cfg: PiConfig,
@@ -195,8 +202,8 @@ class PlantLoop:
 
     def advance(self, dt: float, slip: SlipEvent | None = None) -> None:
         """One PI update followed by one motion step, as the fused pair."""
-        if not 0 < dt <= 0.2:
-            raise ValueError(f"dt must be in (0, 0.2], got {dt!r}")
+        if not 0 < dt <= MAX_STEP_S:
+            raise ValueError(f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
         v_max = self._v_max
         kp = self._kp
         ki = self._ki
@@ -305,6 +312,11 @@ class EncoderModel:
                                   state.wheel_actual.left, dt)
 
     def sample_speeds(self, right: float, left: float, dt: float) -> tuple[int, int]:
+        """Ticks (right, left) for one interval at the given wheel speeds.
+
+        ``RobotSim.advance_to`` inlines this sample, drawing its noise in
+        blocks; this method is its per-step reference and a tracing target.
+        """
         ticks = []
         for i, speed in enumerate((right, left)):
             noisy = speed + self.noise.encoder_sigma * self.rng.standard_normal()
@@ -336,6 +348,11 @@ class FlowModel:
         return self.sample_vw(twist_ground.v, twist_ground.w, dt)
 
     def sample_vw(self, v: float, w: float, dt: float) -> tuple[float, float]:
+        """Displacements (left, right) for one interval at body speeds v, w.
+
+        ``RobotSim.advance_to`` inlines this sample, drawing its noise in
+        blocks; this method is its per-step reference and a tracing target.
+        """
         half = 0.5 * self.geometry.flow_separation * w
         dx_l = (v - half) * dt
         dx_r = (v + half) * dt
@@ -344,6 +361,40 @@ class FlowModel:
             dx_l * self.noise.flow_scale + sigma * self.rng.standard_normal(),
             dx_r * self.noise.flow_scale + sigma * self.rng.standard_normal(),
         )
+
+
+@dataclass(frozen=True)
+class Rates:
+    """Sensor sampling and report schedule.
+
+    The engine runs on an integer microsecond grid, so each rate is used
+    through its rounded period.  report_jitter_ms > 0 spreads each
+    inter-report interval uniformly over period +- jitter, modeling a robot
+    whose send loop does not keep exact time. The report payload still
+    covers the true interval and carries the true send timestamp, so a
+    timestamp-driven consumer stays consistent.
+    """
+
+    encoder_hz: float = 400.0
+    flow_hz: float = 1000.0
+    report_period_ms: float = 70.0
+    report_jitter_ms: float = 0.0
+
+    @property
+    def encoder_period_us(self) -> int:
+        return round(1e6 / self.encoder_hz)
+
+    @property
+    def flow_period_us(self) -> int:
+        return round(1e6 / self.flow_hz)
+
+    @property
+    def report_period_us(self) -> int:
+        return round(1e3 * self.report_period_ms)
+
+    @property
+    def report_jitter_us(self) -> int:
+        return round(1e3 * self.report_jitter_ms)
 
 
 def sample_gyro(pose: Posture, noise: SensorNoise, rng: np.random.Generator) -> float:

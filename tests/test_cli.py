@@ -230,6 +230,24 @@ def test_robot_leaving_the_world_faults(tmp_path, capsys):
     assert "world" in lines[0]
 
 
+@pytest.mark.parametrize("overrides, key_path", [
+    # A 0 us encoder period would make a plant step of 0 s.
+    (("rates.encoder_hz=3000000",), "rates.encoder_hz"),
+    # Clocks that all tick slower than 5 Hz allow a plant step over 0.2 s.
+    (("rates.encoder_hz=2", "rates.flow_hz=2", "rates.report_period_ms=1000"),
+     "rates"),
+    # Jitter at or above the period allows a report interval of 0 or less.
+    (("rates.report_jitter_ms=80",), "rates.report_jitter_ms"),
+])
+def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
+                                                         overrides, key_path):
+    args = [a for spec in overrides for a in ("--override", spec)]
+    assert main(["localize", SLIP, "--out", str(tmp_path), *args]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key_path}: ")
+    assert main(["validate", SLIP, *args]) == 2
+
+
 def test_outputs_carry_no_wall_clock(tmp_path, capsys):
     assert main(["localize", SLIP, "--out", str(tmp_path),
                  "--override", "duration_s=5.0"]) == 0
