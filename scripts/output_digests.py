@@ -74,6 +74,21 @@ INVOCATIONS = (
      ("--override", "channel.loss_prob=1.0")),
     ("localize slip out of world", "localize", "localize_slip.yaml",
      ("--override", "world={bounds: [-300,-300,300,300]}")),
+    # Validation: non-finite numbers and cross-field rules exit 2.
+    ("localize infinite command", "localize", "localize_slip.yaml",
+     ("--override", "robot.command=[.inf,0]")),
+    ("localize infinite latency", "localize", "localize_slip.yaml",
+     ("--override", "channel.latency_max_ms=.inf")),
+    ("localize nan duration", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=.nan")),
+    ("localize slip ending before it starts", "localize", "localize_slip.yaml",
+     ("--override", "robot.slip=[{start_ms: 5000, end_ms: 1000}]")),
+    ("localize latency min above max", "localize", "localize_slip.yaml",
+     ("--override", "channel.latency_min_ms=200")),
+    ("consensus gain out of range", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.k=3")),
+    ("plan inverted rect", "plan", "plan_arena.yaml",
+     ("--override", "world.rects=[[800,0,700,500]]")),
 )
 
 

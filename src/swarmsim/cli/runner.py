@@ -168,9 +168,6 @@ def build_trajectory(data: dict, geometry: RobotGeometry):
     else:
         ref_start = start
     if ref["shape"] == "circle":
-        if "radius" not in ref:
-            raise ScenarioError(
-                "control.reference.radius is required for shape 'circle'")
         traj = circle_trajectory(ref["radius"], ref["speed"], duration,
                                  period_s, ref.get("ccw", True), ref_start)
     else:
@@ -230,15 +227,15 @@ class RobotSim:
     1000 Hz flow, and report clocks stay exactly commensurate; every event
     fires at its true instant regardless of the other rates.
 
-    ``advance_to`` is one fused event loop: the wheel PI update and arc step
-    of ``PlantLoop.advance``, the slip lookup, the encoder quantization of
-    ``EncoderModel.sample_speeds`` and the flow sample of
-    ``FlowModel.sample_vw`` are written inline, float operation for float
-    operation, with the state held in locals between reports.  Encoder and
-    flow noise come from ``standard_normal(NOISE_BLOCK)`` blocks of the same
-    per-stream generators, which yield the same sequence as scalar draws.
-    A reference loop built from those per-step calls is the oracle of the
-    engine equivalence test.
+    ``advance_to`` is one fused event loop: the reference plant
+    ``wheel_pi_step``, ``ground_wheels`` and ``step_plant``, the slip
+    lookup, the encoder quantization of ``EncoderModel.sample_speeds`` and
+    the flow sample of ``FlowModel.sample_vw`` are written inline, float
+    operation for float operation, with the state held in locals between
+    reports.  Encoder and flow noise come from ``standard_normal(NOISE_BLOCK)``
+    blocks of the same per-stream generators, which yield the same sequence
+    as scalar draws.  A reference loop that makes those one-step calls is
+    the oracle of the engine equivalence test.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -734,9 +731,8 @@ def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
     data = scenario.data
     section = dict(data["consensus"])
     headings = section.pop("headings")
-    mode = section.pop("mode", "networked")
-    cfg = ConsensusConfig(mode=mode, **section)
-    if mode == "synchronous":
+    cfg = ConsensusConfig(**section)
+    if cfg.mode == "synchronous":
         result = run_synchronous_consensus(headings, cfg)
     else:
         result = run_networked_consensus(

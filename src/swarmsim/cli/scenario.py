@@ -2,9 +2,9 @@
 
 A scenario is a YAML mapping. Validation is strict: any key the schema
 does not know is an error naming the full dotted path, so typos never
-silently fall back to defaults. Values are range-checked here only as far
-as the file format goes; the constructed domain objects re-validate their
-own invariants.
+silently fall back to defaults. Numbers must be finite and are range-checked
+as far as the file format goes; rules that relate several keys are checked
+by constructing the domain objects that own them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from typing import Any
 
 import yaml
 
-from swarmsim.sim import MAX_STEP_S, Rates
+from swarmsim.comms import ChannelModel
+from swarmsim.core import RobotGeometry
+from swarmsim.sim import MAX_STEP_S, Rates, Rect, Segment, SlipEvent
+from swarmsim.swarm import ConsensusConfig
 
 KINDS = ("track", "localize", "consensus", "plan")
 
@@ -42,6 +45,8 @@ class Num:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{path}: expected a number, got {value!r}")
         v = float(value)
+        if not math.isfinite(v):
+            raise ScenarioError(f"{path}: must be finite, got {v!r}")
         if self.lo is not None and (v < self.lo or (self.exclusive_lo and v == self.lo)):
             bound = "greater than" if self.exclusive_lo else "at least"
             raise ScenarioError(f"{path}: must be {bound} {self.lo:g}, got {v:g}")
@@ -244,7 +249,7 @@ _WORLD = Map({
 _RATES = Map({
     "encoder_hz": (_POSITIVE, False),
     "flow_hz": (_POSITIVE, False),
-    "report_period_ms": (_POSITIVE, False),
+    "report_period_ms": (Num(lo=1.0), False),   # t_sent counts whole ms
     "report_jitter_ms": (_NONNEG, False),   # robot loop turbulence around the period
 })
 
@@ -313,24 +318,22 @@ def _check_rates(rates: dict) -> None:
     """Reject rates whose microsecond clocks give an invalid plant step.
 
     The engine steps the plant from one sensor or report event to the next
-    on an integer microsecond grid, so every period must round to at least
-    1 us, the shortest jittered report interval must stay positive, and
-    some clock must fire at least every MAX_STEP_S seconds.
+    on an integer microsecond grid, so each sensor period must round to at
+    least 1 us and some clock must fire at least every MAX_STEP_S seconds.
+    Reports are stamped in whole ms, so a jittered report interval under
+    1 ms could repeat a stamp and have its report skipped as stale.
     """
-    for key, value in rates.items():
-        if not math.isfinite(value):
-            raise ScenarioError(f"rates.{key}: must be finite, got {value!r}")
     r = Rates(**rates)
     for key, period_us in (("encoder_hz", r.encoder_period_us),
-                           ("flow_hz", r.flow_period_us),
-                           ("report_period_ms", r.report_period_us)):
+                           ("flow_hz", r.flow_period_us)):
         if period_us < 1:
             raise ScenarioError(f"rates.{key}: the period rounds to 0 us, "
                                 f"got {getattr(r, key):g}")
-    if r.report_jitter_us >= r.report_period_us:
+    if r.report_period_us - r.report_jitter_us < 1000:
         raise ScenarioError(
-            f"rates.report_jitter_ms: must be less than rates.report_period_ms "
-            f"({r.report_period_ms:g}), got {r.report_jitter_ms:g}")
+            f"rates.report_jitter_ms: must be at most rates.report_period_ms "
+            f"- 1 ms ({(r.report_period_us - 1000) / 1e3:g}), "
+            f"got {r.report_jitter_ms:g}")
     longest_us = min(r.encoder_period_us, r.flow_period_us,
                      r.report_period_us + r.report_jitter_us)
     if longest_us * 1e-6 > MAX_STEP_S:
@@ -338,6 +341,34 @@ def _check_rates(rates: dict) -> None:
             f"rates: a plant step can last {longest_us / 1e6:g} s, "
             f"above {MAX_STEP_S:g} s; raise rates.encoder_hz or rates.flow_hz, "
             f"or lower rates.report_period_ms")
+
+
+def _construct(path: str, cls, *args, **kwargs) -> None:
+    try:
+        cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _check_models(data: dict) -> None:
+    """Check the rules that relate several keys, mostly by constructing the
+    objects that own them, so a violation names its key path before a run."""
+    robot, world = data.get("robot", {}), data.get("world", {})
+    _construct("channel", ChannelModel, **data.get("channel", {}))
+    _construct("robot.geometry", RobotGeometry, **robot.get("geometry", {}))
+    for i, event in enumerate(robot.get("slip", ())):
+        _construct(f"robot.slip[{i}]", SlipEvent, **event)
+    if world:
+        _construct("world.bounds", Rect, *world["bounds"])
+    for key, cls in (("rects", Rect), ("segments", Segment)):
+        for i, coords in enumerate(world.get(key, ())):
+            _construct(f"world.{key}[{i}]", cls, *coords)
+    if "consensus" in data:
+        section = {k: v for k, v in data["consensus"].items() if k != "headings"}
+        _construct("consensus", ConsensusConfig, **section)
+    reference = data.get("control", {}).get("reference", {})
+    if reference.get("shape") == "circle" and "radius" not in reference:
+        raise ScenarioError("control.reference.radius: required for shape 'circle'")
 
 
 def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
@@ -360,6 +391,7 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     if kind == "localize" and "command" not in data["robot"]:
         raise ScenarioError("kind 'localize' requires robot.command")
     _check_rates(data.get("rates", {}))
+    _check_models(data)
     return Scenario(
         name=data["name"],
         kind=kind,

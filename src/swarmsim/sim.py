@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    ARC_EPSILON,
     MAX_WHEEL_SPEED,
     Posture,
     RobotGeometry,
@@ -147,112 +146,33 @@ def step_plant(state: PlantState, geometry: RobotGeometry, dt: float,
     )
 
 
+@dataclass
 class PlantLoop:
-    """Fused wheel-PI + motion stepper, one call per plant step.
+    """Stateful shell around the one-step plant functions.
 
-    Arithmetic is kept line-for-line identical to
-    ``step_plant(wheel_pi_step(state, cfg, dt), geometry, dt, slip)`` but the
-    state lives in plain floats.  ``snapshot()`` materializes the same
-    PlantState the one-step functions would have produced, bit for bit (see
-    the equivalence test).
-
-    The CLI's sensor engine, ``RobotSim.advance_to``, inlines this step
-    instead of calling it; this class is its per-step reference in the
-    engine equivalence test, and a tracing target of the benchmark.
+    ``advance`` is ``wheel_pi_step``, then ``step_plant`` under one slip
+    event.  Those one-step functions are the reference plant: the CLI's
+    sensor engine, ``RobotSim.advance_to`` in ``cli/runner.py``, inlines
+    their arithmetic, and the engine equivalence test checks it against
+    this shell.  Also a tracing target of the benchmark.
     """
 
-    def __init__(self, state: PlantState, cfg: PiConfig,
-                 geometry: RobotGeometry) -> None:
-        self._kp = cfg.kp
-        self._ki = cfg.ki
-        self._tau = cfg.motor_tau
-        self._v_max = cfg.v_max
-        self._wheel_base = geometry.wheel_base
-        # Ground-contact wheel speeds of the most recent step, for sensors
-        # that observe body motion rather than wheel rotation.
-        self.ground_right = 0.0
-        self.ground_left = 0.0
-        self.load(state)
-
-    def load(self, state: PlantState) -> None:
-        self.x = state.pose.x
-        self.y = state.pose.y
-        self.theta = state.pose.theta
-        self.cmd_right = state.wheel_command.right
-        self.cmd_left = state.wheel_command.left
-        self.act_right = state.wheel_actual.right
-        self.act_left = state.wheel_actual.left
-        self.int_right, self.int_left = state.pi_integral
-        self.time_ms = state.time_ms
-        self.slip_active = state.slip_active
-
-    def snapshot(self) -> PlantState:
-        return PlantState(
-            pose=Posture(self.x, self.y, self.theta),
-            wheel_command=WheelSpeeds(self.cmd_right, self.cmd_left),
-            wheel_actual=WheelSpeeds(self.act_right, self.act_left),
-            pi_integral=(self.int_right, self.int_left),
-            time_ms=self.time_ms,
-            slip_active=self.slip_active,
-        )
+    state: PlantState
+    cfg: PiConfig
+    geometry: RobotGeometry
+    # Ground-contact wheel speeds of the most recent step, for sensors
+    # that observe body motion rather than wheel rotation.
+    ground: WheelSpeeds = WheelSpeeds(0.0, 0.0)
 
     def set_command(self, right: float, left: float) -> None:
-        self.cmd_right = right
-        self.cmd_left = left
+        self.state = replace(self.state, wheel_command=WheelSpeeds(right, left))
 
     def advance(self, dt: float, slip: SlipEvent | None = None) -> None:
-        """One PI update followed by one motion step, as the fused pair."""
-        if not 0 < dt <= MAX_STEP_S:
-            raise ValueError(f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
-        v_max = self._v_max
-        kp = self._kp
-        ki = self._ki
-        tau = self._tau
-        # right wheel speed loop (mirrors _pi_wheel)
-        target = max(-v_max, min(v_max, self.cmd_right))
-        error = target - self.act_right
-        drive_raw = target + kp * error + ki * self.int_right
-        drive = max(-v_max, min(v_max, drive_raw))
-        if drive == drive_raw:
-            self.int_right += error * dt
-        self.act_right += dt * (drive - self.act_right) / tau
-        # left wheel speed loop
-        target = max(-v_max, min(v_max, self.cmd_left))
-        error = target - self.act_left
-        drive_raw = target + kp * error + ki * self.int_left
-        drive = max(-v_max, min(v_max, drive_raw))
-        if drive == drive_raw:
-            self.int_left += error * dt
-        self.act_left += dt * (drive - self.act_left) / tau
-        # ground contact (mirrors ground_wheels)
-        if slip is None:
-            g_right = self.act_right
-            g_left = self.act_left
-        elif slip.mode == "stuck":
-            g_right = 0.0
-            g_left = 0.0
-        else:
-            g_right = slip.factor * self.act_right
-            g_left = slip.factor * self.act_left
-        self.ground_right = g_right
-        self.ground_left = g_left
-        # body motion (mirrors wheels_to_twist + integrate_unicycle)
-        v = 0.5 * (g_right + g_left)
-        w = (g_right - g_left) / self._wheel_base
-        swept = w * dt
-        theta = self.theta
-        if abs(swept) > ARC_EPSILON:
-            half = 0.5 * swept
-            chord = v * dt * math.sin(half) / half
-            heading = theta + half
-        else:
-            chord = v * dt
-            heading = theta
-        self.x += chord * math.cos(heading)
-        self.y += chord * math.sin(heading)
-        self.theta = wrap_angle(theta + swept)
-        self.time_ms += dt * 1e3
-        self.slip_active = slip is not None
+        """One PI update followed by one motion step; a step outside
+        (0, MAX_STEP_S] raises ValueError and leaves the loop unchanged."""
+        state = wheel_pi_step(self.state, self.cfg, dt)
+        self.state = step_plant(state, self.geometry, dt, slip)
+        self.ground = ground_wheels(state, slip)
 
 
 # --- sensors -----------------------------------------------------------------
@@ -306,11 +226,6 @@ class EncoderModel:
         self.rng = rng
         self._carry = [0.0, 0.0]   # right, left
 
-    def sample(self, state: PlantState, dt: float) -> tuple[int, int]:
-        """Tick counts for one sample interval ending at `state`."""
-        return self.sample_speeds(state.wheel_actual.right,
-                                  state.wheel_actual.left, dt)
-
     def sample_speeds(self, right: float, left: float, dt: float) -> tuple[int, int]:
         """Ticks (right, left) for one interval at the given wheel speeds.
 
@@ -344,18 +259,13 @@ class FlowModel:
         self.noise = noise
         self.rng = rng
 
-    def sample(self, twist_ground: Twist, dt: float) -> tuple[float, float]:
-        return self.sample_vw(twist_ground.v, twist_ground.w, dt)
-
     def sample_vw(self, v: float, w: float, dt: float) -> tuple[float, float]:
         """Displacements (left, right) for one interval at body speeds v, w.
 
         ``RobotSim.advance_to`` inlines this sample, drawing its noise in
         blocks; this method is its per-step reference and a tracing target.
         """
-        half = 0.5 * self.geometry.flow_separation * w
-        dx_l = (v - half) * dt
-        dx_r = (v + half) * dt
+        dx_l, dx_r = flow_displacement(Twist(v, w), dt, self.geometry)
         sigma = self.noise.flow_sigma * dt
         return (
             dx_l * self.noise.flow_scale + sigma * self.rng.standard_normal(),

@@ -16,6 +16,13 @@ SLIP = str(SCENARIOS / "localize_slip.yaml")
 ARENA = str(SCENARIOS / "plan_arena.yaml")
 
 
+def assert_rejected(capsys, args: list[str], key_path: str) -> None:
+    """Exit 2 with one `error:` line on stderr that names key_path."""
+    assert main(args) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key_path}: ")
+
+
 def read_rows(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -211,15 +218,17 @@ def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
 
 
 def test_run_without_processable_reports_faults(tmp_path, capsys):
-    # A sub-millisecond report period stamps every report 0 ms, so each
-    # delivered report is stale against the start and none is processed.
-    assert main(["localize", SLIP, "--out", str(tmp_path),
-                 "--override", "duration_s=0.0005",
-                 "--override", "rates.report_period_ms=0.5",
-                 "--override", "channel.latency_min_ms=0",
-                 "--override", "channel.latency_max_ms=0"]) == 3
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("fault: ")
+    # A sub-millisecond report period would stamp every report 0 ms, so
+    # each would be stale against the start; validation rejects it.
+    assert_rejected(capsys, ["localize", SLIP, "--out", str(tmp_path),
+                             "--override", "duration_s=0.0005",
+                             "--override", "rates.report_period_ms=0.5",
+                             "--override", "channel.latency_min_ms=0",
+                             "--override", "channel.latency_max_ms=0"],
+                    "rates.report_period_ms")
+    # The runner keeps its guard for a run that processed no report.
+    with pytest.raises(runner.RuntimeFault, match="none could be processed"):
+        runner.position_errors([], [], {})
 
 
 def test_robot_leaving_the_world_faults(tmp_path, capsys):
@@ -242,10 +251,42 @@ def test_robot_leaving_the_world_faults(tmp_path, capsys):
 def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
                                                          overrides, key_path):
     args = [a for spec in overrides for a in ("--override", spec)]
-    assert main(["localize", SLIP, "--out", str(tmp_path), *args]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {key_path}: ")
-    assert main(["validate", SLIP, *args]) == 2
+    assert_rejected(capsys, ["localize", SLIP, "--out", str(tmp_path), *args],
+                    key_path)
+    assert_rejected(capsys, ["validate", SLIP, *args], key_path)
+
+
+@pytest.mark.parametrize("command, scenario, override, key_path", [
+    # Non-finite numbers.
+    ("localize", "localize_slip.yaml", "robot.command=[.inf,0]",
+     "robot.command[0]"),
+    ("localize", "localize_slip.yaml", "channel.latency_max_ms=.inf",
+     "channel.latency_max_ms"),
+    ("localize", "localize_slip.yaml", "duration_s=.nan", "duration_s"),
+    ("localize", "localize_slip.yaml", "rates.flow_hz=.nan", "rates.flow_hz"),
+    # Rules that relate several keys.
+    ("localize", "localize_slip.yaml",
+     "robot.slip=[{start_ms: 5000, end_ms: 1000}]", "robot.slip[0]"),
+    ("localize", "localize_slip.yaml", "channel.latency_min_ms=200", "channel"),
+    ("localize", "localize_slip.yaml", "robot.geometry.ir_range_min=2000",
+     "robot.geometry"),
+    ("consensus", "consensus_demo.yaml", "consensus.k=3", "consensus"),
+    ("plan", "plan_arena.yaml", "world.rects=[[800,0,700,500]]",
+     "world.rects[0]"),
+    ("plan", "plan_arena.yaml", "world.bounds=[10,0,0,100]", "world.bounds"),
+    ("plan", "plan_arena.yaml", "world.segments=[[1,1,1,1]]",
+     "world.segments[0]"),
+    ("track", "circle_track.yaml", "control.reference={shape: circle, speed: 80}",
+     "control.reference.radius"),
+])
+def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
+                                                    scenario, override,
+                                                    key_path):
+    scenario = str(SCENARIOS / scenario)
+    assert_rejected(capsys, [command, scenario, "--out", str(tmp_path),
+                             "--override", override], key_path)
+    assert_rejected(capsys, ["validate", scenario, "--override", override],
+                    key_path)
 
 
 def test_outputs_carry_no_wall_clock(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""The fused sensor engine against the per-step calls it inlines.
+"""The fused sensor engine against the one-step reference functions.
 
 `RobotSim.advance_to` writes the plant step, slip lookup, encoder sample
 and flow sample inline and draws encoder and flow noise in blocks.
-`ReferenceSim` below is the engine as one call per event: it drives
-`PlantLoop.advance`, `EncoderModel.sample_speeds`, `FlowModel.sample_vw`,
-`sample_gyro` and `sample_ir` with scalar noise draws. Both must produce
-the same packets, truth, pose and counters, bit for bit.
+`ReferenceSim` below is the engine as one call per event: through
+`PlantLoop` it steps the reference plant `wheel_pi_step`, `ground_wheels`
+and `step_plant`, and it calls `EncoderModel.sample_speeds`,
+`FlowModel.sample_vw`, `sample_gyro` and `sample_ir` with scalar noise
+draws. Both must produce the same packets, truth, pose, wheel state and
+counters, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
-from swarmsim.core import Posture, RobotGeometry, WheelSpeeds
+from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
 from swarmsim.sim import (
     EncoderModel,
     FlowModel,
@@ -85,7 +87,7 @@ class ReferenceSim:
 
     @property
     def pose(self) -> Posture:
-        return Posture(self.loop.x, self.loop.y, self.loop.theta)
+        return self.loop.state.pose
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         sent = []
@@ -100,15 +102,15 @@ class ReferenceSim:
             loop.advance((t_next - self.t_us) * 1e-6, slip)
             self.t_us = t_next
             if self.t_us == self.next_flow:
-                v = 0.5 * (loop.ground_right + loop.ground_left)
-                w = (loop.ground_right - loop.ground_left) / GEOM.wheel_base
-                dl, dr = self.flow.sample_vw(v, w, flow_dt)
+                twist = wheels_to_twist(loop.ground, GEOM)
+                dl, dr = self.flow.sample_vw(twist.v, twist.w, flow_dt)
                 self.flow_l += dl
                 self.flow_r += dr
                 self.next_flow += self.flow_us
             if self.t_us == self.next_enc:
-                tr, tl = self.encoders.sample_speeds(loop.act_right,
-                                                     loop.act_left, enc_dt)
+                wheels = loop.state.wheel_actual
+                tr, tl = self.encoders.sample_speeds(wheels.right, wheels.left,
+                                                     enc_dt)
                 self.ticks_r += tr
                 self.ticks_l += tl
                 self.next_enc += self.enc_us
@@ -214,9 +216,10 @@ def test_fused_engine_matches_per_step_reference(seed, command, schedule,
     assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
     assert ((sim._next_enc, sim._next_flow, sim._next_report)
             == (ref.next_enc, ref.next_flow, ref.next_report))
-    loop = ref.loop
+    state = ref.loop.state
     assert ((sim._act_right, sim._act_left, sim._int_right, sim._int_left)
-            == (loop.act_right, loop.act_left, loop.int_right, loop.int_left))
+            == (state.wheel_actual.right, state.wheel_actual.left,
+                *state.pi_integral))
     assert ((sim._carry_right, sim._carry_left)
             == tuple(ref.encoders._carry))
 

