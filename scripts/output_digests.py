@@ -89,6 +89,10 @@ INVOCATIONS = (
      ("--override", "consensus.k=3")),
     ("plan inverted rect", "plan", "plan_arena.yaml",
      ("--override", "world.rects=[[800,0,700,500]]")),
+    ("localize integer beyond the float range", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=1" + "0" * 400)),
+    ("consensus with one heading", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.headings=[0.5]")),
 )
 
 

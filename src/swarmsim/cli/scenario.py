@@ -21,7 +21,7 @@ import yaml
 from swarmsim.comms import ChannelModel
 from swarmsim.core import RobotGeometry
 from swarmsim.sim import MAX_STEP_S, Rates, Rect, Segment, SlipEvent
-from swarmsim.swarm import ConsensusConfig
+from swarmsim.swarm import ConsensusConfig, SwarmState
 
 KINDS = ("track", "localize", "consensus", "plan")
 
@@ -44,7 +44,10 @@ class Num:
     def check(self, value: Any, path: str) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{path}: expected a number, got {value!r}")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:
+            raise ScenarioError(f"{path}: integer beyond the float range") from None
         if not math.isfinite(v):
             raise ScenarioError(f"{path}: must be finite, got {v!r}")
         if self.lo is not None and (v < self.lo or (self.exclusive_lo and v == self.lo)):
@@ -364,7 +367,8 @@ def _check_models(data: dict) -> None:
         for i, coords in enumerate(world.get(key, ())):
             _construct(f"world.{key}[{i}]", cls, *coords)
     if "consensus" in data:
-        section = {k: v for k, v in data["consensus"].items() if k != "headings"}
+        section = dict(data["consensus"])
+        _construct("consensus.headings", SwarmState, section.pop("headings"))
         _construct("consensus", ConsensusConfig, **section)
     reference = data.get("control", {}).get("reference", {})
     if reference.get("shape") == "circle" and "radius" not in reference:

@@ -21,15 +21,15 @@ from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
 from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
 
 STATE_DIM = 5
-_H = np.array([
-    [0.0, 0.0, 0.0, 1.0, 0.0],   # wheel speed
-    [0.0, 0.0, 0.0, 0.0, 1.0],   # wheel turn rate
-    [0.0, 0.0, 0.0, 1.0, 0.0],   # flow speed
-    [0.0, 0.0, 0.0, 0.0, 1.0],   # flow turn rate
-    [0.0, 0.0, 1.0, 0.0, 0.0],   # gyro heading
-])
-_HEADING_ROW = 4
-_WHEEL_ROWS = (0, 1)
+# The filter works on the upper triangle of the covariance as a flat list:
+# entry n is (_UPPER_ROW[n], _UPPER_COL[n]), at _UPPER[n] in the raveled
+# matrix.  _SLOT[i][k] is the entry holding (i, k) or (k, i), so indexing
+# the list with _SLOT mirrors it back, and _COLUMN[j] lists column j.
+_ROW, _COL = np.triu_indices(STATE_DIM)
+_UPPER, _UPPER_ROW, _UPPER_COL = _ROW * STATE_DIM + _COL, _ROW.tolist(), _COL.tolist()
+_SLOT = np.zeros((STATE_DIM, STATE_DIM), dtype=int)
+_SLOT[_ROW, _COL] = _SLOT[_COL, _ROW] = range(len(_UPPER))
+_COLUMN = _SLOT.tolist()
 
 
 class EstimationFault(Exception):
@@ -57,7 +57,7 @@ class EkfConfig:
     slip_inflation: float = 100.0
 
     def __post_init__(self) -> None:
-        if len(self.q_diag) != STATE_DIM or len(self.r_base) != len(_H):
+        if len(self.q_diag) != STATE_DIM or len(self.r_base) != STATE_DIM:
             raise ValueError("q_diag must have 5 entries, r_base 5")
         if min(self.q_diag) < 0 or min(self.r_base) < 0:
             raise ValueError("noise variances must be non-negative")
@@ -121,10 +121,6 @@ class VelocityMeasurement:
     heading: float            # rad
     t_ms: float
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.v_wheel, self.w_wheel, self.v_flow, self.w_flow,
-                         self.heading])
-
 
 def _diff_flow(curr: float, prev: float) -> float:
     """Signed difference of two flow distance counters (wrap at 0.1 mm i16)."""
@@ -177,44 +173,76 @@ def transition_jacobian(mean: np.ndarray, dt: float) -> np.ndarray:
 
 
 def ekf_predict(belief: EkfBelief, dt: float, cfg: EkfConfig) -> EkfBelief:
-    """Propagate the belief dt seconds under constant (v, omega)."""
+    """Propagate the belief dt seconds under constant (v, omega).
+
+    The covariance is F P F^T + Q dt written out for the F of
+    transition_jacobian, the identity plus five entries, so only rows and
+    columns 0-2 change (Maybeck, Stochastic Models, Estimation and Control,
+    Vol. 1, 1979, ch. 7).  The result is mirrored from one triangle, so it
+    is exactly symmetric.
+    """
     if dt <= 0:
         raise ValueError("prediction interval must be positive")
-    x, y, theta, v, w = belief.mean
-    mean = np.array([
-        x + v * dt * math.cos(theta),
-        y + v * dt * math.sin(theta),
-        wrap_angle(theta + w * dt),
-        v,
-        w,
-    ])
-    f = transition_jacobian(belief.mean, dt)
-    cov = f @ belief.cov @ f.T + np.diag(cfg.q_diag) * dt
+    x, y, theta, v, w = belief.mean.tolist()
+    cos, sin = math.cos(theta), math.sin(theta)
+    mean = np.array([x + v * dt * cos, y + v * dt * sin,
+                     wrap_angle(theta + w * dt), v, w])
+    # Nonzero off-diagonal entries of F: rows 0 and 1 at columns 2 and 3.
+    a, b, c, d = -v * dt * sin, dt * cos, v * dt * cos, dt * sin
+    p0, p1, p2, p3, p4 = belief.cov.tolist()
+    # Rows 0-2 of F P; rows 3 and 4 are those of P.
+    g0 = [i + a * k + b * m for i, k, m in zip(p0, p2, p3)]
+    g1 = [j + c * k + d * m for j, k, m in zip(p1, p2, p3)]
+    g2 = [k + dt * n for k, n in zip(p2, p4)]
+    q0, q1, q2, q3, q4 = (q * dt for q in cfg.q_diag)
+    # The upper triangle of (F P) F^T + Q dt.
+    cov = np.array([
+        g0[0] + a * g0[2] + b * g0[3] + q0, g0[1] + c * g0[2] + d * g0[3],
+        g0[2] + dt * g0[4], g0[3], g0[4],
+        g1[1] + c * g1[2] + d * g1[3] + q1, g1[2] + dt * g1[4], g1[3], g1[4],
+        g2[2] + dt * g2[4] + q2, g2[3], g2[4],
+        p3[3] + q3, p3[4],
+        p4[4] + q4,
+    ])[_SLOT]
     return EkfBelief(mean, cov, belief.t_ms + dt * 1e3)
 
 
 def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
                slip: bool) -> EkfBelief:
-    """Fuse one report; wheel channels are deweighted while slip holds."""
-    r = np.array(cfg.r_base, dtype=float)
+    """Fuse one report; wheel channels are deweighted while slip holds.
+
+    Each channel measures one state directly and R is diagonal, so the batch
+    update equals one scalar update per channel in turn (Bierman,
+    Factorization Methods for Discrete Sequential Estimation, 1977):
+    s = P[j][j] + r, mean += P[:, j] nu / s, P -= P[:, j] P[j, :] / s.
+    The heading channel goes first, so its innovation wrap_angle(z - theta)
+    uses the prior heading; the other four follow in the order (v_wheel,
+    w_wheel, v_flow, w_flow), and the posterior heading is wrapped once at
+    the end.  The pivots s are the Cholesky pivots of the batch innovation
+    covariance S in that channel order, so EstimationFault is raised
+    exactly when S is not positive definite.  Only the upper triangle of P
+    is read and updated, then mirrored, so the result is exactly symmetric.
+    """
+    r_vw, r_ww, r_vf, r_wf, r_heading = cfg.r_base
     if slip:
-        for row in _WHEEL_ROWS:
-            r[row] *= cfg.slip_inflation
-    r_mat = np.diag(r)
-    s = _H @ belief.cov @ _H.T + r_mat
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise EstimationFault("innovation covariance is not positive definite")
-    innovation = meas.vector() - _H @ belief.mean
-    innovation[_HEADING_ROW] = wrap_angle(meas.heading - belief.mean[2])
-    gain = belief.cov @ _H.T @ np.linalg.inv(s)
-    mean = belief.mean + gain @ innovation
+        r_vw *= cfg.slip_inflation
+        r_ww *= cfg.slip_inflation
+    mean = belief.mean.tolist()
+    p = belief.cov.ravel()[_UPPER].tolist()
+    for j, z, r in ((2, meas.heading, r_heading), (3, meas.v_wheel, r_vw),
+                    (4, meas.w_wheel, r_ww), (3, meas.v_flow, r_vf),
+                    (4, meas.w_flow, r_wf)):
+        col = [p[n] for n in _COLUMN[j]]
+        s = col[j] + r
+        if not s > 0:
+            raise EstimationFault("innovation covariance is not positive definite")
+        nu = wrap_angle(z - mean[2]) if j == 2 else z - mean[j]
+        g = nu / s
+        mean = [m + ci * g for m, ci in zip(mean, col)]
+        p = [pn - col[i] * col[k] / s
+             for pn, i, k in zip(p, _UPPER_ROW, _UPPER_COL)]
     mean[2] = wrap_angle(mean[2])
-    ikh = np.eye(STATE_DIM) - gain @ _H
-    cov = ikh @ belief.cov @ ikh.T + gain @ r_mat @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    return EkfBelief(mean, cov, meas.t_ms)
+    return EkfBelief(np.array(mean), np.array(p)[_SLOT], meas.t_ms)
 
 
 class SlipDetector:
@@ -301,7 +329,6 @@ class EstimationRun:
 
     times_ms: list[float] = field(default_factory=list)
     means: list[np.ndarray] = field(default_factory=list)
-    cov_diags: list[np.ndarray] = field(default_factory=list)
     slip_flags: list[bool] = field(default_factory=list)
     stale_skipped: int = 0
 
@@ -318,7 +345,6 @@ def _collect(est: StreamingEstimator, packets: list[SensorPacket]) -> Estimation
             continue
         run.times_ms.append(float(packet.t_sent))
         run.means.append(belief.mean.copy())
-        run.cov_diags.append(np.diag(belief.cov).copy())
         run.slip_flags.append(est.slip)
     run.stale_skipped = est.stale_skipped
     return run

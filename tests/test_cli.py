@@ -264,6 +264,9 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
      "channel.latency_max_ms"),
     ("localize", "localize_slip.yaml", "duration_s=.nan", "duration_s"),
     ("localize", "localize_slip.yaml", "rates.flow_hz=.nan", "rates.flow_hz"),
+    # An integer beyond the float range.
+    pytest.param("localize", "localize_slip.yaml", "duration_s=1" + "0" * 400,
+                 "duration_s", id="localize-duration_s-huge-integer"),
     # Rules that relate several keys.
     ("localize", "localize_slip.yaml",
      "robot.slip=[{start_ms: 5000, end_ms: 1000}]", "robot.slip[0]"),
@@ -271,6 +274,8 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
     ("localize", "localize_slip.yaml", "robot.geometry.ir_range_min=2000",
      "robot.geometry"),
     ("consensus", "consensus_demo.yaml", "consensus.k=3", "consensus"),
+    ("consensus", "consensus_demo.yaml", "consensus.headings=[0.5]",
+     "consensus.headings"),
     ("plan", "plan_arena.yaml", "world.rects=[[800,0,700,500]]",
      "world.rects[0]"),
     ("plan", "plan_arena.yaml", "world.bounds=[10,0,0,100]", "world.bounds"),

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.comms import SensorPacket
 from swarmsim.core import Posture, RobotGeometry, wrap_angle
@@ -253,6 +254,149 @@ def test_covariance_stays_symmetric_psd():
         assert np.allclose(belief.cov, belief.cov.T, atol=1e-9)
         min_eig = np.linalg.eigvalsh(belief.cov).min()
         assert min_eig > -1e-9
+
+
+# --- oracle: the textbook matrix forms ------------------------------------------
+
+# Agreement bound of the closed-form filter with the textbook products,
+# fixed before the closed form replaced them.
+ORACLE_TOL = dict(rtol=1e-9, atol=1e-9)
+
+# Measurement rows (v_wheel, w_wheel, v_flow, w_flow, heading) of the batch form.
+H = np.array([
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0],
+])
+
+
+def textbook_r(cfg, slip):
+    r = np.array(cfg.r_base, dtype=float)
+    if slip:
+        r[:2] *= cfg.slip_inflation
+    return np.diag(r)
+
+
+def textbook_s(cov, cfg, slip):
+    return H @ cov @ H.T + textbook_r(cfg, slip)
+
+
+def textbook_update(belief, z, cfg, slip):
+    """Batch EKF update with the Joseph-form covariance."""
+    r = textbook_r(cfg, slip)
+    gain = belief.cov @ H.T @ np.linalg.inv(textbook_s(belief.cov, cfg, slip))
+    innovation = (np.array([z.v_wheel, z.w_wheel, z.v_flow, z.w_flow, z.heading])
+                  - H @ belief.mean)
+    innovation[4] = wrap_angle(z.heading - belief.mean[2])
+    mean = belief.mean + gain @ innovation
+    mean[2] = wrap_angle(mean[2])
+    ikh = np.eye(5) - gain @ H
+    return mean, ikh @ belief.cov @ ikh.T + gain @ r @ gain.T
+
+
+def spd(log_scales, lower, zero_rows=()):
+    """D L L^T D for a unit lower-triangular L, with some rows zeroed."""
+    l = np.zeros((5, 5))
+    l[np.tril_indices(5, -1)] = lower
+    l[np.diag_indices(5)] = 1.0
+    d = np.diag(10.0 ** np.asarray(log_scales))
+    cov = d @ l @ l.T @ d
+    for i in zero_rows:
+        cov[i, :] = cov[:, i] = 0.0
+    return cov
+
+
+log_scales = st.lists(st.floats(-2, 2), min_size=5, max_size=5)
+lowers = st.lists(st.floats(-1, 1), min_size=10, max_size=10)
+noise_logs = st.lists(st.floats(-4, 2), min_size=5, max_size=5)
+# Headings anywhere, and crowded on both sides of the +-pi branch cut.
+headings = st.one_of(st.floats(-math.pi, math.pi),
+                     st.floats(math.pi - 0.3, math.pi),
+                     st.floats(-math.pi, -math.pi + 0.3))
+
+
+def assert_means_match(a, b):
+    assert -math.pi < a[2] <= math.pi
+    assert abs(wrap_angle(a[2] - b[2])) <= 1e-9
+    a, b = np.delete(a, 2), np.delete(b, 2)
+    np.testing.assert_allclose(a, b, **ORACLE_TOL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_scales, lowers, noise_logs, noise_logs, headings,
+       st.floats(-0.5, 0.5), st.lists(st.floats(-200, 200), min_size=4, max_size=4),
+       st.floats(0.001, 0.3), st.booleans())
+def test_ekf_matches_textbook_matrix_forms(scales, lower, q_logs, r_logs, theta,
+                                           heading_offset, speeds, dt, slip):
+    cfg = EkfConfig(q_diag=tuple(10.0 ** np.asarray(q_logs)),
+                    r_base=tuple(10.0 ** np.asarray(r_logs)))
+    v, w = speeds[0], speeds[1] / 100.0
+    belief = EkfBelief(np.array([12.0, -40.0, theta, v, w]),
+                       spd(scales, lower), 0.0)
+
+    predicted = ekf_predict(belief, dt, cfg)
+    f = transition_jacobian(belief.mean, dt)
+    assert_means_match(predicted.mean, np.array([
+        12.0 + v * dt * math.cos(theta), -40.0 + v * dt * math.sin(theta),
+        wrap_angle(theta + w * dt), v, w]))
+    np.testing.assert_allclose(
+        predicted.cov, f @ belief.cov @ f.T + np.diag(cfg.q_diag) * dt,
+        **ORACLE_TOL)
+
+    z = meas(dt=dt, v_wheel=speeds[2], w_wheel=speeds[3] / 100.0,
+             v_flow=speeds[2] - 30.0, w_flow=speeds[3] / 90.0,
+             heading=wrap_angle(predicted.mean[2] + heading_offset))
+    updated = ekf_update(predicted, z, cfg, slip)
+    mean, cov = textbook_update(predicted, z, cfg, slip)
+    assert_means_match(updated.mean, mean)
+    np.testing.assert_allclose(updated.cov, cov, **ORACLE_TOL)
+    np.testing.assert_array_equal(updated.cov, updated.cov.T)
+    assert updated.t_ms == z.t_ms
+
+
+def cholesky_fails(s):
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+# Zero prior rows and zero-variance channels, including a state whose row
+# is zero while only one of its two channels has variance 0.
+@example(scales=[0.0] * 5, lower=[0.0] * 10, zero_rows=[3], zero_channels=[2],
+         slip=False)
+@example(scales=[0.0] * 5, lower=[0.0] * 10, zero_rows=[4], zero_channels=[1],
+         slip=True)
+@example(scales=[0.0] * 5, lower=[0.5] * 10, zero_rows=[2, 4],
+         zero_channels=[0, 1, 4], slip=False)
+@settings(max_examples=300, deadline=None)
+@given(log_scales, lowers,
+       st.lists(st.integers(0, 4), max_size=5, unique=True),
+       st.lists(st.integers(0, 4), max_size=5, unique=True), st.booleans())
+def test_update_faults_exactly_when_textbook_cholesky_fails(
+        scales, lower, zero_rows, zero_channels, slip):
+    # Channels (v_wheel, w_wheel, v_flow, w_flow, heading) measure states
+    # (3, 4, 3, 4, 2).  When both channels of one state have variance 0 and
+    # its prior row is not zero, S is singular but its last pivot is a
+    # rounding residue of either sign in both factorizations, so such a
+    # draw keeps the flow channel's variance.
+    zero_channels = set(zero_channels)
+    for wheel, flow, state in ((0, 2, 3), (1, 3, 4)):
+        if {wheel, flow} <= zero_channels and state not in zero_rows:
+            zero_channels.discard(flow)
+    r = tuple(0.0 if c in zero_channels else 10.0 ** (c - 3) for c in range(5))
+    cfg = EkfConfig(r_base=r)
+    belief = EkfBelief(np.array([0.0, 0.0, 3.0, 50.0, 0.5]),
+                       spd(scales, lower, zero_rows), 0.0)
+    z = meas(v_wheel=60.0, w_wheel=0.4, v_flow=40.0, w_flow=0.6, heading=-3.0)
+    if cholesky_fails(textbook_s(belief.cov, cfg, slip)):
+        with pytest.raises(EstimationFault):
+            ekf_update(belief, z, cfg, slip)
+    else:
+        ekf_update(belief, z, cfg, slip)
 
 
 # --- slip detector ---------------------------------------------------------------
