@@ -93,6 +93,32 @@ INVOCATIONS = (
      ("--override", "duration_s=1" + "0" * 400)),
     ("consensus with one heading", "consensus", "consensus_demo.yaml",
      ("--override", "consensus.headings=[0.5]")),
+    # Values that passed validation and then failed the run.
+    ("localize slip window beyond a C size", "localize", "localize_slip.yaml",
+     ("--override", "estimator.slip_window=1" + "0" * 30)),
+    ("plan width beyond a C size", "plan", "plan_arena.yaml",
+     ("--override", "plan.width_cells=1" + "0" * 23)),
+    ("track shorter than one control period", "track", "circle_track.yaml",
+     ("--override", "duration_s=0.01")),
+    ("track control period turning over pi/2", "track", "circle_track.yaml",
+     ("--override", "control.period_ms=100000")),
+    ("plan start outside the grid", "plan", "plan_arena.yaml",
+     ("--override", "plan.start=[-5000,0]")),
+    ("plan even median window", "plan", "plan_arena.yaml",
+     ("--override", "plan.median_window=4")),
+    ("localize start outside the world", "localize", "localize_slip.yaml",
+     ("--override", "world={bounds: [100,100,200,200]}")),
+    ("plan survey with no clear point", "plan", "plan_arena.yaml",
+     ("--override", "plan.survey.min_clearance_mm=5000")),
+    ("plan margin wider than the grid", "plan", "plan_arena.yaml",
+     ("--override", "plan.margin_mm=1600")),
+    ("plan median window wider than the grid", "plan", "plan_arena.yaml",
+     ("--override", "plan.median_window=99")),
+    ("consensus rounds past the u32 ms clock", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.round_period_ms=3600000")),
+    # A seed of any size still runs.
+    ("localize 42-digit seed", "localize", "localize_slip.yaml",
+     ("--override", "seed=1" + "0" * 41)),
 )
 
 

@@ -11,68 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from swarmsim.comms import (
-    ChannelModel,
-    SensorPacket,
-    StarChannel,
-    encode_frame,
-    wrap_flow,
-    wrap_i16,
-)
-from swarmsim.control import (
-    Gains,
-    circle_trajectory,
-    line_trajectory,
-    lyapunov_value,
-    tracking_control,
-)
-from swarmsim.core import (
-    ARC_EPSILON,
-    Posture,
-    RobotGeometry,
-    WheelSpeeds,
-    error_posture,
-    integrate_unicycle,
-    wheels_to_twist,
-    wrap_angle,
-)
-from swarmsim.estimation import (
-    EkfConfig,
-    StreamingEstimator,
-    dead_reckon,
-    run_estimator,
-)
-from swarmsim.planning import (
-    InvalidEndpoint,
-    OccupancyGrid,
-    astar,
-    inflate,
-    ingest_ir_scan,
-    median_filter,
-    save_grid,
-)
-from swarmsim.sim import (
-    MAX_STEP_S,
-    PiConfig,
-    Rates,
-    Rect,
-    Segment,
-    SensorNoise,
-    SlipEvent,
-    World,
-    sample_gyro,
-    sample_ir,
-)
-from swarmsim.swarm import (
-    ConsensusConfig,
-    run_networked_consensus,
-    run_synchronous_consensus,
-)
+from swarmsim.comms import SensorPacket, StarChannel, encode_frame, wrap_flow, wrap_i16
+from swarmsim.control import lyapunov_value, tracking_control
+from swarmsim.core import (ARC_EPSILON, Posture, RobotGeometry, WheelSpeeds,
+                           error_posture, integrate_unicycle, wheels_to_twist,
+                           wrap_angle)
+from swarmsim.estimation import StreamingEstimator, dead_reckon, run_estimator
+from swarmsim.planning import astar, inflate, ingest_ir_scan, median_filter, save_grid
+from swarmsim.sim import (MAX_STEP_S, PiConfig, Rates, SensorNoise, SlipEvent, World,
+                          sample_gyro, sample_ir)
+from swarmsim.swarm import run_networked_consensus, run_synchronous_consensus
 from swarmsim.cli.scenario import Scenario, ScenarioError
 
 
@@ -95,85 +48,6 @@ NOISE_BLOCK = 4096
 
 def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, robot_id, purpose])
-
-
-# --- scenario section builders ---------------------------------------------------
-
-
-def build_rates(data: dict) -> Rates:
-    return Rates(**data.get("rates", {}))
-
-
-def build_geometry(data: dict) -> RobotGeometry:
-    return RobotGeometry(**data.get("robot", {}).get("geometry", {}))
-
-
-def build_noise(data: dict) -> SensorNoise:
-    robot = data.get("robot", {})
-    base = SensorNoise.noiseless() if robot.get("noiseless") else SensorNoise()
-    overrides = robot.get("noise", {})
-    return replace(base, **overrides) if overrides else base
-
-
-def build_channel(data: dict) -> ChannelModel:
-    return ChannelModel(**data.get("channel", {}))
-
-
-def build_world(data: dict) -> World:
-    w = data["world"]
-    return World(
-        bounds=Rect(*w["bounds"]),
-        rects=tuple(Rect(*r) for r in w.get("rects", ())),
-        segments=tuple(Segment(*s) for s in w.get("segments", ())),
-    )
-
-
-def build_slip(data: dict) -> tuple[SlipEvent, ...]:
-    return tuple(SlipEvent(**e) for e in data.get("robot", {}).get("slip", ()))
-
-
-def build_start(data: dict) -> Posture:
-    x, y, theta = data.get("robot", {}).get("start", (0.0, 0.0, 0.0))
-    return Posture(x, y, wrap_angle(theta))
-
-
-def build_ekf_config(data: dict, noise: SensorNoise, geometry: RobotGeometry,
-                     rates: Rates) -> tuple[EkfConfig, bool, float | None]:
-    """(config, adaptive flag, fixed dt in seconds or None)."""
-    est = data.get("estimator", {})
-    overrides = {}
-    for key in ("slip_inflation", "slip_threshold", "slip_window"):
-        if key in est:
-            overrides[key] = est[key]
-    cfg = EkfConfig.from_noise(
-        noise, geometry,
-        send_period_s=rates.report_period_ms / 1e3,
-        encoder_hz=rates.encoder_hz, flow_hz=rates.flow_hz,
-        **overrides,
-    )
-    adaptive = est.get("adaptive", True)
-    fixed_dt = est.get("fixed_dt_ms")
-    return cfg, adaptive, None if fixed_dt is None else fixed_dt / 1e3
-
-
-def build_trajectory(data: dict, geometry: RobotGeometry):
-    control = data["control"]
-    ref = control["reference"]
-    duration = data["duration_s"]
-    period_s = control.get("period_ms", 70.0) / 1e3
-    start = build_start(data)
-    if "start" in ref:
-        x, y, theta = ref["start"]
-        ref_start = Posture(x, y, wrap_angle(theta))
-    else:
-        ref_start = start
-    if ref["shape"] == "circle":
-        traj = circle_trajectory(ref["radius"], ref["speed"], duration,
-                                 period_s, ref.get("ccw", True), ref_start)
-    else:
-        traj = line_trajectory(ref["speed"], duration, period_s, ref_start)
-    gains = Gains(**control.get("gains", {}))
-    return traj, gains, period_s, start
 
 
 # --- CSV and summary formatting ---------------------------------------------------
@@ -493,26 +367,22 @@ class SensorRun:
     undelivered: int
 
 
-def simulate_reports(data: dict, seed: int) -> SensorRun:
-    """Open-loop run under a constant wheel command, reports via the channel.
+def simulate_reports(scenario: Scenario, seed: int) -> SensorRun:
+    """Open-loop run under the scenario's constant wheel command, reports
+    via the channel; `seed` replaces the scenario's own for seed sweeps.
 
     Raises RuntimeFault when no report reaches the server, since no
     estimate can then be made.
     """
-    geometry = build_geometry(data)
-    noise = build_noise(data)
-    rates = build_rates(data)
-    start = build_start(data)
-    command = data["robot"]["command"]
-    world = build_world(data) if "world" in data else None
-    sim = RobotSim(geometry, noise, PiConfig(), start, seed,
-                   slip_schedule=build_slip(data), rates=rates, world=world)
-    sim.set_command(WheelSpeeds(right=command[0], left=command[1]))
-    channel = StarChannel(build_channel(data), stream_rng(seed, 0, STREAM_CHANNEL))
+    sim = RobotSim(scenario.geometry, scenario.noise, PiConfig(), scenario.start,
+                   seed, slip_schedule=scenario.slip, rates=scenario.rates,
+                   world=scenario.world)
+    sim.set_command(scenario.command)
+    channel = StarChannel(scenario.channel, stream_rng(seed, 0, STREAM_CHANNEL))
     digest = hashlib.sha256()
     delivered: list[SensorPacket] = []
-    duration_us = round(data["duration_s"] * 1e6)
-    step_us = rates.report_period_us
+    duration_us = round(scenario.duration_s * 1e6)
+    step_us = scenario.rates.report_period_us
     t_us = 0
     while t_us < duration_us:
         t_us = min(t_us + step_us, duration_us)
@@ -562,16 +432,11 @@ TRACK_COLUMNS = ["t", "x_r", "y_r", "theta_r", "x_c", "y_c", "theta_c",
 
 
 def run_track(scenario: Scenario, out_dir: Path) -> RunSummary:
-    data = scenario.data
-    geometry = build_geometry(data)
-    traj, gains, period_s, start = build_trajectory(data, geometry)
-    feedback = data["control"].get("feedback", "truth")
-    steps = int(round(data["duration_s"] / period_s))
-    if feedback == "truth":
-        rows = _track_truth_loop(traj, gains, period_s, start, steps, geometry)
+    steps = int(round(scenario.duration_s / scenario.control_period_s))
+    if scenario.feedback == "truth":
+        rows = _track_truth_loop(scenario, steps)
     else:
-        rows = _track_estimator_loop(scenario, traj, gains, period_s, start,
-                                     steps, geometry)
+        rows = _track_estimator_loop(scenario, steps)
     planar = [math.hypot(r[7], r[8]) for r in rows]
     summary = RunSummary(scenario, {
         "steps": len(rows),
@@ -584,9 +449,11 @@ def run_track(scenario: Scenario, out_dir: Path) -> RunSummary:
     return summary
 
 
-def _track_truth_loop(traj, gains, period_s, start, steps, geometry):
+def _track_truth_loop(scenario: Scenario, steps: int):
     """Noiseless kinematic closed loop: the controller sees the true pose."""
-    pose = start
+    traj, gains, geometry = scenario.trajectory, scenario.gains, scenario.geometry
+    period_s = scenario.control_period_s
+    pose = scenario.start
     rows = []
     for i in range(steps):
         t = i * period_s
@@ -601,19 +468,18 @@ def _track_truth_loop(traj, gains, period_s, start, steps, geometry):
     return rows
 
 
-def _track_estimator_loop(scenario, traj, gains, period_s, start, steps,
-                          geometry):
+def _track_estimator_loop(scenario: Scenario, steps: int):
     """Full plant with the filter in the loop; commands use the estimate."""
-    data = scenario.data
-    noise = build_noise(data)
-    rates = build_rates(data)
-    cfg, adaptive, fixed_dt = build_ekf_config(data, noise, geometry, rates)
-    sim = RobotSim(geometry, noise, PiConfig(), start, scenario.seed,
-                   slip_schedule=build_slip(data), rates=rates)
-    channel = StarChannel(build_channel(data),
+    traj, gains, geometry = scenario.trajectory, scenario.gains, scenario.geometry
+    period_s = scenario.control_period_s
+    sim = RobotSim(geometry, scenario.noise, PiConfig(), scenario.start,
+                   scenario.seed, slip_schedule=scenario.slip,
+                   rates=scenario.rates)
+    channel = StarChannel(scenario.channel,
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
-    est = StreamingEstimator(start, geometry, cfg, adaptive=adaptive,
-                             fixed_dt_s=fixed_dt)
+    est = StreamingEstimator(scenario.start, geometry, scenario.ekf,
+                             adaptive=scenario.adaptive,
+                             fixed_dt_s=scenario.fixed_dt_s)
     period_us = round(period_s * 1e6)
     rows = []
     for i in range(steps):
@@ -643,33 +509,26 @@ ESTIMATE_COLUMNS = ["t", "x_t", "y_t", "theta_t", "x_h", "y_h", "theta_h",
                     "err_mm", "slip"]
 
 
-def _run_variant(name: str, run: SensorRun, start: Posture,
-                 geometry: RobotGeometry, cfg: EkfConfig,
-                 report_period_s: float):
+def _run_variant(name: str, run: SensorRun, scenario: Scenario):
+    args = (run.delivered, scenario.start, scenario.geometry)
     if name == "adaptive":
-        return run_estimator(run.delivered, start, geometry, cfg)
+        return run_estimator(*args, scenario.ekf)
     if name == "nonadaptive":
-        return run_estimator(run.delivered, start, geometry, cfg,
-                             adaptive=False)
+        return run_estimator(*args, scenario.ekf, adaptive=False)
     if name == "fixed_dt":
-        return run_estimator(run.delivered, start, geometry, cfg,
-                             fixed_dt_s=report_period_s)
+        return run_estimator(*args, scenario.ekf,
+                             fixed_dt_s=scenario.rates.report_period_ms / 1e3)
     if name == "wheels" or name == "flow":
-        return dead_reckon(run.delivered, start, geometry, name)
+        return dead_reckon(*args, name)
     raise ScenarioError(f"unknown estimator variant {name!r}; "
                         f"choose from {', '.join(COMPARE_VARIANTS)}")
 
 
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
-    data = scenario.data
-    geometry = build_geometry(data)
-    noise = build_noise(data)
-    rates = build_rates(data)
-    start = build_start(data)
-    cfg, adaptive, fixed_dt = build_ekf_config(data, noise, geometry, rates)
-    run = simulate_reports(data, scenario.seed)
-    estimate = run_estimator(run.delivered, start, geometry, cfg,
-                             adaptive=adaptive, fixed_dt_s=fixed_dt)
+    run = simulate_reports(scenario, scenario.seed)
+    estimate = run_estimator(run.delivered, scenario.start, scenario.geometry,
+                             scenario.ekf, adaptive=scenario.adaptive,
+                             fixed_dt_s=scenario.fixed_dt_s)
     errors = position_errors(estimate.times_ms, estimate.means,
                              run.truth_at_send)
     rows = []
@@ -698,17 +557,10 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
 def run_compare(scenario: Scenario, out_dir: Path,
                 variants: tuple[str, ...] = DEFAULT_COMPARE_VARIANTS) -> RunSummary:
     """Simulate the report stream once and run every variant on it."""
-    data = scenario.data
-    geometry = build_geometry(data)
-    noise = build_noise(data)
-    rates = build_rates(data)
-    start = build_start(data)
-    cfg, _, _ = build_ekf_config(data, noise, geometry, rates)
-    period_s = rates.report_period_ms / 1e3
-    run = simulate_reports(data, scenario.seed)
+    run = simulate_reports(scenario, scenario.seed)
     rows = []
     for name in variants:
-        estimate = _run_variant(name, run, start, geometry, cfg, period_s)
+        estimate = _run_variant(name, run, scenario)
         errors = position_errors(estimate.times_ms, estimate.means,
                                  run.truth_at_send)
         rows.append((name, _rmse(errors), float(errors[-1]),
@@ -728,18 +580,15 @@ def run_compare(scenario: Scenario, out_dir: Path,
 
 
 def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
-    data = scenario.data
-    section = dict(data["consensus"])
-    headings = section.pop("headings")
-    cfg = ConsensusConfig(**section)
+    headings, cfg = scenario.headings, scenario.consensus
     if cfg.mode == "synchronous":
         result = run_synchronous_consensus(headings, cfg)
     else:
         result = run_networked_consensus(
             headings, cfg,
-            channel_model=build_channel(data),
-            geometry=build_geometry(data),
-            gyro_sigma=build_noise(data).gyro_sigma,
+            channel_model=scenario.channel,
+            geometry=scenario.geometry,
+            gyro_sigma=scenario.noise.gyro_sigma,
             seed=scenario.seed,
         )
     n = len(headings)
@@ -761,71 +610,21 @@ def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
 # --- plan ----------------------------------------------------------------------------
 
 
-def _point_segment_distance(px: float, py: float, seg: Segment) -> float:
-    vx, vy = seg.bx - seg.ax, seg.by - seg.ay
-    t = ((px - seg.ax) * vx + (py - seg.ay) * vy) / (vx * vx + vy * vy)
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (seg.ax + t * vx), py - (seg.ay + t * vy))
-
-
-def _point_rect_distance(px: float, py: float, rect: Rect) -> float:
-    dx = max(rect.x0 - px, 0.0, px - rect.x1)
-    dy = max(rect.y0 - py, 0.0, py - rect.y1)
-    return math.hypot(dx, dy)
-
-
-def world_clearance(px: float, py: float, world: World) -> float:
-    """Distance to the nearest obstacle or arena wall."""
-    values = [min(px - world.bounds.x0, world.bounds.x1 - px,
-                  py - world.bounds.y0, world.bounds.y1 - py)]
-    values += [_point_rect_distance(px, py, r) for r in world.rects]
-    values += [_point_segment_distance(px, py, s) for s in world.segments]
-    return min(values)
-
-
-def survey_poses(plan: dict, world: World) -> list[Posture]:
-    survey = plan["survey"]
-    headings = survey.get("headings", 12)
-    min_clear = survey.get("min_clearance_mm", 250.0)
-    poses = []
-    for x in survey["x_lines"]:
-        for y in survey["y_lines"]:
-            if world_clearance(x, y, world) < min_clear:
-                continue
-            for k in range(headings):
-                poses.append(Posture(x, y, wrap_angle(2.0 * math.pi * k / headings)))
-    return poses
-
-
 def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
-    data = scenario.data
-    geometry = build_geometry(data)
-    noise = build_noise(data)
-    world = build_world(data)
-    plan = data["plan"]
-    grid = OccupancyGrid(
-        plan["resolution_mm"],
-        tuple(plan.get("origin_mm", (0.0, 0.0))),
-        plan["width_cells"],
-        plan["height_cells"],
-    )
+    geometry, world = scenario.geometry, scenario.world
+    grid = scenario.grid.clone_empty()
     ir_rng = stream_rng(scenario.seed, 0, STREAM_IR)
-    poses = survey_poses(plan, world)
-    if not poses:
-        raise RuntimeFault("survey produced no poses with the required clearance")
+    n = scenario.survey_headings
+    poses = [Posture(x, y, wrap_angle(2.0 * math.pi * k / n))
+             for x, y in scenario.survey_points for k in range(n)]
     for pose in poses:
-        readings = sample_ir(world, pose, geometry, noise, ir_rng)
+        readings = sample_ir(world, pose, geometry, scenario.noise, ir_rng)
         ingest_ir_scan(grid, pose, readings, geometry)
-    filtered = median_filter(grid, plan.get("median_window", 3))
-    margin = plan.get("margin_mm", geometry.body_radius + 20.0)
+    filtered = median_filter(grid, scenario.median_window)
+    margin = scenario.margin_mm
     planner_grid = inflate(filtered, margin)
-    start = planner_grid.cell_of(*plan["start"])
-    goal = planner_grid.cell_of(*plan["goal"])
-    if start is None or goal is None:
-        raise InvalidEndpoint("start or goal lies outside the grid")
-    path = astar(planner_grid, start, goal)
-    clear = min(world_clearance(*planner_grid.cell_center(c), world)
-                for c in path.cells)
+    path = astar(planner_grid, scenario.start_cell, scenario.goal_cell)
+    clear = min(world.clearance(*planner_grid.cell_center(c)) for c in path.cells)
     summary = RunSummary(scenario, {
         "scans": len(poses),
         "skipped_readings": grid.skipped_readings,

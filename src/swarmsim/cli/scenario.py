@@ -1,10 +1,11 @@
-"""Scenario files: strict schema validation, overrides, canonical digest.
+"""Scenario files: strict schema validation, overrides, built domain objects.
 
 A scenario is a YAML mapping. Validation is strict: any key the schema
 does not know is an error naming the full dotted path, so typos never
 silently fall back to defaults. Numbers must be finite and are range-checked
-as far as the file format goes; rules that relate several keys are checked
-by constructing the domain objects that own them.
+as far as the file format goes. `parse_scenario` then builds every domain
+object a run needs, once; a value the objects reject names its key path,
+so a scenario that validates is a scenario the runners can build.
 """
 
 from __future__ import annotations
@@ -12,15 +13,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import yaml
 
 from swarmsim.comms import ChannelModel
-from swarmsim.core import RobotGeometry
-from swarmsim.sim import MAX_STEP_S, Rates, Rect, Segment, SlipEvent
+from swarmsim.control import (Gains, ReferenceTrajectory, circle_trajectory,
+                              line_trajectory)
+from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wrap_angle
+from swarmsim.estimation import EkfConfig
+from swarmsim.planning import OccupancyGrid
+from swarmsim.sim import MAX_STEP_S, Rates, Rect, Segment, SensorNoise, SlipEvent, World
 from swarmsim.swarm import ConsensusConfig, SwarmState
 
 KINDS = ("track", "localize", "consensus", "plan")
@@ -50,6 +56,10 @@ class Num:
             raise ScenarioError(f"{path}: integer beyond the float range") from None
         if not math.isfinite(v):
             raise ScenarioError(f"{path}: must be finite, got {v!r}")
+        if 0 < abs(v) < sys.float_info.min:
+            # A subnormal divisor overflows to infinity.
+            raise ScenarioError(f"{path}: must be 0 or of size at least "
+                                f"{sys.float_info.min:g}, got {v:g}")
         if self.lo is not None and (v < self.lo or (self.exclusive_lo and v == self.lo)):
             bound = "greater than" if self.exclusive_lo else "at least"
             raise ScenarioError(f"{path}: must be {bound} {self.lo:g}, got {v:g}")
@@ -59,7 +69,9 @@ class Num:
 
 
 class Int:
-    def __init__(self, lo: int | None = None, hi: int | None = None):
+    """An integer, bounded above by the largest C size unless hi is None."""
+
+    def __init__(self, lo: int | None = None, hi: int | None = sys.maxsize):
         self.lo, self.hi = lo, hi
 
     def check(self, value: Any, path: str) -> int:
@@ -199,7 +211,7 @@ _REFERENCE = Map({
 
 _CONTROL = Map({
     "gains": (_GAINS, False),
-    "period_ms": (_POSITIVE, False),
+    "period_ms": (Num(lo=1.0), False),   # one reference sample per period
     "reference": (_REFERENCE, True),
     "feedback": (Str("truth", "estimator"), False),
 })
@@ -259,7 +271,7 @@ _RATES = Map({
 SCHEMA = Map({
     "name": (Str(), True),
     "kind": (Str(*KINDS), True),
-    "seed": (Int(lo=0), True),
+    "seed": (Int(lo=0, hi=None), True),     # numpy seeds take any size
     "duration_s": (_POSITIVE, False),
     "world": (_WORLD, False),
     "robot": (_ROBOT, False),
@@ -282,13 +294,43 @@ _KIND_NEEDS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: plain data plus its canonical digest."""
+    """A validated scenario: its canonical digest and every object a run
+    builds from it. Fields after `fixed_dt_s` are None unless the kind runs
+    them; the consensus pair is built for any `consensus` section."""
 
     name: str
     kind: str
     seed: int
-    data: dict
     digest: str
+    duration_s: float | None
+    rates: Rates
+    geometry: RobotGeometry
+    noise: SensorNoise
+    channel: ChannelModel
+    world: World | None
+    slip: tuple[SlipEvent, ...]
+    start: Posture
+    command: WheelSpeeds | None     # constant wheel command of a localize run
+    ekf: EkfConfig
+    adaptive: bool
+    fixed_dt_s: float | None
+    # track
+    trajectory: ReferenceTrajectory | None = None
+    gains: Gains | None = None
+    control_period_s: float | None = None
+    feedback: str | None = None
+    # consensus
+    consensus: ConsensusConfig | None = None
+    headings: tuple[float, ...] | None = None
+    # plan; the grid is an empty template each run clones, and each survey
+    # point is scanned at survey_headings evenly spaced headings
+    grid: OccupancyGrid | None = None
+    survey_points: tuple[tuple[float, float], ...] | None = None
+    survey_headings: int | None = None
+    median_window: int | None = None
+    margin_mm: float | None = None
+    start_cell: tuple[int, int] | None = None
+    goal_cell: tuple[int, int] | None = None
 
 
 def config_digest(validated: dict) -> str:
@@ -317,7 +359,7 @@ def apply_override(raw: dict, spec: str) -> None:
     node[keys[-1]] = value
 
 
-def _check_rates(rates: dict) -> None:
+def _check_rates(r: Rates) -> None:
     """Reject rates whose microsecond clocks give an invalid plant step.
 
     The engine steps the plant from one sensor or report event to the next
@@ -326,7 +368,6 @@ def _check_rates(rates: dict) -> None:
     Reports are stamped in whole ms, so a jittered report interval under
     1 ms could repeat a stamp and have its report skipped as stale.
     """
-    r = Rates(**rates)
     for key, period_us in (("encoder_hz", r.encoder_period_us),
                            ("flow_hz", r.flow_period_us)):
         if period_us < 1:
@@ -346,37 +387,90 @@ def _check_rates(rates: dict) -> None:
             f"or lower rates.report_period_ms")
 
 
-def _construct(path: str, cls, *args, **kwargs) -> None:
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs); a value it rejects is reported at its key path."""
     try:
-        cls(*args, **kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ScenarioError(f"{path}: a value overflows the float arithmetic "
+                            f"({exc})") from exc
 
 
-def _check_models(data: dict) -> None:
-    """Check the rules that relate several keys, mostly by constructing the
-    objects that own them, so a violation names its key path before a run."""
-    robot, world = data.get("robot", {}), data.get("world", {})
-    _construct("channel", ChannelModel, **data.get("channel", {}))
-    _construct("robot.geometry", RobotGeometry, **robot.get("geometry", {}))
-    for i, event in enumerate(robot.get("slip", ())):
-        _construct(f"robot.slip[{i}]", SlipEvent, **event)
-    if world:
-        _construct("world.bounds", Rect, *world["bounds"])
-    for key, cls in (("rects", Rect), ("segments", Segment)):
-        for i, coords in enumerate(world.get(key, ())):
-            _construct(f"world.{key}[{i}]", cls, *coords)
-    if "consensus" in data:
-        section = dict(data["consensus"])
-        _construct("consensus.headings", SwarmState, section.pop("headings"))
-        _construct("consensus", ConsensusConfig, **section)
-    reference = data.get("control", {}).get("reference", {})
-    if reference.get("shape") == "circle" and "radius" not in reference:
-        raise ScenarioError("control.reference.radius: required for shape 'circle'")
+def _posture(xyt: list[float]) -> Posture:
+    x, y, theta = xyt
+    return Posture(x, y, wrap_angle(theta))
+
+
+def _world(section: dict) -> World:
+    return World(
+        bounds=_build("world.bounds", Rect, *section["bounds"]),
+        rects=tuple(_build(f"world.rects[{i}]", Rect, *coords)
+                    for i, coords in enumerate(section.get("rects", ()))),
+        segments=tuple(_build(f"world.segments[{i}]", Segment, *coords)
+                       for i, coords in enumerate(section.get("segments", ()))),
+    )
+
+
+def _track(data: dict, start: Posture) -> dict:
+    control = data["control"]
+    ref = control["reference"]
+    duration = data["duration_s"]
+    period_s = control.get("period_ms", 70.0) / 1e3
+    ref_start = _posture(ref["start"]) if "start" in ref else start
+    if ref["shape"] == "circle":
+        trajectory = _build("control.reference", circle_trajectory, ref["radius"],
+                            ref["speed"], duration, period_s,
+                            ref.get("ccw", True), ref_start)
+    else:
+        trajectory = _build("control.reference", line_trajectory, ref["speed"],
+                            duration, period_s, ref_start)
+    if duration < period_s:
+        raise ScenarioError(
+            f"duration_s: must cover at least one control.period_ms "
+            f"({period_s * 1e3:g} ms), got {duration:g} s")
+    return {
+        "trajectory": trajectory,
+        "gains": _build("control.gains", Gains, **control.get("gains", {})),
+        "control_period_s": period_s,
+        "feedback": control.get("feedback", "truth"),
+    }
+
+
+def _plan(data: dict, geometry: RobotGeometry, world: World) -> dict:
+    plan = data["plan"]
+    grid = _build("plan", OccupancyGrid, plan["resolution_mm"],
+                  tuple(plan.get("origin_mm", (0.0, 0.0))),
+                  plan["width_cells"], plan["height_cells"])
+    window = plan.get("median_window", 3)
+    if window % 2 == 0:
+        raise ScenarioError(f"plan.median_window: must be odd, got {window}")
+    cells = {}
+    for key in ("start", "goal"):
+        cells[key] = grid.cell_of(*plan[key])
+        if cells[key] is None:
+            raise ScenarioError(f"plan.{key}: lies outside the grid")
+    survey = plan["survey"]
+    min_clearance = survey.get("min_clearance_mm", 250.0)
+    points = tuple((x, y) for x in survey["x_lines"] for y in survey["y_lines"]
+                   if world.clearance(x, y) >= min_clearance)
+    if not points:
+        raise ScenarioError(f"plan.survey: no point keeps min_clearance_mm "
+                            f"({min_clearance:g}) from every obstacle")
+    return {
+        "grid": grid,
+        "survey_points": points,
+        "survey_headings": survey.get("headings", 12),
+        "median_window": window,
+        "margin_mm": plan.get("margin_mm", geometry.body_radius + 20.0),
+        "start_cell": cells["start"],
+        "goal_cell": cells["goal"],
+    }
 
 
 def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
-    """Parse, override, and validate scenario text."""
+    """Parse, override, and validate scenario text, and build its objects."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -392,16 +486,62 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
         if section not in data:
             raise ScenarioError(
                 f"kind {kind!r} requires the {section!r} section")
-    if kind == "localize" and "command" not in data["robot"]:
+    robot = data.get("robot", {})
+    if kind == "localize" and "command" not in robot:
         raise ScenarioError("kind 'localize' requires robot.command")
-    _check_rates(data.get("rates", {}))
-    _check_models(data)
+    rates = Rates(**data.get("rates", {}))
+    _build("rates", _check_rates, rates)
+    channel = _build("channel", ChannelModel, **data.get("channel", {}))
+    geometry = _build("robot.geometry", RobotGeometry, **robot.get("geometry", {}))
+    slip = tuple(_build(f"robot.slip[{i}]", SlipEvent, **event)
+                 for i, event in enumerate(robot.get("slip", ())))
+    world = _world(data["world"]) if "world" in data else None
+    kind_fields: dict[str, Any] = {}
+    if "consensus" in data:
+        section = dict(data["consensus"])
+        kind_fields["headings"] = _build("consensus.headings", SwarmState,
+                                         section.pop("headings")).headings
+        kind_fields["consensus"] = _build("consensus", ConsensusConfig, **section)
+    reference = data.get("control", {}).get("reference", {})
+    if reference.get("shape") == "circle" and "radius" not in reference:
+        raise ScenarioError("control.reference.radius: required for shape 'circle'")
+    noise = SensorNoise.noiseless() if robot.get("noiseless") else SensorNoise()
+    noise = replace(noise, **robot.get("noise", {}))
+    start = _posture(robot.get("start", (0.0, 0.0, 0.0)))
+    estimator = data.get("estimator", {})
+    # Only robot.noise and robot.geometry can overflow the filter's variances.
+    ekf = _build(
+        "robot", EkfConfig.from_noise, noise, geometry,
+        send_period_s=rates.report_period_ms / 1e3,
+        encoder_hz=rates.encoder_hz, flow_hz=rates.flow_hz,
+        **{key: estimator[key] for key in
+           ("slip_inflation", "slip_threshold", "slip_window") if key in estimator})
+    if kind == "track":
+        kind_fields.update(_track(data, start))
+    elif kind == "plan":
+        kind_fields.update(_plan(data, geometry, world))
+    elif (kind == "localize" and world is not None
+          and not world.bounds.contains(start.x, start.y)):
+        raise ScenarioError("robot.start: lies outside world.bounds")
+    fixed_dt_ms = estimator.get("fixed_dt_ms")
     return Scenario(
         name=data["name"],
         kind=kind,
         seed=data["seed"],
-        data=data,
         digest=config_digest(data),
+        duration_s=data.get("duration_s"),
+        rates=rates,
+        geometry=geometry,
+        noise=noise,
+        channel=channel,
+        world=world,
+        slip=slip,
+        start=start,
+        command=WheelSpeeds(*robot["command"]) if "command" in robot else None,
+        ekf=ekf,
+        adaptive=estimator.get("adaptive", True),
+        fixed_dt_s=None if fixed_dt_ms is None else fixed_dt_ms / 1e3,
+        **kind_fields,
     )
 
 

@@ -215,6 +215,8 @@ def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
     update equals one scalar update per channel in turn (Bierman,
     Factorization Methods for Discrete Sequential Estimation, 1977):
     s = P[j][j] + r, mean += P[:, j] nu / s, P -= P[:, j] P[j, :] / s.
+    Row and column j take the equal form P[j, :] r / s, which keeps their
+    precision when r << P[j][j] and the subtraction would cancel.
     The heading channel goes first, so its innovation wrap_angle(z - theta)
     uses the prior heading; the other four follow in the order (v_wheel,
     w_wheel, v_flow, w_flow), and the posterior heading is wrapped once at
@@ -239,8 +241,10 @@ def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
         nu = wrap_angle(z - mean[2]) if j == 2 else z - mean[j]
         g = nu / s
         mean = [m + ci * g for m, ci in zip(mean, col)]
-        p = [pn - col[i] * col[k] / s
-             for pn, i, k in zip(p, _UPPER_ROW, _UPPER_COL)]
+        prior, p = p, [pn - col[i] * col[k] / s
+                       for pn, i, k in zip(p, _UPPER_ROW, _UPPER_COL)]
+        for n in _COLUMN[j]:
+            p[n] = prior[n] * (r / s)
     mean[2] = wrap_angle(mean[2])
     return EkfBelief(np.array(mean), np.array(p)[_SLOT], meas.t_ms)
 

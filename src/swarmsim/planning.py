@@ -91,10 +91,11 @@ class OccupancyGrid:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
         """Cell containing the world point, or None when outside."""
-        ix = math.floor((x - self.origin[0]) / self.resolution)
-        iy = math.floor((y - self.origin[1]) / self.resolution)
-        if 0 <= ix < self.width and 0 <= iy < self.height:
-            return ix, iy
+        # Bounds first: a point far off a fine grid divides to infinity.
+        u = (x - self.origin[0]) / self.resolution
+        v = (y - self.origin[1]) / self.resolution
+        if 0 <= u < self.width and 0 <= v < self.height:
+            return math.floor(u), math.floor(v)
         return None
 
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
@@ -209,14 +210,15 @@ def ingest_ir_scan(grid: OccupancyGrid, pose: Posture, readings,
 
 def _window_sums(mask: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (sum over window, cells present) with border truncation."""
-    half = window // 2
     h, w = mask.shape
+    # An offset of a whole grid side or more reaches no cell.
+    half_r, half_c = min(window // 2, h - 1), min(window // 2, w - 1)
     total = np.zeros((h, w), dtype=np.int32)
     present = np.zeros((h, w), dtype=np.int32)
     values = mask.astype(np.int32)
     ones = np.ones((h, w), dtype=np.int32)
-    for di in range(-half, half + 1):
-        for dj in range(-half, half + 1):
+    for di in range(-half_r, half_r + 1):
+        for dj in range(-half_c, half_c + 1):
             src_r = slice(max(0, -di), min(h, h - di))
             src_c = slice(max(0, -dj), min(w, w - dj))
             dst_r = slice(max(0, di), min(h, h + di))
@@ -256,11 +258,13 @@ def inflate(grid: OccupancyGrid, margin: float) -> OccupancyGrid:
     if margin < 0:
         raise ValueError("margin must be nonnegative")
     occ = grid.occupancy()
-    reach = int(math.floor(margin / grid.resolution + 1e-9))
     h, w = occ.shape
+    # An offset of a whole grid side or more reaches no cell.
+    reach = margin / grid.resolution + 1e-9
+    reach_r, reach_c = int(min(reach, h - 1)), int(min(reach, w - 1))
     inflated = occ.copy()
-    for di in range(-reach, reach + 1):
-        for dj in range(-reach, reach + 1):
+    for di in range(-reach_r, reach_r + 1):
+        for dj in range(-reach_c, reach_c + 1):
             if di == 0 and dj == 0:
                 continue
             if math.hypot(di, dj) * grid.resolution > margin + 1e-9:

@@ -369,6 +369,27 @@ class World:
         edges.extend((s.ax, s.ay, s.bx, s.by) for s in self.segments)
         return edges
 
+    def clearance(self, px: float, py: float) -> float:
+        """Distance to the nearest obstacle or arena wall."""
+        values = [min(px - self.bounds.x0, self.bounds.x1 - px,
+                      py - self.bounds.y0, self.bounds.y1 - py)]
+        values += [_point_rect_distance(px, py, r) for r in self.rects]
+        values += [_point_segment_distance(px, py, s) for s in self.segments]
+        return min(values)
+
+
+def _point_segment_distance(px: float, py: float, seg: Segment) -> float:
+    vx, vy = seg.bx - seg.ax, seg.by - seg.ay
+    t = ((px - seg.ax) * vx + (py - seg.ay) * vy) / (vx * vx + vy * vy)
+    t = max(0.0, min(1.0, t))
+    return math.hypot(px - (seg.ax + t * vx), py - (seg.ay + t * vy))
+
+
+def _point_rect_distance(px: float, py: float, rect: Rect) -> float:
+    dx = max(rect.x0 - px, 0.0, px - rect.x1)
+    dy = max(rect.y0 - py, 0.0, py - rect.y1)
+    return math.hypot(dx, dy)
+
 
 def _ray_segment_distance(ox: float, oy: float, dx: float, dy: float,
                           edge: tuple[float, float, float, float]) -> float | None:

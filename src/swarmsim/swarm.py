@@ -110,6 +110,10 @@ class ConsensusConfig:
             raise ValueError("settle_rounds must be at least 1")
         if self.turn_gain <= 0:
             raise ValueError("turn_gain must be positive")
+        if (self.mode == "networked"
+                and self.max_rounds * self.round_period_ms > 0xFFFFFFFF):
+            raise ValueError("max_rounds x round_period_ms must fit the u32 ms "
+                             "report clock")
 
 
 @dataclass(frozen=True)

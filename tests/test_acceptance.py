@@ -8,7 +8,6 @@ sensor stream per seed across every estimator variant.
 
 from __future__ import annotations
 
-import copy
 import csv
 import filecmp
 import math
@@ -91,20 +90,15 @@ def test_adaptive_filter_beats_alternatives_under_slip(capsys):
     t0 = time.perf_counter()
     adaptive, nonadaptive, wheels = [], [], []
     for seed in range(1, 21):
-        data = copy.deepcopy(base.data)
-        stream = runner.simulate_reports(data, seed)
-        geometry = runner.build_geometry(data)
-        noise = runner.build_noise(data)
-        rates = runner.build_rates(data)
-        start = runner.build_start(data)
-        cfg, _, _ = runner.build_ekf_config(data, noise, geometry, rates)
-        args = (stream.delivered, start, geometry, cfg)
+        stream = runner.simulate_reports(base, seed)
+        args = (stream.delivered, base.start, base.geometry, base.ekf)
         adaptive.append(_terminal_error(
             run_estimator(*args, adaptive=True), stream.truth_at_send))
         nonadaptive.append(_terminal_error(
             run_estimator(*args, adaptive=False), stream.truth_at_send))
         wheels.append(_terminal_error(
-            dead_reckon(stream.delivered, start, geometry, source="wheels"),
+            dead_reckon(stream.delivered, base.start, base.geometry,
+                        source="wheels"),
             stream.truth_at_send))
     elapsed = time.perf_counter() - t0
     med_adaptive = statistics.median(adaptive)
@@ -128,14 +122,8 @@ def test_timestamp_driven_filter_beats_fixed_step(capsys):
     base = _load("localize_jitter.yaml")
     timestamped, hardwired = [], []
     for seed in range(1, 21):
-        data = copy.deepcopy(base.data)
-        stream = runner.simulate_reports(data, seed)
-        geometry = runner.build_geometry(data)
-        noise = runner.build_noise(data)
-        rates = runner.build_rates(data)
-        start = runner.build_start(data)
-        cfg, _, _ = runner.build_ekf_config(data, noise, geometry, rates)
-        args = (stream.delivered, start, geometry, cfg)
+        stream = runner.simulate_reports(base, seed)
+        args = (stream.delivered, base.start, base.geometry, base.ekf)
         timestamped.append(_rmse_against_truth(
             run_estimator(*args), stream.truth_at_send))
         hardwired.append(_rmse_against_truth(
@@ -214,7 +202,7 @@ def test_planner_is_optimal_and_safe(tmp_path, capsys):
     (tmp_path / "arena").mkdir()
     summary = runner.run_plan(_load("plan_arena.yaml"), tmp_path / "arena")
     clearance = summary.metrics["min_true_clearance_mm"]
-    body_radius = runner.build_geometry(_load("plan_arena.yaml").data).body_radius
+    body_radius = _load("plan_arena.yaml").geometry.body_radius
 
     ok = (matched == solved == 100 and no_path
           and clearance >= body_radius)

@@ -1,13 +1,29 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import sys
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmsim.cli import runner
 from swarmsim.cli.main import main
-from swarmsim.cli.scenario import load_scenario
+from swarmsim.cli.scenario import (
+    SCHEMA,
+    Bool,
+    Int,
+    Map,
+    Num,
+    NumSeq,
+    SeqOf,
+    Str,
+    load_scenario,
+)
 from swarmsim.estimation import dead_reckon, run_estimator
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "swarmsim" / "scenarios"
@@ -107,6 +123,11 @@ def test_seed_flag_equals_seed_override(tmp_path, capsys):
             == (tmp_path / "override" / "estimates.csv").read_bytes())
 
 
+def test_seed_of_any_size_runs(tmp_path, capsys):
+    assert main(["localize", SLIP, "--out", str(tmp_path), "--seed", "1" + "0" * 41,
+                 "--override", "duration_s=1.0"]) == 0
+
+
 def test_seed_changes_the_noise(tmp_path, capsys):
     for seed in ("1", "2"):
         assert main(["localize", SLIP, "--out", str(tmp_path / seed),
@@ -139,9 +160,9 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
     calls = []
     simulate = runner.simulate_reports
 
-    def counting(data, seed):
+    def counting(scenario, seed):
         calls.append(seed)
-        return simulate(data, seed)
+        return simulate(scenario, seed)
 
     monkeypatch.setattr(runner, "simulate_reports", counting)
     variants = ["adaptive", "nonadaptive", "fixed_dt", "wheels", "flow"]
@@ -155,19 +176,14 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
 
     scenario = load_scenario(SLIP, ("duration_s=10.0", "channel.loss_prob=0.2",
                                     "channel.latency_max_ms=400"))
-    data = scenario.data
-    geometry = runner.build_geometry(data)
-    rates = runner.build_rates(data)
-    start = runner.build_start(data)
-    cfg, _, _ = runner.build_ekf_config(data, runner.build_noise(data),
-                                        geometry, rates)
-    stream = simulate(data, scenario.seed)
-    args = (stream.delivered, start, geometry)
+    cfg = scenario.ekf
+    stream = simulate(scenario, scenario.seed)
+    args = (stream.delivered, scenario.start, scenario.geometry)
     direct = {
         "adaptive": run_estimator(*args, cfg),
         "nonadaptive": run_estimator(*args, cfg, adaptive=False),
-        "fixed_dt": run_estimator(*args, cfg,
-                                  fixed_dt_s=rates.report_period_ms / 1e3),
+        "fixed_dt": run_estimator(
+            *args, cfg, fixed_dt_s=scenario.rates.report_period_ms / 1e3),
         "wheels": dead_reckon(*args, "wheels"),
         "flow": dead_reckon(*args, "flow"),
     }
@@ -283,6 +299,25 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
      "world.segments[0]"),
     ("track", "circle_track.yaml", "control.reference={shape: circle, speed: 80}",
      "control.reference.radius"),
+    # Integers beyond a C size, and a subnormal divisor.
+    ("localize", "localize_slip.yaml", "estimator.slip_window=1" + "0" * 30,
+     "estimator.slip_window"),
+    ("plan", "plan_arena.yaml", "plan.width_cells=1" + "0" * 23, "plan.width_cells"),
+    ("localize", "localize_slip.yaml", "robot.geometry.mm_per_tick=5.0e-324",
+     "robot.geometry.mm_per_tick"),
+    # Values whose arithmetic overflows while the objects are built.
+    ("localize", "localize_slip.yaml", "robot.geometry.wheel_base=1.0e-200", "robot"),
+    ("localize", "localize_slip.yaml", "rates.encoder_hz=2.3e-308", "rates"),
+    # Rules the built objects own.
+    ("track", "circle_track.yaml", "duration_s=0.01", "duration_s"),
+    ("track", "circle_track.yaml", "control.period_ms=100000", "control.reference"),
+    ("plan", "plan_arena.yaml", "plan.start=[-5000,0]", "plan.start"),
+    ("plan", "plan_arena.yaml", "plan.median_window=4", "plan.median_window"),
+    ("plan", "plan_arena.yaml", "plan.survey.min_clearance_mm=5000", "plan.survey"),
+    ("localize", "localize_slip.yaml", "world={bounds: [100,100,200,200]}",
+     "robot.start"),
+    ("consensus", "consensus_demo.yaml", "consensus.round_period_ms=3600000",
+     "consensus"),
 ])
 def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
                                                     scenario, override,
@@ -300,3 +335,118 @@ def test_outputs_carry_no_wall_clock(tmp_path, capsys):
     capsys.readouterr()
     for path in tmp_path.iterdir():
         assert b"wall_clock" not in path.read_bytes()
+
+
+# --- the exit-code contract under fuzzed overrides -------------------------------------
+
+
+# (command, scenario, overrides that keep the run short). The caps come
+# before the drawn override, so a draw of the same key or of its whole
+# section replaces them; a drawn duration_s stays within the cap.
+DURATION_CAP_S = 0.5
+SHORT = (f"duration_s={DURATION_CAP_S}",)
+TRACK = ("track", "circle_track.yaml", SHORT)
+TRACK_EKF = ("track", "circle_track.yaml", SHORT + ("control.feedback=estimator",))
+LOCALIZE = ("localize", "localize_slip.yaml", SHORT)
+COMPARE = ("compare", "localize_jitter.yaml", SHORT)
+CONSENSUS = ("consensus", "consensus_demo.yaml", ("consensus.max_rounds=100",))
+PLAN = ("plan", "plan_arena.yaml", ("plan.survey.headings=4",))
+RUNS = (TRACK, TRACK_EKF, LOCALIZE, COMPARE, CONSENSUS, PLAN)
+# The runs that read a top-level section; a key of any other section is
+# drawn against every run.
+READERS = {
+    "control": (TRACK, TRACK_EKF),
+    "estimator": (TRACK_EKF, LOCALIZE, COMPARE),
+    "rates": (TRACK_EKF, LOCALIZE, COMPARE),
+    "consensus": (CONSENSUS,),
+    "plan": (PLAN,),
+    "world": (LOCALIZE, PLAN),
+}
+# Keys whose value sizes the work of a run (rounds, scan headings, grid
+# cells, plant events per second) are only validated, and so is a draw of
+# a section holding one: a valid draw may take minutes to run.
+SIZES_WORK = ("consensus.max_rounds", "plan.survey.headings", "plan.width_cells",
+              "plan.height_cells", "rates.encoder_hz", "rates.flow_hz")
+WRONG_TYPES = ("text", [1, 2], {"a": 1}, True, None)
+
+
+def _paths(spec: Map, prefix: str = ""):
+    """(dotted path, spec) of every key the schema knows, sections included."""
+    for key, (field, _) in spec.fields.items():
+        path = f"{prefix}.{key}" if prefix else key
+        yield path, field
+        if isinstance(field, Map):
+            yield from _paths(field, path)
+
+
+PATHS = tuple(_paths(SCHEMA))
+
+
+def _in_type(spec):
+    """A value of the right type, inside the key's range; an unbounded side
+    reaches 1e6 past the other. Magnitudes near the float maximum overflow
+    the physics mid-run, a known gap this test does not cover."""
+    if isinstance(spec, Num):
+        lo = -1e6 if spec.lo is None else spec.lo
+        hi = lo + 1e6 if spec.hi is None else spec.hi
+        return st.floats(lo, hi, exclude_min=spec.exclusive_lo)
+    if isinstance(spec, Int):
+        lo = 0 if spec.lo is None else spec.lo
+        return st.integers(lo, lo + 20)
+    if isinstance(spec, Bool):
+        return st.booleans()
+    if isinstance(spec, Str):
+        return st.sampled_from(spec.choices) if spec.choices else st.text(max_size=8)
+    if isinstance(spec, NumSeq):
+        size = {} if spec.length is None else {"min_size": spec.length}
+        return st.lists(_in_type(spec.item), max_size=spec.length or 4, **size)
+    if isinstance(spec, SeqOf):
+        return st.lists(_in_type(spec.item), max_size=3)
+    return st.fixed_dictionaries(
+        {key: _in_type(f) for key, (f, required) in spec.fields.items() if required},
+        optional={key: _in_type(f) for key, (f, required) in spec.fields.items()
+                  if not required})
+
+
+def _out_of_range(spec):
+    """A value of the right type outside the key's range, where it has one."""
+    if isinstance(spec, Num) and spec.lo is not None:
+        return st.floats(spec.lo - 1e6, spec.lo, exclude_max=not spec.exclusive_lo)
+    if isinstance(spec, Num) and spec.hi is not None:
+        return st.floats(spec.hi, spec.hi + 1e6, exclude_min=True)
+    if isinstance(spec, Int) and spec.lo is not None:
+        return st.integers(spec.lo - 20, spec.lo - 1)
+    if isinstance(spec, Str) and spec.choices:
+        return st.just("bogus")
+    return _in_type(spec)
+
+
+@st.composite
+def _case(draw):
+    """A run, and one `path=value` override drawn from the schema."""
+    path, spec = draw(st.sampled_from(PATHS))
+    run = draw(st.sampled_from(READERS.get(path.split(".")[0], RUNS)))
+    if path == "duration_s":
+        spec = Num(lo=0.0, hi=DURATION_CAP_S, exclusive_lo=True)
+    huge = (st.integers(309, 400) if isinstance(spec, Num)
+            else st.integers(19, 60)).map(lambda k: 10 ** k)
+    value = draw(st.one_of(
+        _in_type(spec), _out_of_range(spec),
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        huge, st.sampled_from(WRONG_TYPES)))
+    text = yaml.safe_dump(value, default_flow_style=True, width=sys.maxsize)
+    return run, path, text.removesuffix("\n...\n").strip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_fuzzed_overrides_keep_the_exit_code_contract(tmp_path_factory, case):
+    (command, scenario, caps), path, text = case
+    if any(key == path or key.startswith(path + ".") for key in SIZES_WORK):
+        command = "validate"
+    args = [a for spec in (*caps, f"{path}={text}") for a in ("--override", spec)]
+    out = tmp_path_factory.getbasetemp() / "fuzz"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(SCENARIOS / scenario), "--out", str(out), *args])
+    assert code in (0, 2, 3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -283,17 +284,41 @@ def textbook_s(cov, cfg, slip):
     return H @ cov @ H.T + textbook_r(cfg, slip)
 
 
+def exact(a):
+    return np.vectorize(Fraction, otypes=[object])(np.asarray(a, dtype=float))
+
+
+def exact_solve(a, b):
+    """a^-1 b by Gauss-Jordan elimination over the rationals."""
+    m = np.concatenate([a, b], axis=1)
+    for c in range(len(a)):
+        pivot = next(i for i in range(c, len(a)) if m[i, c] != 0)
+        m[[c, pivot]] = m[[pivot, c]]
+        m[c] = m[c] / m[c, c]
+        for i in range(len(a)):
+            if i != c:
+                m[i] = m[i] - m[i, c] * m[c]
+    return m[:, len(a):]
+
+
 def textbook_update(belief, z, cfg, slip):
-    """Batch EKF update with the Joseph-form covariance."""
-    r = textbook_r(cfg, slip)
-    gain = belief.cov @ H.T @ np.linalg.inv(textbook_s(belief.cov, cfg, slip))
-    innovation = (np.array([z.v_wheel, z.w_wheel, z.v_flow, z.w_flow, z.heading])
-                  - H @ belief.mean)
-    innovation[4] = wrap_angle(z.heading - belief.mean[2])
-    mean = belief.mean + gain @ innovation
+    """Batch EKF update with the Joseph-form covariance.
+
+    Evaluated in exact rational arithmetic from the float inputs: with both
+    v channels (or both w channels) precise, S is nearly singular, and a
+    float inverse of it alone can miss the exact update by more than
+    ORACLE_TOL.
+    """
+    h, cov, r = exact(H), exact(belief.cov), exact(textbook_r(cfg, slip))
+    s = h @ cov @ h.T + r
+    gain = exact_solve(s, h @ cov).T  # S and P are symmetric
+    innovation = (exact([z.v_wheel, z.w_wheel, z.v_flow, z.w_flow, z.heading])
+                  - h @ exact(belief.mean))
+    innovation[4] = Fraction(wrap_angle(z.heading - belief.mean[2]))
+    mean = (exact(belief.mean) + gain @ innovation).astype(float)
     mean[2] = wrap_angle(mean[2])
-    ikh = np.eye(5) - gain @ H
-    return mean, ikh @ belief.cov @ ikh.T + gain @ r @ gain.T
+    ikh = exact(np.eye(5)) - gain @ h
+    return mean, (ikh @ cov @ ikh.T + gain @ r @ gain.T).astype(float)
 
 
 def spd(log_scales, lower, zero_rows=()):
@@ -324,6 +349,18 @@ def assert_means_match(a, b):
     np.testing.assert_allclose(a, b, **ORACLE_TOL)
 
 
+# Precise wheel and flow v channels, so S has a condition number near 4e8.
+@example(scales=[0.0, 0.0, 0.0, 0.0, 2.0], lower=[0.0] * 9 + [1.0],
+         q_logs=[0.0] * 5, r_logs=[-4.0, 0.0, -4.0, 0.0, 0.0], theta=0.0,
+         heading_offset=0.0, speeds=[69.0, 0.0, 0.0, 0.0], dt=0.25, slip=False)
+@example(scales=[0.0, 0.0, 0.0, 0.0, 2.0], lower=[0.0] * 9 + [1.0],
+         q_logs=[0.0] * 5, r_logs=[-4.0, 0.0, -3.0, 0.0, 0.0], theta=0.0,
+         heading_offset=0.0, speeds=[28.0, 0.0, 0.0, 1.0], dt=0.25, slip=False)
+# A precise wheel v channel against a wide v prior: P[3][3] - P[3][3]^2 / s
+# cancels to 1e-8 relative error in the scalar update.
+@example(scales=[0.0, 0.0, 0.0, 2.0, 0.0], lower=[0.0] * 10,
+         q_logs=[0.0] * 5, r_logs=[-4.0, 0.0, -2.0, 0.0, 0.0], theta=0.0,
+         heading_offset=0.0, speeds=[0.0, 0.0, 0.0, 0.0], dt=0.25, slip=False)
 @settings(max_examples=300, deadline=None)
 @given(log_scales, lowers, noise_logs, noise_logs, headings,
        st.floats(-0.5, 0.5), st.lists(st.floats(-200, 200), min_size=4, max_size=4),

@@ -329,6 +329,18 @@ def test_inflate_monotone_in_margin():
         previous = nxt
 
 
+def test_offsets_past_the_grid_change_nothing():
+    # A window or margin wider than the grid reaches no further cell.
+    g = random_grid(np.random.default_rng(5), density=0.3, size=6)
+    g.hits[0, 0] = g.occupied_threshold
+    np.testing.assert_array_equal(median_filter(g, 99).hits,
+                                  median_filter(g, 11).hits)
+    assert inflate(g, 1e6 * g.resolution).occupancy().all()
+    fine = OccupancyGrid(5e-324, (0.0, 0.0), 6, 6)
+    assert fine.cell_of(1.0, 0.0) is None
+    assert inflate(fine, 80.0).occupancy().sum() == 0
+
+
 # --- A-star -------------------------------------------------------------------------
 
 
