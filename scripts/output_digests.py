@@ -1,17 +1,22 @@
 """Print one sha256 per fixed CLI invocation, to compare two trees' outputs.
 
     python3 scripts/output_digests.py > digests.txt
+    python3 scripts/output_digests.py --against digests.txt
 
 Each invocation runs `python -m swarmsim` from this tree's `src/` in a fresh
 process with its own `--out` directory. The digest covers the exit code,
 stdout without the `wall_clock_s:` and `wrote:` lines, stderr with the tree
 path masked, and the name and bytes of every file written under `--out`.
 Run it in two checkouts and `diff` the two listings: a line that matches
-means that invocation's outputs are byte-identical.
+means that invocation's outputs are byte-identical. With `--against FILE`
+the listing is also compared with one saved earlier: each label whose
+digest differs is printed after the listing, and the exit status is 1 if
+any does. Labels the saved listing lacks are named but do not count.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -119,6 +124,29 @@ INVOCATIONS = (
     # A seed of any size still runs.
     ("localize 42-digit seed", "localize", "localize_slip.yaml",
      ("--override", "seed=1" + "0" * 41)),
+    # The benchmark's two plan surveys, and IR scans inside the sensor engine.
+    ("plan noisy seed 11", "plan", "plan_arena.yaml",
+     ("--seed", "11", "--override", "robot.noiseless=false")),
+    ("plan noisy 25 mm grid of 81x61 seed 12", "plan", "plan_arena.yaml",
+     ("--seed", "12", "--override", "robot.noiseless=false",
+      "--override", "plan.resolution_mm=25", "--override", "plan.width_cells=81",
+      "--override", "plan.height_cells=61")),
+    ("localize slip among obstacles", "localize", "localize_slip.yaml",
+     ("--override", "world={bounds: [-2000, -2000, 2000, 2000], "
+      "rects: [[300, -900, 500, -500]], segments: [[-800, 600, -300, 900]]}")),
+    # In-type numbers near the float maximum that overflowed the run.
+    ("track gain near the float maximum", "track", "circle_track.yaml",
+     ("--override", "control.gains.k_x=1.7e+308")),
+    ("track start near the float maximum", "track", "circle_track.yaml",
+     ("--override", "robot.start=[1.7e+308, 1.7e+308, 1.7e+308]")),
+    ("localize flow scale near the float maximum", "localize", "localize_slip.yaml",
+     ("--override", "robot.noise.flow_scale=1.7e+308")),
+    ("compare report period of 1e30 ms", "compare", "localize_jitter.yaml",
+     ("--override", "rates.report_period_ms=1.0e+30")),
+    ("track half a second on a line near the float maximum speed", "track",
+     "circle_track.yaml",
+     ("--override", "duration_s=0.5",
+      "--override", "control.reference={shape: line, speed: 1.7e+308}")),
 )
 
 
@@ -146,11 +174,34 @@ def digest(command: str, scenario: str, extra: tuple[str, ...]) -> tuple[str, in
     return h.hexdigest(), proc.returncode
 
 
-def main() -> int:
+def read_listing(path: Path) -> dict[str, str]:
+    """Label -> digest of a listing this script printed."""
+    listing = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        sha, _, label = line.split("  ", 2)
+        listing[label] = sha
+    return listing
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digest fixed CLI invocations.")
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="a saved listing; exit 1 if any digest differs")
+    args = parser.parse_args(argv)
+    saved = read_listing(args.against) if args.against else None
+    differs, new = [], []
     for label, command, scenario, extra in INVOCATIONS:
         sha, code = digest(command, scenario, extra)
         print(f"{sha}  exit={code}  {label}", flush=True)
-    return 0
+        if saved is not None and label not in saved:
+            new.append(label)
+        elif saved is not None and saved[label] != sha:
+            differs.append(label)
+    for label in new:
+        print(f"not in {args.against}: {label}")
+    for label in differs:
+        print(f"differs from {args.against}: {label}")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

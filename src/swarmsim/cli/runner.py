@@ -335,8 +335,8 @@ class RobotSim:
                     f"robot {self.robot_id} left the world bounds at "
                     f"t={self.t_us / 1e6:g} s (x={pose.x:.1f} mm, "
                     f"y={pose.y:.1f} mm)")
-            ir = tuple(sample_ir(self.world, pose, self.geometry, self.noise,
-                                 self.ir_rng))
+            ir = tuple(sample_ir(self.world, [pose], self.geometry, self.noise,
+                                 self.ir_rng)[0])
         else:
             ir = (None,) * 5
         packet = SensorPacket(
@@ -617,9 +617,8 @@ def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
     n = scenario.survey_headings
     poses = [Posture(x, y, wrap_angle(2.0 * math.pi * k / n))
              for x, y in scenario.survey_points for k in range(n)]
-    for pose in poses:
-        readings = sample_ir(world, pose, geometry, scenario.noise, ir_rng)
-        ingest_ir_scan(grid, pose, readings, geometry)
+    readings = sample_ir(world, poses, geometry, scenario.noise, ir_rng)
+    ingest_ir_scan(grid, poses, readings, geometry)
     filtered = median_filter(grid, scenario.median_window)
     margin = scenario.margin_mm
     planner_grid = inflate(filtered, margin)

@@ -154,6 +154,12 @@ class Map:
 _POSITIVE = Num(lo=0.0, exclusive_lo=True)
 _NONNEG = Num(lo=0.0)
 _PROB = Num(lo=0.0, hi=1.0)
+# Upper bounds for values whose physics overflows mid-run near the float
+# maximum. A gain, scale factor or reference speed past 1e6 only saturates
+# the wheels (or the flow counters) sooner; a start posture within 1e9 mm
+# of the origin leaves the motion room to stay finite.
+_GAIN = Num(lo=0.0, exclusive_lo=True, hi=1e6)
+_START = NumSeq(3, Num(lo=-1e9, hi=1e9))    # x mm, y mm, theta rad
 
 _GEOMETRY = Map({
     "wheel_base": (_POSITIVE, False),
@@ -167,7 +173,7 @@ _GEOMETRY = Map({
 _NOISE = Map({
     "encoder_sigma": (_NONNEG, False),
     "flow_sigma": (_NONNEG, False),
-    "flow_scale": (_POSITIVE, False),
+    "flow_scale": (_GAIN, False),
     "gyro_sigma": (_NONNEG, False),
     "ir_sigma": (_NONNEG, False),
 })
@@ -183,7 +189,7 @@ _ROBOT = Map({
     "geometry": (_GEOMETRY, False),
     "noise": (_NOISE, False),
     "noiseless": (Bool(), False),
-    "start": (NumSeq(3), False),
+    "start": (_START, False),
     "command": (NumSeq(2), False),      # constant wheel command (right, left), mm/s
     "slip": (SeqOf(_SLIP_EVENT), False),
 })
@@ -196,17 +202,17 @@ _CHANNEL = Map({
 })
 
 _GAINS = Map({
-    "k_x": (_POSITIVE, False),
-    "k_y": (_POSITIVE, False),
-    "k_theta": (_POSITIVE, False),
+    "k_x": (_GAIN, False),
+    "k_y": (_GAIN, False),
+    "k_theta": (_GAIN, False),
 })
 
 _REFERENCE = Map({
     "shape": (Str("circle", "line"), True),
     "radius": (_POSITIVE, False),
-    "speed": (_POSITIVE, True),
+    "speed": (Num(lo=0.0, exclusive_lo=True, hi=1e6), True),   # mm/s
     "ccw": (Bool(), False),
-    "start": (NumSeq(3), False),        # reference's own start; defaults to robot.start
+    "start": (_START, False),           # reference's own start; defaults to robot.start
 })
 
 _CONTROL = Map({
@@ -233,7 +239,7 @@ _CONSENSUS = Map({
     "round_period_ms": (_POSITIVE, False),
     "settle_rounds": (Int(lo=1), False),
     "staleness_horizon_ms": (_POSITIVE, False),
-    "turn_gain": (_POSITIVE, False),
+    "turn_gain": (_GAIN, False),
 })
 
 _SURVEY = Map({
@@ -264,7 +270,8 @@ _WORLD = Map({
 _RATES = Map({
     "encoder_hz": (_POSITIVE, False),
     "flow_hz": (_POSITIVE, False),
-    "report_period_ms": (Num(lo=1.0), False),   # t_sent counts whole ms
+    # t_sent counts whole ms on a u32 clock
+    "report_period_ms": (Num(lo=1.0, hi=float(0xFFFFFFFF)), False),
     "report_jitter_ms": (_NONNEG, False),   # robot loop turbulence around the period
 })
 

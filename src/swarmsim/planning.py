@@ -1,15 +1,19 @@
 """Occupancy-grid mapping and grid path planning.
 
-The grid accumulates range-sensor evidence: the cell containing a ray
-endpoint collects a hit, cells the ray crosses on the way lose one (floor
-zero), and anything a ray ever touched counts as observed. A cell is
-occupied once its hit count reaches the threshold, unknown if never
-observed, free otherwise. Downstream stages consume binary occupancy:
-a majority median filter knocks out isolated noise cells (ties resolve
-to occupied and windows truncate at the border, so border walls survive),
-inflation grows obstacles by a euclidean disc so a point planner respects
-the robot's body, and an A-star search with a euclidean heuristic plans
-over the result.
+The grid accumulates range-sensor evidence (hit counts, after Moravec and
+Elfes): the cell containing a ray endpoint collects a hit, cells the ray
+crosses on the way lose one (floor zero), and anything a ray ever touched
+counts as observed. A whole survey is folded in one call: the events of
+every ray are applied in scan and ray order to flat copies of the hit
+counts and the observed mask, which are written back once, so the floor
+binds exactly as if the scans came one at a time. A cell is occupied
+once its hit count reaches the threshold, unknown if never observed, free
+otherwise. Downstream stages consume binary occupancy: a majority median
+filter knocks out isolated noise cells (ties resolve to occupied and
+windows truncate at the border, so border walls survive), inflation grows
+obstacles by a euclidean disc so a point planner respects the robot's
+body, and an A-star search with a euclidean heuristic plans over the
+result.
 
 Cells are addressed as (ix, iy) with ix along +x; arrays index [iy, ix].
 Path costs are in cell units: 1 per axis step, sqrt(2) per diagonal.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,16 +126,18 @@ def traverse_ray(grid: OccupancyGrid, x0: float, y0: float,
                  x1: float, y1: float) -> list[tuple[int, int]]:
     """Cells crossed from (x0, y0) to (x1, y1) inclusive, in visit order.
 
-    Steps cell to cell along the segment; when the segment leaves the grid
-    the walk stops at the boundary. Exact boundary crossings step the x
-    axis first, which keeps visit order deterministic.
+    Steps cell to cell along the segment (Amanatides and Woo); when the
+    segment leaves the grid the walk stops at the boundary. Exact boundary
+    crossings step the x axis first, which keeps visit order deterministic.
     """
     start = grid.cell_of(x0, y0)
     if start is None:
         return []
     end = grid.cell_of(x1, y1)
+    end_x, end_y = (-1, -1) if end is None else end
     ix, iy = start
-    cells = [(ix, iy)]
+    cells = [start]
+    width, height = grid.width, grid.height
     dx, dy = x1 - x0, y1 - y0
     step_x = 1 if dx > 0 else -1
     step_y = 1 if dy > 0 else -1
@@ -146,64 +153,75 @@ def traverse_ray(grid: OccupancyGrid, x0: float, y0: float,
     else:
         t_max_y, t_dy = math.inf, math.inf
 
-    limit = grid.width + grid.height + 4
-    for _ in range(limit):
-        if (ix, iy) == end:
+    for _ in range(width + height + 4):
+        if ix == end_x and iy == end_y:
             break
-        if min(t_max_x, t_max_y) > 1.0:
+        if t_max_x > 1.0 and t_max_y > 1.0:
             break
         if t_max_x <= t_max_y:
             ix += step_x
+            if not 0 <= ix < width:
+                break
             t_max_x += t_dx
         else:
             iy += step_y
+            if not 0 <= iy < height:
+                break
             t_max_y += t_dy
-        if not (0 <= ix < grid.width and 0 <= iy < grid.height):
-            break
         cells.append((ix, iy))
     return cells
 
 
-def ingest_ir_scan(grid: OccupancyGrid, pose: Posture, readings,
+def ingest_ir_scan(grid: OccupancyGrid, poses: Sequence[Posture],
+                   readings: Sequence[Sequence[float | None]],
                    geometry: RobotGeometry) -> int:
-    """Fold one 5-ray range scan into the grid; returns readings skipped.
+    """Fold a survey of 5-ray range scans into the grid; returns readings skipped.
 
-    An in-range reading frees every crossed cell (hit count minus one,
-    floor zero) and adds a hit to the endpoint cell. A None reading frees
-    along the ray out to the sensor's maximum range. Readings whose
-    endpoint lies outside the grid are skipped entirely and counted.
+    ``readings[i]`` is the scan taken at ``poses[i]``. An in-range reading
+    frees every crossed cell (hit count minus one, floor zero) and adds a
+    hit to the endpoint cell. A None reading frees along the ray out to the
+    sensor's maximum range. Readings whose endpoint lies outside the grid
+    are skipped entirely and counted. The result equals ingesting the
+    scans one at a time.
     """
-    if len(readings) != len(geometry.ir_ray_angles):
+    if len(poses) != len(readings):
+        raise ValueError("one scan per pose expected")
+    angles = geometry.ir_ray_angles
+    if any(len(scan) != len(angles) for scan in readings):
         raise ValueError("one reading per sensor ray expected")
+    width = grid.width
+    # Flat row-major copies of hits and observed: the events fold into them
+    # in scan and ray order, and the grid's arrays are written once.
+    counts = grid.hits.ravel().tolist()
+    seen = bytearray(len(counts))
     skipped = 0
-    for reading, ray_angle in zip(readings, geometry.ir_ray_angles):
-        angle = pose.theta + ray_angle
-        direction = (math.cos(angle), math.sin(angle))
-        if reading is None:
-            reach = geometry.ir_range_max
-            endpoint_hit = False
-        else:
-            reach = float(reading)
-            endpoint_hit = True
-        ex = pose.x + reach * direction[0]
-        ey = pose.y + reach * direction[1]
-        end_cell = grid.cell_of(ex, ey)
-        if endpoint_hit and end_cell is None:
-            skipped += 1
-            continue
-        cells = traverse_ray(grid, pose.x, pose.y, ex, ey)
-        if not cells:
-            skipped += 1
-            continue
-        for cell in cells:
-            if endpoint_hit and cell == end_cell:
+    for pose, scan in zip(poses, readings):
+        for reading, ray_angle in zip(scan, angles):
+            angle = pose.theta + ray_angle
+            reach = geometry.ir_range_max if reading is None else float(reading)
+            ex = pose.x + reach * math.cos(angle)
+            ey = pose.y + reach * math.sin(angle)
+            end_cell = grid.cell_of(ex, ey)
+            if reading is not None and end_cell is None:
+                skipped += 1
                 continue
-            grid.hits[cell[1], cell[0]] = max(0, grid.hits[cell[1], cell[0]] - 1)
-            grid.observed[cell[1], cell[0]] = True
-        if endpoint_hit:
-            ix, iy = end_cell
-            grid.hits[iy, ix] += 1
-            grid.observed[iy, ix] = True
+            ray = traverse_ray(grid, pose.x, pose.y, ex, ey)
+            if not ray:
+                skipped += 1
+                continue
+            if reading is not None and ray[-1] == end_cell:
+                ray.pop()    # the endpoint takes a hit, not a free
+            for ix, iy in ray:
+                cell = iy * width + ix
+                count = counts[cell]
+                counts[cell] = count - 1 if count > 0 else 0
+                seen[cell] = 1
+            if reading is not None:
+                cell = end_cell[1] * width + end_cell[0]
+                counts[cell] += 1
+                seen[cell] = 1
+    grid.hits[...] = np.reshape(counts, grid.hits.shape)
+    grid.observed |= np.frombuffer(seen, dtype=bool).reshape(grid.observed.shape)
     grid.skipped_readings += skipped
     return skipped
 

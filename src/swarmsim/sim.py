@@ -10,6 +10,7 @@ models draw from caller-supplied numpy generators so runs are reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -391,45 +392,61 @@ def _point_rect_distance(px: float, py: float, rect: Rect) -> float:
     return math.hypot(dx, dy)
 
 
-def _ray_segment_distance(ox: float, oy: float, dx: float, dy: float,
-                          edge: tuple[float, float, float, float]) -> float | None:
-    ax, ay, bx, by = edge
+# Rays per numpy broadcast: each rays x edges temporary stays small, so a
+# whole survey's cast does not raise the peak memory.
+_CAST_CHUNK = 256
+
+
+def _cast_rays(world: World, ox: list[float], oy: list[float],
+               angles: list[float]) -> list[float]:
+    """Distance (mm) along each ray to the nearest obstacle or arena wall,
+    inf when it hits none; ray i starts at (ox[i], oy[i]) at angles[i].
+
+    Rays meet every edge in one broadcast per chunk of rays. A ray parallel
+    to an edge (collinear grazing included) misses it.
+    """
+    ax, ay, bx, by = np.array(world.obstacle_edges()).T
     ex, ey = bx - ax, by - ay
-    denom = dx * ey - dy * ex
-    if abs(denom) < 1e-12:
-        return None   # parallel (collinear grazing treated as a miss)
-    t = ((ax - ox) * ey - (ay - oy) * ex) / denom
-    s = ((ax - ox) * dy - (ay - oy) * dx) / denom
-    if t >= 0.0 and 0.0 <= s <= 1.0:
-        return t
-    return None
+    dist: list[float] = []
+    for i in range(0, len(angles), _CAST_CHUNK):
+        chunk = slice(i, i + _CAST_CHUNK)
+        rx, ry = np.array(ox[chunk])[:, None], np.array(oy[chunk])[:, None]
+        dx = np.array([math.cos(a) for a in angles[chunk]])[:, None]
+        dy = np.array([math.sin(a) for a in angles[chunk]])[:, None]
+        with np.errstate(all="ignore"):
+            denom = dx * ey - dy * ex
+            t = ((ax - rx) * ey - (ay - ry) * ex) / denom
+            s = ((ax - rx) * dy - (ay - ry) * dx) / denom
+            hit = (np.abs(denom) >= 1e-12) & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+        dist += np.where(hit, t, np.inf).min(axis=1).tolist()
+    return dist
 
 
 def cast_ray(world: World, ox: float, oy: float, angle: float) -> float:
     """Distance (mm) to the nearest obstacle or arena wall along a ray."""
-    dx, dy = math.cos(angle), math.sin(angle)
-    best = math.inf
-    for edge in world.obstacle_edges():
-        hit = _ray_segment_distance(ox, oy, dx, dy, edge)
-        if hit is not None and hit < best:
-            best = hit
-    return best
+    return _cast_rays(world, [ox], [oy], [angle])[0]
 
 
-def sample_ir(world: World, pose: Posture, geometry: RobotGeometry,
-              noise: SensorNoise, rng: np.random.Generator) -> list[float | None]:
-    """Five range readings in ray order; None marks out-of-range.
+def sample_ir(world: World, poses: Sequence[Posture], geometry: RobotGeometry,
+              noise: SensorNoise, rng: np.random.Generator) -> list[list[float | None]]:
+    """Five range readings in ray order for each pose; None marks out-of-range.
 
     A ray is classified against the true cast distance, then the reported
-    value carries additive Gaussian noise.
+    value carries additive Gaussian noise. All rays are cast together, and
+    the in-range rays draw their noise as one block, pose-major then in ray
+    order: the same stream as one scalar draw per in-range ray.
     """
-    if not world.bounds.contains(pose.x, pose.y):
-        raise ValueError("pose must lie inside the world bounds")
-    readings: list[float | None] = []
-    for bearing in geometry.ir_ray_angles:
-        d = cast_ray(world, pose.x, pose.y, pose.theta + bearing)
-        if geometry.ir_range_min <= d <= geometry.ir_range_max:
-            readings.append(max(0.0, d + noise.ir_sigma * rng.standard_normal()))
-        else:
-            readings.append(None)
-    return readings
+    for pose in poses:
+        if not world.bounds.contains(pose.x, pose.y):
+            raise ValueError("pose must lie inside the world bounds")
+    bearings = geometry.ir_ray_angles
+    dist = _cast_rays(world, [p.x for p in poses for _ in bearings],
+                      [p.y for p in poses for _ in bearings],
+                      [p.theta + b for p in poses for b in bearings])
+    lo, hi = geometry.ir_range_min, geometry.ir_range_max
+    in_range = [lo <= d <= hi for d in dist]
+    draws = iter((noise.ir_sigma * rng.standard_normal(sum(in_range))).tolist())
+    flat = [max(0.0, d + next(draws)) if ok else None
+            for d, ok in zip(dist, in_range)]
+    n = len(bearings)
+    return [flat[i:i + n] for i in range(0, len(flat), n)]

@@ -318,6 +318,16 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
      "robot.start"),
     ("consensus", "consensus_demo.yaml", "consensus.round_period_ms=3600000",
      "consensus"),
+    # In-type numbers near the float maximum that overflowed the run.
+    ("track", "circle_track.yaml", "control.gains.k_x=1.7e+308", "control.gains.k_x"),
+    ("track", "circle_track.yaml", "robot.start=[1.7e+308, 1.7e+308, 1.7e+308]",
+     "robot.start[0]"),
+    ("localize", "localize_slip.yaml", "robot.noise.flow_scale=1.7e+308",
+     "robot.noise.flow_scale"),
+    ("compare", "localize_jitter.yaml", "rates.report_period_ms=1.0e+30",
+     "rates.report_period_ms"),
+    ("track", "circle_track.yaml", "control.reference={shape: line, speed: 1.7e+308}",
+     "control.reference.speed"),
 ])
 def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
                                                     scenario, override,
@@ -368,6 +378,7 @@ READERS = {
 SIZES_WORK = ("consensus.max_rounds", "plan.survey.headings", "plan.width_cells",
               "plan.height_cells", "rates.encoder_hz", "rates.flow_hz")
 WRONG_TYPES = ("text", [1, 2], {"a": 1}, True, None)
+NEAR_MAX = (1e30, 1e300, 1.7e308)
 
 
 def _paths(spec: Map, prefix: str = ""):
@@ -384,12 +395,17 @@ PATHS = tuple(_paths(SCHEMA))
 
 def _in_type(spec):
     """A value of the right type, inside the key's range; an unbounded side
-    reaches 1e6 past the other. Magnitudes near the float maximum overflow
-    the physics mid-run, a known gap this test does not cover."""
+    reaches 1e6 past the other, and a number with no upper bound may also
+    take a magnitude near the float maximum."""
     if isinstance(spec, Num):
         lo = -1e6 if spec.lo is None else spec.lo
         hi = lo + 1e6 if spec.hi is None else spec.hi
-        return st.floats(lo, hi, exclude_min=spec.exclusive_lo)
+        values = st.floats(lo, hi, exclude_min=spec.exclusive_lo)
+        if spec.hi is None:
+            near_max = [v for m in NEAR_MAX for v in (m, -m)
+                        if spec.lo is None or v > spec.lo]
+            values = st.one_of(values, st.sampled_from(near_max))
+        return values
     if isinstance(spec, Int):
         lo = 0 if spec.lo is None else spec.lo
         return st.integers(lo, lo + 20)

@@ -124,8 +124,8 @@ class ReferenceSim:
         if self.world is not None:
             if not self.world.bounds.contains(pose.x, pose.y):
                 raise RuntimeFault(f"left the world at {self.t_us}")
-            ir = tuple(sample_ir(self.world, pose, GEOM, self.noise,
-                                 self.ir_rng))
+            ir = tuple(sample_ir(self.world, [pose], GEOM, self.noise,
+                                 self.ir_rng)[0])
         else:
             ir = (None,) * 5
         packet = SensorPacket(

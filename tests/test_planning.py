@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.core import Posture, RobotGeometry
 from swarmsim.planning import (
@@ -25,7 +27,8 @@ from swarmsim.planning import (
     save_grid,
     traverse_ray,
 )
-from swarmsim.sim import Rect, SensorNoise, World, sample_ir
+from swarmsim import sim
+from swarmsim.sim import Rect, Segment, SensorNoise, World, sample_ir
 
 GEOM = RobotGeometry()
 SQRT2 = math.sqrt(2.0)
@@ -133,7 +136,7 @@ def test_traverse_outside_start_is_empty():
 def test_ingest_wall_ahead_single_hit():
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     pose = Posture(25.0, 25.0, 0.0)
-    ingest_ir_scan(g, pose, (500.0, None, None, None, None), GEOM)
+    ingest_ir_scan(g, [pose], [(500.0, None, None, None, None)], GEOM)
     assert g.hits[0, 10] == 1              # endpoint cell, 500 mm ahead
     assert all(g.hits[0, i] == 0 for i in range(10))
     assert all(g.observed[0, i] for i in range(11))
@@ -143,9 +146,9 @@ def test_ingest_additivity_and_threshold():
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     pose = Posture(25.0, 25.0, 0.0)
     scan = (500.0, None, None, None, None)
-    ingest_ir_scan(g, pose, scan, GEOM)
+    ingest_ir_scan(g, [pose], [scan], GEOM)
     assert not g.occupancy()[0, 10]
-    ingest_ir_scan(g, pose, scan, GEOM)
+    ingest_ir_scan(g, [pose], [scan], GEOM)
     assert g.hits[0, 10] == 2
     assert g.occupancy()[0, 10]
 
@@ -153,7 +156,7 @@ def test_ingest_additivity_and_threshold():
 def test_ingest_out_of_range_frees_without_hits():
     g = OccupancyGrid(50.0, (0.0, 0.0), 40, 40)
     pose = Posture(25.0, 25.0, 0.0)
-    ingest_ir_scan(g, pose, (None,) * 5, GEOM)
+    ingest_ir_scan(g, [pose], [(None,) * 5], GEOM)
     assert g.hits.sum() == 0
     # Forward ray observed out to the 1500 mm range limit.
     assert all(g.observed[0, i] for i in range(31))
@@ -163,21 +166,21 @@ def test_ingest_crossing_ray_erodes_hits():
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     g.hits[0, 5] = 2
     g.observed[0, 5] = True
-    ingest_ir_scan(g, Posture(25.0, 25.0, 0.0), (500.0, None, None, None, None),
-                   GEOM)
+    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)],
+                   [(500.0, None, None, None, None)], GEOM)
     assert g.hits[0, 5] == 1               # crossed once, one hit removed
-    ingest_ir_scan(g, Posture(25.0, 25.0, 0.0), (500.0, None, None, None, None),
-                   GEOM)
+    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)],
+                   [(500.0, None, None, None, None)], GEOM)
     assert g.hits[0, 5] == 0
-    ingest_ir_scan(g, Posture(25.0, 25.0, 0.0), (500.0, None, None, None, None),
-                   GEOM)
+    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)],
+                   [(500.0, None, None, None, None)], GEOM)
     assert g.hits[0, 5] == 0               # floor at zero
 
 
 def test_ingest_endpoint_outside_grid_skipped():
     g = OccupancyGrid(50.0, (0.0, 0.0), 10, 10)
     pose = Posture(400.0, 25.0, 0.0)
-    skipped = ingest_ir_scan(g, pose, (500.0, None, None, None, None), GEOM)
+    skipped = ingest_ir_scan(g, [pose], [(500.0, None, None, None, None)], GEOM)
     assert skipped == 1
     assert g.skipped_readings == 1
     assert g.hits.sum() == 0
@@ -185,7 +188,203 @@ def test_ingest_endpoint_outside_grid_skipped():
 
 def test_ingest_wrong_arity():
     with pytest.raises(ValueError):
-        ingest_ir_scan(open_grid(), Posture(25, 25, 0), (None,) * 4, GEOM)
+        ingest_ir_scan(open_grid(), [Posture(25, 25, 0)], [(None,) * 4], GEOM)
+
+
+# --- the batched survey against a per-scan, per-cell reference -----------------------
+
+
+def reference_cast(world, ox, oy, angle):
+    """Nearest hit along a ray, one edge at a time."""
+    dx, dy = math.cos(angle), math.sin(angle)
+    best = math.inf
+    for ax, ay, bx, by in world.obstacle_edges():
+        ex, ey = bx - ax, by - ay
+        denom = dx * ey - dy * ex
+        if abs(denom) < 1e-12:
+            continue
+        t = ((ax - ox) * ey - (ay - oy) * ex) / denom
+        s = ((ax - ox) * dy - (ay - oy) * dx) / denom
+        if t >= 0.0 and 0.0 <= s <= 1.0 and t < best:
+            best = t
+    return best
+
+
+def reference_sample_ir(world, pose, geometry, noise, rng):
+    """One scan, one scalar noise draw per in-range ray."""
+    readings = []
+    for bearing in geometry.ir_ray_angles:
+        d = reference_cast(world, pose.x, pose.y, pose.theta + bearing)
+        if geometry.ir_range_min <= d <= geometry.ir_range_max:
+            readings.append(max(0.0, d + noise.ir_sigma * rng.standard_normal()))
+        else:
+            readings.append(None)
+    return readings
+
+
+def reference_traverse(grid, x0, y0, x1, y1):
+    start = grid.cell_of(x0, y0)
+    if start is None:
+        return []
+    end = grid.cell_of(x1, y1)
+    ix, iy = start
+    cells = [(ix, iy)]
+    dx, dy = x1 - x0, y1 - y0
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    res, (ox, oy) = grid.resolution, grid.origin
+    if dx != 0.0:
+        t_max_x = (ox + (ix + (step_x > 0)) * res - x0) / dx
+        t_dx = res / abs(dx)
+    else:
+        t_max_x, t_dx = math.inf, math.inf
+    if dy != 0.0:
+        t_max_y = (oy + (iy + (step_y > 0)) * res - y0) / dy
+        t_dy = res / abs(dy)
+    else:
+        t_max_y, t_dy = math.inf, math.inf
+    for _ in range(grid.width + grid.height + 4):
+        if (ix, iy) == end or min(t_max_x, t_max_y) > 1.0:
+            break
+        if t_max_x <= t_max_y:
+            ix += step_x
+            t_max_x += t_dx
+        else:
+            iy += step_y
+            t_max_y += t_dy
+        if not grid.in_bounds((ix, iy)):
+            break
+        cells.append((ix, iy))
+    return cells
+
+
+def reference_ingest(grid, pose, readings, geometry):
+    """One scan, folded into the arrays one cell at a time."""
+    for reading, bearing in zip(readings, geometry.ir_ray_angles):
+        angle = pose.theta + bearing
+        reach = geometry.ir_range_max if reading is None else float(reading)
+        ex = pose.x + reach * math.cos(angle)
+        ey = pose.y + reach * math.sin(angle)
+        end_cell = grid.cell_of(ex, ey)
+        if reading is not None and end_cell is None:
+            grid.skipped_readings += 1
+            continue
+        cells = reference_traverse(grid, pose.x, pose.y, ex, ey)
+        assert traverse_ray(grid, pose.x, pose.y, ex, ey) == cells
+        if not cells:
+            grid.skipped_readings += 1
+            continue
+        for ix, iy in cells:
+            if reading is not None and (ix, iy) == end_cell:
+                continue
+            grid.hits[iy, ix] = max(0, grid.hits[iy, ix] - 1)
+            grid.observed[iy, ix] = True
+        if reading is not None:
+            grid.hits[end_cell[1], end_cell[0]] += 1
+            grid.observed[end_cell[1], end_cell[0]] = True
+
+
+def _coord(lo, hi, origin, res):
+    """A float in [lo, hi], often exactly on a cell edge."""
+    edges = [origin + k * res for k in range(math.ceil((lo - origin) / res),
+                                             math.floor((hi - origin) / res) + 1)]
+    edges = [e for e in edges if lo <= e <= hi]
+    values = st.floats(lo, hi)
+    return st.one_of(st.sampled_from(edges), values) if edges else values
+
+
+# Axis-aligned rays come from a heading plus a bearing that sum to a
+# multiple of pi/2 (exactly axis-aligned at 0 and pi).
+ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2,
+                                    math.pi / 4, 2 * math.pi / 5]),
+                   st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def surveys(draw):
+    res = draw(st.sampled_from([10.0, 25.0, 37.0, 50.0]))
+    width, height = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    gx, gy = (draw(st.integers(-8, 8)) * res + draw(st.sampled_from([0.0, 0.5, 13.0])),
+              draw(st.integers(-8, 8)) * res)
+    grid = OccupancyGrid(res, (gx, gy), width, height,
+                         occupied_threshold=draw(st.integers(1, 3)))
+    grid.hits[...] = np.reshape(draw(st.lists(st.integers(0, 3), min_size=width * height,
+                                              max_size=width * height)),
+                                (height, width))
+    grid.observed[...] = grid.hits > 0
+    # The world may reach past the grid, so rays and endpoints leave it.
+    x0 = gx + draw(st.floats(-400.0, width * res / 2))
+    y0 = gy + draw(st.floats(-400.0, height * res / 2))
+    x1 = x0 + draw(st.floats(res, width * res + 800.0))
+    y1 = y0 + draw(st.floats(res, height * res + 800.0))
+    xs, ys = _coord(x0, x1, gx, res), _coord(y0, y1, gy, res)
+    rects = []
+    for _ in range(draw(st.integers(0, 3))):
+        rx, ry = draw(xs), draw(ys)
+        rects.append(Rect(rx, ry, rx + draw(st.floats(1.0, 300.0)),
+                          ry + draw(st.floats(1.0, 300.0))))
+    segments = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = (draw(xs), draw(ys)), (draw(xs), draw(ys))
+        if a != b:
+            segments.append(Segment(*a, *b))
+    world = World(Rect(x0, y0, x1, y1), tuple(rects), tuple(segments))
+    poses = draw(st.lists(st.builds(Posture, xs, ys, ANGLES), min_size=1, max_size=6))
+    range_min = draw(st.sampled_from([0.0, 50.0, 200.0]))
+    geometry = RobotGeometry(
+        ir_range_min=range_min,
+        ir_range_max=range_min + draw(st.floats(1.0, 2000.0)),
+        ir_ray_angles=tuple(draw(st.lists(ANGLES, min_size=5, max_size=5))))
+    noise = SensorNoise(ir_sigma=draw(st.sampled_from([0.0, 1.0, 60.0])))
+    return grid, world, poses, geometry, noise, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(surveys(), st.integers(1, 8))
+@example((open_grid(4, 4), World(Rect(0.0, 0.0, 1000.0, 200.0)),
+          [Posture(50.0, 50.0, 0.0), Posture(100.0, 100.0, math.pi)],
+          RobotGeometry(ir_range_min=0.0), SensorNoise(ir_sigma=1.0), 3), 256)
+def test_batched_survey_matches_per_scan_reference(case, cast_chunk):
+    grid, world, poses, geometry, noise, seed = case
+    expected = OccupancyGrid(grid.resolution, grid.origin, grid.width, grid.height,
+                             grid.occupied_threshold)
+    expected.hits, expected.observed = grid.hits.copy(), grid.observed.copy()
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    # Small chunks put the cast's chunk boundaries inside the drawn survey.
+    with mock.patch.object(sim, "_CAST_CHUNK", cast_chunk):
+        readings = sample_ir(world, poses, geometry, noise, rng)
+    skipped = ingest_ir_scan(grid, poses, readings, geometry)
+    for pose, scan in zip(poses, readings):
+        assert scan == reference_sample_ir(world, pose, geometry, noise, reference_rng)
+        reference_ingest(expected, pose, scan, geometry)
+
+    assert np.array_equal(grid.hits, expected.hits)
+    assert np.array_equal(grid.observed, expected.observed)
+    assert skipped == grid.skipped_readings == expected.skipped_readings
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("x, y, theta, reach", [
+    (126.07324423855148, 708.8727735262626, -0.20943951023931962, 740.0997101238701),
+    (343.6021383024037, 74.06193499957914, 0.6850353838711707, 783.0584671572672),
+])
+def test_endpoint_the_walk_stops_short_of_still_gets_its_hit(x, y, theta, reach):
+    # The endpoint lies on a cell edge, and rounding ends the walk one cell
+    # before the cell that contains it; that last crossed cell is freed.
+    grid = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
+    grid.hits[...] = 1
+    expected = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
+    expected.hits[...] = 1
+    pose = Posture(x, y, theta)
+    ex, ey = x + reach * math.cos(theta), y + reach * math.sin(theta)
+    end = grid.cell_of(ex, ey)
+    assert traverse_ray(grid, x, y, ex, ey)[-1] != end
+    ingest_ir_scan(grid, [pose], [(reach, None, None, None, None)], GEOM)
+    reference_ingest(expected, pose, (reach, None, None, None, None), GEOM)
+    assert grid.hits[end[1], end[0]] == 2
+    assert np.array_equal(grid.hits, expected.hits)
+    assert np.array_equal(grid.observed, expected.observed)
 
 
 # --- median filter ------------------------------------------------------------------
@@ -514,9 +713,7 @@ def build_arena_map():
                 continue
             for k in range(24):
                 poses.append(Posture(x, y, k * math.pi / 12.0))
-    for pose in poses:
-        readings = sample_ir(world, pose, GEOM, noise, rng)
-        ingest_ir_scan(grid, pose, readings, GEOM)
+    ingest_ir_scan(grid, poses, sample_ir(world, poses, GEOM, noise, rng), GEOM)
     return world, grid
 
 

@@ -277,23 +277,26 @@ def test_gyro_wraps_near_pi():
 # --- IR ranging -----------------------------------------------------------------
 
 
+AT_ORIGIN = [Posture(0, 0, 0)]
+
+
 def test_ir_wall_ahead():
     world = World(bounds=Rect(-3000, -3000, 3000, 3000),
                   segments=(Segment(500, -400, 500, 400),))
-    readings = sample_ir(world, Posture(0, 0, 0), GEOM, QUIET, np.random.default_rng(7))
+    readings = sample_ir(world, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(7))[0]
     assert readings[0] == pytest.approx(500.0, abs=1e-9)
 
 
 def test_ir_below_minimum_range():
     world = World(bounds=Rect(-3000, -3000, 3000, 3000),
                   segments=(Segment(150, -400, 150, 400),))
-    readings = sample_ir(world, Posture(0, 0, 0), GEOM, QUIET, np.random.default_rng(8))
+    readings = sample_ir(world, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(8))[0]
     assert readings[0] is None
 
 
 def test_ir_beyond_maximum_range():
     world = World(bounds=Rect(-3000, -3000, 3000, 3000))
-    readings = sample_ir(world, Posture(0, 0, 0), GEOM, QUIET, np.random.default_rng(9))
+    readings = sample_ir(world, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(9))[0]
     assert readings[0] is None   # wall 3000 mm ahead, limit 1500
 
 
@@ -302,8 +305,8 @@ def test_ir_blind_spot_between_rays():
     # the 72 degree ray: no reading changes.
     base = World(bounds=Rect(-3000, -3000, 3000, 3000))
     blocked = World(bounds=base.bounds, rects=(Rect(313, 225, 333, 245),))
-    a = sample_ir(base, Posture(0, 0, 0), GEOM, QUIET, np.random.default_rng(10))
-    b = sample_ir(blocked, Posture(0, 0, 0), GEOM, QUIET, np.random.default_rng(10))
+    a = sample_ir(base, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(10))[0]
+    b = sample_ir(blocked, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(10))[0]
     assert a == b
 
 
@@ -312,7 +315,7 @@ def test_ir_rect_obstacle_and_noise():
                   rects=(Rect(400, -100, 600, 100),))
     noise = SensorNoise(ir_sigma=1.0)
     rng = np.random.default_rng(11)
-    samples = [sample_ir(world, Posture(0, 0, 0), GEOM, noise, rng)[0] for _ in range(2000)]
+    samples = [sample_ir(world, AT_ORIGIN, GEOM, noise, rng)[0][0] for _ in range(2000)]
     assert np.mean(samples) == pytest.approx(400.0, abs=0.1)
     assert np.std(samples) == pytest.approx(1.0, rel=0.1)
 
@@ -320,7 +323,7 @@ def test_ir_rect_obstacle_and_noise():
 def test_ir_outside_world_rejected():
     world = World(bounds=Rect(-100, -100, 100, 100))
     with pytest.raises(ValueError):
-        sample_ir(world, Posture(500, 0, 0), GEOM, QUIET, np.random.default_rng(12))
+        sample_ir(world, [Posture(500, 0, 0)], GEOM, QUIET, np.random.default_rng(12))[0]
 
 
 def test_cast_ray_hits_bounds():
