@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,13 @@ LOSSY_TRACK = ("channel.loss_prob=0.3", "channel.latency_max_ms=300",
                "channel.bit_flip_prob=0.001")
 LOSSY_LOCALIZE = ("channel.loss_prob=0.2", "channel.bit_flip_prob=0.001",
                   "channel.latency_max_ms=400")
+# The benchmark's closed_loop consensus: 24 noiseless robots, whose first
+# turns saturate the wheels, on a lossy channel.
+_RNG = random.Random(24)
+BENCH_SWARM = (
+    "consensus.headings=[" + ", ".join(f"{_RNG.uniform(-1.4, 1.4):.4f}"
+                                       for _ in range(24)) + "]",
+    "channel.loss_prob=0.1", "channel.latency_min_ms=50", "channel.latency_max_ms=100")
 NOISY_SWARM = ("consensus.headings=[-1.2, -0.85, -0.5, -0.15, 0.2, 0.55, 0.9, 1.25]",
                "robot.noiseless=false", "channel.loss_prob=0.1",
                "channel.latency_min_ms=50", "channel.latency_max_ms=100",
@@ -147,6 +155,17 @@ INVOCATIONS = (
      "circle_track.yaml",
      ("--override", "duration_s=0.5",
       "--override", "control.reference={shape: line, speed: 1.7e+308}")),
+    # IR readings past the u16 wire field saturate instead of failing.
+    ("localize IR range of 100 m", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=2",
+      "--override", "world={bounds: [-100000, -100000, 100000, 100000]}",
+      "--override", "robot.geometry.ir_range_max=100000")),
+    ("localize IR noise of 1e9 mm", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=2",
+      "--override", "world={bounds: [-1000, -1000, 1000, 1000]}",
+      "--override", "robot.noise.ir_sigma=1.0e+9")),
+    ("consensus 24 robots lossy seed 5", "consensus", "consensus_demo.yaml",
+     ("--seed", "5", *[a for spec in BENCH_SWARM for a in ("--override", spec)])),
 )
 
 

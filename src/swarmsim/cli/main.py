@@ -13,11 +13,11 @@ from pathlib import Path
 
 from swarmsim.estimation import EstimationFault
 from swarmsim.planning import PlanningError
+from swarmsim.sim import RuntimeFault
 from swarmsim.cli.runner import (
     COMPARE_VARIANTS,
     DEFAULT_COMPARE_VARIANTS,
     RunSummary,
-    RuntimeFault,
     format_summary,
     run_compare,
     run_scenario,

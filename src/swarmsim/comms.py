@@ -24,6 +24,9 @@ PAYLOAD_SIZE = _PAYLOAD.size  # 25 bytes
 FRAME_SIZE = 2 + 1 + PAYLOAD_SIZE + 2
 
 IR_OUT_OF_RANGE = 0xFFFF
+# Largest IR range (mm) the u16 field carries; a longer reading saturates
+# to it, as the sensor itself would.
+IR_MAX_MM = 0xFFFE
 
 # Wire scaling: flow displacements in 0.1 mm units, headings in milliradians.
 FLOW_UNIT_MM = 0.1
@@ -121,7 +124,7 @@ def encode_frame(packet: SensorPacket) -> bytes:
     # just above -pi round down to -3142, and +pi itself rounds up to 3142.
     gyro_mrad = _quantize(packet.gyro_heading, GYRO_UNIT_RAD, -3142, 3142)
     ir_wire = tuple(
-        IR_OUT_OF_RANGE if r is None else _quantize(r, 1.0, 0, 0xFFFE)
+        IR_OUT_OF_RANGE if r is None else _quantize(min(r, IR_MAX_MM), 1.0, 0, IR_MAX_MM)
         for r in packet.ir
     )
     payload = _PAYLOAD.pack(

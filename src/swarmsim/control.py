@@ -23,6 +23,7 @@ from .core import (
     RobotGeometry,
     WheelSpeeds,
     error_posture,
+    saturate,
     wrap_angle,
 )
 
@@ -166,22 +167,14 @@ def tracking_control(ref: Posture, current: Posture, v_r: float, w_r: float,
 
     The forward channel blends the feedforward speed with a longitudinal
     correction; the turn channel blends the feedforward turn rate with
-    lateral and heading corrections scaled by the reference speed. When a
-    wheel command exceeds ``v_max`` both are scaled by a common factor, so
-    the commanded curvature (and turn direction) survives saturation.
+    lateral and heading corrections scaled by the reference speed. The
+    wheel pair saturates at ``v_max`` through ``saturate``.
     """
     e = error_posture(ref, current)
     half_base = geometry.wheel_base / 2.0
     forward = v_r * math.cos(e.theta) + gains.k_x * e.x
     turn = w_r + v_r * (gains.k_y * e.y + gains.k_theta * math.sin(e.theta))
-    v1 = forward + half_base * turn
-    v2 = forward - half_base * turn
-    peak = max(abs(v1), abs(v2))
-    if peak > v_max:
-        scale = v_max / peak
-        v1 *= scale
-        v2 *= scale
-    return WheelSpeeds(right=v1, left=v2)
+    return saturate(forward + half_base * turn, forward - half_base * turn, v_max)
 
 
 def lyapunov_value(error: Posture) -> float:

@@ -105,6 +105,18 @@ class RobotGeometry:
             raise ValueError("require 0 <= ir_range_min < ir_range_max")
 
 
+def saturate(v1: float, v2: float, v_max: float = MAX_WHEEL_SPEED) -> WheelSpeeds:
+    """The wheel pair (right v1, left v2), both scaled by a common factor
+    when either exceeds v_max, so the commanded curvature (and turn
+    direction) survives saturation."""
+    peak = max(abs(v1), abs(v2))
+    if peak > v_max:
+        scale = v_max / peak
+        v1 *= scale
+        v2 *= scale
+    return WheelSpeeds(right=v1, left=v2)
+
+
 def wheels_to_twist(wheels: WheelSpeeds, geometry: RobotGeometry) -> Twist:
     """Forward kinematics: wheel pair to body twist.
 

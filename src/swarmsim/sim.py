@@ -1,21 +1,28 @@
-"""Robot plant and sensor models.
+"""Robot plant, sensor models, and the sensor engine that fuses them.
 
 The plant is a differential-drive body whose wheel speeds follow commands
 through a PI-regulated first-order motor lag.  Slip decouples wheel motion
 from ground motion: encoders sense the wheels (slip-blind) while the paired
 optical-flow sensors sense true ground motion (slip-immune).  All sensor
 models draw from caller-supplied numpy generators so runs are reproducible.
+
+The one-step functions and per-sample models are the reference plant;
+``RobotSim``, the engine every run uses, repeats their arithmetic inline in
+one fused event loop per robot, on seed-derived per-robot noise streams.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import chain, count
 
 import numpy as np
 
+from .comms import SensorPacket, wrap_flow, wrap_i16
 from .core import (
+    ARC_EPSILON,
     MAX_WHEEL_SPEED,
     Posture,
     RobotGeometry,
@@ -30,20 +37,13 @@ from .core import (
 # --- wheel speed regulation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiConfig:
-    """Wheel speed loop: PI trim around a command feedforward, driving a
-    first-order motor lag.  Defaults settle a step to a few percent within
-    0.3 s without overshoot."""
-
-    kp: float = 0.8
-    ki: float = 2.0
-    motor_tau: float = 0.05        # s
-    v_max: float = MAX_WHEEL_SPEED
-
-    def __post_init__(self) -> None:
-        if self.kp < 0 or self.ki < 0 or self.motor_tau <= 0 or self.v_max <= 0:
-            raise ValueError("invalid PI configuration")
+# Wheel speed loop: PI trim around a command feedforward, driving a
+# first-order motor lag, with commands and drive saturated at
+# MAX_WHEEL_SPEED.  A step settles to a few percent within 0.3 s without
+# overshoot.
+PI_KP = 0.8
+PI_KI = 2.0
+MOTOR_TAU_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -66,27 +66,27 @@ def _clamp(value: float, limit: float) -> float:
     return max(-limit, min(limit, value))
 
 
-def _pi_wheel(command: float, actual: float, integral: float, cfg: PiConfig,
+def _pi_wheel(command: float, actual: float, integral: float,
               dt: float) -> tuple[float, float]:
-    target = _clamp(command, cfg.v_max)
+    target = _clamp(command, MAX_WHEEL_SPEED)
     error = target - actual
-    drive_raw = target + cfg.kp * error + cfg.ki * integral
-    drive = _clamp(drive_raw, cfg.v_max)
+    drive_raw = target + PI_KP * error + PI_KI * integral
+    drive = _clamp(drive_raw, MAX_WHEEL_SPEED)
     if drive == drive_raw:
         integral += error * dt   # anti-windup: freeze while the drive clips
-    actual += dt * (drive - actual) / cfg.motor_tau
+    actual += dt * (drive - actual) / MOTOR_TAU_S
     return actual, integral
 
 
-def wheel_pi_step(state: PlantState, cfg: PiConfig, dt: float) -> PlantState:
+def wheel_pi_step(state: PlantState, dt: float) -> PlantState:
     """Advance the two wheel speed loops by dt (does not move the body)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     right, int_r = _pi_wheel(
-        state.wheel_command.right, state.wheel_actual.right, state.pi_integral[0], cfg, dt
+        state.wheel_command.right, state.wheel_actual.right, state.pi_integral[0], dt
     )
     left, int_l = _pi_wheel(
-        state.wheel_command.left, state.wheel_actual.left, state.pi_integral[1], cfg, dt
+        state.wheel_command.left, state.wheel_actual.left, state.pi_integral[1], dt
     )
     return replace(state, wheel_actual=WheelSpeeds(right, left), pi_integral=(int_r, int_l))
 
@@ -152,14 +152,13 @@ class PlantLoop:
     """Stateful shell around the one-step plant functions.
 
     ``advance`` is ``wheel_pi_step``, then ``step_plant`` under one slip
-    event.  Those one-step functions are the reference plant: the CLI's
-    sensor engine, ``RobotSim.advance_to`` in ``cli/runner.py``, inlines
-    their arithmetic, and the engine equivalence test checks it against
-    this shell.  Also a tracing target of the benchmark.
+    event.  Those one-step functions are the reference plant:
+    ``RobotSim.advance_to`` below inlines their arithmetic, and the engine
+    equivalence test checks it against this shell.  Also a tracing target
+    of the benchmark.
     """
 
     state: PlantState
-    cfg: PiConfig
     geometry: RobotGeometry
     # Ground-contact wheel speeds of the most recent step, for sensors
     # that observe body motion rather than wheel rotation.
@@ -171,7 +170,7 @@ class PlantLoop:
     def advance(self, dt: float, slip: SlipEvent | None = None) -> None:
         """One PI update followed by one motion step; a step outside
         (0, MAX_STEP_S] raises ValueError and leaves the loop unchanged."""
-        state = wheel_pi_step(self.state, self.cfg, dt)
+        state = wheel_pi_step(self.state, dt)
         self.state = step_plant(state, self.geometry, dt, slip)
         self.ground = ground_wheels(state, slip)
 
@@ -230,8 +229,8 @@ class EncoderModel:
     def sample_speeds(self, right: float, left: float, dt: float) -> tuple[int, int]:
         """Ticks (right, left) for one interval at the given wheel speeds.
 
-        ``RobotSim.advance_to`` inlines this sample, drawing its noise in
-        blocks; this method is its per-step reference and a tracing target.
+        ``RobotSim.advance_to`` below inlines this sample with block-drawn
+        noise; this method is its per-sample reference and a tracing target.
         """
         ticks = []
         for i, speed in enumerate((right, left)):
@@ -263,8 +262,8 @@ class FlowModel:
     def sample_vw(self, v: float, w: float, dt: float) -> tuple[float, float]:
         """Displacements (left, right) for one interval at body speeds v, w.
 
-        ``RobotSim.advance_to`` inlines this sample, drawing its noise in
-        blocks; this method is its per-step reference and a tracing target.
+        ``RobotSim.advance_to`` below inlines this sample with block-drawn
+        noise; this method is its per-sample reference and a tracing target.
         """
         dx_l, dx_r = flow_displacement(Twist(v, w), dt, self.geometry)
         sigma = self.noise.flow_sigma * dt
@@ -450,3 +449,269 @@ def sample_ir(world: World, poses: Sequence[Posture], geometry: RobotGeometry,
             for d, ok in zip(dist, in_range)]
     n = len(bearings)
     return [flat[i:i + n] for i in range(0, len(flat), n)]
+
+
+# --- one-robot sensor engine -------------------------------------------------
+
+
+class RuntimeFault(Exception):
+    """A validated scenario failed while running (exit code 3)."""
+
+
+# Independent, seed-derived random streams per (robot, purpose): adding a
+# robot or toggling one sensor never perturbs any other stream.
+(STREAM_ENCODER, STREAM_FLOW, STREAM_GYRO, STREAM_IR, STREAM_CHANNEL,
+ STREAM_SCHEDULE) = range(6)
+
+# Encoder and flow noise is drawn this many normals at a time.
+NOISE_BLOCK = 4096
+
+
+def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
+    return np.random.default_rng([seed, robot_id, purpose])
+
+
+def _normals(rng: np.random.Generator) -> Iterator[float]:
+    """Endless standard normals of rng, drawn NOISE_BLOCK at a time: the
+    same sequence as one scalar draw each."""
+    return chain.from_iterable(rng.standard_normal(NOISE_BLOCK).tolist()
+                               for _ in count())
+
+
+class RobotSim:
+    """Plant, wheel PI loop, and sensor suite of one robot.
+
+    Time advances on an integer microsecond grid so the 400 Hz encoder,
+    1000 Hz flow, and report clocks stay exactly commensurate; every event
+    fires at its true instant regardless of the other rates.
+
+    ``advance_to`` is one fused event loop: the reference plant
+    ``wheel_pi_step``, ``ground_wheels`` and ``step_plant``, the slip
+    lookup, the encoder quantization of ``EncoderModel.sample_speeds`` and
+    the flow sample of ``FlowModel.sample_vw`` are written inline, float
+    operation for float operation, with the state held in locals between
+    reports.  Encoder and flow noise come from one endless iterator per
+    stream over ``standard_normal(NOISE_BLOCK)`` blocks, which yield the
+    same sequence as scalar draws.  A reference loop that makes those
+    one-step calls is the oracle of the engine equivalence test.
+    """
+
+    def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
+                 start: Posture, seed: int,
+                 slip_schedule: tuple[SlipEvent, ...] = (),
+                 rates: Rates = Rates(), world: World | None = None,
+                 robot_id: int = 0):
+        self.geometry = geometry
+        self.noise = noise
+        self.world = world
+        self.robot_id = robot_id
+        self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
+                            for e in slip_schedule)
+        self._x, self._y, self._theta = start.x, start.y, start.theta
+        self._cmd_right = self._cmd_left = 0.0
+        self._act_right = self._act_left = 0.0
+        self._int_right = self._int_left = 0.0
+        self._enc_noise = _normals(stream_rng(seed, robot_id, STREAM_ENCODER))
+        self._flow_noise = _normals(stream_rng(seed, robot_id, STREAM_FLOW))
+        self.gyro_rng = stream_rng(seed, robot_id, STREAM_GYRO)
+        self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
+        self.truth_at_send: dict[int, Posture] = {}
+        self.t_us = 0
+        self._enc_us = rates.encoder_period_us
+        self._flow_us = rates.flow_period_us
+        self._report_us = rates.report_period_us
+        self._jitter_us = rates.report_jitter_us
+        self._schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
+        self._next_enc = self._enc_us
+        self._next_flow = self._flow_us
+        self._next_report = self._report_interval()
+        self._carry_right = self._carry_left = 0.0
+        self._ticks_l = 0
+        self._ticks_r = 0
+        self._flow_l = 0.0
+        self._flow_r = 0.0
+
+    def _report_interval(self) -> int:
+        if self._jitter_us == 0:
+            return self._report_us
+        return int(self._schedule_rng.integers(
+            self._report_us - self._jitter_us,
+            self._report_us + self._jitter_us + 1))
+
+    def set_command(self, wheels: WheelSpeeds) -> None:
+        self._cmd_right = wheels.right
+        self._cmd_left = wheels.left
+
+    @property
+    def pose(self) -> Posture:
+        return Posture(self._x, self._y, self._theta)
+
+    def advance_to(self, target_us: int) -> list[SensorPacket]:
+        """Run plant and sensors up to target time; returns reports sent."""
+        sent: list[SensorPacket] = []
+        t_us = self.t_us
+        kp, ki, tau = PI_KP, PI_KI, MOTOR_TAU_S
+        v_max = MAX_WHEEL_SPEED
+        v_min = -v_max
+        wheel_base = self.geometry.wheel_base
+        half_sep = 0.5 * self.geometry.flow_separation
+        mm_per_tick = self.geometry.mm_per_tick
+        enc_sigma = self.noise.encoder_sigma
+        flow_scale = self.noise.flow_scale
+        enc_us, flow_us = self._enc_us, self._flow_us
+        enc_dt = enc_us * 1e-6
+        flow_dt = flow_us * 1e-6
+        flow_sigma = self.noise.flow_sigma * flow_dt
+        enc_draw = self._enc_noise.__next__
+        flow_draw = self._flow_noise.__next__
+        slips = self._slips
+        sin, cos, pi = math.sin, math.cos, math.pi
+        arc_eps, neg_arc_eps = ARC_EPSILON, -ARC_EPSILON
+        # Saturated wheel targets; the command holds for the whole call.
+        cmd = self._cmd_right
+        target_r = cmd if cmd < v_max else v_max
+        target_r = target_r if target_r > v_min else v_min
+        cmd = self._cmd_left
+        target_l = cmd if cmd < v_max else v_max
+        target_l = target_l if target_l > v_min else v_min
+        # Loop state, written back at the end.
+        x, y, theta = self._x, self._y, self._theta
+        act_r, act_l = self._act_right, self._act_left
+        int_r, int_l = self._int_right, self._int_left
+        carry_r, carry_l = self._carry_right, self._carry_left
+        ticks_r, ticks_l = self._ticks_r, self._ticks_l
+        flow_l, flow_r = self._flow_l, self._flow_r
+        next_enc, next_flow = self._next_enc, self._next_flow
+        next_report = self._next_report
+        window_slips = ()
+        while t_us < target_us:
+            stop = next_report if next_report < target_us else target_us
+            if slips:
+                # Events that can be active at some step start in
+                # [t_us, stop); t / 1e3 is monotone in t.
+                lo_ms, hi_ms = t_us / 1e3, stop / 1e3
+                window_slips = tuple(e for e in slips
+                                     if e[1] > lo_ms and e[0] <= hi_ms)
+            # At least one step per window, so a report clock that does not
+            # advance fails the dt check instead of looping forever.
+            while True:
+                t_next = stop
+                if next_enc < t_next:
+                    t_next = next_enc
+                if next_flow < t_next:
+                    t_next = next_flow
+                dt = (t_next - t_us) * 1e-6
+                if not 0 < dt <= MAX_STEP_S:
+                    raise ValueError(
+                        f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
+                # Wheel speed loops: PI trim, anti-windup, motor lag.
+                error = target_r - act_r
+                drive = target_r + kp * error + ki * int_r
+                if drive > v_max:
+                    drive = v_max
+                elif drive < v_min:
+                    drive = v_min
+                else:
+                    int_r += error * dt
+                act_r += dt * (drive - act_r) / tau
+                error = target_l - act_l
+                drive = target_l + kp * error + ki * int_l
+                if drive > v_max:
+                    drive = v_max
+                elif drive < v_min:
+                    drive = v_min
+                else:
+                    int_l += error * dt
+                act_l += dt * (drive - act_l) / tau
+                # Ground contact under the first active slip event.
+                g_r, g_l = act_r, act_l
+                if window_slips:
+                    t_ms = t_us / 1e3
+                    for start_ms, end_ms, stuck, factor in window_slips:
+                        if start_ms <= t_ms < end_ms:
+                            if stuck:
+                                g_r = g_l = 0.0
+                            else:
+                                g_r = factor * act_r
+                                g_l = factor * act_l
+                            break
+                # Body motion: chord form of the constant-twist arc.
+                v = 0.5 * (g_r + g_l)
+                w = (g_r - g_l) / wheel_base
+                swept = w * dt
+                if swept > arc_eps or swept < neg_arc_eps:
+                    half = 0.5 * swept
+                    chord = v * dt * sin(half) / half
+                    heading = theta + half
+                else:
+                    chord = v * dt
+                    heading = theta
+                x += chord * cos(heading)
+                y += chord * sin(heading)
+                # wrap_angle returns a heading in (-pi, pi] unchanged.
+                theta += swept
+                if not -pi < theta <= pi:
+                    theta = wrap_angle(theta)
+                t_us = t_next
+                if t_us == next_flow:
+                    half = half_sep * w
+                    flow_l += ((v - half) * flow_dt * flow_scale
+                               + flow_sigma * flow_draw())
+                    flow_r += ((v + half) * flow_dt * flow_scale
+                               + flow_sigma * flow_draw())
+                    next_flow += flow_us
+                if t_us == next_enc:
+                    noisy = act_r + enc_sigma * enc_draw()
+                    total = carry_r + noisy * enc_dt
+                    ticks = int(total / mm_per_tick)
+                    carry_r = total - ticks * mm_per_tick
+                    ticks_r += ticks
+                    noisy = act_l + enc_sigma * enc_draw()
+                    total = carry_l + noisy * enc_dt
+                    ticks = int(total / mm_per_tick)
+                    carry_l = total - ticks * mm_per_tick
+                    ticks_l += ticks
+                    next_enc += enc_us
+                if t_us == stop:
+                    break
+            if t_us == next_report:
+                sent.append(self._assemble_report(
+                    t_us, Posture(x, y, theta), ticks_r, ticks_l, flow_l, flow_r))
+                next_report += self._report_interval()
+        self._x, self._y, self._theta = x, y, theta
+        self._act_right, self._act_left = act_r, act_l
+        self._int_right, self._int_left = int_r, int_l
+        self._carry_right, self._carry_left = carry_r, carry_l
+        self._ticks_r, self._ticks_l = ticks_r, ticks_l
+        self._flow_l, self._flow_r = flow_l, flow_r
+        self._next_enc, self._next_flow = next_enc, next_flow
+        self._next_report = next_report
+        self.t_us = t_us
+        return sent
+
+    def _assemble_report(self, t_us: int, pose: Posture, ticks_r: int,
+                         ticks_l: int, flow_l: float,
+                         flow_r: float) -> SensorPacket:
+        """Snapshot the free-running odometry counters at send time."""
+        if self.world is not None:
+            if not self.world.bounds.contains(pose.x, pose.y):
+                raise RuntimeFault(
+                    f"robot {self.robot_id} left the world bounds at "
+                    f"t={t_us / 1e6:g} s (x={pose.x:.1f} mm, "
+                    f"y={pose.y:.1f} mm)")
+            ir = tuple(sample_ir(self.world, [pose], self.geometry, self.noise,
+                                 self.ir_rng)[0])
+        else:
+            ir = (None,) * 5
+        packet = SensorPacket(
+            robot_id=self.robot_id,
+            t_sent=t_us // 1000,
+            ticks_left=wrap_i16(ticks_l),
+            ticks_right=wrap_i16(ticks_r),
+            flow_dx_left=wrap_flow(flow_l),
+            flow_dx_right=wrap_flow(flow_r),
+            gyro_heading=sample_gyro(pose, self.noise, self.gyro_rng),
+            ir=ir,
+        )
+        self.truth_at_send[packet.t_sent] = pose
+        return packet

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comms import ChannelModel, FreshnessBuffer, SensorPacket, StarChannel, encode_frame
-from .control import Gains, tracking_control
-from .core import Posture, RobotGeometry, integrate_unicycle, wheels_to_twist, wrap_angle
+from .core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle, saturate,
+                   wheels_to_twist, wrap_angle)
 
 __all__ = [
     "ConsensusConfig",
@@ -155,10 +155,8 @@ def run_synchronous_consensus(initial_headings, cfg: ConsensusConfig) -> Consens
 class _TurningRobot:
     """Robot that holds position and turns in place toward a target heading.
 
-    The pure-rotation command rides the tracking controller's feedforward
-    channel: with a stationary reference at the robot's own position the
-    error terms vanish and the commanded turn rate maps to an exact
-    opposite wheel pair.
+    The turn rate is proportional to the heading error and maps to an
+    opposite wheel pair, saturated like the tracking controller's.
     """
 
     def __init__(self, robot_id: int, heading: float, geometry: RobotGeometry,
@@ -169,7 +167,6 @@ class _TurningRobot:
         self.geometry = geometry
         self.gyro_sigma = gyro_sigma
         self.rng = rng
-        self.gains = Gains()
 
     def report(self, t_ms: float) -> bytes:
         heading = self.pose.theta
@@ -183,12 +180,16 @@ class _TurningRobot:
         )
         return encode_frame(packet)
 
-    def advance(self, dt_s: float, turn_gain: float):
+    def wheels(self, turn_gain: float) -> WheelSpeeds:
         w_cmd = turn_gain * wrap_angle(self.target - self.pose.theta)
-        ref = Posture(self.pose.x, self.pose.y, self.pose.theta)
-        cmd = tracking_control(ref, self.pose, 0.0, w_cmd, self.gains, self.geometry)
+        half_turn = self.geometry.wheel_base / 2.0 * w_cmd
+        # Zero forward speed added, so a zero pair has the signs of zeros
+        # that tracking_control gives for a pure turn.
+        return saturate(0.0 + half_turn, 0.0 - half_turn)
+
+    def advance(self, dt_s: float, turn_gain: float):
         self.pose = integrate_unicycle(
-            self.pose, wheels_to_twist(cmd, self.geometry), dt_s)
+            self.pose, wheels_to_twist(self.wheels(turn_gain), self.geometry), dt_s)
 
 
 def run_networked_consensus(initial_headings, cfg: ConsensusConfig,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmsim.comms import (
     FRAME_SIZE,
+    IR_MAX_MM,
     PAYLOAD_SIZE,
     BadSync,
     ChannelModel,
@@ -135,6 +136,17 @@ def test_round_trip_heading_boundaries():
                          gyro_heading=theta)
         q = decode_frame(encode_frame(p))
         assert q.gyro_heading == pytest.approx(theta, abs=5.1e-4)
+
+
+def test_round_trip_saturates_ir_beyond_the_wire_field():
+    # A reading past the u16 field arrives as the field's maximum, the
+    # sensor saturating; 0xFFFF stays the out-of-range marker.
+    p = SensorPacket(robot_id=0, t_sent=1, ticks_left=0, ticks_right=0,
+                     flow_dx_left=0.0, flow_dx_right=0.0, gyro_heading=0.0,
+                     ir=(65534.4, 65534.6, 65535.0, 1e9, None))
+    q = decode_frame(encode_frame(p))
+    assert IR_MAX_MM == 0xFFFE
+    assert q.ir == (65534.0, 65534.0, 65534.0, 65534.0, None)
 
 
 def test_round_trip_bulk():

@@ -12,36 +12,34 @@ counters, bit for bit.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
 from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
 from swarmsim.sim import (
-    EncoderModel,
-    FlowModel,
-    PiConfig,
-    PlantLoop,
-    PlantState,
-    Rates,
-    Rect,
-    SensorNoise,
-    SlipEvent,
-    World,
-    active_slip,
-    sample_gyro,
-    sample_ir,
-)
-from swarmsim.cli.runner import (
     NOISE_BLOCK,
     STREAM_ENCODER,
     STREAM_FLOW,
     STREAM_GYRO,
     STREAM_IR,
     STREAM_SCHEDULE,
+    EncoderModel,
+    FlowModel,
+    PlantLoop,
+    PlantState,
+    Rates,
+    Rect,
     RobotSim,
     RuntimeFault,
+    SensorNoise,
+    SlipEvent,
+    World,
+    active_slip,
+    sample_gyro,
+    sample_ir,
     stream_rng,
 )
 
@@ -57,7 +55,7 @@ class ReferenceSim:
         self.noise = noise
         self.world = world
         self.slip_schedule = slip_schedule
-        self.loop = PlantLoop(PlantState(pose=start), PiConfig(), GEOM)
+        self.loop = PlantLoop(PlantState(pose=start), GEOM)
         self.encoders = EncoderModel(GEOM, noise,
                                      stream_rng(seed, 0, STREAM_ENCODER))
         self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW))
@@ -123,7 +121,9 @@ class ReferenceSim:
         pose = self.pose
         if self.world is not None:
             if not self.world.bounds.contains(pose.x, pose.y):
-                raise RuntimeFault(f"left the world at {self.t_us}")
+                raise RuntimeFault(
+                    f"robot 0 left the world bounds at t={self.t_us / 1e6:g} s "
+                    f"(x={pose.x:.1f} mm, y={pose.y:.1f} mm)")
             ir = tuple(sample_ir(self.world, [pose], GEOM, self.noise,
                                  self.ir_rng)[0])
         else:
@@ -143,7 +143,8 @@ class ReferenceSim:
 
 
 def _run(sim, windows, command) -> tuple[list, str | None]:
-    """Packets sent over the windows, and the fault time if the robot left."""
+    """Packets sent over the windows, and the fault message (time and pose)
+    if the robot left the world."""
     sent = []
     sim.set_command(WheelSpeeds(*command))
     t_us = 0
@@ -153,8 +154,8 @@ def _run(sim, windows, command) -> tuple[list, str | None]:
             sent += sim.advance_to(t_us)
             if new_command is not None:
                 sim.set_command(WheelSpeeds(*new_command))
-    except RuntimeFault:
-        return sent, f"fault at {sim.t_us} us"
+    except RuntimeFault as fault:
+        return sent, str(fault)
     return sent, None
 
 
@@ -200,16 +201,23 @@ windows = st.lists(
        schedule=st.lists(slip_events, max_size=3), rates=rates(),
        noise=noises, world=worlds, windows=windows,
        heading=st.floats(-3.14159, 3.14159))
+# The robot leaves the world at the report of t = 1.47 s.
+@example(seed=1, command=(180.0, 180.0), schedule=[], rates=Rates(),
+         noise=SensorNoise(), world=World(bounds=Rect(-250.0, -250.0, 250.0, 250.0)),
+         windows=[(120_000, None)] * 13, heading=0.0)
 def test_fused_engine_matches_per_step_reference(seed, command, schedule,
                                                  rates, noise, world, windows,
                                                  heading):
     start = Posture(0.0, 0.0, heading)
     schedule = tuple(schedule)
-    sim = RobotSim(GEOM, noise, PiConfig(), start, seed,
+    sim = RobotSim(GEOM, noise, start, seed,
                    slip_schedule=schedule, rates=rates, world=world)
     ref = ReferenceSim(noise, start, seed, schedule, rates, world)
-    assert _run(sim, windows, command) == _run(ref, windows, command)
+    sent, fault = _run(sim, windows, command)
+    assert (sent, fault) == _run(ref, windows, command)
     assert sim.truth_at_send == ref.truth_at_send
+    if fault is not None:
+        return   # a fault ends the run; the engine state after it is unused
     assert sim.pose == ref.pose
     assert sim.t_us == ref.t_us
     assert (sim._ticks_r, sim._ticks_l) == (ref.ticks_r, ref.ticks_l)
@@ -230,7 +238,7 @@ def test_fused_engine_crosses_noise_blocks():
                 SlipEvent(3000.0, 4000.0, "scale", factor=0.4))
     rates_ = Rates()
     start = Posture(0.0, 0.0, 0.0)
-    sim = RobotSim(GEOM, SensorNoise(), PiConfig(), start, 11,
+    sim = RobotSim(GEOM, SensorNoise(), start, 11,
                    slip_schedule=schedule, rates=rates_)
     ref = ReferenceSim(SensorNoise(), start, 11, schedule, rates_, None)
     steps = [(70_000, None)] * 80
@@ -241,14 +249,14 @@ def test_fused_engine_crosses_noise_blocks():
 
 
 def test_block_draws_equal_scalar_draws():
-    # The engine serves noise from standard_normal(n) blocks on the promise
-    # that blocks continue the generator's scalar sequence exactly.
-    for purpose in (STREAM_ENCODER, STREAM_FLOW):
-        blocks = stream_rng(5, 3, purpose)
+    # The engine serves noise from standard_normal(NOISE_BLOCK) blocks on
+    # the promise that blocks continue the generator's scalar sequence
+    # exactly; draw through its iterators past a block boundary.
+    sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 5, robot_id=3)
+    for purpose, stream in ((STREAM_ENCODER, sim._enc_noise),
+                            (STREAM_FLOW, sim._flow_noise)):
+        drawn = list(islice(stream, 2 * NOISE_BLOCK + 7))
         scalars = stream_rng(5, 3, purpose)
-        drawn = np.concatenate([blocks.standard_normal(NOISE_BLOCK),
-                                blocks.standard_normal(7),
-                                blocks.standard_normal(NOISE_BLOCK)]).tolist()
         assert drawn == [scalars.standard_normal() for _ in drawn]
 
 
@@ -259,7 +267,6 @@ def test_block_draws_equal_scalar_draws():
 def test_engine_keeps_the_plant_step_check(rates_):
     # Scenario validation rejects these rates first; the engine's per-step
     # dt check stays as the backstop.
-    sim = RobotSim(GEOM, SensorNoise(), PiConfig(), Posture(0.0, 0.0, 0.0), 1,
-                   rates=rates_)
+    sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1, rates=rates_)
     with pytest.raises(ValueError, match="dt must be in"):
         sim.advance_to(1_000_000)

@@ -10,7 +10,6 @@ from swarmsim.core import Posture, RobotGeometry, Twist, WheelSpeeds, wheels_to_
 from swarmsim.sim import (
     EncoderModel,
     FlowModel,
-    PiConfig,
     PlantLoop,
     PlantState,
     Rect,
@@ -30,7 +29,6 @@ from swarmsim.sim import (
 )
 
 GEOM = RobotGeometry()
-PI = PiConfig()
 QUIET = SensorNoise.noiseless()
 
 
@@ -39,7 +37,7 @@ def run_pi(command: tuple[float, float], seconds: float, dt: float = 0.0025,
     state = start or PlantState(pose=Posture(0, 0, 0))
     state = _with_command(state, command)
     for _ in range(round(seconds / dt)):
-        state = wheel_pi_step(state, PI, dt)
+        state = wheel_pi_step(state, dt)
     return state
 
 
@@ -56,7 +54,7 @@ def test_pi_holds_setpoint_without_integrator_drift():
                        wheel_command=WheelSpeeds(100, 100),
                        wheel_actual=WheelSpeeds(100, 100))
     for _ in range(100):
-        state = wheel_pi_step(state, PI, 0.0025)
+        state = wheel_pi_step(state, 0.0025)
     assert state.wheel_actual.right == pytest.approx(100.0, abs=1e-9)
     assert state.pi_integral == (0.0, 0.0)
 
@@ -81,14 +79,14 @@ def test_pi_saturates_not_rejects():
 def test_pi_never_exceeds_limit():
     state = PlantState(pose=Posture(0, 0, 0), wheel_command=WheelSpeeds(180, -180))
     for _ in range(2000):
-        state = wheel_pi_step(state, PI, 0.0025)
+        state = wheel_pi_step(state, 0.0025)
         assert abs(state.wheel_actual.right) <= 180.0 + 1e-9
         assert abs(state.wheel_actual.left) <= 180.0 + 1e-9
 
 
 def test_pi_rejects_bad_dt():
     with pytest.raises(ValueError):
-        wheel_pi_step(PlantState(pose=Posture(0, 0, 0)), PI, 0.0)
+        wheel_pi_step(PlantState(pose=Posture(0, 0, 0)), 0.0)
 
 
 # --- plant stepping ---------------------------------------------------------
@@ -129,7 +127,7 @@ def test_step_plant_dt_domain():
 
 
 def test_fused_loop_ground_speeds_follow_slip():
-    loop = PlantLoop(PlantState(pose=Posture(0, 0, 0)), PI, GEOM)
+    loop = PlantLoop(PlantState(pose=Posture(0, 0, 0)), GEOM)
     loop.set_command(120.0, 120.0)
     for _ in range(200):
         loop.advance(0.0025)

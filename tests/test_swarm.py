@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swarmsim.comms import ChannelModel
+from swarmsim.control import Gains, tracking_control
+from swarmsim.core import RobotGeometry, integrate_unicycle, wheels_to_twist, wrap_angle
 from swarmsim.swarm import (
     ConsensusConfig,
     SwarmState,
+    _TurningRobot,
     consensus_step,
     mean_heading,
     run_networked_consensus,
@@ -188,6 +191,37 @@ def test_networked_determinism():
     ]
     assert runs[0].trace == runs[1].trace
     assert runs[0].time_s == runs[1].time_s
+
+
+def _bits(wheels):
+    # float.hex tells -0.0 from 0.0, which == does not.
+    return wheels.right.hex(), wheels.left.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(robot_id=st.integers(0, 30), heading=st.floats(-math.pi, math.pi),
+       target=st.one_of(st.none(), st.floats(-10.0, 10.0)),
+       turn_gain=st.one_of(st.floats(1e-6, 1e6), st.sampled_from((8.0, 1e6))),
+       wheel_base=st.one_of(st.floats(1e-3, 1e6), st.just(100.0)))
+@example(robot_id=0, heading=0.0, target=-0.0, turn_gain=8.0, wheel_base=100.0)
+@example(robot_id=1, heading=-1.4, target=1.4, turn_gain=8.0, wheel_base=100.0)
+def test_turning_robot_matches_a_pure_turn_of_the_tracking_controller(
+        robot_id, heading, target, turn_gain, wheel_base):
+    # The turn-in-place robot once ran tracking_control with a reference
+    # at its own pose, zero speed and the turn as feedforward; its wheel
+    # pair, saturated or not, and its step must stay that bit for bit.
+    geometry = RobotGeometry(wheel_base=wheel_base)
+    robot = _TurningRobot(robot_id, heading, geometry, 0.0,
+                          np.random.default_rng(0))
+    robot.target = heading if target is None else target
+    pose = robot.pose
+    w = turn_gain * wrap_angle(robot.target - pose.theta)
+    expected = tracking_control(pose, pose, 0.0, w, Gains(), geometry)
+    assert _bits(robot.wheels(turn_gain)) == _bits(expected)
+    robot.advance(0.07, turn_gain)
+    after = integrate_unicycle(pose, wheels_to_twist(expected, geometry), 0.07)
+    assert ((robot.pose.x.hex(), robot.pose.y.hex(), robot.pose.theta.hex())
+            == (after.x.hex(), after.y.hex(), after.theta.hex()))
 
 
 def test_config_validation():
