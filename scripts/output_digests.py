@@ -155,6 +155,10 @@ INVOCATIONS = (
      "circle_track.yaml",
      ("--override", "duration_s=0.5",
       "--override", "control.reference={shape: line, speed: 1.7e+308}")),
+    ("track half a second on a circle of radius 1e300 mm", "track",
+     "circle_track.yaml",
+     ("--override", "duration_s=0.5", "--override",
+      "control={reference: {radius: 1.0e+300, shape: circle, speed: 1.0}}")),
     # IR readings past the u16 wire field saturate instead of failing.
     ("localize IR range of 100 m", "localize", "localize_slip.yaml",
      ("--override", "duration_s=2",

@@ -87,18 +87,19 @@ class SensorRun:
     undelivered: int
 
 
-def simulate_reports(scenario: Scenario, seed: int) -> SensorRun:
+def simulate_reports(scenario: Scenario) -> SensorRun:
     """Open-loop run under the scenario's constant wheel command, reports
-    via the channel; `seed` replaces the scenario's own for seed sweeps.
+    via the channel.
 
     Raises RuntimeFault when no report reaches the server, since no
     estimate can then be made.
     """
-    sim = RobotSim(scenario.geometry, scenario.noise, scenario.start, seed,
+    sim = RobotSim(scenario.geometry, scenario.noise, scenario.start, scenario.seed,
                    slip_schedule=scenario.slip, rates=scenario.rates,
                    world=scenario.world)
     sim.set_command(scenario.command)
-    channel = StarChannel(scenario.channel, stream_rng(seed, 0, STREAM_CHANNEL))
+    channel = StarChannel(scenario.channel,
+                          stream_rng(scenario.seed, 0, STREAM_CHANNEL))
     digest = hashlib.sha256()
     delivered: list[SensorPacket] = []
     duration_us = round(scenario.duration_s * 1e6)
@@ -244,7 +245,7 @@ def _run_variant(name: str, run: SensorRun, scenario: Scenario):
 
 
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
-    run = simulate_reports(scenario, scenario.seed)
+    run = simulate_reports(scenario)
     estimate = run_estimator(run.delivered, scenario.start, scenario.geometry,
                              scenario.ekf, adaptive=scenario.adaptive,
                              fixed_dt_s=scenario.fixed_dt_s)
@@ -276,7 +277,7 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
 def run_compare(scenario: Scenario, out_dir: Path,
                 variants: tuple[str, ...] = DEFAULT_COMPARE_VARIANTS) -> RunSummary:
     """Simulate the report stream once and run every variant on it."""
-    run = simulate_reports(scenario, scenario.seed)
+    run = simulate_reports(scenario)
     rows = []
     for name in variants:
         estimate = _run_variant(name, run, scenario)

@@ -156,8 +156,9 @@ _NONNEG = Num(lo=0.0)
 _PROB = Num(lo=0.0, hi=1.0)
 # Upper bounds for values whose physics overflows mid-run near the float
 # maximum. A gain, scale factor or reference speed past 1e6 only saturates
-# the wheels (or the flow counters) sooner; a start posture within 1e9 mm
-# of the origin leaves the motion room to stay finite.
+# the wheels (or the flow counters) sooner; a start posture, or a circle
+# radius, within 1e9 mm leaves the motion room to stay finite and keeps a
+# circle's far centre from cancelling the points around it.
 _GAIN = Num(lo=0.0, exclusive_lo=True, hi=1e6)
 _START = NumSeq(3, Num(lo=-1e9, hi=1e9))    # x mm, y mm, theta rad
 
@@ -209,7 +210,7 @@ _GAINS = Map({
 
 _REFERENCE = Map({
     "shape": (Str("circle", "line"), True),
-    "radius": (_POSITIVE, False),
+    "radius": (Num(lo=0.0, exclusive_lo=True, hi=1e9), False),   # mm
     "speed": (Num(lo=0.0, exclusive_lo=True, hi=1e6), True),   # mm/s
     "ccw": (Bool(), False),
     "start": (_START, False),           # reference's own start; defaults to robot.start
@@ -518,9 +519,7 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     estimator = data.get("estimator", {})
     # Only robot.noise and robot.geometry can overflow the filter's variances.
     ekf = _build(
-        "robot", EkfConfig.from_noise, noise, geometry,
-        send_period_s=rates.report_period_ms / 1e3,
-        encoder_hz=rates.encoder_hz, flow_hz=rates.flow_hz,
+        "robot", EkfConfig.from_noise, noise, geometry, rates,
         **{key: estimator[key] for key in
            ("slip_inflation", "slip_threshold", "slip_window") if key in estimator})
     if kind == "track":

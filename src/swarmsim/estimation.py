@@ -19,6 +19,7 @@ import numpy as np
 
 from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
 from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
+from .sim import Rates
 
 STATE_DIM = 5
 # The filter works on the upper triangle of the covariance as a flat list:
@@ -67,12 +68,12 @@ class EkfConfig:
             raise ValueError("slip_inflation must be at least 1")
 
     @classmethod
-    def from_noise(cls, noise, geometry: RobotGeometry,
-                   send_period_s: float = 0.07,
-                   encoder_hz: float = 400.0, flow_hz: float = 1000.0,
+    def from_noise(cls, noise, geometry: RobotGeometry, rates: Rates = Rates(),
                    **overrides) -> "EkfConfig":
-        """Derive r_base from sensor noise levels and wire quantization."""
-        t = send_period_s
+        """Derive r_base from sensor noise levels, the sampling and report
+        rates, and wire quantization."""
+        t = rates.report_period_ms / 1e3
+        encoder_hz, flow_hz = rates.encoder_hz, rates.flow_hz
         # Per-wheel speed variance: sample noise plus the two tick-boundary
         # truncation errors of the report window.
         var_wheel = (noise.encoder_sigma ** 2 / (encoder_hz * t)

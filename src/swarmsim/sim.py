@@ -6,16 +6,17 @@ from ground motion: encoders sense the wheels (slip-blind) while the paired
 optical-flow sensors sense true ground motion (slip-immune).  All sensor
 models draw from caller-supplied numpy generators so runs are reproducible.
 
-The one-step functions and per-sample models are the reference plant;
-``RobotSim``, the engine every run uses, repeats their arithmetic inline in
-one fused event loop per robot, on seed-derived per-robot noise streams.
+``PlantLoop``, ``EncoderModel`` and ``FlowModel`` are the reference plant,
+stepped one event and one sample at a time; ``RobotSim``, the engine every
+run uses, repeats their arithmetic inline in one fused event loop per
+robot, on seed-derived per-robot noise streams.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, count
 
 import numpy as np
@@ -26,7 +27,6 @@ from .core import (
     MAX_WHEEL_SPEED,
     Posture,
     RobotGeometry,
-    Twist,
     WheelSpeeds,
     integrate_unicycle,
     wheels_to_twist,
@@ -44,18 +44,6 @@ from .core import (
 PI_KP = 0.8
 PI_KI = 2.0
 MOTOR_TAU_S = 0.05
-
-
-@dataclass(frozen=True)
-class PlantState:
-    """Complete state of one simulated robot at time_ms."""
-
-    pose: Posture
-    wheel_command: WheelSpeeds = WheelSpeeds(0.0, 0.0)
-    wheel_actual: WheelSpeeds = WheelSpeeds(0.0, 0.0)
-    pi_integral: tuple[float, float] = (0.0, 0.0)   # right, left
-    time_ms: float = 0.0
-    slip_active: bool = False
 
 
 # Longest plant step (s) the Euler integration accepts.
@@ -76,19 +64,6 @@ def _pi_wheel(command: float, actual: float, integral: float,
         integral += error * dt   # anti-windup: freeze while the drive clips
     actual += dt * (drive - actual) / MOTOR_TAU_S
     return actual, integral
-
-
-def wheel_pi_step(state: PlantState, dt: float) -> PlantState:
-    """Advance the two wheel speed loops by dt (does not move the body)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    right, int_r = _pi_wheel(
-        state.wheel_command.right, state.wheel_actual.right, state.pi_integral[0], dt
-    )
-    left, int_l = _pi_wheel(
-        state.wheel_command.left, state.wheel_actual.left, state.pi_integral[1], dt
-    )
-    return replace(state, wheel_actual=WheelSpeeds(right, left), pi_integral=(int_r, int_l))
 
 
 # --- slip --------------------------------------------------------------------
@@ -123,56 +98,50 @@ def active_slip(schedule: tuple[SlipEvent, ...], t_ms: float) -> SlipEvent | Non
     return None
 
 
-def ground_wheels(state: PlantState, slip: SlipEvent | None) -> WheelSpeeds:
-    """Ground-contact wheel speeds under the active slip event."""
-    if slip is None:
-        return state.wheel_actual
-    if slip.mode == "stuck":
-        return WheelSpeeds(0.0, 0.0)
-    return WheelSpeeds(slip.factor * state.wheel_actual.right,
-                       slip.factor * state.wheel_actual.left)
-
-
-def step_plant(state: PlantState, geometry: RobotGeometry, dt: float,
-               slip: SlipEvent | None = None) -> PlantState:
-    """Move the body for dt seconds at its current wheel speeds."""
-    if not 0 < dt <= MAX_STEP_S:
-        raise ValueError(f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
-    twist = wheels_to_twist(ground_wheels(state, slip), geometry)
-    return replace(
-        state,
-        pose=integrate_unicycle(state.pose, twist, dt),
-        time_ms=state.time_ms + dt * 1e3,
-        slip_active=slip is not None,
-    )
+# --- plant -------------------------------------------------------------------
 
 
 @dataclass
 class PlantLoop:
-    """Stateful shell around the one-step plant functions.
+    """One robot's plant, stepped one event at a time: the reference plant.
 
-    ``advance`` is ``wheel_pi_step``, then ``step_plant`` under one slip
-    event.  Those one-step functions are the reference plant:
-    ``RobotSim.advance_to`` below inlines their arithmetic, and the engine
-    equivalence test checks it against this shell.  Also a tracing target
-    of the benchmark.
+    ``RobotSim.advance_to`` below inlines ``advance`` float operation for
+    float operation, and the engine equivalence test checks it against this
+    class.  Also a tracing target of the benchmark.
     """
 
-    state: PlantState
+    pose: Posture
     geometry: RobotGeometry
+    command: WheelSpeeds = WheelSpeeds(0.0, 0.0)
+    actual: WheelSpeeds = WheelSpeeds(0.0, 0.0)
+    integral: tuple[float, float] = (0.0, 0.0)   # right, left
     # Ground-contact wheel speeds of the most recent step, for sensors
     # that observe body motion rather than wheel rotation.
     ground: WheelSpeeds = WheelSpeeds(0.0, 0.0)
 
     def set_command(self, right: float, left: float) -> None:
-        self.state = replace(self.state, wheel_command=WheelSpeeds(right, left))
+        self.command = WheelSpeeds(right, left)
 
     def advance(self, dt: float, slip: SlipEvent | None = None) -> None:
-        """One PI update followed by one motion step; a step outside
-        (0, MAX_STEP_S] raises ValueError and leaves the loop unchanged."""
-        state = wheel_pi_step(self.state, dt)
-        self.state = step_plant(state, self.geometry, dt, slip)
-        self.ground = ground_wheels(state, slip)
+        """One PI update of both wheels, then one motion step at the ground
+        speeds under the slip event; a step outside (0, MAX_STEP_S] raises
+        ValueError and leaves the loop unchanged."""
+        if not 0 < dt <= MAX_STEP_S:
+            raise ValueError(f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
+        right, int_r = _pi_wheel(self.command.right, self.actual.right,
+                                 self.integral[0], dt)
+        left, int_l = _pi_wheel(self.command.left, self.actual.left,
+                                self.integral[1], dt)
+        actual = WheelSpeeds(right, left)
+        if slip is None:
+            ground = actual
+        elif slip.mode == "stuck":
+            ground = WheelSpeeds(0.0, 0.0)
+        else:
+            ground = WheelSpeeds(slip.factor * right, slip.factor * left)
+        pose = integrate_unicycle(self.pose, wheels_to_twist(ground, self.geometry), dt)
+        self.pose, self.actual, self.integral = pose, actual, (int_r, int_l)
+        self.ground = ground
 
 
 # --- sensors -----------------------------------------------------------------
@@ -205,17 +174,6 @@ class SensorNoise:
         return cls(encoder_sigma=0.0, flow_sigma=0.0, gyro_sigma=0.0, ir_sigma=0.0)
 
 
-def quantize_ticks(disp_mm: float, carry_mm: float, mm_per_tick: float) -> tuple[int, float]:
-    """Turn a displacement into whole encoder ticks, carrying the remainder.
-
-    Truncates toward zero so forward and reverse motion quantize
-    symmetrically; the carry stays below one tick in magnitude.
-    """
-    total = carry_mm + disp_mm
-    ticks = int(total / mm_per_tick)
-    return ticks, total - ticks * mm_per_tick
-
-
 class EncoderModel:
     """Incremental wheel encoders: quantized, noisy, and slip-blind."""
 
@@ -232,22 +190,17 @@ class EncoderModel:
         ``RobotSim.advance_to`` below inlines this sample with block-drawn
         noise; this method is its per-sample reference and a tracing target.
         """
+        mm_per_tick = self.geometry.mm_per_tick
         ticks = []
         for i, speed in enumerate((right, left)):
             noisy = speed + self.noise.encoder_sigma * self.rng.standard_normal()
-            t, self._carry[i] = quantize_ticks(noisy * dt, self._carry[i],
-                                               self.geometry.mm_per_tick)
+            # Truncation toward zero quantizes forward and reverse motion
+            # symmetrically; the carry stays below one tick in magnitude.
+            total = self._carry[i] + noisy * dt
+            t = int(total / mm_per_tick)
+            self._carry[i] = total - t * mm_per_tick
             ticks.append(t)
         return ticks[0], ticks[1]
-
-
-def flow_displacement(twist_ground: Twist, dt: float,
-                      geometry: RobotGeometry) -> tuple[float, float]:
-    """True longitudinal displacement (mm) seen by the left and right flow
-    sensors, mounted half the sensor separation to each side of the body
-    axis.  A counterclockwise turn slows the left sensor."""
-    half = 0.5 * geometry.flow_separation * twist_ground.w
-    return (twist_ground.v - half) * dt, (twist_ground.v + half) * dt
 
 
 class FlowModel:
@@ -262,14 +215,18 @@ class FlowModel:
     def sample_vw(self, v: float, w: float, dt: float) -> tuple[float, float]:
         """Displacements (left, right) for one interval at body speeds v, w.
 
+        The sensors sit half the sensor separation to each side of the body
+        axis, so a counterclockwise turn slows the left one.
         ``RobotSim.advance_to`` below inlines this sample with block-drawn
         noise; this method is its per-sample reference and a tracing target.
         """
-        dx_l, dx_r = flow_displacement(Twist(v, w), dt, self.geometry)
+        half = 0.5 * self.geometry.flow_separation * w
         sigma = self.noise.flow_sigma * dt
         return (
-            dx_l * self.noise.flow_scale + sigma * self.rng.standard_normal(),
-            dx_r * self.noise.flow_scale + sigma * self.rng.standard_normal(),
+            (v - half) * dt * self.noise.flow_scale
+            + sigma * self.rng.standard_normal(),
+            (v + half) * dt * self.noise.flow_scale
+            + sigma * self.rng.standard_normal(),
         )
 
 
@@ -485,15 +442,15 @@ class RobotSim:
     1000 Hz flow, and report clocks stay exactly commensurate; every event
     fires at its true instant regardless of the other rates.
 
-    ``advance_to`` is one fused event loop: the reference plant
-    ``wheel_pi_step``, ``ground_wheels`` and ``step_plant``, the slip
-    lookup, the encoder quantization of ``EncoderModel.sample_speeds`` and
-    the flow sample of ``FlowModel.sample_vw`` are written inline, float
-    operation for float operation, with the state held in locals between
-    reports.  Encoder and flow noise come from one endless iterator per
-    stream over ``standard_normal(NOISE_BLOCK)`` blocks, which yield the
-    same sequence as scalar draws.  A reference loop that makes those
-    one-step calls is the oracle of the engine equivalence test.
+    ``advance_to`` is one fused event loop: the reference plant step
+    ``PlantLoop.advance``, the slip lookup, the encoder sample of
+    ``EncoderModel.sample_speeds`` and the flow sample of
+    ``FlowModel.sample_vw`` are written inline, float operation for float
+    operation, with the state held in locals between reports.  Encoder and
+    flow noise come from one endless iterator per stream over
+    ``standard_normal(NOISE_BLOCK)`` blocks, which yield the same sequence
+    as scalar draws.  A reference loop that calls those three classes once
+    per event is the oracle of the engine equivalence test.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,

@@ -9,6 +9,7 @@ sensor stream per seed across every estimator variant.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import filecmp
 import math
 import statistics
@@ -90,7 +91,7 @@ def test_adaptive_filter_beats_alternatives_under_slip(capsys):
     t0 = time.perf_counter()
     adaptive, nonadaptive, wheels = [], [], []
     for seed in range(1, 21):
-        stream = runner.simulate_reports(base, seed)
+        stream = runner.simulate_reports(dataclasses.replace(base, seed=seed))
         args = (stream.delivered, base.start, base.geometry, base.ekf)
         adaptive.append(_terminal_error(
             run_estimator(*args, adaptive=True), stream.truth_at_send))
@@ -122,7 +123,7 @@ def test_timestamp_driven_filter_beats_fixed_step(capsys):
     base = _load("localize_jitter.yaml")
     timestamped, hardwired = [], []
     for seed in range(1, 21):
-        stream = runner.simulate_reports(base, seed)
+        stream = runner.simulate_reports(dataclasses.replace(base, seed=seed))
         args = (stream.delivered, base.start, base.geometry, base.ekf)
         timestamped.append(_rmse_against_truth(
             run_estimator(*args), stream.truth_at_send))

@@ -160,9 +160,9 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
     calls = []
     simulate = runner.simulate_reports
 
-    def counting(scenario, seed):
-        calls.append(seed)
-        return simulate(scenario, seed)
+    def counting(scenario):
+        calls.append(scenario.seed)
+        return simulate(scenario)
 
     monkeypatch.setattr(runner, "simulate_reports", counting)
     variants = ["adaptive", "nonadaptive", "fixed_dt", "wheels", "flow"]
@@ -177,7 +177,7 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
     scenario = load_scenario(SLIP, ("duration_s=10.0", "channel.loss_prob=0.2",
                                     "channel.latency_max_ms=400"))
     cfg = scenario.ekf
-    stream = simulate(scenario, scenario.seed)
+    stream = simulate(scenario)
     args = (stream.delivered, scenario.start, scenario.geometry)
     direct = {
         "adaptive": run_estimator(*args, cfg),
@@ -328,6 +328,9 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
      "rates.report_period_ms"),
     ("track", "circle_track.yaml", "control.reference={shape: line, speed: 1.7e+308}",
      "control.reference.speed"),
+    ("track", "circle_track.yaml",
+     "control={reference: {radius: 1.0e+300, shape: circle, speed: 1.0}}",
+     "control.reference.radius"),
 ])
 def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
                                                     scenario, override,

@@ -1,13 +1,11 @@
-"""The fused sensor engine against the one-step reference functions.
+"""The fused sensor engine against the reference plant.
 
 `RobotSim.advance_to` writes the plant step, slip lookup, encoder sample
 and flow sample inline and draws encoder and flow noise in blocks.
-`ReferenceSim` below is the engine as one call per event: through
-`PlantLoop` it steps the reference plant `wheel_pi_step`, `ground_wheels`
-and `step_plant`, and it calls `EncoderModel.sample_speeds`,
-`FlowModel.sample_vw`, `sample_gyro` and `sample_ir` with scalar noise
-draws. Both must produce the same packets, truth, pose, wheel state and
-counters, bit for bit.
+`ReferenceSim` below is the engine as one call per event: it calls
+`PlantLoop.advance`, `EncoderModel.sample_speeds`, `FlowModel.sample_vw`,
+`sample_gyro` and `sample_ir` with scalar noise draws. Both must produce
+the same packets, truth, pose, wheel state and counters, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from swarmsim.sim import (
     EncoderModel,
     FlowModel,
     PlantLoop,
-    PlantState,
     Rates,
     Rect,
     RobotSim,
@@ -55,7 +52,7 @@ class ReferenceSim:
         self.noise = noise
         self.world = world
         self.slip_schedule = slip_schedule
-        self.loop = PlantLoop(PlantState(pose=start), GEOM)
+        self.loop = PlantLoop(start, GEOM)
         self.encoders = EncoderModel(GEOM, noise,
                                      stream_rng(seed, 0, STREAM_ENCODER))
         self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW))
@@ -85,7 +82,7 @@ class ReferenceSim:
 
     @property
     def pose(self) -> Posture:
-        return self.loop.state.pose
+        return self.loop.pose
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         sent = []
@@ -106,7 +103,7 @@ class ReferenceSim:
                 self.flow_r += dr
                 self.next_flow += self.flow_us
             if self.t_us == self.next_enc:
-                wheels = loop.state.wheel_actual
+                wheels = loop.actual
                 tr, tl = self.encoders.sample_speeds(wheels.right, wheels.left,
                                                      enc_dt)
                 self.ticks_r += tr
@@ -224,10 +221,9 @@ def test_fused_engine_matches_per_step_reference(seed, command, schedule,
     assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
     assert ((sim._next_enc, sim._next_flow, sim._next_report)
             == (ref.next_enc, ref.next_flow, ref.next_report))
-    state = ref.loop.state
+    loop = ref.loop
     assert ((sim._act_right, sim._act_left, sim._int_right, sim._int_left)
-            == (state.wheel_actual.right, state.wheel_actual.left,
-                *state.pi_integral))
+            == (loop.actual.right, loop.actual.left, *loop.integral))
     assert ((sim._carry_right, sim._carry_left)
             == tuple(ref.encoders._carry))
 

@@ -1,17 +1,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmsim.core import Posture, RobotGeometry, Twist, WheelSpeeds, wheels_to_twist
+from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
 from swarmsim.sim import (
     EncoderModel,
     FlowModel,
     PlantLoop,
-    PlantState,
     Rect,
     Segment,
     SensorNoise,
@@ -19,122 +19,117 @@ from swarmsim.sim import (
     World,
     active_slip,
     cast_ray,
-    flow_displacement,
-    ground_wheels,
-    quantize_ticks,
     sample_gyro,
     sample_ir,
-    step_plant,
-    wheel_pi_step,
 )
 
 GEOM = RobotGeometry()
 QUIET = SensorNoise.noiseless()
 
 
-def run_pi(command: tuple[float, float], seconds: float, dt: float = 0.0025,
-           start: PlantState | None = None) -> PlantState:
-    state = start or PlantState(pose=Posture(0, 0, 0))
-    state = _with_command(state, command)
+def run_pi(command: tuple[float, float], seconds: float,
+           dt: float = 0.0025) -> PlantLoop:
+    loop = PlantLoop(Posture(0, 0, 0), GEOM)
+    loop.set_command(*command)
     for _ in range(round(seconds / dt)):
-        state = wheel_pi_step(state, dt)
-    return state
+        loop.advance(dt)
+    return loop
 
 
-def _with_command(state: PlantState, command: tuple[float, float]) -> PlantState:
-    from dataclasses import replace
-    return replace(state, wheel_command=WheelSpeeds(*command))
+def _rolling(speed: float = 100.0) -> PlantLoop:
+    """A plant already at its commanded speed, so the PI update holds it."""
+    return PlantLoop(Posture(0, 0, 0), GEOM,
+                     command=WheelSpeeds(speed, speed),
+                     actual=WheelSpeeds(speed, speed))
 
 
 # --- wheel PI loop -----------------------------------------------------------
 
 
 def test_pi_holds_setpoint_without_integrator_drift():
-    state = PlantState(pose=Posture(0, 0, 0),
-                       wheel_command=WheelSpeeds(100, 100),
-                       wheel_actual=WheelSpeeds(100, 100))
+    loop = _rolling(100.0)
     for _ in range(100):
-        state = wheel_pi_step(state, 0.0025)
-    assert state.wheel_actual.right == pytest.approx(100.0, abs=1e-9)
-    assert state.pi_integral == (0.0, 0.0)
+        loop.advance(0.0025)
+    assert loop.actual.right == pytest.approx(100.0, abs=1e-9)
+    assert loop.integral == (0.0, 0.0)
 
 
 def test_pi_step_converges_to_command():
-    state = run_pi((100, 100), seconds=2.0)
-    assert state.wheel_actual.right == pytest.approx(100.0, abs=1.0)
-    assert state.wheel_actual.left == pytest.approx(100.0, abs=1.0)
+    loop = run_pi((100, 100), seconds=2.0)
+    assert loop.actual.right == pytest.approx(100.0, abs=1.0)
+    assert loop.actual.left == pytest.approx(100.0, abs=1.0)
 
 
 def test_pi_settles_quickly():
-    state = run_pi((100, 100), seconds=0.3)
-    assert abs(state.wheel_actual.right - 100.0) < 5.0   # within 5% band
+    loop = run_pi((100, 100), seconds=0.3)
+    assert abs(loop.actual.right - 100.0) < 5.0   # within 5% band
 
 
 def test_pi_saturates_not_rejects():
-    state = run_pi((300, 300), seconds=2.0)
-    assert state.wheel_actual.right == pytest.approx(180.0, abs=1.0)
-    assert state.wheel_actual.left == pytest.approx(180.0, abs=1.0)
+    loop = run_pi((300, 300), seconds=2.0)
+    assert loop.actual.right == pytest.approx(180.0, abs=1.0)
+    assert loop.actual.left == pytest.approx(180.0, abs=1.0)
 
 
 def test_pi_never_exceeds_limit():
-    state = PlantState(pose=Posture(0, 0, 0), wheel_command=WheelSpeeds(180, -180))
+    loop = PlantLoop(Posture(0, 0, 0), GEOM, command=WheelSpeeds(180, -180))
     for _ in range(2000):
-        state = wheel_pi_step(state, 0.0025)
-        assert abs(state.wheel_actual.right) <= 180.0 + 1e-9
-        assert abs(state.wheel_actual.left) <= 180.0 + 1e-9
+        loop.advance(0.0025)
+        assert abs(loop.actual.right) <= 180.0 + 1e-9
+        assert abs(loop.actual.left) <= 180.0 + 1e-9
 
 
 def test_pi_rejects_bad_dt():
     with pytest.raises(ValueError):
-        wheel_pi_step(PlantState(pose=Posture(0, 0, 0)), 0.0)
+        PlantLoop(Posture(0, 0, 0), GEOM).advance(0.0)
 
 
 # --- plant stepping ---------------------------------------------------------
 
 
-def _rolling(speed: float = 100.0) -> PlantState:
-    return PlantState(pose=Posture(0, 0, 0),
-                      wheel_command=WheelSpeeds(speed, speed),
-                      wheel_actual=WheelSpeeds(speed, speed))
+def test_plant_straight():
+    loop = _rolling(100.0)
+    loop.advance(0.1)
+    assert loop.pose.x == pytest.approx(10.0, abs=1e-9)
+    assert loop.pose.y == pytest.approx(0.0, abs=1e-12)
+    assert loop.ground == loop.actual
 
 
-def test_step_plant_straight():
-    state = step_plant(_rolling(100.0), GEOM, 0.1)
-    assert state.pose.x == pytest.approx(10.0, abs=1e-9)
-    assert state.pose.y == pytest.approx(0.0, abs=1e-12)
-    assert state.time_ms == pytest.approx(100.0)
-    assert not state.slip_active
-
-
-def test_step_plant_stuck_freezes_body():
+def test_plant_stuck_freezes_body():
     stuck = SlipEvent(0.0, 1000.0, "stuck")
-    state = step_plant(_rolling(100.0), GEOM, 0.1, slip=stuck)
-    assert (state.pose.x, state.pose.y) == (0.0, 0.0)
-    assert state.wheel_actual.right == 100.0   # wheels keep spinning
-    assert state.slip_active
+    loop = _rolling(100.0)
+    loop.advance(0.1, slip=stuck)
+    assert (loop.pose.x, loop.pose.y) == (0.0, 0.0)
+    assert loop.actual.right == 100.0   # wheels keep spinning
+    assert loop.ground == WheelSpeeds(0.0, 0.0)
 
 
-def test_step_plant_scale_halves_motion():
+def test_plant_scale_halves_motion():
     half = SlipEvent(0.0, 1000.0, "scale", factor=0.5)
-    state = step_plant(_rolling(100.0), GEOM, 0.1, slip=half)
-    assert state.pose.x == pytest.approx(5.0, abs=1e-9)
+    loop = _rolling(100.0)
+    loop.advance(0.1, slip=half)
+    assert loop.pose.x == pytest.approx(5.0, abs=1e-9)
 
 
-def test_step_plant_dt_domain():
+def test_plant_dt_domain():
+    # A rejected step leaves every field of the loop as it was.
+    loop = run_pi((150, 60), seconds=0.5)
+    before = replace(loop)
     for bad in (0.0, -0.1, 0.3):
         with pytest.raises(ValueError):
-            step_plant(_rolling(), GEOM, bad)
+            loop.advance(bad)
+        assert loop == before
 
 
 def test_fused_loop_ground_speeds_follow_slip():
-    loop = PlantLoop(PlantState(pose=Posture(0, 0, 0)), GEOM)
+    loop = PlantLoop(Posture(0, 0, 0), GEOM)
     loop.set_command(120.0, 120.0)
     for _ in range(200):
         loop.advance(0.0025)
     assert loop.ground.right == pytest.approx(120.0, abs=2.0)
     loop.advance(0.0025, SlipEvent(0.0, 1e9, "stuck"))
     assert loop.ground == WheelSpeeds(0.0, 0.0)
-    assert loop.state.wheel_actual.right == pytest.approx(120.0, abs=2.0)
+    assert loop.actual.right == pytest.approx(120.0, abs=2.0)
     loop.advance(0.0025, SlipEvent(0.0, 1e9, "scale", factor=0.5))
     assert loop.ground.right == pytest.approx(60.0, abs=2.0)
 
@@ -157,22 +152,26 @@ def test_slip_event_validation():
 # --- encoders ---------------------------------------------------------------
 
 
-def test_quantize_ticks_hand_values():
-    assert quantize_ticks(1.3, 0.0, 0.5) == (2, pytest.approx(0.3))
-    assert quantize_ticks(0.2, 0.0, 0.5) == (0, pytest.approx(0.2))
-    assert quantize_ticks(0.4, 0.2, 0.5) == (1, pytest.approx(0.1))
-    ticks, carry = quantize_ticks(-1.3, 0.0, 0.5)
-    assert ticks == -2
-    assert carry == pytest.approx(-0.3)
+def test_encoder_tick_hand_values():
+    # Noiseless samples over 1 s, so a speed is a displacement (0.5 mm ticks).
+    enc = EncoderModel(GEOM, QUIET, np.random.default_rng(0))
+    assert enc.sample_speeds(1.3, 0.2, 1.0) == (2, 0)
+    assert enc._carry == [pytest.approx(0.3), pytest.approx(0.2)]
+    assert enc.sample_speeds(0.0, 0.4, 1.0) == (0, 1)
+    assert enc._carry[1] == pytest.approx(0.1)
+    enc = EncoderModel(GEOM, QUIET, np.random.default_rng(0))
+    assert enc.sample_speeds(-1.3, 0.0, 1.0) == (-2, 0)
+    assert enc._carry[0] == pytest.approx(-0.3)
 
 
 @given(st.lists(st.floats(min_value=-0.6, max_value=0.6), min_size=1, max_size=300))
 def test_tick_carry_telescopes(displacements):
     # Cumulative ticks times the quantum never drifts more than one quantum
     # from the true cumulative displacement.
-    carry, total_ticks, total_disp = 0.0, 0, 0.0
+    enc = EncoderModel(GEOM, QUIET, np.random.default_rng(0))
+    total_ticks, total_disp = 0, 0.0
     for d in displacements:
-        ticks, carry = quantize_ticks(d, carry, 0.5)
+        ticks, _ = enc.sample_speeds(d, d, 1.0)
         total_ticks += ticks
         total_disp += d
         assert abs(total_disp - total_ticks * 0.5) < 0.5 + 1e-9
@@ -194,14 +193,13 @@ def test_encoder_is_slip_blind():
     # Wheels spinning while the body is stuck still produce ticks.
     rng = np.random.default_rng(1)
     enc = EncoderModel(GEOM, QUIET, rng)
-    state = _rolling(150.0)
+    loop = _rolling(150.0)
     stuck = SlipEvent(0.0, 1e9, "stuck")
     ticks = 0
     for _ in range(400):
-        state = step_plant(state, GEOM, 0.0025, slip=stuck)
-        ticks += enc.sample_speeds(state.wheel_actual.right,
-                                   state.wheel_actual.left, 0.0025)[0]
-    assert (state.pose.x, state.pose.y) == (0.0, 0.0)
+        loop.advance(0.0025, slip=stuck)
+        ticks += enc.sample_speeds(loop.actual.right, loop.actual.left, 0.0025)[0]
+    assert (loop.pose.x, loop.pose.y) == (0.0, 0.0)
     assert ticks * GEOM.mm_per_tick == pytest.approx(150.0, abs=0.5)
 
 
@@ -218,20 +216,23 @@ def test_encoder_determinism():
 
 
 def test_flow_pure_translation():
-    dx_l, dx_r = flow_displacement(Twist(100.0, 0.0), 0.1, GEOM)
+    flow = FlowModel(GEOM, QUIET, np.random.default_rng(0))
+    dx_l, dx_r = flow.sample_vw(100.0, 0.0, 0.1)
     assert dx_l == dx_r == pytest.approx(10.0)
 
 
 def test_flow_pure_rotation():
     # Spin at 1 rad/s with 60 mm sensor separation for 0.1 s.
-    dx_l, dx_r = flow_displacement(Twist(0.0, 1.0), 0.1, GEOM)
+    flow = FlowModel(GEOM, QUIET, np.random.default_rng(1))
+    dx_l, dx_r = flow.sample_vw(0.0, 1.0, 0.1)
     assert dx_l == pytest.approx(-3.0, abs=1e-12)
     assert dx_r == pytest.approx(3.0, abs=1e-12)
 
 
 def test_flow_is_slip_immune():
-    state = _rolling(150.0)
-    stuck_twist = wheels_to_twist(ground_wheels(state, SlipEvent(0, 1e9, "stuck")), GEOM)
+    loop = _rolling(150.0)
+    loop.advance(0.001, SlipEvent(0, 1e9, "stuck"))
+    stuck_twist = wheels_to_twist(loop.ground, GEOM)
     flow = FlowModel(GEOM, QUIET, np.random.default_rng(2))
     assert flow.sample_vw(stuck_twist.v, stuck_twist.w, 0.001) == (0.0, 0.0)
 
@@ -341,15 +342,14 @@ def test_stuck_interval_discrepancy():
     rng_f = np.random.default_rng(14)
     enc = EncoderModel(GEOM, QUIET, rng_e)
     flow = FlowModel(GEOM, QUIET, rng_f)
-    state = _rolling(150.0)
+    loop = _rolling(150.0)
     stuck = SlipEvent(0.0, 1e9, "stuck")
     enc_disp = flow_disp = 0.0
     for _ in range(400):
-        state = step_plant(state, GEOM, 0.0025, slip=stuck)
-        ticks_r, _ = enc.sample_speeds(state.wheel_actual.right,
-                                       state.wheel_actual.left, 0.0025)
+        loop.advance(0.0025, slip=stuck)
+        ticks_r, _ = enc.sample_speeds(loop.actual.right, loop.actual.left, 0.0025)
         enc_disp += ticks_r * GEOM.mm_per_tick
-        twist = wheels_to_twist(ground_wheels(state, stuck), GEOM)
+        twist = wheels_to_twist(loop.ground, GEOM)
         flow_disp += sum(flow.sample_vw(twist.v, twist.w, 0.0025)) / 2
     assert enc_disp / 1.0 > 100.0   # implied speed, mm/s
     assert flow_disp == 0.0
@@ -360,11 +360,11 @@ def test_straight_dead_reckoning_quantization_limited():
     # one tick quantum.
     rng = np.random.default_rng(15)
     enc = EncoderModel(GEOM, QUIET, rng)
-    state = _rolling(123.43)
+    loop = _rolling(123.43)
     total_ticks = 0
     for _ in range(4000):
-        state = step_plant(state, GEOM, 0.0025)
-        total_ticks += enc.sample_speeds(state.wheel_actual.right,
-                                         state.wheel_actual.left, 0.0025)[0]
+        loop.advance(0.0025)
+        total_ticks += enc.sample_speeds(loop.actual.right, loop.actual.left,
+                                         0.0025)[0]
     reconstructed = total_ticks * GEOM.mm_per_tick
-    assert abs(reconstructed - state.pose.x) < 0.5
+    assert abs(reconstructed - loop.pose.x) < 0.5
