@@ -168,6 +168,13 @@ INVOCATIONS = (
      ("--override", "duration_s=2",
       "--override", "world={bounds: [-1000, -1000, 1000, 1000]}",
       "--override", "robot.noise.ir_sigma=1.0e+9")),
+    # IR noise past 1e9 mm is rejected: its noise draws overflowed.
+    ("localize IR noise near the float maximum", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=0.5",
+      "--override", "world={bounds: [-1000, -1000, 1000, 1000]}",
+      "--override", "robot.noise.ir_sigma=1.7e+308")),
+    ("plan IR noise near the float maximum", "plan", "plan_arena.yaml",
+     ("--override", "robot.noise.ir_sigma=1.7e+308")),
     ("consensus 24 robots lossy seed 5", "consensus", "consensus_demo.yaml",
      ("--seed", "5", *[a for spec in BENCH_SWARM for a in ("--override", spec)])),
 )

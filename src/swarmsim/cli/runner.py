@@ -25,7 +25,7 @@ from swarmsim.planning import astar, inflate, ingest_ir_scan, median_filter, sav
 from swarmsim.sim import (STREAM_CHANNEL, STREAM_IR, RobotSim, RuntimeFault,
                           sample_ir, stream_rng)
 from swarmsim.swarm import run_networked_consensus, run_synchronous_consensus
-from swarmsim.cli.scenario import Scenario, ScenarioError
+from swarmsim.cli.scenario import Scenario
 
 
 COMPARE_VARIANTS = ("adaptive", "nonadaptive", "fixed_dt", "wheels", "flow")
@@ -75,16 +75,12 @@ def format_summary(summary: RunSummary) -> str:
 
 @dataclass
 class SensorRun:
-    """Everything one simulated run handed to the server side."""
+    """Delivered reports, truth at each send, and the channel that carried them."""
 
     delivered: list[SensorPacket]
     truth_at_send: dict[int, Posture]
-    final_truth: Posture
     noise_digest: str
-    sent: int
-    dropped: int
-    undecodable: int
-    undelivered: int
+    channel: StarChannel
 
 
 def simulate_reports(scenario: Scenario) -> SensorRun:
@@ -117,16 +113,7 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
             f"no report reached the server: {channel.sent} sent, "
             f"{channel.dropped} lost, {channel.undecodable} undecodable, "
             f"{channel.pending} still in flight")
-    return SensorRun(
-        delivered=delivered,
-        truth_at_send=sim.truth_at_send,
-        final_truth=sim.pose,
-        noise_digest=digest.hexdigest(),
-        sent=channel.sent,
-        dropped=channel.dropped,
-        undecodable=channel.undecodable,
-        undelivered=channel.pending,
-    )
+    return SensorRun(delivered, sim.truth_at_send, digest.hexdigest(), channel)
 
 
 def position_errors(times_ms, means, truth_at: dict[int, Posture]) -> np.ndarray:
@@ -238,10 +225,8 @@ def _run_variant(name: str, run: SensorRun, scenario: Scenario):
     if name == "fixed_dt":
         return run_estimator(*args, scenario.ekf,
                              fixed_dt_s=scenario.rates.report_period_ms / 1e3)
-    if name == "wheels" or name == "flow":
-        return dead_reckon(*args, name)
-    raise ScenarioError(f"unknown estimator variant {name!r}; "
-                        f"choose from {', '.join(COMPARE_VARIANTS)}")
+    # "wheels" or "flow": the --variants choices admit no other name.
+    return dead_reckon(*args, name)
 
 
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
@@ -259,10 +244,10 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
                      mean[0], mean[1], wrap_angle(mean[2]), float(err),
                      int(slip)))
     summary = RunSummary(scenario, {
-        "reports_sent": run.sent,
+        "reports_sent": run.channel.sent,
         "reports_processed": len(rows),
-        "frames_lost": run.dropped,
-        "frames_undecodable": run.undecodable,
+        "frames_lost": run.channel.dropped,
+        "frames_undecodable": run.channel.undecodable,
         "stale_skipped": estimate.stale_skipped,
         "slip_flagged_reports": int(sum(estimate.slip_flags)),
         "position_rmse_mm": _rmse(errors),

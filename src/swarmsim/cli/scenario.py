@@ -158,7 +158,8 @@ _PROB = Num(lo=0.0, hi=1.0)
 # maximum. A gain, scale factor or reference speed past 1e6 only saturates
 # the wheels (or the flow counters) sooner; a start posture, or a circle
 # radius, within 1e9 mm leaves the motion room to stay finite and keeps a
-# circle's far centre from cancelling the points around it.
+# circle's far centre from cancelling the points around it. IR noise within
+# 1e9 mm keeps its draws finite, and already saturates every wire reading.
 _GAIN = Num(lo=0.0, exclusive_lo=True, hi=1e6)
 _START = NumSeq(3, Num(lo=-1e9, hi=1e9))    # x mm, y mm, theta rad
 
@@ -176,7 +177,7 @@ _NOISE = Map({
     "flow_sigma": (_NONNEG, False),
     "flow_scale": (_GAIN, False),
     "gyro_sigma": (_NONNEG, False),
-    "ir_sigma": (_NONNEG, False),
+    "ir_sigma": (Num(lo=0.0, hi=1e9), False),   # mm
 })
 
 _SLIP_EVENT = Map({
@@ -421,11 +422,20 @@ def _world(section: dict) -> World:
     )
 
 
+# A track run samples its reference, and records its rows, once per control
+# period, all in memory: a million periods (19 h at 70 ms) take about 0.8 GB.
+_MAX_CONTROL_PERIODS = 10 ** 6
+
+
 def _track(data: dict, start: Posture) -> dict:
     control = data["control"]
     ref = control["reference"]
     duration = data["duration_s"]
     period_s = control.get("period_ms", 70.0) / 1e3
+    if duration > _MAX_CONTROL_PERIODS * period_s:
+        raise ScenarioError(
+            f"duration_s: must span at most {_MAX_CONTROL_PERIODS:g} control "
+            f"periods ({_MAX_CONTROL_PERIODS * period_s:g} s), got {duration:g} s")
     ref_start = _posture(ref["start"]) if "start" in ref else start
     if ref["shape"] == "circle":
         trajectory = _build("control.reference", circle_trajectory, ref["radius"],

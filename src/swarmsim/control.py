@@ -116,6 +116,12 @@ class ReferenceTrajectory:
         return pose, v, w
 
 
+def _sample_times(duration_s: float, period_s: float) -> list[float]:
+    """Sample instants k * period_s from 0, the last one clipped to duration_s."""
+    n = int(math.ceil(duration_s / period_s))
+    return [min(k * period_s, duration_s) for k in range(n + 1)]
+
+
 def circle_trajectory(radius: float, speed: float, duration_s: float,
                       period_s: float = 0.07, ccw: bool = True,
                       start: Posture = Posture(0.0, 0.0, 0.0)) -> ReferenceTrajectory:
@@ -128,17 +134,15 @@ def circle_trajectory(radius: float, speed: float, duration_s: float,
     cy = start.y + sign * radius * math.cos(start.theta)
     rate = sign * speed / radius
     phi0 = math.atan2(start.y - cy, start.x - cx)
-    n = int(math.ceil(duration_s / period_s))
-    times, postures = [], []
-    for k in range(n + 1):
-        t = min(k * period_s, duration_s)
+    times = _sample_times(duration_s, period_s)
+    postures = []
+    for t in times:
         phi = phi0 + rate * t
         postures.append(Posture(
             cx + radius * math.cos(phi),
             cy + radius * math.sin(phi),
             wrap_angle(phi + sign * math.pi / 2),
         ))
-        times.append(t)
     return ReferenceTrajectory(times, postures)
 
 
@@ -147,16 +151,11 @@ def line_trajectory(speed: float, duration_s: float, period_s: float = 0.07,
     """Constant-speed straight run along the start heading."""
     if speed <= 0 or duration_s <= 0 or period_s <= 0:
         raise ValueError("speed, duration and period must be positive")
-    n = int(math.ceil(duration_s / period_s))
-    times, postures = [], []
-    for k in range(n + 1):
-        t = min(k * period_s, duration_s)
-        times.append(t)
-        postures.append(Posture(
-            start.x + speed * t * math.cos(start.theta),
-            start.y + speed * t * math.sin(start.theta),
-            start.theta,
-        ))
+    times = _sample_times(duration_s, period_s)
+    postures = [Posture(start.x + speed * t * math.cos(start.theta),
+                        start.y + speed * t * math.sin(start.theta),
+                        start.theta)
+                for t in times]
     return ReferenceTrajectory(times, postures)
 
 

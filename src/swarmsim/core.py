@@ -128,12 +128,6 @@ def wheels_to_twist(wheels: WheelSpeeds, geometry: RobotGeometry) -> Twist:
     return Twist(v, w)
 
 
-def twist_to_wheels(twist: Twist, geometry: RobotGeometry) -> WheelSpeeds:
-    """Inverse of wheels_to_twist."""
-    half = 0.5 * geometry.wheel_base * twist.w
-    return WheelSpeeds(twist.v + half, twist.v - half)
-
-
 def integrate_unicycle(pose: Posture, twist: Twist, dt: float) -> Posture:
     """Advance a pose under a constant twist for dt seconds.
 

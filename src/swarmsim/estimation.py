@@ -337,10 +337,6 @@ class EstimationRun:
     slip_flags: list[bool] = field(default_factory=list)
     stale_skipped: int = 0
 
-    def final_pose(self) -> Posture:
-        m = self.means[-1]
-        return Posture(m[0], m[1], m[2])
-
 
 def _collect(est: StreamingEstimator, packets: list[SensorPacket]) -> EstimationRun:
     run = EstimationRun()

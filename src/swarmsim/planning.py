@@ -45,7 +45,6 @@ __all__ = [
     "grid_to_pgm",
     "inflate",
     "ingest_ir_scan",
-    "load_grid",
     "median_filter",
     "save_grid",
     "traverse_ray",
@@ -226,6 +225,14 @@ def ingest_ir_scan(grid: OccupancyGrid, poses: Sequence[Posture],
     return skipped
 
 
+def _shift(di: int, dj: int, h: int,
+           w: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """(destination, source) index pairs of an h x w array such that
+    cell [i, j] of the source lands on cell [i + di, j + dj]."""
+    return ((slice(max(0, di), min(h, h + di)), slice(max(0, dj), min(w, w + dj))),
+            (slice(max(0, -di), min(h, h - di)), slice(max(0, -dj), min(w, w - dj))))
+
+
 def _window_sums(mask: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (sum over window, cells present) with border truncation."""
     h, w = mask.shape
@@ -237,12 +244,9 @@ def _window_sums(mask: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]
     ones = np.ones((h, w), dtype=np.int32)
     for di in range(-half_r, half_r + 1):
         for dj in range(-half_c, half_c + 1):
-            src_r = slice(max(0, -di), min(h, h - di))
-            src_c = slice(max(0, -dj), min(w, w - dj))
-            dst_r = slice(max(0, di), min(h, h + di))
-            dst_c = slice(max(0, dj), min(w, w + dj))
-            total[dst_r, dst_c] += values[src_r, src_c]
-            present[dst_r, dst_c] += ones[src_r, src_c]
+            dst, src = _shift(di, dj, h, w)
+            total[dst] += values[src]
+            present[dst] += ones[src]
     return total, present
 
 
@@ -287,11 +291,8 @@ def inflate(grid: OccupancyGrid, margin: float) -> OccupancyGrid:
                 continue
             if math.hypot(di, dj) * grid.resolution > margin + 1e-9:
                 continue
-            src_r = slice(max(0, -di), min(h, h - di))
-            src_c = slice(max(0, -dj), min(w, w - dj))
-            dst_r = slice(max(0, di), min(h, h + di))
-            dst_c = slice(max(0, dj), min(w, w + dj))
-            inflated[dst_r, dst_c] |= occ[src_r, src_c]
+            dst, src = _shift(di, dj, h, w)
+            inflated[dst] |= occ[src]
     out = grid.clone_empty()
     out.hits = grid.hits.copy()
     out.hits[inflated] = np.maximum(out.hits[inflated], grid.occupied_threshold)
@@ -403,31 +404,3 @@ def save_grid(grid: OccupancyGrid, stem: str | Path) -> tuple[Path, Path]:
     txt.write_text(grid_header_text(grid), encoding="ascii")
     return pgm, txt
 
-
-def load_grid(stem: str | Path) -> OccupancyGrid:
-    """Rebuild a grid from save_grid output.
-
-    Hit counts are normalized on save, so occupied cells come back at
-    exactly the threshold; a save/load/save cycle is byte-identical.
-    """
-    stem = Path(stem)
-    meta: dict[str, str] = {}
-    for line in stem.with_suffix(".txt").read_text(encoding="ascii").splitlines():
-        key, _, value = line.partition(" ")
-        meta[key] = value
-    data = stem.with_suffix(".pgm").read_bytes()
-    magic, dims, maxval, raster = data.split(b"\n", 3)
-    if magic != b"P5" or maxval != b"255":
-        raise ValueError("not a grid image produced by save_grid")
-    width, height = (int(v) for v in dims.split())
-    grid = OccupancyGrid(
-        float(meta["resolution_mm"]),
-        tuple(float(v) for v in meta["origin_mm"].split()),
-        width, height,
-        int(meta["occupied_threshold"]),
-    )
-    states = np.frombuffer(raster[: width * height], dtype=np.uint8)
-    states = states.reshape((height, width))
-    grid.observed = states != UNKNOWN
-    grid.hits = np.where(states == OCCUPIED, grid.occupied_threshold, 0).astype(np.int32)
-    return grid

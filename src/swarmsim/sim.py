@@ -378,11 +378,6 @@ def _cast_rays(world: World, ox: list[float], oy: list[float],
     return dist
 
 
-def cast_ray(world: World, ox: float, oy: float, angle: float) -> float:
-    """Distance (mm) to the nearest obstacle or arena wall along a ray."""
-    return _cast_rays(world, [ox], [oy], [angle])[0]
-
-
 def sample_ir(world: World, poses: Sequence[Posture], geometry: RobotGeometry,
               noise: SensorNoise, rng: np.random.Generator) -> list[list[float | None]]:
     """Five range readings in ray order for each pose; None marks out-of-range.

@@ -16,13 +16,14 @@ corrected target, and the robots turn in place toward it between rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .comms import ChannelModel, FreshnessBuffer, SensorPacket, StarChannel, encode_frame
 from .core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle, saturate,
                    wheels_to_twist, wrap_angle)
+from .sim import SensorNoise, sample_gyro
 
 __all__ = [
     "ConsensusConfig",
@@ -165,18 +166,15 @@ class _TurningRobot:
         self.pose = Posture(300.0 * robot_id, 0.0, heading)
         self.target = heading
         self.geometry = geometry
-        self.gyro_sigma = gyro_sigma
+        self.noise = replace(SensorNoise.noiseless(), gyro_sigma=gyro_sigma)
         self.rng = rng
 
     def report(self, t_ms: float) -> bytes:
-        heading = self.pose.theta
-        if self.gyro_sigma > 0:
-            heading = wrap_angle(heading + self.rng.normal(0.0, self.gyro_sigma))
         packet = SensorPacket(
             robot_id=self.robot_id, t_sent=int(round(t_ms)),
             ticks_left=0, ticks_right=0,
             flow_dx_left=0.0, flow_dx_right=0.0,
-            gyro_heading=heading, ir=(None,) * 5,
+            gyro_heading=sample_gyro(self.pose, self.noise, self.rng), ir=(None,) * 5,
         )
         return encode_frame(packet)
 

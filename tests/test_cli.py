@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,19 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
         assert row["stale_skipped"] == str(estimate.stale_skipped)
 
 
+def test_sensor_run_channel_tallies_every_frame():
+    # Lossy, bit-flipping and slow enough that frames are still in flight
+    # at the end: every frame sent is lost, delivered, undecodable or
+    # pending, and the run's channel counts each kind.
+    scenario = load_scenario(SLIP, ("duration_s=5.0", "channel.loss_prob=0.2",
+                                    "channel.bit_flip_prob=0.001",
+                                    "channel.latency_max_ms=400"))
+    run = runner.simulate_reports(scenario)
+    ch = run.channel
+    assert ch.sent == ch.dropped + len(run.delivered) + ch.undecodable + ch.pending
+    assert min(ch.dropped, len(run.delivered), ch.undecodable, ch.pending) > 0
+
+
 def test_compare_variants_agree_without_noise_or_slip(tmp_path, capsys):
     # Nothing to disambiguate: quantization-limited errors, same for all.
     assert main(["compare", SLIP, "--out", str(tmp_path),
@@ -310,6 +324,7 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
     ("localize", "localize_slip.yaml", "rates.encoder_hz=2.3e-308", "rates"),
     # Rules the built objects own.
     ("track", "circle_track.yaml", "duration_s=0.01", "duration_s"),
+    ("track", "circle_track.yaml", "duration_s=1.0e+30", "duration_s"),
     ("track", "circle_track.yaml", "control.period_ms=100000", "control.reference"),
     ("plan", "plan_arena.yaml", "plan.start=[-5000,0]", "plan.start"),
     ("plan", "plan_arena.yaml", "plan.median_window=4", "plan.median_window"),
@@ -324,6 +339,10 @@ def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
      "robot.start[0]"),
     ("localize", "localize_slip.yaml", "robot.noise.flow_scale=1.7e+308",
      "robot.noise.flow_scale"),
+    ("localize", "localize_slip.yaml", "robot.noise.ir_sigma=1.7e+308",
+     "robot.noise.ir_sigma"),
+    ("plan", "plan_arena.yaml", "robot.noise.ir_sigma=1.7e+308",
+     "robot.noise.ir_sigma"),
     ("compare", "localize_jitter.yaml", "rates.report_period_ms=1.0e+30",
      "rates.report_period_ms"),
     ("track", "circle_track.yaml", "control.reference={shape: line, speed: 1.7e+308}",
@@ -474,3 +493,68 @@ def test_fuzzed_overrides_keep_the_exit_code_contract(tmp_path_factory, case):
             contextlib.redirect_stderr(io.StringIO()):
         code = main([command, str(SCENARIOS / scenario), "--out", str(out), *args])
     assert code in (0, 2, 3)
+
+
+# --- every numeric key at its extremes -----------------------------------------------
+
+
+EXTREME_NUMS = (0.0, -1.0, 5e-324, 1e30, -1e30, 1e300, -1e300, 1.7e308, -1.7e308,
+                float("nan"), float("inf"), float("-inf"))
+EXTREME_INTS = (10 ** 19, 10 ** 400, -1, 0, 1)
+
+
+def _extremes(spec):
+    """Fixed values for a numeric key: its schema bounds and the extremes of
+    its type. A list repeats one value to its length, or twice."""
+    if isinstance(spec, Int):
+        return EXTREME_INTS
+    if isinstance(spec, NumSeq):
+        return tuple([v] * (spec.length or 2) for v in _extremes(spec.item))
+    bounds = tuple(b for b in (spec.lo, spec.hi) if b is not None)
+    return tuple(dict.fromkeys(bounds + EXTREME_NUMS))
+
+
+# (run, path, value): every Num, Int and NumSeq key, against every run that
+# reads its section, at each of its extremes.
+SWEEP = tuple((run, path, value) for path, spec in PATHS
+              if isinstance(spec, (Num, Int, NumSeq))
+              for run in READERS.get(path.split(".")[0], RUNS)
+              for value in _extremes(spec))
+
+
+def _quiet_main(args: list[str]) -> tuple[int, str]:
+    """main(args) with warnings raised as errors; (exit code, stdout)."""
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(args)
+    return code, stdout.getvalue()
+
+
+def test_every_numeric_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path):
+    # The deterministic counterpart of the fuzz test above: a defect that
+    # one key reaches only at one magnitude cannot hide between draws.
+    failures = []
+    for (command, scenario, caps), path, value in SWEEP:
+        text = yaml.safe_dump(value, default_flow_style=True, width=sys.maxsize)
+        override = f"{path}=" + text.removesuffix("\n...\n").strip()
+        if path in SIZES_WORK or (path == "duration_s" and value > DURATION_CAP_S):
+            command = "validate"
+        case = f"{command} {scenario} {override}"
+        file = str(SCENARIOS / scenario)
+        overrides = [a for spec in (*caps, override) for a in ("--override", spec)]
+        try:
+            code, out = _quiet_main([command, file, "--out", str(tmp_path), *overrides])
+            if code not in (0, 2, 3):
+                failures.append(f"{case}: exit {code}")
+            elif code == 0 and any(line.partition(": ")[2] in ("inf", "-inf", "nan")
+                                   for line in out.splitlines()):
+                failures.append(f"{case}: non-finite metric")
+            # A run exits 2 only when building the scenario fails, which
+            # validate does too; so only an accepted run needs the check.
+            elif code != 2 and _quiet_main(["validate", file, *overrides])[0] != 0:
+                failures.append(f"{case}: exit {code}, but validate rejects it")
+        except Exception as exc:     # a warning or a traceback
+            failures.append(f"{case}: {exc!r}")
+    assert not failures, "\n".join(failures)

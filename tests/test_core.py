@@ -13,7 +13,6 @@ from swarmsim.core import (
     WheelSpeeds,
     error_posture,
     integrate_unicycle,
-    twist_to_wheels,
     wheels_to_twist,
     wrap_angle,
 )
@@ -78,14 +77,6 @@ def test_wheels_to_twist_examples():
     t = wheels_to_twist(WheelSpeeds(100.0, -100.0), GEOM)
     assert t.v == 0.0
     assert t.w == pytest.approx(2.0, abs=1e-12)  # 200 / 100 mm base, spin in place
-
-
-@given(speeds, speeds)
-def test_wheel_conversion_round_trip(right, left):
-    w = WheelSpeeds(right, left)
-    back = twist_to_wheels(wheels_to_twist(w, GEOM), GEOM)
-    assert back.right == pytest.approx(right, abs=1e-9)
-    assert back.left == pytest.approx(left, abs=1e-9)
 
 
 # --- integrate_unicycle --------------------------------------------------

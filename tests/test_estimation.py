@@ -482,8 +482,8 @@ def _straight_packets(n=10, period_ms=70, speed=100.0):
 
 def test_dead_reckon_wheels_straight():
     run = dead_reckon(_straight_packets(), Posture(0, 0, 0), GEOM, "wheels")
-    assert run.final_pose().x == pytest.approx(70.0, abs=1e-6)
-    assert run.final_pose().y == pytest.approx(0.0, abs=1e-9)
+    assert run.means[-1][0] == pytest.approx(70.0, abs=1e-6)
+    assert run.means[-1][1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dead_reckon_flow_ignores_spinning_wheels():
@@ -491,9 +491,9 @@ def test_dead_reckon_flow_ignores_spinning_wheels():
     pkts = [packet(k * 70, ticks=(k * 28, k * 28), flow=(0.0, 0.0))
             for k in range(1, 11)]
     run = dead_reckon(pkts, Posture(0, 0, 0), GEOM, "flow")
-    assert run.final_pose().x == pytest.approx(0.0, abs=1e-9)
+    assert run.means[-1][0] == pytest.approx(0.0, abs=1e-9)
     wheels = dead_reckon(pkts, Posture(0, 0, 0), GEOM, "wheels")
-    assert wheels.final_pose().x == pytest.approx(140.0, abs=1e-6)
+    assert wheels.means[-1][0] == pytest.approx(140.0, abs=1e-6)
 
 
 def test_dead_reckon_rejects_unknown_source():
@@ -544,7 +544,7 @@ def test_run_estimator_converges_on_straight_run():
     run = run_estimator(_straight_packets(50), Posture(0, 0, 0), GEOM, CFG)
     # Speed estimate settles at the true 100 mm/s and position tracks x = v t.
     assert run.means[-1][3] == pytest.approx(100.0, abs=2.0)
-    assert run.final_pose().x == pytest.approx(350.0, abs=5.0)
+    assert run.means[-1][0] == pytest.approx(350.0, abs=5.0)
     assert not run.slip_flags[-1]
 
 

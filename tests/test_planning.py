@@ -22,9 +22,7 @@ from swarmsim.planning import (
     grid_to_pgm,
     inflate,
     ingest_ir_scan,
-    load_grid,
     median_filter,
-    save_grid,
     traverse_ray,
 )
 from swarmsim import sim
@@ -768,22 +766,6 @@ def test_grid_header_contents():
     assert "origin_mm -100 25" in text
     assert "width_cells 4" in text
     assert "height_cells 6" in text
-
-
-def test_grid_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(13)
-    g = random_grid(rng, density=0.3, size=12)
-    g.observed &= rng.random((12, 12)) < 0.8
-    first = tmp_path / "map"
-    save_grid(g, first)
-    loaded = load_grid(first)
-    assert np.array_equal(loaded.states(), g.states())
-    second = tmp_path / "map2"
-    save_grid(loaded, second)
-    assert (first.with_suffix(".pgm").read_bytes()
-            == second.with_suffix(".pgm").read_bytes())
-    assert (first.with_suffix(".txt").read_text()
-            == second.with_suffix(".txt").read_text())
 
 
 def test_grid_validation():

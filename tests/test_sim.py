@@ -17,8 +17,8 @@ from swarmsim.sim import (
     SensorNoise,
     SlipEvent,
     World,
+    _cast_rays,
     active_slip,
-    cast_ray,
     sample_gyro,
     sample_ir,
 )
@@ -325,11 +325,10 @@ def test_ir_outside_world_rejected():
         sample_ir(world, [Posture(500, 0, 0)], GEOM, QUIET, np.random.default_rng(12))[0]
 
 
-def test_cast_ray_hits_bounds():
+def test_cast_rays_hit_bounds():
     world = World(bounds=Rect(-1000, -1000, 1000, 1000))
-    assert cast_ray(world, 0, 0, 0.0) == pytest.approx(1000.0)
-    assert cast_ray(world, 0, 0, math.pi / 2) == pytest.approx(1000.0)
-    assert cast_ray(world, 0, 0, math.pi / 4) == pytest.approx(1000.0 * math.sqrt(2))
+    dist = _cast_rays(world, [0, 0, 0], [0, 0, 0], [0.0, math.pi / 2, math.pi / 4])
+    assert dist == pytest.approx([1000.0, 1000.0, 1000.0 * math.sqrt(2)])
 
 
 # --- slip observability -------------------------------------------------------
