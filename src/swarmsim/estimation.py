@@ -101,7 +101,9 @@ class EkfBelief:
 
     @property
     def pose(self) -> Posture:
-        return Posture(self.mean[0], self.mean[1], self.mean[2])
+        # Python floats, not numpy scalars: a controller fed this pose
+        # would pass numpy scalars on into the plant's arithmetic.
+        return Posture(*self.mean[:3].tolist())
 
 
 def initial_belief(pose: Posture) -> EkfBelief:

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
+from swarmsim.control import Gains, circle_trajectory, tracking_control
 from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
+from swarmsim.estimation import EkfConfig, StreamingEstimator
 from swarmsim.sim import (
     NOISE_BLOCK,
     STREAM_ENCODER,
@@ -266,3 +268,24 @@ def test_engine_keeps_the_plant_step_check(rates_):
     sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1, rates=rates_)
     with pytest.raises(ValueError, match="dt must be in"):
         sim.advance_to(1_000_000)
+
+
+def test_estimator_feedback_keeps_the_engine_on_python_floats():
+    # The estimator-fed track loop: the filter's pose feeds the controller,
+    # whose wheels feed the engine. A numpy scalar leaking from the filter
+    # mean would turn every later plant step into numpy scalar arithmetic.
+    start = Posture(0.0, 0.0, 0.0)
+    traj = circle_trajectory(400.0, 80.0, 2.0, start=start)
+    sim = RobotSim(GEOM, SensorNoise(), start, 4)
+    est = StreamingEstimator(start, GEOM, EkfConfig.from_noise(SensorNoise(), GEOM))
+    for i in range(1, 20):
+        t_us = i * 70_000
+        for packet in sim.advance_to(t_us):
+            est.push(packet)
+        pose = est.belief.pose
+        assert [type(f) for f in (pose.x, pose.y, pose.theta)] == [float] * 3
+        ref, v_r, w_r = traj.reference_at(t_us / 1e6)
+        sim.set_command(tracking_control(ref, pose, v_r, w_r, Gains(), GEOM))
+    state = (sim._cmd_right, sim._cmd_left, sim._act_right, sim._act_left,
+             sim._int_right, sim._int_left, sim._x, sim._y, sim._theta)
+    assert [type(f) for f in state] == [float] * len(state)
