@@ -52,6 +52,11 @@ INVOCATIONS = (
     ("track estimator lossy", "track", "circle_track.yaml",
      ("--override", "control.feedback=estimator",
       *[a for spec in LOSSY_TRACK for a in ("--override", spec)])),
+    # A control period that is no multiple of the 2.5 ms plant tick: each
+    # command latches at the tick boundary after it is set.
+    ("track estimator 33 ms control period", "track", "circle_track.yaml",
+     ("--override", "control.feedback=estimator",
+      "--override", "control.period_ms=33")),
     ("localize slip", "localize", "localize_slip.yaml", ()),
     ("localize jitter", "localize", "localize_jitter.yaml", ()),
     ("localize slip lossy", "localize", "localize_slip.yaml",

@@ -1,23 +1,24 @@
 """Robot plant, sensor models, and the sensor engine that fuses them.
 
 The plant is a differential-drive body whose wheel speeds follow commands
-through a PI-regulated first-order motor lag.  Slip decouples wheel motion
-from ground motion: encoders sense the wheels (slip-blind) while the paired
-optical-flow sensors sense true ground motion (slip-immune).  All sensor
-models draw from caller-supplied numpy generators so runs are reproducible.
+through a digital PI loop and a first-order motor lag, on one fixed tick.
+Slip decouples wheel motion from ground motion: encoders sense the wheels
+(slip-blind) while the paired optical-flow sensors sense true ground
+motion (slip-immune).  Sensors are sampled once per report window, in
+closed form.  All sensor models draw from caller-supplied numpy generators
+so runs are reproducible.
 
 ``PlantLoop``, ``EncoderModel`` and ``FlowModel`` are the reference plant,
-stepped one event and one sample at a time; ``RobotSim``, the engine every
-run uses, repeats their arithmetic inline in one fused event loop per
+stepped one tick and one report window at a time; ``RobotSim``, the engine
+every run uses, repeats their arithmetic inline in one fused loop per
 robot, on seed-derived per-robot noise streams.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, count
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .core import (
     MAX_WHEEL_SPEED,
     Posture,
     RobotGeometry,
+    Twist,
     WheelSpeeds,
     integrate_unicycle,
     wheels_to_twist,
@@ -37,33 +39,40 @@ from .core import (
 # --- wheel speed regulation ------------------------------------------------
 
 
-# Wheel speed loop: PI trim around a command feedforward, driving a
-# first-order motor lag, with commands and drive saturated at
-# MAX_WHEEL_SPEED.  A step settles to a few percent within 0.3 s without
-# overshoot.
+# Wheel speed loop: a digital PI trim around a command feedforward, updated
+# once per tick, whose drive is held through the tick into a first-order
+# motor lag; commands and drive saturate at MAX_WHEEL_SPEED.  A step
+# settles to a few percent within 0.3 s without overshoot.
 PI_KP = 0.8
 PI_KI = 2.0
 MOTOR_TAU_S = 0.05
 
-
-# Longest plant step (s) the Euler integration accepts.
-MAX_STEP_S = 0.2
+# The plant's fixed tick, the 400 Hz encoder period.  Tick boundaries fall
+# on multiples of TICK_US from t = 0; no sensor or report rate moves them.
+TICK_US = 2500
+TICK_S = TICK_US / 1e6
+# Exact lag over one tick at a held drive: a wheel at speed a0 ends the
+# tick at drive + (a0 - drive) * LAG_END and averages
+# drive + (a0 - drive) * LAG_MEAN over it.
+LAG_END = math.exp(-TICK_S / MOTOR_TAU_S)
+LAG_MEAN = MOTOR_TAU_S / TICK_S * (1.0 - LAG_END)
 
 
 def _clamp(value: float, limit: float) -> float:
     return max(-limit, min(limit, value))
 
 
-def _pi_wheel(command: float, actual: float, integral: float,
-              dt: float) -> tuple[float, float]:
+def _pi_wheel(command: float, actual: float,
+              integral: float) -> tuple[float, float, float]:
+    """One tick of one wheel: (speed at its end, mean speed, integral)."""
     target = _clamp(command, MAX_WHEEL_SPEED)
     error = target - actual
     drive_raw = target + PI_KP * error + PI_KI * integral
     drive = _clamp(drive_raw, MAX_WHEEL_SPEED)
     if drive == drive_raw:
-        integral += error * dt   # anti-windup: freeze while the drive clips
-    actual += dt * (drive - actual) / MOTOR_TAU_S
-    return actual, integral
+        integral += error * TICK_S   # anti-windup: freeze while the drive clips
+    gap = actual - drive
+    return drive + gap * LAG_END, drive + gap * LAG_MEAN, integral
 
 
 # --- slip --------------------------------------------------------------------
@@ -75,6 +84,7 @@ class SlipEvent:
 
     mode 'stuck': wheels spin, the body does not move.
     mode 'scale': ground speed is factor times wheel speed.
+    A tick takes the event active at its start for its whole length.
     """
 
     start_ms: float
@@ -103,7 +113,7 @@ def active_slip(schedule: tuple[SlipEvent, ...], t_ms: float) -> SlipEvent | Non
 
 @dataclass
 class PlantLoop:
-    """One robot's plant, stepped one event at a time: the reference plant.
+    """One robot's plant, stepped one tick at a time: the reference plant.
 
     ``RobotSim.advance_to`` below inlines ``advance`` float operation for
     float operation, and the engine equivalence test checks it against this
@@ -113,35 +123,36 @@ class PlantLoop:
     pose: Posture
     geometry: RobotGeometry
     command: WheelSpeeds = WheelSpeeds(0.0, 0.0)
-    actual: WheelSpeeds = WheelSpeeds(0.0, 0.0)
+    actual: WheelSpeeds = WheelSpeeds(0.0, 0.0)   # at the end of the last tick
     integral: tuple[float, float] = (0.0, 0.0)   # right, left
-    # Ground-contact wheel speeds of the most recent step, for sensors
-    # that observe body motion rather than wheel rotation.
+    # Mean speeds over the last tick: of the wheels, which the encoders
+    # count, and of the ground contact, which moves the body and which the
+    # flow sensors see.
+    wheels: WheelSpeeds = WheelSpeeds(0.0, 0.0)
     ground: WheelSpeeds = WheelSpeeds(0.0, 0.0)
 
     def set_command(self, right: float, left: float) -> None:
         self.command = WheelSpeeds(right, left)
 
-    def advance(self, dt: float, slip: SlipEvent | None = None) -> None:
-        """One PI update of both wheels, then one motion step at the ground
-        speeds under the slip event; a step outside (0, MAX_STEP_S] raises
-        ValueError and leaves the loop unchanged."""
-        if not 0 < dt <= MAX_STEP_S:
-            raise ValueError(f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
-        right, int_r = _pi_wheel(self.command.right, self.actual.right,
-                                 self.integral[0], dt)
-        left, int_l = _pi_wheel(self.command.left, self.actual.left,
-                                self.integral[1], dt)
-        actual = WheelSpeeds(right, left)
+    def advance(self, slip: SlipEvent | None = None) -> None:
+        """One tick: the PI update of both wheels, then one motion step of
+        TICK_S along the chord of the arc at the tick's mean ground twist
+        under the slip event."""
+        right, mean_r, int_r = _pi_wheel(self.command.right, self.actual.right,
+                                         self.integral[0])
+        left, mean_l, int_l = _pi_wheel(self.command.left, self.actual.left,
+                                        self.integral[1])
+        wheels = WheelSpeeds(mean_r, mean_l)
         if slip is None:
-            ground = actual
+            ground = wheels
         elif slip.mode == "stuck":
             ground = WheelSpeeds(0.0, 0.0)
         else:
-            ground = WheelSpeeds(slip.factor * right, slip.factor * left)
-        pose = integrate_unicycle(self.pose, wheels_to_twist(ground, self.geometry), dt)
-        self.pose, self.actual, self.integral = pose, actual, (int_r, int_l)
-        self.ground = ground
+            ground = WheelSpeeds(slip.factor * mean_r, slip.factor * mean_l)
+        self.pose = integrate_unicycle(self.pose, wheels_to_twist(ground, self.geometry),
+                                       TICK_S)
+        self.actual, self.integral = WheelSpeeds(right, left), (int_r, int_l)
+        self.wheels, self.ground = wheels, ground
 
 
 # --- sensors -----------------------------------------------------------------
@@ -152,8 +163,8 @@ class SensorNoise:
     """Per-sample noise levels and the flow calibration factor.
 
     encoder_sigma and flow_sigma are speed-noise standard deviations (mm/s)
-    applied per sample at the sensor's own rate; both land near 2 mm/s at
-    the 70 ms report level with the default rates.  Wheel odometry error is
+    of one sample at the sensor's own rate; both land near 2 mm/s at the
+    70 ms report level with the default rates.  Wheel odometry error is
     dominated by tick quantization instead of this term.
     """
 
@@ -174,59 +185,82 @@ class SensorNoise:
         return cls(encoder_sigma=0.0, flow_sigma=0.0, gyro_sigma=0.0, ir_sigma=0.0)
 
 
+def window_sigma(sigma: float, period_s: float, window_s: float) -> float:
+    """Standard deviation of the summed displacement noise of one window.
+
+    A sample of period_s seconds carries sigma * period_s mm of noise, and a
+    window of window_s seconds holds window_s / period_s such i.i.d.
+    samples, so their sum is one normal of variance
+    sigma**2 * period_s * window_s.
+    """
+    return sigma * math.sqrt(period_s * window_s)
+
+
 class EncoderModel:
-    """Incremental wheel encoders: quantized, noisy, and slip-blind."""
+    """Incremental wheel encoders: quantized, noisy, and slip-blind.
+
+    Sampled once per report window in closed form; period_s is the
+    encoder's own sample period, which only sets the window noise.
+    """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, period_s: float):
         self.geometry = geometry
         self.noise = noise
         self.rng = rng
-        self._carry = [0.0, 0.0]   # right, left
+        self.period_s = period_s
+        self._travel = [0.0, 0.0]   # cumulative noisy travel (mm), right, left
+        self._ticks = [0, 0]
 
     def sample_speeds(self, right: float, left: float, dt: float) -> tuple[int, int]:
-        """Ticks (right, left) for one interval at the given wheel speeds.
+        """Ticks (right, left) counted over one report window of dt seconds
+        in which the wheels travelled right and left mm.
 
-        ``RobotSim.advance_to`` below inlines this sample with block-drawn
-        noise; this method is its per-sample reference and a tracing target.
+        The count is the truncation toward zero of the cumulative noisy
+        travel, so forward and reverse motion quantize symmetrically and
+        the cumulative count never drifts a quantum from the travel.
+        ``RobotSim`` below inlines this sample at each report; this method
+        is its per-window reference and a tracing target.
         """
-        mm_per_tick = self.geometry.mm_per_tick
+        sigma = window_sigma(self.noise.encoder_sigma, self.period_s, dt)
         ticks = []
-        for i, speed in enumerate((right, left)):
-            noisy = speed + self.noise.encoder_sigma * self.rng.standard_normal()
-            # Truncation toward zero quantizes forward and reverse motion
-            # symmetrically; the carry stays below one tick in magnitude.
-            total = self._carry[i] + noisy * dt
-            t = int(total / mm_per_tick)
-            self._carry[i] = total - t * mm_per_tick
-            ticks.append(t)
+        for i, travel in enumerate((right, left)):
+            self._travel[i] += travel + sigma * self.rng.standard_normal()
+            total = int(self._travel[i] / self.geometry.mm_per_tick)
+            ticks.append(total - self._ticks[i])
+            self._ticks[i] = total
         return ticks[0], ticks[1]
 
 
 class FlowModel:
-    """Paired downward optical-flow sensors measuring ground motion."""
+    """Paired downward optical-flow sensors measuring ground motion.
+
+    Sampled once per report window in closed form; period_s is the flow
+    sensors' own sample period, which only sets the window noise.
+    """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, period_s: float):
         self.geometry = geometry
         self.noise = noise
         self.rng = rng
+        self.period_s = period_s
 
     def sample_vw(self, v: float, w: float, dt: float) -> tuple[float, float]:
-        """Displacements (left, right) for one interval at body speeds v, w.
+        """Displacements (left, right) over one report window of dt seconds
+        in which the body moved v mm along its heading and turned w rad.
 
         The sensors sit half the sensor separation to each side of the body
         axis, so a counterclockwise turn slows the left one.
-        ``RobotSim.advance_to`` below inlines this sample with block-drawn
-        noise; this method is its per-sample reference and a tracing target.
+        ``RobotSim`` below inlines this sample at each report; this method
+        is its per-window reference and a tracing target.
         """
         half = 0.5 * self.geometry.flow_separation * w
-        sigma = self.noise.flow_sigma * dt
+        sigma = window_sigma(self.noise.flow_sigma, self.period_s, dt)
+        scale = self.noise.flow_scale
         return (
-            (v - half) * dt * self.noise.flow_scale
-            + sigma * self.rng.standard_normal(),
-            (v + half) * dt * self.noise.flow_scale
-            + sigma * self.rng.standard_normal(),
+            (v - half) * scale + sigma * self.rng.standard_normal(),
+            (v + half) * scale + sigma * self.rng.standard_normal(),
         )
 
 
@@ -234,8 +268,10 @@ class FlowModel:
 class Rates:
     """Sensor sampling and report schedule.
 
-    The engine runs on an integer microsecond grid, so each rate is used
-    through its rounded period.  report_jitter_ms > 0 spreads each
+    Report instants lie on an integer microsecond grid.  The sensor rates
+    set only the noise of each report window, through their rounded
+    periods; they never change the plant's tick.  report_jitter_ms > 0
+    spreads each
     inter-report interval uniformly over period +- jitter, modeling a robot
     whose send loop does not keep exact time. The report payload still
     covers the true interval and carries the true send timestamp, so a
@@ -415,37 +451,30 @@ class RuntimeFault(Exception):
 (STREAM_ENCODER, STREAM_FLOW, STREAM_GYRO, STREAM_IR, STREAM_CHANNEL,
  STREAM_SCHEDULE) = range(6)
 
-# Encoder and flow noise is drawn this many normals at a time.
-NOISE_BLOCK = 4096
-
 
 def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, robot_id, purpose])
 
 
-def _normals(rng: np.random.Generator) -> Iterator[float]:
-    """Endless standard normals of rng, drawn NOISE_BLOCK at a time: the
-    same sequence as one scalar draw each."""
-    return chain.from_iterable(rng.standard_normal(NOISE_BLOCK).tolist()
-                               for _ in count())
-
-
 class RobotSim:
     """Plant, wheel PI loop, and sensor suite of one robot.
 
-    Time advances on an integer microsecond grid so the 400 Hz encoder,
-    1000 Hz flow, and report clocks stay exactly commensurate; every event
-    fires at its true instant regardless of the other rates.
+    The plant steps on the fixed TICK_US tick; reports fire on their own
+    integer microsecond clock.  A report instant, or an ``advance_to``
+    target, inside a tick splits only the motion step: the body's pose there
+    is the chord step from the tick's start at the tick's twist, which
+    carries on for the rest of the tick.  So the pose at every tick
+    boundary is the same whatever the report and sensor clocks.  A command
+    takes effect at the next tick boundary.
 
-    ``advance_to`` is one fused event loop: the reference plant step
-    ``PlantLoop.advance``, the slip lookup, the encoder sample of
-    ``EncoderModel.sample_speeds`` and the flow sample of
-    ``FlowModel.sample_vw`` are written inline, float operation for float
-    operation, with the state held in locals between reports.  Encoder and
-    flow noise come from one endless iterator per stream over
-    ``standard_normal(NOISE_BLOCK)`` blocks, which yield the same sequence
-    as scalar draws.  A reference loop that calls those three classes once
-    per event is the oracle of the engine equivalence test.
+    ``advance_to`` is one fused loop: the reference tick
+    ``PlantLoop.advance`` and the slip lookup are written inline, float
+    operation for float operation, with the state held in locals between
+    reports.  Each report then samples the window in closed form, as
+    ``EncoderModel.sample_speeds`` and ``FlowModel.sample_vw`` do: one
+    normal per wheel and one per flow sensor.  A reference loop that calls
+    those three classes once per tick and per window is the oracle of the
+    engine equivalence test.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -459,63 +488,81 @@ class RobotSim:
         self.robot_id = robot_id
         self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
                             for e in slip_schedule)
-        self._x, self._y, self._theta = start.x, start.y, start.theta
-        self._cmd_right = self._cmd_left = 0.0
-        self._act_right = self._act_left = 0.0
-        self._int_right = self._int_left = 0.0
-        self._enc_noise = _normals(stream_rng(seed, robot_id, STREAM_ENCODER))
-        self._flow_noise = _normals(stream_rng(seed, robot_id, STREAM_FLOW))
+        self._enc_rng = stream_rng(seed, robot_id, STREAM_ENCODER)
+        self._flow_rng = stream_rng(seed, robot_id, STREAM_FLOW)
         self.gyro_rng = stream_rng(seed, robot_id, STREAM_GYRO)
         self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
-        self.truth_at_send: dict[int, Posture] = {}
-        self.t_us = 0
-        self._enc_us = rates.encoder_period_us
-        self._flow_us = rates.flow_period_us
+        self._schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
+        self._enc_period_s = rates.encoder_period_us / 1e6
+        self._flow_period_s = rates.flow_period_us / 1e6
         self._report_us = rates.report_period_us
         self._jitter_us = rates.report_jitter_us
-        self._schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
-        self._next_enc = self._enc_us
-        self._next_flow = self._flow_us
-        self._next_report = self._report_interval()
-        self._carry_right = self._carry_left = 0.0
-        self._ticks_l = 0
-        self._ticks_r = 0
-        self._flow_l = 0.0
-        self._flow_r = 0.0
+        self.truth_at_send: dict[int, Posture] = {}
+        self.t_us = 0
+        self._cmd_right = self._cmd_left = 0.0
+        # Pose and the running sums at the start of the current tick, or at
+        # t_us when that is a tick boundary (t_us == _tick_end): wheel
+        # travel (mm), and the ground path length (mm) and heading change
+        # (rad) that the flow sensors see.
+        self._x, self._y, self._theta = start.x, start.y, start.theta
+        self._wheel_r = self._wheel_l = 0.0
+        self._path = self._turn = 0.0
+        self._act_right = self._act_left = 0.0
+        self._int_right = self._int_left = 0.0
+        # The current tick: its end, mean wheel speeds and ground twist.
+        self._tick_end = 0
+        self._mean_r = self._mean_l = 0.0
+        self._v = self._w = 0.0
+        # The report windows: the open window's length and the sums at its
+        # start, and the counters the reports carry.
+        self._window_us = self._report_interval()
+        self._next_report = self._window_us
+        self._at_report = (0.0, 0.0, 0.0, 0.0)
+        self._travel_r = self._travel_l = 0.0   # cumulative noisy wheel travel
+        self._flow_l = self._flow_r = 0.0
 
     def _report_interval(self) -> int:
         if self._jitter_us == 0:
-            return self._report_us
-        return int(self._schedule_rng.integers(
-            self._report_us - self._jitter_us,
-            self._report_us + self._jitter_us + 1))
+            interval = self._report_us
+        else:
+            interval = int(self._schedule_rng.integers(
+                self._report_us - self._jitter_us,
+                self._report_us + self._jitter_us + 1))
+        if interval < 1:
+            # Scenario validation rejects such rates first; a report clock
+            # that does not advance would otherwise never let time pass.
+            raise ValueError(f"report interval must be at least 1 us, got {interval}")
+        return interval
 
     def set_command(self, wheels: WheelSpeeds) -> None:
         self._cmd_right = wheels.right
         self._cmd_left = wheels.left
 
+    def _into_tick(self) -> float:
+        """Seconds from the start of the current tick to t_us; 0 at a tick
+        boundary."""
+        if self.t_us == self._tick_end:
+            return 0.0
+        return (self.t_us - self._tick_end + TICK_US) / 1e6
+
     @property
     def pose(self) -> Posture:
-        return Posture(self._x, self._y, self._theta)
+        start = Posture(self._x, self._y, self._theta)
+        into = self._into_tick()
+        if into == 0.0:
+            return start
+        return integrate_unicycle(start, Twist(self._v, self._w), into)
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         """Run plant and sensors up to target time; returns reports sent."""
         sent: list[SensorPacket] = []
         t_us = self.t_us
-        kp, ki, tau = PI_KP, PI_KI, MOTOR_TAU_S
+        kp, ki = PI_KP, PI_KI
+        lag_end, lag_mean = LAG_END, LAG_MEAN
+        tick_us, tick_s = TICK_US, TICK_S
         v_max = MAX_WHEEL_SPEED
         v_min = -v_max
         wheel_base = self.geometry.wheel_base
-        half_sep = 0.5 * self.geometry.flow_separation
-        mm_per_tick = self.geometry.mm_per_tick
-        enc_sigma = self.noise.encoder_sigma
-        flow_scale = self.noise.flow_scale
-        enc_us, flow_us = self._enc_us, self._flow_us
-        enc_dt = enc_us * 1e-6
-        flow_dt = flow_us * 1e-6
-        flow_sigma = self.noise.flow_sigma * flow_dt
-        enc_draw = self._enc_noise.__next__
-        flow_draw = self._flow_noise.__next__
         slips = self._slips
         sin, cos, pi = math.sin, math.cos, math.pi
         arc_eps, neg_arc_eps = ARC_EPSILON, -ARC_EPSILON
@@ -528,75 +575,76 @@ class RobotSim:
         target_l = target_l if target_l > v_min else v_min
         # Loop state, written back at the end.
         x, y, theta = self._x, self._y, self._theta
+        wheel_r, wheel_l = self._wheel_r, self._wheel_l
+        path, turn = self._path, self._turn
         act_r, act_l = self._act_right, self._act_left
         int_r, int_l = self._int_right, self._int_left
-        carry_r, carry_l = self._carry_right, self._carry_left
-        ticks_r, ticks_l = self._ticks_r, self._ticks_l
-        flow_l, flow_r = self._flow_l, self._flow_r
-        next_enc, next_flow = self._next_enc, self._next_flow
+        tick_end = self._tick_end
+        mean_r, mean_l, v, w = self._mean_r, self._mean_l, self._v, self._w
         next_report = self._next_report
         window_slips = ()
         while t_us < target_us:
             stop = next_report if next_report < target_us else target_us
             if slips:
-                # Events that can be active at some step start in
-                # [t_us, stop); t / 1e3 is monotone in t.
+                # Events that can be active at a tick start in [t_us, stop);
+                # t / 1e3 is monotone in t.
                 lo_ms, hi_ms = t_us / 1e3, stop / 1e3
                 window_slips = tuple(e for e in slips
                                      if e[1] > lo_ms and e[0] <= hi_ms)
-            # At least one step per window, so a report clock that does not
-            # advance fails the dt check instead of looping forever.
             while True:
-                t_next = stop
-                if next_enc < t_next:
-                    t_next = next_enc
-                if next_flow < t_next:
-                    t_next = next_flow
-                dt = (t_next - t_us) * 1e-6
-                if not 0 < dt <= MAX_STEP_S:
-                    raise ValueError(
-                        f"dt must be in (0, {MAX_STEP_S}], got {dt!r}")
-                # Wheel speed loops: PI trim, anti-windup, motor lag.
-                error = target_r - act_r
-                drive = target_r + kp * error + ki * int_r
-                if drive > v_max:
-                    drive = v_max
-                elif drive < v_min:
-                    drive = v_min
-                else:
-                    int_r += error * dt
-                act_r += dt * (drive - act_r) / tau
-                error = target_l - act_l
-                drive = target_l + kp * error + ki * int_l
-                if drive > v_max:
-                    drive = v_max
-                elif drive < v_min:
-                    drive = v_min
-                else:
-                    int_l += error * dt
-                act_l += dt * (drive - act_l) / tau
-                # Ground contact under the first active slip event.
-                g_r, g_l = act_r, act_l
-                if window_slips:
-                    t_ms = t_us / 1e3
-                    for start_ms, end_ms, stuck, factor in window_slips:
-                        if start_ms <= t_ms < end_ms:
-                            if stuck:
-                                g_r = g_l = 0.0
-                            else:
-                                g_r = factor * act_r
-                                g_l = factor * act_l
-                            break
-                # Body motion: chord form of the constant-twist arc.
-                v = 0.5 * (g_r + g_l)
-                w = (g_r - g_l) / wheel_base
-                swept = w * dt
+                if t_us == tick_end:
+                    # Wheel speed loops: PI trim with anti-windup, then the
+                    # held drive through the exact motor lag.
+                    error = target_r - act_r
+                    drive = target_r + kp * error + ki * int_r
+                    if drive > v_max:
+                        drive = v_max
+                    elif drive < v_min:
+                        drive = v_min
+                    else:
+                        int_r += error * tick_s
+                    gap = act_r - drive
+                    act_r = drive + gap * lag_end
+                    mean_r = drive + gap * lag_mean
+                    error = target_l - act_l
+                    drive = target_l + kp * error + ki * int_l
+                    if drive > v_max:
+                        drive = v_max
+                    elif drive < v_min:
+                        drive = v_min
+                    else:
+                        int_l += error * tick_s
+                    gap = act_l - drive
+                    act_l = drive + gap * lag_end
+                    mean_l = drive + gap * lag_mean
+                    # Ground contact under the slip event active at the
+                    # tick's start.
+                    g_r, g_l = mean_r, mean_l
+                    if window_slips:
+                        t_ms = t_us / 1e3
+                        for start_ms, end_ms, stuck, factor in window_slips:
+                            if start_ms <= t_ms < end_ms:
+                                if stuck:
+                                    g_r = g_l = 0.0
+                                else:
+                                    g_r = factor * mean_r
+                                    g_l = factor * mean_l
+                                break
+                    v = 0.5 * (g_r + g_l)
+                    w = (g_r - g_l) / wheel_base
+                    tick_end = t_us + tick_us
+                if tick_end > stop:
+                    t_us = stop   # inside the tick; the state stays at its start
+                    break
+                # Body motion over the tick: chord form of the arc.
+                travel = v * tick_s
+                swept = w * tick_s
                 if swept > arc_eps or swept < neg_arc_eps:
                     half = 0.5 * swept
-                    chord = v * dt * sin(half) / half
+                    chord = travel * sin(half) / half
                     heading = theta + half
                 else:
-                    chord = v * dt
+                    chord = travel
                     heading = theta
                 x += chord * cos(heading)
                 y += chord * sin(heading)
@@ -604,47 +652,40 @@ class RobotSim:
                 theta += swept
                 if not -pi < theta <= pi:
                     theta = wrap_angle(theta)
-                t_us = t_next
-                if t_us == next_flow:
-                    half = half_sep * w
-                    flow_l += ((v - half) * flow_dt * flow_scale
-                               + flow_sigma * flow_draw())
-                    flow_r += ((v + half) * flow_dt * flow_scale
-                               + flow_sigma * flow_draw())
-                    next_flow += flow_us
-                if t_us == next_enc:
-                    noisy = act_r + enc_sigma * enc_draw()
-                    total = carry_r + noisy * enc_dt
-                    ticks = int(total / mm_per_tick)
-                    carry_r = total - ticks * mm_per_tick
-                    ticks_r += ticks
-                    noisy = act_l + enc_sigma * enc_draw()
-                    total = carry_l + noisy * enc_dt
-                    ticks = int(total / mm_per_tick)
-                    carry_l = total - ticks * mm_per_tick
-                    ticks_l += ticks
-                    next_enc += enc_us
+                wheel_r += mean_r * tick_s
+                wheel_l += mean_l * tick_s
+                path += travel
+                turn += swept
+                t_us = tick_end
                 if t_us == stop:
                     break
             if t_us == next_report:
+                self.t_us, self._tick_end = t_us, tick_end
+                self._x, self._y, self._theta = x, y, theta
+                self._v, self._w = v, w
+                into = self._into_tick()
                 sent.append(self._assemble_report(
-                    t_us, Posture(x, y, theta), ticks_r, ticks_l, flow_l, flow_r))
-                next_report += self._report_interval()
+                    wheel_r + mean_r * into, wheel_l + mean_l * into,
+                    path + v * into, turn + w * into))
+                self._window_us = self._report_interval()
+                next_report += self._window_us
         self._x, self._y, self._theta = x, y, theta
+        self._wheel_r, self._wheel_l = wheel_r, wheel_l
+        self._path, self._turn = path, turn
         self._act_right, self._act_left = act_r, act_l
         self._int_right, self._int_left = int_r, int_l
-        self._carry_right, self._carry_left = carry_r, carry_l
-        self._ticks_r, self._ticks_l = ticks_r, ticks_l
-        self._flow_l, self._flow_r = flow_l, flow_r
-        self._next_enc, self._next_flow = next_enc, next_flow
+        self._tick_end = tick_end
+        self._mean_r, self._mean_l, self._v, self._w = mean_r, mean_l, v, w
         self._next_report = next_report
         self.t_us = t_us
         return sent
 
-    def _assemble_report(self, t_us: int, pose: Posture, ticks_r: int,
-                         ticks_l: int, flow_l: float,
-                         flow_r: float) -> SensorPacket:
-        """Snapshot the free-running odometry counters at send time."""
+    def _assemble_report(self, wheel_r: float, wheel_l: float, path: float,
+                         turn: float) -> SensorPacket:
+        """Sample the closing window from the running sums at its end, and
+        snapshot the free-running odometry counters at send time."""
+        pose = self.pose
+        t_us = self.t_us
         if self.world is not None:
             if not self.world.bounds.contains(pose.x, pose.y):
                 raise RuntimeFault(
@@ -655,13 +696,28 @@ class RobotSim:
                                  self.ir_rng)[0])
         else:
             ir = (None,) * 5
+        # Window sums, then one noise draw per wheel and per flow sensor.
+        wheel_r0, wheel_l0, path0, turn0 = self._at_report
+        self._at_report = (wheel_r, wheel_l, path, turn)
+        window_s = self._window_us / 1e6
+        sigma = window_sigma(self.noise.encoder_sigma, self._enc_period_s, window_s)
+        noise_r, noise_l = self._enc_rng.standard_normal(2).tolist()
+        self._travel_r += (wheel_r - wheel_r0) + sigma * noise_r
+        self._travel_l += (wheel_l - wheel_l0) + sigma * noise_l
+        half = 0.5 * self.geometry.flow_separation * (turn - turn0)
+        sigma = window_sigma(self.noise.flow_sigma, self._flow_period_s, window_s)
+        scale = self.noise.flow_scale
+        noise_l, noise_r = self._flow_rng.standard_normal(2).tolist()
+        self._flow_l += ((path - path0) - half) * scale + sigma * noise_l
+        self._flow_r += ((path - path0) + half) * scale + sigma * noise_r
+        mm_per_tick = self.geometry.mm_per_tick
         packet = SensorPacket(
             robot_id=self.robot_id,
             t_sent=t_us // 1000,
-            ticks_left=wrap_i16(ticks_l),
-            ticks_right=wrap_i16(ticks_r),
-            flow_dx_left=wrap_flow(flow_l),
-            flow_dx_right=wrap_flow(flow_r),
+            ticks_left=wrap_i16(int(self._travel_l / mm_per_tick)),
+            ticks_right=wrap_i16(int(self._travel_r / mm_per_tick)),
+            flow_dx_left=wrap_flow(self._flow_l),
+            flow_dx_right=wrap_flow(self._flow_r),
             gyro_heading=sample_gyro(pose, self.noise, self.gyro_rng),
             ir=ir,
         )

@@ -138,14 +138,17 @@ def test_seed_changes_the_noise(tmp_path, capsys):
             != (tmp_path / "2" / "estimates.csv").read_bytes())
 
 
-def test_compare_adaptive_has_minimum_terminal_error(tmp_path, capsys):
+def test_compare_adaptive_has_minimum_rmse(tmp_path, capsys):
+    # The RMSE over the whole run, not the error at the last report: the
+    # fixed-step variant's terminal error is one sample of a random walk,
+    # which lands below the adaptive filter's on some seeds.
     assert main(["compare", SLIP, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     rows = read_rows(tmp_path / "compare.csv")
     assert [row["variant"] for row in rows] == [
         "adaptive", "nonadaptive", "fixed_dt", "wheels"]
-    terminal = {row["variant"]: float(row["terminal_mm"]) for row in rows}
-    assert terminal["adaptive"] == min(terminal.values())
+    rmse = {row["variant"]: float(row["rmse_mm"]) for row in rows}
+    assert rmse["adaptive"] == min(rmse.values())
 
 
 def test_compare_single_variant(tmp_path, capsys):
@@ -400,10 +403,11 @@ READERS = {
     "world": (LOCALIZE, LOCALIZE_WORLD, PLAN),
 }
 # Keys whose value sizes the work of a run (rounds, scan headings, grid
-# cells, plant events per second) are only validated, and so is a draw of
-# a section holding one: a valid draw may take minutes to run.
+# cells) are only validated, and so is a draw of a section holding one: a
+# valid draw may take minutes to run. The sensor rates size no work: the
+# plant steps on a fixed tick and each report samples its window once.
 SIZES_WORK = ("consensus.max_rounds", "plan.survey.headings", "plan.width_cells",
-              "plan.height_cells", "rates.encoder_hz", "rates.flow_hz")
+              "plan.height_cells")
 WRONG_TYPES = ("text", [1, 2], {"a": 1}, True, None)
 NEAR_MAX = (1e30, 1e300, 1.7e308)
 

@@ -1,31 +1,38 @@
 """The fused sensor engine against the reference plant.
 
-`RobotSim.advance_to` writes the plant step, slip lookup, encoder sample
-and flow sample inline and draws encoder and flow noise in blocks.
-`ReferenceSim` below is the engine as one call per event: it calls
-`PlantLoop.advance`, `EncoderModel.sample_speeds`, `FlowModel.sample_vw`,
-`sample_gyro` and `sample_ir` with scalar noise draws. Both must produce
-the same packets, truth, pose, wheel state and counters, bit for bit.
+`RobotSim.advance_to` writes the plant tick and slip lookup inline, and
+samples each report window in closed form. `ReferenceSim` below is the
+engine as one call per tick and per window: it calls `PlantLoop.advance`
+once per tick, `integrate_unicycle` for a pose inside a tick,
+`EncoderModel.sample_speeds` and `FlowModel.sample_vw` once per report
+window, and `sample_gyro` and `sample_ir`, with scalar noise draws. Both
+must produce the same packets, truth, pose, wheel state and counters, bit
+for bit.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmsim.cli.runner import simulate_reports
+from swarmsim.cli.scenario import load_scenario
 from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
 from swarmsim.control import Gains, circle_trajectory, tracking_control
-from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
+from swarmsim.core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle,
+                           wheels_to_twist)
 from swarmsim.estimation import EkfConfig, StreamingEstimator
 from swarmsim.sim import (
-    NOISE_BLOCK,
     STREAM_ENCODER,
     STREAM_FLOW,
     STREAM_GYRO,
     STREAM_IR,
     STREAM_SCHEDULE,
+    TICK_S,
+    TICK_US,
     EncoderModel,
     FlowModel,
     PlantLoop,
@@ -46,7 +53,7 @@ GEOM = RobotGeometry()
 
 
 class ReferenceSim:
-    """One robot's engine with one call per plant event and sensor sample."""
+    """One robot's engine with one call per plant tick and report window."""
 
     def __init__(self, noise: SensorNoise, start: Posture, seed: int,
                  slip_schedule: tuple[SlipEvent, ...], rates: Rates,
@@ -56,20 +63,26 @@ class ReferenceSim:
         self.slip_schedule = slip_schedule
         self.loop = PlantLoop(start, GEOM)
         self.encoders = EncoderModel(GEOM, noise,
-                                     stream_rng(seed, 0, STREAM_ENCODER))
-        self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW))
+                                     stream_rng(seed, 0, STREAM_ENCODER),
+                                     rates.encoder_period_us / 1e6)
+        self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW),
+                              rates.flow_period_us / 1e6)
         self.gyro_rng = stream_rng(seed, 0, STREAM_GYRO)
         self.ir_rng = stream_rng(seed, 0, STREAM_IR)
         self.schedule_rng = stream_rng(seed, 0, STREAM_SCHEDULE)
         self.truth_at_send: dict[int, Posture] = {}
         self.t_us = 0
-        self.enc_us = rates.encoder_period_us
-        self.flow_us = rates.flow_period_us
+        # The tick in progress: its start (None at a tick boundary) and the
+        # pose there. Running sums at the last boundary: wheel travel right
+        # and left, ground path length and heading change.
+        self.tick_start: int | None = None
+        self.tick_pose = start
+        self.sums = (0.0, 0.0, 0.0, 0.0)
+        self.at_report = self.sums
         self.report_us = rates.report_period_us
         self.jitter_us = rates.report_jitter_us
-        self.next_enc = self.enc_us
-        self.next_flow = self.flow_us
-        self.next_report = self.report_interval()
+        self.window_us = self.report_interval()
+        self.next_report = self.window_us
         self.ticks_l = self.ticks_r = 0
         self.flow_l = self.flow_r = 0.0
 
@@ -82,38 +95,42 @@ class ReferenceSim:
     def set_command(self, wheels: WheelSpeeds) -> None:
         self.loop.set_command(wheels.right, wheels.left)
 
+    def into_tick(self) -> float:
+        if self.tick_start is None:
+            return 0.0
+        return (self.t_us - self.tick_start) / 1e6
+
     @property
     def pose(self) -> Posture:
-        return self.loop.pose
+        if self.tick_start is None:
+            return self.loop.pose
+        return integrate_unicycle(self.tick_pose,
+                                  wheels_to_twist(self.loop.ground, GEOM),
+                                  self.into_tick())
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         sent = []
         loop = self.loop
-        flow_dt = self.flow_us * 1e-6
-        enc_dt = self.enc_us * 1e-6
         while self.t_us < target_us:
-            t_next = min(target_us, self.next_enc, self.next_flow,
-                         self.next_report)
-            slip = (active_slip(self.slip_schedule, self.t_us / 1e3)
-                    if self.slip_schedule else None)
-            loop.advance((t_next - self.t_us) * 1e-6, slip)
-            self.t_us = t_next
-            if self.t_us == self.next_flow:
+            if self.tick_start is None:
+                slip = (active_slip(self.slip_schedule, self.t_us / 1e3)
+                        if self.slip_schedule else None)
+                self.tick_pose = loop.pose
+                loop.advance(slip)
+                self.tick_start = self.t_us
+            tick_end = self.tick_start + TICK_US
+            self.t_us = min(tick_end, self.next_report, target_us)
+            if self.t_us == tick_end:
                 twist = wheels_to_twist(loop.ground, GEOM)
-                dl, dr = self.flow.sample_vw(twist.v, twist.w, flow_dt)
-                self.flow_l += dl
-                self.flow_r += dr
-                self.next_flow += self.flow_us
-            if self.t_us == self.next_enc:
-                wheels = loop.actual
-                tr, tl = self.encoders.sample_speeds(wheels.right, wheels.left,
-                                                     enc_dt)
-                self.ticks_r += tr
-                self.ticks_l += tl
-                self.next_enc += self.enc_us
+                right, left, path, turn = self.sums
+                self.sums = (right + loop.wheels.right * TICK_S,
+                             left + loop.wheels.left * TICK_S,
+                             path + twist.v * TICK_S, turn + twist.w * TICK_S)
+                self.tick_start = None
             if self.t_us == self.next_report:
                 sent.append(self.assemble_report())
-                self.next_report += self.report_interval()
+                self.window_us = self.report_interval()
+                self.next_report += self.window_us
         return sent
 
     def assemble_report(self) -> SensorPacket:
@@ -127,6 +144,23 @@ class ReferenceSim:
                                  self.ir_rng)[0])
         else:
             ir = (None,) * 5
+        # The sums at the report instant, and the window since the last one.
+        into = self.into_tick()
+        twist = wheels_to_twist(self.loop.ground, GEOM)
+        right, left, path, turn = self.sums
+        now = (right + self.loop.wheels.right * into,
+               left + self.loop.wheels.left * into,
+               path + twist.v * into, turn + twist.w * into)
+        window = [b - a for a, b in zip(self.at_report, now)]
+        self.at_report = now
+        window_s = self.window_us / 1e6
+        ticks_r, ticks_l = self.encoders.sample_speeds(window[0], window[1],
+                                                       window_s)
+        self.ticks_r += ticks_r
+        self.ticks_l += ticks_l
+        flow_l, flow_r = self.flow.sample_vw(window[2], window[3], window_s)
+        self.flow_l += flow_l
+        self.flow_r += flow_r
         packet = SensorPacket(
             robot_id=0,
             t_sent=self.t_us // 1000,
@@ -219,55 +253,42 @@ def test_fused_engine_matches_per_step_reference(seed, command, schedule,
         return   # a fault ends the run; the engine state after it is unused
     assert sim.pose == ref.pose
     assert sim.t_us == ref.t_us
-    assert (sim._ticks_r, sim._ticks_l) == (ref.ticks_r, ref.ticks_l)
-    assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
-    assert ((sim._next_enc, sim._next_flow, sim._next_report)
-            == (ref.next_enc, ref.next_flow, ref.next_report))
+    assert (sim._next_report, sim._window_us) == (ref.next_report, ref.window_us)
     loop = ref.loop
     assert ((sim._act_right, sim._act_left, sim._int_right, sim._int_left)
             == (loop.actual.right, loop.actual.left, *loop.integral))
-    assert ((sim._carry_right, sim._carry_left)
-            == tuple(ref.encoders._carry))
+    assert (sim._mean_r, sim._mean_l) == (loop.wheels.right, loop.wheels.left)
+    assert [sim._travel_r, sim._travel_l] == ref.encoders._travel
+    assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
+    assert sim._at_report == ref.at_report
 
 
-def test_fused_engine_crosses_noise_blocks():
-    # Several NOISE_BLOCK refills of both streams, under slip and a turn.
+def test_fused_engine_matches_reference_over_a_long_turning_run_with_slip():
+    # 2,240 ticks of a turn under a stuck and a scaled slip event, with
+    # report instants inside ticks (a 70.3 ms period).
     schedule = (SlipEvent(1000.0, 1500.0, "stuck"),
                 SlipEvent(3000.0, 4000.0, "scale", factor=0.4))
-    rates_ = Rates()
+    rates_ = Rates(report_period_ms=70.3)
     start = Posture(0.0, 0.0, 0.0)
     sim = RobotSim(GEOM, SensorNoise(), start, 11,
                    slip_schedule=schedule, rates=rates_)
     ref = ReferenceSim(SensorNoise(), start, 11, schedule, rates_, None)
     steps = [(70_000, None)] * 80
     assert _run(sim, steps, (150.0, 90.0)) == _run(ref, steps, (150.0, 90.0))
-    flow_draws = 2 * (sim.t_us // rates_.flow_period_us)
-    assert flow_draws > 2 * NOISE_BLOCK
+    assert sim.t_us // TICK_US == 2240
     assert sim.pose == ref.pose
-
-
-def test_block_draws_equal_scalar_draws():
-    # The engine serves noise from standard_normal(NOISE_BLOCK) blocks on
-    # the promise that blocks continue the generator's scalar sequence
-    # exactly; draw through its iterators past a block boundary.
-    sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 5, robot_id=3)
-    for purpose, stream in ((STREAM_ENCODER, sim._enc_noise),
-                            (STREAM_FLOW, sim._flow_noise)):
-        drawn = list(islice(stream, 2 * NOISE_BLOCK + 7))
-        scalars = stream_rng(5, 3, purpose)
-        assert drawn == [scalars.standard_normal() for _ in drawn]
 
 
 @pytest.mark.parametrize("rates_", [
     Rates(report_period_ms=0.0004),    # a 0 us report clock never advances
-    Rates(encoder_hz=2.0, flow_hz=2.0, report_period_ms=1000.0),
+    Rates(report_period_ms=0.0004, report_jitter_ms=0.0004),   # a 0 us window
 ])
-def test_engine_keeps_the_plant_step_check(rates_):
-    # Scenario validation rejects these rates first; the engine's per-step
-    # dt check stays as the backstop.
-    sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1, rates=rates_)
-    with pytest.raises(ValueError, match="dt must be in"):
-        sim.advance_to(1_000_000)
+def test_engine_rejects_a_report_clock_that_does_not_advance(rates_):
+    # Scenario validation rejects these rates first; the engine's check on
+    # each report interval stays as the backstop.
+    with pytest.raises(ValueError, match="report interval must be at least 1 us"):
+        RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1,
+                 rates=rates_).advance_to(1_000_000)
 
 
 def test_estimator_feedback_keeps_the_engine_on_python_floats():
@@ -289,3 +310,66 @@ def test_estimator_feedback_keeps_the_engine_on_python_floats():
     state = (sim._cmd_right, sim._cmd_left, sim._act_right, sim._act_left,
              sim._int_right, sim._int_left, sim._x, sim._y, sim._theta)
     assert [type(f) for f in state] == [float] * len(state)
+
+
+SLIP = Path(__file__).resolve().parents[1] / "src/swarmsim/scenarios/localize_slip.yaml"
+
+
+@pytest.mark.parametrize("jitter_ms", [0.0, 25.0])
+def test_noiseless_truth_ignores_the_sensor_rates(jitter_ms):
+    # The plant steps on its own tick, so neither sensor clock moves the
+    # ground truth: every truth at send, the last one included, is the same
+    # double at 1000 and 500 Hz flow and at 400 and 200 Hz encoders.
+    def truths(*rates):
+        overrides = ("robot.noiseless=true", f"rates.report_jitter_ms={jitter_ms}",
+                     *rates)
+        run = simulate_reports(load_scenario(SLIP, overrides))
+        return [(t, pose.x.hex(), pose.y.hex(), pose.theta.hex())
+                for t, pose in sorted(run.truth_at_send.items())]
+
+    default = truths()
+    assert default[-1][0] >= 29_900
+    assert truths("rates.flow_hz=500") == default
+    assert truths("rates.encoder_hz=200") == default
+
+
+def _chi2_quantile(n: int, z: float) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile with n
+    degrees of freedom at the standard normal quantile z."""
+    h = 2.0 / (9.0 * n)
+    return n * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def test_window_noise_matches_the_filter_noise_model():
+    # A robot at rest, so every reported motion is noise. Ticks of 1e-4 mm
+    # and 250 mm/s flow noise make the tick truncation and the 0.1 mm flow
+    # wire quantum negligible against the sample noise, which is all that
+    # is left of EkfConfig.from_noise's var_wheel and var_dx.
+    n = 8000
+    geometry = RobotGeometry(mm_per_tick=1e-4)
+    noise = SensorNoise(encoder_sigma=1.0, flow_sigma=250.0)
+    rates = Rates(report_period_ms=10.0)
+    cfg = EkfConfig.from_noise(noise, geometry, rates)
+    t = rates.report_period_ms / 1e3
+    var_wheel = 2.0 * cfg.r_base[0]
+    var_dx = 2.0 * t * t * cfg.r_base[2]
+    sim = RobotSim(geometry, noise, Posture(0.0, 0.0, 0.0), 2024, rates=rates)
+    packets = sim.advance_to(n * rates.report_period_us)
+    assert len(packets) == n
+    sums = [0.0] * 4
+    prev = (0, 0, 0.0, 0.0)
+    for packet in packets:
+        now = (packet.ticks_right, packet.ticks_left, packet.flow_dx_left,
+               packet.flow_dx_right)
+        errors = (wrap_i16(now[0] - prev[0]) * 1e-4 / t,
+                  wrap_i16(now[1] - prev[1]) * 1e-4 / t,
+                  now[2] - prev[2], now[3] - prev[3])
+        sums = [a + e * e for a, e in zip(sums, errors)]
+        prev = now
+    # n * (sample variance) / (model variance) is chi-square with n degrees
+    # of freedom; the band holds it with probability 1 - 6e-5 (z = 4).
+    lo, hi = _chi2_quantile(n, -4.0) / n, _chi2_quantile(n, 4.0) / n
+    assert 0.93 < lo < hi < 1.07
+    ratios = [sums[0] / n / var_wheel, sums[1] / n / var_wheel,
+              sums[2] / n / var_dx, sums[3] / n / var_dx]
+    assert all(lo < r < hi for r in ratios), (ratios, lo, hi)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,9 @@ from hypothesis import given, strategies as st
 
 from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
 from swarmsim.sim import (
+    LAG_END,
+    LAG_MEAN,
+    TICK_S,
     EncoderModel,
     FlowModel,
     PlantLoop,
@@ -27,20 +29,28 @@ GEOM = RobotGeometry()
 QUIET = SensorNoise.noiseless()
 
 
-def run_pi(command: tuple[float, float], seconds: float,
-           dt: float = 0.0025) -> PlantLoop:
+def run_pi(command: tuple[float, float], seconds: float) -> PlantLoop:
     loop = PlantLoop(Posture(0, 0, 0), GEOM)
     loop.set_command(*command)
-    for _ in range(round(seconds / dt)):
-        loop.advance(dt)
+    for _ in range(round(seconds / TICK_S)):
+        loop.advance()
     return loop
 
 
-def _rolling(speed: float = 100.0) -> PlantLoop:
-    """A plant already at its commanded speed, so the PI update holds it."""
+def _rolling(speed: float = 100.0, left: float | None = None) -> PlantLoop:
+    """A plant already at its commanded speeds, so the PI update holds it."""
+    left = speed if left is None else left
     return PlantLoop(Posture(0, 0, 0), GEOM,
-                     command=WheelSpeeds(speed, speed),
-                     actual=WheelSpeeds(speed, speed))
+                     command=WheelSpeeds(speed, left),
+                     actual=WheelSpeeds(speed, left))
+
+
+def _encoders(noise: SensorNoise = QUIET, seed: int = 0) -> EncoderModel:
+    return EncoderModel(GEOM, noise, np.random.default_rng(seed), 0.0025)
+
+
+def _flow(noise: SensorNoise = QUIET, seed: int = 0) -> FlowModel:
+    return FlowModel(GEOM, noise, np.random.default_rng(seed), 0.001)
 
 
 # --- wheel PI loop -----------------------------------------------------------
@@ -49,7 +59,7 @@ def _rolling(speed: float = 100.0) -> PlantLoop:
 def test_pi_holds_setpoint_without_integrator_drift():
     loop = _rolling(100.0)
     for _ in range(100):
-        loop.advance(0.0025)
+        loop.advance()
     assert loop.actual.right == pytest.approx(100.0, abs=1e-9)
     assert loop.integral == (0.0, 0.0)
 
@@ -74,14 +84,27 @@ def test_pi_saturates_not_rejects():
 def test_pi_never_exceeds_limit():
     loop = PlantLoop(Posture(0, 0, 0), GEOM, command=WheelSpeeds(180, -180))
     for _ in range(2000):
-        loop.advance(0.0025)
+        loop.advance()
         assert abs(loop.actual.right) <= 180.0 + 1e-9
         assert abs(loop.actual.left) <= 180.0 + 1e-9
 
 
-def test_pi_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        PlantLoop(Posture(0, 0, 0), GEOM).advance(0.0)
+def test_pi_first_tick_hand_values():
+    # From rest, command 50 mm/s: error 50, drive 50 + 0.8 * 50 = 90 held
+    # for the tick, integral 50 * 0.0025. Command 200 saturates to 180:
+    # drive 180 + 0.8 * 180 clips to 180 and the integral stays frozen.
+    # The lag over 2.5 ms with tau 50 ms: a = exp(-0.05) ends the tick at
+    # drive * (1 - a) and averages drive * (1 - (tau / dt) * (1 - a)).
+    assert LAG_END == pytest.approx(0.951229424500714, rel=1e-14)
+    assert LAG_MEAN == pytest.approx(0.97541150998572, rel=1e-13)
+    loop = PlantLoop(Posture(0, 0, 0), GEOM, command=WheelSpeeds(50.0, 200.0))
+    loop.advance()
+    assert loop.integral == (pytest.approx(0.125, rel=1e-15), 0.0)
+    assert loop.actual.right == pytest.approx(4.38935179493574, rel=1e-12)
+    assert loop.actual.left == pytest.approx(8.77870358987148, rel=1e-12)
+    assert loop.wheels.right == pytest.approx(2.2129641012852, rel=1e-11)
+    assert loop.wheels.left == pytest.approx(4.4259282025704, rel=1e-11)
+    assert loop.ground == loop.wheels
 
 
 # --- plant stepping ---------------------------------------------------------
@@ -89,7 +112,8 @@ def test_pi_rejects_bad_dt():
 
 def test_plant_straight():
     loop = _rolling(100.0)
-    loop.advance(0.1)
+    for _ in range(40):      # 0.1 s
+        loop.advance()
     assert loop.pose.x == pytest.approx(10.0, abs=1e-9)
     assert loop.pose.y == pytest.approx(0.0, abs=1e-12)
     assert loop.ground == loop.actual
@@ -98,7 +122,8 @@ def test_plant_straight():
 def test_plant_stuck_freezes_body():
     stuck = SlipEvent(0.0, 1000.0, "stuck")
     loop = _rolling(100.0)
-    loop.advance(0.1, slip=stuck)
+    for _ in range(40):
+        loop.advance(slip=stuck)
     assert (loop.pose.x, loop.pose.y) == (0.0, 0.0)
     assert loop.actual.right == 100.0   # wheels keep spinning
     assert loop.ground == WheelSpeeds(0.0, 0.0)
@@ -107,30 +132,33 @@ def test_plant_stuck_freezes_body():
 def test_plant_scale_halves_motion():
     half = SlipEvent(0.0, 1000.0, "scale", factor=0.5)
     loop = _rolling(100.0)
-    loop.advance(0.1, slip=half)
+    for _ in range(40):
+        loop.advance(slip=half)
     assert loop.pose.x == pytest.approx(5.0, abs=1e-9)
 
 
-def test_plant_dt_domain():
-    # A rejected step leaves every field of the loop as it was.
-    loop = run_pi((150, 60), seconds=0.5)
-    before = replace(loop)
-    for bad in (0.0, -0.1, 0.3):
-        with pytest.raises(ValueError):
-            loop.advance(bad)
-        assert loop == before
+def test_plant_tick_moves_along_the_chord():
+    # Wheels held at (120, 80) mm/s: v = 100 mm/s and w = 0.4 rad/s, so one
+    # 2.5 ms tick sweeps 1 mrad along a 0.25 mm arc, whose chord of
+    # 0.25 * sin(0.0005) / 0.0005 mm points at the mid-tick heading.
+    loop = _rolling(120.0, 80.0)
+    loop.advance()
+    chord = 0.25 * math.sin(0.0005) / 0.0005
+    assert loop.pose.x == pytest.approx(chord * math.cos(0.0005), rel=1e-12)
+    assert loop.pose.y == pytest.approx(chord * math.sin(0.0005), rel=1e-12)
+    assert loop.pose.theta == pytest.approx(0.001, rel=1e-12)
 
 
 def test_fused_loop_ground_speeds_follow_slip():
     loop = PlantLoop(Posture(0, 0, 0), GEOM)
     loop.set_command(120.0, 120.0)
     for _ in range(200):
-        loop.advance(0.0025)
+        loop.advance()
     assert loop.ground.right == pytest.approx(120.0, abs=2.0)
-    loop.advance(0.0025, SlipEvent(0.0, 1e9, "stuck"))
+    loop.advance(SlipEvent(0.0, 1e9, "stuck"))
     assert loop.ground == WheelSpeeds(0.0, 0.0)
     assert loop.actual.right == pytest.approx(120.0, abs=2.0)
-    loop.advance(0.0025, SlipEvent(0.0, 1e9, "scale", factor=0.5))
+    loop.advance(SlipEvent(0.0, 1e9, "scale", factor=0.5))
     assert loop.ground.right == pytest.approx(60.0, abs=2.0)
 
 
@@ -153,22 +181,27 @@ def test_slip_event_validation():
 
 
 def test_encoder_tick_hand_values():
-    # Noiseless samples over 1 s, so a speed is a displacement (0.5 mm ticks).
-    enc = EncoderModel(GEOM, QUIET, np.random.default_rng(0))
+    # Noiseless windows; travel in mm, 0.5 mm ticks. The count truncates
+    # the cumulative travel toward zero.
+    enc = _encoders()
     assert enc.sample_speeds(1.3, 0.2, 1.0) == (2, 0)
-    assert enc._carry == [pytest.approx(0.3), pytest.approx(0.2)]
+    assert enc._travel == [pytest.approx(1.3), pytest.approx(0.2)]
     assert enc.sample_speeds(0.0, 0.4, 1.0) == (0, 1)
-    assert enc._carry[1] == pytest.approx(0.1)
-    enc = EncoderModel(GEOM, QUIET, np.random.default_rng(0))
+    assert enc._travel[1] == pytest.approx(0.6)
+    enc = _encoders()
     assert enc.sample_speeds(-1.3, 0.0, 1.0) == (-2, 0)
-    assert enc._carry[0] == pytest.approx(-0.3)
+    assert enc._travel[0] == pytest.approx(-1.3)
+    # A reversal: 0.6 mm forward then 0.2 mm back leaves 0.4 mm, no tick.
+    enc = _encoders()
+    assert enc.sample_speeds(0.6, 0.0, 1.0) == (1, 0)
+    assert enc.sample_speeds(-0.2, 0.0, 1.0) == (-1, 0)
 
 
 @given(st.lists(st.floats(min_value=-0.6, max_value=0.6), min_size=1, max_size=300))
 def test_tick_carry_telescopes(displacements):
     # Cumulative ticks times the quantum never drifts more than one quantum
     # from the true cumulative displacement.
-    enc = EncoderModel(GEOM, QUIET, np.random.default_rng(0))
+    enc = _encoders()
     total_ticks, total_disp = 0, 0.0
     for d in displacements:
         ticks, _ = enc.sample_speeds(d, d, 1.0)
@@ -178,11 +211,10 @@ def test_tick_carry_telescopes(displacements):
 
 
 def test_encoder_counts_constant_speed():
-    rng = np.random.default_rng(0)
-    enc = EncoderModel(GEOM, QUIET, rng)
+    enc = _encoders()
     total = 0
-    for _ in range(400):           # 1 s at 400 Hz
-        r, l = enc.sample_speeds(100.0, 100.0, 0.0025)
+    for _ in range(400):           # 1 s of 2.5 ms windows at 100 mm/s
+        r, l = enc.sample_speeds(0.25, 0.25, 0.0025)
         assert l == r
         total += r
     # 100 mm of travel at 0.5 mm per tick.
@@ -191,22 +223,22 @@ def test_encoder_counts_constant_speed():
 
 def test_encoder_is_slip_blind():
     # Wheels spinning while the body is stuck still produce ticks.
-    rng = np.random.default_rng(1)
-    enc = EncoderModel(GEOM, QUIET, rng)
+    enc = _encoders(seed=1)
     loop = _rolling(150.0)
     stuck = SlipEvent(0.0, 1e9, "stuck")
     ticks = 0
     for _ in range(400):
-        loop.advance(0.0025, slip=stuck)
-        ticks += enc.sample_speeds(loop.actual.right, loop.actual.left, 0.0025)[0]
+        loop.advance(slip=stuck)
+        ticks += enc.sample_speeds(loop.wheels.right * TICK_S,
+                                   loop.wheels.left * TICK_S, TICK_S)[0]
     assert (loop.pose.x, loop.pose.y) == (0.0, 0.0)
     assert ticks * GEOM.mm_per_tick == pytest.approx(150.0, abs=0.5)
 
 
 def test_encoder_determinism():
     def run(seed):
-        enc = EncoderModel(GEOM, SensorNoise(), np.random.default_rng(seed))
-        return [enc.sample_speeds(123.0, 123.0, 0.0025) for _ in range(200)]
+        enc = _encoders(SensorNoise(), seed)
+        return [enc.sample_speeds(8.61, 8.61, 0.07) for _ in range(200)]
 
     assert run(7) == run(7)
     assert run(7) != run(8)
@@ -216,41 +248,40 @@ def test_encoder_determinism():
 
 
 def test_flow_pure_translation():
-    flow = FlowModel(GEOM, QUIET, np.random.default_rng(0))
-    dx_l, dx_r = flow.sample_vw(100.0, 0.0, 0.1)
+    dx_l, dx_r = _flow().sample_vw(10.0, 0.0, 0.1)
     assert dx_l == dx_r == pytest.approx(10.0)
 
 
 def test_flow_pure_rotation():
-    # Spin at 1 rad/s with 60 mm sensor separation for 0.1 s.
-    flow = FlowModel(GEOM, QUIET, np.random.default_rng(1))
-    dx_l, dx_r = flow.sample_vw(0.0, 1.0, 0.1)
+    # A 0.1 rad turn in place with 60 mm sensor separation.
+    dx_l, dx_r = _flow(seed=1).sample_vw(0.0, 0.1, 0.1)
     assert dx_l == pytest.approx(-3.0, abs=1e-12)
     assert dx_r == pytest.approx(3.0, abs=1e-12)
 
 
 def test_flow_is_slip_immune():
     loop = _rolling(150.0)
-    loop.advance(0.001, SlipEvent(0, 1e9, "stuck"))
+    loop.advance(SlipEvent(0, 1e9, "stuck"))
     stuck_twist = wheels_to_twist(loop.ground, GEOM)
-    flow = FlowModel(GEOM, QUIET, np.random.default_rng(2))
-    assert flow.sample_vw(stuck_twist.v, stuck_twist.w, 0.001) == (0.0, 0.0)
+    flow = _flow(seed=2)
+    assert flow.sample_vw(stuck_twist.v * TICK_S, stuck_twist.w * TICK_S,
+                          TICK_S) == (0.0, 0.0)
 
 
 def test_flow_scale_factor():
     noise = SensorNoise(encoder_sigma=0, flow_sigma=0, gyro_sigma=0, ir_sigma=0,
                         flow_scale=1.1)
-    flow = FlowModel(GEOM, noise, np.random.default_rng(3))
-    dx_l, dx_r = flow.sample_vw(100.0, 0.0, 0.01)
+    dx_l, dx_r = _flow(noise, seed=3).sample_vw(1.0, 0.0, 0.01)
     assert dx_l == pytest.approx(1.1, abs=1e-12)
 
 
 def test_flow_noise_statistics():
-    noise = SensorNoise(flow_sigma=25.0)
-    flow = FlowModel(GEOM, noise, np.random.default_rng(4))
-    samples = np.array([flow.sample_vw(0.0, 0.0, 0.001) for _ in range(20_000)])
-    assert abs(samples.mean()) < 0.001
-    assert samples.std() == pytest.approx(25.0 * 0.001, rel=0.05)
+    # A 70 ms window of 1 ms samples at 25 mm/s each: one normal of sd
+    # 25 * sqrt(0.001 * 0.07) mm.
+    flow = _flow(SensorNoise(flow_sigma=25.0), seed=4)
+    samples = np.array([flow.sample_vw(0.0, 0.0, 0.07) for _ in range(20_000)])
+    assert abs(samples.mean()) < 0.01
+    assert samples.std() == pytest.approx(25.0 * math.sqrt(0.001 * 0.07), rel=0.05)
 
 
 # --- gyro ---------------------------------------------------------------------
@@ -337,33 +368,32 @@ def test_cast_rays_hit_bounds():
 def test_stuck_interval_discrepancy():
     # During a stuck interval encoder-implied speed stays high while
     # flow-implied speed is zero: the signature slip detection keys on.
-    rng_e = np.random.default_rng(13)
-    rng_f = np.random.default_rng(14)
-    enc = EncoderModel(GEOM, QUIET, rng_e)
-    flow = FlowModel(GEOM, QUIET, rng_f)
+    enc = _encoders(seed=13)
+    flow = _flow(seed=14)
     loop = _rolling(150.0)
     stuck = SlipEvent(0.0, 1e9, "stuck")
     enc_disp = flow_disp = 0.0
     for _ in range(400):
-        loop.advance(0.0025, slip=stuck)
-        ticks_r, _ = enc.sample_speeds(loop.actual.right, loop.actual.left, 0.0025)
+        loop.advance(slip=stuck)
+        ticks_r, _ = enc.sample_speeds(loop.wheels.right * TICK_S,
+                                       loop.wheels.left * TICK_S, TICK_S)
         enc_disp += ticks_r * GEOM.mm_per_tick
         twist = wheels_to_twist(loop.ground, GEOM)
-        flow_disp += sum(flow.sample_vw(twist.v, twist.w, 0.0025)) / 2
+        flow_disp += sum(flow.sample_vw(twist.v * TICK_S, twist.w * TICK_S,
+                                        TICK_S)) / 2
     assert enc_disp / 1.0 > 100.0   # implied speed, mm/s
     assert flow_disp == 0.0
 
 
 def test_straight_dead_reckoning_quantization_limited():
-    # Noiseless encoders at 400 Hz reconstruct a straight 10 s run to within
-    # one tick quantum.
-    rng = np.random.default_rng(15)
-    enc = EncoderModel(GEOM, QUIET, rng)
+    # Noiseless encoders reconstruct a straight 10 s run to within one
+    # tick quantum.
+    enc = _encoders(seed=15)
     loop = _rolling(123.43)
     total_ticks = 0
     for _ in range(4000):
-        loop.advance(0.0025)
-        total_ticks += enc.sample_speeds(loop.actual.right, loop.actual.left,
-                                         0.0025)[0]
+        loop.advance()
+        total_ticks += enc.sample_speeds(loop.wheels.right * TICK_S,
+                                         loop.wheels.left * TICK_S, TICK_S)[0]
     reconstructed = total_ticks * GEOM.mm_per_tick
     assert abs(reconstructed - loop.pose.x) < 0.5
