@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,6 +197,18 @@ def window_sigma(sigma: float, period_s: float, window_s: float) -> float:
     return sigma * math.sqrt(period_s * window_s)
 
 
+def count_ticks(travel: float, mm_per_tick: float) -> int:
+    """Whole encoder ticks in a travel (mm), truncated toward zero.
+
+    A quantum near the smallest normal float makes the quotient overflow;
+    the count is then taken exactly, as the wire keeps only its low bits.
+    """
+    try:
+        return int(travel / mm_per_tick)
+    except OverflowError:
+        return int(Fraction(travel) / Fraction(mm_per_tick))
+
+
 class EncoderModel:
     """Incremental wheel encoders: quantized, noisy, and slip-blind.
 
@@ -226,7 +239,7 @@ class EncoderModel:
         ticks = []
         for i, travel in enumerate((right, left)):
             self._travel[i] += travel + sigma * self.rng.standard_normal()
-            total = int(self._travel[i] / self.geometry.mm_per_tick)
+            total = count_ticks(self._travel[i], self.geometry.mm_per_tick)
             ticks.append(total - self._ticks[i])
             self._ticks[i] = total
         return ticks[0], ticks[1]
@@ -714,8 +727,8 @@ class RobotSim:
         packet = SensorPacket(
             robot_id=self.robot_id,
             t_sent=t_us // 1000,
-            ticks_left=wrap_i16(int(self._travel_l / mm_per_tick)),
-            ticks_right=wrap_i16(int(self._travel_r / mm_per_tick)),
+            ticks_left=wrap_i16(count_ticks(self._travel_l, mm_per_tick)),
+            ticks_right=wrap_i16(count_ticks(self._travel_r, mm_per_tick)),
             flow_dx_left=wrap_flow(self._flow_l),
             flow_dx_right=wrap_flow(self._flow_r),
             gyro_heading=sample_gyro(pose, self.noise, self.gyro_rng),

@@ -273,16 +273,16 @@ def test_robot_leaving_the_world_faults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, key_path", [
-    # A 0 us encoder period would make a plant step of 0 s.
+    # A sensor period that rounds to 0 us.
     (("rates.encoder_hz=3000000",), "rates.encoder_hz"),
-    # Clocks that all tick slower than 5 Hz allow a plant step over 0.2 s.
+    # Clocks that all tick slower than 5 Hz.
     (("rates.encoder_hz=2", "rates.flow_hz=2", "rates.report_period_ms=1000"),
      "rates"),
     # Jitter at or above the period allows a report interval of 0 or less.
     (("rates.report_jitter_ms=80",), "rates.report_jitter_ms"),
 ])
-def test_rates_giving_an_invalid_plant_step_are_rejected(tmp_path, capsys,
-                                                         overrides, key_path):
+def test_rates_the_sensor_model_cannot_run_are_rejected(tmp_path, capsys,
+                                                        overrides, key_path):
     args = [a for spec in overrides for a in ("--override", spec)]
     assert_rejected(capsys, ["localize", SLIP, "--out", str(tmp_path), *args],
                     key_path)
@@ -502,7 +502,9 @@ def test_fuzzed_overrides_keep_the_exit_code_contract(tmp_path_factory, case):
 # --- every numeric key at its extremes -----------------------------------------------
 
 
-EXTREME_NUMS = (0.0, -1.0, 5e-324, 1e30, -1e30, 1e300, -1e300, 1.7e308, -1.7e308,
+# The smallest normal float is the smallest magnitude validation accepts.
+EXTREME_NUMS = (0.0, -1.0, 5e-324, sys.float_info.min, -sys.float_info.min,
+                1e30, -1e30, 1e300, -1e300, 1.7e308, -1.7e308,
                 float("nan"), float("inf"), float("-inf"))
 EXTREME_INTS = (10 ** 19, 10 ** 400, -1, 0, 1)
 

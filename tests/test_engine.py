@@ -198,7 +198,7 @@ commands = st.tuples(speeds, speeds)
 slip_events = st.builds(
     lambda start, length, stuck, factor: SlipEvent(
         start, start + length, "stuck" if stuck else "scale", factor),
-    # Whole milliseconds land slip edges exactly on event instants.
+    # Whole milliseconds land some slip edges exactly on tick starts.
     st.one_of(st.floats(0.0, 2500.0), st.integers(0, 2500).map(float)),
     st.one_of(st.floats(0.5, 1500.0), st.integers(1, 1500).map(float)),
     st.booleans(), st.floats(0.0, 1.0))
