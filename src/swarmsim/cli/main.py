@@ -7,7 +7,6 @@ valid scenario faults while running.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 from pathlib import Path
@@ -39,7 +38,6 @@ _COMMANDS = (
 )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swarmsim",

@@ -348,22 +348,13 @@ def config_digest(validated: dict) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()[:12]
 
 
-# libyaml's parser where PyYAML has it: the same documents, parsed about
-# eight times faster than by the pure-Python one.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def _load_yaml(text: str):
-    return yaml.load(text, Loader=_YAML_LOADER)
-
-
 def apply_override(raw: dict, spec: str) -> None:
     """Apply one `dotted.key.path=value` override onto the raw mapping."""
     key_path, sep, text = spec.partition("=")
     if not sep or not key_path:
         raise ScenarioError(f"override {spec!r} is not of the form key=value")
     try:
-        value = _load_yaml(text)
+        value = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"override {spec!r}: unparseable value: {exc}") from exc
     node = raw
@@ -503,7 +494,7 @@ def _plan(data: dict, geometry: RobotGeometry, world: World) -> dict:
 def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     """Parse, override, and validate scenario text, and build its objects."""
     try:
-        raw = _load_yaml(text)
+        raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         # PyYAML marks carry line/column positions already.
         raise ScenarioError(f"scenario is not valid YAML: {exc}") from exc

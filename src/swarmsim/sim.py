@@ -225,9 +225,10 @@ class EncoderModel:
         self._travel = [0.0, 0.0]   # cumulative noisy travel (mm), right, left
         self._ticks = [0, 0]
 
-    def sample_speeds(self, right: float, left: float, dt: float) -> tuple[int, int]:
-        """Ticks (right, left) counted over one report window of dt seconds
-        in which the wheels travelled right and left mm.
+    def sample_speeds(self, right_mm: float, left_mm: float,
+                      window_s: float) -> tuple[int, int]:
+        """Ticks (right, left) counted over one report window of window_s
+        seconds in which the wheels travelled right_mm and left_mm.
 
         The count is the truncation toward zero of the cumulative noisy
         travel, so forward and reverse motion quantize symmetrically and
@@ -235,9 +236,9 @@ class EncoderModel:
         ``RobotSim`` below inlines this sample at each report; this method
         is its per-window reference and a tracing target.
         """
-        sigma = window_sigma(self.noise.encoder_sigma, self.period_s, dt)
+        sigma = window_sigma(self.noise.encoder_sigma, self.period_s, window_s)
         ticks = []
-        for i, travel in enumerate((right, left)):
+        for i, travel in enumerate((right_mm, left_mm)):
             self._travel[i] += travel + sigma * self.rng.standard_normal()
             total = count_ticks(self._travel[i], self.geometry.mm_per_tick)
             ticks.append(total - self._ticks[i])
@@ -259,21 +260,23 @@ class FlowModel:
         self.rng = rng
         self.period_s = period_s
 
-    def sample_vw(self, v: float, w: float, dt: float) -> tuple[float, float]:
-        """Displacements (left, right) over one report window of dt seconds
-        in which the body moved v mm along its heading and turned w rad.
+    def sample_vw(self, path_mm: float, turn_rad: float,
+                  window_s: float) -> tuple[float, float]:
+        """Displacements (left, right) over one report window of window_s
+        seconds in which the body moved path_mm along its heading and
+        turned turn_rad.
 
         The sensors sit half the sensor separation to each side of the body
         axis, so a counterclockwise turn slows the left one.
         ``RobotSim`` below inlines this sample at each report; this method
         is its per-window reference and a tracing target.
         """
-        half = 0.5 * self.geometry.flow_separation * w
-        sigma = window_sigma(self.noise.flow_sigma, self.period_s, dt)
+        half = 0.5 * self.geometry.flow_separation * turn_rad
+        sigma = window_sigma(self.noise.flow_sigma, self.period_s, window_s)
         scale = self.noise.flow_scale
         return (
-            (v - half) * scale + sigma * self.rng.standard_normal(),
-            (v + half) * scale + sigma * self.rng.standard_normal(),
+            (path_mm - half) * scale + sigma * self.rng.standard_normal(),
+            (path_mm + half) * scale + sigma * self.rng.standard_normal(),
         )
 
 
