@@ -80,10 +80,6 @@ INVOCATIONS = (
     ("localize scale slip", "localize", "localize_slip.yaml",
      ("--override",
       "robot.slip=[{start_ms: 4000, end_ms: 9000, mode: scale, factor: 0.4}]")),
-    ("localize 333 Hz encoder 700 Hz flow 30 ms jitter", "localize",
-     "localize_slip.yaml",
-     ("--override", "rates.encoder_hz=333", "--override", "rates.flow_hz=700",
-      "--override", "rates.report_jitter_ms=30")),
     ("localize saturating command", "localize", "localize_slip.yaml",
      ("--override", "robot.command=[400, -250]")),
     ("compare noiseless", "compare", "localize_slip.yaml",
@@ -111,6 +107,9 @@ INVOCATIONS = (
      ("--override", "duration_s=1" + "0" * 400)),
     ("consensus with one heading", "consensus", "consensus_demo.yaml",
      ("--override", "consensus.headings=[0.5]")),
+    # The sensor sample rates are fixed; the old key is an unknown key.
+    ("localize setting the removed encoder rate", "localize", "localize_slip.yaml",
+     ("--override", "rates.encoder_hz=333")),
     # Values that passed validation and then failed the run.
     ("localize slip window beyond a C size", "localize", "localize_slip.yaml",
      ("--override", "estimator.slip_window=1" + "0" * 30)),
@@ -154,6 +153,10 @@ INVOCATIONS = (
      ("--override", "robot.start=[1.7e+308, 1.7e+308, 1.7e+308]")),
     ("localize flow scale near the float maximum", "localize", "localize_slip.yaml",
      ("--override", "robot.noise.flow_scale=1.7e+308")),
+    ("localize wall near the float maximum", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=0.5",
+      "--override", "world={bounds: [-1000, -1000, 1000, 1000]}",
+      "--override", "world.segments=[[1.7e+308, 0.0, -1.7e+308, 0.0]]")),
     ("compare report period of 1e30 ms", "compare", "localize_jitter.yaml",
      ("--override", "rates.report_period_ms=1.0e+30")),
     ("track half a second on a line near the float maximum speed", "track",

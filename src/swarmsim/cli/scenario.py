@@ -160,8 +160,12 @@ _PROB = Num(lo=0.0, hi=1.0)
 # radius, within 1e9 mm leaves the motion room to stay finite and keeps a
 # circle's far centre from cancelling the points around it. IR noise within
 # 1e9 mm keeps its draws finite, and already saturates every wire reading.
+# World coordinates within 1e9 mm keep the ray casts' differences and
+# products finite.
 _GAIN = Num(lo=0.0, exclusive_lo=True, hi=1e6)
-_START = NumSeq(3, Num(lo=-1e9, hi=1e9))    # x mm, y mm, theta rad
+_COORD = Num(lo=-1e9, hi=1e9)
+_START = NumSeq(3, _COORD)    # x mm, y mm, theta rad
+_BOX = NumSeq(4, _COORD)      # x0, y0, x1, y1 mm
 
 _GEOMETRY = Map({
     "wheel_base": (_POSITIVE, False),
@@ -264,14 +268,12 @@ _PLAN = Map({
 })
 
 _WORLD = Map({
-    "bounds": (NumSeq(4), True),
-    "rects": (SeqOf(NumSeq(4)), False),
-    "segments": (SeqOf(NumSeq(4)), False),
+    "bounds": (_BOX, True),
+    "rects": (SeqOf(_BOX), False),
+    "segments": (SeqOf(_BOX), False),
 })
 
 _RATES = Map({
-    "encoder_hz": (_POSITIVE, False),
-    "flow_hz": (_POSITIVE, False),
     # t_sent counts whole ms on a u32 clock
     "report_period_ms": (Num(lo=1.0, hi=float(0xFFFFFFFF)), False),
     "report_jitter_ms": (_NONNEG, False),   # robot loop turbulence around the period
@@ -368,36 +370,16 @@ def apply_override(raw: dict, spec: str) -> None:
     node[keys[-1]] = value
 
 
-# Longest gap (s) the sensor and report clocks may leave between samples.
-_MAX_CLOCK_GAP_S = 0.2
-
-
 def _check_rates(r: Rates) -> None:
-    """Reject rates whose microsecond clocks the sensor model cannot run.
-
-    Each sensor period must round to at least 1 us, since the window noise
-    scales with it, and some clock must fire at least every
-    _MAX_CLOCK_GAP_S seconds. Reports are stamped in whole ms, so a
-    jittered report interval under 1 ms could repeat a stamp and have its
-    report skipped as stale.
+    """Reject a jittered report interval under 1 ms: reports are stamped in
+    whole ms, so it could repeat a stamp and have its report skipped as
+    stale.
     """
-    for key, period_us in (("encoder_hz", r.encoder_period_us),
-                           ("flow_hz", r.flow_period_us)):
-        if period_us < 1:
-            raise ScenarioError(f"rates.{key}: the period rounds to 0 us, "
-                                f"got {getattr(r, key):g}")
     if r.report_period_us - r.report_jitter_us < 1000:
         raise ScenarioError(
             f"rates.report_jitter_ms: must be at most rates.report_period_ms "
             f"- 1 ms ({(r.report_period_us - 1000) / 1e3:g}), "
             f"got {r.report_jitter_ms:g}")
-    longest_us = min(r.encoder_period_us, r.flow_period_us,
-                     r.report_period_us + r.report_jitter_us)
-    if longest_us * 1e-6 > _MAX_CLOCK_GAP_S:
-        raise ScenarioError(
-            f"rates: every clock can leave {longest_us / 1e6:g} s between "
-            f"samples, above {_MAX_CLOCK_GAP_S:g} s; raise rates.encoder_hz or "
-            f"rates.flow_hz, or lower rates.report_period_ms")
 
 
 def _build(path: str, make, *args, **kwargs):

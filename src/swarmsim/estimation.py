@@ -19,7 +19,7 @@ import numpy as np
 
 from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
 from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
-from .sim import Rates
+from .sim import ENCODER_HZ, FLOW_HZ, Rates
 
 STATE_DIM = 5
 # The filter works on the upper triangle of the covariance as a flat list:
@@ -70,17 +70,16 @@ class EkfConfig:
     @classmethod
     def from_noise(cls, noise, geometry: RobotGeometry, rates: Rates = Rates(),
                    **overrides) -> "EkfConfig":
-        """Derive r_base from sensor noise levels, the sampling and report
-        rates, and wire quantization."""
+        """Derive r_base from sensor noise levels, the sample rates
+        ENCODER_HZ and FLOW_HZ, the report period, and wire quantization."""
         t = rates.report_period_ms / 1e3
-        encoder_hz, flow_hz = rates.encoder_hz, rates.flow_hz
         # Per-wheel speed variance: sample noise plus the two tick-boundary
         # truncation errors of the report window.
-        var_wheel = (noise.encoder_sigma ** 2 / (encoder_hz * t)
+        var_wheel = (noise.encoder_sigma ** 2 / (ENCODER_HZ * t)
                      + geometry.mm_per_tick ** 2 / (6.0 * t * t))
         # Per-sensor flow displacement variance: sample noise plus the
         # 0.1 mm wire quantum.
-        var_dx = noise.flow_sigma ** 2 * t / flow_hz + 0.1 ** 2 / 12.0
+        var_dx = noise.flow_sigma ** 2 * t / FLOW_HZ + 0.1 ** 2 / 12.0
         r = (
             var_wheel / 2.0,
             2.0 * var_wheel / geometry.wheel_base ** 2,
@@ -163,26 +162,16 @@ def measurement_from_packets(prev: SensorPacket, curr: SensorPacket,
     )
 
 
-def transition_jacobian(mean: np.ndarray, dt: float) -> np.ndarray:
-    """Jacobian of the constant-velocity unicycle prediction."""
-    theta, v = mean[2], mean[3]
-    f = np.eye(STATE_DIM)
-    f[0, 2] = -v * dt * math.sin(theta)
-    f[0, 3] = dt * math.cos(theta)
-    f[1, 2] = v * dt * math.cos(theta)
-    f[1, 3] = dt * math.sin(theta)
-    f[2, 4] = dt
-    return f
-
-
 def ekf_predict(belief: EkfBelief, dt: float, cfg: EkfConfig) -> EkfBelief:
     """Propagate the belief dt seconds under constant (v, omega).
 
-    The covariance is F P F^T + Q dt written out for the F of
-    transition_jacobian, the identity plus five entries, so only rows and
-    columns 0-2 change (Maybeck, Stochastic Models, Estimation and Control,
-    Vol. 1, 1979, ch. 7).  The result is mirrored from one triangle, so it
-    is exactly symmetric.
+    The covariance is F P F^T + Q dt written out for the Jacobian F of
+    this prediction: the identity plus F[0][2] = -v dt sin(theta),
+    F[0][3] = dt cos(theta), F[1][2] = v dt cos(theta),
+    F[1][3] = dt sin(theta) and F[2][4] = dt.  So only rows and columns 0-2
+    change (Maybeck, Stochastic Models, Estimation and Control, Vol. 1,
+    1979, ch. 7).  The result is mirrored from one triangle, so it is
+    exactly symmetric.
     """
     if dt <= 0:
         raise ValueError("prediction interval must be positive")

@@ -49,7 +49,7 @@ PI_KI = 2.0
 MOTOR_TAU_S = 0.05
 
 # The plant's fixed tick, the 400 Hz encoder period.  Tick boundaries fall
-# on multiples of TICK_US from t = 0; no sensor or report rate moves them.
+# on multiples of TICK_US from t = 0; no report rate moves them.
 TICK_US = 2500
 TICK_S = TICK_US / 1e6
 # Exact lag over one tick at a held drive: a wheel at speed a0 ends the
@@ -164,9 +164,9 @@ class SensorNoise:
     """Per-sample noise levels and the flow calibration factor.
 
     encoder_sigma and flow_sigma are speed-noise standard deviations (mm/s)
-    of one sample at the sensor's own rate; both land near 2 mm/s at the
-    70 ms report level with the default rates.  Wheel odometry error is
-    dominated by tick quantization instead of this term.
+    of one sample at ENCODER_HZ and FLOW_HZ; both land near 2 mm/s at the
+    default 70 ms report.  Wheel odometry error is dominated by tick
+    quantization instead of this term.
     """
 
     encoder_sigma: float = 1.0     # mm/s per 400 Hz sample
@@ -186,15 +186,20 @@ class SensorNoise:
         return cls(encoder_sigma=0.0, flow_sigma=0.0, gyro_sigma=0.0, ir_sigma=0.0)
 
 
-def window_sigma(sigma: float, period_s: float, window_s: float) -> float:
+# Sensor sample rates.  Each report samples its window in closed form, so a
+# rate only sets how much noise the window sums (window_sigma).
+ENCODER_HZ = 400.0
+FLOW_HZ = 1000.0
+
+
+def window_sigma(sigma: float, hz: float, window_s: float) -> float:
     """Standard deviation of the summed displacement noise of one window.
 
-    A sample of period_s seconds carries sigma * period_s mm of noise, and a
-    window of window_s seconds holds window_s / period_s such i.i.d.
-    samples, so their sum is one normal of variance
-    sigma**2 * period_s * window_s.
+    A sample of 1 / hz seconds carries sigma / hz mm of noise, and a window
+    of window_s seconds holds window_s * hz such i.i.d. samples, so their
+    sum is one normal of variance sigma**2 * window_s / hz.
     """
-    return sigma * math.sqrt(period_s * window_s)
+    return sigma * math.sqrt(1.0 / hz * window_s)
 
 
 def count_ticks(travel: float, mm_per_tick: float) -> int:
@@ -212,16 +217,15 @@ def count_ticks(travel: float, mm_per_tick: float) -> int:
 class EncoderModel:
     """Incremental wheel encoders: quantized, noisy, and slip-blind.
 
-    Sampled once per report window in closed form; period_s is the
-    encoder's own sample period, which only sets the window noise.
+    Sampled once per report window in closed form, as ENCODER_HZ samples
+    per second.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
-                 rng: np.random.Generator, period_s: float):
+                 rng: np.random.Generator):
         self.geometry = geometry
         self.noise = noise
         self.rng = rng
-        self.period_s = period_s
         self._travel = [0.0, 0.0]   # cumulative noisy travel (mm), right, left
         self._ticks = [0, 0]
 
@@ -236,7 +240,7 @@ class EncoderModel:
         ``RobotSim`` below inlines this sample at each report; this method
         is its per-window reference and a tracing target.
         """
-        sigma = window_sigma(self.noise.encoder_sigma, self.period_s, window_s)
+        sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
         ticks = []
         for i, travel in enumerate((right_mm, left_mm)):
             self._travel[i] += travel + sigma * self.rng.standard_normal()
@@ -249,16 +253,15 @@ class EncoderModel:
 class FlowModel:
     """Paired downward optical-flow sensors measuring ground motion.
 
-    Sampled once per report window in closed form; period_s is the flow
-    sensors' own sample period, which only sets the window noise.
+    Sampled once per report window in closed form, as FLOW_HZ samples per
+    second.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
-                 rng: np.random.Generator, period_s: float):
+                 rng: np.random.Generator):
         self.geometry = geometry
         self.noise = noise
         self.rng = rng
-        self.period_s = period_s
 
     def sample_vw(self, path_mm: float, turn_rad: float,
                   window_s: float) -> tuple[float, float]:
@@ -272,7 +275,7 @@ class FlowModel:
         is its per-window reference and a tracing target.
         """
         half = 0.5 * self.geometry.flow_separation * turn_rad
-        sigma = window_sigma(self.noise.flow_sigma, self.period_s, window_s)
+        sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s)
         scale = self.noise.flow_scale
         return (
             (path_mm - half) * scale + sigma * self.rng.standard_normal(),
@@ -282,30 +285,17 @@ class FlowModel:
 
 @dataclass(frozen=True)
 class Rates:
-    """Sensor sampling and report schedule.
+    """Report schedule.
 
-    Report instants lie on an integer microsecond grid.  The sensor rates
-    set only the noise of each report window, through their rounded
-    periods; they never change the plant's tick.  report_jitter_ms > 0
-    spreads each
-    inter-report interval uniformly over period +- jitter, modeling a robot
-    whose send loop does not keep exact time. The report payload still
-    covers the true interval and carries the true send timestamp, so a
-    timestamp-driven consumer stays consistent.
+    Report instants lie on an integer microsecond grid.  report_jitter_ms > 0
+    spreads each inter-report interval uniformly over period +- jitter,
+    modeling a robot whose send loop does not keep exact time. The report
+    payload still covers the true interval and carries the true send
+    timestamp, so a timestamp-driven consumer stays consistent.
     """
 
-    encoder_hz: float = 400.0
-    flow_hz: float = 1000.0
     report_period_ms: float = 70.0
     report_jitter_ms: float = 0.0
-
-    @property
-    def encoder_period_us(self) -> int:
-        return round(1e6 / self.encoder_hz)
-
-    @property
-    def flow_period_us(self) -> int:
-        return round(1e6 / self.flow_hz)
 
     @property
     def report_period_us(self) -> int:
@@ -480,8 +470,8 @@ class RobotSim:
     target, inside a tick splits only the motion step: the body's pose there
     is the chord step from the tick's start at the tick's twist, which
     carries on for the rest of the tick.  So the pose at every tick
-    boundary is the same whatever the report and sensor clocks.  A command
-    takes effect at the next tick boundary.
+    boundary is the same whatever the report clock.  A command takes
+    effect at the next tick boundary.
 
     ``advance_to`` is one fused loop: the reference tick
     ``PlantLoop.advance`` and the slip lookup are written inline, float
@@ -509,8 +499,6 @@ class RobotSim:
         self.gyro_rng = stream_rng(seed, robot_id, STREAM_GYRO)
         self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
         self._schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
-        self._enc_period_s = rates.encoder_period_us / 1e6
-        self._flow_period_s = rates.flow_period_us / 1e6
         self._report_us = rates.report_period_us
         self._jitter_us = rates.report_jitter_us
         self.truth_at_send: dict[int, Posture] = {}
@@ -716,12 +704,12 @@ class RobotSim:
         wheel_r0, wheel_l0, path0, turn0 = self._at_report
         self._at_report = (wheel_r, wheel_l, path, turn)
         window_s = self._window_us / 1e6
-        sigma = window_sigma(self.noise.encoder_sigma, self._enc_period_s, window_s)
+        sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
         noise_r, noise_l = self._enc_rng.standard_normal(2).tolist()
         self._travel_r += (wheel_r - wheel_r0) + sigma * noise_r
         self._travel_l += (wheel_l - wheel_l0) + sigma * noise_l
         half = 0.5 * self.geometry.flow_separation * (turn - turn0)
-        sigma = window_sigma(self.noise.flow_sigma, self._flow_period_s, window_s)
+        sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s)
         scale = self.noise.flow_scale
         noise_l, noise_r = self._flow_rng.standard_normal(2).tolist()
         self._flow_l += ((path - path0) - half) * scale + sigma * noise_l

@@ -276,11 +276,6 @@ def test_robot_leaving_the_world_faults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, key_path", [
-    # A sensor period that rounds to 0 us.
-    (("rates.encoder_hz=3000000",), "rates.encoder_hz"),
-    # Clocks that all tick slower than 5 Hz.
-    (("rates.encoder_hz=2", "rates.flow_hz=2", "rates.report_period_ms=1000"),
-     "rates"),
     # Jitter at or above the period allows a report interval of 0 or less.
     (("rates.report_jitter_ms=80",), "rates.report_jitter_ms"),
 ])
@@ -292,6 +287,18 @@ def test_rates_the_sensor_model_cannot_run_are_rejected(tmp_path, capsys,
     assert_rejected(capsys, ["validate", SLIP, *args], key_path)
 
 
+@pytest.mark.parametrize("override", ["rates.encoder_hz=400",
+                                      "rates.flow_hz=1000"])
+def test_sensor_rates_are_not_settable(tmp_path, capsys, override):
+    # The sensor sample rates are fixed; a scenario that sets one is
+    # rejected like any other unknown key, even at its fixed value.
+    key = override.partition("=")[0]
+    for args in (["localize", SLIP, "--out", str(tmp_path)], ["validate", SLIP]):
+        assert main([*args, "--override", override]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines == [f"error: unknown key {key!r}"]
+
+
 @pytest.mark.parametrize("command, scenario, override, key_path", [
     # Non-finite numbers.
     ("localize", "localize_slip.yaml", "robot.command=[.inf,0]",
@@ -299,7 +306,8 @@ def test_rates_the_sensor_model_cannot_run_are_rejected(tmp_path, capsys,
     ("localize", "localize_slip.yaml", "channel.latency_max_ms=.inf",
      "channel.latency_max_ms"),
     ("localize", "localize_slip.yaml", "duration_s=.nan", "duration_s"),
-    ("localize", "localize_slip.yaml", "rates.flow_hz=.nan", "rates.flow_hz"),
+    ("localize", "localize_slip.yaml", "rates.report_jitter_ms=.nan",
+     "rates.report_jitter_ms"),
     # An integer beyond the float range.
     pytest.param("localize", "localize_slip.yaml", "duration_s=1" + "0" * 400,
                  "duration_s", id="localize-duration_s-huge-integer"),
@@ -327,7 +335,6 @@ def test_rates_the_sensor_model_cannot_run_are_rejected(tmp_path, capsys,
      "robot.geometry.mm_per_tick"),
     # Values whose arithmetic overflows while the objects are built.
     ("localize", "localize_slip.yaml", "robot.geometry.wheel_base=1.0e-200", "robot"),
-    ("localize", "localize_slip.yaml", "rates.encoder_hz=2.3e-308", "rates"),
     # Rules the built objects own.
     ("track", "circle_track.yaml", "duration_s=0.01", "duration_s"),
     ("track", "circle_track.yaml", "duration_s=1.0e+30", "duration_s"),
@@ -356,6 +363,13 @@ def test_rates_the_sensor_model_cannot_run_are_rejected(tmp_path, capsys,
     ("track", "circle_track.yaml",
      "control={reference: {radius: 1.0e+300, shape: circle, speed: 1.0}}",
      "control.reference.radius"),
+    # World coordinates whose ray casts overflowed, so every ray missed.
+    ("localize", "localize_slip.yaml",
+     "world={bounds: [-1000, -1000, 1000, 1000], "
+     "segments: [[1.7e+308, 0.0, -1.7e+308, 0.0]]}", "world.segments[0][0]"),
+    ("localize", "localize_slip.yaml",
+     "world={bounds: [-1000, -1000, 1000, 1000], "
+     "rects: [[-1.7e+308, 100.0, 1.7e+308, 200.0]]}", "world.rects[0][0]"),
 ])
 def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
                                                     scenario, override,
@@ -407,7 +421,7 @@ READERS = {
 }
 # Keys whose value sizes the work of a run (rounds, scan headings, grid
 # cells) are only validated, and so is a draw of a section holding one: a
-# valid draw may take minutes to run. The sensor rates size no work: the
+# valid draw may take minutes to run. The report rates size no work: the
 # plant steps on a fixed tick and each report samples its window once.
 SIZES_WORK = ("consensus.max_rounds", "plan.survey.headings", "plan.width_cells",
               "plan.height_cells")

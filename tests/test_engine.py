@@ -63,10 +63,8 @@ class ReferenceSim:
         self.slip_schedule = slip_schedule
         self.loop = PlantLoop(start, GEOM)
         self.encoders = EncoderModel(GEOM, noise,
-                                     stream_rng(seed, 0, STREAM_ENCODER),
-                                     rates.encoder_period_us / 1e6)
-        self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW),
-                              rates.flow_period_us / 1e6)
+                                     stream_rng(seed, 0, STREAM_ENCODER))
+        self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW))
         self.gyro_rng = stream_rng(seed, 0, STREAM_GYRO)
         self.ir_rng = stream_rng(seed, 0, STREAM_IR)
         self.schedule_rng = stream_rng(seed, 0, STREAM_SCHEDULE)
@@ -202,16 +200,13 @@ slip_events = st.builds(
     st.one_of(st.floats(0.0, 2500.0), st.integers(0, 2500).map(float)),
     st.one_of(st.floats(0.5, 1500.0), st.integers(1, 1500).map(float)),
     st.booleans(), st.floats(0.0, 1.0))
-sensor_hz = st.one_of(st.sampled_from((400.0, 1000.0, 333.0, 700.0, 250.0)),
-                      st.floats(20.0, 3000.0))
 
 
 @st.composite
 def rates(draw) -> Rates:
     period = draw(st.floats(5.0, 150.0))
     jitter = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9 * period)))
-    return Rates(encoder_hz=draw(sensor_hz), flow_hz=draw(sensor_hz),
-                 report_period_ms=period, report_jitter_ms=jitter)
+    return Rates(report_period_ms=period, report_jitter_ms=jitter)
 
 
 noises = st.one_of(
@@ -316,21 +311,22 @@ SLIP = Path(__file__).resolve().parents[1] / "src/swarmsim/scenarios/localize_sl
 
 
 @pytest.mark.parametrize("jitter_ms", [0.0, 25.0])
-def test_noiseless_truth_ignores_the_sensor_rates(jitter_ms):
-    # The plant steps on its own tick, so neither sensor clock moves the
-    # ground truth: every truth at send, the last one included, is the same
-    # double at 1000 and 500 Hz flow and at 400 and 200 Hz encoders.
-    def truths(*rates):
-        overrides = ("robot.noiseless=true", f"rates.report_jitter_ms={jitter_ms}",
-                     *rates)
+def test_truth_ignores_the_sensor_settings(jitter_ms):
+    # Sensors only observe the plant, so their noise and calibration never
+    # move the ground truth: every truth at send, the last one included, is
+    # the same double without noise, with the default noise, and with a
+    # miscalibrated flow sensor and 30x the encoder noise.
+    def truths(*noise):
+        overrides = (f"rates.report_jitter_ms={jitter_ms}", *noise)
         run = simulate_reports(load_scenario(SLIP, overrides))
         return [(t, pose.x.hex(), pose.y.hex(), pose.theta.hex())
                 for t, pose in sorted(run.truth_at_send.items())]
 
-    default = truths()
-    assert default[-1][0] >= 29_900
-    assert truths("rates.flow_hz=500") == default
-    assert truths("rates.encoder_hz=200") == default
+    noiseless = truths("robot.noiseless=true")
+    assert noiseless[-1][0] >= 29_900
+    assert truths() == noiseless
+    assert truths("robot.noise.flow_scale=1.3",
+                  "robot.noise.encoder_sigma=30") == noiseless
 
 
 def _chi2_quantile(n: int, z: float) -> float:

@@ -23,7 +23,6 @@ from swarmsim.estimation import (
     initial_belief,
     measurement_from_packets,
     run_estimator,
-    transition_jacobian,
 )
 from swarmsim.sim import SensorNoise
 
@@ -271,6 +270,19 @@ H = np.array([
     [0.0, 0.0, 0.0, 0.0, 1.0],
     [0.0, 0.0, 1.0, 0.0, 0.0],
 ])
+
+
+def transition_jacobian(mean, dt):
+    """F of the constant-velocity unicycle prediction, which ekf_predict
+    writes out in closed form."""
+    theta, v = mean[2], mean[3]
+    f = np.eye(5)
+    f[0, 2] = -v * dt * math.sin(theta)
+    f[0, 3] = dt * math.cos(theta)
+    f[1, 2] = v * dt * math.cos(theta)
+    f[1, 3] = dt * math.sin(theta)
+    f[2, 4] = dt
+    return f
 
 
 def textbook_r(cfg, slip):

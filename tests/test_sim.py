@@ -46,11 +46,11 @@ def _rolling(speed: float = 100.0, left: float | None = None) -> PlantLoop:
 
 
 def _encoders(noise: SensorNoise = QUIET, seed: int = 0) -> EncoderModel:
-    return EncoderModel(GEOM, noise, np.random.default_rng(seed), 0.0025)
+    return EncoderModel(GEOM, noise, np.random.default_rng(seed))
 
 
 def _flow(noise: SensorNoise = QUIET, seed: int = 0) -> FlowModel:
-    return FlowModel(GEOM, noise, np.random.default_rng(seed), 0.001)
+    return FlowModel(GEOM, noise, np.random.default_rng(seed))
 
 
 # --- wheel PI loop -----------------------------------------------------------
