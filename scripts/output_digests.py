@@ -61,6 +61,15 @@ INVOCATIONS = (
     ("localize jitter", "localize", "localize_jitter.yaml", ()),
     ("localize slip lossy", "localize", "localize_slip.yaml",
      tuple(a for spec in LOSSY_LOCALIZE for a in ("--override", spec))),
+    # The filter settings the bundled scenarios leave at their defaults.
+    ("localize jitter non-adaptive filter", "localize", "localize_jitter.yaml",
+     ("--override", "estimator.adaptive=false")),
+    ("localize slip fixed 70 ms filter step", "localize", "localize_slip.yaml",
+     ("--override", "estimator.fixed_dt_ms=70")),
+    ("track estimator non-adaptive fixed step", "track", "circle_track.yaml",
+     ("--override", "control.feedback=estimator",
+      "--override", "estimator.adaptive=false",
+      "--override", "estimator.fixed_dt_ms=70")),
     ("compare slip", "compare", "localize_slip.yaml", ()),
     ("compare jitter", "compare", "localize_jitter.yaml", ()),
     ("compare slip seed 7 all variants", "compare", "localize_slip.yaml",
