@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +23,14 @@ from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
 from .sim import ENCODER_HZ, FLOW_HZ, Rates
 
 STATE_DIM = 5
-# The filter works on the upper triangle of the covariance as a flat list:
-# entry n is (_UPPER_ROW[n], _UPPER_COL[n]), at _UPPER[n] in the raveled
-# matrix.  _SLOT[i][k] is the entry holding (i, k) or (k, i), so indexing
-# the list with _SLOT mirrors it back, and _COLUMN[j] lists column j.
-_ROW, _COL = np.triu_indices(STATE_DIM)
-_UPPER, _UPPER_ROW, _UPPER_COL = _ROW * STATE_DIM + _COL, _ROW.tolist(), _COL.tolist()
-_SLOT = np.zeros((STATE_DIM, STATE_DIM), dtype=int)
-_SLOT[_ROW, _COL] = _SLOT[_COL, _ROW] = range(len(_UPPER))
-_COLUMN = _SLOT.tolist()
+# The filter keeps the covariance as its upper triangle, row by row:
+# (P00, P01, P02, P03, P04, P11, P12, P13, P14, P22, P23, P24, P33, P34, P44).
+# _SLOT[i][k] is the entry holding (i, k) or (k, i), so indexing the
+# triangle with _SLOT mirrors it back into the full matrix.
+_SLOT = np.array([[0, 1, 2, 3, 4], [1, 5, 6, 7, 8], [2, 6, 9, 10, 11],
+                  [3, 7, 10, 12, 13], [4, 8, 11, 13, 14]])
+# Dead reckoning carries no uncertainty.
+_ZERO_TRIANGLE = (0.0,) * 15
 
 
 class EstimationFault(Exception):
@@ -90,29 +90,34 @@ class EkfConfig:
         return cls(r_base=r, **overrides)
 
 
-@dataclass(frozen=True)
-class EkfBelief:
-    """Gaussian state estimate stamped with its report time."""
+class EkfBelief(NamedTuple):
+    """Gaussian state estimate stamped with its report time.
 
-    mean: np.ndarray          # (5,)
-    cov: np.ndarray           # (5, 5)
+    Both parts are Python floats: mean is (x, y, theta, v, omega) and tri
+    the 15-entry upper triangle of the covariance (see _SLOT).
+    """
+
+    mean: tuple[float, ...]
+    tri: tuple[float, ...]
     t_ms: float
 
     @property
     def pose(self) -> Posture:
-        # Python floats, not numpy scalars: a controller fed this pose
-        # would pass numpy scalars on into the plant's arithmetic.
-        return Posture(*self.mean[:3].tolist())
+        return Posture(*self.mean[:3])
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The full, exactly symmetric 5x5 covariance."""
+        return np.array(self.tri)[_SLOT]
 
 
 def initial_belief(pose: Posture) -> EkfBelief:
-    mean = np.array([pose.x, pose.y, pose.theta, 0.0, 0.0])
-    cov = np.diag([1.0, 1.0, 1e-4, 100.0, 0.1])
-    return EkfBelief(mean, cov, 0.0)
+    mean = (float(pose.x), float(pose.y), float(pose.theta), 0.0, 0.0)
+    return EkfBelief(mean, (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                            1e-4, 0.0, 0.0, 100.0, 0.0, 0.1), 0.0)
 
 
-@dataclass(frozen=True)
-class VelocityMeasurement:
+class VelocityMeasurement(NamedTuple):
     """One report converted to physical units over its own interval."""
 
     dt: float                 # s, from report timestamps
@@ -170,33 +175,64 @@ def ekf_predict(belief: EkfBelief, dt: float, cfg: EkfConfig) -> EkfBelief:
     F[0][3] = dt cos(theta), F[1][2] = v dt cos(theta),
     F[1][3] = dt sin(theta) and F[2][4] = dt.  So only rows and columns 0-2
     change (Maybeck, Stochastic Models, Estimation and Control, Vol. 1,
-    1979, ch. 7).  The result is mirrored from one triangle, so it is
-    exactly symmetric.
+    1979, ch. 7).  Only the upper triangle is computed.
     """
     if dt <= 0:
         raise ValueError("prediction interval must be positive")
-    x, y, theta, v, w = belief.mean.tolist()
+    x, y, theta, v, w = belief.mean
     cos, sin = math.cos(theta), math.sin(theta)
-    mean = np.array([x + v * dt * cos, y + v * dt * sin,
-                     wrap_angle(theta + w * dt), v, w])
+    mean = (x + v * dt * cos, y + v * dt * sin, wrap_angle(theta + w * dt), v, w)
     # Nonzero off-diagonal entries of F: rows 0 and 1 at columns 2 and 3.
     a, b, c, d = -v * dt * sin, dt * cos, v * dt * cos, dt * sin
-    p0, p1, p2, p3, p4 = belief.cov.tolist()
-    # Rows 0-2 of F P; rows 3 and 4 are those of P.
-    g0 = [i + a * k + b * m for i, k, m in zip(p0, p2, p3)]
-    g1 = [j + c * k + d * m for j, k, m in zip(p1, p2, p3)]
-    g2 = [k + dt * n for k, n in zip(p2, p4)]
-    q0, q1, q2, q3, q4 = (q * dt for q in cfg.q_diag)
+    p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = belief.tri
+    # The entries of rows 0-2 of F P that the product reads; rows 3 and 4
+    # are those of P.
+    f00, f01 = p00 + a * p02 + b * p03, p01 + a * p12 + b * p13
+    f02, f03 = p02 + a * p22 + b * p23, p03 + a * p23 + b * p33
+    f04 = p04 + a * p24 + b * p34
+    f11, f12 = p11 + c * p12 + d * p13, p12 + c * p22 + d * p23
+    f13, f14 = p13 + c * p23 + d * p33, p14 + c * p24 + d * p34
+    f22, f23, f24 = p22 + dt * p24, p23 + dt * p34, p24 + dt * p44
+    q0, q1, q2, q3, q4 = cfg.q_diag
     # The upper triangle of (F P) F^T + Q dt.
-    cov = np.array([
-        g0[0] + a * g0[2] + b * g0[3] + q0, g0[1] + c * g0[2] + d * g0[3],
-        g0[2] + dt * g0[4], g0[3], g0[4],
-        g1[1] + c * g1[2] + d * g1[3] + q1, g1[2] + dt * g1[4], g1[3], g1[4],
-        g2[2] + dt * g2[4] + q2, g2[3], g2[4],
-        p3[3] + q3, p3[4],
-        p4[4] + q4,
-    ])[_SLOT]
-    return EkfBelief(mean, cov, belief.t_ms + dt * 1e3)
+    tri = (f00 + a * f02 + b * f03 + q0 * dt, f01 + c * f02 + d * f03,
+           f02 + dt * f04, f03, f04,
+           f11 + c * f12 + d * f13 + q1 * dt, f12 + dt * f14, f13, f14,
+           f22 + dt * f24 + q2 * dt, f23, f24,
+           p33 + q3 * dt, p34,
+           p44 + q4 * dt)
+    return EkfBelief(mean, tri, belief.t_ms + dt * 1e3)
+
+
+def _fuse(mean, tri, j, z, r):
+    """One scalar update of ekf_update: z measures state j with variance r."""
+    p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = tri
+    col = ((p02, p12, p22, p23, p24) if j == 2 else
+           (p03, p13, p23, p33, p34) if j == 3 else (p04, p14, p24, p34, p44))
+    c0, c1, c2, c3, c4 = col
+    s = col[j] + r
+    if not s > 0:
+        raise EstimationFault("innovation covariance is not positive definite")
+    m0, m1, m2, m3, m4 = mean
+    g = (wrap_angle(z - m2) if j == 2 else z - mean[j]) / s
+    mean = (m0 + c0 * g, m1 + c1 * g, m2 + c2 * g, m3 + c3 * g, m4 + c4 * g)
+    # Row j of the posterior, then every entry off it.
+    rs = r / s
+    k0, k1, k2, k3, k4 = c0 * rs, c1 * rs, c2 * rs, c3 * rs, c4 * rs
+    on2, on3, on4 = j == 2, j == 3, j == 4
+    return mean, (
+        p00 - c0 * c0 / s, p01 - c0 * c1 / s,
+        k0 if on2 else p02 - c0 * c2 / s, k0 if on3 else p03 - c0 * c3 / s,
+        k0 if on4 else p04 - c0 * c4 / s,
+        p11 - c1 * c1 / s,
+        k1 if on2 else p12 - c1 * c2 / s, k1 if on3 else p13 - c1 * c3 / s,
+        k1 if on4 else p14 - c1 * c4 / s,
+        k2 if on2 else p22 - c2 * c2 / s,
+        k3 if on2 else k2 if on3 else p23 - c2 * c3 / s,
+        k4 if on2 else k2 if on4 else p24 - c2 * c4 / s,
+        k3 if on3 else p33 - c3 * c3 / s,
+        k4 if on3 else k3 if on4 else p34 - c3 * c4 / s,
+        k4 if on4 else p44 - c4 * c4 / s)
 
 
 def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
@@ -215,30 +251,18 @@ def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
     the end.  The pivots s are the Cholesky pivots of the batch innovation
     covariance S in that channel order, so EstimationFault is raised
     exactly when S is not positive definite.  Only the upper triangle of P
-    is read and updated, then mirrored, so the result is exactly symmetric.
+    is stored, so the covariance is exactly symmetric.
     """
     r_vw, r_ww, r_vf, r_wf, r_heading = cfg.r_base
     if slip:
         r_vw *= cfg.slip_inflation
         r_ww *= cfg.slip_inflation
-    mean = belief.mean.tolist()
-    p = belief.cov.ravel()[_UPPER].tolist()
-    for j, z, r in ((2, meas.heading, r_heading), (3, meas.v_wheel, r_vw),
-                    (4, meas.w_wheel, r_ww), (3, meas.v_flow, r_vf),
-                    (4, meas.w_flow, r_wf)):
-        col = [p[n] for n in _COLUMN[j]]
-        s = col[j] + r
-        if not s > 0:
-            raise EstimationFault("innovation covariance is not positive definite")
-        nu = wrap_angle(z - mean[2]) if j == 2 else z - mean[j]
-        g = nu / s
-        mean = [m + ci * g for m, ci in zip(mean, col)]
-        prior, p = p, [pn - col[i] * col[k] / s
-                       for pn, i, k in zip(p, _UPPER_ROW, _UPPER_COL)]
-        for n in _COLUMN[j]:
-            p[n] = prior[n] * (r / s)
-    mean[2] = wrap_angle(mean[2])
-    return EkfBelief(np.array(mean), np.array(p)[_SLOT], meas.t_ms)
+    mean, tri = _fuse(belief.mean, belief.tri, 2, meas.heading, r_heading)
+    mean, tri = _fuse(mean, tri, 3, meas.v_wheel, r_vw)
+    mean, tri = _fuse(mean, tri, 4, meas.w_wheel, r_ww)
+    mean, tri = _fuse(mean, tri, 3, meas.v_flow, r_vf)
+    (x, y, theta, v, w), tri = _fuse(mean, tri, 4, meas.w_flow, r_wf)
+    return EkfBelief((x, y, wrap_angle(theta), v, w), tri, meas.t_ms)
 
 
 class SlipDetector:
@@ -282,9 +306,8 @@ class StreamingEstimator:
             self.belief = initial_belief(start)
             self._detector = SlipDetector(cfg)
         else:
-            self.belief = EkfBelief(
-                np.array([start.x, start.y, start.theta, 0.0, 0.0]),
-                np.zeros((STATE_DIM, STATE_DIM)), 0.0)
+            self.belief = EkfBelief(initial_belief(start).mean,
+                                    _ZERO_TRIANGLE, 0.0)
         self.slip = False
         self.stale_skipped = 0
         # Odometry counters start at zero, so the first report is
@@ -313,9 +336,8 @@ class StreamingEstimator:
             else:
                 twist = Twist(meas.v_flow, meas.w_flow)
             pose = integrate_unicycle(self.belief.pose, twist, meas.dt)
-            self.belief = EkfBelief(
-                np.array([pose.x, pose.y, pose.theta, twist.v, twist.w]),
-                self.belief.cov, meas.t_ms)
+            self.belief = EkfBelief((pose.x, pose.y, pose.theta, twist.v, twist.w),
+                                    _ZERO_TRIANGLE, meas.t_ms)
         return self.belief
 
 
@@ -324,7 +346,7 @@ class EstimationRun:
     """Belief trajectory of one estimator over a report stream."""
 
     times_ms: list[float] = field(default_factory=list)
-    means: list[np.ndarray] = field(default_factory=list)
+    means: list[tuple[float, ...]] = field(default_factory=list)
     slip_flags: list[bool] = field(default_factory=list)
     stale_skipped: int = 0
 
@@ -336,7 +358,7 @@ def _collect(est: StreamingEstimator, packets: list[SensorPacket]) -> Estimation
         if belief is None:
             continue
         run.times_ms.append(float(packet.t_sent))
-        run.means.append(belief.mean.copy())
+        run.means.append(belief.mean)
         run.slip_flags.append(est.slip)
     run.stale_skipped = est.stale_skipped
     return run

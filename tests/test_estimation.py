@@ -44,6 +44,13 @@ def meas(dt=0.07, v_wheel=0.0, w_wheel=0.0, v_flow=0.0, w_flow=0.0,
     return VelocityMeasurement(dt, v_wheel, w_wheel, v_flow, w_flow, heading, t_ms)
 
 
+def matrix_belief(mean, cov, t_ms=0.0):
+    """The belief with this mean and the upper triangle of this matrix."""
+    return EkfBelief(tuple(np.asarray(mean, dtype=float).tolist()),
+                     tuple(np.asarray(cov, dtype=float)[np.triu_indices(5)].tolist()),
+                     t_ms)
+
+
 # --- measurement conversion ---------------------------------------------------
 
 
@@ -128,7 +135,7 @@ def test_conversion_handles_counter_wrap():
 
 
 def test_predict_stationary_grows_by_process_noise():
-    belief = EkfBelief(np.zeros(5), np.zeros((5, 5)), 0.0)
+    belief = matrix_belief(np.zeros(5), np.zeros((5, 5)))
     out = ekf_predict(belief, 0.1, CFG)
     assert np.allclose(out.mean, 0.0)
     assert np.allclose(out.cov, np.diag(CFG.q_diag) * 0.1)
@@ -137,7 +144,7 @@ def test_predict_stationary_grows_by_process_noise():
 
 def test_predict_straight_motion():
     mean = np.array([0.0, 0.0, 0.0, 100.0, 0.0])
-    belief = EkfBelief(mean, np.eye(5), 0.0)
+    belief = matrix_belief(mean, np.eye(5))
     out = ekf_predict(belief, 0.07, CFG)
     assert out.mean[0] == pytest.approx(7.0)
     assert out.mean[1] == pytest.approx(0.0)
@@ -145,7 +152,7 @@ def test_predict_straight_motion():
 
 def test_predict_wraps_heading():
     mean = np.array([0.0, 0.0, 3.1, 0.0, 1.0])
-    out = ekf_predict(EkfBelief(mean, np.eye(5), 0.0), 0.1, CFG)
+    out = ekf_predict(matrix_belief(mean, np.eye(5)), 0.1, CFG)
     assert out.mean[2] == pytest.approx(wrap_angle(3.2))
     assert out.mean[2] <= math.pi
 
@@ -189,7 +196,7 @@ def test_jacobian_matches_finite_differences():
 
 def test_update_zero_innovation_keeps_mean():
     mean = np.array([5.0, -3.0, 0.5, 120.0, 0.4])
-    belief = EkfBelief(mean, np.eye(5) * 10.0, 0.0)
+    belief = matrix_belief(mean, np.eye(5) * 10.0)
     z = meas(v_wheel=120.0, w_wheel=0.4, v_flow=120.0, w_flow=0.4, heading=0.5)
     out = ekf_update(belief, z, CFG, slip=False)
     assert np.allclose(out.mean, mean, atol=1e-9)
@@ -200,7 +207,7 @@ def test_update_wrapped_heading_innovation():
     # Belief just below +pi, measurement just above -pi: the short way round
     # crosses the branch cut.
     mean = np.array([0.0, 0.0, 3.1, 0.0, 0.0])
-    belief = EkfBelief(mean, np.diag([1, 1, 0.1, 1, 1]).astype(float), 0.0)
+    belief = matrix_belief(mean, np.diag([1, 1, 0.1, 1, 1]).astype(float))
     out = ekf_update(belief, meas(heading=-3.1), CFG, slip=False)
     assert abs(out.mean[2]) > 3.1   # moved toward pi, not through zero
 
@@ -209,7 +216,7 @@ def test_update_slip_posterior_tracks_flow():
     # Wheels claim 200 mm/s, flow says standing still, slip confirmed:
     # the fused speed must land within 1% of the disagreement from flow.
     prior_var = 25.0
-    belief = EkfBelief(np.zeros(5), np.diag([1, 1, 1e-4, prior_var, 0.01]), 0.0)
+    belief = matrix_belief(np.zeros(5), np.diag([1, 1, 1e-4, prior_var, 0.01]))
     z = meas(v_wheel=200.0, v_flow=0.0)
     out = ekf_update(belief, z, CFG, slip=True)
 
@@ -224,7 +231,7 @@ def test_update_slip_posterior_tracks_flow():
 
 
 def test_update_without_slip_splits_disagreement():
-    belief = EkfBelief(np.zeros(5), np.diag([1, 1, 1e-4, 1e6, 0.01]), 0.0)
+    belief = matrix_belief(np.zeros(5), np.diag([1, 1, 1e-4, 1e6, 0.01]))
     z = meas(v_wheel=200.0, v_flow=0.0)
     out = ekf_update(belief, z, CFG, slip=False)
     # Default trust is balanced, so the fused speed sits near the middle.
@@ -233,7 +240,7 @@ def test_update_without_slip_splits_disagreement():
 
 def test_update_singular_innovation_faults():
     cfg = EkfConfig(r_base=(0.0,) * 5)
-    belief = EkfBelief(np.zeros(5), np.zeros((5, 5)), 0.0)
+    belief = matrix_belief(np.zeros(5), np.zeros((5, 5)))
     with pytest.raises(EstimationFault):
         ekf_update(belief, meas(), cfg, slip=False)
 
@@ -382,8 +389,8 @@ def test_ekf_matches_textbook_matrix_forms(scales, lower, q_logs, r_logs, theta,
     cfg = EkfConfig(q_diag=tuple(10.0 ** np.asarray(q_logs)),
                     r_base=tuple(10.0 ** np.asarray(r_logs)))
     v, w = speeds[0], speeds[1] / 100.0
-    belief = EkfBelief(np.array([12.0, -40.0, theta, v, w]),
-                       spd(scales, lower), 0.0)
+    belief = matrix_belief(np.array([12.0, -40.0, theta, v, w]),
+                           spd(scales, lower))
 
     predicted = ekf_predict(belief, dt, cfg)
     f = transition_jacobian(belief.mean, dt)
@@ -438,14 +445,151 @@ def test_update_faults_exactly_when_textbook_cholesky_fails(
             zero_channels.discard(flow)
     r = tuple(0.0 if c in zero_channels else 10.0 ** (c - 3) for c in range(5))
     cfg = EkfConfig(r_base=r)
-    belief = EkfBelief(np.array([0.0, 0.0, 3.0, 50.0, 0.5]),
-                       spd(scales, lower, zero_rows), 0.0)
+    belief = matrix_belief(np.array([0.0, 0.0, 3.0, 50.0, 0.5]),
+                           spd(scales, lower, zero_rows))
     z = meas(v_wheel=60.0, w_wheel=0.4, v_flow=40.0, w_flow=0.6, heading=-3.0)
     if cholesky_fails(textbook_s(belief.cov, cfg, slip)):
         with pytest.raises(EstimationFault):
             ekf_update(belief, z, cfg, slip)
     else:
         ekf_update(belief, z, cfg, slip)
+
+
+# --- oracle: the filter on numpy arrays ------------------------------------------
+
+# The closed-form filter as it was written on a numpy mean and a full
+# covariance, looping over the upper triangle as a flat list: entry n is
+# (_UPPER_ROW[n], _UPPER_COL[n]), at _UPPER[n] in the raveled matrix.
+# _SLOT[i][k] is the entry holding (i, k) or (k, i), so indexing the list
+# with _SLOT mirrors it back, and _COLUMN[j] lists column j.  The
+# production filter does the same float operations in the same order, so
+# it must match bit for bit.
+_ROW, _COL = np.triu_indices(5)
+_UPPER, _UPPER_ROW, _UPPER_COL = _ROW * 5 + _COL, _ROW.tolist(), _COL.tolist()
+_SLOT = np.zeros((5, 5), dtype=int)
+_SLOT[_ROW, _COL] = _SLOT[_COL, _ROW] = range(len(_UPPER))
+_COLUMN = _SLOT.tolist()
+
+
+def reference_predict(mean, cov, dt, cfg):
+    """(mean, cov) of ekf_predict, from and to numpy arrays."""
+    if dt <= 0:
+        raise ValueError("prediction interval must be positive")
+    x, y, theta, v, w = mean.tolist()
+    cos, sin = math.cos(theta), math.sin(theta)
+    mean = np.array([x + v * dt * cos, y + v * dt * sin,
+                     wrap_angle(theta + w * dt), v, w])
+    a, b, c, d = -v * dt * sin, dt * cos, v * dt * cos, dt * sin
+    p0, p1, p2, p3, p4 = cov.tolist()
+    g0 = [i + a * k + b * m for i, k, m in zip(p0, p2, p3)]
+    g1 = [j + c * k + d * m for j, k, m in zip(p1, p2, p3)]
+    g2 = [k + dt * n for k, n in zip(p2, p4)]
+    q0, q1, q2, q3, q4 = (q * dt for q in cfg.q_diag)
+    cov = np.array([
+        g0[0] + a * g0[2] + b * g0[3] + q0, g0[1] + c * g0[2] + d * g0[3],
+        g0[2] + dt * g0[4], g0[3], g0[4],
+        g1[1] + c * g1[2] + d * g1[3] + q1, g1[2] + dt * g1[4], g1[3], g1[4],
+        g2[2] + dt * g2[4] + q2, g2[3], g2[4],
+        p3[3] + q3, p3[4],
+        p4[4] + q4,
+    ])[_SLOT]
+    return mean, cov
+
+
+def reference_update(mean, cov, meas, cfg, slip):
+    """(mean, cov) of ekf_update, from and to numpy arrays."""
+    r_vw, r_ww, r_vf, r_wf, r_heading = cfg.r_base
+    if slip:
+        r_vw *= cfg.slip_inflation
+        r_ww *= cfg.slip_inflation
+    mean = mean.tolist()
+    p = cov.ravel()[_UPPER].tolist()
+    for j, z, r in ((2, meas.heading, r_heading), (3, meas.v_wheel, r_vw),
+                    (4, meas.w_wheel, r_ww), (3, meas.v_flow, r_vf),
+                    (4, meas.w_flow, r_wf)):
+        col = [p[n] for n in _COLUMN[j]]
+        s = col[j] + r
+        if not s > 0:
+            raise EstimationFault("innovation covariance is not positive definite")
+        nu = wrap_angle(z - mean[2]) if j == 2 else z - mean[j]
+        g = nu / s
+        mean = [m + ci * g for m, ci in zip(mean, col)]
+        prior, p = p, [pn - col[i] * col[k] / s
+                       for pn, i, k in zip(p, _UPPER_ROW, _UPPER_COL)]
+        for n in _COLUMN[j]:
+            p[n] = prior[n] * (r / s)
+    mean[2] = wrap_angle(mean[2])
+    return np.array(mean), np.array(p)[_SLOT]
+
+
+def outcome(step, *args):
+    """What step returns, or the type of the filter error it raises."""
+    try:
+        return step(*args)
+    except (EstimationFault, ValueError) as exc:
+        return type(exc)
+
+
+def hexes(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+# Positive definite triangles, with and without zero rows, and arbitrary
+# ones, whose innovation pivots may be zero or negative.
+triangles = st.one_of(
+    st.builds(lambda scales, lower, zero_rows:
+              spd(scales, lower, zero_rows)[np.triu_indices(5)].tolist(),
+              log_scales, lowers,
+              st.lists(st.integers(0, 4), max_size=5, unique=True)),
+    st.lists(st.floats(-10, 10), min_size=15, max_size=15))
+channels = st.lists(st.integers(0, 4), max_size=5, unique=True)
+
+
+@example(tri=[0.0] * 15, q_logs=[0.0] * 5, r_logs=[0.0] * 5,
+         zero_channels=[0, 1, 2, 3, 4], theta=0.0, speeds=[0.0] * 4, dt=0.07,
+         heading=0.0, slip=False)
+@settings(max_examples=300, deadline=None)
+@given(tri=triangles, q_logs=noise_logs, r_logs=noise_logs, zero_channels=channels,
+       theta=headings, speeds=st.lists(st.floats(-200, 200), min_size=4, max_size=4),
+       dt=st.floats(0.001, 0.3), heading=headings, slip=st.booleans())
+def test_ekf_matches_the_array_filter_bit_for_bit(tri, q_logs, r_logs, zero_channels,
+                                                  theta, speeds, dt, heading, slip):
+    r = [0.0 if c in zero_channels else 10.0 ** e for c, e in enumerate(r_logs)]
+    cfg = EkfConfig(q_diag=tuple(10.0 ** np.asarray(q_logs)), r_base=tuple(r))
+    v, w = speeds[0], speeds[1] / 100.0
+    belief = EkfBelief((12.0, -40.0, theta, v, w), tuple(tri), 0.0)
+
+    predicted = ekf_predict(belief, dt, cfg)
+    mean, cov = reference_predict(np.array(belief.mean), belief.cov, dt, cfg)
+    assert hexes(predicted.mean) == hexes(mean)
+    assert hexes(predicted.cov) == hexes(cov)
+
+    z = meas(dt=dt, v_wheel=speeds[2], w_wheel=speeds[3] / 100.0,
+             v_flow=speeds[2] - 30.0, w_flow=speeds[3] / 90.0, heading=heading)
+    expected = outcome(reference_update, mean, cov, z, cfg, slip)
+    updated = outcome(ekf_update, predicted, z, cfg, slip)
+    if isinstance(expected, type):
+        assert updated is expected
+    else:
+        assert hexes(updated.mean) == hexes(expected[0])
+        assert hexes(updated.cov) == hexes(expected[1])
+
+
+def test_filter_state_stays_python_floats():
+    # A numpy scalar in the state would reach the engine through the
+    # estimator-fed controller, and the CSV writer through the means.
+    def assert_floats(belief):
+        state = (*belief.mean, *belief.tri, belief.t_ms)
+        assert [type(f) for f in state] == [float] * len(state)
+
+    start = Posture(0, 0, 0)
+    belief = ekf_predict(initial_belief(start), 0.07, CFG)
+    assert_floats(belief)
+    assert_floats(ekf_update(belief, meas(v_wheel=120.0, w_wheel=0.3, v_flow=90.0,
+                                          w_flow=0.2, heading=0.1), CFG, slip=True))
+    reckoner = StreamingEstimator(start, GEOM, source="wheels")
+    reckoner.push(packet(70, ticks=(28, 20), flow=(0.7, 0.6), heading=0.01))
+    assert_floats(reckoner.belief)
 
 
 # --- slip detector ---------------------------------------------------------------
