@@ -204,7 +204,8 @@ def ekf_predict(belief: EkfBelief, dt: float, cfg: EkfConfig) -> EkfBelief:
     return EkfBelief(mean, tri, belief.t_ms + dt * 1e3)
 
 
-def _fuse(mean, tri, j, z, r):
+def _fuse(mean: tuple[float, ...], tri: tuple[float, ...], j: int, z: float,
+          r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """One scalar update of ekf_update: z measures state j with variance r."""
     p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = tri
     col = ((p02, p12, p22, p23, p24) if j == 2 else
