@@ -7,6 +7,7 @@ valid scenario faults while running.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="swarmsim",
         description="differential-drive swarm simulation toolkit",

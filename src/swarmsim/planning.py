@@ -3,10 +3,10 @@
 The grid accumulates range-sensor evidence (hit counts, after Moravec and
 Elfes): the cell containing a ray endpoint collects a hit, cells the ray
 crosses on the way lose one (floor zero), and anything a ray ever touched
-counts as observed. A whole survey is folded in one call: the events of
-every ray are applied in scan and ray order to flat copies of the hit
-counts and the observed mask, which are written back once, so the floor
-binds exactly as if the scans came one at a time. A cell is occupied
+counts as observed. A whole survey is folded in one call: its rays walk
+the grid in lockstep, and each cell's events fold in scan and ray order
+where that order matters, so the floor binds exactly as if the scans came
+one at a time. A cell is occupied
 once its hit count reaches the threshold, unknown if never observed, free
 otherwise. Downstream stages consume binary occupancy: a majority median
 filter knocks out isolated noise cells (ties resolve to occupied and
@@ -121,54 +121,68 @@ class OccupancyGrid:
         return out
 
 
+def _cell_ids(grid: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flat row-major id of the cell containing each world point, -1 outside."""
+    # A point far off a fine grid divides to infinity; where() leaves it out.
+    with np.errstate(all="ignore"):
+        u = (x - grid.origin[0]) / grid.resolution
+        v = (y - grid.origin[1]) / grid.resolution
+        inside = (0 <= u) & (u < grid.width) & (0 <= v) & (v < grid.height)
+        return np.where(inside, np.floor(v) * grid.width + np.floor(u), -1).astype(np.int32)
+
+
+def _walk(grid: OccupancyGrid, x0: np.ndarray, y0: np.ndarray,
+          x1: np.ndarray, y1: np.ndarray):
+    """Walk the segments (x0[i], y0[i]) -> (x1[i], y1[i]) cell by cell, in lockstep.
+
+    Every start must lie in the grid. Yields, once per step while any ray
+    walks, the flat id of the cell each ray entered, or the grid's cell
+    count where its walk is over; the start cells come first. A ray steps
+    along the axis whose next cell edge is nearer, x on exact ties
+    (Amanatides and Woo), and stops in its end cell, once both next edges
+    lie past the segment's end, on leaving the grid, or after width +
+    height + 4 steps.
+    """
+    width, height = grid.width, grid.height
+    res, (ox, oy) = grid.resolution, grid.origin
+    cell, end = _cell_ids(grid, x0, y0), _cell_ids(grid, x1, y1)
+    ix, iy = cell % width, cell // width
+    dx, dy = x1 - x0, y1 - y0
+    step_x, step_y = np.where(dx > 0, 1, -1), np.where(dy > 0, 1, -1)
+    with np.errstate(all="ignore"):
+        t_max_x = np.where(dx != 0.0, (ox + (ix + (dx > 0)) * res - x0) / dx, np.inf)
+        t_max_y = np.where(dy != 0.0, (oy + (iy + (dy > 0)) * res - y0) / dy, np.inf)
+        t_dx = np.where(dx != 0.0, res / np.abs(dx), np.inf)
+        t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
+    # A finished lane keeps its place, so every step allocates arrays of one
+    # size: numpy caches freed buffers under 1 KB by size, and a shrinking
+    # lane set would fill that cache, a few MB over a few hundred surveys.
+    walking = np.ones(len(cell), dtype=bool)
+    yield cell
+    for _ in range(width + height + 4):
+        walking &= (cell != end) & ~((t_max_x > 1.0) & (t_max_y > 1.0))
+        on_x = walking & (t_max_x <= t_max_y)
+        on_y = walking ^ on_x
+        ix += step_x * on_x
+        iy += step_y * on_y
+        with np.errstate(all="ignore"):
+            t_max_x = np.where(on_x, t_max_x + t_dx, t_max_x)
+            t_max_y = np.where(on_y, t_max_y + t_dy, t_max_y)
+        walking &= (0 <= ix) & (ix < width) & (0 <= iy) & (iy < height)
+        if not walking.any():
+            return
+        cell = np.where(walking, iy * width + ix, width * height)
+        yield cell
+
+
 def traverse_ray(grid: OccupancyGrid, x0: float, y0: float,
                  x1: float, y1: float) -> list[tuple[int, int]]:
-    """Cells crossed from (x0, y0) to (x1, y1) inclusive, in visit order.
-
-    Steps cell to cell along the segment (Amanatides and Woo); when the
-    segment leaves the grid the walk stops at the boundary. Exact boundary
-    crossings step the x axis first, which keeps visit order deterministic.
-    """
-    start = grid.cell_of(x0, y0)
-    if start is None:
+    """Cells crossed from (x0, y0) to (x1, y1) inclusive, in visit order:
+    the one-ray call of the walk that ingests a survey."""
+    if grid.cell_of(x0, y0) is None:
         return []
-    end = grid.cell_of(x1, y1)
-    end_x, end_y = (-1, -1) if end is None else end
-    ix, iy = start
-    cells = [start]
-    width, height = grid.width, grid.height
-    dx, dy = x1 - x0, y1 - y0
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
-    res, (ox, oy) = grid.resolution, grid.origin
-    if dx != 0.0:
-        nx = ox + (ix + (step_x > 0)) * res
-        t_max_x, t_dx = (nx - x0) / dx, res / abs(dx)
-    else:
-        t_max_x, t_dx = math.inf, math.inf
-    if dy != 0.0:
-        ny = oy + (iy + (step_y > 0)) * res
-        t_max_y, t_dy = (ny - y0) / dy, res / abs(dy)
-    else:
-        t_max_y, t_dy = math.inf, math.inf
-
-    for _ in range(width + height + 4):
-        if ix == end_x and iy == end_y:
-            break
-        if t_max_x > 1.0 and t_max_y > 1.0:
-            break
-        if t_max_x <= t_max_y:
-            ix += step_x
-            if not 0 <= ix < width:
-                break
-            t_max_x += t_dx
-        else:
-            iy += step_y
-            if not 0 <= iy < height:
-                break
-            t_max_y += t_dy
-        cells.append((ix, iy))
-    return cells
+    ends = [np.array([v], dtype=float) for v in (x0, y0, x1, y1)]
+    return [(int(c) % grid.width, int(c) // grid.width) for (c,) in _walk(grid, *ends)]
 
 
 def ingest_ir_scan(grid: OccupancyGrid, poses: Sequence[Posture],
@@ -188,39 +202,58 @@ def ingest_ir_scan(grid: OccupancyGrid, poses: Sequence[Posture],
     angles = geometry.ir_ray_angles
     if any(len(scan) != len(angles) for scan in readings):
         raise ValueError("one reading per sensor ray expected")
-    width = grid.width
-    # Flat row-major copies of hits and observed: the events fold into them
-    # in scan and ray order, and the grid's arrays are written once.
-    counts = grid.hits.ravel().tolist()
-    seen = bytearray(len(counts))
-    skipped = 0
-    for pose, scan in zip(poses, readings):
-        for reading, ray_angle in zip(scan, angles):
-            angle = pose.theta + ray_angle
-            reach = geometry.ir_range_max if reading is None else float(reading)
-            ex = pose.x + reach * math.cos(angle)
-            ey = pose.y + reach * math.sin(angle)
-            end_cell = grid.cell_of(ex, ey)
-            if reading is not None and end_cell is None:
-                skipped += 1
-                continue
-            ray = traverse_ray(grid, pose.x, pose.y, ex, ey)
-            if not ray:
-                skipped += 1
-                continue
-            if reading is not None and ray[-1] == end_cell:
-                ray.pop()    # the endpoint takes a hit, not a free
-            for ix, iy in ray:
-                cell = iy * width + ix
-                count = counts[cell]
-                counts[cell] = count - 1 if count > 0 else 0
-                seen[cell] = 1
-            if reading is not None:
-                cell = end_cell[1] * width + end_cell[0]
-                counts[cell] += 1
-                seen[cell] = 1
-    grid.hits[...] = np.reshape(counts, grid.hits.shape)
-    grid.observed |= np.frombuffer(seen, dtype=bool).reshape(grid.observed.shape)
+    flat = [reading for scan in readings for reading in scan]
+    hit = np.array([r is not None for r in flat], dtype=bool)
+    reach = np.array([geometry.ir_range_max if r is None else r for r in flat], dtype=float)
+    x0, y0, theta = np.repeat(np.array([(p.x, p.y, p.theta) for p in poses], dtype=float)
+                              .reshape(-1, 3), len(angles), axis=0).T
+    headings = theta + np.tile(np.array(angles, dtype=float), len(poses))
+    # math.cos and math.sin, not np.cos and np.sin, which may differ in the last ulp.
+    x1 = x0 + reach * np.fromiter(map(math.cos, headings.tolist()), float, len(flat))
+    y1 = y0 + reach * np.fromiter(map(math.sin, headings.tolist()), float, len(flat))
+    end = _cell_ids(grid, x1, y1)
+    walked = (_cell_ids(grid, x0, y0) >= 0) & ~(hit & (end < 0))
+    skipped = len(flat) - int(np.count_nonzero(walked))
+    x0, y0, x1, y1, hit, end = (a[walked] for a in (x0, y0, x1, y1, hit, end))
+
+    # Frees commute, so a cell no ray ends on drops to max(0, c - frees).
+    # One bin past the grid's cells collects the lanes whose walk is over.
+    counts = grid.hits.ravel()
+    visits = np.zeros(counts.size + 1, dtype=np.int64)
+    hit_cell = np.zeros(counts.size + 1, dtype=bool)
+    hit_cell[end[hit]] = True
+    rays_kept, cells_kept = [], []
+    for cells in _walk(grid, x0, y0, x1, y1):
+        visits += np.bincount(cells, minlength=visits.size)
+        rays = np.flatnonzero(hit_cell[cells])
+        rays_kept.append(rays)
+        cells_kept.append(cells[rays])
+    new = np.maximum(counts - visits[:-1], 0)
+    seen = visits[:-1] > 0
+    seen[end[hit]] = True
+
+    # The cells that take hits fold in scan and ray order. Their walked
+    # events are frees, but for a hit ray entering its own end cell: that is
+    # its hit, which every hit ray adds. An event is c -> max(a, c + b), a
+    # free (0, -1) and a hit (-inf, +1). A ray visits a cell once, so sorted
+    # by cell and ray, a cell's maps compose to one: b sums the b's, and a
+    # is the max over frees of the b's after them.
+    rays, cells = np.concatenate(rays_kept), np.concatenate(cells_kept)
+    free = ~(hit[rays] & (cells == end[rays]))
+    hits = np.flatnonzero(hit)
+    rays, cells = np.r_[rays[free], hits], np.r_[cells[free], end[hits]]
+    b = np.where(np.arange(len(rays)) < len(rays) - len(hits), -1, 1)
+    order = np.lexsort((rays, cells))
+    cells, b = cells[order], b[order]
+    starts = np.diff(cells, prepend=-1) != 0
+    first = np.flatnonzero(starts)
+    sums, total = np.cumsum(b), np.add.reduceat(b, first)
+    after = (total + sums[first] - b[first])[np.cumsum(starts) - 1] - sums
+    a = np.maximum.reduceat(np.where(b < 0, after, np.iinfo(np.int64).min), first)
+    cells = cells[first]
+    new[cells] = np.maximum(a, counts[cells] + total)
+    grid.hits[...] = new.reshape(grid.hits.shape)
+    grid.observed |= seen.reshape(grid.observed.shape)
     grid.skipped_readings += skipped
     return skipped
 

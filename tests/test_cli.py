@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib
 import io
 import sys
 import warnings
@@ -16,6 +17,7 @@ from swarmsim.cli import runner
 from swarmsim.cli.main import main
 from swarmsim.cli.scenario import (
     SCHEMA,
+    YAML_LOADER,
     Bool,
     Int,
     Map,
@@ -26,6 +28,9 @@ from swarmsim.cli.scenario import (
     load_scenario,
 )
 from swarmsim.estimation import dead_reckon, run_estimator
+
+# The module, which swarmsim.cli's main function shadows as an attribute.
+cli_main = importlib.import_module("swarmsim.cli.main")
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "swarmsim" / "scenarios"
 CIRCLE = str(SCENARIOS / "circle_track.yaml")
@@ -81,6 +86,34 @@ def test_kind_mismatch_rejected(tmp_path, capsys):
 def test_bad_override_format(tmp_path, capsys):
     assert main(["validate", CIRCLE, "--override", "seed"]) == 2
     assert "override" in capsys.readouterr().err
+
+
+def test_unparseable_yaml_names_its_key_path_and_mark(tmp_path, capsys):
+    assert main(["validate", CIRCLE, "--override", "robot.start=[1, 2"]) == 2
+    err = capsys.readouterr().err
+    assert "'robot.start=[1, 2'" in err and "line 1, column" in err
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: bad\nkind: track\nseed: [1\n")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "not valid YAML" in err and "line 3, column" in err
+
+
+def test_a_second_main_call_sees_none_of_the_first_calls_options(tmp_path, monkeypatch):
+    # The parser is built once per process; its append and nargs defaults
+    # must come out fresh on every call.
+    overrides, variants = [], []
+    load = cli_main.load_scenario
+    monkeypatch.setattr(cli_main, "load_scenario",
+                        lambda path, specs: overrides.append(specs) or load(path, specs))
+    monkeypatch.setattr(cli_main, "run_compare", lambda scenario, out_dir, names:
+                        variants.append(names) or runner.RunSummary(scenario))
+    assert main(["compare", SLIP, "--out", str(tmp_path), "--override", "duration_s=1",
+                 "--variants", "wheels"]) == 0
+    assert main(["compare", SLIP, "--out", str(tmp_path)]) == 0
+    assert overrides == [("duration_s=1",), ()]
+    assert variants == [("wheels",), runner.DEFAULT_COMPARE_VARIANTS]
+    assert cli_main.build_parser() is cli_main.build_parser()
 
 
 def test_unknown_variant_rejected(tmp_path):
@@ -545,6 +578,12 @@ SWEEP = tuple((run, path, value) for path, spec in PATHS
               for value in _extremes(spec))
 
 
+def _yaml_text(value) -> str:
+    """value as one line of flow-style YAML."""
+    text = yaml.safe_dump(value, default_flow_style=True, width=sys.maxsize)
+    return text.removesuffix("\n...\n").strip()
+
+
 def _quiet_main(args: list[str]) -> tuple[int, str]:
     """main(args) with warnings raised as errors; (exit code, stdout)."""
     stdout = io.StringIO()
@@ -560,8 +599,7 @@ def test_every_numeric_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path
     # one key reaches only at one magnitude cannot hide between draws.
     failures = []
     for (command, scenario, caps), path, value in SWEEP:
-        text = yaml.safe_dump(value, default_flow_style=True, width=sys.maxsize)
-        override = f"{path}=" + text.removesuffix("\n...\n").strip()
+        override = f"{path}={_yaml_text(value)}"
         if path in SIZES_WORK or (path == "duration_s" and value > DURATION_CAP_S):
             command = "validate"
         case = f"{command} {scenario} {override}"
@@ -581,3 +619,14 @@ def test_every_numeric_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path
         except Exception as exc:     # a warning or a traceback
             failures.append(f"{case}: {exc!r}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_libyaml_reads_every_scenario_and_sweep_value_as_python_yaml_does():
+    assert YAML_LOADER is yaml.CSafeLoader
+    texts = [path.read_text() for path in sorted(SCENARIOS.glob("*.yaml"))]
+    texts += sorted({_yaml_text(value) for _, _, value in SWEEP})
+    for text in texts:
+        # repr, because nan != nan.
+        assert (repr(yaml.load(text, Loader=yaml.CSafeLoader))
+                == repr(yaml.load(text, Loader=yaml.SafeLoader))), text

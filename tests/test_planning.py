@@ -127,6 +127,12 @@ def test_traverse_respects_grid_boundary():
     assert cells == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+def test_traverse_steps_x_first_on_exact_ties():
+    # A diagonal through cell corners ties at every corner.
+    cells = traverse_ray(open_grid(), 0.0, 0.0, 100.0, 100.0)
+    assert cells == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
+
+
 def test_traverse_outside_start_is_empty():
     assert traverse_ray(open_grid(), -10.0, 0.0, 100.0, 0.0) == []
 
@@ -383,6 +389,29 @@ def test_endpoint_the_walk_stops_short_of_still_gets_its_hit(x, y, theta, reach)
     assert grid.hits[end[1], end[0]] == 2
     assert np.array_equal(grid.hits, expected.hits)
     assert np.array_equal(grid.observed, expected.observed)
+
+
+# The fold keeps the order of events only on cells that take a hit: from
+# (25, 25) a 250 mm reading ends in cell (5, 0) and a 500 mm one crosses it.
+HIT_5, CROSS_5 = (250.0, None, None, None, None), (500.0, None, None, None, None)
+
+
+@pytest.mark.parametrize("scans, expected", [((HIT_5, CROSS_5), 0), ((CROSS_5, HIT_5), 1)])
+def test_a_hit_cell_folds_its_events_in_scan_order(scans, expected):
+    g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
+    skipped = ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)] * 2, list(scans), GEOM)
+    assert g.hits[0, 5] == expected        # 0 -> 1 -> 0, or 0 -> 0 -> 1
+    assert g.hits[0, 10] == 1 and g.observed[0, :11].all()
+    assert skipped == 0 and type(skipped) is int
+
+
+@pytest.mark.parametrize("crossings", [1, 2, 3, 5])
+def test_a_cell_with_no_hits_drains_by_its_frees(crossings):
+    g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
+    g.hits[0, 5] = 3
+    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)] * crossings, [CROSS_5] * crossings, GEOM)
+    assert g.hits[0, 5] == max(0, 3 - crossings)
+    assert g.hits[0, 10] == crossings
 
 
 # --- median filter ------------------------------------------------------------------
