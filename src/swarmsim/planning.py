@@ -95,12 +95,8 @@ class OccupancyGrid:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
         """Cell containing the world point, or None when outside."""
-        # Bounds first: a point far off a fine grid divides to infinity.
-        u = (x - self.origin[0]) / self.resolution
-        v = (y - self.origin[1]) / self.resolution
-        if 0 <= u < self.width and 0 <= v < self.height:
-            return math.floor(u), math.floor(v)
-        return None
+        (cell,) = _cell_ids(self, np.array([x], dtype=float), np.array([y], dtype=float))
+        return None if cell < 0 else (int(cell) % self.width, int(cell) // self.width)
 
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         return (self.origin[0] + (cell[0] + 0.5) * self.resolution,

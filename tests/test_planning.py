@@ -226,11 +226,21 @@ def reference_sample_ir(world, pose, geometry, noise, rng):
     return readings
 
 
+def reference_cell_of(grid, x, y):
+    """The cell containing a point, or None; bounds first, so a point far
+    off a fine grid never reaches floor()."""
+    u = (x - grid.origin[0]) / grid.resolution
+    v = (y - grid.origin[1]) / grid.resolution
+    if 0 <= u < grid.width and 0 <= v < grid.height:
+        return math.floor(u), math.floor(v)
+    return None
+
+
 def reference_traverse(grid, x0, y0, x1, y1):
-    start = grid.cell_of(x0, y0)
+    start = reference_cell_of(grid, x0, y0)
     if start is None:
         return []
-    end = grid.cell_of(x1, y1)
+    end = reference_cell_of(grid, x1, y1)
     ix, iy = start
     cells = [(ix, iy)]
     dx, dy = x1 - x0, y1 - y0
@@ -269,7 +279,8 @@ def reference_ingest(grid, pose, readings, geometry):
         reach = geometry.ir_range_max if reading is None else float(reading)
         ex = pose.x + reach * math.cos(angle)
         ey = pose.y + reach * math.sin(angle)
-        end_cell = grid.cell_of(ex, ey)
+        end_cell = reference_cell_of(grid, ex, ey)
+        assert grid.cell_of(ex, ey) == end_cell
         if reading is not None and end_cell is None:
             grid.skipped_readings += 1
             continue
