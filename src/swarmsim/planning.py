@@ -118,13 +118,15 @@ class OccupancyGrid:
 
 
 def _cell_ids(grid: OccupancyGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat row-major id of the cell containing each world point, -1 outside."""
+    """Flat row-major id of the cell containing each world point, -1 outside;
+    int32 unless the grid has too many cells for it."""
+    dtype = np.int32 if grid.width * grid.height < 2**31 else np.int64
     # A point far off a fine grid divides to infinity; where() leaves it out.
     with np.errstate(all="ignore"):
         u = (x - grid.origin[0]) / grid.resolution
         v = (y - grid.origin[1]) / grid.resolution
         inside = (0 <= u) & (u < grid.width) & (0 <= v) & (v < grid.height)
-        return np.where(inside, np.floor(v) * grid.width + np.floor(u), -1).astype(np.int32)
+        return np.where(inside, np.floor(v) * grid.width + np.floor(u), -1).astype(dtype)
 
 
 def _walk(grid: OccupancyGrid, x0: np.ndarray, y0: np.ndarray,

@@ -133,6 +133,14 @@ def test_traverse_steps_x_first_on_exact_ties():
     assert cells == [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]
 
 
+def test_cell_of_a_grid_of_more_cells_than_int32_counts():
+    # Built without its arrays, which would take 16 GB.
+    g = object.__new__(OccupancyGrid)
+    g.resolution, g.origin, g.width, g.height = 1.0, (0.0, 0.0), 70_000, 70_000
+    assert g.cell_of(69_999.5, 69_999.5) == (69_999, 69_999)
+    assert g.cell_of(70_000.0, 0.0) is None
+
+
 def test_traverse_outside_start_is_empty():
     assert traverse_ray(open_grid(), -10.0, 0.0, 100.0, 0.0) == []
 
