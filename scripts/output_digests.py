@@ -39,6 +39,11 @@ BENCH_SWARM = (
     "consensus.headings=[" + ", ".join(f"{_RNG.uniform(-1.4, 1.4):.4f}"
                                        for _ in range(24)) + "]",
     "channel.loss_prob=0.1", "channel.latency_min_ms=50", "channel.latency_max_ms=100")
+# The same swarm on a channel that flips bits and, with a jitter span wider
+# than the 70 ms round, reorders frames: pins the order of the channel's
+# loss, corruption and latency draws.
+CORRUPTING_SWARM = (*BENCH_SWARM[:3], "channel.latency_max_ms=200",
+                    "channel.bit_flip_prob=0.001")
 NOISY_SWARM = ("consensus.headings=[-1.2, -0.85, -0.5, -0.15, 0.2, 0.55, 0.9, 1.25]",
                "robot.noiseless=false", "channel.loss_prob=0.1",
                "channel.latency_min_ms=50", "channel.latency_max_ms=100",
@@ -194,6 +199,9 @@ INVOCATIONS = (
      ("--override", "robot.noise.ir_sigma=1.7e+308")),
     ("consensus 24 robots lossy seed 5", "consensus", "consensus_demo.yaml",
      ("--seed", "5", *[a for spec in BENCH_SWARM for a in ("--override", spec)])),
+    ("consensus 24 robots corrupting reordering seed 5", "consensus",
+     "consensus_demo.yaml",
+     ("--seed", "5", *[a for spec in CORRUPTING_SWARM for a in ("--override", spec)])),
 )
 
 

@@ -20,7 +20,8 @@ from swarmsim.comms import SensorPacket, StarChannel, encode_frame
 from swarmsim.control import lyapunov_value, tracking_control
 from swarmsim.core import (Posture, error_posture, integrate_unicycle,
                            wheels_to_twist, wrap_angle)
-from swarmsim.estimation import StreamingEstimator, dead_reckon, run_estimator
+from swarmsim.estimation import (ConvertedReports, StreamingEstimator, convert_reports,
+                                 dead_reckon, run_estimator)
 from swarmsim.planning import astar, inflate, ingest_ir_scan, median_filter, save_grid
 from swarmsim.sim import (STREAM_CHANNEL, STREAM_IR, RobotSim, RuntimeFault,
                           sample_ir, stream_rng)
@@ -216,23 +217,23 @@ ESTIMATE_COLUMNS = ["t", "x_t", "y_t", "theta_t", "x_h", "y_h", "theta_h",
                     "err_mm", "slip"]
 
 
-def _run_variant(name: str, run: SensorRun, scenario: Scenario):
-    args = (run.delivered, scenario.start, scenario.geometry)
+def _run_variant(name: str, reports: ConvertedReports, scenario: Scenario):
     if name == "adaptive":
-        return run_estimator(*args, scenario.ekf)
+        return run_estimator(reports, scenario.start, scenario.ekf)
     if name == "nonadaptive":
-        return run_estimator(*args, scenario.ekf, adaptive=False)
+        return run_estimator(reports, scenario.start, scenario.ekf, adaptive=False)
     if name == "fixed_dt":
-        return run_estimator(*args, scenario.ekf,
+        return run_estimator(reports, scenario.start, scenario.ekf,
                              fixed_dt_s=scenario.rates.report_period_ms / 1e3)
     # "wheels" or "flow": the --variants choices admit no other name.
-    return dead_reckon(*args, name)
+    return dead_reckon(reports, scenario.start, name)
 
 
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
     run = simulate_reports(scenario)
-    estimate = run_estimator(run.delivered, scenario.start, scenario.geometry,
-                             scenario.ekf, adaptive=scenario.adaptive,
+    reports = convert_reports(run.delivered, scenario.geometry, scenario.ekf)
+    estimate = run_estimator(reports, scenario.start, scenario.ekf,
+                             adaptive=scenario.adaptive,
                              fixed_dt_s=scenario.fixed_dt_s)
     errors = position_errors(estimate.times_ms, estimate.means,
                              run.truth_at_send)
@@ -261,11 +262,13 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
 
 def run_compare(scenario: Scenario, out_dir: Path,
                 variants: tuple[str, ...] = DEFAULT_COMPARE_VARIANTS) -> RunSummary:
-    """Simulate the report stream once and run every variant on it."""
+    """Simulate and convert the report stream once and run every variant
+    on it."""
     run = simulate_reports(scenario)
+    reports = convert_reports(run.delivered, scenario.geometry, scenario.ekf)
     rows = []
     for name in variants:
-        estimate = _run_variant(name, run, scenario)
+        estimate = _run_variant(name, reports, scenario)
         errors = position_errors(estimate.times_ms, estimate.means,
                                  run.truth_at_send)
         rows.append((name, _rmse(errors), float(errors[-1]),

@@ -13,6 +13,7 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ SYNC = b"\xaa\x55"
 _PAYLOAD = struct.Struct("<BIhhhhh5H")
 PAYLOAD_SIZE = _PAYLOAD.size  # 25 bytes
 FRAME_SIZE = 2 + 1 + PAYLOAD_SIZE + 2
+# sync | length | payload: everything the CRC trailer follows.
+_HEAD = struct.Struct("<2sB" + _PAYLOAD.format[1:])
 
 IR_OUT_OF_RANGE = 0xFFFF
 # Largest IR range (mm) the u16 field carries; a longer reading saturates
@@ -73,8 +76,22 @@ def crc16(data: bytes, crc: int = 0xFFFF) -> int:
     return binascii.crc_hqx(data, crc)
 
 
-@dataclass(frozen=True)
-class SensorPacket:
+_NO_IR = (None,) * 5
+_NO_IR_WIRE = (IR_OUT_OF_RANGE,) * 5
+
+
+class _SensorFields(NamedTuple):
+    robot_id: int
+    t_sent: int                        # ms
+    ticks_left: int
+    ticks_right: int
+    flow_dx_left: float                # mm
+    flow_dx_right: float               # mm
+    gyro_heading: float                # rad, wrapped
+    ir: tuple[float | None, ...] = _NO_IR
+
+
+class SensorPacket(_SensorFields):
     """One robot's sensor report.
 
     Tick and flow fields are free-running odometry counters sampled at send
@@ -84,31 +101,30 @@ class SensorPacket:
     distances are in mm here and in 0.1 mm units on the wire; headings in
     rad here, mrad on the wire.  ir holds five ranges in mm with None for
     out-of-range rays.
+
+    Building a report checks every field range; decode_frame skips the
+    checks the wire format already enforces.
     """
 
-    robot_id: int
-    t_sent: int                        # ms
-    ticks_left: int
-    ticks_right: int
-    flow_dx_left: float                # mm
-    flow_dx_right: float               # mm
-    gyro_heading: float                # rad, wrapped
-    ir: tuple[float | None, ...] = (None,) * 5
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.robot_id <= 0xFF:
+    def __new__(cls, robot_id: int, t_sent: int, ticks_left: int, ticks_right: int,
+                flow_dx_left: float, flow_dx_right: float, gyro_heading: float,
+                ir: tuple[float | None, ...] = _NO_IR) -> "SensorPacket":
+        if not 0 <= robot_id <= 0xFF:
             raise ValueError("robot_id must fit u8")
-        if not 0 <= self.t_sent <= 0xFFFFFFFF:
+        if not 0 <= t_sent <= 0xFFFFFFFF:
             raise ValueError("t_sent must fit u32")
-        for t in (self.ticks_left, self.ticks_right):
-            if not -0x8000 <= t <= 0x7FFF:
-                raise ValueError("tick counts must fit i16")
+        if not (-0x8000 <= ticks_left <= 0x7FFF and -0x8000 <= ticks_right <= 0x7FFF):
+            raise ValueError("tick counts must fit i16")
         # Wrapped heading, with headroom for the mrad wire quantization:
         # (-pi, pi] rounds into [-3142, 3142] mrad at the boundaries.
-        if not -3.142 <= self.gyro_heading <= 3.142:
+        if not -3.142 <= gyro_heading <= 3.142:
             raise ValueError("gyro_heading must be wrapped to [-3142, 3142] mrad")
-        if len(self.ir) != 5:
+        if len(ir) != 5:
             raise ValueError("ir must hold exactly 5 readings")
+        return tuple.__new__(cls, (robot_id, t_sent, ticks_left, ticks_right,
+                                   flow_dx_left, flow_dx_right, gyro_heading, ir))
 
 
 def _quantize(value: float, unit: float, lo: int, hi: int) -> int:
@@ -120,32 +136,28 @@ def _quantize(value: float, unit: float, lo: int, hi: int) -> int:
 
 def encode_frame(packet: SensorPacket) -> bytes:
     """Pack a sensor report into a framed byte string."""
+    robot_id, t_sent, ticks_l, ticks_r, flow_l, flow_r, gyro, ir = packet
     # Wrapped (-pi, pi] headings quantize into [-3142, 3142] mrad: values
     # just above -pi round down to -3142, and +pi itself rounds up to 3142.
-    gyro_mrad = _quantize(packet.gyro_heading, GYRO_UNIT_RAD, -3142, 3142)
-    ir_wire = tuple(
+    gyro_mrad = _quantize(gyro, GYRO_UNIT_RAD, -3142, 3142)
+    ir_wire = _NO_IR_WIRE if ir == _NO_IR else tuple(
         IR_OUT_OF_RANGE if r is None else _quantize(min(r, IR_MAX_MM), 1.0, 0, IR_MAX_MM)
-        for r in packet.ir
+        for r in ir
     )
-    payload = _PAYLOAD.pack(
-        packet.robot_id,
-        packet.t_sent,
-        packet.ticks_left,
-        packet.ticks_right,
-        _quantize(packet.flow_dx_left, FLOW_UNIT_MM, -0x8000, 0x7FFF),
-        _quantize(packet.flow_dx_right, FLOW_UNIT_MM, -0x8000, 0x7FFF),
-        gyro_mrad,
-        *ir_wire,
+    head = _HEAD.pack(
+        SYNC, PAYLOAD_SIZE, robot_id, t_sent, ticks_l, ticks_r,
+        _quantize(flow_l, FLOW_UNIT_MM, -0x8000, 0x7FFF),
+        _quantize(flow_r, FLOW_UNIT_MM, -0x8000, 0x7FFF),
+        gyro_mrad, *ir_wire,
     )
-    body = bytes([len(payload)]) + payload
-    crc = crc16(body)
-    return SYNC + body + bytes([crc >> 8, crc & 0xFF])
+    return head + crc16(head[2:]).to_bytes(2, "big")
 
 
 def decode_frame(data: bytes) -> SensorPacket:
     """Unpack one framed byte string, raising a FrameError subclass on any
-    corruption: BadSync, Truncated (short or inconsistent length), or
-    CrcMismatch."""
+    corruption: BadSync, Truncated (short or inconsistent length),
+    CrcMismatch, or BadPayload (a gyro field outside [-3142, 3142] mrad;
+    the field widths bound every other field)."""
     if len(data) < 5:
         raise Truncated(f"frame of {len(data)} bytes is below the minimum")
     if data[:2] != SYNC:
@@ -159,22 +171,16 @@ def decode_frame(data: bytes) -> SensorPacket:
         raise CrcMismatch(f"crc {actual:#06x} != trailer {expected:#06x}")
     if length != PAYLOAD_SIZE:
         raise Truncated(f"payload of {length} bytes is not a sensor report")
-    (robot_id, t_sent, ticks_l, ticks_r, flow_l, flow_r, gyro, *ir_wire) = _PAYLOAD.unpack(
-        data[3:-2]
-    )
-    try:
-        return SensorPacket(
-            robot_id=robot_id,
-            t_sent=t_sent,
-            ticks_left=ticks_l,
-            ticks_right=ticks_r,
-            flow_dx_left=flow_l * FLOW_UNIT_MM,
-            flow_dx_right=flow_r * FLOW_UNIT_MM,
-            gyro_heading=gyro * GYRO_UNIT_RAD,
-            ir=tuple(None if r == IR_OUT_OF_RANGE else float(r) for r in ir_wire),
-        )
-    except ValueError as exc:
-        raise BadPayload(str(exc)) from exc
+    fields = _PAYLOAD.unpack_from(data, 3)
+    gyro = fields[6]
+    if not -3142 <= gyro <= 3142:
+        raise BadPayload(f"gyro field {gyro} mrad is not a wrapped heading")
+    ir_wire = fields[7:]
+    ir = _NO_IR if ir_wire == _NO_IR_WIRE else tuple(
+        None if r == IR_OUT_OF_RANGE else float(r) for r in ir_wire)
+    return tuple.__new__(SensorPacket, (
+        fields[0], fields[1], fields[2], fields[3], fields[4] * FLOW_UNIT_MM,
+        fields[5] * FLOW_UNIT_MM, gyro * GYRO_UNIT_RAD, ir))
 
 
 @dataclass(frozen=True)
@@ -189,14 +195,17 @@ class ChannelModel:
     def __post_init__(self) -> None:
         if not 0 <= self.latency_min_ms <= self.latency_max_ms:
             raise ValueError("require 0 <= latency_min_ms <= latency_max_ms")
+        if not math.isfinite(self.latency_max_ms):
+            raise ValueError("latency_max_ms must be finite")
         for p in (self.loss_prob, self.bit_flip_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """A frame due to arrive at deliver_ms (possibly corrupted in flight)."""
+class Delivery(NamedTuple):
+    """A frame due to arrive at deliver_ms (possibly corrupted in flight).
+
+    The field order is the channel's delivery order."""
 
     deliver_ms: float
     robot_id: int
@@ -204,13 +213,15 @@ class Delivery:
     data: bytes
 
 
-def corrupt(data: bytes, bit_flip_prob: float, rng: np.random.Generator) -> bytes:
-    """Flip each bit independently with the given probability."""
-    if bit_flip_prob <= 0.0:
-        return data
+# Doubles a channel draws from its generator at a time.
+_DRAW_BLOCK = 4096
+
+
+def corrupt(data: bytes, bit_flip_prob: float, uniforms: np.ndarray) -> bytes:
+    """Flip bit k of data (most significant bit of each byte first) where
+    uniforms[k] < bit_flip_prob; uniforms holds 8 * len(data) doubles."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    flips = rng.random(bits.size) < bit_flip_prob
-    return np.packbits(bits ^ flips).tobytes()
+    return np.packbits(bits ^ (uniforms < bit_flip_prob)).tobytes()
 
 
 class StarChannel:
@@ -221,6 +232,14 @@ class StarChannel:
     span exceeds the send period; the tie-break keeps delivery deterministic.
     Every frame sent is counted once: dropped in flight, undecodable on
     receipt, returned by receive, or still pending.
+
+    Each frame takes the next doubles of rng's stream, in order: one for
+    the loss test; then, if the frame survives, one per bit of it for
+    corrupt when bit_flip_prob > 0, and one u for the latency
+    lo + (hi - lo) * u, which is what rng.uniform(lo, hi) returns.  The
+    doubles are drawn ahead in blocks, and numpy fills a block from the
+    stream as it would fill one scalar draw after another, so every value
+    is the one a call per draw would give.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
@@ -229,23 +248,40 @@ class StarChannel:
         self.sent = 0
         self.dropped = 0
         self.undecodable = 0
-        self._queue: list[tuple[float, int, int, bytes]] = []
+        self._queue: list[Delivery] = []
+        self._latency_lo = float(model.latency_min_ms)
+        self._latency_span = float(model.latency_max_ms) - self._latency_lo
+        self._draws = np.empty(0)
+        self._next = 0
 
     def send(self, frame: bytes, t_now_ms: float, robot_id: int) -> None:
         self.sent += 1
-        if self.rng.random() < self.model.loss_prob:
+        model = self.model
+        flips = 8 * len(frame) if model.bit_flip_prob > 0.0 else 0
+        # Enough doubles for this frame's loss, flip and latency draws.
+        i, draws = self._next, self._draws
+        if i + flips + 2 > len(draws):
+            draws = self._draws = np.concatenate(
+                (draws[i:], self.rng.random(max(flips + 2, _DRAW_BLOCK))))
+            i = 0
+        if draws.item(i) < model.loss_prob:
+            self._next = i + 1
             self.dropped += 1
             return
-        data = corrupt(frame, self.model.bit_flip_prob, self.rng)
-        latency = self.rng.uniform(self.model.latency_min_ms, self.model.latency_max_ms)
-        heapq.heappush(self._queue, (t_now_ms + latency, robot_id, self.sent, data))
+        if flips:
+            frame = corrupt(frame, model.bit_flip_prob, draws[i + 1:i + 1 + flips])
+        i += flips + 1
+        self._next = i + 1
+        latency = self._latency_lo + self._latency_span * draws.item(i)
+        heapq.heappush(self._queue,
+                       Delivery(t_now_ms + latency, robot_id, self.sent, frame))
 
     def pop_due(self, t_now_ms: float) -> list[Delivery]:
         """All deliveries due at or before t_now_ms, in delivery order."""
+        queue = self._queue
         due = []
-        while self._queue and self._queue[0][0] <= t_now_ms:
-            deliver_ms, robot_id, seq, data = heapq.heappop(self._queue)
-            due.append(Delivery(deliver_ms, robot_id, seq, data))
+        while queue and queue[0][0] <= t_now_ms:
+            due.append(heapq.heappop(queue))
         return due
 
     def receive(self, t_now_ms: float) -> list[SensorPacket]:

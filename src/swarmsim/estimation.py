@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -279,36 +279,18 @@ class SlipDetector:
         return 2 * sum(self._votes) > self.window
 
 
-class StreamingEstimator:
-    """Pose estimate folded in one report at a time, in arrival order.
+class ReportConverter:
+    """Turns reports, in arrival order, into measurements.
 
     Each report is differenced against the newest processed one; a report
-    that does not postdate it is counted in stale_skipped and ignored.
-    With source None the EKF fuses every channel: adaptive=False keeps the
-    slip detector voting but never inflates anything (the fixed-trust
-    baseline), and fixed_dt_s hardwires the prediction interval no matter
-    what the report timestamps say, the naive constant-cadence assumption
-    this design argues against.  With source "wheels" or "flow" the pose is
-    dead-reckoned from that one velocity source and carries zero
-    covariance.
+    that does not postdate it is counted in stale_skipped and yields None.
+    Given a filter config, each measurement also casts a vote in a
+    SlipDetector, and slip holds the detector's latest verdict.
     """
 
-    def __init__(self, start: Posture, geometry: RobotGeometry,
-                 cfg: EkfConfig | None = None, adaptive: bool = True,
-                 fixed_dt_s: float | None = None, source: str | None = None):
-        if source not in (None, "wheels", "flow"):
-            raise ValueError(f"unknown dead-reckoning source {source!r}")
+    def __init__(self, geometry: RobotGeometry, cfg: EkfConfig | None = None):
         self.geometry = geometry
-        self.cfg = cfg
-        self.adaptive = adaptive
-        self.fixed_dt_s = fixed_dt_s
-        self.source = source
-        if source is None:
-            self.belief = initial_belief(start)
-            self._detector = SlipDetector(cfg)
-        else:
-            self.belief = EkfBelief(initial_belief(start).mean,
-                                    _ZERO_TRIANGLE, 0.0)
+        self._detector = None if cfg is None else SlipDetector(cfg)
         self.slip = False
         self.stale_skipped = 0
         # Odometry counters start at zero, so the first report is
@@ -317,34 +299,120 @@ class StreamingEstimator:
             robot_id=0, t_sent=0, ticks_left=0, ticks_right=0,
             flow_dx_left=0.0, flow_dx_right=0.0, gyro_heading=0.0)
 
-    def push(self, packet: SensorPacket) -> EkfBelief | None:
-        """Fold one report in; None when it is stale."""
+    def convert(self, packet: SensorPacket) -> VelocityMeasurement | None:
         try:
             meas = measurement_from_packets(self._prev, packet, self.geometry)
         except StaleData:
             self.stale_skipped += 1
             return None
         self._prev = packet
-        if self.source is None:
+        if self._detector is not None:
             self.slip = self._detector.update(meas)
-            belief = ekf_predict(self.belief, self.fixed_dt_s or meas.dt,
-                                 self.cfg)
-            self.belief = ekf_update(belief, meas, self.cfg,
-                                     self.slip and self.adaptive)
+        return meas
+
+
+@dataclass
+class ConvertedReports:
+    """A report stream converted once, for any number of estimators: the
+    measurement and slip verdict of each processed report, in order."""
+
+    measurements: list[VelocityMeasurement] = field(default_factory=list)
+    slip_flags: list[bool] = field(default_factory=list)
+    stale_skipped: int = 0
+
+
+def convert_reports(packets: list[SensorPacket], geometry: RobotGeometry,
+                    cfg: EkfConfig | None = None) -> ConvertedReports:
+    """Convert reports in arrival order (see ReportConverter); without a
+    cfg no slip detector runs and every slip flag is False."""
+    converter = ReportConverter(geometry, cfg)
+    out = ConvertedReports()
+    for packet in packets:
+        meas = converter.convert(packet)
+        if meas is not None:
+            out.measurements.append(meas)
+            out.slip_flags.append(converter.slip)
+    out.stale_skipped = converter.stale_skipped
+    return out
+
+
+_Step = Callable[[EkfBelief, VelocityMeasurement, bool], EkfBelief]
+
+
+def _filter_step(cfg: EkfConfig, adaptive: bool, fixed_dt_s: float | None) -> _Step:
+    """The EKF fold of one measurement.  adaptive=False never inflates the
+    wheel channels (the fixed-trust baseline); fixed_dt_s hardwires the
+    prediction interval no matter what the report timestamps say, the
+    naive constant-cadence assumption this design argues against."""
+    def step(belief: EkfBelief, meas: VelocityMeasurement, slip: bool) -> EkfBelief:
+        belief = ekf_predict(belief, fixed_dt_s or meas.dt, cfg)
+        return ekf_update(belief, meas, cfg, slip and adaptive)
+    return step
+
+
+def _reckon_step(source: str) -> _Step:
+    """Dead reckoning of one measurement from the "wheels" or "flow"
+    velocities alone; the belief carries zero covariance."""
+    if source not in ("wheels", "flow"):
+        raise ValueError(f"unknown dead-reckoning source {source!r}")
+    wheels = source == "wheels"
+
+    def step(belief: EkfBelief, meas: VelocityMeasurement, slip: bool) -> EkfBelief:
+        if wheels:
+            twist = Twist(meas.v_wheel, meas.w_wheel)
         else:
-            if self.source == "wheels":
-                twist = Twist(meas.v_wheel, meas.w_wheel)
-            else:
-                twist = Twist(meas.v_flow, meas.w_flow)
-            pose = integrate_unicycle(self.belief.pose, twist, meas.dt)
-            self.belief = EkfBelief((pose.x, pose.y, pose.theta, twist.v, twist.w),
-                                    _ZERO_TRIANGLE, meas.t_ms)
+            twist = Twist(meas.v_flow, meas.w_flow)
+        pose = integrate_unicycle(belief.pose, twist, meas.dt)
+        return EkfBelief((pose.x, pose.y, pose.theta, twist.v, twist.w),
+                         _ZERO_TRIANGLE, meas.t_ms)
+    return step
+
+
+def _reckon_belief(start: Posture) -> EkfBelief:
+    return EkfBelief(initial_belief(start).mean, _ZERO_TRIANGLE, 0.0)
+
+
+class StreamingEstimator:
+    """Pose estimate folded in one report at a time, in arrival order.
+
+    Reports are converted by a ReportConverter, so stale ones are counted
+    in stale_skipped and ignored.  With source None the EKF fuses every
+    channel (see _filter_step for adaptive and fixed_dt_s); with source
+    "wheels" or "flow" the pose is dead-reckoned from that one velocity
+    source (see _reckon_step).
+    """
+
+    def __init__(self, start: Posture, geometry: RobotGeometry,
+                 cfg: EkfConfig | None = None, adaptive: bool = True,
+                 fixed_dt_s: float | None = None, source: str | None = None):
+        if source is None:
+            self._step = _filter_step(cfg, adaptive, fixed_dt_s)
+            self.belief = initial_belief(start)
+            self._converter = ReportConverter(geometry, cfg)
+        else:
+            self._step = _reckon_step(source)
+            self.belief = _reckon_belief(start)
+            self._converter = ReportConverter(geometry)
+        self.slip = False
+
+    @property
+    def stale_skipped(self) -> int:
+        return self._converter.stale_skipped
+
+    def push(self, packet: SensorPacket) -> EkfBelief | None:
+        """Fold one report in; None when it is stale."""
+        meas = self._converter.convert(packet)
+        if meas is None:
+            return None
+        self.slip = self._converter.slip
+        self.belief = self._step(self.belief, meas, self.slip)
         return self.belief
 
 
 @dataclass
 class EstimationRun:
-    """Belief trajectory of one estimator over a report stream."""
+    """Belief trajectory of one estimator over a report stream; slip_flags
+    are the verdicts the stream was converted with."""
 
     times_ms: list[float] = field(default_factory=list)
     means: list[tuple[float, ...]] = field(default_factory=list)
@@ -352,30 +420,25 @@ class EstimationRun:
     stale_skipped: int = 0
 
 
-def _collect(est: StreamingEstimator, packets: list[SensorPacket]) -> EstimationRun:
-    run = EstimationRun()
-    for packet in packets:
-        belief = est.push(packet)
-        if belief is None:
-            continue
-        run.times_ms.append(float(packet.t_sent))
+def _collect(reports: ConvertedReports, belief: EkfBelief, step: _Step) -> EstimationRun:
+    run = EstimationRun(slip_flags=list(reports.slip_flags),
+                        stale_skipped=reports.stale_skipped)
+    for meas, slip in zip(reports.measurements, reports.slip_flags):
+        belief = step(belief, meas, slip)
+        run.times_ms.append(meas.t_ms)
         run.means.append(belief.mean)
-        run.slip_flags.append(est.slip)
-    run.stale_skipped = est.stale_skipped
     return run
 
 
-def run_estimator(packets: list[SensorPacket], start: Posture,
-                  geometry: RobotGeometry, cfg: EkfConfig,
+def run_estimator(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
                   adaptive: bool = True,
                   fixed_dt_s: float | None = None) -> EstimationRun:
-    """Run the filter over reports in arrival order (see StreamingEstimator)."""
-    return _collect(StreamingEstimator(start, geometry, cfg, adaptive,
-                                       fixed_dt_s), packets)
+    """Run the filter over converted reports (see StreamingEstimator)."""
+    return _collect(reports, initial_belief(start),
+                    _filter_step(cfg, adaptive, fixed_dt_s))
 
 
-def dead_reckon(packets: list[SensorPacket], start: Posture,
-                geometry: RobotGeometry, source: str) -> EstimationRun:
-    """Open-loop integration of one velocity source, same staleness rules."""
-    return _collect(StreamingEstimator(start, geometry, source=source),
-                    packets)
+def dead_reckon(reports: ConvertedReports, start: Posture,
+                source: str) -> EstimationRun:
+    """Open-loop integration of one velocity source over converted reports."""
+    return _collect(reports, _reckon_belief(start), _reckon_step(source))

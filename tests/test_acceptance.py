@@ -24,7 +24,7 @@ from swarmsim.cli.main import main
 from swarmsim.cli.scenario import load_scenario
 from swarmsim.comms import FRAME_SIZE, FrameError, SensorPacket, crc16, \
     decode_frame, encode_frame
-from swarmsim.estimation import dead_reckon, run_estimator
+from swarmsim.estimation import convert_reports, dead_reckon, run_estimator
 from swarmsim.planning import FREE, NoPath, astar
 from swarmsim.swarm import ConsensusConfig, run_networked_consensus, \
     run_synchronous_consensus
@@ -92,14 +92,14 @@ def test_adaptive_filter_beats_alternatives_under_slip(capsys):
     adaptive, nonadaptive, wheels = [], [], []
     for seed in range(1, 21):
         stream = runner.simulate_reports(dataclasses.replace(base, seed=seed))
-        args = (stream.delivered, base.start, base.geometry, base.ekf)
+        reports = convert_reports(stream.delivered, base.geometry, base.ekf)
+        args = (reports, base.start, base.ekf)
         adaptive.append(_terminal_error(
             run_estimator(*args, adaptive=True), stream.truth_at_send))
         nonadaptive.append(_terminal_error(
             run_estimator(*args, adaptive=False), stream.truth_at_send))
         wheels.append(_terminal_error(
-            dead_reckon(stream.delivered, base.start, base.geometry,
-                        source="wheels"),
+            dead_reckon(reports, base.start, source="wheels"),
             stream.truth_at_send))
     elapsed = time.perf_counter() - t0
     med_adaptive = statistics.median(adaptive)
@@ -124,7 +124,8 @@ def test_timestamp_driven_filter_beats_fixed_step(capsys):
     timestamped, hardwired = [], []
     for seed in range(1, 21):
         stream = runner.simulate_reports(dataclasses.replace(base, seed=seed))
-        args = (stream.delivered, base.start, base.geometry, base.ekf)
+        args = (convert_reports(stream.delivered, base.geometry, base.ekf),
+                base.start, base.ekf)
         timestamped.append(_rmse_against_truth(
             run_estimator(*args), stream.truth_at_send))
         hardwired.append(_rmse_against_truth(

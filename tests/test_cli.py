@@ -27,7 +27,7 @@ from swarmsim.cli.scenario import (
     Str,
     load_scenario,
 )
-from swarmsim.estimation import dead_reckon, run_estimator
+from swarmsim.estimation import convert_reports, dead_reckon, run_estimator
 
 # The module, which swarmsim.cli's main function shadows as an attribute.
 cli_main = importlib.import_module("swarmsim.cli.main")
@@ -195,6 +195,43 @@ def test_compare_single_variant(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["variant"] == "adaptive"
 
 
+def test_compare_converts_each_report_once(tmp_path, capsys, monkeypatch):
+    # Every variant reads one conversion: each delivered report is
+    # differenced once and each measurement casts one slip vote.
+    estimation = importlib.import_module("swarmsim.estimation")
+    calls = {"measure": 0, "vote": 0}
+    measure = estimation.measurement_from_packets
+    vote = estimation.SlipDetector.update
+
+    def counting_measure(*args):
+        calls["measure"] += 1
+        return measure(*args)
+
+    def counting_vote(self, meas):
+        calls["vote"] += 1
+        return vote(self, meas)
+
+    simulate = runner.simulate_reports
+    runs = []
+
+    def keeping(scenario):
+        runs.append(simulate(scenario))
+        return runs[-1]
+
+    monkeypatch.setattr(estimation, "measurement_from_packets", counting_measure)
+    monkeypatch.setattr(estimation.SlipDetector, "update", counting_vote)
+    monkeypatch.setattr(runner, "simulate_reports", keeping)
+    assert main(["compare", SLIP, "--out", str(tmp_path),
+                 "--override", "duration_s=5.0",
+                 "--override", "channel.latency_max_ms=400",
+                 "--variants", *runner.COMPARE_VARIANTS]) == 0
+    capsys.readouterr()
+    stale = sum(int(row["stale_skipped"]) for row in read_rows(tmp_path / "compare.csv"))
+    assert stale > 0
+    assert calls["measure"] == len(runs[0].delivered)
+    assert calls["vote"] == len(runs[0].delivered) - stale // len(runner.COMPARE_VARIANTS)
+
+
 def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
                                                        monkeypatch):
     calls = []
@@ -218,14 +255,19 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
                                     "channel.latency_max_ms=400"))
     cfg = scenario.ekf
     stream = simulate(scenario)
-    args = (stream.delivered, scenario.start, scenario.geometry)
+    # Each variant from its own conversion; dead reckoning without a slip
+    # detector.
+    filtered = (convert_reports(stream.delivered, scenario.geometry, cfg),
+                scenario.start, cfg)
+    reckoned = (convert_reports(stream.delivered, scenario.geometry),
+                scenario.start)
     direct = {
-        "adaptive": run_estimator(*args, cfg),
-        "nonadaptive": run_estimator(*args, cfg, adaptive=False),
+        "adaptive": run_estimator(*filtered),
+        "nonadaptive": run_estimator(*filtered, adaptive=False),
         "fixed_dt": run_estimator(
-            *args, cfg, fixed_dt_s=scenario.rates.report_period_ms / 1e3),
-        "wheels": dead_reckon(*args, "wheels"),
-        "flow": dead_reckon(*args, "flow"),
+            *filtered, fixed_dt_s=scenario.rates.report_period_ms / 1e3),
+        "wheels": dead_reckon(*reckoned, "wheels"),
+        "flow": dead_reckon(*reckoned, "flow"),
     }
     rows = read_rows(tmp_path / "compare.csv")
     assert [row["variant"] for row in rows] == variants

@@ -17,6 +17,7 @@ from swarmsim.estimation import (
     StaleData,
     StreamingEstimator,
     VelocityMeasurement,
+    convert_reports,
     dead_reckon,
     ekf_predict,
     ekf_update,
@@ -100,8 +101,9 @@ def test_fixed_filter_step_depreciates_on_jittered_stream():
     # proportional to the timing jitter; the timestamp-driven filter does not.
     pkts, truth = _jittered_straight_packets()
     start = Posture(0, 0, 0)
-    ts = run_estimator(pkts, start, GEOM, CFG)
-    fx = run_estimator(pkts, start, GEOM, CFG, fixed_dt_s=0.07)
+    reports = convert_reports(pkts, GEOM, CFG)
+    ts = run_estimator(reports, start, CFG)
+    fx = run_estimator(reports, start, CFG, fixed_dt_s=0.07)
 
     def rmse(run):
         errs = [math.hypot(m[0] - truth[int(t)], m[1])
@@ -637,7 +639,8 @@ def _straight_packets(n=10, period_ms=70, speed=100.0):
 
 
 def test_dead_reckon_wheels_straight():
-    run = dead_reckon(_straight_packets(), Posture(0, 0, 0), GEOM, "wheels")
+    run = dead_reckon(convert_reports(_straight_packets(), GEOM), Posture(0, 0, 0),
+                      "wheels")
     assert run.means[-1][0] == pytest.approx(70.0, abs=1e-6)
     assert run.means[-1][1] == pytest.approx(0.0, abs=1e-9)
 
@@ -646,21 +649,22 @@ def test_dead_reckon_flow_ignores_spinning_wheels():
     # Stuck robot: the wheel counters keep counting, the flow counters freeze.
     pkts = [packet(k * 70, ticks=(k * 28, k * 28), flow=(0.0, 0.0))
             for k in range(1, 11)]
-    run = dead_reckon(pkts, Posture(0, 0, 0), GEOM, "flow")
+    reports = convert_reports(pkts, GEOM)
+    run = dead_reckon(reports, Posture(0, 0, 0), "flow")
     assert run.means[-1][0] == pytest.approx(0.0, abs=1e-9)
-    wheels = dead_reckon(pkts, Posture(0, 0, 0), GEOM, "wheels")
+    wheels = dead_reckon(reports, Posture(0, 0, 0), "wheels")
     assert wheels.means[-1][0] == pytest.approx(140.0, abs=1e-6)
 
 
 def test_dead_reckon_rejects_unknown_source():
     with pytest.raises(ValueError):
-        dead_reckon([], Posture(0, 0, 0), GEOM, "lidar")
+        dead_reckon(convert_reports([], GEOM), Posture(0, 0, 0), "lidar")
 
 
 def test_run_estimator_skips_stale_reports():
     pkts = _straight_packets(6)
     shuffled = [pkts[0], pkts[2], pkts[1], pkts[3], pkts[4], pkts[5]]
-    run = run_estimator(shuffled, Posture(0, 0, 0), GEOM, CFG)
+    run = run_estimator(convert_reports(shuffled, GEOM, CFG), Posture(0, 0, 0), CFG)
     assert run.stale_skipped == 1
     assert len(run.times_ms) == 5
     assert run.times_ms == sorted(run.times_ms)
@@ -684,7 +688,7 @@ def test_streaming_push_matches_run_estimator():
             assert belief is est.belief and belief.t_ms == p.t_sent
             means.append(belief.mean)
     assert stale == 7
-    batch = run_estimator(shuffled, Posture(0, 0, 0), GEOM, CFG)
+    batch = run_estimator(convert_reports(shuffled, GEOM, CFG), Posture(0, 0, 0), CFG)
     assert est.stale_skipped == batch.stale_skipped == stale
     assert len(batch.means) == len(means)
     for a, b in zip(means, batch.means):
@@ -697,7 +701,8 @@ def test_streaming_rejects_unknown_source():
 
 
 def test_run_estimator_converges_on_straight_run():
-    run = run_estimator(_straight_packets(50), Posture(0, 0, 0), GEOM, CFG)
+    run = run_estimator(convert_reports(_straight_packets(50), GEOM, CFG),
+                        Posture(0, 0, 0), CFG)
     # Speed estimate settles at the true 100 mm/s and position tracks x = v t.
     assert run.means[-1][3] == pytest.approx(100.0, abs=2.0)
     assert run.means[-1][0] == pytest.approx(350.0, abs=5.0)
