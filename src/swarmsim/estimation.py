@@ -284,13 +284,13 @@ class ReportConverter:
 
     Each report is differenced against the newest processed one; a report
     that does not postdate it is counted in stale_skipped and yields None.
-    Given a filter config, each measurement also casts a vote in a
-    SlipDetector, and slip holds the detector's latest verdict.
+    Each measurement also casts a vote in a SlipDetector, and slip holds
+    the detector's latest verdict.
     """
 
-    def __init__(self, geometry: RobotGeometry, cfg: EkfConfig | None = None):
+    def __init__(self, geometry: RobotGeometry, cfg: EkfConfig):
         self.geometry = geometry
-        self._detector = None if cfg is None else SlipDetector(cfg)
+        self._detector = SlipDetector(cfg)
         self.slip = False
         self.stale_skipped = 0
         # Odometry counters start at zero, so the first report is
@@ -306,8 +306,7 @@ class ReportConverter:
             self.stale_skipped += 1
             return None
         self._prev = packet
-        if self._detector is not None:
-            self.slip = self._detector.update(meas)
+        self.slip = self._detector.update(meas)
         return meas
 
 
@@ -322,9 +321,8 @@ class ConvertedReports:
 
 
 def convert_reports(packets: list[SensorPacket], geometry: RobotGeometry,
-                    cfg: EkfConfig | None = None) -> ConvertedReports:
-    """Convert reports in arrival order (see ReportConverter); without a
-    cfg no slip detector runs and every slip flag is False."""
+                    cfg: EkfConfig) -> ConvertedReports:
+    """Convert reports in arrival order (see ReportConverter)."""
     converter = ReportConverter(geometry, cfg)
     out = ConvertedReports()
     for packet in packets:
@@ -368,31 +366,19 @@ def _reckon_step(source: str) -> _Step:
     return step
 
 
-def _reckon_belief(start: Posture) -> EkfBelief:
-    return EkfBelief(initial_belief(start).mean, _ZERO_TRIANGLE, 0.0)
-
-
 class StreamingEstimator:
-    """Pose estimate folded in one report at a time, in arrival order.
+    """EKF pose estimate folded in one report at a time, in arrival order.
 
     Reports are converted by a ReportConverter, so stale ones are counted
-    in stale_skipped and ignored.  With source None the EKF fuses every
-    channel (see _filter_step for adaptive and fixed_dt_s); with source
-    "wheels" or "flow" the pose is dead-reckoned from that one velocity
-    source (see _reckon_step).
+    in stale_skipped and ignored; see _filter_step for adaptive and
+    fixed_dt_s.
     """
 
-    def __init__(self, start: Posture, geometry: RobotGeometry,
-                 cfg: EkfConfig | None = None, adaptive: bool = True,
-                 fixed_dt_s: float | None = None, source: str | None = None):
-        if source is None:
-            self._step = _filter_step(cfg, adaptive, fixed_dt_s)
-            self.belief = initial_belief(start)
-            self._converter = ReportConverter(geometry, cfg)
-        else:
-            self._step = _reckon_step(source)
-            self.belief = _reckon_belief(start)
-            self._converter = ReportConverter(geometry)
+    def __init__(self, start: Posture, geometry: RobotGeometry, cfg: EkfConfig,
+                 adaptive: bool = True, fixed_dt_s: float | None = None):
+        self._converter = ReportConverter(geometry, cfg)
+        self._step = _filter_step(cfg, adaptive, fixed_dt_s)
+        self.belief = initial_belief(start)
         self.slip = False
 
     @property
@@ -441,4 +427,5 @@ def run_estimator(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
 def dead_reckon(reports: ConvertedReports, start: Posture,
                 source: str) -> EstimationRun:
     """Open-loop integration of one velocity source over converted reports."""
-    return _collect(reports, _reckon_belief(start), _reckon_step(source))
+    return _collect(reports, EkfBelief(initial_belief(start).mean, _ZERO_TRIANGLE, 0.0),
+                    _reckon_step(source))

@@ -255,19 +255,18 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
                                     "channel.latency_max_ms=400"))
     cfg = scenario.ekf
     stream = simulate(scenario)
-    # Each variant from its own conversion; dead reckoning without a slip
-    # detector.
-    filtered = (convert_reports(stream.delivered, scenario.geometry, cfg),
-                scenario.start, cfg)
-    reckoned = (convert_reports(stream.delivered, scenario.geometry),
-                scenario.start)
+    # Each variant from a conversion of its own.
+    def reports():
+        return convert_reports(stream.delivered, scenario.geometry, cfg)
+
     direct = {
-        "adaptive": run_estimator(*filtered),
-        "nonadaptive": run_estimator(*filtered, adaptive=False),
+        "adaptive": run_estimator(reports(), scenario.start, cfg),
+        "nonadaptive": run_estimator(reports(), scenario.start, cfg, adaptive=False),
         "fixed_dt": run_estimator(
-            *filtered, fixed_dt_s=scenario.rates.report_period_ms / 1e3),
-        "wheels": dead_reckon(*reckoned, "wheels"),
-        "flow": dead_reckon(*reckoned, "flow"),
+            reports(), scenario.start, cfg,
+            fixed_dt_s=scenario.rates.report_period_ms / 1e3),
+        "wheels": dead_reckon(reports(), scenario.start, "wheels"),
+        "flow": dead_reckon(reports(), scenario.start, "flow"),
     }
     rows = read_rows(tmp_path / "compare.csv")
     assert [row["variant"] for row in rows] == variants

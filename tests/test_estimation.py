@@ -589,9 +589,11 @@ def test_filter_state_stays_python_floats():
     assert_floats(belief)
     assert_floats(ekf_update(belief, meas(v_wheel=120.0, w_wheel=0.3, v_flow=90.0,
                                           w_flow=0.2, heading=0.1), CFG, slip=True))
-    reckoner = StreamingEstimator(start, GEOM, source="wheels")
-    reckoner.push(packet(70, ticks=(28, 20), flow=(0.7, 0.6), heading=0.01))
-    assert_floats(reckoner.belief)
+    reckoned = dead_reckon(convert_reports(
+        [packet(70, ticks=(28, 20), flow=(0.7, 0.6), heading=0.01)], GEOM, CFG),
+        start, "wheels")
+    state = (*reckoned.means[-1], *reckoned.times_ms)
+    assert [type(f) for f in state] == [float] * len(state)
 
 
 # --- slip detector ---------------------------------------------------------------
@@ -639,7 +641,7 @@ def _straight_packets(n=10, period_ms=70, speed=100.0):
 
 
 def test_dead_reckon_wheels_straight():
-    run = dead_reckon(convert_reports(_straight_packets(), GEOM), Posture(0, 0, 0),
+    run = dead_reckon(convert_reports(_straight_packets(), GEOM, CFG), Posture(0, 0, 0),
                       "wheels")
     assert run.means[-1][0] == pytest.approx(70.0, abs=1e-6)
     assert run.means[-1][1] == pytest.approx(0.0, abs=1e-9)
@@ -649,7 +651,7 @@ def test_dead_reckon_flow_ignores_spinning_wheels():
     # Stuck robot: the wheel counters keep counting, the flow counters freeze.
     pkts = [packet(k * 70, ticks=(k * 28, k * 28), flow=(0.0, 0.0))
             for k in range(1, 11)]
-    reports = convert_reports(pkts, GEOM)
+    reports = convert_reports(pkts, GEOM, CFG)
     run = dead_reckon(reports, Posture(0, 0, 0), "flow")
     assert run.means[-1][0] == pytest.approx(0.0, abs=1e-9)
     wheels = dead_reckon(reports, Posture(0, 0, 0), "wheels")
@@ -658,7 +660,7 @@ def test_dead_reckon_flow_ignores_spinning_wheels():
 
 def test_dead_reckon_rejects_unknown_source():
     with pytest.raises(ValueError):
-        dead_reckon(convert_reports([], GEOM), Posture(0, 0, 0), "lidar")
+        dead_reckon(convert_reports([], GEOM, CFG), Posture(0, 0, 0), "lidar")
 
 
 def test_run_estimator_skips_stale_reports():
@@ -693,11 +695,6 @@ def test_streaming_push_matches_run_estimator():
     assert len(batch.means) == len(means)
     for a, b in zip(means, batch.means):
         np.testing.assert_array_equal(a, b)
-
-
-def test_streaming_rejects_unknown_source():
-    with pytest.raises(ValueError):
-        StreamingEstimator(Posture(0, 0, 0), GEOM, CFG, source="lidar")
 
 
 def test_run_estimator_converges_on_straight_run():
