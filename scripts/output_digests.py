@@ -147,6 +147,11 @@ INVOCATIONS = (
      ("--override", "plan.median_window=99")),
     ("consensus rounds past the u32 ms clock", "consensus", "consensus_demo.yaml",
      ("--override", "consensus.round_period_ms=3600000")),
+    ("consensus 257 networked robots", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.headings=[" + ", ".join(["0.1"] * 257) + "]")),
+    ("consensus headings near the float maximum", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.headings=[1.7e+308, 1.7e+308]",
+      "--override", "consensus.mode=synchronous")),
     # A seed of any size still runs.
     ("localize 42-digit seed", "localize", "localize_slip.yaml",
      ("--override", "seed=1" + "0" * 41)),

@@ -20,8 +20,9 @@ from swarmsim.comms import SensorPacket, StarChannel, encode_frame
 from swarmsim.control import lyapunov_value, tracking_control
 from swarmsim.core import (Posture, error_posture, integrate_unicycle,
                            wheels_to_twist, wrap_angle)
-from swarmsim.estimation import (ConvertedReports, StreamingEstimator, convert_reports,
-                                 dead_reckon, run_estimator)
+from swarmsim.estimation import (ConvertedReports, ReportConverter, convert_reports,
+                                 dead_reckon, filter_step, initial_belief,
+                                 run_estimator)
 from swarmsim.planning import astar, inflate, ingest_ir_scan, median_filter, save_grid
 from swarmsim.sim import (STREAM_CHANNEL, STREAM_IR, RobotSim, RuntimeFault,
                           sample_ir, stream_rng)
@@ -117,14 +118,16 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
     return SensorRun(delivered, sim.truth_at_send, digest.hexdigest(), channel)
 
 
-def position_errors(times_ms, means, truth_at: dict[int, Posture]) -> np.ndarray:
-    if not times_ms:
+def position_errors(reports: ConvertedReports, means,
+                    truth_at: dict[int, Posture]) -> np.ndarray:
+    """Planar error of each mean against the truth at its report's send."""
+    if not means:
         # Only reports stamped 0 ms arrived: none postdates the start.
         raise RuntimeFault("no delivered report postdates the start time, "
                            "so none could be processed")
     errors = []
-    for t, mean in zip(times_ms, means):
-        truth = truth_at[int(t)]
+    for meas, mean in zip(reports.measurements, means):
+        truth = truth_at[int(meas.t_ms)]
         errors.append(math.hypot(mean[0] - truth.x, mean[1] - truth.y))
     return np.asarray(errors)
 
@@ -185,9 +188,8 @@ def _track_estimator_loop(scenario: Scenario, steps: int):
                    slip_schedule=scenario.slip, rates=scenario.rates)
     channel = StarChannel(scenario.channel,
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
-    est = StreamingEstimator(scenario.start, geometry, scenario.ekf,
-                             adaptive=scenario.adaptive,
-                             fixed_dt_s=scenario.fixed_dt_s)
+    converter = ReportConverter(geometry, scenario.ekf)
+    belief = initial_belief(scenario.start)
     period_us = round(period_s * 1e6)
     rows = []
     for i in range(steps):
@@ -196,11 +198,13 @@ def _track_estimator_loop(scenario: Scenario, steps: int):
             channel.send(encode_frame(packet), float(packet.t_sent),
                          packet.robot_id)
         for packet in channel.receive(t_us / 1e3):
-            est.push(packet)
+            meas = converter.convert(packet)
+            if meas is not None:
+                belief = filter_step(belief, meas, converter.slip, scenario.ekf,
+                                     scenario.adaptive, scenario.fixed_dt_s)
         t = i * period_s
         ref, v_r, w_r = traj.reference_at(t)
-        wheels = tracking_control(ref, est.belief.pose, v_r, w_r, gains,
-                                  geometry)
+        wheels = tracking_control(ref, belief.pose, v_r, w_r, gains, geometry)
         sim.set_command(wheels)
         truth = sim.pose
         err = error_posture(ref, truth)
@@ -232,16 +236,15 @@ def _run_variant(name: str, reports: ConvertedReports, scenario: Scenario):
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
     run = simulate_reports(scenario)
     reports = convert_reports(run.delivered, scenario.geometry, scenario.ekf)
-    estimate = run_estimator(reports, scenario.start, scenario.ekf,
-                             adaptive=scenario.adaptive,
-                             fixed_dt_s=scenario.fixed_dt_s)
-    errors = position_errors(estimate.times_ms, estimate.means,
-                             run.truth_at_send)
+    means = run_estimator(reports, scenario.start, scenario.ekf,
+                          adaptive=scenario.adaptive,
+                          fixed_dt_s=scenario.fixed_dt_s)
+    errors = position_errors(reports, means, run.truth_at_send)
     rows = []
-    for t, mean, slip, err in zip(estimate.times_ms, estimate.means,
-                                  estimate.slip_flags, errors):
-        truth = run.truth_at_send[int(t)]
-        rows.append((t / 1e3, truth.x, truth.y, truth.theta,
+    for meas, mean, slip, err in zip(reports.measurements, means,
+                                     reports.slip_flags, errors):
+        truth = run.truth_at_send[int(meas.t_ms)]
+        rows.append((meas.t_ms / 1e3, truth.x, truth.y, truth.theta,
                      mean[0], mean[1], wrap_angle(mean[2]), float(err),
                      int(slip)))
     summary = RunSummary(scenario, {
@@ -249,8 +252,8 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
         "reports_processed": len(rows),
         "frames_lost": run.channel.dropped,
         "frames_undecodable": run.channel.undecodable,
-        "stale_skipped": estimate.stale_skipped,
-        "slip_flagged_reports": int(sum(estimate.slip_flags)),
+        "stale_skipped": reports.stale_skipped,
+        "slip_flagged_reports": int(sum(reports.slip_flags)),
         "position_rmse_mm": _rmse(errors),
         "terminal_error_mm": float(errors[-1]),
         "noise_digest": run.noise_digest[:12],
@@ -268,11 +271,10 @@ def run_compare(scenario: Scenario, out_dir: Path,
     reports = convert_reports(run.delivered, scenario.geometry, scenario.ekf)
     rows = []
     for name in variants:
-        estimate = _run_variant(name, reports, scenario)
-        errors = position_errors(estimate.times_ms, estimate.means,
+        errors = position_errors(reports, _run_variant(name, reports, scenario),
                                  run.truth_at_send)
         rows.append((name, _rmse(errors), float(errors[-1]),
-                     estimate.stale_skipped))
+                     reports.stale_skipped))
     summary = RunSummary(scenario)
     for name, rmse, terminal, stale in rows:
         summary.metrics[f"{name}_rmse_mm"] = rmse

@@ -20,7 +20,7 @@ from typing import Any
 
 import yaml
 
-from swarmsim.comms import ChannelModel
+from swarmsim.comms import MAX_ROBOTS, ChannelModel
 from swarmsim.control import (Gains, ReferenceTrajectory, circle_trajectory,
                               line_trajectory)
 from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wrap_angle
@@ -164,7 +164,8 @@ _PROB = Num(lo=0.0, hi=1.0)
 # circle's far centre from cancelling the points around it. IR noise within
 # 1e9 mm keeps its draws finite, and already saturates every wire reading.
 # World coordinates within 1e9 mm keep the ray casts' differences and
-# products finite.
+# products finite. Consensus headings within 1e9 rad keep the swarm mean's
+# sum finite.
 _GAIN = Num(lo=0.0, exclusive_lo=True, hi=1e6)
 _COORD = Num(lo=-1e9, hi=1e9)
 _START = NumSeq(3, _COORD)    # x mm, y mm, theta rad
@@ -240,7 +241,7 @@ _ESTIMATOR = Map({
 })
 
 _CONSENSUS = Map({
-    "headings": (NumSeq(), True),
+    "headings": (NumSeq(item=_COORD), True),   # rad
     "k": (_POSITIVE, False),
     "epsilon": (_POSITIVE, False),
     "max_rounds": (Int(lo=1), False),
@@ -506,9 +507,15 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     kind_fields: dict[str, Any] = {}
     if "consensus" in data:
         section = dict(data["consensus"])
-        kind_fields["headings"] = _build("consensus.headings", SwarmState,
-                                         section.pop("headings")).headings
-        kind_fields["consensus"] = _build("consensus", ConsensusConfig, **section)
+        headings = _build("consensus.headings", SwarmState,
+                          section.pop("headings")).headings
+        consensus = _build("consensus", ConsensusConfig, **section)
+        # Networked robots report under the ids 0 to n - 1.
+        if consensus.mode == "networked" and len(headings) > MAX_ROBOTS:
+            raise ScenarioError(
+                f"consensus.headings: networked mode carries at most "
+                f"{MAX_ROBOTS} robots (u8 ids on the wire), got {len(headings)}")
+        kind_fields.update(headings=headings, consensus=consensus)
     reference = data.get("control", {}).get("reference", {})
     if reference.get("shape") == "circle" and "radius" not in reference:
         raise ScenarioError("control.reference.radius: required for shape 'circle'")

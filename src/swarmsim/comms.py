@@ -23,6 +23,8 @@ SYNC = b"\xaa\x55"
 _PAYLOAD = struct.Struct("<BIhhhhh5H")
 PAYLOAD_SIZE = _PAYLOAD.size  # 25 bytes
 FRAME_SIZE = 2 + 1 + PAYLOAD_SIZE + 2
+# Robot ids are u8 on the wire: at most 256 robots share one channel.
+MAX_ROBOTS = 0x100
 # sync | length | payload: everything the CRC trailer follows.
 _HEAD = struct.Struct("<2sB" + _PAYLOAD.format[1:])
 
@@ -111,7 +113,7 @@ class SensorPacket(_SensorFields):
     def __new__(cls, robot_id: int, t_sent: int, ticks_left: int, ticks_right: int,
                 flow_dx_left: float, flow_dx_right: float, gyro_heading: float,
                 ir: tuple[float | None, ...] = _NO_IR) -> "SensorPacket":
-        if not 0 <= robot_id <= 0xFF:
+        if not 0 <= robot_id < MAX_ROBOTS:
             raise ValueError("robot_id must fit u8")
         if not 0 <= t_sent <= 0xFFFFFFFF:
             raise ValueError("t_sent must fit u32")

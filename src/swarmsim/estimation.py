@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
 from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
@@ -25,12 +23,6 @@ from .sim import ENCODER_HZ, FLOW_HZ, Rates
 STATE_DIM = 5
 # The filter keeps the covariance as its upper triangle, row by row:
 # (P00, P01, P02, P03, P04, P11, P12, P13, P14, P22, P23, P24, P33, P34, P44).
-# _SLOT[i][k] is the entry holding (i, k) or (k, i), so indexing the
-# triangle with _SLOT mirrors it back into the full matrix.
-_SLOT = np.array([[0, 1, 2, 3, 4], [1, 5, 6, 7, 8], [2, 6, 9, 10, 11],
-                  [3, 7, 10, 12, 13], [4, 8, 11, 13, 14]])
-# Dead reckoning carries no uncertainty.
-_ZERO_TRIANGLE = (0.0,) * 15
 
 
 class EstimationFault(Exception):
@@ -94,7 +86,7 @@ class EkfBelief(NamedTuple):
     """Gaussian state estimate stamped with its report time.
 
     Both parts are Python floats: mean is (x, y, theta, v, omega) and tri
-    the 15-entry upper triangle of the covariance (see _SLOT).
+    the 15-entry upper triangle of the covariance, row by row.
     """
 
     mean: tuple[float, ...]
@@ -104,11 +96,6 @@ class EkfBelief(NamedTuple):
     @property
     def pose(self) -> Posture:
         return Posture(*self.mean[:3])
-
-    @property
-    def cov(self) -> np.ndarray:
-        """The full, exactly symmetric 5x5 covariance."""
-        return np.array(self.tri)[_SLOT]
 
 
 def initial_belief(pose: Posture) -> EkfBelief:
@@ -334,98 +321,46 @@ def convert_reports(packets: list[SensorPacket], geometry: RobotGeometry,
     return out
 
 
-_Step = Callable[[EkfBelief, VelocityMeasurement, bool], EkfBelief]
+def filter_step(belief: EkfBelief, meas: VelocityMeasurement, slip: bool,
+                cfg: EkfConfig, adaptive: bool = True,
+                fixed_dt_s: float | None = None) -> EkfBelief:
+    """Fold one measurement into the belief: predict, then update.
 
-
-def _filter_step(cfg: EkfConfig, adaptive: bool, fixed_dt_s: float | None) -> _Step:
-    """The EKF fold of one measurement.  adaptive=False never inflates the
-    wheel channels (the fixed-trust baseline); fixed_dt_s hardwires the
-    prediction interval no matter what the report timestamps say, the
-    naive constant-cadence assumption this design argues against."""
-    def step(belief: EkfBelief, meas: VelocityMeasurement, slip: bool) -> EkfBelief:
-        belief = ekf_predict(belief, fixed_dt_s or meas.dt, cfg)
-        return ekf_update(belief, meas, cfg, slip and adaptive)
-    return step
-
-
-def _reckon_step(source: str) -> _Step:
-    """Dead reckoning of one measurement from the "wheels" or "flow"
-    velocities alone; the belief carries zero covariance."""
-    if source not in ("wheels", "flow"):
-        raise ValueError(f"unknown dead-reckoning source {source!r}")
-    wheels = source == "wheels"
-
-    def step(belief: EkfBelief, meas: VelocityMeasurement, slip: bool) -> EkfBelief:
-        if wheels:
-            twist = Twist(meas.v_wheel, meas.w_wheel)
-        else:
-            twist = Twist(meas.v_flow, meas.w_flow)
-        pose = integrate_unicycle(belief.pose, twist, meas.dt)
-        return EkfBelief((pose.x, pose.y, pose.theta, twist.v, twist.w),
-                         _ZERO_TRIANGLE, meas.t_ms)
-    return step
-
-
-class StreamingEstimator:
-    """EKF pose estimate folded in one report at a time, in arrival order.
-
-    Reports are converted by a ReportConverter, so stale ones are counted
-    in stale_skipped and ignored; see _filter_step for adaptive and
-    fixed_dt_s.
+    adaptive=False never inflates the wheel channels (the fixed-trust
+    baseline); fixed_dt_s hardwires the prediction interval no matter what
+    the report timestamps say, the naive constant-cadence assumption this
+    design argues against.
     """
-
-    def __init__(self, start: Posture, geometry: RobotGeometry, cfg: EkfConfig,
-                 adaptive: bool = True, fixed_dt_s: float | None = None):
-        self._converter = ReportConverter(geometry, cfg)
-        self._step = _filter_step(cfg, adaptive, fixed_dt_s)
-        self.belief = initial_belief(start)
-        self.slip = False
-
-    @property
-    def stale_skipped(self) -> int:
-        return self._converter.stale_skipped
-
-    def push(self, packet: SensorPacket) -> EkfBelief | None:
-        """Fold one report in; None when it is stale."""
-        meas = self._converter.convert(packet)
-        if meas is None:
-            return None
-        self.slip = self._converter.slip
-        self.belief = self._step(self.belief, meas, self.slip)
-        return self.belief
-
-
-@dataclass
-class EstimationRun:
-    """Belief trajectory of one estimator over a report stream; slip_flags
-    are the verdicts the stream was converted with."""
-
-    times_ms: list[float] = field(default_factory=list)
-    means: list[tuple[float, ...]] = field(default_factory=list)
-    slip_flags: list[bool] = field(default_factory=list)
-    stale_skipped: int = 0
-
-
-def _collect(reports: ConvertedReports, belief: EkfBelief, step: _Step) -> EstimationRun:
-    run = EstimationRun(slip_flags=list(reports.slip_flags),
-                        stale_skipped=reports.stale_skipped)
-    for meas, slip in zip(reports.measurements, reports.slip_flags):
-        belief = step(belief, meas, slip)
-        run.times_ms.append(meas.t_ms)
-        run.means.append(belief.mean)
-    return run
+    belief = ekf_predict(belief, fixed_dt_s or meas.dt, cfg)
+    return ekf_update(belief, meas, cfg, slip and adaptive)
 
 
 def run_estimator(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
                   adaptive: bool = True,
-                  fixed_dt_s: float | None = None) -> EstimationRun:
-    """Run the filter over converted reports (see StreamingEstimator)."""
-    return _collect(reports, initial_belief(start),
-                    _filter_step(cfg, adaptive, fixed_dt_s))
+                  fixed_dt_s: float | None = None) -> list[tuple[float, ...]]:
+    """The filter's mean after each converted report (see filter_step)."""
+    belief = initial_belief(start)
+    means = []
+    for meas, slip in zip(reports.measurements, reports.slip_flags):
+        belief = filter_step(belief, meas, slip, cfg, adaptive, fixed_dt_s)
+        means.append(belief.mean)
+    return means
 
 
 def dead_reckon(reports: ConvertedReports, start: Posture,
-                source: str) -> EstimationRun:
-    """Open-loop integration of one velocity source over converted reports."""
-    return _collect(reports, EkfBelief(initial_belief(start).mean, _ZERO_TRIANGLE, 0.0),
-                    _reckon_step(source))
+                source: str) -> list[tuple[float, ...]]:
+    """Open-loop integration of the "wheels" or "flow" velocities alone:
+    (x, y, theta, v, omega) after each converted report."""
+    if source not in ("wheels", "flow"):
+        raise ValueError(f"unknown dead-reckoning source {source!r}")
+    wheels = source == "wheels"
+    pose = start
+    states = []
+    for meas in reports.measurements:
+        if wheels:
+            twist = Twist(meas.v_wheel, meas.w_wheel)
+        else:
+            twist = Twist(meas.v_flow, meas.w_flow)
+        pose = integrate_unicycle(pose, twist, meas.dt)
+        states.append((pose.x, pose.y, pose.theta, twist.v, twist.w))
+    return states

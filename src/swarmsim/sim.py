@@ -102,13 +102,6 @@ class SlipEvent:
             raise ValueError("slip factor must be non-negative")
 
 
-def active_slip(schedule: tuple[SlipEvent, ...], t_ms: float) -> SlipEvent | None:
-    for event in schedule:
-        if event.start_ms <= t_ms < event.end_ms:
-            return event
-    return None
-
-
 # --- plant -------------------------------------------------------------------
 
 

@@ -73,16 +73,16 @@ def test_tracking_converges_on_circle(tmp_path, capsys):
 # --- 2. adaptive filter under a stuck-slip event --------------------------------------
 
 
-def _terminal_error(run, truth_at):
-    t = run.times_ms[-1]
-    m = run.means[-1]
+def _terminal_error(reports, means, truth_at):
+    t = reports.measurements[-1].t_ms
+    m = means[-1]
     truth = truth_at[int(t)]
     return math.hypot(m[0] - truth.x, m[1] - truth.y)
 
 
-def _rmse_against_truth(run, truth_at):
-    errs = [math.hypot(m[0] - truth_at[int(t)].x, m[1] - truth_at[int(t)].y)
-            for t, m in zip(run.times_ms, run.means)]
+def _rmse_against_truth(reports, means, truth_at):
+    errs = [math.hypot(m[0] - truth_at[int(z.t_ms)].x, m[1] - truth_at[int(z.t_ms)].y)
+            for z, m in zip(reports.measurements, means)]
     return math.sqrt(sum(e * e for e in errs) / len(errs))
 
 
@@ -95,11 +95,11 @@ def test_adaptive_filter_beats_alternatives_under_slip(capsys):
         reports = convert_reports(stream.delivered, base.geometry, base.ekf)
         args = (reports, base.start, base.ekf)
         adaptive.append(_terminal_error(
-            run_estimator(*args, adaptive=True), stream.truth_at_send))
+            reports, run_estimator(*args, adaptive=True), stream.truth_at_send))
         nonadaptive.append(_terminal_error(
-            run_estimator(*args, adaptive=False), stream.truth_at_send))
+            reports, run_estimator(*args, adaptive=False), stream.truth_at_send))
         wheels.append(_terminal_error(
-            dead_reckon(reports, base.start, source="wheels"),
+            reports, dead_reckon(reports, base.start, source="wheels"),
             stream.truth_at_send))
     elapsed = time.perf_counter() - t0
     med_adaptive = statistics.median(adaptive)
@@ -124,12 +124,12 @@ def test_timestamp_driven_filter_beats_fixed_step(capsys):
     timestamped, hardwired = [], []
     for seed in range(1, 21):
         stream = runner.simulate_reports(dataclasses.replace(base, seed=seed))
-        args = (convert_reports(stream.delivered, base.geometry, base.ekf),
-                base.start, base.ekf)
+        reports = convert_reports(stream.delivered, base.geometry, base.ekf)
+        args = (reports, base.start, base.ekf)
         timestamped.append(_rmse_against_truth(
-            run_estimator(*args), stream.truth_at_send))
+            reports, run_estimator(*args), stream.truth_at_send))
         hardwired.append(_rmse_against_truth(
-            run_estimator(*args, fixed_dt_s=0.07), stream.truth_at_send))
+            reports, run_estimator(*args, fixed_dt_s=0.07), stream.truth_at_send))
     med_ts = statistics.median(timestamped)
     med_fixed = statistics.median(hardwired)
 

@@ -27,7 +27,8 @@ from swarmsim.cli.scenario import (
     Str,
     load_scenario,
 )
-from swarmsim.estimation import convert_reports, dead_reckon, run_estimator
+from swarmsim.estimation import (ConvertedReports, convert_reports, dead_reckon,
+                                 run_estimator)
 
 # The module, which swarmsim.cli's main function shadows as an attribute.
 cli_main = importlib.import_module("swarmsim.cli.main")
@@ -259,25 +260,27 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
     def reports():
         return convert_reports(stream.delivered, scenario.geometry, cfg)
 
+    def variant(run, *args, **kwargs):
+        converted = reports()
+        return converted, run(converted, scenario.start, *args, **kwargs)
+
     direct = {
-        "adaptive": run_estimator(reports(), scenario.start, cfg),
-        "nonadaptive": run_estimator(reports(), scenario.start, cfg, adaptive=False),
-        "fixed_dt": run_estimator(
-            reports(), scenario.start, cfg,
-            fixed_dt_s=scenario.rates.report_period_ms / 1e3),
-        "wheels": dead_reckon(reports(), scenario.start, "wheels"),
-        "flow": dead_reckon(reports(), scenario.start, "flow"),
+        "adaptive": variant(run_estimator, cfg),
+        "nonadaptive": variant(run_estimator, cfg, adaptive=False),
+        "fixed_dt": variant(run_estimator, cfg,
+                            fixed_dt_s=scenario.rates.report_period_ms / 1e3),
+        "wheels": variant(dead_reckon, "wheels"),
+        "flow": variant(dead_reckon, "flow"),
     }
     rows = read_rows(tmp_path / "compare.csv")
     assert [row["variant"] for row in rows] == variants
     assert any(int(row["stale_skipped"]) > 0 for row in rows)
     for row in rows:
-        estimate = direct[row["variant"]]
-        errors = runner.position_errors(estimate.times_ms, estimate.means,
-                                        stream.truth_at_send)
+        converted, means = direct[row["variant"]]
+        errors = runner.position_errors(converted, means, stream.truth_at_send)
         assert row["rmse_mm"] == f"{runner._rmse(errors):.6g}"
         assert row["terminal_mm"] == f"{float(errors[-1]):.6g}"
-        assert row["stale_skipped"] == str(estimate.stale_skipped)
+        assert row["stale_skipped"] == str(converted.stale_skipped)
 
 
 def test_sensor_run_channel_tallies_every_frame():
@@ -338,7 +341,7 @@ def test_run_without_processable_reports_faults(tmp_path, capsys):
                     "rates.report_period_ms")
     # The runner keeps its guard for a run that processed no report.
     with pytest.raises(runner.RuntimeFault, match="none could be processed"):
-        runner.position_errors([], [], {})
+        runner.position_errors(ConvertedReports(), [], {})
 
 
 def test_robot_leaving_the_world_faults(tmp_path, capsys):
@@ -444,6 +447,14 @@ def test_sensor_rates_are_not_settable(tmp_path, capsys, override):
     ("localize", "localize_slip.yaml",
      "world={bounds: [-1000, -1000, 1000, 1000], "
      "rects: [[-1.7e+308, 100.0, 1.7e+308, 200.0]]}", "world.rects[0][0]"),
+    # Headings whose swarm mean overflowed.
+    ("consensus", "consensus_demo.yaml",
+     "consensus={headings: [1.7e+308, 1.7e+308], mode: synchronous}",
+     "consensus.headings[0]"),
+    # More networked robots than the u8 robot ids on the wire can name.
+    pytest.param("consensus", "consensus_demo.yaml",
+                 "consensus.headings=[" + ", ".join(["0.1"] * 257) + "]",
+                 "consensus.headings", id="consensus-257-networked-headings"),
 ])
 def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
                                                     scenario, override,

@@ -24,7 +24,7 @@ from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
 from swarmsim.control import Gains, circle_trajectory, tracking_control
 from swarmsim.core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle,
                            wheels_to_twist)
-from swarmsim.estimation import EkfConfig, StreamingEstimator
+from swarmsim.estimation import EkfConfig, ReportConverter, filter_step, initial_belief
 from swarmsim.sim import (
     STREAM_ENCODER,
     STREAM_FLOW,
@@ -43,13 +43,20 @@ from swarmsim.sim import (
     SensorNoise,
     SlipEvent,
     World,
-    active_slip,
     sample_gyro,
     sample_ir,
     stream_rng,
 )
 
 GEOM = RobotGeometry()
+
+
+def active_slip(schedule: tuple[SlipEvent, ...], t_ms: float) -> SlipEvent | None:
+    """The event of the schedule whose [start_ms, end_ms) holds t_ms."""
+    for event in schedule:
+        if event.start_ms <= t_ms < event.end_ms:
+            return event
+    return None
 
 
 class ReferenceSim:
@@ -293,12 +300,16 @@ def test_estimator_feedback_keeps_the_engine_on_python_floats():
     start = Posture(0.0, 0.0, 0.0)
     traj = circle_trajectory(400.0, 80.0, 2.0, start=start)
     sim = RobotSim(GEOM, SensorNoise(), start, 4)
-    est = StreamingEstimator(start, GEOM, EkfConfig.from_noise(SensorNoise(), GEOM))
+    cfg = EkfConfig.from_noise(SensorNoise(), GEOM)
+    converter = ReportConverter(GEOM, cfg)
+    belief = initial_belief(start)
     for i in range(1, 20):
         t_us = i * 70_000
         for packet in sim.advance_to(t_us):
-            est.push(packet)
-        pose = est.belief.pose
+            meas = converter.convert(packet)
+            if meas is not None:
+                belief = filter_step(belief, meas, converter.slip, cfg)
+        pose = belief.pose
         assert [type(f) for f in (pose.x, pose.y, pose.theta)] == [float] * 3
         ref, v_r, w_r = traj.reference_at(t_us / 1e6)
         sim.set_command(tracking_control(ref, pose, v_r, w_r, Gains(), GEOM))

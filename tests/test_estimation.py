@@ -13,14 +13,15 @@ from swarmsim.estimation import (
     EkfBelief,
     EkfConfig,
     EstimationFault,
+    ReportConverter,
     SlipDetector,
     StaleData,
-    StreamingEstimator,
     VelocityMeasurement,
     convert_reports,
     dead_reckon,
     ekf_predict,
     ekf_update,
+    filter_step,
     initial_belief,
     measurement_from_packets,
     run_estimator,
@@ -43,6 +44,19 @@ def packet(t_sent, ticks=(0, 0), flow=(0.0, 0.0), heading=0.0, robot_id=0):
 def meas(dt=0.07, v_wheel=0.0, w_wheel=0.0, v_flow=0.0, w_flow=0.0,
          heading=0.0, t_ms=70.0):
     return VelocityMeasurement(dt, v_wheel, w_wheel, v_flow, w_flow, heading, t_ms)
+
+
+# A belief keeps the covariance as its upper triangle, row by row: entry n
+# is (_ROW[n], _COL[n]), and _SLOT[i][k] is the entry holding (i, k) or
+# (k, i), so indexing the triangle with _SLOT mirrors it back.
+_ROW, _COL = np.triu_indices(5)
+_SLOT = np.zeros((5, 5), dtype=int)
+_SLOT[_ROW, _COL] = _SLOT[_COL, _ROW] = range(len(_ROW))
+
+
+def full_cov(belief):
+    """The full, exactly symmetric 5x5 covariance of a belief."""
+    return np.array(belief.tri)[_SLOT]
 
 
 def matrix_belief(mean, cov, t_ms=0.0):
@@ -105,9 +119,9 @@ def test_fixed_filter_step_depreciates_on_jittered_stream():
     ts = run_estimator(reports, start, CFG)
     fx = run_estimator(reports, start, CFG, fixed_dt_s=0.07)
 
-    def rmse(run):
-        errs = [math.hypot(m[0] - truth[int(t)], m[1])
-                for t, m in zip(run.times_ms, run.means)]
+    def rmse(means):
+        errs = [math.hypot(m[0] - truth[int(z.t_ms)], m[1])
+                for z, m in zip(reports.measurements, means)]
         return math.sqrt(sum(e * e for e in errs) / len(errs))
 
     assert rmse(fx) >= 2.0 * rmse(ts)
@@ -140,7 +154,7 @@ def test_predict_stationary_grows_by_process_noise():
     belief = matrix_belief(np.zeros(5), np.zeros((5, 5)))
     out = ekf_predict(belief, 0.1, CFG)
     assert np.allclose(out.mean, 0.0)
-    assert np.allclose(out.cov, np.diag(CFG.q_diag) * 0.1)
+    assert np.allclose(full_cov(out), np.diag(CFG.q_diag) * 0.1)
     assert out.t_ms == pytest.approx(100.0)
 
 
@@ -202,7 +216,7 @@ def test_update_zero_innovation_keeps_mean():
     z = meas(v_wheel=120.0, w_wheel=0.4, v_flow=120.0, w_flow=0.4, heading=0.5)
     out = ekf_update(belief, z, CFG, slip=False)
     assert np.allclose(out.mean, mean, atol=1e-9)
-    assert np.trace(out.cov) < np.trace(belief.cov)
+    assert np.trace(full_cov(out)) < np.trace(full_cov(belief))
 
 
 def test_update_wrapped_heading_innovation():
@@ -260,8 +274,9 @@ def test_covariance_stays_symmetric_psd():
             heading=rng.uniform(-3.1, 3.1), t_ms=belief.t_ms,
         )
         belief = ekf_update(belief, z, CFG, slip=bool(rng.integers(2)))
-        assert np.allclose(belief.cov, belief.cov.T, atol=1e-9)
-        min_eig = np.linalg.eigvalsh(belief.cov).min()
+        cov = full_cov(belief)
+        assert np.allclose(cov, cov.T, atol=1e-9)
+        min_eig = np.linalg.eigvalsh(cov).min()
         assert min_eig > -1e-9
 
 
@@ -330,7 +345,7 @@ def textbook_update(belief, z, cfg, slip):
     float inverse of it alone can miss the exact update by more than
     ORACLE_TOL.
     """
-    h, cov, r = exact(H), exact(belief.cov), exact(textbook_r(cfg, slip))
+    h, cov, r = exact(H), exact(full_cov(belief)), exact(textbook_r(cfg, slip))
     s = h @ cov @ h.T + r
     gain = exact_solve(s, h @ cov).T  # S and P are symmetric
     innovation = (exact([z.v_wheel, z.w_wheel, z.v_flow, z.w_flow, z.heading])
@@ -400,7 +415,7 @@ def test_ekf_matches_textbook_matrix_forms(scales, lower, q_logs, r_logs, theta,
         12.0 + v * dt * math.cos(theta), -40.0 + v * dt * math.sin(theta),
         wrap_angle(theta + w * dt), v, w]))
     np.testing.assert_allclose(
-        predicted.cov, f @ belief.cov @ f.T + np.diag(cfg.q_diag) * dt,
+        full_cov(predicted), f @ full_cov(belief) @ f.T + np.diag(cfg.q_diag) * dt,
         **ORACLE_TOL)
 
     z = meas(dt=dt, v_wheel=speeds[2], w_wheel=speeds[3] / 100.0,
@@ -409,8 +424,8 @@ def test_ekf_matches_textbook_matrix_forms(scales, lower, q_logs, r_logs, theta,
     updated = ekf_update(predicted, z, cfg, slip)
     mean, cov = textbook_update(predicted, z, cfg, slip)
     assert_means_match(updated.mean, mean)
-    np.testing.assert_allclose(updated.cov, cov, **ORACLE_TOL)
-    np.testing.assert_array_equal(updated.cov, updated.cov.T)
+    np.testing.assert_allclose(full_cov(updated), cov, **ORACLE_TOL)
+    np.testing.assert_array_equal(full_cov(updated), full_cov(updated).T)
     assert updated.t_ms == z.t_ms
 
 
@@ -450,7 +465,7 @@ def test_update_faults_exactly_when_textbook_cholesky_fails(
     belief = matrix_belief(np.array([0.0, 0.0, 3.0, 50.0, 0.5]),
                            spd(scales, lower, zero_rows))
     z = meas(v_wheel=60.0, w_wheel=0.4, v_flow=40.0, w_flow=0.6, heading=-3.0)
-    if cholesky_fails(textbook_s(belief.cov, cfg, slip)):
+    if cholesky_fails(textbook_s(full_cov(belief), cfg, slip)):
         with pytest.raises(EstimationFault):
             ekf_update(belief, z, cfg, slip)
     else:
@@ -461,15 +476,11 @@ def test_update_faults_exactly_when_textbook_cholesky_fails(
 
 # The closed-form filter as it was written on a numpy mean and a full
 # covariance, looping over the upper triangle as a flat list: entry n is
-# (_UPPER_ROW[n], _UPPER_COL[n]), at _UPPER[n] in the raveled matrix.
-# _SLOT[i][k] is the entry holding (i, k) or (k, i), so indexing the list
-# with _SLOT mirrors it back, and _COLUMN[j] lists column j.  The
-# production filter does the same float operations in the same order, so
-# it must match bit for bit.
-_ROW, _COL = np.triu_indices(5)
+# (_UPPER_ROW[n], _UPPER_COL[n]), at _UPPER[n] in the raveled matrix,
+# indexing the list with _SLOT mirrors it back, and _COLUMN[j] lists
+# column j.  The production filter does the same float operations in the
+# same order, so it must match bit for bit.
 _UPPER, _UPPER_ROW, _UPPER_COL = _ROW * 5 + _COL, _ROW.tolist(), _COL.tolist()
-_SLOT = np.zeros((5, 5), dtype=int)
-_SLOT[_ROW, _COL] = _SLOT[_COL, _ROW] = range(len(_UPPER))
 _COLUMN = _SLOT.tolist()
 
 
@@ -562,9 +573,9 @@ def test_ekf_matches_the_array_filter_bit_for_bit(tri, q_logs, r_logs, zero_chan
     belief = EkfBelief((12.0, -40.0, theta, v, w), tuple(tri), 0.0)
 
     predicted = ekf_predict(belief, dt, cfg)
-    mean, cov = reference_predict(np.array(belief.mean), belief.cov, dt, cfg)
+    mean, cov = reference_predict(np.array(belief.mean), full_cov(belief), dt, cfg)
     assert hexes(predicted.mean) == hexes(mean)
-    assert hexes(predicted.cov) == hexes(cov)
+    assert hexes(full_cov(predicted)) == hexes(cov)
 
     z = meas(dt=dt, v_wheel=speeds[2], w_wheel=speeds[3] / 100.0,
              v_flow=speeds[2] - 30.0, w_flow=speeds[3] / 90.0, heading=heading)
@@ -574,7 +585,7 @@ def test_ekf_matches_the_array_filter_bit_for_bit(tri, q_logs, r_logs, zero_chan
         assert updated is expected
     else:
         assert hexes(updated.mean) == hexes(expected[0])
-        assert hexes(updated.cov) == hexes(expected[1])
+        assert hexes(full_cov(updated)) == hexes(expected[1])
 
 
 def test_filter_state_stays_python_floats():
@@ -589,10 +600,10 @@ def test_filter_state_stays_python_floats():
     assert_floats(belief)
     assert_floats(ekf_update(belief, meas(v_wheel=120.0, w_wheel=0.3, v_flow=90.0,
                                           w_flow=0.2, heading=0.1), CFG, slip=True))
-    reckoned = dead_reckon(convert_reports(
-        [packet(70, ticks=(28, 20), flow=(0.7, 0.6), heading=0.01)], GEOM, CFG),
-        start, "wheels")
-    state = (*reckoned.means[-1], *reckoned.times_ms)
+    reports = convert_reports(
+        [packet(70, ticks=(28, 20), flow=(0.7, 0.6), heading=0.01)], GEOM, CFG)
+    reckoned = dead_reckon(reports, start, "wheels")
+    state = (*reckoned[-1], *(z.t_ms for z in reports.measurements))
     assert [type(f) for f in state] == [float] * len(state)
 
 
@@ -641,10 +652,10 @@ def _straight_packets(n=10, period_ms=70, speed=100.0):
 
 
 def test_dead_reckon_wheels_straight():
-    run = dead_reckon(convert_reports(_straight_packets(), GEOM, CFG), Posture(0, 0, 0),
-                      "wheels")
-    assert run.means[-1][0] == pytest.approx(70.0, abs=1e-6)
-    assert run.means[-1][1] == pytest.approx(0.0, abs=1e-9)
+    states = dead_reckon(convert_reports(_straight_packets(), GEOM, CFG),
+                         Posture(0, 0, 0), "wheels")
+    assert states[-1][0] == pytest.approx(70.0, abs=1e-6)
+    assert states[-1][1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dead_reckon_flow_ignores_spinning_wheels():
@@ -652,10 +663,10 @@ def test_dead_reckon_flow_ignores_spinning_wheels():
     pkts = [packet(k * 70, ticks=(k * 28, k * 28), flow=(0.0, 0.0))
             for k in range(1, 11)]
     reports = convert_reports(pkts, GEOM, CFG)
-    run = dead_reckon(reports, Posture(0, 0, 0), "flow")
-    assert run.means[-1][0] == pytest.approx(0.0, abs=1e-9)
+    flow = dead_reckon(reports, Posture(0, 0, 0), "flow")
+    assert flow[-1][0] == pytest.approx(0.0, abs=1e-9)
     wheels = dead_reckon(reports, Posture(0, 0, 0), "wheels")
-    assert wheels.means[-1][0] == pytest.approx(140.0, abs=1e-6)
+    assert wheels[-1][0] == pytest.approx(140.0, abs=1e-6)
 
 
 def test_dead_reckon_rejects_unknown_source():
@@ -666,44 +677,47 @@ def test_dead_reckon_rejects_unknown_source():
 def test_run_estimator_skips_stale_reports():
     pkts = _straight_packets(6)
     shuffled = [pkts[0], pkts[2], pkts[1], pkts[3], pkts[4], pkts[5]]
-    run = run_estimator(convert_reports(shuffled, GEOM, CFG), Posture(0, 0, 0), CFG)
-    assert run.stale_skipped == 1
-    assert len(run.times_ms) == 5
-    assert run.times_ms == sorted(run.times_ms)
+    reports = convert_reports(shuffled, GEOM, CFG)
+    means = run_estimator(reports, Posture(0, 0, 0), CFG)
+    assert reports.stale_skipped == 1
+    assert len(means) == 5
+    times_ms = [z.t_ms for z in reports.measurements]
+    assert times_ms == sorted(times_ms)
 
 
 def test_streaming_push_matches_run_estimator():
     pkts = _straight_packets(12)
     order = [0, 2, 1, 3, 3, 6, 4, 5, 7, 11, 8, 9, 10]
     shuffled = [pkts[i] for i in order]
-    est = StreamingEstimator(Posture(0, 0, 0), GEOM, CFG)
+    converter = ReportConverter(GEOM, CFG)
+    belief = initial_belief(Posture(0, 0, 0))
     newest, stale, means = 0, 0, []
     for p in shuffled:
-        before = est.belief
-        belief = est.push(p)
+        z = converter.convert(p)
         if p.t_sent <= newest:
             stale += 1
-            assert belief is None
-            assert est.belief is before
+            assert z is None
         else:
             newest = p.t_sent
-            assert belief is est.belief and belief.t_ms == p.t_sent
+            belief = filter_step(belief, z, converter.slip, CFG)
+            assert belief.t_ms == p.t_sent
             means.append(belief.mean)
     assert stale == 7
-    batch = run_estimator(convert_reports(shuffled, GEOM, CFG), Posture(0, 0, 0), CFG)
-    assert est.stale_skipped == batch.stale_skipped == stale
-    assert len(batch.means) == len(means)
-    for a, b in zip(means, batch.means):
-        np.testing.assert_array_equal(a, b)
+    reports = convert_reports(shuffled, GEOM, CFG)
+    batch = run_estimator(reports, Posture(0, 0, 0), CFG)
+    assert converter.stale_skipped == reports.stale_skipped == stale
+    assert len(batch) == len(means)
+    for a, b in zip(means, batch):
+        assert hexes(a) == hexes(b)
 
 
 def test_run_estimator_converges_on_straight_run():
-    run = run_estimator(convert_reports(_straight_packets(50), GEOM, CFG),
-                        Posture(0, 0, 0), CFG)
+    reports = convert_reports(_straight_packets(50), GEOM, CFG)
+    means = run_estimator(reports, Posture(0, 0, 0), CFG)
     # Speed estimate settles at the true 100 mm/s and position tracks x = v t.
-    assert run.means[-1][3] == pytest.approx(100.0, abs=2.0)
-    assert run.means[-1][0] == pytest.approx(350.0, abs=5.0)
-    assert not run.slip_flags[-1]
+    assert means[-1][3] == pytest.approx(100.0, abs=2.0)
+    assert means[-1][0] == pytest.approx(350.0, abs=5.0)
+    assert not reports.slip_flags[-1]
 
 
 def test_config_from_noise_balances_channels():

@@ -20,10 +20,10 @@ from swarmsim.sim import (
     SlipEvent,
     World,
     _cast_rays,
-    active_slip,
     sample_gyro,
     sample_ir,
 )
+from test_engine import active_slip
 
 GEOM = RobotGeometry()
 QUIET = SensorNoise.noiseless()
