@@ -39,6 +39,8 @@ BENCH_SWARM = (
     "consensus.headings=[" + ", ".join(f"{_RNG.uniform(-1.4, 1.4):.4f}"
                                        for _ in range(24)) + "]",
     "channel.loss_prob=0.1", "channel.latency_min_ms=50", "channel.latency_max_ms=100")
+# The same swarm with noisy gyros: every report draws through sample_gyro.
+NOISY_BENCH_SWARM = (*BENCH_SWARM, "robot.noiseless=false")
 # The same swarm on a channel that flips bits and, with a jitter span wider
 # than the 70 ms round, reorders frames: pins the order of the channel's
 # loss, corruption and latency draws.
@@ -207,6 +209,8 @@ INVOCATIONS = (
     ("consensus 24 robots corrupting reordering seed 5", "consensus",
      "consensus_demo.yaml",
      ("--seed", "5", *[a for spec in CORRUPTING_SWARM for a in ("--override", spec)])),
+    ("consensus 24 robots noisy seed 5", "consensus", "consensus_demo.yaml",
+     ("--seed", "5", *[a for spec in NOISY_BENCH_SWARM for a in ("--override", spec)])),
 )
 
 

@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 2 when the scenario fails validation, 3 when a
-valid scenario faults while running.
+valid scenario faults while running. A reader that closes stdout early
+does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -73,6 +75,18 @@ def _check_kind(command: str, scenario: Scenario) -> None:
             f"{command!r} command (expected kind {expected!r})")
 
 
+def _print_lines(*lines: str) -> None:
+    """Print to stdout and flush. When the reader has closed the pipe,
+    point stdout at os.devnull, so the interpreter's final flush of what
+    is left in the buffer does not raise either."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.override)
@@ -81,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario, tuple(overrides))
         if args.command == "validate":
-            print(format_summary(RunSummary(scenario, {"valid": True})))
+            _print_lines(format_summary(RunSummary(scenario, {"valid": True})))
             return EXIT_OK
         _check_kind(args.command, scenario)
         out_dir = Path(args.out)
@@ -98,8 +112,7 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeFault, EstimationFault, PlanningError) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
-    print(format_summary(summary))
-    print(f"wall_clock_s: {wall_clock_s:.3f}")
+    _print_lines(format_summary(summary), f"wall_clock_s: {wall_clock_s:.3f}")
     return EXIT_OK
 
 

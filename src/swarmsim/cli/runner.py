@@ -45,11 +45,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The % conversion of each exact cell type; "%.6g" % x is f"{x:.6g}".
+_CELL_FORMATS = {float: "%.6g", int: "%d", str: "%s"}
+
+
+def _row_template(types: tuple[type, ...]) -> str | None:
+    """One % template for a row of these exact cell types, or None when a
+    cell (a bool, a numpy scalar) needs _fmt."""
+    formats = [_CELL_FORMATS.get(t) for t in types]
+    if None in formats:
+        return None
+    return ",".join(formats) + "\n"
+
+
 def write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write the rows, each formatted as _fmt formats its values, through
+    one template per row shape."""
+    templates: dict[tuple[type, ...], str | None] = {}
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            types = tuple(map(type, row))
+            try:
+                template = templates[types]
+            except KeyError:
+                template = templates[types] = _row_template(types)
+            if template is None:
+                f.write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                f.write(template % tuple(row))
     return path
 
 

@@ -173,7 +173,8 @@ def tracking_control(ref: Posture, current: Posture, v_r: float, w_r: float,
     half_base = geometry.wheel_base / 2.0
     forward = v_r * math.cos(e.theta) + gains.k_x * e.x
     turn = w_r + v_r * (gains.k_y * e.y + gains.k_theta * math.sin(e.theta))
-    return saturate(forward + half_base * turn, forward - half_base * turn, v_max)
+    return WheelSpeeds(*saturate(forward + half_base * turn,
+                                 forward - half_base * turn, v_max))
 
 
 def lyapunov_value(error: Posture) -> float:

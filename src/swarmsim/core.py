@@ -105,7 +105,8 @@ class RobotGeometry:
             raise ValueError("require 0 <= ir_range_min < ir_range_max")
 
 
-def saturate(v1: float, v2: float, v_max: float = MAX_WHEEL_SPEED) -> WheelSpeeds:
+def saturate(v1: float, v2: float,
+             v_max: float = MAX_WHEEL_SPEED) -> tuple[float, float]:
     """The wheel pair (right v1, left v2), both scaled by a common factor
     when either exceeds v_max, so the commanded curvature (and turn
     direction) survives saturation."""
@@ -114,7 +115,7 @@ def saturate(v1: float, v2: float, v_max: float = MAX_WHEEL_SPEED) -> WheelSpeed
         scale = v_max / peak
         v1 *= scale
         v2 *= scale
-    return WheelSpeeds(right=v1, left=v2)
+    return v1, v2
 
 
 def wheels_to_twist(wheels: WheelSpeeds, geometry: RobotGeometry) -> Twist:

@@ -299,9 +299,10 @@ class Rates:
         return round(1e3 * self.report_jitter_ms)
 
 
-def sample_gyro(pose: Posture, noise: SensorNoise, rng: np.random.Generator) -> float:
-    """Absolute heading with Gaussian noise, wrapped to (-pi, pi]."""
-    return wrap_angle(pose.theta + noise.gyro_sigma * rng.standard_normal())
+def sample_gyro(heading: float, sigma: float, rng: np.random.Generator) -> float:
+    """Absolute heading with Gaussian noise of deviation sigma, wrapped to
+    (-pi, pi]."""
+    return wrap_angle(heading + sigma * rng.standard_normal())
 
 
 # --- world and range sensing --------------------------------------------------
@@ -715,7 +716,8 @@ class RobotSim:
             ticks_right=wrap_i16(count_ticks(self._travel_r, mm_per_tick)),
             flow_dx_left=wrap_flow(self._flow_l),
             flow_dx_right=wrap_flow(self._flow_r),
-            gyro_heading=sample_gyro(pose, self.noise, self.gyro_rng),
+            gyro_heading=sample_gyro(pose.theta, self.noise.gyro_sigma,
+                                     self.gyro_rng),
             ir=ir,
         )
         self.truth_at_send[packet.t_sent] = pose

@@ -16,14 +16,13 @@ corrected target, and the robots turn in place toward it between rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .comms import ChannelModel, FreshnessBuffer, SensorPacket, StarChannel, encode_frame
-from .core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle, saturate,
-                   wheels_to_twist, wrap_angle)
-from .sim import SensorNoise, sample_gyro
+from .core import RobotGeometry, saturate, wrap_angle
+from .sim import sample_gyro
 
 __all__ = [
     "ConsensusConfig",
@@ -157,37 +156,40 @@ class _TurningRobot:
     """Robot that holds position and turns in place toward a target heading.
 
     The turn rate is proportional to the heading error and maps to an
-    opposite wheel pair, saturated like the tracking controller's.
+    opposite wheel pair, saturated like the tracking controller's. The
+    pair's forward speed is exactly zero, so the robot never leaves its
+    spot and keeps only its heading.
     """
 
-    def __init__(self, robot_id: int, heading: float, geometry: RobotGeometry,
+    def __init__(self, robot_id: int, heading: float, wheel_base: float,
                  gyro_sigma: float, rng: np.random.Generator):
         self.robot_id = robot_id
-        self.pose = Posture(300.0 * robot_id, 0.0, heading)
+        self.theta = wrap_angle(heading)
         self.target = heading
-        self.geometry = geometry
-        self.noise = replace(SensorNoise.noiseless(), gyro_sigma=gyro_sigma)
+        self.wheel_base = wheel_base
+        self.gyro_sigma = gyro_sigma
         self.rng = rng
 
-    def report(self, t_ms: float) -> bytes:
+    def report(self, t_sent: int) -> bytes:
         packet = SensorPacket(
-            robot_id=self.robot_id, t_sent=int(round(t_ms)),
+            robot_id=self.robot_id, t_sent=t_sent,
             ticks_left=0, ticks_right=0,
             flow_dx_left=0.0, flow_dx_right=0.0,
-            gyro_heading=sample_gyro(self.pose, self.noise, self.rng), ir=(None,) * 5,
+            gyro_heading=sample_gyro(self.theta, self.gyro_sigma, self.rng),
         )
         return encode_frame(packet)
 
-    def wheels(self, turn_gain: float) -> WheelSpeeds:
-        w_cmd = turn_gain * wrap_angle(self.target - self.pose.theta)
-        half_turn = self.geometry.wheel_base / 2.0 * w_cmd
+    def wheels(self, turn_gain: float) -> tuple[float, float]:
+        """The saturated (right, left) wheel pair of the turn."""
+        w_cmd = turn_gain * wrap_angle(self.target - self.theta)
+        half_turn = self.wheel_base / 2.0 * w_cmd
         # Zero forward speed added, so a zero pair has the signs of zeros
         # that tracking_control gives for a pure turn.
         return saturate(0.0 + half_turn, 0.0 - half_turn)
 
     def advance(self, dt_s: float, turn_gain: float):
-        self.pose = integrate_unicycle(
-            self.pose, wheels_to_twist(self.wheels(turn_gain), self.geometry), dt_s)
+        right, left = self.wheels(turn_gain)
+        self.theta = wrap_angle(self.theta + (right - left) / self.wheel_base * dt_s)
 
 
 def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
@@ -212,7 +214,7 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
     channel_model = channel_model or ChannelModel()
 
     robots = [
-        _TurningRobot(i, h, geometry, gyro_sigma,
+        _TurningRobot(i, h, geometry.wheel_base, gyro_sigma,
                       np.random.default_rng([seed, i, 1]))
         for i, h in enumerate(headings)
     ]
@@ -228,8 +230,9 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
 
     for round_idx in range(1, cfg.max_rounds + 1):
         t_ms = round_idx * cfg.round_period_ms
+        t_sent = int(round(t_ms))
         for robot in robots:
-            channel.send(robot.report(t_ms), t_ms, robot.robot_id)
+            channel.send(robot.report(t_sent), t_ms, robot.robot_id)
         for packet in channel.receive(t_ms):
             buffer.update(packet)
         if buffer.robot_ids() == expected_ids:
@@ -241,8 +244,9 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
             m = mean_heading(values)
             for robot, h in zip(robots, values):
                 robot.target = h + cfg.k * (m - h)
-            trace.append(RoundRecord(t_ms / 1e3, tuple(values), m, spread(values)))
-            streak = _check_settled(streak, spread(values), cfg)
+            width = spread(values)
+            trace.append(RoundRecord(t_ms / 1e3, tuple(values), m, width))
+            streak = _check_settled(streak, width, cfg)
             if streak >= cfg.settle_rounds:
                 converged_at = t_ms / 1e3
                 break

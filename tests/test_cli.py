@@ -4,10 +4,14 @@ import contextlib
 import csv
 import importlib
 import io
+import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -472,6 +476,75 @@ def test_outputs_carry_no_wall_clock(tmp_path, capsys):
     capsys.readouterr()
     for path in tmp_path.iterdir():
         assert b"wall_clock" not in path.read_bytes()
+
+
+# --- CSV rows -----------------------------------------------------------------------
+
+
+_FLOAT_EDGES = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                1e-310, sys.float_info.max, -sys.float_info.max,
+                math.nextafter(sys.float_info.max, 0.0), 999999.5)
+_INT_EDGES = (1_000_001, 2**53 + 1, 10**30 + 7, -1, -2**63 - 1)
+# Cell strategies by the template conversion they take; the last takes the
+# per-value fallback.
+_CELLS = (
+    st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats()),
+    st.one_of(st.sampled_from(_INT_EDGES), st.integers(min_value=10**6 + 1),
+              st.integers(max_value=-1), st.integers()),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+    st.one_of(st.booleans(), st.floats().map(np.float64),
+              st.integers(-2**63, 2**63 - 1).map(np.int64)),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    """Rows of a few shapes, each shape drawn more than once, interleaved."""
+    shapes = draw(st.lists(st.lists(st.sampled_from(_CELLS), max_size=6),
+                           min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(shapes), max_size=8))
+    return [tuple(draw(cell) for cell in shape) for shape in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_csv_rows())
+def test_csv_rows_read_as_each_value_formatted_alone(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    runner.write_csv(path, ["a", "b"], rows)
+    expected = "a,b\n" + "".join(
+        ",".join(runner._fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+# --- a reader that closes stdout early ------------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [
+    ["validate", str(SCENARIOS / "consensus_demo.yaml")],
+    ["consensus", str(SCENARIOS / "consensus_demo.yaml"),
+     "--override", "consensus.max_rounds=20"],
+], ids=["validate", "consensus"])
+def test_closed_stdout_keeps_the_exit_code_and_prints_no_traceback(
+        tmp_path, args, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(SCENARIOS.parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "swarmsim", *args, "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120, check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 # --- the exit-code contract under fuzzed overrides -------------------------------------

@@ -173,7 +173,8 @@ class ReferenceSim:
             ticks_right=wrap_i16(self.ticks_r),
             flow_dx_left=wrap_flow(self.flow_l),
             flow_dx_right=wrap_flow(self.flow_r),
-            gyro_heading=sample_gyro(pose, self.noise, self.gyro_rng),
+            gyro_heading=sample_gyro(pose.theta, self.noise.gyro_sigma,
+                                     self.gyro_rng),
             ir=ir,
         )
         self.truth_at_send[packet.t_sent] = pose

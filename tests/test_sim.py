@@ -289,9 +289,7 @@ def test_flow_noise_statistics():
 
 def test_gyro_statistics():
     rng = np.random.default_rng(5)
-    pose = Posture(0, 0, 1.0)
-    noise = SensorNoise(gyro_sigma=0.01)
-    samples = np.array([sample_gyro(pose, noise, rng) for _ in range(20_000)])
+    samples = np.array([sample_gyro(1.0, 0.01, rng) for _ in range(20_000)])
     assert samples.mean() == pytest.approx(1.0, abs=0.001)
     assert samples.std() == pytest.approx(0.01, rel=0.05)
     assert np.all(samples > -math.pi) and np.all(samples <= math.pi)
@@ -299,8 +297,7 @@ def test_gyro_statistics():
 
 def test_gyro_wraps_near_pi():
     rng = np.random.default_rng(6)
-    noise = SensorNoise(gyro_sigma=0.1)
-    samples = [sample_gyro(Posture(0, 0, math.pi), noise, rng) for _ in range(100)]
+    samples = [sample_gyro(math.pi, 0.1, rng) for _ in range(100)]
     assert all(-math.pi < s <= math.pi for s in samples)
 
 
