@@ -85,6 +85,15 @@ INVOCATIONS = (
     ("compare jitter lossy flow wheels adaptive", "compare", "localize_jitter.yaml",
      ("--variants", "flow", "wheels", "adaptive",
       *[a for spec in LOSSY_LOCALIZE for a in ("--override", spec)])),
+    # Filter variants in reverse order, one repeated, on a jittered stream
+    # whose wheels slip: the variants that share steps split mid-run.
+    ("compare jitter slipping reverse variants", "compare", "localize_jitter.yaml",
+     ("--override", "robot.slip=[{start_ms: 8000, end_ms: 11000, mode: stuck}]",
+      "--variants", "fixed_dt", "nonadaptive", "adaptive", "adaptive")),
+    # No frame lost: the fixed 70 ms step matches every report interval.
+    ("compare slip lossless", "compare", "localize_slip.yaml",
+     ("--override", "channel.loss_prob=0", "--variants", "adaptive", "nonadaptive",
+      "fixed_dt", "wheels", "flow")),
     ("consensus bundled", "consensus", "consensus_demo.yaml", ()),
     ("consensus 8 robots noisy lossy", "consensus", "consensus_demo.yaml",
      tuple(a for spec in NOISY_SWARM for a in ("--override", spec))),

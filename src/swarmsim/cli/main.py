@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 2 when the scenario fails validation, 3 when a
-valid scenario faults while running. A reader that closes stdout early
+Exit codes: 0 on success, 2 when the scenario fails validation or --out
+cannot be made a directory, 3 when a valid scenario faults while running
+or an output file cannot be written. A reader that closes stdout early
 does not change the exit code.
 """
 
@@ -99,12 +100,22 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         _check_kind(args.command, scenario)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: --out {args.out}: cannot be made a directory "
+                  f"({exc.strerror or exc})", file=sys.stderr)
+            return EXIT_INVALID
         t0 = time.perf_counter()
-        if args.command == "compare":
-            summary = run_compare(scenario, out_dir, tuple(args.variants))
-        else:
-            summary = run_scenario(scenario, out_dir)
+        try:
+            if args.command == "compare":
+                summary = run_compare(scenario, out_dir, tuple(args.variants))
+            else:
+                summary = run_scenario(scenario, out_dir)
+        except OSError as exc:
+            # Only writing the output files touches the file system.
+            raise RuntimeFault(f"cannot write {exc.filename or out_dir}: "
+                               f"{exc.strerror or exc}") from None
         wall_clock_s = time.perf_counter() - t0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

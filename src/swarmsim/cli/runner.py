@@ -22,7 +22,7 @@ from swarmsim.core import (Posture, error_posture, integrate_unicycle,
                            wheels_to_twist, wrap_angle)
 from swarmsim.estimation import (ConvertedReports, ReportConverter, convert_reports,
                                  dead_reckon, filter_step, initial_belief,
-                                 run_estimator)
+                                 run_estimator, run_estimators)
 from swarmsim.planning import astar, inflate, ingest_ir_scan, median_filter, save_grid
 from swarmsim.sim import (STREAM_CHANNEL, STREAM_IR, RobotSim, RuntimeFault,
                           sample_ir, stream_rng)
@@ -245,16 +245,20 @@ ESTIMATE_COLUMNS = ["t", "x_t", "y_t", "theta_t", "x_h", "y_h", "theta_h",
                     "err_mm", "slip"]
 
 
-def _run_variant(name: str, reports: ConvertedReports, scenario: Scenario):
-    if name == "adaptive":
-        return run_estimator(reports, scenario.start, scenario.ekf)
-    if name == "nonadaptive":
-        return run_estimator(reports, scenario.start, scenario.ekf, adaptive=False)
-    if name == "fixed_dt":
-        return run_estimator(reports, scenario.start, scenario.ekf,
-                             fixed_dt_s=scenario.rates.report_period_ms / 1e3)
-    # "wheels" or "flow": the --variants choices admit no other name.
-    return dead_reckon(reports, scenario.start, name)
+def _variant_estimates(variants: tuple[str, ...], reports: ConvertedReports,
+                       scenario: Scenario) -> dict[str, list[tuple[float, ...]]]:
+    """The states each named variant estimates; the filter variants fold
+    in one lockstep run_estimators call."""
+    settings = {"adaptive": (True, None), "nonadaptive": (False, None),
+                "fixed_dt": (True, scenario.rates.report_period_ms / 1e3)}
+    filters = [name for name in variants if name in settings]
+    estimates = dict(zip(filters, run_estimators(
+        reports, scenario.start, scenario.ekf, [settings[name] for name in filters])))
+    for name in variants:
+        if name not in estimates:
+            # "wheels" or "flow": the --variants choices admit no other name.
+            estimates[name] = dead_reckon(reports, scenario.start, name)
+    return estimates
 
 
 def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
@@ -290,13 +294,13 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
 def run_compare(scenario: Scenario, out_dir: Path,
                 variants: tuple[str, ...] = DEFAULT_COMPARE_VARIANTS) -> RunSummary:
     """Simulate and convert the report stream once and run every variant
-    on it."""
+    on it, the filter variants in lockstep."""
     run = simulate_reports(scenario)
     reports = convert_reports(run.delivered, scenario.geometry, scenario.ekf)
+    estimates = _variant_estimates(variants, reports, scenario)
     rows = []
     for name in variants:
-        errors = position_errors(reports, _run_variant(name, reports, scenario),
-                                 run.truth_at_send)
+        errors = position_errors(reports, estimates[name], run.truth_at_send)
         rows.append((name, _rmse(errors), float(errors[-1]),
                      reports.stale_skipped))
     summary = RunSummary(scenario)

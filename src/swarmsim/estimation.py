@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -191,38 +192,6 @@ def ekf_predict(belief: EkfBelief, dt: float, cfg: EkfConfig) -> EkfBelief:
     return EkfBelief(mean, tri, belief.t_ms + dt * 1e3)
 
 
-def _fuse(mean: tuple[float, ...], tri: tuple[float, ...], j: int, z: float,
-          r: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One scalar update of ekf_update: z measures state j with variance r."""
-    p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = tri
-    col = ((p02, p12, p22, p23, p24) if j == 2 else
-           (p03, p13, p23, p33, p34) if j == 3 else (p04, p14, p24, p34, p44))
-    c0, c1, c2, c3, c4 = col
-    s = col[j] + r
-    if not s > 0:
-        raise EstimationFault("innovation covariance is not positive definite")
-    m0, m1, m2, m3, m4 = mean
-    g = (wrap_angle(z - m2) if j == 2 else z - mean[j]) / s
-    mean = (m0 + c0 * g, m1 + c1 * g, m2 + c2 * g, m3 + c3 * g, m4 + c4 * g)
-    # Row j of the posterior, then every entry off it.
-    rs = r / s
-    k0, k1, k2, k3, k4 = c0 * rs, c1 * rs, c2 * rs, c3 * rs, c4 * rs
-    on2, on3, on4 = j == 2, j == 3, j == 4
-    return mean, (
-        p00 - c0 * c0 / s, p01 - c0 * c1 / s,
-        k0 if on2 else p02 - c0 * c2 / s, k0 if on3 else p03 - c0 * c3 / s,
-        k0 if on4 else p04 - c0 * c4 / s,
-        p11 - c1 * c1 / s,
-        k1 if on2 else p12 - c1 * c2 / s, k1 if on3 else p13 - c1 * c3 / s,
-        k1 if on4 else p14 - c1 * c4 / s,
-        k2 if on2 else p22 - c2 * c2 / s,
-        k3 if on2 else k2 if on3 else p23 - c2 * c3 / s,
-        k4 if on2 else k2 if on4 else p24 - c2 * c4 / s,
-        k3 if on3 else p33 - c3 * c3 / s,
-        k4 if on3 else k3 if on4 else p34 - c3 * c4 / s,
-        k4 if on4 else p44 - c4 * c4 / s)
-
-
 def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
                slip: bool) -> EkfBelief:
     """Fuse one report; wheel channels are deweighted while slip holds.
@@ -240,17 +209,105 @@ def ekf_update(belief: EkfBelief, meas: VelocityMeasurement, cfg: EkfConfig,
     covariance S in that channel order, so EstimationFault is raised
     exactly when S is not positive definite.  Only the upper triangle of P
     is stored, so the covariance is exactly symmetric.
+
+    The five scalar updates are written out on the state held in locals:
+    the heading (j = 2), then the speed (j = 3) and turn rate (j = 4) of
+    the wheels and then of the flow sensors.  In each, c is the prior
+    column j of P; row j of the posterior is c r / s, and every entry off
+    it is P[a][b] - c[a] c[b] / s.
     """
     r_vw, r_ww, r_vf, r_wf, r_heading = cfg.r_base
     if slip:
         r_vw *= cfg.slip_inflation
         r_ww *= cfg.slip_inflation
-    mean, tri = _fuse(belief.mean, belief.tri, 2, meas.heading, r_heading)
-    mean, tri = _fuse(mean, tri, 3, meas.v_wheel, r_vw)
-    mean, tri = _fuse(mean, tri, 4, meas.w_wheel, r_ww)
-    mean, tri = _fuse(mean, tri, 3, meas.v_flow, r_vf)
-    (x, y, theta, v, w), tri = _fuse(mean, tri, 4, meas.w_flow, r_wf)
-    return EkfBelief((x, y, wrap_angle(theta), v, w), tri, meas.t_ms)
+    m0, m1, m2, m3, m4 = belief.mean
+    p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24, p33, p34, p44 = belief.tri
+    # The heading measures state 2; its innovation is wrapped.
+    c0, c1, c2, c3, c4 = p02, p12, p22, p23, p24
+    s = c2 + r_heading
+    if not s > 0:
+        raise EstimationFault("innovation covariance is not positive definite")
+    g = wrap_angle(meas.heading - m2) / s
+    m0 += c0 * g
+    m1 += c1 * g
+    m2 += c2 * g
+    m3 += c3 * g
+    m4 += c4 * g
+    rs = r_heading / s
+    p00 -= c0 * c0 / s
+    p01 -= c0 * c1 / s
+    p02 = c0 * rs
+    p03 -= c0 * c3 / s
+    p04 -= c0 * c4 / s
+    p11 -= c1 * c1 / s
+    p12 = c1 * rs
+    p13 -= c1 * c3 / s
+    p14 -= c1 * c4 / s
+    p22 = c2 * rs
+    p23 = c3 * rs
+    p24 = c4 * rs
+    p33 -= c3 * c3 / s
+    p34 -= c3 * c4 / s
+    p44 -= c4 * c4 / s
+    for z_v, r_v, z_w, r_w in ((meas.v_wheel, r_vw, meas.w_wheel, r_ww),
+                               (meas.v_flow, r_vf, meas.w_flow, r_wf)):
+        # The speed z_v measures state 3.
+        c0, c1, c2, c3, c4 = p03, p13, p23, p33, p34
+        s = c3 + r_v
+        if not s > 0:
+            raise EstimationFault("innovation covariance is not positive definite")
+        g = (z_v - m3) / s
+        m0 += c0 * g
+        m1 += c1 * g
+        m2 += c2 * g
+        m3 += c3 * g
+        m4 += c4 * g
+        rs = r_v / s
+        p00 -= c0 * c0 / s
+        p01 -= c0 * c1 / s
+        p02 -= c0 * c2 / s
+        p03 = c0 * rs
+        p04 -= c0 * c4 / s
+        p11 -= c1 * c1 / s
+        p12 -= c1 * c2 / s
+        p13 = c1 * rs
+        p14 -= c1 * c4 / s
+        p22 -= c2 * c2 / s
+        p23 = c2 * rs
+        p24 -= c2 * c4 / s
+        p33 = c3 * rs
+        p34 = c4 * rs
+        p44 -= c4 * c4 / s
+        # The turn rate z_w measures state 4.
+        c0, c1, c2, c3, c4 = p04, p14, p24, p34, p44
+        s = c4 + r_w
+        if not s > 0:
+            raise EstimationFault("innovation covariance is not positive definite")
+        g = (z_w - m4) / s
+        m0 += c0 * g
+        m1 += c1 * g
+        m2 += c2 * g
+        m3 += c3 * g
+        m4 += c4 * g
+        rs = r_w / s
+        p00 -= c0 * c0 / s
+        p01 -= c0 * c1 / s
+        p02 -= c0 * c2 / s
+        p03 -= c0 * c3 / s
+        p04 = c0 * rs
+        p11 -= c1 * c1 / s
+        p12 -= c1 * c2 / s
+        p13 -= c1 * c3 / s
+        p14 = c1 * rs
+        p22 -= c2 * c2 / s
+        p23 -= c2 * c3 / s
+        p24 = c2 * rs
+        p33 -= c3 * c3 / s
+        p34 = c3 * rs
+        p44 = c4 * rs
+    return EkfBelief((m0, m1, wrap_angle(m2), m3, m4),
+                     (p00, p01, p02, p03, p04, p11, p12, p13, p14, p22, p23, p24,
+                      p33, p34, p44), meas.t_ms)
 
 
 class SlipDetector:
@@ -339,12 +396,46 @@ def run_estimator(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
                   adaptive: bool = True,
                   fixed_dt_s: float | None = None) -> list[tuple[float, ...]]:
     """The filter's mean after each converted report (see filter_step)."""
-    belief = initial_belief(start)
-    means = []
+    return run_estimators(reports, start, cfg, [(adaptive, fixed_dt_s)])[0]
+
+
+def run_estimators(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
+                   settings: Sequence[tuple[bool, float | None]]
+                   ) -> list[list[tuple[float, ...]]]:
+    """run_estimator under each (adaptive, fixed_dt_s) setting, folded in
+    lockstep report by report; a repeated setting gets the same list.
+
+    Settings whose beliefs are one object and whose next step is the same
+    (the interval fixed_dt_s or meas.dt, and the wheel inflation slip and
+    adaptive) share one filter_step, so their beliefs stay one object.
+    Settings that once split never merge again.
+    """
+    outs: dict[tuple, list[tuple[float, ...]]] = {
+        setting: [] for setting in settings}
+    # Settings whose beliefs are one object, with that belief; each
+    # setting as (adaptive, fixed_dt_s, its list of means).
+    groups = [(initial_belief(start),
+               [(adaptive, fixed_dt_s, out)
+                for (adaptive, fixed_dt_s), out in outs.items()])]
     for meas, slip in zip(reports.measurements, reports.slip_flags):
-        belief = filter_step(belief, meas, slip, cfg, adaptive, fixed_dt_s)
-        means.append(belief.mean)
-    return means
+        stepped = []
+        for belief, members in groups:
+            if len(members) == 1:
+                splits = (members,)
+            else:
+                steps: dict[tuple, list[tuple]] = {}
+                for member in members:
+                    steps.setdefault((member[1] or meas.dt, slip and member[0]),
+                                     []).append(member)
+                splits = steps.values()
+            for split in splits:
+                adaptive, fixed_dt_s, _ = split[0]
+                after = filter_step(belief, meas, slip, cfg, adaptive, fixed_dt_s)
+                stepped.append((after, split))
+                for _, _, out in split:
+                    out.append(after.mean)
+        groups = stepped
+    return [outs[setting] for setting in settings]
 
 
 def dead_reckon(reports: ConvertedReports, start: Posture,

@@ -301,8 +301,32 @@ class Rates:
 
 def sample_gyro(heading: float, sigma: float, rng: np.random.Generator) -> float:
     """Absolute heading with Gaussian noise of deviation sigma, wrapped to
-    (-pi, pi]."""
+    (-pi, pi].  rng is a Generator or a BlockNormals over one."""
     return wrap_angle(heading + sigma * rng.standard_normal())
+
+
+# Values per block of a noise stream read one value at a time.
+NOISE_BLOCK = 64
+
+
+def block_draws(draw, size: int = NOISE_BLOCK):
+    """Yield the values of draw(size), draw(size), ... one by one, as
+    Python scalars.
+
+    An array draw of a numpy Generator continues its scalar stream, so
+    with draw a Generator method the values are those of one scalar draw
+    each, in order.
+    """
+    while True:
+        yield from draw(size).tolist()
+
+
+class BlockNormals:
+    """A Generator read one standard_normal() at a time, whose normals are
+    drawn in blocks (see block_draws)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.standard_normal = block_draws(rng.standard_normal).__next__
 
 
 # --- world and range sensing --------------------------------------------------
@@ -474,7 +498,9 @@ class RobotSim:
     ``EncoderModel.sample_speeds`` and ``FlowModel.sample_vw`` do: one
     normal per wheel and one per flow sensor.  A reference loop that calls
     those three classes once per tick and per window is the oracle of the
-    engine equivalence test.
+    engine equivalence test.  The encoder, flow, gyro and jittered
+    schedule streams are drawn in blocks and read one value per draw
+    (block_draws), the values scalar draws would give.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -488,13 +514,18 @@ class RobotSim:
         self.robot_id = robot_id
         self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
                             for e in slip_schedule)
-        self._enc_rng = stream_rng(seed, robot_id, STREAM_ENCODER)
-        self._flow_rng = stream_rng(seed, robot_id, STREAM_FLOW)
-        self.gyro_rng = stream_rng(seed, robot_id, STREAM_GYRO)
+        self._enc_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_ENCODER))
+        self._flow_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_FLOW))
+        self._gyro_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_GYRO))
         self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
-        self._schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
         self._report_us = rates.report_period_us
         self._jitter_us = rates.report_jitter_us
+        if self._jitter_us:
+            schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
+            lo = self._report_us - self._jitter_us
+            hi = self._report_us + self._jitter_us + 1
+            self._jittered = block_draws(
+                lambda size: schedule_rng.integers(lo, hi, size=size))
         self.truth_at_send: dict[int, Posture] = {}
         self.t_us = 0
         self._cmd_right = self._cmd_left = 0.0
@@ -523,9 +554,7 @@ class RobotSim:
         if self._jitter_us == 0:
             interval = self._report_us
         else:
-            interval = int(self._schedule_rng.integers(
-                self._report_us - self._jitter_us,
-                self._report_us + self._jitter_us + 1))
+            interval = next(self._jittered)
         if interval < 1:
             # Scenario validation rejects such rates first; a report clock
             # that does not advance would otherwise never let time pass.
@@ -699,13 +728,15 @@ class RobotSim:
         self._at_report = (wheel_r, wheel_l, path, turn)
         window_s = self._window_us / 1e6
         sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
-        noise_r, noise_l = self._enc_rng.standard_normal(2).tolist()
+        normal = self._enc_noise.standard_normal
+        noise_r, noise_l = normal(), normal()
         self._travel_r += (wheel_r - wheel_r0) + sigma * noise_r
         self._travel_l += (wheel_l - wheel_l0) + sigma * noise_l
         half = 0.5 * self.geometry.flow_separation * (turn - turn0)
         sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s)
         scale = self.noise.flow_scale
-        noise_l, noise_r = self._flow_rng.standard_normal(2).tolist()
+        normal = self._flow_noise.standard_normal
+        noise_l, noise_r = normal(), normal()
         self._flow_l += ((path - path0) - half) * scale + sigma * noise_l
         self._flow_r += ((path - path0) + half) * scale + sigma * noise_r
         mm_per_tick = self.geometry.mm_per_tick
@@ -717,7 +748,7 @@ class RobotSim:
             flow_dx_left=wrap_flow(self._flow_l),
             flow_dx_right=wrap_flow(self._flow_r),
             gyro_heading=sample_gyro(pose.theta, self.noise.gyro_sigma,
-                                     self.gyro_rng),
+                                     self._gyro_noise),
             ir=ir,
         )
         self.truth_at_send[packet.t_sent] = pose

@@ -22,7 +22,7 @@ import numpy as np
 
 from .comms import ChannelModel, FreshnessBuffer, SensorPacket, StarChannel, encode_frame
 from .core import RobotGeometry, saturate, wrap_angle
-from .sim import sample_gyro
+from .sim import BlockNormals, sample_gyro
 
 __all__ = [
     "ConsensusConfig",
@@ -162,7 +162,7 @@ class _TurningRobot:
     """
 
     def __init__(self, robot_id: int, heading: float, wheel_base: float,
-                 gyro_sigma: float, rng: np.random.Generator):
+                 gyro_sigma: float, rng: BlockNormals):
         self.robot_id = robot_id
         self.theta = wrap_angle(heading)
         self.target = heading
@@ -215,7 +215,7 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
 
     robots = [
         _TurningRobot(i, h, geometry.wheel_base, gyro_sigma,
-                      np.random.default_rng([seed, i, 1]))
+                      BlockNormals(np.random.default_rng([seed, i, 1])))
         for i, h in enumerate(headings)
     ]
     channel = StarChannel(channel_model, np.random.default_rng([seed, 0xFFFF, 2]))

@@ -334,6 +334,30 @@ def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
     assert "sent" in lines[0] and "undecodable" in lines[0]
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_is_rejected(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("kept\n")
+    target = tmp_path / out
+    assert main(["compare", SLIP, "--out", str(target),
+                 "--override", "duration_s=1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --out {target}: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_unwritable_output_file_faults(tmp_path, capsys):
+    (tmp_path / "compare.csv").mkdir()
+    assert main(["compare", SLIP, "--out", str(tmp_path),
+                 "--override", "duration_s=1.0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fault: ")
+    assert str(tmp_path / "compare.csv") in lines[0]
+
+
 def test_run_without_processable_reports_faults(tmp_path, capsys):
     # A sub-millisecond report period would stamp every report 0 ms, so
     # each would be stale against the start; validation rejects it.

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmsim import estimation
 from swarmsim.comms import SensorPacket
 from swarmsim.core import Posture, RobotGeometry, wrap_angle
 from swarmsim.estimation import (
@@ -25,7 +28,10 @@ from swarmsim.estimation import (
     initial_belief,
     measurement_from_packets,
     run_estimator,
+    run_estimators,
 )
+from swarmsim.cli.runner import simulate_reports
+from swarmsim.cli.scenario import load_scenario
 from swarmsim.sim import SensorNoise
 
 GEOM = RobotGeometry()
@@ -736,3 +742,135 @@ def test_config_validation():
         EkfConfig(slip_inflation=0.5)
     with pytest.raises(ValueError):
         EkfConfig(slip_threshold=0.0)
+
+
+# --- the lockstep fold of several filter settings -------------------------------
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "swarmsim" / "scenarios"
+# (scenario file, overrides) of the streams the fold is checked on.
+FOLD_STREAMS = {
+    "slip": ("localize_slip.yaml", ()),
+    "jitter": ("localize_jitter.yaml", ()),
+    "lossy jittered slipping": ("localize_jitter.yaml", (
+        "channel.loss_prob=0.2",
+        "robot.slip=[{start_ms: 8000, end_ms: 11000, mode: stuck}]")),
+    "lossless": ("localize_slip.yaml", ("channel.loss_prob=0",)),
+}
+
+
+@pytest.fixture(scope="module", params=list(FOLD_STREAMS))
+def fold_stream(request):
+    """(name, scenario, converted reports, the compare variants' settings)."""
+    name = request.param
+    file, overrides = FOLD_STREAMS[name]
+    scenario = load_scenario(SCENARIOS / file, overrides)
+    reports = convert_reports(simulate_reports(scenario).delivered,
+                              scenario.geometry, scenario.ekf)
+    settings = {"adaptive": (True, None), "nonadaptive": (False, None),
+                "fixed_dt": (True, scenario.rates.report_period_ms / 1e3)}
+    return name, scenario, reports, settings
+
+
+def _fold_alone(reports, start, cfg, adaptive, fixed_dt_s):
+    """One setting folded through filter_step report by report."""
+    belief, means = initial_belief(start), []
+    for z, slip in zip(reports.measurements, reports.slip_flags):
+        belief = filter_step(belief, z, slip, cfg, adaptive, fixed_dt_s)
+        means.append(belief.mean)
+    return means
+
+
+def test_fold_streams_split_where_they_should(fold_stream):
+    name, _, reports, settings = fold_stream
+    flags, fixed = reports.slip_flags, settings["fixed_dt"][1]
+    if name == "jitter":
+        assert not any(flags)
+    else:
+        # Slip is flagged mid-run, so adaptive and nonadaptive split there.
+        assert not flags[0] and any(flags)
+    if name == "lossless":
+        assert all(z.dt == fixed for z in reports.measurements)
+
+
+def test_fold_matches_each_setting_alone(fold_stream):
+    _, scenario, reports, settings = fold_stream
+    start, cfg = scenario.start, scenario.ekf
+    alone = {key: [hexes(m) for m in _fold_alone(reports, start, cfg, *setting)]
+             for key, setting in settings.items()}
+    for key, setting in settings.items():
+        assert [hexes(m) for m in run_estimator(reports, start, cfg, *setting)] \
+            == alone[key]
+    orders = [list(order) for order in itertools.permutations(settings)]
+    orders += [["adaptive", "adaptive"], ["fixed_dt", "nonadaptive", "adaptive", "adaptive"],
+               ["nonadaptive", "fixed_dt", "nonadaptive"], ["fixed_dt"]]
+    for order in orders:
+        folded = run_estimators(reports, start, cfg, [settings[key] for key in order])
+        assert len(folded) == len(order)
+        for key, means in zip(order, folded):
+            assert [hexes(m) for m in means] == alone[key], (order, key)
+
+
+def _count_updates(monkeypatch):
+    calls = []
+    update = estimation.ekf_update
+
+    def counting(*args):
+        calls.append(1)
+        return update(*args)
+
+    monkeypatch.setattr(estimation, "ekf_update", counting)
+    return calls
+
+
+def test_settings_share_every_step_they_agree_on(fold_stream, monkeypatch):
+    name, scenario, reports, settings = fold_stream
+    start, cfg, n = scenario.start, scenario.ekf, len(reports.measurements)
+    calls = _count_updates(monkeypatch)
+    adaptive, nonadaptive = run_estimators(
+        reports, start, cfg, [settings["adaptive"], settings["nonadaptive"]])
+    # The two agree up to the first slip flag, and never after it.
+    first = reports.slip_flags.index(True) if any(reports.slip_flags) else n
+    assert len(calls) == first + 2 * (n - first)
+    assert all(a is b for a, b in zip(adaptive[:first], nonadaptive[:first]))
+    assert not any(a is b for a, b in zip(adaptive[first:], nonadaptive[first:]))
+    if name in ("jitter", "lossless"):
+        calls.clear()
+        run_estimators(reports, start, cfg, list(settings.values()))
+        if name == "jitter":
+            # No slip: adaptive and nonadaptive share every step, and
+            # fixed_dt shares with them until the first interval it misses.
+            fixed = settings["fixed_dt"][1]
+            lead = next((k for k, z in enumerate(reports.measurements)
+                         if z.dt != fixed), n)
+            assert len(calls) == lead + 2 * (n - lead)
+        else:
+            # Every interval is the fixed 70 ms: all three share until the
+            # first slip flag, where nonadaptive splits off.
+            assert len(calls) == first + 2 * (n - first)
+
+
+def test_repeated_settings_cost_one_update_per_report(monkeypatch):
+    reports = convert_reports(_straight_packets(8), GEOM, CFG)
+    calls = _count_updates(monkeypatch)
+    means = run_estimators(reports, Posture(0, 0, 0), CFG, [(True, None)] * 3)
+    assert len(calls) == 8
+    assert means[0] is means[1] is means[2]
+
+
+def test_fold_faults_where_each_setting_alone_faults():
+    # With no measurement noise the flow speed channel has a zero pivot.
+    cfg = EkfConfig(r_base=(0.0,) * 5)
+    reports = convert_reports(_straight_packets(5), GEOM, CFG)
+    with pytest.raises(EstimationFault):
+        run_estimator(reports, Posture(0, 0, 0), cfg)
+    with pytest.raises(EstimationFault):
+        run_estimators(reports, Posture(0, 0, 0), cfg,
+                       [(True, None), (False, None), (True, 0.07)])
+
+
+def test_fold_of_no_settings_or_no_reports():
+    reports = convert_reports(_straight_packets(3), GEOM, CFG)
+    assert run_estimators(reports, Posture(0, 0, 0), CFG, []) == []
+    empty = convert_reports([], GEOM, CFG)
+    assert run_estimators(empty, Posture(0, 0, 0), CFG,
+                          [(True, None), (False, 0.07)]) == [[], []]

@@ -11,6 +11,7 @@ from swarmsim.sim import (
     LAG_END,
     LAG_MEAN,
     TICK_S,
+    BlockNormals,
     EncoderModel,
     FlowModel,
     PlantLoop,
@@ -20,6 +21,7 @@ from swarmsim.sim import (
     SlipEvent,
     World,
     _cast_rays,
+    block_draws,
     sample_gyro,
     sample_ir,
 )
@@ -299,6 +301,32 @@ def test_gyro_wraps_near_pi():
     rng = np.random.default_rng(6)
     samples = [sample_gyro(math.pi, 0.1, rng) for _ in range(100)]
     assert all(-math.pi < s <= math.pi for s in samples)
+
+
+# --- block draws -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_block_normals_continue_the_scalar_stream(size):
+    scalar, block = np.random.default_rng([3, 0, 1]), np.random.default_rng([3, 0, 1])
+    pairs = [v for _ in range(50) for v in scalar.standard_normal(2).tolist()]
+    draws = block_draws(block.standard_normal, size)
+    assert [next(draws) for _ in range(100)] == pairs
+
+
+def test_block_normals_stand_in_for_the_generator():
+    scalar, block = np.random.default_rng(9), BlockNormals(np.random.default_rng(9))
+    assert ([sample_gyro(0.5, 0.1, block) for _ in range(150)]
+            == [sample_gyro(0.5, 0.1, scalar) for _ in range(150)])
+
+
+@pytest.mark.parametrize("size", [1, 5, 64])
+@pytest.mark.parametrize("lo, hi", [(50_000, 100_001), (-3, 4), (0, 2**40)])
+def test_block_integers_continue_the_scalar_stream(size, lo, hi):
+    scalar, block = np.random.default_rng([3, 0, 5]), np.random.default_rng([3, 0, 5])
+    draws = block_draws(lambda n: block.integers(lo, hi, size=n), size)
+    assert ([next(draws) for _ in range(130)]
+            == [int(scalar.integers(lo, hi)) for _ in range(130)])
 
 
 # --- IR ranging -----------------------------------------------------------------
