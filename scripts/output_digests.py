@@ -220,6 +220,20 @@ INVOCATIONS = (
      ("--seed", "5", *[a for spec in CORRUPTING_SWARM for a in ("--override", spec)])),
     ("consensus 24 robots noisy seed 5", "consensus", "consensus_demo.yaml",
      ("--seed", "5", *[a for spec in NOISY_BENCH_SWARM for a in ("--override", spec)])),
+    # A held command's ticks run in blocks: many blocks and heading wraps,
+    # reports inside ticks on a near-zero latency, and slip edges on tick
+    # starts, back to back.
+    ("localize 200 s spinning in place", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=200", "--override", "robot.command=[60.0, -60.0]")),
+    ("compare jitter 70.3 ms period near-zero latency", "compare",
+     "localize_jitter.yaml",
+     ("--override", "rates.report_period_ms=70.3",
+      "--override", "rates.report_jitter_ms=20",
+      "--override", "channel.latency_min_ms=0",
+      "--override", "channel.latency_max_ms=0.5")),
+    ("localize slip edges on whole-ms tick starts", "localize", "localize_slip.yaml",
+     ("--override", "robot.slip=[{start_ms: 4000, end_ms: 6500, mode: scale, "
+      "factor: 0.4}, {start_ms: 6500, end_ms: 9000, mode: stuck}]")),
 )
 
 

@@ -123,6 +123,12 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeFault, EstimationFault, PlanningError) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
+    except MemoryError as exc:
+        # Validation caps each run's size, so this is a machine short of
+        # memory, not an invalid scenario.
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"fault: out of memory{detail}", file=sys.stderr)
+        return EXIT_FAULT
     _print_lines(format_summary(summary), f"wall_clock_s: {wall_clock_s:.3f}")
     return EXIT_OK
 

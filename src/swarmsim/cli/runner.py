@@ -119,12 +119,13 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
     sim = RobotSim(scenario.geometry, scenario.noise, scenario.start, scenario.seed,
                    slip_schedule=scenario.slip, rates=scenario.rates,
                    world=scenario.world)
-    sim.set_command(scenario.command)
+    duration_us = round(scenario.duration_s * 1e6)
+    # The command holds for the whole run, so its ticks run in blocks.
+    sim.set_command(scenario.command, hold_until_us=duration_us)
     channel = StarChannel(scenario.channel,
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
     digest = hashlib.sha256()
     delivered: list[SensorPacket] = []
-    duration_us = round(scenario.duration_s * 1e6)
     step_us = scenario.rates.report_period_us
     t_us = 0
     while t_us < duration_us:

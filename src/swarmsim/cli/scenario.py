@@ -412,9 +412,17 @@ def _world(section: dict) -> World:
     )
 
 
-# A track run samples its reference, and records its rows, once per control
-# period, all in memory: a million periods (19 h at 70 ms) take about 0.8 GB.
+# Run budgets, each checked before anything of its size is built.  A track
+# run samples its reference, and records its rows, once per control
+# period, all in memory: a million periods (19 h at 70 ms) take about
+# 0.8 GB.  A localize or compare run keeps every delivered report, its
+# truth and each variant's estimate, about 2 KB per report: half a million
+# reports (9.7 h at 70 ms) take about 1 GB.  A plan run's grid arrays take
+# about 30 bytes per cell at their peak: ten million cells take about
+# 0.3 GB.
 _MAX_CONTROL_PERIODS = 10 ** 6
+_MAX_REPORTS = 500_000
+_MAX_GRID_CELLS = 10 ** 7
 
 
 def _track(data: dict, start: Posture) -> dict:
@@ -448,6 +456,11 @@ def _track(data: dict, start: Posture) -> dict:
 
 def _plan(data: dict, geometry: RobotGeometry, world: World) -> dict:
     plan = data["plan"]
+    width, height = plan["width_cells"], plan["height_cells"]
+    if width * height > _MAX_GRID_CELLS:
+        raise ScenarioError(
+            f"plan: width_cells x height_cells must be at most "
+            f"{_MAX_GRID_CELLS} cells, got {width} x {height}")
     grid = _build("plan", OccupancyGrid, plan["resolution_mm"],
                   tuple(plan.get("origin_mm", (0.0, 0.0))),
                   plan["width_cells"], plan["height_cells"])
@@ -532,9 +545,14 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
         kind_fields.update(_track(data, start))
     elif kind == "plan":
         kind_fields.update(_plan(data, geometry, world))
-    elif (kind == "localize" and world is not None
-          and not world.bounds.contains(start.x, start.y)):
-        raise ScenarioError("robot.start: lies outside world.bounds")
+    elif kind == "localize":
+        max_s = _MAX_REPORTS * rates.report_period_ms / 1e3
+        if data["duration_s"] > max_s:
+            raise ScenarioError(
+                f"duration_s: must span at most {_MAX_REPORTS} report periods "
+                f"({max_s:.12g} s), got {data['duration_s']:.12g} s")
+        if world is not None and not world.bounds.contains(start.x, start.y):
+            raise ScenarioError("robot.start: lies outside world.bounds")
     fixed_dt_ms = estimator.get("fixed_dt_ms")
     return Scenario(
         name=data["name"],

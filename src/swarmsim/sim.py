@@ -11,12 +11,14 @@ so runs are reproducible.
 ``PlantLoop``, ``EncoderModel`` and ``FlowModel`` are the reference plant,
 stepped one tick and one report window at a time; ``RobotSim``, the engine
 every run uses, repeats their arithmetic inline in one fused loop per
-robot, on seed-derived per-robot noise streams.
+robot, on seed-derived per-robot noise streams, or, under a held command,
+in blocks of ticks with the same float operations.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -480,6 +482,49 @@ def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, robot_id, purpose])
 
 
+# Ticks per block of a held command (about 10 s of plant time), which
+# bounds the block's arrays whatever the run's length.
+HELD_BLOCK_TICKS = 4096
+
+
+def _doubles(*lists: list[float]) -> np.ndarray:
+    """The lists' floats, one list after another, as a float64 array;
+    packing them is several times faster than np.array on a list."""
+    size = len(lists[0])
+    out = bytearray(8 * size * len(lists))
+    row = struct.Struct(f"{size}d")
+    for i, values in enumerate(lists):
+        row.pack_into(out, 8 * size * i, *values)
+    return np.frombuffer(out)
+
+
+def _wrapped_heading(start: float, swept: np.ndarray, out: np.ndarray) -> None:
+    """out[0] = start and out[k + 1] = out[k] + swept[k], each sum that
+    leaves (-pi, pi] wrapped by wrap_angle before the next is added."""
+    pi = math.pi
+    out[0] = start
+    out[1:] = swept
+    # out[first] holds a heading, and out[first + 1:] the steps still to
+    # add.  A wrap restarts the sum, so each pass spans twice the ticks
+    # the last wrap took: a fast spin does not redo the whole block.
+    first, size, span = 0, len(out), len(out)
+    while first < size - 1:
+        last = min(size, first + span)
+        part = np.cumsum(out[first:last])
+        sums = part[1:]
+        leaving = np.flatnonzero(~((sums > -pi) & (sums <= pi)))
+        if leaving.size:
+            wrap = 1 + int(leaving[0])
+            out[first:first + wrap] = part[:wrap]
+            first += wrap
+            out[first] = wrap_angle(part.item(wrap))
+            span = 2 * wrap + 1
+        else:
+            out[first:last] = part
+            first = last - 1
+            span *= 2
+
+
 class RobotSim:
     """Plant, wheel PI loop, and sensor suite of one robot.
 
@@ -501,6 +546,13 @@ class RobotSim:
     engine equivalence test.  The encoder, flow, gyro and jittered
     schedule streams are drawn in blocks and read one value per draw
     (block_draws), the values scalar draws would give.
+
+    A command set with ``hold_until_us`` runs the ticks that start before
+    that instant in blocks instead (``_held_block``): the wheel loops tick
+    by tick, then the twist, chord step, heading and sums as array
+    operations, the same float operations in the same order, so the same
+    doubles.  ``advance_to`` then reads the state at each report from the
+    block.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -529,6 +581,10 @@ class RobotSim:
         self.truth_at_send: dict[int, Posture] = {}
         self.t_us = 0
         self._cmd_right = self._cmd_left = 0.0
+        # The command holds for ticks that start before _hold_until, and
+        # _block holds the ticks computed ahead for it (see _held_block).
+        self._hold_until = 0
+        self._block: tuple | None = None
         # Pose and the running sums at the start of the current tick, or at
         # t_us when that is a tick boundary (t_us == _tick_end): wheel
         # travel (mm), and the ground path length (mm) and heading change
@@ -561,9 +617,18 @@ class RobotSim:
             raise ValueError(f"report interval must be at least 1 us, got {interval}")
         return interval
 
-    def set_command(self, wheels: WheelSpeeds) -> None:
+    def set_command(self, wheels: WheelSpeeds,
+                    hold_until_us: int | None = None) -> None:
+        """Command the wheels from the next tick boundary on.
+
+        hold_until_us says that no other command comes before the engine
+        reaches that instant, so the ticks that start before it may be
+        computed ahead in blocks.  Any later call drops those not yet run.
+        """
         self._cmd_right = wheels.right
         self._cmd_left = wheels.left
+        self._hold_until = 0 if hold_until_us is None else hold_until_us
+        self._block = None
 
     def _into_tick(self) -> float:
         """Seconds from the start of the current tick to t_us; 0 at a tick
@@ -610,16 +675,41 @@ class RobotSim:
         mean_r, mean_l, v, w = self._mean_r, self._mean_l, self._v, self._w
         next_report = self._next_report
         window_slips = ()
+        hold_until = self._hold_until
+        block_start, block_end, rows, ticks = self._block or (0, 0, None, None)
         while t_us < target_us:
             stop = next_report if next_report < target_us else target_us
-            if slips:
+            if slips and stop > hold_until:
                 # Events that can be active at a tick start in [t_us, stop);
-                # t / 1e3 is monotone in t.
+                # t / 1e3 is monotone in t.  Ticks that start before
+                # hold_until come from the block, which finds its own.
                 lo_ms, hi_ms = t_us / 1e3, stop / 1e3
                 window_slips = tuple(e for e in slips
                                      if e[1] > lo_ms and e[0] <= hi_ms)
             while True:
                 if t_us == tick_end:
+                    if t_us < hold_until:
+                        # A held command: take the state from the block, at
+                        # stop or at the block's end, whichever comes first.
+                        if t_us >= block_end:
+                            self._block = rows = ticks = None   # free it first
+                            self._block = self._held_block(
+                                t_us, target_r, target_l,
+                                (act_r, act_l, int_r, int_l),
+                                (x, y, wheel_r, wheel_l, path, turn, theta))
+                            block_start, block_end, rows, ticks = self._block
+                        t_us = stop if stop < block_end else block_end
+                        k, into = divmod(t_us - block_start, tick_us)
+                        # rows[:, k] is the state at the start of tick k; at a
+                        # boundary the tick in hand is the one that just ended.
+                        tick = k if into else k - 1
+                        tick_end = block_start + (tick + 1) * tick_us
+                        x, y, wheel_r, wheel_l, path, turn, theta = rows[:, k].tolist()
+                        (mean_r, mean_l, v, w,
+                         act_r, act_l, int_r, int_l) = ticks[:, tick].tolist()
+                        if t_us == stop:
+                            break
+                        continue
                     # Wheel speed loops: PI trim with anti-windup, then the
                     # held drive through the exact motor lag.
                     error = target_r - act_r
@@ -706,6 +796,98 @@ class RobotSim:
         self._next_report = next_report
         self.t_us = t_us
         return sent
+
+    def _held_block(self, t0: int, target_r: float, target_l: float,
+                    wheels: tuple[float, float, float, float],
+                    sums: tuple[float, ...]) -> tuple:
+        """The ticks of the held command from the tick boundary t0: those
+        that start before the hold ends, at most HELD_BLOCK_TICKS of them.
+
+        wheels is (act_r, act_l, int_r, int_l) and sums is (x, y, wheel_r,
+        wheel_l, path, turn, theta) at t0.  Returns (t0, the block's end,
+        rows, ticks): rows[:, k] holds sums at the start of tick k, and
+        ticks[:, k] holds (mean_r, mean_l, v, w, act_r, act_l, int_r, int_l)
+        of tick k, the speeds and integrals at its end.  Only the wheel
+        speeds and integrals are carried tick by tick; the rest are the
+        array forms of advance_to's float operations, in the same order.
+        """
+        tick_us, tick_s = TICK_US, TICK_S
+        n = min(HELD_BLOCK_TICKS, -((t0 - self._hold_until) // tick_us))
+        kp, ki, lag_end = PI_KP, PI_KI, LAG_END
+        v_max = MAX_WHEEL_SPEED
+        v_min = -v_max
+        # Each wheel's speed and integral at the start of each tick and at
+        # the block's end, the only state that must be carried tick by tick.
+        act_r, act_l, int_r, int_l = wheels
+        acts_r, acts_l, ints_r, ints_l = [act_r], [act_l], [int_r], [int_l]
+        for _ in range(n):
+            error = target_r - act_r
+            drive = target_r + kp * error + ki * int_r
+            if drive > v_max:
+                drive = v_max
+            elif drive < v_min:
+                drive = v_min
+            else:
+                int_r += error * tick_s
+            act_r = drive + (act_r - drive) * lag_end
+            error = target_l - act_l
+            drive = target_l + kp * error + ki * int_l
+            if drive > v_max:
+                drive = v_max
+            elif drive < v_min:
+                drive = v_min
+            else:
+                int_l += error * tick_s
+            act_l = drive + (act_l - drive) * lag_end
+            acts_r.append(act_r)
+            acts_l.append(act_l)
+            ints_r.append(int_r)
+            ints_l.append(int_l)
+        # Rows: speed right and left, then integral right and left.
+        carried = _doubles(acts_r, acts_l, ints_r, ints_l).reshape(4, n + 1)
+        del acts_r, acts_l, ints_r, ints_l
+        ticks = np.empty((8, n))
+        ticks[4:] = carried[:, 1:]
+        # Each tick's drive again, then the wheels' mean speeds over it.
+        act, integral = carried[:2, :-1], carried[2:, :-1]
+        target = np.array([[target_r], [target_l]])
+        drive = np.clip(target + kp * (target - act) + ki * integral, v_min, v_max)
+        np.add(drive, (act - drive) * LAG_MEAN, out=ticks[:2])
+        mean_r, mean_l = ticks[0], ticks[1]
+        # Ground contact under the first slip event active at each tick's
+        # start: the events are laid on in reverse, so the first one wins.
+        g_r, g_l = mean_r, mean_l
+        if self._slips:
+            t_ms = (t0 + tick_us * np.arange(n)) / 1e3
+            for start_ms, end_ms, stuck, factor in reversed(self._slips):
+                active = (start_ms <= t_ms) & (t_ms < end_ms)
+                if active.any():
+                    g_r = np.where(active, 0.0 if stuck else factor * mean_r, g_r)
+                    g_l = np.where(active, 0.0 if stuck else factor * mean_l, g_l)
+        # rows[:, k] holds the sums at the start of tick k: the first six
+        # are running sums of the steps in rows[:6, k + 1], and the heading
+        # wraps.
+        rows = np.empty((7, n + 1))
+        rows[:, 0] = sums
+        steps = rows[:, 1:]
+        v, w = ticks[2], ticks[3]
+        np.multiply(0.5, g_r + g_l, out=v)
+        np.divide(g_r - g_l, self.geometry.wheel_base, out=w)
+        np.multiply(ticks[:2], tick_s, out=steps[2:4])
+        travel = np.multiply(v, tick_s, out=steps[4])
+        swept = np.multiply(w, tick_s, out=steps[5])
+        # Body motion: the chord form of each tick's arc.
+        arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
+        half = 0.5 * swept
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chord = np.where(arc, travel * np.sin(half) / half, travel)
+        _wrapped_heading(sums[6], swept, rows[6])
+        theta = rows[6, :-1]
+        heading = np.where(arc, theta + half, theta)
+        np.multiply(chord, np.cos(heading), out=steps[0])
+        np.multiply(chord, np.sin(heading), out=steps[1])
+        np.cumsum(rows[:6], axis=1, out=rows[:6])
+        return t0, t0 + n * tick_us, rows, ticks
 
     def _assemble_report(self, wheel_r: float, wheel_l: float, path: float,
                          turn: float) -> SensorPacket:

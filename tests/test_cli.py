@@ -380,6 +380,74 @@ def test_robot_leaving_the_world_faults(tmp_path, capsys):
     assert "world" in lines[0]
 
 
+# The module whose run budgets these tests read.
+cli_scenario = importlib.import_module("swarmsim.cli.scenario")
+
+
+def test_plan_grid_cell_budget(monkeypatch, capsys):
+    # The bundled 41 x 31 grid at the cap, then one cell past it; the cap
+    # is lowered so that no test grid is large.
+    monkeypatch.setattr(cli_scenario, "_MAX_GRID_CELLS", 41 * 31)
+    assert main(["validate", ARENA]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_scenario, "_MAX_GRID_CELLS", 41 * 31 - 1)
+    assert_rejected(capsys, ["validate", ARENA], "plan")
+
+
+@pytest.mark.parametrize("width, height", [
+    (100_000, 100_000),       # 37.3 GiB of hit counts
+    (10 ** 7 + 1, 1),         # one cell past the cap
+    (2 ** 62, 2),             # past what numpy can size
+])
+def test_plan_grid_over_the_cell_budget_is_rejected(capsys, width, height):
+    # Rejected before the grid is built, so nothing is allocated.
+    assert cli_scenario._MAX_GRID_CELLS == 10 ** 7
+    args = ["validate", ARENA, "--override", f"plan.width_cells={width}",
+            "--override", f"plan.height_cells={height}"]
+    assert_rejected(capsys, args, "plan")
+    assert_rejected(capsys, ["plan", *args[1:]], "plan")
+
+
+@pytest.mark.parametrize("period_ms", [70.0, 75.0, 1000.0])
+def test_localize_report_budget(capsys, period_ms):
+    budget_s = cli_scenario._MAX_REPORTS * period_ms / 1e3
+    rate = f"rates.report_period_ms={period_ms}"
+    assert main(["validate", SLIP, "--override", rate,
+                 "--override", f"duration_s={budget_s}"]) == 0
+    capsys.readouterr()
+    for command in ("validate", "localize", "compare"):
+        assert_rejected(capsys, [command, SLIP, "--override", rate,
+                                 "--override", f"duration_s={budget_s * 1.000001}"],
+                        "duration_s")
+
+
+def test_every_bundled_run_is_within_its_budgets():
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        scenario = load_scenario(path)
+        if scenario.kind == "localize":
+            assert (scenario.duration_s * 1e3 / scenario.rates.report_period_ms
+                    <= cli_scenario._MAX_REPORTS)
+        if scenario.kind == "plan":
+            grid = scenario.grid
+            assert grid.width * grid.height <= cli_scenario._MAX_GRID_CELLS
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 37.3 GiB for an array"),
+     "fault: out of memory (Unable to allocate 37.3 GiB for an array)"),
+    (MemoryError(), "fault: out of memory"),
+])
+def test_running_out_of_memory_faults(tmp_path, capsys, monkeypatch, error, line):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli_main, "run_scenario", exhausted)
+    assert main(["plan", ARENA, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [line]
+
+
 @pytest.mark.parametrize("overrides, key_path", [
     # Jitter at or above the period allows a report interval of 0 or less.
     (("rates.report_jitter_ms=80",), "rates.report_jitter_ms"),

@@ -12,18 +12,22 @@ for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmsim import sim as sim_module
+from swarmsim.cli import runner
 from swarmsim.cli.runner import simulate_reports
 from swarmsim.cli.scenario import load_scenario
 from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
 from swarmsim.control import Gains, circle_trajectory, tracking_control
 from swarmsim.core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle,
-                           wheels_to_twist)
+                           wheels_to_twist, wrap_angle)
 from swarmsim.estimation import EkfConfig, ReportConverter, filter_step, initial_belief
 from swarmsim.sim import (
     STREAM_ENCODER,
@@ -39,6 +43,7 @@ from swarmsim.sim import (
     Rates,
     Rect,
     RobotSim,
+    _wrapped_heading,
     RuntimeFault,
     SensorNoise,
     SlipEvent,
@@ -97,7 +102,9 @@ class ReferenceSim:
         return int(self.schedule_rng.integers(
             self.report_us - self.jitter_us, self.report_us + self.jitter_us + 1))
 
-    def set_command(self, wheels: WheelSpeeds) -> None:
+    def set_command(self, wheels: WheelSpeeds,
+                    hold_until_us: int | None = None) -> None:
+        # The reference steps every tick whatever the caller promises.
         self.loop.set_command(wheels.right, wheels.left)
 
     def into_tick(self) -> float:
@@ -280,6 +287,227 @@ def test_fused_engine_matches_reference_over_a_long_turning_run_with_slip():
     assert _run(sim, steps, (150.0, 90.0)) == _run(ref, steps, (150.0, 90.0))
     assert sim.t_us // TICK_US == 2240
     assert sim.pose == ref.pose
+
+
+# --- a held command: ticks computed in blocks ---------------------------------
+
+
+def _hold_until(kind: str, frac: float, t0: int, t1: int, end_us: int) -> int | None:
+    """The hold promised for a command set at t0 that runs until t1 (or,
+    set at the last window's end, until end_us): none, inside the window,
+    at its end, or past the run."""
+    if kind == "none":
+        return None
+    if kind == "inside":
+        return t0 + 1 + int(frac * max(t1 - t0 - 1, 0))
+    if kind == "end":
+        return t1
+    return end_us + 1 + int(frac * 1e6)
+
+
+def _run_held(sim, windows, command, first_hold) -> tuple[list, str | None]:
+    """_run with each command set under a drawn hold; windows hold
+    (step_us, new command or None, hold kind, hold fraction)."""
+    ends = list(itertools.accumulate(step_us for step_us, *_ in windows))
+    end_us = ends[-1]
+    sent = []
+    sim.set_command(WheelSpeeds(*command), _hold_until(*first_hold, 0, ends[0], end_us))
+    try:
+        for i, (_, new_command, kind, frac) in enumerate(windows):
+            sent += sim.advance_to(ends[i])
+            if new_command is not None:
+                t1 = ends[i + 1] if i + 1 < len(ends) else end_us
+                sim.set_command(WheelSpeeds(*new_command),
+                                _hold_until(kind, frac, ends[i], t1, end_us))
+    except RuntimeFault as fault:
+        return sent, str(fault)
+    return sent, None
+
+
+def _engine_state(sim: RobotSim) -> tuple:
+    """Every private state field of the engine that outlives a call."""
+    return (sim.t_us, sim._tick_end, sim._x, sim._y, sim._theta,
+            sim._wheel_r, sim._wheel_l, sim._path, sim._turn,
+            sim._act_right, sim._act_left, sim._int_right, sim._int_left,
+            sim._mean_r, sim._mean_l, sim._v, sim._w,
+            sim._next_report, sim._window_us, sim._at_report,
+            sim._travel_r, sim._travel_l, sim._flow_l, sim._flow_r)
+
+
+def _assert_matches_reference(sim: RobotSim, ref: ReferenceSim) -> None:
+    """The engine's state after a run equals the reference's."""
+    assert sim.pose == ref.pose
+    assert sim.t_us == ref.t_us
+    assert (sim._next_report, sim._window_us) == (ref.next_report, ref.window_us)
+    loop = ref.loop
+    assert ((sim._act_right, sim._act_left, sim._int_right, sim._int_left)
+            == (loop.actual.right, loop.actual.left, *loop.integral))
+    assert (sim._mean_r, sim._mean_l) == (loop.wheels.right, loop.wheels.left)
+    assert [sim._travel_r, sim._travel_l] == ref.encoders._travel
+    assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
+    assert sim._at_report == ref.at_report
+    # The state at the start of the tick in hand, or at t_us on a boundary.
+    at_boundary = ref.tick_start is None
+    start = loop.pose if at_boundary else ref.tick_pose
+    assert (sim._x, sim._y, sim._theta) == (start.x, start.y, start.theta)
+    assert (sim._wheel_r, sim._wheel_l, sim._path, sim._turn) == ref.sums
+    assert sim._tick_end == (ref.t_us if at_boundary else ref.tick_start + TICK_US)
+    twist = wheels_to_twist(loop.ground, GEOM)
+    assert (sim._v, sim._w) == (twist.v, twist.w)
+
+
+holds = st.tuples(st.sampled_from(("none", "inside", "end", "past")),
+                  st.floats(0.0, 1.0))
+held_windows = st.lists(
+    st.tuples(st.integers(1, 120_000), st.one_of(st.none(), commands),
+              st.sampled_from(("none", "inside", "end", "past")), st.floats(0.0, 1.0)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), command=commands,
+       schedule=st.lists(slip_events, max_size=3), rates=rates(),
+       noise=noises, world=worlds, windows=held_windows,
+       heading=st.floats(-3.14159, 3.14159), first_hold=holds)
+# The robot leaves the world at the report of t = 1.47 s, inside a block.
+@example(seed=1, command=(180.0, 180.0), schedule=[], rates=Rates(),
+         noise=SensorNoise(), world=World(bounds=Rect(-250.0, -250.0, 250.0, 250.0)),
+         windows=[(120_000, None, "none", 0.0)] * 13, heading=0.0,
+         first_hold=("past", 0.5))
+def test_held_engine_matches_per_step_reference(seed, command, schedule, rates,
+                                                noise, world, windows, heading,
+                                                first_hold):
+    start = Posture(0.0, 0.0, heading)
+    schedule = tuple(schedule)
+
+    def engine():
+        return RobotSim(GEOM, noise, start, seed,
+                        slip_schedule=schedule, rates=rates, world=world)
+
+    sim = engine()
+    ref = ReferenceSim(noise, start, seed, schedule, rates, world)
+    sent, fault = _run_held(sim, windows, command, first_hold)
+    assert (sent, fault) == _run_held(ref, windows, command, first_hold)
+    assert sim.truth_at_send == ref.truth_at_send
+    # The engine without holds, which steps every tick: the same bits,
+    # signed zeros included.
+    plain = engine()
+    plain_windows = [(step_us, new_command, "none", frac)
+                     for step_us, new_command, _, frac in windows]
+    assert repr((sent, fault)) == repr(
+        _run_held(plain, plain_windows, command, ("none", 0.0)))
+    assert repr(sim.truth_at_send) == repr(plain.truth_at_send)
+    if fault is not None:
+        return   # a fault ends the run; the engine state after it is unused
+    _assert_matches_reference(sim, ref)
+    assert repr(_engine_state(sim)) == repr(_engine_state(plain))
+
+
+def test_held_engine_matches_reference_across_many_small_blocks(monkeypatch):
+    # Blocks of 7 ticks over a 17 s run: jittered reports inside ticks
+    # (70.3 ms period), slip edges on whole-ms tick starts and two
+    # overlapping events (the first one listed wins), four heading wraps
+    # while circling, then a straight run out of the world.
+    monkeypatch.setattr(sim_module, "HELD_BLOCK_TICKS", 7)
+    built = []
+    held_block = RobotSim._held_block
+
+    def counting(self, t0, *args):
+        built.append(t0)
+        return held_block(self, t0, *args)
+
+    monkeypatch.setattr(RobotSim, "_held_block", counting)
+    schedule = (SlipEvent(2000.0, 3000.0, "stuck"),
+                SlipEvent(6000.0, 8500.0, "scale", factor=0.5),
+                SlipEvent(7000.0, 9000.0, "stuck"))
+    rates_ = Rates(report_period_ms=70.3, report_jitter_ms=20.0)
+    world = World(bounds=Rect(-400.0, -400.0, 400.0, 400.0))
+    start = Posture(0.0, 0.0, 3.0)
+    sim = RobotSim(GEOM, SensorNoise(), start, 5, slip_schedule=schedule,
+                   rates=rates_, world=world)
+    ref = ReferenceSim(SensorNoise(), start, 5, schedule, rates_, world)
+    # Circle for 15.96 s, then head straight; each hold reaches past the run.
+    windows = ([(70_000, None, "past", 0.0)] * 227 + [(70_000, (150.0, 150.0), "past", 0.0)]
+               + [(70_000, None, "past", 0.0)] * 200)
+    sent, fault = _run_held(sim, windows, (180.0, 20.0), ("past", 0.0))
+    assert (sent, fault) == _run_held(ref, windows, (180.0, 20.0), ("past", 0.0))
+    assert sim.truth_at_send == ref.truth_at_send
+    assert fault is not None and "left the world bounds" in fault
+    assert len(built) > 900 and all(t % TICK_US == 0 for t in built)
+    headings = [pose.theta for _, pose in sorted(sim.truth_at_send.items())]
+    wraps = sum(abs(b - a) > math.pi for a, b in zip(headings, headings[1:]))
+    assert wraps >= 4
+    assert sum(packet.t_sent % 1000 != 0 for packet in sent) > 100
+
+
+def test_held_engine_keeps_signed_zeros():
+    # Straight ahead from (-0.0, -0.0, -0.0): the first tick adds
+    # chord * sin(-0.0) = -0.0 to y, which stays -0.0 only if the step
+    # keeps the heading's sign; the heading itself is +0.0 after it.
+    start = Posture(-0.0, -0.0, -0.0)
+    held = RobotSim(GEOM, SensorNoise(), start, 3)
+    plain = RobotSim(GEOM, SensorNoise(), start, 3)
+    held.set_command(WheelSpeeds(120.0, 120.0), hold_until_us=1_000_000)
+    plain.set_command(WheelSpeeds(120.0, 120.0))
+    for t_us in [*range(TICK_US, 10 * TICK_US, TICK_US), 1_000_000]:
+        assert repr(held.advance_to(t_us)) == repr(plain.advance_to(t_us))
+        assert repr(_engine_state(held)) == repr(_engine_state(plain))
+        if t_us == TICK_US:
+            assert math.copysign(1.0, held._y) == -1.0
+    assert repr(held.truth_at_send) == repr(plain.truth_at_send)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-math.pi, math.pi),
+       steps=st.lists(st.one_of(st.floats(-0.01, 0.01), st.floats(-4.0, 4.0),
+                                st.sampled_from((0.0, -0.0, math.pi, -math.pi))),
+                      min_size=1, max_size=300))
+# A sum of exactly -pi leaves (-pi, pi] and wraps to +pi; +pi stays.
+@example(start=0.0, steps=[-math.pi, math.pi, math.pi])
+def test_wrapped_heading_matches_the_tick_loop(start, steps):
+    # The loop of advance_to: add, then wrap a sum that leaves (-pi, pi].
+    expected = [start]
+    theta = start
+    for swept in steps:
+        theta += swept
+        if not -math.pi < theta <= math.pi:
+            theta = wrap_angle(theta)
+        expected.append(theta)
+    out = np.empty(len(steps) + 1)
+    _wrapped_heading(start, np.array(steps), out)
+    assert [v.hex() for v in out.tolist()] == [v.hex() for v in expected]
+
+
+def test_numpy_trig_is_the_math_module_trig_bit_for_bit():
+    # The block pass takes np.sin and np.cos where the tick loop takes
+    # math.sin and math.cos. A numpy that routes float64 trig through its
+    # own kernels would change outputs; this fails first.
+    rng = np.random.default_rng(2024)
+    values = np.concatenate([rng.uniform(-4.0, 4.0, 200_001),
+                             rng.uniform(-1e-2, 1e-2, 20_001),
+                             rng.uniform(-1e3, 1e3, 20_001),
+                             [0.0, -0.0, math.pi, -math.pi, 1e-300]])
+    plain = values.tolist()
+    for np_f, math_f in ((np.sin, math.sin), (np.cos, math.cos)):
+        assert [v.hex() for v in np_f(values).tolist()] == [
+            math_f(v).hex() for v in plain]
+
+
+CIRCLE = Path(__file__).resolve().parents[1] / "src/swarmsim/scenarios/circle_track.yaml"
+
+
+def test_estimator_fed_track_steps_every_tick(monkeypatch):
+    # The track loop sets a new command every control period, so it holds
+    # none and never builds a block; an open-loop run builds them.
+    def refuse(*args):
+        raise AssertionError("the track loop built a block")
+
+    monkeypatch.setattr(RobotSim, "_held_block", refuse)
+    scenario = load_scenario(CIRCLE, ("control.feedback=estimator", "duration_s=3"))
+    rows = runner._track_estimator_loop(scenario, 40)
+    assert len(rows) == 40
+    with pytest.raises(AssertionError, match="built a block"):
+        simulate_reports(load_scenario(SLIP, ("duration_s=1",)))
 
 
 @pytest.mark.parametrize("rates_", [
