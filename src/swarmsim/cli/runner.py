@@ -353,18 +353,20 @@ def run_plan(scenario: Scenario, out_dir: Path) -> RunSummary:
     geometry, world = scenario.geometry, scenario.world
     grid = scenario.grid.clone_empty()
     ir_rng = stream_rng(scenario.seed, 0, STREAM_IR)
+    # Each survey point is scanned at every heading, point-major.
     n = scenario.survey_headings
-    poses = [Posture(x, y, wrap_angle(2.0 * math.pi * k / n))
-             for x, y in scenario.survey_points for k in range(n)]
-    readings = sample_ir(world, poses, geometry, scenario.noise, ir_rng)
-    ingest_ir_scan(grid, poses, readings, geometry)
+    headings = [wrap_angle(2.0 * math.pi * k / n) for k in range(n)]
+    x, y = np.repeat(np.array(scenario.survey_points, dtype=float), n, axis=0).T
+    theta = np.tile(headings, len(scenario.survey_points))
+    readings = sample_ir(world, x, y, theta, geometry, scenario.noise, ir_rng)
+    ingest_ir_scan(grid, readings, geometry)
     filtered = median_filter(grid, scenario.median_window)
     margin = scenario.margin_mm
     planner_grid = inflate(filtered, margin)
     path = astar(planner_grid, scenario.start_cell, scenario.goal_cell)
     clear = min(world.clearance(*planner_grid.cell_center(c)) for c in path.cells)
     summary = RunSummary(scenario, {
-        "scans": len(poses),
+        "scans": len(theta),
         "skipped_readings": grid.skipped_readings,
         "occupied_cells": int(np.count_nonzero(filtered.occupancy())),
         "unknown_cells": int(np.count_nonzero(~filtered.observed)),

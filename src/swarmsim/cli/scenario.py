@@ -419,10 +419,15 @@ def _world(section: dict) -> World:
 # truth and each variant's estimate, about 2 KB per report: half a million
 # reports (9.7 h at 70 ms) take about 1 GB.  A plan run's grid arrays take
 # about 30 bytes per cell at their peak: ten million cells take about
-# 0.3 GB.
+# 0.3 GB.  Its survey takes about 220 bytes per sensor ray at its peak:
+# five million rays take about 1.1 GB.  A consensus run keeps each round's
+# headings and rows, about 55 bytes per robot and round: twenty million
+# (a networked run's frames) take about 1.1 GB.
 _MAX_CONTROL_PERIODS = 10 ** 6
 _MAX_REPORTS = 500_000
 _MAX_GRID_CELLS = 10 ** 7
+_MAX_SURVEY_RAYS = 5 * 10 ** 6
+_MAX_ROBOT_ROUNDS = 2 * 10 ** 7
 
 
 def _track(data: dict, start: Posture) -> dict:
@@ -473,6 +478,13 @@ def _plan(data: dict, geometry: RobotGeometry, world: World) -> dict:
         if cells[key] is None:
             raise ScenarioError(f"plan.{key}: lies outside the grid")
     survey = plan["survey"]
+    headings = survey.get("headings", 12)
+    rays = (len(survey["x_lines"]), len(survey["y_lines"]), headings,
+            len(geometry.ir_ray_angles))
+    if math.prod(rays) > _MAX_SURVEY_RAYS:
+        raise ScenarioError(
+            f"plan.survey: x_lines x y_lines x headings x sensor rays must be at "
+            f"most {_MAX_SURVEY_RAYS} rays, got {' x '.join(map(str, rays))}")
     min_clearance = survey.get("min_clearance_mm", 250.0)
     points = tuple((x, y) for x in survey["x_lines"] for y in survey["y_lines"]
                    if world.clearance(x, y) >= min_clearance)
@@ -482,7 +494,7 @@ def _plan(data: dict, geometry: RobotGeometry, world: World) -> dict:
     return {
         "grid": grid,
         "survey_points": points,
-        "survey_headings": survey.get("headings", 12),
+        "survey_headings": headings,
         "median_window": window,
         "margin_mm": plan.get("margin_mm", geometry.body_radius + 20.0),
         "start_cell": cells["start"],
@@ -523,6 +535,10 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
         headings = _build("consensus.headings", SwarmState,
                           section.pop("headings")).headings
         consensus = _build("consensus", ConsensusConfig, **section)
+        if len(headings) * consensus.max_rounds > _MAX_ROBOT_ROUNDS:
+            raise ScenarioError(
+                f"consensus.max_rounds: robots x max_rounds must be at most "
+                f"{_MAX_ROBOT_ROUNDS}, got {len(headings)} x {consensus.max_rounds}")
         # Networked robots report under the ids 0 to n - 1.
         if consensus.mode == "networked" and len(headings) > MAX_ROBOTS:
             raise ScenarioError(

@@ -3,11 +3,13 @@
 The grid accumulates range-sensor evidence (hit counts, after Moravec and
 Elfes): the cell containing a ray endpoint collects a hit, cells the ray
 crosses on the way lose one (floor zero), and anything a ray ever touched
-counts as observed. A whole survey is folded in one call: its rays walk
-the grid in lockstep, and each cell's events fold in scan and ray order
-where that order matters, so the floor binds exactly as if the scans came
-one at a time. A cell is occupied
-once its hit count reaches the threshold, unknown if never observed, free
+counts as observed. A whole survey is folded in one call, from the
+arrays the range sensor returns (each ray's origin, direction, reading
+and in-range flag): its rays walk the grid in lockstep, as numpy lanes
+that are dropped once their walk is over, and each cell's events fold in
+scan and ray order where that order matters, so the floor binds exactly
+as if the scans came one at a time. A cell is occupied once its hit
+count reaches the threshold, unknown if never observed, free
 otherwise. Downstream stages consume binary occupancy: a majority median
 filter knocks out isolated noise cells (ties resolve to occupied and
 windows truncate at the border, so border walls survive), inflation grows
@@ -23,13 +25,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import Posture, RobotGeometry
+from .core import RobotGeometry
+from .sim import IrReadings
 
 __all__ = [
     "FREE",
@@ -133,44 +135,62 @@ def _walk(grid: OccupancyGrid, x0: np.ndarray, y0: np.ndarray,
           x1: np.ndarray, y1: np.ndarray):
     """Walk the segments (x0[i], y0[i]) -> (x1[i], y1[i]) cell by cell, in lockstep.
 
-    Every start must lie in the grid. Yields, once per step while any ray
-    walks, the flat id of the cell each ray entered, or the grid's cell
-    count where its walk is over; the start cells come first. A ray steps
-    along the axis whose next cell edge is nearer, x on exact ties
-    (Amanatides and Woo), and stops in its end cell, once both next edges
-    lie past the segment's end, on leaving the grid, or after width +
-    height + 4 steps.
+    Every start must lie in the grid. Yields ``(lanes, cells)`` once per
+    step while any ray walks, the start cells first: ``cells[j]`` is the
+    flat id of the cell that ray ``lanes[j]`` entered, or the grid's cell
+    count where that ray's walk is over. A ray steps along the axis whose
+    next cell edge is nearer, x on exact ties (Amanatides and Woo), and
+    stops in its end cell, once both next edges lie past the segment's
+    end, on leaving the grid, or after width + height + 4 steps.
     """
     width, height = grid.width, grid.height
     res, (ox, oy) = grid.resolution, grid.origin
     cell, end = _cell_ids(grid, x0, y0), _cell_ids(grid, x1, y1)
     ix, iy = cell % width, cell // width
     dx, dy = x1 - x0, y1 - y0
-    step_x, step_y = np.where(dx > 0, 1, -1), np.where(dy > 0, 1, -1)
+    ahead_x, ahead_y = dx > 0, dy > 0
+    step_x = np.where(ahead_x, 1, -1).astype(cell.dtype)
+    step_y = np.where(ahead_y, width, -width).astype(cell.dtype)
+    # Steps along each axis that stay in the grid; one more leaves it.
+    left_x = np.where(ahead_x, width - 1 - ix, ix)
+    left_y = np.where(ahead_y, height - 1 - iy, iy)
     with np.errstate(all="ignore"):
-        t_max_x = np.where(dx != 0.0, (ox + (ix + (dx > 0)) * res - x0) / dx, np.inf)
-        t_max_y = np.where(dy != 0.0, (oy + (iy + (dy > 0)) * res - y0) / dy, np.inf)
+        t_max_x = np.where(dx != 0.0, (ox + (ix + ahead_x) * res - x0) / dx, np.inf)
+        t_max_y = np.where(dy != 0.0, (oy + (iy + ahead_y) * res - y0) / dy, np.inf)
         t_dx = np.where(dx != 0.0, res / np.abs(dx), np.inf)
         t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
-    # A finished lane keeps its place, so every step allocates arrays of one
-    # size: numpy caches freed buffers under 1 KB by size, and a shrinking
-    # lane set would fill that cache, a few MB over a few hundred surveys.
+    lanes = np.arange(len(cell))
     walking = np.ones(len(cell), dtype=bool)
-    yield cell
+    yield lanes, cell
     for _ in range(width + height + 4):
-        walking &= (cell != end) & ~((t_max_x > 1.0) & (t_max_y > 1.0))
+        walking &= cell != end
+        walking &= ~((t_max_x > 1.0) & (t_max_y > 1.0))
         on_x = walking & (t_max_x <= t_max_y)
         on_y = walking ^ on_x
-        ix += step_x * on_x
-        iy += step_y * on_y
+        cell += step_x * on_x
+        cell += step_y * on_y
+        left_x -= on_x
+        left_y -= on_y
         with np.errstate(all="ignore"):
             t_max_x = np.where(on_x, t_max_x + t_dx, t_max_x)
             t_max_y = np.where(on_y, t_max_y + t_dy, t_max_y)
-        walking &= (0 <= ix) & (ix < width) & (0 <= iy) & (iy < height)
-        if not walking.any():
+        walking &= (left_x >= 0) & (left_y >= 0)
+        live = int(np.count_nonzero(walking))
+        if not live:
             return
-        cell = np.where(walking, iy * width + ix, width * height)
-        yield cell
+        # Drop the finished lanes once a quarter of the lanes have finished,
+        # keeping a few as padding: the lane count is 2**k or 3 * 2**k, so
+        # few sizes ever occur. Numpy caches freed buffers under 1 KB by
+        # size, and arbitrary sizes would fill that cache, a few MB over a
+        # few hundred surveys.
+        size = 1 << (live - 1).bit_length()
+        size = 3 * size // 4 if 3 * size >= 4 * live else size
+        if 4 * size <= 3 * len(walking):
+            keep = np.argsort(~walking, kind="stable")[:size]
+            lanes, cell, end, walking = lanes[keep], cell[keep], end[keep], walking[keep]
+            step_x, step_y, left_x, left_y = step_x[keep], step_y[keep], left_x[keep], left_y[keep]
+            t_max_x, t_max_y, t_dx, t_dy = t_max_x[keep], t_max_y[keep], t_dx[keep], t_dy[keep]
+        yield lanes, np.where(walking, cell, width * height)
 
 
 def traverse_ray(grid: OccupancyGrid, x0: float, y0: float,
@@ -180,38 +200,30 @@ def traverse_ray(grid: OccupancyGrid, x0: float, y0: float,
     if grid.cell_of(x0, y0) is None:
         return []
     ends = [np.array([v], dtype=float) for v in (x0, y0, x1, y1)]
-    return [(int(c) % grid.width, int(c) // grid.width) for (c,) in _walk(grid, *ends)]
+    return [(int(c) % grid.width, int(c) // grid.width)
+            for _, (c,) in _walk(grid, *ends)]
 
 
-def ingest_ir_scan(grid: OccupancyGrid, poses: Sequence[Posture],
-                   readings: Sequence[Sequence[float | None]],
+def ingest_ir_scan(grid: OccupancyGrid, readings: IrReadings,
                    geometry: RobotGeometry) -> int:
-    """Fold a survey of 5-ray range scans into the grid; returns readings skipped.
+    """Fold a survey of range scans into the grid; returns readings skipped.
 
-    ``readings[i]`` is the scan taken at ``poses[i]``. An in-range reading
-    frees every crossed cell (hit count minus one, floor zero) and adds a
-    hit to the endpoint cell. A None reading frees along the ray out to the
-    sensor's maximum range. Readings whose endpoint lies outside the grid
-    are skipped entirely and counted. The result equals ingesting the
-    scans one at a time.
+    ``readings`` holds one scan per row, one reading per sensor ray of
+    ``geometry``. An in-range reading frees every crossed cell (hit count
+    minus one, floor zero) and adds a hit to the endpoint cell. An
+    out-of-range reading frees along the ray out to the sensor's maximum
+    range. Readings whose endpoint lies outside the grid are skipped
+    entirely and counted. The result equals ingesting the scans one at a
+    time.
     """
-    if len(poses) != len(readings):
-        raise ValueError("one scan per pose expected")
-    angles = geometry.ir_ray_angles
-    if any(len(scan) != len(angles) for scan in readings):
+    if readings.value.shape[1:] != (len(geometry.ir_ray_angles),):
         raise ValueError("one reading per sensor ray expected")
-    flat = [reading for scan in readings for reading in scan]
-    hit = np.array([r is not None for r in flat], dtype=bool)
-    reach = np.array([geometry.ir_range_max if r is None else r for r in flat], dtype=float)
-    x0, y0, theta = np.repeat(np.array([(p.x, p.y, p.theta) for p in poses], dtype=float)
-                              .reshape(-1, 3), len(angles), axis=0).T
-    headings = theta + np.tile(np.array(angles, dtype=float), len(poses))
-    # math.cos and math.sin, not np.cos and np.sin, which may differ in the last ulp.
-    x1 = x0 + reach * np.fromiter(map(math.cos, headings.tolist()), float, len(flat))
-    y1 = y0 + reach * np.fromiter(map(math.sin, headings.tolist()), float, len(flat))
+    x0, y0, cos, sin, value, hit = (a.ravel() for a in readings)
+    reach = np.where(hit, value, geometry.ir_range_max)
+    x1, y1 = x0 + reach * cos, y0 + reach * sin
     end = _cell_ids(grid, x1, y1)
     walked = (_cell_ids(grid, x0, y0) >= 0) & ~(hit & (end < 0))
-    skipped = len(flat) - int(np.count_nonzero(walked))
+    skipped = len(hit) - int(np.count_nonzero(walked))
     x0, y0, x1, y1, hit, end = (a[walked] for a in (x0, y0, x1, y1, hit, end))
 
     # Frees commute, so a cell no ray ends on drops to max(0, c - frees).
@@ -221,11 +233,11 @@ def ingest_ir_scan(grid: OccupancyGrid, poses: Sequence[Posture],
     hit_cell = np.zeros(counts.size + 1, dtype=bool)
     hit_cell[end[hit]] = True
     rays_kept, cells_kept = [], []
-    for cells in _walk(grid, x0, y0, x1, y1):
+    for lanes, cells in _walk(grid, x0, y0, x1, y1):
         visits += np.bincount(cells, minlength=visits.size)
-        rays = np.flatnonzero(hit_cell[cells])
-        rays_kept.append(rays)
-        cells_kept.append(cells[rays])
+        ids = np.flatnonzero(hit_cell.take(cells))
+        rays_kept.append(lanes[ids])
+        cells_kept.append(cells[ids])
     new = np.maximum(counts - visits[:-1], 0)
     seen = visits[:-1] > 0
     seen[end[hit]] = True

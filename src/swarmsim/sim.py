@@ -22,6 +22,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -410,59 +411,88 @@ def _point_rect_distance(px: float, py: float, rect: Rect) -> float:
     return math.hypot(dx, dy)
 
 
-# Rays per numpy broadcast: each rays x edges temporary stays small, so a
-# whole survey's cast does not raise the peak memory.
-_CAST_CHUNK = 256
+# Ray-edge pairs per numpy broadcast: each temporary of a chunk stays at
+# 32 KB whatever the world's edge count, so a whole survey's cast does
+# not raise the peak memory.
+_CAST_CHUNK = 1 << 12
 
 
-def _cast_rays(world: World, ox: list[float], oy: list[float],
-               angles: list[float]) -> list[float]:
+def _cast_rays(world: World, x: np.ndarray, y: np.ndarray,
+               cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Distance (mm) along each ray to the nearest obstacle or arena wall,
-    inf when it hits none; ray i starts at (ox[i], oy[i]) at angles[i].
+    inf when it hits none; ray i starts at (x[i], y[i]) along (cos[i], sin[i]).
 
     Rays meet every edge in one broadcast per chunk of rays. A ray parallel
     to an edge (collinear grazing included) misses it.
     """
     ax, ay, bx, by = np.array(world.obstacle_edges()).T
     ex, ey = bx - ax, by - ay
-    dist: list[float] = []
-    for i in range(0, len(angles), _CAST_CHUNK):
-        chunk = slice(i, i + _CAST_CHUNK)
-        rx, ry = np.array(ox[chunk])[:, None], np.array(oy[chunk])[:, None]
-        dx = np.array([math.cos(a) for a in angles[chunk]])[:, None]
-        dy = np.array([math.sin(a) for a in angles[chunk]])[:, None]
+    dist = np.empty(len(x))
+    rays = max(1, _CAST_CHUNK // len(ax))
+    for i in range(0, len(x), rays):
+        chunk = slice(i, i + rays)
+        rx, ry, dx, dy = (a[chunk, None] for a in (x, y, cos, sin))
         with np.errstate(all="ignore"):
             denom = dx * ey - dy * ex
-            t = ((ax - rx) * ey - (ay - ry) * ex) / denom
-            s = ((ax - rx) * dy - (ay - ry) * dx) / denom
+            qx, qy = ax - rx, ay - ry
+            t = (qx * ey - qy * ex) / denom
+            s = (qx * dy - qy * dx) / denom
             hit = (np.abs(denom) >= 1e-12) & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
-        dist += np.where(hit, t, np.inf).min(axis=1).tolist()
+        dist[chunk] = np.where(hit, t, np.inf).min(axis=1)
     return dist
 
 
-def sample_ir(world: World, poses: Sequence[Posture], geometry: RobotGeometry,
-              noise: SensorNoise, rng: np.random.Generator) -> list[list[float | None]]:
-    """Five range readings in ray order for each pose; None marks out-of-range.
+class IrReadings(NamedTuple):
+    """Range readings, one row per pose and one column per sensor ray.
+
+    Each ray has its origin (x, y) and unit direction (cos, sin). Where
+    ``in_range``, ``value`` holds the reported range; elsewhere it is NaN.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    value: np.ndarray
+    in_range: np.ndarray
+
+    def scans(self) -> list[list[float | None]]:
+        """The readings in ray order for each pose, None out of range."""
+        return [[v if ok else None for v, ok in zip(values, oks)]
+                for values, oks in zip(self.value.tolist(), self.in_range.tolist())]
+
+
+def sample_ir(world: World, x: Sequence[float], y: Sequence[float],
+              theta: Sequence[float], geometry: RobotGeometry, noise: SensorNoise,
+              rng: np.random.Generator) -> IrReadings:
+    """The range readings of one scan at each pose (x[i], y[i], theta[i]).
 
     A ray is classified against the true cast distance, then the reported
     value carries additive Gaussian noise. All rays are cast together, and
     the in-range rays draw their noise as one block, pose-major then in ray
     order: the same stream as one scalar draw per in-range ray.
     """
-    for pose in poses:
-        if not world.bounds.contains(pose.x, pose.y):
-            raise ValueError("pose must lie inside the world bounds")
-    bearings = geometry.ir_ray_angles
-    dist = _cast_rays(world, [p.x for p in poses for _ in bearings],
-                      [p.y for p in poses for _ in bearings],
-                      [p.theta + b for p in poses for b in bearings])
-    lo, hi = geometry.ir_range_min, geometry.ir_range_max
-    in_range = [lo <= d <= hi for d in dist]
-    draws = iter((noise.ir_sigma * rng.standard_normal(sum(in_range))).tolist())
-    flat = [max(0.0, d + next(draws)) if ok else None
-            for d, ok in zip(dist, in_range)]
-    n = len(bearings)
-    return [flat[i:i + n] for i in range(0, len(flat), n)]
+    x, y, theta = (np.asarray(a, dtype=float) for a in (x, y, theta))
+    b = world.bounds
+    if not ((b.x0 <= x) & (x <= b.x1) & (b.y0 <= y) & (y <= b.y1)).all():
+        raise ValueError("pose must lie inside the world bounds")
+    shape = (len(theta), len(geometry.ir_ray_angles))
+    angles = theta[:, None] + np.array(geometry.ir_ray_angles, dtype=float)
+    # A survey repeats its headings, so each distinct angle, bit for bit,
+    # takes one math.cos and one math.sin (np.cos and np.sin may differ in
+    # the last ulp).
+    distinct, ray = np.unique(angles.ravel().view(np.int64), return_inverse=True)
+    distinct = distinct.view(float).tolist()
+    cos = np.fromiter(map(math.cos, distinct), float, len(distinct))[ray]
+    sin = np.fromiter(map(math.sin, distinct), float, len(distinct))[ray]
+    x, y = np.repeat(x, shape[1]), np.repeat(y, shape[1])
+    dist = _cast_rays(world, x, y, cos, sin)
+    in_range = (geometry.ir_range_min <= dist) & (dist <= geometry.ir_range_max)
+    noisy = dist[in_range] + noise.ir_sigma * rng.standard_normal(np.count_nonzero(in_range))
+    value = np.full(len(dist), np.nan)
+    # max(0.0, noisy), which keeps 0.0 over -0.0.
+    value[in_range] = np.where(noisy > 0.0, noisy, 0.0)
+    return IrReadings(*(a.reshape(shape) for a in (x, y, cos, sin, value, in_range)))
 
 
 # --- one-robot sensor engine -------------------------------------------------
@@ -485,6 +515,9 @@ def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
 # Ticks per block of a held command (about 10 s of plant time), which
 # bounds the block's arrays whatever the run's length.
 HELD_BLOCK_TICKS = 4096
+# A heading that wraps again within this many ticks is summed in Python:
+# a numpy pass costs about as much as a hundred Python additions.
+WRAP_PASS_TICKS = 64
 
 
 def _doubles(*lists: list[float]) -> np.ndarray:
@@ -519,6 +552,18 @@ def _wrapped_heading(start: float, swept: np.ndarray, out: np.ndarray) -> None:
             first += wrap
             out[first] = wrap_angle(part.item(wrap))
             span = 2 * wrap + 1
+            if wrap < WRAP_PASS_TICKS:
+                # Wraps come too fast for a numpy pass to pay: finish with
+                # the same additions, one at a time.
+                heading = out.item(first)
+                rest = out[first + 1:].tolist()
+                for k, step in enumerate(rest):
+                    heading += step
+                    if not -pi < heading <= pi:
+                        heading = wrap_angle(heading)
+                    rest[k] = heading
+                out[first + 1:] = rest
+                return
         else:
             out[first:last] = part
             first = last - 1
@@ -901,8 +946,8 @@ class RobotSim:
                     f"robot {self.robot_id} left the world bounds at "
                     f"t={t_us / 1e6:g} s (x={pose.x:.1f} mm, "
                     f"y={pose.y:.1f} mm)")
-            ir = tuple(sample_ir(self.world, [pose], self.geometry, self.noise,
-                                 self.ir_rng)[0])
+            ir = tuple(sample_ir(self.world, [pose.x], [pose.y], [pose.theta],
+                                 self.geometry, self.noise, self.ir_rng).scans()[0])
         else:
             ir = (None,) * 5
         # Window sums, then one noise draw per wheel and per flow sensor.

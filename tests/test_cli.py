@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmsim import planning, sim
 from swarmsim.cli import runner
 from swarmsim.cli.main import main
 from swarmsim.cli.scenario import (
@@ -408,6 +410,76 @@ def test_plan_grid_over_the_cell_budget_is_rejected(capsys, width, height):
     assert_rejected(capsys, ["plan", *args[1:]], "plan")
 
 
+def test_plan_survey_ray_budget(monkeypatch, capsys):
+    # The bundled survey's 4 x 6 points x 24 headings x 5 rays at the cap,
+    # then one ray past it.
+    monkeypatch.setattr(cli_scenario, "_MAX_SURVEY_RAYS", 2880)
+    assert main(["validate", ARENA]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_scenario, "_MAX_SURVEY_RAYS", 2879)
+    assert_rejected(capsys, ["validate", ARENA], "plan.survey")
+
+
+@pytest.mark.parametrize("headings, valid", [
+    (41_666, True),          # 4,999,920 rays
+    (41_667, False),         # 5,000,040 rays
+    (100_000_000, False),
+])
+def test_plan_survey_over_the_ray_budget_is_rejected(capsys, headings, valid):
+    # Validated only: the survey is never cast, so nothing large is built.
+    assert cli_scenario._MAX_SURVEY_RAYS == 5 * 10 ** 6
+    args = ["validate", ARENA, "--override", f"plan.survey.headings={headings}"]
+    if valid:
+        assert main(args) == 0
+    else:
+        assert_rejected(capsys, args, "plan.survey")
+
+
+CONSENSUS_DEMO = str(SCENARIOS / "consensus_demo.yaml")
+
+
+def test_consensus_robot_round_budget(monkeypatch, capsys):
+    # The bundled six robots x 2000 rounds at the cap, then one past it.
+    monkeypatch.setattr(cli_scenario, "_MAX_ROBOT_ROUNDS", 6 * 2000)
+    assert main(["validate", CONSENSUS_DEMO]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_scenario, "_MAX_ROBOT_ROUNDS", 6 * 2000 - 1)
+    assert_rejected(capsys, ["validate", CONSENSUS_DEMO], "consensus.max_rounds")
+
+
+@pytest.mark.parametrize("mode", ["networked", "synchronous"])
+@pytest.mark.parametrize("rounds, valid", [
+    (3_333_333, True),       # 19,999,998 robot rounds
+    (3_333_334, False),      # 20,000,004 robot rounds
+])
+def test_consensus_over_the_robot_round_budget_is_rejected(capsys, mode, rounds, valid):
+    assert cli_scenario._MAX_ROBOT_ROUNDS == 2 * 10 ** 7
+    args = ["validate", CONSENSUS_DEMO, "--override", f"consensus.mode={mode}",
+            "--override", f"consensus.max_rounds={rounds}"]
+    if valid:
+        assert main(args) == 0
+    else:
+        assert_rejected(capsys, args, "consensus.max_rounds")
+
+
+def test_plan_casts_and_ingests_its_survey_in_one_call_each(tmp_path, capsys, monkeypatch):
+    # One call each per survey, so the time of the whole survey shows under
+    # the sim.ir and plan.ingest layers of a traced run. Every swarmsim
+    # module that binds either function is patched, as the tracer does.
+    counted = {}
+    for module, name in ((sim, "sample_ir"), (planning, "ingest_ir_scan")):
+        original = getattr(module, name)
+        counted[name] = mock.Mock(wraps=original)
+        for key, loaded in list(sys.modules.items()):
+            if key.startswith("swarmsim") and vars(loaded).get(name) is original:
+                monkeypatch.setattr(loaded, name, counted[name])
+    assert main(["plan", ARENA, "--out", str(tmp_path),
+                 "--override", "robot.noiseless=false"]) == 0
+    capsys.readouterr()
+    assert counted["sample_ir"].call_count == 1
+    assert counted["ingest_ir_scan"].call_count == 1
+
+
 @pytest.mark.parametrize("period_ms", [70.0, 75.0, 1000.0])
 def test_localize_report_budget(capsys, period_ms):
     budget_s = cli_scenario._MAX_REPORTS * period_ms / 1e3
@@ -430,6 +502,11 @@ def test_every_bundled_run_is_within_its_budgets():
         if scenario.kind == "plan":
             grid = scenario.grid
             assert grid.width * grid.height <= cli_scenario._MAX_GRID_CELLS
+            assert (len(scenario.survey_points) * scenario.survey_headings
+                    * len(scenario.geometry.ir_ray_angles) <= cli_scenario._MAX_SURVEY_RAYS)
+        if scenario.kind == "consensus":
+            assert (len(scenario.headings) * scenario.consensus.max_rounds
+                    <= cli_scenario._MAX_ROBOT_ROUNDS)
 
 
 @pytest.mark.parametrize("error, line", [

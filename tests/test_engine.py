@@ -152,8 +152,8 @@ class ReferenceSim:
                 raise RuntimeFault(
                     f"robot 0 left the world bounds at t={self.t_us / 1e6:g} s "
                     f"(x={pose.x:.1f} mm, y={pose.y:.1f} mm)")
-            ir = tuple(sample_ir(self.world, [pose], GEOM, self.noise,
-                                 self.ir_rng)[0])
+            ir = tuple(sample_ir(self.world, [pose.x], [pose.y], [pose.theta], GEOM,
+                                 self.noise, self.ir_rng).scans()[0])
         else:
             ir = (None,) * 5
         # The sums at the report instant, and the window since the last one.

@@ -26,7 +26,7 @@ from swarmsim.planning import (
     traverse_ray,
 )
 from swarmsim import sim
-from swarmsim.sim import Rect, Segment, SensorNoise, World, sample_ir
+from swarmsim.sim import IrReadings, Rect, Segment, SensorNoise, World, sample_ir
 
 GEOM = RobotGeometry()
 SQRT2 = math.sqrt(2.0)
@@ -36,6 +36,22 @@ def open_grid(width=20, height=20, res=50.0):
     g = OccupancyGrid(res, (0.0, 0.0), width, height)
     g.observed[:] = True
     return g
+
+
+def xyt(poses):
+    """The x, y and theta lists of the poses, as sample_ir takes them."""
+    return [p.x for p in poses], [p.y for p in poses], [p.theta for p in poses]
+
+
+def recorded(poses, scans, geometry=GEOM):
+    """IrReadings of given scans, one per pose, None out of range; each ray
+    points along pose.theta + bearing, as sample_ir casts it."""
+    rows = [[(p.x, p.y, math.cos(p.theta + b), math.sin(p.theta + b),
+              math.nan if r is None else r, r is not None)
+             for r, b in zip(scan, geometry.ir_ray_angles)]
+            for p, scan in zip(poses, scans)]
+    *fields, in_range = np.array(rows, dtype=float).transpose(2, 0, 1)
+    return IrReadings(*fields, in_range.astype(bool))
 
 
 def occupy(grid, *cells):
@@ -148,7 +164,7 @@ def test_traverse_outside_start_is_empty():
 def test_ingest_wall_ahead_single_hit():
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     pose = Posture(25.0, 25.0, 0.0)
-    ingest_ir_scan(g, [pose], [(500.0, None, None, None, None)], GEOM)
+    ingest_ir_scan(g, recorded([pose], [(500.0, None, None, None, None)]), GEOM)
     assert g.hits[0, 10] == 1              # endpoint cell, 500 mm ahead
     assert all(g.hits[0, i] == 0 for i in range(10))
     assert all(g.observed[0, i] for i in range(11))
@@ -158,9 +174,9 @@ def test_ingest_additivity_and_threshold():
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     pose = Posture(25.0, 25.0, 0.0)
     scan = (500.0, None, None, None, None)
-    ingest_ir_scan(g, [pose], [scan], GEOM)
+    ingest_ir_scan(g, recorded([pose], [scan]), GEOM)
     assert not g.occupancy()[0, 10]
-    ingest_ir_scan(g, [pose], [scan], GEOM)
+    ingest_ir_scan(g, recorded([pose], [scan]), GEOM)
     assert g.hits[0, 10] == 2
     assert g.occupancy()[0, 10]
 
@@ -168,7 +184,7 @@ def test_ingest_additivity_and_threshold():
 def test_ingest_out_of_range_frees_without_hits():
     g = OccupancyGrid(50.0, (0.0, 0.0), 40, 40)
     pose = Posture(25.0, 25.0, 0.0)
-    ingest_ir_scan(g, [pose], [(None,) * 5], GEOM)
+    ingest_ir_scan(g, recorded([pose], [(None,) * 5]), GEOM)
     assert g.hits.sum() == 0
     # Forward ray observed out to the 1500 mm range limit.
     assert all(g.observed[0, i] for i in range(31))
@@ -178,21 +194,21 @@ def test_ingest_crossing_ray_erodes_hits():
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     g.hits[0, 5] = 2
     g.observed[0, 5] = True
-    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)],
-                   [(500.0, None, None, None, None)], GEOM)
+    ingest_ir_scan(g, recorded([Posture(25.0, 25.0, 0.0)],
+                               [(500.0, None, None, None, None)]), GEOM)
     assert g.hits[0, 5] == 1               # crossed once, one hit removed
-    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)],
-                   [(500.0, None, None, None, None)], GEOM)
+    ingest_ir_scan(g, recorded([Posture(25.0, 25.0, 0.0)],
+                               [(500.0, None, None, None, None)]), GEOM)
     assert g.hits[0, 5] == 0
-    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)],
-                   [(500.0, None, None, None, None)], GEOM)
+    ingest_ir_scan(g, recorded([Posture(25.0, 25.0, 0.0)],
+                               [(500.0, None, None, None, None)]), GEOM)
     assert g.hits[0, 5] == 0               # floor at zero
 
 
 def test_ingest_endpoint_outside_grid_skipped():
     g = OccupancyGrid(50.0, (0.0, 0.0), 10, 10)
     pose = Posture(400.0, 25.0, 0.0)
-    skipped = ingest_ir_scan(g, [pose], [(500.0, None, None, None, None)], GEOM)
+    skipped = ingest_ir_scan(g, recorded([pose], [(500.0, None, None, None, None)]), GEOM)
     assert skipped == 1
     assert g.skipped_readings == 1
     assert g.hits.sum() == 0
@@ -200,7 +216,7 @@ def test_ingest_endpoint_outside_grid_skipped():
 
 def test_ingest_wrong_arity():
     with pytest.raises(ValueError):
-        ingest_ir_scan(open_grid(), [Posture(25, 25, 0)], [(None,) * 4], GEOM)
+        ingest_ir_scan(open_grid(), recorded([Posture(25, 25, 0)], [(None,) * 4]), GEOM)
 
 
 # --- the batched survey against a per-scan, per-cell reference -----------------------
@@ -362,11 +378,35 @@ def surveys(draw):
     return grid, world, poses, geometry, noise, draw(st.integers(0, 2**32))
 
 
+def striped_grid(res, threshold):
+    """A 16 x 16 grid with hits on every third column of alternate rows."""
+    grid = OccupancyGrid(res, (0.0, 0.0), 16, 16, occupied_threshold=threshold)
+    grid.hits[1::2, ::3] = threshold
+    grid.observed[...] = grid.hits > 0
+    return grid
+
+
 @settings(max_examples=300, deadline=None)
 @given(surveys(), st.integers(1, 8))
 @example((open_grid(4, 4), World(Rect(0.0, 0.0, 1000.0, 200.0)),
           [Posture(50.0, 50.0, 0.0), Posture(100.0, 100.0, math.pi)],
           RobotGeometry(ir_range_min=0.0), SensorNoise(ir_sigma=1.0), 3), 256)
+# Lanes that finish at many different steps, so the walk drops finished
+# lanes several times. Along the bottom wall, each forward ray is out of
+# range; the first crosses the whole grid, while the rays down and down-left
+# end on the wall in their first cell and the rays back end at the left wall.
+@example((striped_grid(10.0, 1), World(Rect(0.0, 0.0, 1000.0, 1000.0)),
+          [Posture(5.0 + 20.0 * k, 5.0, 0.0) for k in range(8)],
+          RobotGeometry(ir_range_min=0.0, ir_range_max=300.0,
+                        ir_ray_angles=(0.0, math.pi, -math.pi / 2, -math.pi / 2,
+                                       -3 * math.pi / 4)),
+          SensorNoise(ir_sigma=0.0), 5), 3)
+# Forward rays from a column of poses end on a diagonal wall, each a few
+# cells further than the last; the rays back end in their first cell.
+@example((striped_grid(25.0, 2),
+          World(Rect(0.0, 0.0, 400.0, 400.0), segments=(Segment(50.0, 0.0, 400.0, 350.0),)),
+          [Posture(12.5, 12.5 + 50.0 * k, 0.0) for k in range(8)],
+          RobotGeometry(ir_range_min=0.0), SensorNoise(ir_sigma=1.0), 7), 256)
 def test_batched_survey_matches_per_scan_reference(case, cast_chunk):
     grid, world, poses, geometry, noise, seed = case
     expected = OccupancyGrid(grid.resolution, grid.origin, grid.width, grid.height,
@@ -376,9 +416,9 @@ def test_batched_survey_matches_per_scan_reference(case, cast_chunk):
 
     # Small chunks put the cast's chunk boundaries inside the drawn survey.
     with mock.patch.object(sim, "_CAST_CHUNK", cast_chunk):
-        readings = sample_ir(world, poses, geometry, noise, rng)
-    skipped = ingest_ir_scan(grid, poses, readings, geometry)
-    for pose, scan in zip(poses, readings):
+        readings = sample_ir(world, *xyt(poses), geometry, noise, rng)
+    skipped = ingest_ir_scan(grid, readings, geometry)
+    for pose, scan in zip(poses, readings.scans()):
         assert scan == reference_sample_ir(world, pose, geometry, noise, reference_rng)
         reference_ingest(expected, pose, scan, geometry)
 
@@ -403,7 +443,7 @@ def test_endpoint_the_walk_stops_short_of_still_gets_its_hit(x, y, theta, reach)
     ex, ey = x + reach * math.cos(theta), y + reach * math.sin(theta)
     end = grid.cell_of(ex, ey)
     assert traverse_ray(grid, x, y, ex, ey)[-1] != end
-    ingest_ir_scan(grid, [pose], [(reach, None, None, None, None)], GEOM)
+    ingest_ir_scan(grid, recorded([pose], [(reach, None, None, None, None)]), GEOM)
     reference_ingest(expected, pose, (reach, None, None, None, None), GEOM)
     assert grid.hits[end[1], end[0]] == 2
     assert np.array_equal(grid.hits, expected.hits)
@@ -418,7 +458,7 @@ HIT_5, CROSS_5 = (250.0, None, None, None, None), (500.0, None, None, None, None
 @pytest.mark.parametrize("scans, expected", [((HIT_5, CROSS_5), 0), ((CROSS_5, HIT_5), 1)])
 def test_a_hit_cell_folds_its_events_in_scan_order(scans, expected):
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
-    skipped = ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)] * 2, list(scans), GEOM)
+    skipped = ingest_ir_scan(g, recorded([Posture(25.0, 25.0, 0.0)] * 2, scans), GEOM)
     assert g.hits[0, 5] == expected        # 0 -> 1 -> 0, or 0 -> 0 -> 1
     assert g.hits[0, 10] == 1 and g.observed[0, :11].all()
     assert skipped == 0 and type(skipped) is int
@@ -428,7 +468,8 @@ def test_a_hit_cell_folds_its_events_in_scan_order(scans, expected):
 def test_a_cell_with_no_hits_drains_by_its_frees(crossings):
     g = OccupancyGrid(50.0, (0.0, 0.0), 20, 20)
     g.hits[0, 5] = 3
-    ingest_ir_scan(g, [Posture(25.0, 25.0, 0.0)] * crossings, [CROSS_5] * crossings, GEOM)
+    ingest_ir_scan(g, recorded([Posture(25.0, 25.0, 0.0)] * crossings, [CROSS_5] * crossings),
+                   GEOM)
     assert g.hits[0, 5] == max(0, 3 - crossings)
     assert g.hits[0, 10] == crossings
 
@@ -759,7 +800,7 @@ def build_arena_map():
                 continue
             for k in range(24):
                 poses.append(Posture(x, y, k * math.pi / 12.0))
-    ingest_ir_scan(grid, poses, sample_ir(world, poses, GEOM, noise, rng), GEOM)
+    ingest_ir_scan(grid, sample_ir(world, *xyt(poses), GEOM, noise, rng), GEOM)
     return world, grid
 
 

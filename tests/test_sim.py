@@ -332,26 +332,26 @@ def test_block_integers_continue_the_scalar_stream(size, lo, hi):
 # --- IR ranging -----------------------------------------------------------------
 
 
-AT_ORIGIN = [Posture(0, 0, 0)]
+AT_ORIGIN = ([0.0], [0.0], [0.0])   # x, y, theta of one pose
 
 
 def test_ir_wall_ahead():
     world = World(bounds=Rect(-3000, -3000, 3000, 3000),
                   segments=(Segment(500, -400, 500, 400),))
-    readings = sample_ir(world, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(7))[0]
+    readings = sample_ir(world, *AT_ORIGIN, GEOM, QUIET, np.random.default_rng(7)).scans()[0]
     assert readings[0] == pytest.approx(500.0, abs=1e-9)
 
 
 def test_ir_below_minimum_range():
     world = World(bounds=Rect(-3000, -3000, 3000, 3000),
                   segments=(Segment(150, -400, 150, 400),))
-    readings = sample_ir(world, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(8))[0]
+    readings = sample_ir(world, *AT_ORIGIN, GEOM, QUIET, np.random.default_rng(8)).scans()[0]
     assert readings[0] is None
 
 
 def test_ir_beyond_maximum_range():
     world = World(bounds=Rect(-3000, -3000, 3000, 3000))
-    readings = sample_ir(world, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(9))[0]
+    readings = sample_ir(world, *AT_ORIGIN, GEOM, QUIET, np.random.default_rng(9)).scans()[0]
     assert readings[0] is None   # wall 3000 mm ahead, limit 1500
 
 
@@ -360,8 +360,8 @@ def test_ir_blind_spot_between_rays():
     # the 72 degree ray: no reading changes.
     base = World(bounds=Rect(-3000, -3000, 3000, 3000))
     blocked = World(bounds=base.bounds, rects=(Rect(313, 225, 333, 245),))
-    a = sample_ir(base, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(10))[0]
-    b = sample_ir(blocked, AT_ORIGIN, GEOM, QUIET, np.random.default_rng(10))[0]
+    a = sample_ir(base, *AT_ORIGIN, GEOM, QUIET, np.random.default_rng(10)).scans()[0]
+    b = sample_ir(blocked, *AT_ORIGIN, GEOM, QUIET, np.random.default_rng(10)).scans()[0]
     assert a == b
 
 
@@ -370,7 +370,8 @@ def test_ir_rect_obstacle_and_noise():
                   rects=(Rect(400, -100, 600, 100),))
     noise = SensorNoise(ir_sigma=1.0)
     rng = np.random.default_rng(11)
-    samples = [sample_ir(world, AT_ORIGIN, GEOM, noise, rng)[0][0] for _ in range(2000)]
+    samples = [sample_ir(world, *AT_ORIGIN, GEOM, noise, rng).scans()[0][0]
+               for _ in range(2000)]
     assert np.mean(samples) == pytest.approx(400.0, abs=0.1)
     assert np.std(samples) == pytest.approx(1.0, rel=0.1)
 
@@ -378,12 +379,14 @@ def test_ir_rect_obstacle_and_noise():
 def test_ir_outside_world_rejected():
     world = World(bounds=Rect(-100, -100, 100, 100))
     with pytest.raises(ValueError):
-        sample_ir(world, [Posture(500, 0, 0)], GEOM, QUIET, np.random.default_rng(12))[0]
+        sample_ir(world, [500.0], [0.0], [0.0], GEOM, QUIET, np.random.default_rng(12))
 
 
 def test_cast_rays_hit_bounds():
     world = World(bounds=Rect(-1000, -1000, 1000, 1000))
-    dist = _cast_rays(world, [0, 0, 0], [0, 0, 0], [0.0, math.pi / 2, math.pi / 4])
+    angles = [0.0, math.pi / 2, math.pi / 4]
+    dist = _cast_rays(world, np.zeros(3), np.zeros(3), np.array([math.cos(a) for a in angles]),
+                      np.array([math.sin(a) for a in angles]))
     assert dist == pytest.approx([1000.0, 1000.0, 1000.0 * math.sqrt(2)])
 
 
