@@ -173,6 +173,11 @@ INVOCATIONS = (
      ("--seed", "12", "--override", "robot.noiseless=false",
       "--override", "plan.resolution_mm=25", "--override", "plan.width_cells=81",
       "--override", "plan.height_cells=61")),
+    # A fine grid: the survey ingest counts each walk's cells over many steps.
+    ("plan noisy 10 mm grid of 200x150", "plan", "plan_arena.yaml",
+     ("--override", "robot.noiseless=false",
+      "--override", "plan.resolution_mm=10", "--override", "plan.width_cells=200",
+      "--override", "plan.height_cells=150")),
     ("localize slip among obstacles", "localize", "localize_slip.yaml",
      ("--override", "world={bounds: [-2000, -2000, 2000, 2000], "
       "rects: [[300, -900, 500, -500]], segments: [[-800, 600, -300, 900]]}")),

@@ -161,7 +161,7 @@ def _walk(grid: OccupancyGrid, x0: np.ndarray, y0: np.ndarray,
         t_dy = np.where(dy != 0.0, res / np.abs(dy), np.inf)
     lanes = np.arange(len(cell))
     walking = np.ones(len(cell), dtype=bool)
-    yield lanes, cell
+    yield lanes, cell.copy()   # the steps below change cell in place
     for _ in range(width + height + 4):
         walking &= cell != end
         walking &= ~((t_max_x > 1.0) & (t_max_y > 1.0))
@@ -228,16 +228,24 @@ def ingest_ir_scan(grid: OccupancyGrid, readings: IrReadings,
 
     # Frees commute, so a cell no ray ends on drops to max(0, c - frees).
     # One bin past the grid's cells collects the lanes whose walk is over.
+    # The steps' cells are counted once a grid's worth has gathered, so a
+    # fine grid costs no whole-grid count per step.
     counts = grid.hits.ravel()
     visits = np.zeros(counts.size + 1, dtype=np.int64)
     hit_cell = np.zeros(counts.size + 1, dtype=bool)
     hit_cell[end[hit]] = True
-    rays_kept, cells_kept = [], []
+    rays_kept, cells_kept, pending, pending_size = [], [], [], 0
     for lanes, cells in _walk(grid, x0, y0, x1, y1):
-        visits += np.bincount(cells, minlength=visits.size)
+        pending.append(cells)
+        pending_size += len(cells)
+        if pending_size >= counts.size:
+            visits += np.bincount(np.concatenate(pending), minlength=visits.size)
+            pending, pending_size = [], 0
         ids = np.flatnonzero(hit_cell.take(cells))
         rays_kept.append(lanes[ids])
         cells_kept.append(cells[ids])
+    if pending:
+        visits += np.bincount(np.concatenate(pending), minlength=visits.size)
     new = np.maximum(counts - visits[:-1], 0)
     seen = visits[:-1] > 0
     seen[end[hit]] = True

@@ -8,11 +8,12 @@ motion (slip-immune).  Sensors are sampled once per report window, in
 closed form.  All sensor models draw from caller-supplied numpy generators
 so runs are reproducible.
 
-``PlantLoop``, ``EncoderModel`` and ``FlowModel`` are the reference plant,
-stepped one tick and one report window at a time; ``RobotSim``, the engine
-every run uses, repeats their arithmetic inline in one fused loop per
-robot, on seed-derived per-robot noise streams, or, under a held command,
-in blocks of ticks with the same float operations.
+``PlantLoop`` is the reference plant, stepped one tick at a time;
+``RobotSim``, the engine every run uses, repeats its arithmetic inline in
+one fused loop per robot or, under a held command, in blocks of ticks with
+the same float operations.  It samples each report window through
+``EncoderModel``, ``FlowModel`` and ``sample_gyro``, on seed-derived
+per-robot noise streams.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class EncoderModel:
     """Incremental wheel encoders: quantized, noisy, and slip-blind.
 
     Sampled once per report window in closed form, as ENCODER_HZ samples
-    per second.
+    per second; rng is a Generator or a BlockNormals over one.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -233,8 +234,6 @@ class EncoderModel:
         The count is the truncation toward zero of the cumulative noisy
         travel, so forward and reverse motion quantize symmetrically and
         the cumulative count never drifts a quantum from the travel.
-        ``RobotSim`` below inlines this sample at each report; this method
-        is its per-window reference and a tracing target.
         """
         sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
         ticks = []
@@ -250,7 +249,7 @@ class FlowModel:
     """Paired downward optical-flow sensors measuring ground motion.
 
     Sampled once per report window in closed form, as FLOW_HZ samples per
-    second.
+    second; rng is a Generator or a BlockNormals over one.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -267,8 +266,6 @@ class FlowModel:
 
         The sensors sit half the sensor separation to each side of the body
         axis, so a counterclockwise turn slows the left one.
-        ``RobotSim`` below inlines this sample at each report; this method
-        is its per-window reference and a tracing target.
         """
         half = 0.5 * self.geometry.flow_separation * turn_rad
         sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s)
@@ -400,7 +397,8 @@ class World:
 
 def _point_segment_distance(px: float, py: float, seg: Segment) -> float:
     vx, vy = seg.bx - seg.ax, seg.by - seg.ay
-    t = ((px - seg.ax) * vx + (py - seg.ay) * vy) / (vx * vx + vy * vy)
+    length2 = vx * vx + vy * vy   # 0.0 for a segment under about 1e-154 mm
+    t = ((px - seg.ax) * vx + (py - seg.ay) * vy) / length2 if length2 else 0.0
     t = max(0.0, min(1.0, t))
     return math.hypot(px - (seg.ax + t * vx), py - (seg.ay + t * vy))
 
@@ -584,13 +582,13 @@ class RobotSim:
     ``advance_to`` is one fused loop: the reference tick
     ``PlantLoop.advance`` and the slip lookup are written inline, float
     operation for float operation, with the state held in locals between
-    reports.  Each report then samples the window in closed form, as
-    ``EncoderModel.sample_speeds`` and ``FlowModel.sample_vw`` do: one
-    normal per wheel and one per flow sensor.  A reference loop that calls
-    those three classes once per tick and per window is the oracle of the
-    engine equivalence test.  The encoder, flow, gyro and jittered
-    schedule streams are drawn in blocks and read one value per draw
-    (block_draws), the values scalar draws would give.
+    reports.  Each report samples its window through
+    ``EncoderModel.sample_speeds``, ``FlowModel.sample_vw`` and
+    ``sample_gyro``.  A reference loop that calls ``PlantLoop.advance``
+    once per tick is the oracle of the engine equivalence test.  The
+    encoder, flow, gyro and jittered schedule streams are drawn in blocks
+    and read one value per draw (block_draws), the values scalar draws
+    would give.
 
     A command set with ``hold_until_us`` runs the ticks that start before
     that instant in blocks instead (``_held_block``): the wheel loops tick
@@ -611,8 +609,10 @@ class RobotSim:
         self.robot_id = robot_id
         self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
                             for e in slip_schedule)
-        self._enc_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_ENCODER))
-        self._flow_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_FLOW))
+        self._encoders = EncoderModel(geometry, noise, BlockNormals(
+            stream_rng(seed, robot_id, STREAM_ENCODER)))
+        self._flow = FlowModel(geometry, noise, BlockNormals(
+            stream_rng(seed, robot_id, STREAM_FLOW)))
         self._gyro_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_GYRO))
         self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
         self._report_us = rates.report_period_us
@@ -625,30 +625,27 @@ class RobotSim:
                 lambda size: schedule_rng.integers(lo, hi, size=size))
         self.truth_at_send: dict[int, Posture] = {}
         self.t_us = 0
-        self._cmd_right = self._cmd_left = 0.0
+        # Saturated wheel targets (right, left).
+        self._target = (0.0, 0.0)
         # The command holds for ticks that start before _hold_until, and
         # _block holds the ticks computed ahead for it (see _held_block).
         self._hold_until = 0
         self._block: tuple | None = None
-        # Pose and the running sums at the start of the current tick, or at
-        # t_us when that is a tick boundary (t_us == _tick_end): wheel
-        # travel (mm), and the ground path length (mm) and heading change
-        # (rad) that the flow sensors see.
-        self._x, self._y, self._theta = start.x, start.y, start.theta
-        self._wheel_r = self._wheel_l = 0.0
-        self._path = self._turn = 0.0
-        self._act_right = self._act_left = 0.0
-        self._int_right = self._int_left = 0.0
-        # The current tick: its end, mean wheel speeds and ground twist.
+        # The loop state, a block's rows[:, k] then ticks[:, k] (see
+        # _held_block): the pose and running sums at the start of the
+        # current tick, or at t_us when that is a tick boundary (t_us ==
+        # _tick_end), namely wheel travel (mm), and the ground path length
+        # (mm) and heading change (rad) that the flow sensors see; then the
+        # current tick's mean wheel speeds and ground twist, and its wheel
+        # speeds and PI integrals at its end.
+        self._state = (start.x, start.y, 0.0, 0.0, 0.0, 0.0, start.theta) + (0.0,) * 8
         self._tick_end = 0
-        self._mean_r = self._mean_l = 0.0
-        self._v = self._w = 0.0
         # The report windows: the open window's length and the sums at its
         # start, and the counters the reports carry.
         self._window_us = self._report_interval()
         self._next_report = self._window_us
         self._at_report = (0.0, 0.0, 0.0, 0.0)
-        self._travel_r = self._travel_l = 0.0   # cumulative noisy wheel travel
+        self._ticks_r = self._ticks_l = 0
         self._flow_l = self._flow_r = 0.0
 
     def _report_interval(self) -> int:
@@ -670,8 +667,8 @@ class RobotSim:
         reaches that instant, so the ticks that start before it may be
         computed ahead in blocks.  Any later call drops those not yet run.
         """
-        self._cmd_right = wheels.right
-        self._cmd_left = wheels.left
+        self._target = (_clamp(wheels.right, MAX_WHEEL_SPEED),
+                        _clamp(wheels.left, MAX_WHEEL_SPEED))
         self._hold_until = 0 if hold_until_us is None else hold_until_us
         self._block = None
 
@@ -684,11 +681,12 @@ class RobotSim:
 
     @property
     def pose(self) -> Posture:
-        start = Posture(self._x, self._y, self._theta)
+        state = self._state
+        start = Posture(state[0], state[1], state[6])
         into = self._into_tick()
         if into == 0.0:
             return start
-        return integrate_unicycle(start, Twist(self._v, self._w), into)
+        return integrate_unicycle(start, Twist(state[9], state[10]), into)
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         """Run plant and sensors up to target time; returns reports sent."""
@@ -703,21 +701,10 @@ class RobotSim:
         slips = self._slips
         sin, cos, pi = math.sin, math.cos, math.pi
         arc_eps, neg_arc_eps = ARC_EPSILON, -ARC_EPSILON
-        # Saturated wheel targets; the command holds for the whole call.
-        cmd = self._cmd_right
-        target_r = cmd if cmd < v_max else v_max
-        target_r = target_r if target_r > v_min else v_min
-        cmd = self._cmd_left
-        target_l = cmd if cmd < v_max else v_max
-        target_l = target_l if target_l > v_min else v_min
-        # Loop state, written back at the end.
-        x, y, theta = self._x, self._y, self._theta
-        wheel_r, wheel_l = self._wheel_r, self._wheel_l
-        path, turn = self._path, self._turn
-        act_r, act_l = self._act_right, self._act_left
-        int_r, int_l = self._int_right, self._int_left
+        target_r, target_l = self._target
+        (x, y, wheel_r, wheel_l, path, turn, theta,
+         mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) = self._state
         tick_end = self._tick_end
-        mean_r, mean_l, v, w = self._mean_r, self._mean_l, self._v, self._w
         next_report = self._next_report
         window_slips = ()
         hold_until = self._hold_until
@@ -740,8 +727,8 @@ class RobotSim:
                             self._block = rows = ticks = None   # free it first
                             self._block = self._held_block(
                                 t_us, target_r, target_l,
-                                (act_r, act_l, int_r, int_l),
-                                (x, y, wheel_r, wheel_l, path, turn, theta))
+                                (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
+                                 mean_l, v, w, act_r, act_l, int_r, int_l))
                             block_start, block_end, rows, ticks = self._block
                         t_us = stop if stop < block_end else block_end
                         k, into = divmod(t_us - block_start, tick_us)
@@ -749,9 +736,9 @@ class RobotSim:
                         # boundary the tick in hand is the one that just ended.
                         tick = k if into else k - 1
                         tick_end = block_start + (tick + 1) * tick_us
-                        x, y, wheel_r, wheel_l, path, turn, theta = rows[:, k].tolist()
-                        (mean_r, mean_l, v, w,
-                         act_r, act_l, int_r, int_l) = ticks[:, tick].tolist()
+                        (x, y, wheel_r, wheel_l, path, turn, theta,
+                         mean_r, mean_l, v, w, act_r, act_l, int_r, int_l
+                         ) = rows[:, k].tolist() + ticks[:, tick].tolist()
                         if t_us == stop:
                             break
                         continue
@@ -823,38 +810,30 @@ class RobotSim:
                     break
             if t_us == next_report:
                 self.t_us, self._tick_end = t_us, tick_end
-                self._x, self._y, self._theta = x, y, theta
-                self._v, self._w = v, w
-                into = self._into_tick()
-                sent.append(self._assemble_report(
-                    wheel_r + mean_r * into, wheel_l + mean_l * into,
-                    path + v * into, turn + w * into))
+                self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
+                               mean_l, v, w, act_r, act_l, int_r, int_l)
+                sent.append(self._assemble_report())
                 self._window_us = self._report_interval()
                 next_report += self._window_us
-        self._x, self._y, self._theta = x, y, theta
-        self._wheel_r, self._wheel_l = wheel_r, wheel_l
-        self._path, self._turn = path, turn
-        self._act_right, self._act_left = act_r, act_l
-        self._int_right, self._int_left = int_r, int_l
+        self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
+                       mean_l, v, w, act_r, act_l, int_r, int_l)
         self._tick_end = tick_end
-        self._mean_r, self._mean_l, self._v, self._w = mean_r, mean_l, v, w
         self._next_report = next_report
         self.t_us = t_us
         return sent
 
     def _held_block(self, t0: int, target_r: float, target_l: float,
-                    wheels: tuple[float, float, float, float],
-                    sums: tuple[float, ...]) -> tuple:
+                    state: tuple[float, ...]) -> tuple:
         """The ticks of the held command from the tick boundary t0: those
         that start before the hold ends, at most HELD_BLOCK_TICKS of them.
 
-        wheels is (act_r, act_l, int_r, int_l) and sums is (x, y, wheel_r,
-        wheel_l, path, turn, theta) at t0.  Returns (t0, the block's end,
-        rows, ticks): rows[:, k] holds sums at the start of tick k, and
-        ticks[:, k] holds (mean_r, mean_l, v, w, act_r, act_l, int_r, int_l)
-        of tick k, the speeds and integrals at its end.  Only the wheel
-        speeds and integrals are carried tick by tick; the rest are the
-        array forms of advance_to's float operations, in the same order.
+        state is the loop state at t0, in the layout of _state.  Returns
+        (t0, the block's end, rows, ticks): rows[:, k] holds (x, y, wheel_r,
+        wheel_l, path, turn, theta) at the start of tick k, and ticks[:, k]
+        holds (mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) of tick k,
+        the speeds and integrals at its end.  Only the wheel speeds and
+        integrals are carried tick by tick; the rest are the array forms of
+        advance_to's float operations, in the same order.
         """
         tick_us, tick_s = TICK_US, TICK_S
         n = min(HELD_BLOCK_TICKS, -((t0 - self._hold_until) // tick_us))
@@ -863,7 +842,7 @@ class RobotSim:
         v_min = -v_max
         # Each wheel's speed and integral at the start of each tick and at
         # the block's end, the only state that must be carried tick by tick.
-        act_r, act_l, int_r, int_l = wheels
+        act_r, act_l, int_r, int_l = state[11:]
         acts_r, acts_l, ints_r, ints_l = [act_r], [act_l], [int_r], [int_l]
         for _ in range(n):
             error = target_r - act_r
@@ -913,7 +892,7 @@ class RobotSim:
         # are running sums of the steps in rows[:6, k + 1], and the heading
         # wraps.
         rows = np.empty((7, n + 1))
-        rows[:, 0] = sums
+        rows[:, 0] = state[:7]
         steps = rows[:, 1:]
         v, w = ticks[2], ticks[3]
         np.multiply(0.5, g_r + g_l, out=v)
@@ -926,7 +905,7 @@ class RobotSim:
         half = 0.5 * swept
         with np.errstate(divide="ignore", invalid="ignore"):
             chord = np.where(arc, travel * np.sin(half) / half, travel)
-        _wrapped_heading(sums[6], swept, rows[6])
+        _wrapped_heading(state[6], swept, rows[6])
         theta = rows[6, :-1]
         heading = np.where(arc, theta + half, theta)
         np.multiply(chord, np.cos(heading), out=steps[0])
@@ -934,10 +913,9 @@ class RobotSim:
         np.cumsum(rows[:6], axis=1, out=rows[:6])
         return t0, t0 + n * tick_us, rows, ticks
 
-    def _assemble_report(self, wheel_r: float, wheel_l: float, path: float,
-                         turn: float) -> SensorPacket:
-        """Sample the closing window from the running sums at its end, and
-        snapshot the free-running odometry counters at send time."""
+    def _assemble_report(self) -> SensorPacket:
+        """Sample the window that closes at t_us, and snapshot the
+        free-running odometry counters at send time."""
         pose = self.pose
         t_us = self.t_us
         if self.world is not None:
@@ -950,28 +928,26 @@ class RobotSim:
                                  self.geometry, self.noise, self.ir_rng).scans()[0])
         else:
             ir = (None,) * 5
-        # Window sums, then one noise draw per wheel and per flow sensor.
+        # The running sums at t_us, and the window since the last report.
+        into = self._into_tick()
+        _, _, wheel_r, wheel_l, path, turn, _, mean_r, mean_l, v, w = self._state[:11]
+        wheel_r, wheel_l = wheel_r + mean_r * into, wheel_l + mean_l * into
+        path, turn = path + v * into, turn + w * into
         wheel_r0, wheel_l0, path0, turn0 = self._at_report
         self._at_report = (wheel_r, wheel_l, path, turn)
         window_s = self._window_us / 1e6
-        sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
-        normal = self._enc_noise.standard_normal
-        noise_r, noise_l = normal(), normal()
-        self._travel_r += (wheel_r - wheel_r0) + sigma * noise_r
-        self._travel_l += (wheel_l - wheel_l0) + sigma * noise_l
-        half = 0.5 * self.geometry.flow_separation * (turn - turn0)
-        sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s)
-        scale = self.noise.flow_scale
-        normal = self._flow_noise.standard_normal
-        noise_l, noise_r = normal(), normal()
-        self._flow_l += ((path - path0) - half) * scale + sigma * noise_l
-        self._flow_r += ((path - path0) + half) * scale + sigma * noise_r
-        mm_per_tick = self.geometry.mm_per_tick
+        ticks_r, ticks_l = self._encoders.sample_speeds(
+            wheel_r - wheel_r0, wheel_l - wheel_l0, window_s)
+        self._ticks_r += ticks_r
+        self._ticks_l += ticks_l
+        flow_l, flow_r = self._flow.sample_vw(path - path0, turn - turn0, window_s)
+        self._flow_l += flow_l
+        self._flow_r += flow_r
         packet = SensorPacket(
             robot_id=self.robot_id,
             t_sent=t_us // 1000,
-            ticks_left=wrap_i16(count_ticks(self._travel_l, mm_per_tick)),
-            ticks_right=wrap_i16(count_ticks(self._travel_r, mm_per_tick)),
+            ticks_left=wrap_i16(self._ticks_l),
+            ticks_right=wrap_i16(self._ticks_r),
             flow_dx_left=wrap_flow(self._flow_l),
             flow_dx_right=wrap_flow(self._flow_r),
             gyro_heading=sample_gyro(pose.theta, self.noise.gyro_sigma,

@@ -1,13 +1,14 @@
 """The fused sensor engine against the reference plant.
 
-`RobotSim.advance_to` writes the plant tick and slip lookup inline, and
-samples each report window in closed form. `ReferenceSim` below is the
-engine as one call per tick and per window: it calls `PlantLoop.advance`
-once per tick, `integrate_unicycle` for a pose inside a tick,
-`EncoderModel.sample_speeds` and `FlowModel.sample_vw` once per report
-window, and `sample_gyro` and `sample_ir`, with scalar noise draws. Both
-must produce the same packets, truth, pose, wheel state and counters, bit
-for bit.
+`RobotSim.advance_to` writes the plant tick and slip lookup inline, or
+computes a held command's ticks in blocks, and samples each report window
+through `EncoderModel` and `FlowModel` on block-drawn noise. `ReferenceSim`
+below is the engine as one call per tick and per window: it calls
+`PlantLoop.advance` once per tick, `integrate_unicycle` for a pose inside a
+tick, `EncoderModel.sample_speeds` and `FlowModel.sample_vw` once per
+report window, and `sample_gyro` and `sample_ir`, with scalar noise draws.
+Both must produce the same packets, truth, pose, wheel state and counters,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -206,7 +207,9 @@ def _run(sim, windows, command) -> tuple[list, str | None]:
 
 
 speeds = st.one_of(st.floats(-260.0, 260.0),
-                   st.sampled_from((0.0, 180.0, -180.0, 400.0, -250.0)))
+                   st.sampled_from((0.0, -0.0, 180.0, -180.0, 400.0, -250.0,
+                                    math.nextafter(180.0, math.inf),
+                                    -math.nextafter(180.0, math.inf))))
 commands = st.tuples(speeds, speeds)
 slip_events = st.builds(
     lambda start, length, stuck, factor: SlipEvent(
@@ -265,10 +268,11 @@ def test_fused_engine_matches_per_step_reference(seed, command, schedule,
     assert sim.t_us == ref.t_us
     assert (sim._next_report, sim._window_us) == (ref.next_report, ref.window_us)
     loop = ref.loop
-    assert ((sim._act_right, sim._act_left, sim._int_right, sim._int_left)
+    mean_r, mean_l, _, _, act_r, act_l, int_r, int_l = sim._state[7:]
+    assert ((act_r, act_l, int_r, int_l)
             == (loop.actual.right, loop.actual.left, *loop.integral))
-    assert (sim._mean_r, sim._mean_l) == (loop.wheels.right, loop.wheels.left)
-    assert [sim._travel_r, sim._travel_l] == ref.encoders._travel
+    assert (mean_r, mean_l) == (loop.wheels.right, loop.wheels.left)
+    assert sim._encoders._travel == ref.encoders._travel
     assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
     assert sim._at_report == ref.at_report
 
@@ -326,12 +330,10 @@ def _run_held(sim, windows, command, first_hold) -> tuple[list, str | None]:
 
 def _engine_state(sim: RobotSim) -> tuple:
     """Every private state field of the engine that outlives a call."""
-    return (sim.t_us, sim._tick_end, sim._x, sim._y, sim._theta,
-            sim._wheel_r, sim._wheel_l, sim._path, sim._turn,
-            sim._act_right, sim._act_left, sim._int_right, sim._int_left,
-            sim._mean_r, sim._mean_l, sim._v, sim._w,
+    return (sim.t_us, sim._tick_end, sim._state,
             sim._next_report, sim._window_us, sim._at_report,
-            sim._travel_r, sim._travel_l, sim._flow_l, sim._flow_r)
+            sim._encoders._travel, sim._ticks_r, sim._ticks_l,
+            sim._flow_l, sim._flow_r)
 
 
 def _assert_matches_reference(sim: RobotSim, ref: ReferenceSim) -> None:
@@ -339,21 +341,23 @@ def _assert_matches_reference(sim: RobotSim, ref: ReferenceSim) -> None:
     assert sim.pose == ref.pose
     assert sim.t_us == ref.t_us
     assert (sim._next_report, sim._window_us) == (ref.next_report, ref.window_us)
+    (x, y, wheel_r, wheel_l, path, turn, theta,
+     mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) = sim._state
     loop = ref.loop
-    assert ((sim._act_right, sim._act_left, sim._int_right, sim._int_left)
+    assert ((act_r, act_l, int_r, int_l)
             == (loop.actual.right, loop.actual.left, *loop.integral))
-    assert (sim._mean_r, sim._mean_l) == (loop.wheels.right, loop.wheels.left)
-    assert [sim._travel_r, sim._travel_l] == ref.encoders._travel
+    assert (mean_r, mean_l) == (loop.wheels.right, loop.wheels.left)
+    assert sim._encoders._travel == ref.encoders._travel
     assert (sim._flow_l, sim._flow_r) == (ref.flow_l, ref.flow_r)
     assert sim._at_report == ref.at_report
     # The state at the start of the tick in hand, or at t_us on a boundary.
     at_boundary = ref.tick_start is None
     start = loop.pose if at_boundary else ref.tick_pose
-    assert (sim._x, sim._y, sim._theta) == (start.x, start.y, start.theta)
-    assert (sim._wheel_r, sim._wheel_l, sim._path, sim._turn) == ref.sums
+    assert (x, y, theta) == (start.x, start.y, start.theta)
+    assert (wheel_r, wheel_l, path, turn) == ref.sums
     assert sim._tick_end == (ref.t_us if at_boundary else ref.tick_start + TICK_US)
     twist = wheels_to_twist(loop.ground, GEOM)
-    assert (sim._v, sim._w) == (twist.v, twist.w)
+    assert (v, w) == (twist.v, twist.w)
 
 
 holds = st.tuples(st.sampled_from(("none", "inside", "end", "past")),
@@ -453,7 +457,7 @@ def test_held_engine_keeps_signed_zeros():
         assert repr(held.advance_to(t_us)) == repr(plain.advance_to(t_us))
         assert repr(_engine_state(held)) == repr(_engine_state(plain))
         if t_us == TICK_US:
-            assert math.copysign(1.0, held._y) == -1.0
+            assert math.copysign(1.0, held._state[1]) == -1.0
     assert repr(held.truth_at_send) == repr(plain.truth_at_send)
 
 
@@ -542,8 +546,7 @@ def test_estimator_feedback_keeps_the_engine_on_python_floats():
         assert [type(f) for f in (pose.x, pose.y, pose.theta)] == [float] * 3
         ref, v_r, w_r = traj.reference_at(t_us / 1e6)
         sim.set_command(tracking_control(ref, pose, v_r, w_r, Gains(), GEOM))
-    state = (sim._cmd_right, sim._cmd_left, sim._act_right, sim._act_left,
-             sim._int_right, sim._int_left, sim._x, sim._y, sim._theta)
+    state = (*sim._target, *sim._state)
     assert [type(f) for f in state] == [float] * len(state)
 
 
@@ -567,6 +570,29 @@ def test_truth_ignores_the_sensor_settings(jitter_ms):
     assert truths() == noiseless
     assert truths("robot.noise.flow_scale=1.3",
                   "robot.noise.encoder_sigma=30") == noiseless
+
+
+def test_each_report_samples_each_sensor_model_once(monkeypatch):
+    # The engine samples every report window through the sensor models:
+    # one encoder, one flow and one gyro sample per report sent.
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(EncoderModel, "sample_speeds")
+    count(FlowModel, "sample_vw")
+    count(sim_module, "sample_gyro")
+    run = simulate_reports(load_scenario(SLIP, ()))
+    assert run.channel.sent >= 400
+    assert calls == dict.fromkeys(("sample_speeds", "sample_vw", "sample_gyro"),
+                                  run.channel.sent)
 
 
 def _chi2_quantile(n: int, z: float) -> float:

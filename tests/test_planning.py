@@ -378,9 +378,10 @@ def surveys(draw):
     return grid, world, poses, geometry, noise, draw(st.integers(0, 2**32))
 
 
-def striped_grid(res, threshold):
-    """A 16 x 16 grid with hits on every third column of alternate rows."""
-    grid = OccupancyGrid(res, (0.0, 0.0), 16, 16, occupied_threshold=threshold)
+def striped_grid(res, threshold, width=16, height=16):
+    """A grid, 16 x 16 by default, with hits on every third column of
+    alternate rows."""
+    grid = OccupancyGrid(res, (0.0, 0.0), width, height, occupied_threshold=threshold)
     grid.hits[1::2, ::3] = threshold
     grid.observed[...] = grid.hits > 0
     return grid
@@ -407,6 +408,12 @@ def striped_grid(res, threshold):
           World(Rect(0.0, 0.0, 400.0, 400.0), segments=(Segment(50.0, 0.0, 400.0, 350.0),)),
           [Posture(12.5, 12.5 + 50.0 * k, 0.0) for k in range(8)],
           RobotGeometry(ir_range_min=0.0), SensorNoise(ir_sigma=1.0), 7), 256)
+# A fine grid with few rays: the walk's cells are counted once, after
+# well over a hundred steps.
+@example((striped_grid(10.0, 2, 200, 150),
+          World(Rect(0.0, 0.0, 2000.0, 1500.0), (Rect(1400.0, 600.0, 1500.0, 900.0),)),
+          [Posture(1000.0, 750.0, 0.0), Posture(300.0, 400.0, math.pi / 4)],
+          GEOM, SensorNoise(ir_sigma=1.0), 11), 256)
 def test_batched_survey_matches_per_scan_reference(case, cast_chunk):
     grid, world, poses, geometry, noise, seed = case
     expected = OccupancyGrid(grid.resolution, grid.origin, grid.width, grid.height,

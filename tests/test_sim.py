@@ -425,3 +425,10 @@ def test_straight_dead_reckoning_quantization_limited():
                                          loop.wheels.left * TICK_S, TICK_S)[0]
     reconstructed = total_ticks * GEOM.mm_per_tick
     assert abs(reconstructed - loop.pose.x) < 0.5
+
+
+def test_clearance_of_a_segment_too_short_to_square():
+    # The segment's squared length underflows to 0.0; its distance is that
+    # of its endpoints, not a division by zero.
+    world = World(segments=(Segment(0.0, 0.0, 0.0, 1.0654625120938912e-240),))
+    assert world.clearance(400.0, 250.0) == math.hypot(400.0, 250.0)
