@@ -46,6 +46,13 @@ NOISY_BENCH_SWARM = (*BENCH_SWARM, "robot.noiseless=false")
 # loss, corruption and latency draws.
 CORRUPTING_SWARM = (*BENCH_SWARM[:3], "channel.latency_max_ms=200",
                     "channel.bit_flip_prob=0.001")
+# The same swarm with noisy gyros on a channel that flips bits: gyro noise
+# and corrupted frames in one run.
+NOISY_CORRUPTING_SWARM = (*NOISY_BENCH_SWARM, "channel.bit_flip_prob=0.002")
+# Headings beyond +-pi, wrapped on the robots, and a turn gain whose first
+# turns saturate the wheels.
+WRAPPED_SWARM = ("consensus.headings=[4.0, -4.0, 9.5, -7.25, 3.1416, -3.1416, 0.0, 12.0]",
+                 "consensus.turn_gain=400", "channel.loss_prob=0.1")
 NOISY_SWARM = ("consensus.headings=[-1.2, -0.85, -0.5, -0.15, 0.2, 0.55, 0.9, 1.25]",
                "robot.noiseless=false", "channel.loss_prob=0.1",
                "channel.latency_min_ms=50", "channel.latency_max_ms=100",
@@ -225,6 +232,11 @@ INVOCATIONS = (
      ("--seed", "5", *[a for spec in CORRUPTING_SWARM for a in ("--override", spec)])),
     ("consensus 24 robots noisy seed 5", "consensus", "consensus_demo.yaml",
      ("--seed", "5", *[a for spec in NOISY_BENCH_SWARM for a in ("--override", spec)])),
+    ("consensus 24 robots noisy corrupting seed 5", "consensus", "consensus_demo.yaml",
+     ("--seed", "5",
+      *[a for spec in NOISY_CORRUPTING_SWARM for a in ("--override", spec)])),
+    ("consensus headings beyond pi saturating turns", "consensus", "consensus_demo.yaml",
+     tuple(a for spec in WRAPPED_SWARM for a in ("--override", spec))),
     # A held command's ticks run in blocks: many blocks and heading wraps,
     # reports inside ticks on a near-zero latency, and slip edges on tick
     # starts, back to back.

@@ -146,13 +146,37 @@ def encode_frame(packet: SensorPacket) -> bytes:
         IR_OUT_OF_RANGE if r is None else _quantize(min(r, IR_MAX_MM), 1.0, 0, IR_MAX_MM)
         for r in ir
     )
-    head = _HEAD.pack(
+    return _seal(_HEAD.pack(
         SYNC, PAYLOAD_SIZE, robot_id, t_sent, ticks_l, ticks_r,
         _quantize(flow_l, FLOW_UNIT_MM, -0x8000, 0x7FFF),
         _quantize(flow_r, FLOW_UNIT_MM, -0x8000, 0x7FFF),
         gyro_mrad, *ir_wire,
-    )
+    ))
+
+
+def _seal(head: bytes) -> bytes:
+    """A frame's sync, length and payload with its CRC trailer added."""
     return head + crc16(head[2:]).to_bytes(2, "big")
+
+
+def encode_heading_frames(t_sent: int, headings: np.ndarray) -> list[bytes]:
+    """The frames of robots 0, 1, ... reporting only their gyro headings at
+    t_sent: encode_frame of each one's SensorPacket with zero ticks and
+    flows and no IR readings, after the same checks."""
+    if len(headings) > MAX_ROBOTS:
+        raise ValueError("robot_id must fit u8")
+    if not 0 <= t_sent <= 0xFFFFFFFF:
+        raise ValueError("t_sent must fit u32")
+    if np.count_nonzero(np.abs(headings) <= 3.142) < len(headings):
+        raise ValueError("gyro_heading must be wrapped to [-3142, 3142] mrad")
+    # np.rint rounds half to even, as round does in _quantize.
+    mrad = np.rint(headings / GYRO_UNIT_RAD)
+    misfit = np.abs(mrad) > 3142
+    if np.count_nonzero(misfit):
+        value = float(headings[misfit.argmax()])
+        raise ValueError(f"value {value!r} does not fit the wire field")
+    return [_seal(_HEAD.pack(SYNC, PAYLOAD_SIZE, robot_id, t_sent, 0, 0, 0, 0, q, *_NO_IR_WIRE))
+            for robot_id, q in enumerate(mrad.astype(int).tolist())]
 
 
 def decode_frame(data: bytes) -> SensorPacket:

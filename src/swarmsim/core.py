@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -24,6 +27,9 @@ ARC_EPSILON = 1e-9
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
+    if -math.pi < angle <= math.pi:
+        # What math.remainder returns for it, as a float.
+        return float(angle)
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     wrapped = math.remainder(angle, TAU)
@@ -33,46 +39,52 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
-class Posture:
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """wrap_angle of each element, as a float array: one in (-pi, pi)
+    passes unchanged, and any other goes through wrap_angle in a copy."""
+    wrapped = np.asarray(angles, dtype=float)
+    outside = ~(np.abs(wrapped) < math.pi)
+    if np.count_nonzero(outside):
+        wrapped = wrapped.copy()
+        wrapped[outside] = [wrap_angle(a) for a in wrapped[outside].tolist()]
+    return wrapped
+
+
+class Posture(NamedTuple("Posture", [("x", float), ("y", float), ("theta", float)])):
     """Planar pose (x, y, theta). Heading is wrapped on construction."""
 
-    x: float
-    y: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __new__(cls, x: float, y: float, theta: float) -> "Posture":
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("posture coordinates must be finite")
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+        return tuple.__new__(cls, (x, y, wrap_angle(theta)))
 
 
-@dataclass(frozen=True)
-class WheelSpeeds:
+class WheelSpeeds(NamedTuple("WheelSpeeds", [("right", float), ("left", float)])):
     """Right/left wheel ground speeds, mm/s.
 
     The type itself carries no speed limit; the plant and controller clamp
     commands to MAX_WHEEL_SPEED by saturation where they are applied.
     """
 
-    right: float
-    left: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.right) and math.isfinite(self.left)):
+    def __new__(cls, right: float, left: float) -> "WheelSpeeds":
+        if not (math.isfinite(right) and math.isfinite(left)):
             raise ValueError("wheel speeds must be finite")
+        return tuple.__new__(cls, (right, left))
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(NamedTuple("Twist", [("v", float), ("w", float)])):
     """Body velocity: forward speed v (mm/s) and yaw rate w (rad/s)."""
 
-    v: float
-    w: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.v) and math.isfinite(self.w)):
+    def __new__(cls, v: float, w: float) -> "Twist":
+        if not (math.isfinite(v) and math.isfinite(w)):
             raise ValueError("twist components must be finite")
+        return tuple.__new__(cls, (v, w))
 
 
 @dataclass(frozen=True)

@@ -335,15 +335,25 @@ def inflate(grid: OccupancyGrid, margin: float) -> OccupancyGrid:
     # An offset of a whole grid side or more reaches no cell.
     reach = margin / grid.resolution + 1e-9
     reach_r, reach_c = int(min(reach, h - 1)), int(min(reach, w - 1))
+    # Row by row, the occupied cells left of column boundary c (0 to w),
+    # stored at c + reach_c and edge-padded by reach_c on each side: a
+    # row's dilation by a half-width compares two column windows of it.
+    counts = np.zeros((h, w + 1 + 2 * reach_c), dtype=np.int32)
+    np.cumsum(occ, axis=1, dtype=np.int32, out=counts[:, reach_c + 1:reach_c + 1 + w])
+    counts[:, reach_c + 1 + w:] = counts[:, reach_c + w:reach_c + w + 1]
     inflated = occ.copy()
-    for di in range(-reach_r, reach_r + 1):
-        for dj in range(-reach_c, reach_c + 1):
-            if di == 0 and dj == 0:
-                continue
-            if math.hypot(di, dj) * grid.resolution > margin + 1e-9:
-                continue
-            dst, src = _shift(di, dj, h, w)
-            inflated[dst] |= occ[src]
+    half = reach_c
+    for d in range(reach_r + 1):
+        # The disc's half-width at row offset d, which shrinks as d grows.
+        while half >= 0 and math.hypot(d, half) * grid.resolution > margin + 1e-9:
+            half -= 1
+        if half < 0:
+            break
+        dilated = (counts[:, reach_c + half + 1:reach_c + half + 1 + w]
+                   > counts[:, reach_c - half:reach_c - half + w])
+        for di in {d, -d}:
+            dst, src = _shift(di, 0, h, w)
+            inflated[dst] |= dilated[src]
     out = grid.clone_empty()
     out.hits = grid.hits.copy()
     out.hits[inflated] = np.maximum(out.hits[inflated], grid.occupied_threshold)

@@ -236,13 +236,13 @@ class EncoderModel:
         the cumulative count never drifts a quantum from the travel.
         """
         sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
-        ticks = []
-        for i, travel in enumerate((right_mm, left_mm)):
-            self._travel[i] += travel + sigma * self.rng.standard_normal()
-            total = count_ticks(self._travel[i], self.geometry.mm_per_tick)
-            ticks.append(total - self._ticks[i])
-            self._ticks[i] = total
-        return ticks[0], ticks[1]
+        travel, ticks, mm_per_tick = self._travel, self._ticks, self.geometry.mm_per_tick
+        travel[0] += right_mm + sigma * self.rng.standard_normal()
+        travel[1] += left_mm + sigma * self.rng.standard_normal()
+        right, left = count_ticks(travel[0], mm_per_tick), count_ticks(travel[1], mm_per_tick)
+        counted = right - ticks[0], left - ticks[1]
+        ticks[0], ticks[1] = right, left
+        return counted
 
 
 class FlowModel:

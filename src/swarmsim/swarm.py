@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .comms import ChannelModel, FreshnessBuffer, SensorPacket, StarChannel, encode_frame
-from .core import RobotGeometry, saturate, wrap_angle
-from .sim import BlockNormals, sample_gyro
+from .comms import ChannelModel, FreshnessBuffer, StarChannel, encode_heading_frames
+# Unused, but bench/tests/test_bench_tracing.py traces it in this module.
+from .comms import encode_frame  # noqa: F401
+from .core import MAX_WHEEL_SPEED, RobotGeometry, wrap_angles
+from .sim import NOISE_BLOCK
 
 __all__ = [
     "ConsensusConfig",
@@ -116,8 +119,7 @@ class ConsensusConfig:
                              "report clock")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     t_s: float
     headings: tuple[float, ...]
     mean: float
@@ -152,46 +154,32 @@ def run_synchronous_consensus(initial_headings, cfg: ConsensusConfig) -> Consens
     return ConsensusResult(converged, state.round * period_s, state.round, trace)
 
 
-class _TurningRobot:
-    """Robot that holds position and turns in place toward a target heading.
-
-    The turn rate is proportional to the heading error and maps to an
-    opposite wheel pair, saturated like the tracking controller's. The
-    pair's forward speed is exactly zero, so the robot never leaves its
-    spot and keeps only its heading.
-    """
-
-    def __init__(self, robot_id: int, heading: float, wheel_base: float,
-                 gyro_sigma: float, rng: BlockNormals):
-        self.robot_id = robot_id
-        self.theta = wrap_angle(heading)
-        self.target = heading
-        self.wheel_base = wheel_base
-        self.gyro_sigma = gyro_sigma
-        self.rng = rng
-
-    def report(self, t_sent: int) -> bytes:
-        packet = SensorPacket(
-            robot_id=self.robot_id, t_sent=t_sent,
-            ticks_left=0, ticks_right=0,
-            flow_dx_left=0.0, flow_dx_right=0.0,
-            gyro_heading=sample_gyro(self.theta, self.gyro_sigma, self.rng),
-        )
-        return encode_frame(packet)
-
-    def wheels(self, turn_gain: float) -> tuple[float, float]:
-        """The saturated (right, left) wheel pair of the turn."""
-        w_cmd = turn_gain * wrap_angle(self.target - self.theta)
-        half_turn = self.wheel_base / 2.0 * w_cmd
-        # Zero forward speed added, so a zero pair has the signs of zeros
-        # that tracking_control gives for a pure turn.
-        return saturate(0.0 + half_turn, 0.0 - half_turn)
-
-    def advance(self, dt_s: float, turn_gain: float):
-        right, left = self.wheels(turn_gain)
-        self.theta = wrap_angle(self.theta + (right - left) / self.wheel_base * dt_s)
+def _turn_wheels(theta: np.ndarray, target: np.ndarray, turn_gain: float,
+                 wheel_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (right, left) wheel pairs that turn robots at headings theta in
+    place toward target: a turn rate proportional to the heading error as
+    an opposite pair, saturated as saturate does, element by element. Its
+    forward speed is exactly zero, so a robot keeps only its heading."""
+    half_turn = wheel_base / 2.0 * (turn_gain * wrap_angles(target - theta))
+    # Zero forward speed added, so a zero pair has the signs of zeros that
+    # tracking_control gives for a pure turn.
+    right, left = 0.0 + half_turn, 0.0 - half_turn
+    # Both wheels of a pair have the speed |half_turn|. A factor of exactly
+    # 1 leaves an unsaturated pair as it is.
+    scale = MAX_WHEEL_SPEED / np.maximum(np.abs(half_turn), MAX_WHEEL_SPEED)
+    return right * scale, left * scale
 
 
+def _turn_step(theta: np.ndarray, target: np.ndarray, turn_gain: float,
+               wheel_base: float, dt_s: float) -> np.ndarray:
+    """The wrapped headings after turning toward target for dt_s seconds."""
+    right, left = _turn_wheels(theta, target, turn_gain, wheel_base)
+    return wrap_angles(theta + (right - left) / wheel_base * dt_s)
+
+
+# A gain or gyro noise that overflows makes a heading non-finite, which
+# wrap_angles rejects with wrap_angle's error and no numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
                             channel_model: ChannelModel | None = None,
                             geometry: RobotGeometry | None = None,
@@ -213,14 +201,16 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
     geometry = geometry or RobotGeometry()
     channel_model = channel_model or ChannelModel()
 
-    robots = [
-        _TurningRobot(i, h, geometry.wheel_base, gyro_sigma,
-                      BlockNormals(np.random.default_rng([seed, i, 1])))
-        for i, h in enumerate(headings)
-    ]
     channel = StarChannel(channel_model, np.random.default_rng([seed, 0xFFFF, 2]))
+    target = np.array(headings)
+    theta = wrap_angles(target)
+    # Each robot's gyro noise is its own stream, read one normal a round.
+    # A noiseless gyro reads theta plus a signed zero, which quantizes to
+    # the same frame, so it needs no stream.
+    streams = [np.random.default_rng([seed, i, 1])
+               for i in range(len(headings))] if gyro_sigma else []
     buffer = FreshnessBuffer()
-    expected_ids = [r.robot_id for r in robots]
+    expected_ids = list(range(len(headings)))
 
     period_s = cfg.round_period_ms / 1e3
     trace: list[RoundRecord] = []
@@ -230,9 +220,14 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
 
     for round_idx in range(1, cfg.max_rounds + 1):
         t_ms = round_idx * cfg.round_period_ms
-        t_sent = int(round(t_ms))
-        for robot in robots:
-            channel.send(robot.report(t_sent), t_ms, robot.robot_id)
+        gyro = theta
+        if streams:
+            column = (round_idx - 1) % NOISE_BLOCK
+            if column == 0:
+                noise = np.array([rng.standard_normal(NOISE_BLOCK) for rng in streams])
+            gyro = wrap_angles(theta + gyro_sigma * noise[:, column])
+        for robot_id, frame in enumerate(encode_heading_frames(int(round(t_ms)), gyro)):
+            channel.send(frame, t_ms, robot_id)
         for packet in channel.receive(t_ms):
             buffer.update(packet)
         if buffer.robot_ids() == expected_ids:
@@ -242,16 +237,15 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
                     staleness_warnings += 1
             values = [p.gyro_heading for p in latest]
             m = mean_heading(values)
-            for robot, h in zip(robots, values):
-                robot.target = h + cfg.k * (m - h)
+            target = np.array(values)
+            target += cfg.k * (m - target)
             width = spread(values)
             trace.append(RoundRecord(t_ms / 1e3, tuple(values), m, width))
             streak = _check_settled(streak, width, cfg)
             if streak >= cfg.settle_rounds:
                 converged_at = t_ms / 1e3
                 break
-        for robot in robots:
-            robot.advance(period_s, cfg.turn_gain)
+        theta = _turn_step(theta, target, cfg.turn_gain, geometry.wheel_base, period_s)
 
     if converged_at is not None:
         return ConsensusResult(True, converged_at, len(trace), trace,

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from swarmsim.core import (
     ARC_EPSILON,
+    TAU,
     Posture,
     RobotGeometry,
     Twist,
@@ -15,7 +17,9 @@ from swarmsim.core import (
     integrate_unicycle,
     wheels_to_twist,
     wrap_angle,
+    wrap_angles,
 )
+from swarmsim.swarm import RoundRecord
 
 GEOM = RobotGeometry()
 
@@ -192,12 +196,84 @@ def test_posture_wraps_on_construction():
 
 
 def test_types_reject_non_finite():
-    with pytest.raises(ValueError):
-        Posture(math.nan, 0, 0)
-    with pytest.raises(ValueError):
-        WheelSpeeds(math.inf, 0)
-    with pytest.raises(ValueError):
-        Twist(0, math.nan)
+    for make, message in ((lambda bad: Posture(bad, 0, 0), "posture coordinates"),
+                          (lambda bad: Posture(0, bad, 0), "posture coordinates"),
+                          (lambda bad: WheelSpeeds(bad, 0), "wheel speeds"),
+                          (lambda bad: WheelSpeeds(0, bad), "wheel speeds"),
+                          (lambda bad: Twist(bad, 0), "twist components"),
+                          (lambda bad: Twist(0, bad), "twist components")):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{message} must be finite$"):
+                make(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$"):
+            Posture(0, 0, bad)
+
+
+# --- the value types: checked tuples -----------------------------------------
+
+
+def remainder_wrap(angle):
+    # wrap_angle before its in-range early return.
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    wrapped = math.remainder(angle, TAU)
+    if wrapped <= -math.pi:
+        wrapped += TAU
+    return wrapped
+
+
+_EDGE_ANGLES = (0, 3, -3, 4, 7, -7, np.float64(0.5), np.float64(-4.0), 0.0, -0.0,
+                math.pi, -math.pi, math.nextafter(math.pi, 0), math.nextafter(-math.pi, 0),
+                math.nextafter(math.pi, 4), math.nextafter(-math.pi, -4), 1e300, -1e300,
+                5e-324, 3 * math.pi, -3 * math.pi)
+wide_angles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_ANGLES)
+
+
+@given(wide_angles)
+def test_wrap_fast_path_matches_the_remainder_path(a):
+    assert type(wrap_angle(a)) is float
+    assert wrap_angle(a).hex() == remainder_wrap(a).hex()
+
+
+@given(st.lists(wide_angles, max_size=40))
+@example(list(_EDGE_ANGLES))
+def test_array_wrap_matches_wrap_angle_elementwise(values):
+    array = np.array(values, dtype=float)
+    before = array.copy()
+    wrapped = wrap_angles(array)
+    assert [w.hex() for w in wrapped.tolist()] == [
+        remainder_wrap(float(a)).hex() for a in values]
+    np.testing.assert_array_equal(array, before)
+
+
+def test_array_wrap_raises_as_wrap_angle_does():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^angle must be finite, got {bad!r}$"):
+            wrap_angles(np.array([0.5, 7.0, bad, math.inf]))
+
+
+@given(wide_angles)
+@example(0)
+@example(np.float64(-0.0))
+def test_posture_heading_is_a_wrapped_python_float(theta):
+    pose = Posture(1, 2.5, theta)
+    assert type(pose.theta) is float
+    assert -math.pi < pose.theta <= math.pi
+    assert pose.theta.hex() == remainder_wrap(theta).hex()
+    assert (pose.x, pose.y) == (1, 2.5)
+
+
+def test_value_type_reprs_and_fields():
+    assert repr(Posture(1.0, -2, -0.0)) == "Posture(x=1.0, y=-2, theta=-0.0)"
+    assert repr(WheelSpeeds(180.0, -0.5)) == "WheelSpeeds(right=180.0, left=-0.5)"
+    assert repr(Twist(3, 0.25)) == "Twist(v=3, w=0.25)"
+    assert (repr(RoundRecord(0.07, (0.5, -0.0), 0.25, 0.5))
+            == "RoundRecord(t_s=0.07, headings=(0.5, -0.0), mean=0.25, spread=0.5)")
+    pose = Posture(1.0, 2.0, -math.pi)
+    assert pose == (1.0, 2.0, math.pi) and hash(pose) == hash((1.0, 2.0, math.pi))
+    with pytest.raises(AttributeError):
+        pose.theta = 0.0
 
 
 def test_geometry_validation():

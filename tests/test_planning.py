@@ -17,6 +17,7 @@ from swarmsim.planning import (
     InvalidEndpoint,
     NoPath,
     OccupancyGrid,
+    _shift,
     astar,
     grid_header_text,
     grid_to_pgm,
@@ -620,6 +621,51 @@ def test_inflate_monotone_in_margin():
         nxt = inflate(g, margin).occupancy()
         assert (nxt | previous == nxt).all()
         previous = nxt
+
+
+def reference_inflated_mask(grid, margin):
+    """The occupancy inflate marks: one OR of the whole grid per offset of
+    the disc."""
+    occ = grid.occupancy()
+    h, w = occ.shape
+    reach = margin / grid.resolution + 1e-9
+    reach_r, reach_c = int(min(reach, h - 1)), int(min(reach, w - 1))
+    inflated = occ.copy()
+    for di in range(-reach_r, reach_r + 1):
+        for dj in range(-reach_c, reach_c + 1):
+            if di == 0 and dj == 0:
+                continue
+            if math.hypot(di, dj) * grid.resolution > margin + 1e-9:
+                continue
+            dst, src = _shift(di, dj, h, w)
+            inflated[dst] |= occ[src]
+    return inflated
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 40), height=st.integers(1, 40),
+       density=st.sampled_from((0.0, 0.01, 0.1, 0.5, 1.0)),
+       res=st.sampled_from((0.5, 1.0, 3.0, 25.0, 50.0)),
+       cells=st.floats(0.0, 45.0),
+       nudge=st.sampled_from((0.0, 1e-9, -1e-9, 2e-9, -2e-9, -7.5e-10)),
+       seed=st.integers(0, 2**32))
+@example(width=9, height=9, density=0.1, res=0.5, cells=3.0, nudge=-7.5e-10, seed=1)
+@example(width=9, height=9, density=0.1, res=3.0, cells=2.0, nudge=-2e-9, seed=2)
+def test_inflate_matches_the_per_offset_reference(width, height, density, res, cells,
+                                                  nudge, seed):
+    # Margins on and next to a disc's cell distances, where the 1e-9 slack
+    # decides, on grids finer and coarser than 1 mm: at 0.5 mm a margin of
+    # 1.5 - 7.5e-10 mm passes the distance test for three cells but not the
+    # reach bound, and at 3 mm one of 6 - 2e-9 mm the other way round.
+    grid = OccupancyGrid(res, (0.0, 0.0), width, height)
+    grid.observed[:] = True
+    block = np.random.default_rng(seed).random((height, width)) < density
+    grid.hits[block] = grid.occupied_threshold
+    margin = max(0.0, cells * res + nudge)
+    out = inflate(grid, margin)
+    expected = reference_inflated_mask(grid, margin)
+    np.testing.assert_array_equal(out.occupancy(), expected)
+    np.testing.assert_array_equal(out.observed, grid.observed | expected)
 
 
 def test_offsets_past_the_grid_change_nothing():

@@ -1,20 +1,28 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swarmsim.comms import ChannelModel
+from swarmsim import swarm
+from swarmsim.comms import (ChannelModel, FreshnessBuffer, SensorPacket, StarChannel,
+                            encode_frame)
 from swarmsim.control import Gains, tracking_control
-from swarmsim.core import (Posture, RobotGeometry, integrate_unicycle, wheels_to_twist,
-                           wrap_angle)
+from swarmsim.core import (Posture, RobotGeometry, integrate_unicycle, saturate,
+                           wheels_to_twist, wrap_angle)
+from swarmsim.sim import BlockNormals, sample_gyro
 from swarmsim.swarm import (
     ConsensusConfig,
+    ConsensusResult,
+    RoundRecord,
     SwarmState,
-    _TurningRobot,
+    _check_settled,
+    _turn_step,
+    _turn_wheels,
     consensus_step,
     mean_heading,
     run_networked_consensus,
@@ -212,19 +220,154 @@ def test_turning_robot_matches_a_pure_turn_of_the_tracking_controller(
     # at its own pose, zero speed and the turn as feedforward; its wheel
     # pair, saturated or not, and its step must stay that bit for bit.
     geometry = RobotGeometry(wheel_base=wheel_base)
-    robot = _TurningRobot(robot_id, heading, wheel_base, 0.0,
-                          np.random.default_rng(0))
-    robot.target = heading if target is None else target
+    theta = np.array([wrap_angle(heading)])
+    goal = np.array([heading if target is None else target])
     pose = Posture(300.0 * robot_id, 0.0, heading)
-    w = turn_gain * wrap_angle(robot.target - pose.theta)
+    w = turn_gain * wrap_angle(goal[0] - pose.theta)
     expected = tracking_control(pose, pose, 0.0, w, Gains(), geometry)
-    assert _bits(robot.wheels(turn_gain)) == _bits((expected.right, expected.left))
-    robot.advance(0.07, turn_gain)
+    right, left = _turn_wheels(theta, goal, turn_gain, wheel_base)
+    assert _bits((right.item(), left.item())) == _bits((expected.right, expected.left))
     after = integrate_unicycle(pose, wheels_to_twist(expected, geometry), 0.07)
-    assert robot.theta.hex() == after.theta.hex()
+    stepped = _turn_step(theta, goal, turn_gain, wheel_base, 0.07)
+    assert stepped.item().hex() == after.theta.hex()
     # The pair has zero forward speed, so the plant never moves the robot:
     # it need not keep x and y.
     assert (after.x.hex(), after.y.hex()) == (pose.x.hex(), pose.y.hex())
+
+
+# --- oracle: one object per robot, frames encoded one by one -------------------------
+
+
+class _TurningRobot:
+    """Robot that holds position and turns in place toward a target heading."""
+
+    def __init__(self, robot_id: int, heading: float, wheel_base: float,
+                 gyro_sigma: float, rng: BlockNormals):
+        self.robot_id = robot_id
+        self.theta = wrap_angle(heading)
+        self.target = heading
+        self.wheel_base = wheel_base
+        self.gyro_sigma = gyro_sigma
+        self.rng = rng
+
+    def report(self, t_sent: int) -> bytes:
+        packet = SensorPacket(
+            robot_id=self.robot_id, t_sent=t_sent,
+            ticks_left=0, ticks_right=0,
+            flow_dx_left=0.0, flow_dx_right=0.0,
+            gyro_heading=sample_gyro(self.theta, self.gyro_sigma, self.rng),
+        )
+        return encode_frame(packet)
+
+    def wheels(self, turn_gain: float) -> tuple[float, float]:
+        w_cmd = turn_gain * wrap_angle(self.target - self.theta)
+        half_turn = self.wheel_base / 2.0 * w_cmd
+        return saturate(0.0 + half_turn, 0.0 - half_turn)
+
+    def advance(self, dt_s: float, turn_gain: float):
+        right, left = self.wheels(turn_gain)
+        self.theta = wrap_angle(self.theta + (right - left) / self.wheel_base * dt_s)
+
+
+def reference_consensus(headings, cfg, channel_model, geometry, gyro_sigma, seed):
+    """The per-robot round loop; returns the result and its channel."""
+    robots = [
+        _TurningRobot(i, float(h), geometry.wheel_base, gyro_sigma,
+                      BlockNormals(np.random.default_rng([seed, i, 1])))
+        for i, h in enumerate(headings)
+    ]
+    channel = StarChannel(channel_model, np.random.default_rng([seed, 0xFFFF, 2]))
+    buffer = FreshnessBuffer()
+    expected_ids = [r.robot_id for r in robots]
+    period_s = cfg.round_period_ms / 1e3
+    trace = []
+    staleness_warnings = 0
+    streak = 0
+    for round_idx in range(1, cfg.max_rounds + 1):
+        t_ms = round_idx * cfg.round_period_ms
+        t_sent = int(round(t_ms))
+        for robot in robots:
+            channel.send(robot.report(t_sent), t_ms, robot.robot_id)
+        for packet in channel.receive(t_ms):
+            buffer.update(packet)
+        if buffer.robot_ids() == expected_ids:
+            latest = [buffer.latest(i) for i in expected_ids]
+            for packet in latest:
+                if t_ms - packet.t_sent > cfg.staleness_horizon_ms:
+                    staleness_warnings += 1
+            values = [p.gyro_heading for p in latest]
+            m = mean_heading(values)
+            for robot, h in zip(robots, values):
+                robot.target = h + cfg.k * (m - h)
+            width = spread(values)
+            trace.append(RoundRecord(t_ms / 1e3, tuple(values), m, width))
+            streak = _check_settled(streak, width, cfg)
+            if streak >= cfg.settle_rounds:
+                return ConsensusResult(True, t_ms / 1e3, len(trace), trace,
+                                       staleness_warnings), channel
+        for robot in robots:
+            robot.advance(period_s, cfg.turn_gain)
+    return ConsensusResult(False, cfg.max_rounds * period_s, len(trace), trace,
+                           staleness_warnings), channel
+
+
+def _result_bits(result: ConsensusResult) -> tuple:
+    records = [(r.t_s.hex(), tuple(h.hex() for h in r.headings), r.mean.hex(),
+                r.spread.hex()) for r in result.trace]
+    return (result.converged, result.time_s.hex(), result.rounds,
+            result.staleness_warnings, records)
+
+
+def _channel_counts(channel: StarChannel) -> tuple[int, int, int, int]:
+    return channel.sent, channel.dropped, channel.undecodable, channel.pending
+
+
+@settings(max_examples=120, deadline=None)
+@given(headings=st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=256),
+       gyro_sigma=st.sampled_from((0.0, 0.01, 0.3)),
+       loss=st.floats(0.0, 0.5), bit_flip=st.sampled_from((0.0, 0.002)),
+       latency_min=st.floats(0.0, 100.0), latency_span=st.floats(0.0, 300.0),
+       k=st.floats(0.05, 1.95), epsilon=st.floats(1e-3, 0.5),
+       settle_rounds=st.integers(1, 10), max_rounds=st.integers(1, 90),
+       round_period_ms=st.sampled_from((70.0, 70.5, 33.3)),
+       staleness_horizon_ms=st.floats(50.0, 500.0),
+       turn_gain=st.one_of(st.just(8.0), st.floats(0.5, 1e4)),
+       wheel_base=st.one_of(st.just(100.0), st.floats(1e-3, 1e3)),
+       seed=st.integers(0, 2**32))
+@example(headings=[-4.0 + 0.03125 * i for i in range(256)], gyro_sigma=0.3, loss=0.5,
+         bit_flip=0.002, latency_min=0.0, latency_span=300.0, k=0.2, epsilon=0.01,
+         settle_rounds=10, max_rounds=80, round_period_ms=70.0,
+         staleness_horizon_ms=100.0, turn_gain=1e4, wheel_base=1e-3, seed=5)
+@example(headings=[math.pi, -math.pi, 3 * math.pi, -7.5, 0.0, -0.0], gyro_sigma=0.0,
+         loss=0.1, bit_flip=0.0, latency_min=50.0, latency_span=50.0, k=0.2,
+         epsilon=0.01, settle_rounds=10, max_rounds=90, round_period_ms=70.0,
+         staleness_horizon_ms=500.0, turn_gain=8.0, wheel_base=100.0, seed=0)
+def test_networked_consensus_matches_the_per_robot_oracle(
+        headings, gyro_sigma, loss, bit_flip, latency_min, latency_span, k, epsilon,
+        settle_rounds, max_rounds, round_period_ms, staleness_horizon_ms, turn_gain,
+        wheel_base, seed):
+    cfg = ConsensusConfig(k=k, epsilon=epsilon, max_rounds=max_rounds,
+                          round_period_ms=round_period_ms, settle_rounds=settle_rounds,
+                          staleness_horizon_ms=staleness_horizon_ms,
+                          turn_gain=turn_gain)
+    model = ChannelModel(latency_min_ms=latency_min,
+                         latency_max_ms=latency_min + latency_span,
+                         loss_prob=loss, bit_flip_prob=bit_flip)
+    geometry = RobotGeometry(wheel_base=wheel_base)
+    expected, expected_channel = reference_consensus(
+        headings, cfg, model, geometry, gyro_sigma, seed)
+    channels = []
+
+    def recording_channel(*args):
+        channels.append(StarChannel(*args))
+        return channels[-1]
+
+    with mock.patch.object(swarm, "StarChannel", recording_channel):
+        result = run_networked_consensus(headings, cfg, channel_model=model,
+                                         geometry=geometry, gyro_sigma=gyro_sigma,
+                                         seed=seed)
+    assert _result_bits(result) == _result_bits(expected)
+    assert _channel_counts(channels[0]) == _channel_counts(expected_channel)
 
 
 def test_config_validation():
