@@ -251,6 +251,21 @@ INVOCATIONS = (
     ("localize slip edges on whole-ms tick starts", "localize", "localize_slip.yaml",
      ("--override", "robot.slip=[{start_ms: 4000, end_ms: 6500, mode: scale, "
       "factor: 0.4}, {start_ms: 6500, end_ms: 9000, mode: stuck}]")),
+    # An advance_to call of at least 256 ticks runs them in blocks: one
+    # run a tick short of that, one that reaches it, and an estimator-fed
+    # track whose 700 ms control calls run 280 ticks each.
+    ("localize slip 255 ticks", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=0.6375")),
+    ("localize slip 256 ticks", "localize", "localize_slip.yaml",
+     ("--override", "duration_s=0.64")),
+    ("track estimator 700 ms control period", "track", "circle_track.yaml",
+     ("--override", "control.feedback=estimator",
+      "--override", "control.period_ms=700")),
+    ("track estimator 700 ms control period scale slip", "track", "circle_track.yaml",
+     ("--override", "control.feedback=estimator",
+      "--override", "control.period_ms=700",
+      "--override",
+      "robot.slip=[{start_ms: 7350, end_ms: 12950, mode: scale, factor: 0.5}]")),
 )
 
 

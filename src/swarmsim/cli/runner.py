@@ -120,21 +120,15 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
                    slip_schedule=scenario.slip, rates=scenario.rates,
                    world=scenario.world)
     duration_us = round(scenario.duration_s * 1e6)
-    # The command holds for the whole run, so its ticks run in blocks.
-    sim.set_command(scenario.command, hold_until_us=duration_us)
+    sim.set_command(scenario.command)
     channel = StarChannel(scenario.channel,
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
     digest = hashlib.sha256()
-    delivered: list[SensorPacket] = []
-    step_us = scenario.rates.report_period_us
-    t_us = 0
-    while t_us < duration_us:
-        t_us = min(t_us + step_us, duration_us)
-        for packet in sim.advance_to(t_us):
-            frame = encode_frame(packet)
-            digest.update(frame)
-            channel.send(frame, float(packet.t_sent), packet.robot_id)
-        delivered += channel.receive(t_us / 1e3)
+    for packet in sim.advance_to(duration_us):
+        frame = encode_frame(packet)
+        digest.update(frame)
+        channel.send(frame, float(packet.t_sent), packet.robot_id)
+    delivered = channel.receive(duration_us / 1e3)
     if not delivered:
         raise RuntimeFault(
             f"no report reached the server: {channel.sent} sent, "

@@ -10,8 +10,8 @@ so runs are reproducible.
 
 ``PlantLoop`` is the reference plant, stepped one tick at a time;
 ``RobotSim``, the engine every run uses, repeats its arithmetic inline in
-one fused loop per robot or, under a held command, in blocks of ticks with
-the same float operations.  It samples each report window through
+one fused loop per robot or, over a long ``advance_to`` call, in blocks of
+ticks with the same float operations.  It samples each report window through
 ``EncoderModel``, ``FlowModel`` and ``sample_gyro``, on seed-derived
 per-robot noise streams.
 """
@@ -510,9 +510,13 @@ def stream_rng(seed: int, robot_id: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, robot_id, purpose])
 
 
-# Ticks per block of a held command (about 10 s of plant time), which
-# bounds the block's arrays whatever the run's length.
+# Ticks per block (about 10 s of plant time), which bounds the block's
+# arrays whatever the run's length.
 HELD_BLOCK_TICKS = 4096
+# An advance_to call that runs at least this many ticks computes them in
+# blocks; a shorter one steps tick by tick, which costs less per tick
+# below about this length.
+MIN_BLOCK_TICKS = 256
 # A heading that wraps again within this many ticks is summed in Python:
 # a numpy pass costs about as much as a hundred Python additions.
 WRAP_PASS_TICKS = 64
@@ -590,9 +594,10 @@ class RobotSim:
     and read one value per draw (block_draws), the values scalar draws
     would give.
 
-    A command set with ``hold_until_us`` runs the ticks that start before
-    that instant in blocks instead (``_held_block``): the wheel loops tick
-    by tick, then the twist, chord step, heading and sums as array
+    The command in force at a call holds until its end, so a call that
+    runs at least MIN_BLOCK_TICKS ticks computes every tick that starts
+    before its target in blocks instead (``_held_block``): the wheel loops
+    tick by tick, then the twist, chord step, heading and sums as array
     operations, the same float operations in the same order, so the same
     doubles.  ``advance_to`` then reads the state at each report from the
     block.
@@ -627,10 +632,6 @@ class RobotSim:
         self.t_us = 0
         # Saturated wheel targets (right, left).
         self._target = (0.0, 0.0)
-        # The command holds for ticks that start before _hold_until, and
-        # _block holds the ticks computed ahead for it (see _held_block).
-        self._hold_until = 0
-        self._block: tuple | None = None
         # The loop state, a block's rows[:, k] then ticks[:, k] (see
         # _held_block): the pose and running sums at the start of the
         # current tick, or at t_us when that is a tick boundary (t_us ==
@@ -659,18 +660,10 @@ class RobotSim:
             raise ValueError(f"report interval must be at least 1 us, got {interval}")
         return interval
 
-    def set_command(self, wheels: WheelSpeeds,
-                    hold_until_us: int | None = None) -> None:
-        """Command the wheels from the next tick boundary on.
-
-        hold_until_us says that no other command comes before the engine
-        reaches that instant, so the ticks that start before it may be
-        computed ahead in blocks.  Any later call drops those not yet run.
-        """
+    def set_command(self, wheels: WheelSpeeds) -> None:
+        """Command the wheels from the next tick boundary on."""
         self._target = (_clamp(wheels.right, MAX_WHEEL_SPEED),
                         _clamp(wheels.left, MAX_WHEEL_SPEED))
-        self._hold_until = 0 if hold_until_us is None else hold_until_us
-        self._block = None
 
     def _into_tick(self) -> float:
         """Seconds from the start of the current tick to t_us; 0 at a tick
@@ -707,29 +700,30 @@ class RobotSim:
         tick_end = self._tick_end
         next_report = self._next_report
         window_slips = ()
-        hold_until = self._hold_until
-        block_start, block_end, rows, ticks = self._block or (0, 0, None, None)
+        # The ticks that start in [t_us, target_us) run in blocks when
+        # there are at least MIN_BLOCK_TICKS of them.
+        first_tick = t_us if t_us == tick_end else tick_end
+        blocks = target_us - first_tick > (MIN_BLOCK_TICKS - 1) * tick_us
+        block_end = 0
         while t_us < target_us:
             stop = next_report if next_report < target_us else target_us
-            if slips and stop > hold_until:
+            if slips and not blocks:
                 # Events that can be active at a tick start in [t_us, stop);
-                # t / 1e3 is monotone in t.  Ticks that start before
-                # hold_until come from the block, which finds its own.
+                # t / 1e3 is monotone in t.  A block finds its own.
                 lo_ms, hi_ms = t_us / 1e3, stop / 1e3
                 window_slips = tuple(e for e in slips
                                      if e[1] > lo_ms and e[0] <= hi_ms)
             while True:
                 if t_us == tick_end:
-                    if t_us < hold_until:
-                        # A held command: take the state from the block, at
-                        # stop or at the block's end, whichever comes first.
+                    if blocks:
+                        # Take the state from the block, at stop or at the
+                        # block's end, whichever comes first.
                         if t_us >= block_end:
-                            self._block = rows = ticks = None   # free it first
-                            self._block = self._held_block(
-                                t_us, target_r, target_l,
+                            rows = ticks = None   # free the last block first
+                            block_start, block_end, rows, ticks = self._held_block(
+                                t_us, target_us, target_r, target_l,
                                 (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
                                  mean_l, v, w, act_r, act_l, int_r, int_l))
-                            block_start, block_end, rows, ticks = self._block
                         t_us = stop if stop < block_end else block_end
                         k, into = divmod(t_us - block_start, tick_us)
                         # rows[:, k] is the state at the start of tick k; at a
@@ -822,10 +816,10 @@ class RobotSim:
         self.t_us = t_us
         return sent
 
-    def _held_block(self, t0: int, target_r: float, target_l: float,
+    def _held_block(self, t0: int, end_us: int, target_r: float, target_l: float,
                     state: tuple[float, ...]) -> tuple:
-        """The ticks of the held command from the tick boundary t0: those
-        that start before the hold ends, at most HELD_BLOCK_TICKS of them.
+        """The ticks of the command in force from the tick boundary t0:
+        those that start before end_us, at most HELD_BLOCK_TICKS of them.
 
         state is the loop state at t0, in the layout of _state.  Returns
         (t0, the block's end, rows, ticks): rows[:, k] holds (x, y, wheel_r,
@@ -836,7 +830,7 @@ class RobotSim:
         advance_to's float operations, in the same order.
         """
         tick_us, tick_s = TICK_US, TICK_S
-        n = min(HELD_BLOCK_TICKS, -((t0 - self._hold_until) // tick_us))
+        n = min(HELD_BLOCK_TICKS, -((t0 - end_us) // tick_us))
         kp, ki, lag_end = PI_KP, PI_KI, LAG_END
         v_max = MAX_WHEEL_SPEED
         v_min = -v_max

@@ -1,21 +1,24 @@
 """The fused sensor engine against the reference plant.
 
-`RobotSim.advance_to` writes the plant tick and slip lookup inline, or
-computes a held command's ticks in blocks, and samples each report window
-through `EncoderModel` and `FlowModel` on block-drawn noise. `ReferenceSim`
-below is the engine as one call per tick and per window: it calls
-`PlantLoop.advance` once per tick, `integrate_unicycle` for a pose inside a
-tick, `EncoderModel.sample_speeds` and `FlowModel.sample_vw` once per
-report window, and `sample_gyro` and `sample_ir`, with scalar noise draws.
+`RobotSim.advance_to` writes the plant tick and slip lookup inline or, in
+a call that runs at least `MIN_BLOCK_TICKS` ticks, computes them in blocks,
+and samples each report window through `EncoderModel` and `FlowModel` on
+block-drawn noise. `ReferenceSim` below is the engine as one call per tick
+and per window: it calls `PlantLoop.advance` once per tick,
+`integrate_unicycle` for a pose inside a tick, `EncoderModel.sample_speeds`
+and `FlowModel.sample_vw` once per report window, and `sample_gyro` and
+`sample_ir`, with scalar noise draws.
 Both must produce the same packets, truth, pose, wheel state and counters,
 bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import math
+import runpy
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,12 +28,14 @@ from swarmsim import sim as sim_module
 from swarmsim.cli import runner
 from swarmsim.cli.runner import simulate_reports
 from swarmsim.cli.scenario import load_scenario
-from swarmsim.comms import SensorPacket, wrap_flow, wrap_i16
+from swarmsim.comms import SensorPacket, StarChannel, encode_frame, wrap_flow, wrap_i16
 from swarmsim.control import Gains, circle_trajectory, tracking_control
 from swarmsim.core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle,
                            wheels_to_twist, wrap_angle)
 from swarmsim.estimation import EkfConfig, ReportConverter, filter_step, initial_belief
 from swarmsim.sim import (
+    MIN_BLOCK_TICKS,
+    STREAM_CHANNEL,
     STREAM_ENCODER,
     STREAM_FLOW,
     STREAM_GYRO,
@@ -103,9 +108,7 @@ class ReferenceSim:
         return int(self.schedule_rng.integers(
             self.report_us - self.jitter_us, self.report_us + self.jitter_us + 1))
 
-    def set_command(self, wheels: WheelSpeeds,
-                    hold_until_us: int | None = None) -> None:
-        # The reference steps every tick whatever the caller promises.
+    def set_command(self, wheels: WheelSpeeds) -> None:
         self.loop.set_command(wheels.right, wheels.left)
 
     def into_tick(self) -> float:
@@ -293,39 +296,7 @@ def test_fused_engine_matches_reference_over_a_long_turning_run_with_slip():
     assert sim.pose == ref.pose
 
 
-# --- a held command: ticks computed in blocks ---------------------------------
-
-
-def _hold_until(kind: str, frac: float, t0: int, t1: int, end_us: int) -> int | None:
-    """The hold promised for a command set at t0 that runs until t1 (or,
-    set at the last window's end, until end_us): none, inside the window,
-    at its end, or past the run."""
-    if kind == "none":
-        return None
-    if kind == "inside":
-        return t0 + 1 + int(frac * max(t1 - t0 - 1, 0))
-    if kind == "end":
-        return t1
-    return end_us + 1 + int(frac * 1e6)
-
-
-def _run_held(sim, windows, command, first_hold) -> tuple[list, str | None]:
-    """_run with each command set under a drawn hold; windows hold
-    (step_us, new command or None, hold kind, hold fraction)."""
-    ends = list(itertools.accumulate(step_us for step_us, *_ in windows))
-    end_us = ends[-1]
-    sent = []
-    sim.set_command(WheelSpeeds(*command), _hold_until(*first_hold, 0, ends[0], end_us))
-    try:
-        for i, (_, new_command, kind, frac) in enumerate(windows):
-            sent += sim.advance_to(ends[i])
-            if new_command is not None:
-                t1 = ends[i + 1] if i + 1 < len(ends) else end_us
-                sim.set_command(WheelSpeeds(*new_command),
-                                _hold_until(kind, frac, ends[i], t1, end_us))
-    except RuntimeFault as fault:
-        return sent, str(fault)
-    return sent, None
+# --- long calls: ticks computed in blocks -------------------------------------
 
 
 def _engine_state(sim: RobotSim) -> tuple:
@@ -360,27 +331,41 @@ def _assert_matches_reference(sim: RobotSim, ref: ReferenceSim) -> None:
     assert (v, w) == (twist.v, twist.w)
 
 
-holds = st.tuples(st.sampled_from(("none", "inside", "end", "past")),
-                  st.floats(0.0, 1.0))
-held_windows = st.lists(
-    st.tuples(st.integers(1, 120_000), st.one_of(st.none(), commands),
-              st.sampled_from(("none", "inside", "end", "past")), st.floats(0.0, 1.0)),
+def _count_blocks(monkeypatch) -> list:
+    """Patch RobotSim._held_block to record each block it returns."""
+    built = []
+    held_block = RobotSim._held_block
+
+    def recording(self, *args):
+        built.append(held_block(self, *args))
+        return built[-1]
+
+    monkeypatch.setattr(RobotSim, "_held_block", recording)
+    return built
+
+
+# Call lengths on both sides of MIN_BLOCK_TICKS: a call that runs fewer
+# ticks steps them one by one, a longer one runs them in blocks.
+block_windows = st.lists(
+    st.tuples(st.one_of(st.integers(1, 120_000),
+                        st.integers((MIN_BLOCK_TICKS - 2) * TICK_US,
+                                    (MIN_BLOCK_TICKS + 1) * TICK_US),
+                        st.integers(1, 2 * MIN_BLOCK_TICKS * TICK_US)),
+              st.one_of(st.none(), commands)),
     min_size=1, max_size=12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), command=commands,
        schedule=st.lists(slip_events, max_size=3), rates=rates(),
-       noise=noises, world=worlds, windows=held_windows,
-       heading=st.floats(-3.14159, 3.14159), first_hold=holds)
+       noise=noises, world=worlds, windows=block_windows,
+       heading=st.floats(-3.14159, 3.14159))
 # The robot leaves the world at the report of t = 1.47 s, inside a block.
 @example(seed=1, command=(180.0, 180.0), schedule=[], rates=Rates(),
          noise=SensorNoise(), world=World(bounds=Rect(-250.0, -250.0, 250.0, 250.0)),
-         windows=[(120_000, None, "none", 0.0)] * 13, heading=0.0,
-         first_hold=("past", 0.5))
-def test_held_engine_matches_per_step_reference(seed, command, schedule, rates,
-                                                noise, world, windows, heading,
-                                                first_hold):
+         windows=[(1_560_000, None)], heading=0.0)
+def test_block_engine_matches_per_step_reference(seed, command, schedule, rates,
+                                                 noise, world, windows, heading):
     start = Posture(0.0, 0.0, heading)
     schedule = tuple(schedule)
 
@@ -390,16 +375,14 @@ def test_held_engine_matches_per_step_reference(seed, command, schedule, rates,
 
     sim = engine()
     ref = ReferenceSim(noise, start, seed, schedule, rates, world)
-    sent, fault = _run_held(sim, windows, command, first_hold)
-    assert (sent, fault) == _run_held(ref, windows, command, first_hold)
+    sent, fault = _run(sim, windows, command)
+    assert (sent, fault) == _run(ref, windows, command)
     assert sim.truth_at_send == ref.truth_at_send
-    # The engine without holds, which steps every tick: the same bits,
-    # signed zeros included.
+    # The engine with blocks switched off, which steps every tick: the same
+    # bits, signed zeros included.
     plain = engine()
-    plain_windows = [(step_us, new_command, "none", frac)
-                     for step_us, new_command, _, frac in windows]
-    assert repr((sent, fault)) == repr(
-        _run_held(plain, plain_windows, command, ("none", 0.0)))
+    with mock.patch.object(sim_module, "MIN_BLOCK_TICKS", math.inf):
+        assert repr((sent, fault)) == repr(_run(plain, windows, command))
     assert repr(sim.truth_at_send) == repr(plain.truth_at_send)
     if fault is not None:
         return   # a fault ends the run; the engine state after it is unused
@@ -407,20 +390,14 @@ def test_held_engine_matches_per_step_reference(seed, command, schedule, rates,
     assert repr(_engine_state(sim)) == repr(_engine_state(plain))
 
 
-def test_held_engine_matches_reference_across_many_small_blocks(monkeypatch):
-    # Blocks of 7 ticks over a 17 s run: jittered reports inside ticks
-    # (70.3 ms period), slip edges on whole-ms tick starts and two
-    # overlapping events (the first one listed wins), four heading wraps
-    # while circling, then a straight run out of the world.
+def test_block_engine_matches_reference_across_many_small_blocks(monkeypatch):
+    # Blocks of 7 ticks over a 17 s run of two advance_to calls, one per
+    # command: jittered reports inside ticks (70.3 ms period), slip edges on
+    # whole-ms tick starts and two overlapping events (the first one listed
+    # wins), four heading wraps while circling, then a straight run out of
+    # the world.
     monkeypatch.setattr(sim_module, "HELD_BLOCK_TICKS", 7)
-    built = []
-    held_block = RobotSim._held_block
-
-    def counting(self, t0, *args):
-        built.append(t0)
-        return held_block(self, t0, *args)
-
-    monkeypatch.setattr(RobotSim, "_held_block", counting)
+    built = _count_blocks(monkeypatch)
     schedule = (SlipEvent(2000.0, 3000.0, "stuck"),
                 SlipEvent(6000.0, 8500.0, "scale", factor=0.5),
                 SlipEvent(7000.0, 9000.0, "stuck"))
@@ -430,35 +407,129 @@ def test_held_engine_matches_reference_across_many_small_blocks(monkeypatch):
     sim = RobotSim(GEOM, SensorNoise(), start, 5, slip_schedule=schedule,
                    rates=rates_, world=world)
     ref = ReferenceSim(SensorNoise(), start, 5, schedule, rates_, world)
-    # Circle for 15.96 s, then head straight; each hold reaches past the run.
-    windows = ([(70_000, None, "past", 0.0)] * 227 + [(70_000, (150.0, 150.0), "past", 0.0)]
-               + [(70_000, None, "past", 0.0)] * 200)
-    sent, fault = _run_held(sim, windows, (180.0, 20.0), ("past", 0.0))
-    assert (sent, fault) == _run_held(ref, windows, (180.0, 20.0), ("past", 0.0))
+    # Circle for 15.96 s, then head straight.
+    windows = [(228 * 70_000, (150.0, 150.0)), (200 * 70_000, None)]
+    sent, fault = _run(sim, windows, (180.0, 20.0))
+    assert (sent, fault) == _run(ref, windows, (180.0, 20.0))
     assert sim.truth_at_send == ref.truth_at_send
     assert fault is not None and "left the world bounds" in fault
-    assert len(built) > 900 and all(t % TICK_US == 0 for t in built)
+    assert len(built) > 900 and all(block[0] % TICK_US == 0 for block in built)
     headings = [pose.theta for _, pose in sorted(sim.truth_at_send.items())]
     wraps = sum(abs(b - a) > math.pi for a, b in zip(headings, headings[1:]))
     assert wraps >= 4
     assert sum(packet.t_sent % 1000 != 0 for packet in sent) > 100
 
 
-def test_held_engine_keeps_signed_zeros():
+def test_block_engine_keeps_signed_zeros(monkeypatch):
     # Straight ahead from (-0.0, -0.0, -0.0): the first tick adds
     # chord * sin(-0.0) = -0.0 to y, which stays -0.0 only if the step
-    # keeps the heading's sign; the heading itself is +0.0 after it.
+    # keeps the heading's sign; the heading itself is +0.0 after it.  One
+    # call of 400 ticks runs them in blocks; the other engine steps one
+    # tick per call.
+    built = _count_blocks(monkeypatch)
     start = Posture(-0.0, -0.0, -0.0)
-    held = RobotSim(GEOM, SensorNoise(), start, 3)
-    plain = RobotSim(GEOM, SensorNoise(), start, 3)
-    held.set_command(WheelSpeeds(120.0, 120.0), hold_until_us=1_000_000)
-    plain.set_command(WheelSpeeds(120.0, 120.0))
-    for t_us in [*range(TICK_US, 10 * TICK_US, TICK_US), 1_000_000]:
-        assert repr(held.advance_to(t_us)) == repr(plain.advance_to(t_us))
-        assert repr(_engine_state(held)) == repr(_engine_state(plain))
+    blocked = RobotSim(GEOM, SensorNoise(), start, 3)
+    stepped = RobotSim(GEOM, SensorNoise(), start, 3)
+    blocked.set_command(WheelSpeeds(120.0, 120.0))
+    stepped.set_command(WheelSpeeds(120.0, 120.0))
+    sent = blocked.advance_to(1_000_000)
+    assert len(built) == 1
+    _, _, rows, _ = built[0]
+    assert math.copysign(1.0, rows[1, 1]) == -1.0
+    stepped_sent = []
+    for t_us in range(TICK_US, 1_000_000 + 1, TICK_US):
+        stepped_sent += stepped.advance_to(t_us)
         if t_us == TICK_US:
-            assert math.copysign(1.0, held._state[1]) == -1.0
-    assert repr(held.truth_at_send) == repr(plain.truth_at_send)
+            assert math.copysign(1.0, stepped._state[1]) == -1.0
+    assert len(built) == 1
+    assert repr(sent) == repr(stepped_sent)
+    assert repr(_engine_state(blocked)) == repr(_engine_state(stepped))
+    assert repr(blocked.truth_at_send) == repr(stepped.truth_at_send)
+
+
+@pytest.mark.parametrize("start_us", [0, 70_300])
+@pytest.mark.parametrize("ticks", [MIN_BLOCK_TICKS - 1, MIN_BLOCK_TICKS])
+@pytest.mark.parametrize("end_into", [1, TICK_US])
+def test_call_length_selects_the_tick_path(monkeypatch, start_us, ticks, end_into):
+    # A call that runs MIN_BLOCK_TICKS ticks builds a block, and one a tick
+    # shorter builds none; both give the reference's bits.  The call starts
+    # at t = 0, or inside a tick after the 70.3 ms report with a new
+    # command; it ends 1 us into its last tick or at its end, and slip
+    # edges fall on whole-ms tick starts inside it.
+    built = _count_blocks(monkeypatch)
+    schedule = (SlipEvent(200.0, 400.0, "scale", factor=0.4),
+                SlipEvent(400.0, 600.0, "stuck"))
+    rates_ = Rates(report_period_ms=70.3)
+    start = Posture(0.0, 0.0, 0.5)
+    sim = RobotSim(GEOM, SensorNoise(), start, 9, slip_schedule=schedule, rates=rates_)
+    ref = ReferenceSim(SensorNoise(), start, 9, schedule, rates_, None)
+    first_tick = -(-start_us // TICK_US) * TICK_US
+    windows = [(start_us, (170.0, 60.0)),
+               (first_tick + (ticks - 1) * TICK_US + end_into - start_us, None)]
+    sent, fault = _run(sim, windows, (150.0, 90.0))
+    assert (sent, fault) == _run(ref, windows, (150.0, 90.0))
+    assert fault is None and len(sent) == len(ref.truth_at_send) > 8
+    assert len(built) == (ticks >= MIN_BLOCK_TICKS)
+    assert repr(sim.truth_at_send) == repr(ref.truth_at_send)
+    _assert_matches_reference(sim, ref)
+
+
+def _stepped_reports(scenario):
+    """simulate_reports as one advance_to and one receive per report
+    period, the loop it ran before its single call; also counts the frames
+    sent after a receive instant that were due by it."""
+    sim = RobotSim(scenario.geometry, scenario.noise, scenario.start, scenario.seed,
+                   slip_schedule=scenario.slip, rates=scenario.rates,
+                   world=scenario.world)
+    sim.set_command(scenario.command)
+    channel = StarChannel(scenario.channel,
+                          stream_rng(scenario.seed, 0, STREAM_CHANNEL))
+    digest = hashlib.sha256()
+    delivered, late = [], 0
+    duration_us = round(scenario.duration_s * 1e6)
+    step_us = scenario.rates.report_period_us
+    t_us = 0
+    while t_us < duration_us:
+        last_us, t_us = t_us, min(t_us + step_us, duration_us)
+        for packet in sim.advance_to(t_us):
+            frame = encode_frame(packet)
+            digest.update(frame)
+            channel.send(frame, float(packet.t_sent), packet.robot_id)
+        late += sum(delivery[0] <= last_us / 1e3 for delivery in channel._queue)
+        delivered += channel.receive(t_us / 1e3)
+    return delivered, sim.truth_at_send, digest.hexdigest(), channel, late
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src/swarmsim/scenarios"
+LOSSY_LOCALIZE = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "scripts/output_digests.py"))["LOSSY_LOCALIZE"]
+
+
+@pytest.mark.parametrize("name, overrides, late", [
+    ("localize_slip.yaml", (), False),
+    ("localize_jitter.yaml", (), False),
+    ("localize_slip.yaml", LOSSY_LOCALIZE, False),
+    # Reports inside a millisecond after a receive instant, stamped with
+    # the millisecond before it, arrive within 0.5 ms: some are due by the
+    # receive instant before their send.
+    ("localize_jitter.yaml", ("rates.report_period_ms=70.3", "rates.report_jitter_ms=20",
+                              "channel.latency_min_ms=0", "channel.latency_max_ms=0.5"),
+     True),
+])
+def test_simulate_reports_matches_the_stepped_loop(name, overrides, late):
+    # One advance_to and one receive over the run deliver what a call and
+    # a receive per report period did: StarChannel pops in (deliver time,
+    # robot id, seq) order, so the batches joined are the one order.
+    scenario = load_scenario(SCENARIOS / name, overrides)
+    run = simulate_reports(scenario)
+    delivered, truth, digest, channel, late_frames = _stepped_reports(scenario)
+    assert repr(run.delivered) == repr(delivered)
+    assert repr(run.truth_at_send) == repr(truth)
+    assert run.noise_digest == digest
+    assert ((run.channel.sent, run.channel.dropped, run.channel.undecodable,
+             run.channel.pending)
+            == (channel.sent, channel.dropped, channel.undecodable, channel.pending))
+    assert (late_frames > 0) == late
 
 
 @settings(max_examples=200, deadline=None)
