@@ -104,6 +104,16 @@ INVOCATIONS = (
     ("consensus bundled", "consensus", "consensus_demo.yaml", ()),
     ("consensus 8 robots noisy lossy", "consensus", "consensus_demo.yaml",
      tuple(a for spec in NOISY_SWARM for a in ("--override", spec))),
+    # The synchronous rounds: to convergence, stopped unconverged at
+    # max_rounds, and settled from the first record.
+    ("consensus bundled synchronous", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.mode=synchronous")),
+    ("consensus synchronous stopped at max_rounds", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.mode=synchronous",
+      "--override", "consensus.max_rounds=12")),
+    ("consensus synchronous equal headings", "consensus", "consensus_demo.yaml",
+     ("--override", "consensus.mode=synchronous",
+      "--override", "consensus.headings=[0.4, 0.4, 0.4]")),
     ("plan bundled", "plan", "plan_arena.yaml", ()),
     ("plan noisy 25 mm", "plan", "plan_arena.yaml",
      ("--override", "robot.noiseless=false",
