@@ -27,7 +27,7 @@ from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wrap_angle
 from swarmsim.estimation import EkfConfig
 from swarmsim.planning import OccupancyGrid
 from swarmsim.sim import Rates, Rect, Segment, SensorNoise, SlipEvent, World
-from swarmsim.swarm import ConsensusConfig, SwarmState
+from swarmsim.swarm import ConsensusConfig, swarm_headings
 
 KINDS = ("track", "localize", "consensus", "plan")
 
@@ -59,16 +59,22 @@ class Num:
             raise ScenarioError(f"{path}: integer beyond the float range") from None
         if not math.isfinite(v):
             raise ScenarioError(f"{path}: must be finite, got {v!r}")
-        if 0 < abs(v) < sys.float_info.min:
+        error = self._bound_error(v)
+        if error is None and 0 < abs(v) < sys.float_info.min:
             # A subnormal divisor overflows to infinity.
-            raise ScenarioError(f"{path}: must be 0 or of size at least "
-                                f"{sys.float_info.min:g}, got {v:g}")
+            size = "0 or of size at least" if self._bound_error(0.0) is None else "at least"
+            error = f"must be {size} {sys.float_info.min:g}"
+        if error is not None:
+            raise ScenarioError(f"{path}: {error}, got {v:g}")
+        return v
+
+    def _bound_error(self, v: float) -> str | None:
         if self.lo is not None and (v < self.lo or (self.exclusive_lo and v == self.lo)):
             bound = "greater than" if self.exclusive_lo else "at least"
-            raise ScenarioError(f"{path}: must be {bound} {self.lo:g}, got {v:g}")
+            return f"must be {bound} {self.lo:g}"
         if self.hi is not None and v > self.hi:
-            raise ScenarioError(f"{path}: must be at most {self.hi:g}, got {v:g}")
-        return v
+            return f"must be at most {self.hi:g}"
+        return None
 
 
 class Int:
@@ -532,8 +538,7 @@ def parse_scenario(text: str, overrides: tuple[str, ...] = ()) -> Scenario:
     kind_fields: dict[str, Any] = {}
     if "consensus" in data:
         section = dict(data["consensus"])
-        headings = _build("consensus.headings", SwarmState,
-                          section.pop("headings")).headings
+        headings = _build("consensus.headings", swarm_headings, section.pop("headings"))
         consensus = _build("consensus", ConsensusConfig, **section)
         if len(headings) * consensus.max_rounds > _MAX_ROBOT_ROUNDS:
             raise ScenarioError(

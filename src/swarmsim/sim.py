@@ -581,7 +581,8 @@ class RobotSim:
     is the chord step from the tick's start at the tick's twist, which
     carries on for the rest of the tick.  So the pose at every tick
     boundary is the same whatever the report clock.  A command takes
-    effect at the next tick boundary.
+    effect at the next tick boundary.  The robot is robot 0: its random
+    streams and its packets carry that id.
 
     ``advance_to`` is one fused loop: the reference tick
     ``PlantLoop.advance`` and the slip lookup are written inline, float
@@ -606,24 +607,22 @@ class RobotSim:
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
                  start: Posture, seed: int,
                  slip_schedule: tuple[SlipEvent, ...] = (),
-                 rates: Rates = Rates(), world: World | None = None,
-                 robot_id: int = 0):
+                 rates: Rates = Rates(), world: World | None = None):
         self.geometry = geometry
         self.noise = noise
         self.world = world
-        self.robot_id = robot_id
         self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
                             for e in slip_schedule)
         self._encoders = EncoderModel(geometry, noise, BlockNormals(
-            stream_rng(seed, robot_id, STREAM_ENCODER)))
+            stream_rng(seed, 0, STREAM_ENCODER)))
         self._flow = FlowModel(geometry, noise, BlockNormals(
-            stream_rng(seed, robot_id, STREAM_FLOW)))
-        self._gyro_noise = BlockNormals(stream_rng(seed, robot_id, STREAM_GYRO))
-        self.ir_rng = stream_rng(seed, robot_id, STREAM_IR)
+            stream_rng(seed, 0, STREAM_FLOW)))
+        self._gyro_noise = BlockNormals(stream_rng(seed, 0, STREAM_GYRO))
+        self.ir_rng = stream_rng(seed, 0, STREAM_IR)
         self._report_us = rates.report_period_us
         self._jitter_us = rates.report_jitter_us
         if self._jitter_us:
-            schedule_rng = stream_rng(seed, robot_id, STREAM_SCHEDULE)
+            schedule_rng = stream_rng(seed, 0, STREAM_SCHEDULE)
             lo = self._report_us - self._jitter_us
             hi = self._report_us + self._jitter_us + 1
             self._jittered = block_draws(
@@ -915,7 +914,7 @@ class RobotSim:
         if self.world is not None:
             if not self.world.bounds.contains(pose.x, pose.y):
                 raise RuntimeFault(
-                    f"robot {self.robot_id} left the world bounds at "
+                    "robot 0 left the world bounds at "
                     f"t={t_us / 1e6:g} s (x={pose.x:.1f} mm, "
                     f"y={pose.y:.1f} mm)")
             ir = tuple(sample_ir(self.world, [pose.x], [pose.y], [pose.theta],
@@ -938,7 +937,7 @@ class RobotSim:
         self._flow_l += flow_l
         self._flow_r += flow_r
         packet = SensorPacket(
-            robot_id=self.robot_id,
+            robot_id=0,
             t_sent=t_us // 1000,
             ticks_left=wrap_i16(self._ticks_l),
             ticks_right=wrap_i16(self._ticks_r),

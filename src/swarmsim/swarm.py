@@ -6,7 +6,8 @@ fraction K toward the current swarm mean. That preserves the mean exactly
 and contracts every pairwise difference by (1 - K) per round, so any
 K in (0, 2) converges. Headings are treated as unwrapped scalars; demos
 keep the initial spread below pi so the arithmetic never fights the
-branch cut (a circular mean is out of scope).
+branch cut (a circular mean is out of scope). ``consensus_step`` is the
+one round rule of both modes.
 
 In networked mode the robots only report headings over the star channel;
 the server averages the freshest report per robot, hands each robot its
@@ -31,12 +32,12 @@ __all__ = [
     "ConsensusConfig",
     "ConsensusResult",
     "RoundRecord",
-    "SwarmState",
     "consensus_step",
     "mean_heading",
     "run_networked_consensus",
     "run_synchronous_consensus",
     "spread",
+    "swarm_headings",
 ]
 
 
@@ -56,35 +57,22 @@ def spread(headings) -> float:
     return max(values) - min(values)
 
 
-@dataclass(frozen=True)
-class SwarmState:
-    headings: tuple[float, ...]
-    round: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "headings", tuple(float(h) for h in self.headings))
-        if len(self.headings) < 2:
-            raise ValueError("a swarm needs at least two agents")
-
-    @property
-    def mean(self) -> float:
-        return mean_heading(self.headings)
-
-    @property
-    def spread(self) -> float:
-        return spread(self.headings)
+def swarm_headings(headings) -> tuple[float, ...]:
+    """The headings as floats; a swarm needs at least two agents."""
+    values = tuple(float(h) for h in headings)
+    if len(values) < 2:
+        raise ValueError("a swarm needs at least two agents")
+    return values
 
 
-def consensus_step(state: SwarmState, k: float) -> SwarmState:
+def consensus_step(headings, k: float) -> np.ndarray:
     """One synchronous round: every heading moves K of the way to the
     pre-step mean, simultaneously."""
     if not 0.0 < k < 2.0:
         raise ValueError("consensus gain must lie in (0, 2)")
-    m = state.mean
-    return SwarmState(
-        tuple(h + k * (m - h) for h in state.headings),
-        state.round + 1,
-    )
+    m = mean_heading(headings)
+    h = np.array(headings, dtype=float)
+    return h + k * (m - h)
 
 
 @dataclass(frozen=True)
@@ -139,19 +127,31 @@ def _check_settled(streak: int, value: float, cfg: ConsensusConfig) -> int:
     return streak + 1 if value < cfg.epsilon else 0
 
 
+def _round(t_s: float, headings: tuple[float, ...],
+           k: float) -> tuple[RoundRecord, np.ndarray]:
+    """The record of a round that sees these headings, and the targets one
+    consensus step on."""
+    record = RoundRecord(t_s, headings, mean_heading(headings), spread(headings))
+    return record, consensus_step(headings, k)
+
+
+# Headings that overflow step to infinities, as float arithmetic does,
+# without a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def run_synchronous_consensus(initial_headings, cfg: ConsensusConfig) -> ConsensusResult:
     """Iterate the pure algebraic rounds until the spread settles."""
-    state = SwarmState(tuple(initial_headings))
+    headings = swarm_headings(initial_headings)
     period_s = cfg.round_period_ms / 1e3
-    trace = [RoundRecord(0.0, state.headings, state.mean, state.spread)]
-    streak = _check_settled(0, state.spread, cfg)
-    while state.round < cfg.max_rounds and streak < cfg.settle_rounds:
-        state = consensus_step(state, cfg.k)
-        trace.append(RoundRecord(state.round * period_s, state.headings,
-                                 state.mean, state.spread))
-        streak = _check_settled(streak, state.spread, cfg)
-    converged = streak >= cfg.settle_rounds
-    return ConsensusResult(converged, state.round * period_s, state.round, trace)
+    trace: list[RoundRecord] = []
+    streak = 0
+    for rounds in range(cfg.max_rounds + 1):
+        record, target = _round(rounds * period_s, headings, cfg.k)
+        trace.append(record)
+        streak = _check_settled(streak, record.spread, cfg)
+        if streak >= cfg.settle_rounds:
+            break
+        headings = tuple(target.tolist())
+    return ConsensusResult(streak >= cfg.settle_rounds, rounds * period_s, rounds, trace)
 
 
 def _turn_wheels(theta: np.ndarray, target: np.ndarray, turn_gain: float,
@@ -195,9 +195,7 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
     Convergence means the buffered spread stayed below epsilon for
     ``settle_rounds`` consecutive rounds.
     """
-    headings = [float(h) for h in initial_headings]
-    if len(headings) < 2:
-        raise ValueError("a swarm needs at least two agents")
+    headings = swarm_headings(initial_headings)
     geometry = geometry or RobotGeometry()
     channel_model = channel_model or ChannelModel()
 
@@ -216,7 +214,6 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
     trace: list[RoundRecord] = []
     staleness_warnings = 0
     streak = 0
-    converged_at = None
 
     for round_idx in range(1, cfg.max_rounds + 1):
         t_ms = round_idx * cfg.round_period_ms
@@ -235,20 +232,13 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
             for packet in latest:
                 if t_ms - packet.t_sent > cfg.staleness_horizon_ms:
                     staleness_warnings += 1
-            values = [p.gyro_heading for p in latest]
-            m = mean_heading(values)
-            target = np.array(values)
-            target += cfg.k * (m - target)
-            width = spread(values)
-            trace.append(RoundRecord(t_ms / 1e3, tuple(values), m, width))
-            streak = _check_settled(streak, width, cfg)
+            record, target = _round(t_ms / 1e3,
+                                    tuple(p.gyro_heading for p in latest), cfg.k)
+            trace.append(record)
+            streak = _check_settled(streak, record.spread, cfg)
             if streak >= cfg.settle_rounds:
-                converged_at = t_ms / 1e3
-                break
+                return ConsensusResult(True, record.t_s, len(trace), trace,
+                                       staleness_warnings)
         theta = _turn_step(theta, target, cfg.turn_gain, geometry.wheel_base, period_s)
-
-    if converged_at is not None:
-        return ConsensusResult(True, converged_at, len(trace), trace,
-                               staleness_warnings)
     return ConsensusResult(False, cfg.max_rounds * period_s, len(trace), trace,
                            staleness_warnings)

@@ -639,6 +639,24 @@ def test_invalid_values_are_rejected_before_running(tmp_path, capsys, command,
                     key_path)
 
 
+@pytest.mark.parametrize("key, accepted", [
+    ("wheel_base", "at least"),
+    ("mm_per_tick", "at least"),
+    ("flow_separation", "at least"),
+    ("body_radius", "at least"),
+    ("ir_range_max", "at least"),
+    # A key that accepts 0 names it beside the normal sizes.
+    ("ir_range_min", "0 or of size at least"),
+])
+def test_subnormal_value_is_told_only_the_values_its_key_accepts(capsys, key,
+                                                                 accepted):
+    override = f"robot.geometry.{key}=1.0e-310"
+    assert main(["validate", SLIP, "--override", override]) == 2
+    assert capsys.readouterr().err == (
+        f"error: robot.geometry.{key}: must be {accepted} 2.22507e-308, "
+        f"got 1e-310\n")
+
+
 def test_outputs_carry_no_wall_clock(tmp_path, capsys):
     assert main(["localize", SLIP, "--out", str(tmp_path),
                  "--override", "duration_s=5.0"]) == 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,6 @@ from swarmsim.swarm import (
     ConsensusConfig,
     ConsensusResult,
     RoundRecord,
-    SwarmState,
     _check_settled,
     _turn_step,
     _turn_wheels,
@@ -28,6 +28,7 @@ from swarmsim.swarm import (
     run_networked_consensus,
     run_synchronous_consensus,
     spread,
+    swarm_headings,
 )
 
 IDEAL = ChannelModel(latency_min_ms=0.0, latency_max_ms=0.0)
@@ -48,57 +49,55 @@ def test_mean_examples():
 
 
 def test_step_examples():
-    s = consensus_step(SwarmState((0.0, 1.0)), 0.5)
-    assert s.headings == (0.25, 0.75)
-    assert s.round == 1
-    assert consensus_step(SwarmState((0.0, 1.0)), 1.0).headings == (0.5, 0.5)
-    same = consensus_step(SwarmState((0.3, 0.3, 0.3)), 0.7)
-    assert same.headings == (0.3, 0.3, 0.3)
+    assert consensus_step((0.0, 1.0), 0.5).tolist() == [0.25, 0.75]
+    assert consensus_step((0.0, 1.0), 1.0).tolist() == [0.5, 0.5]
+    same = consensus_step((0.3, 0.3, 0.3), 0.7)
+    assert same.tolist() == [0.3, 0.3, 0.3]
 
 
 def test_step_gain_domain():
     for bad in (0.0, 2.0, -0.5, 2.5):
         with pytest.raises(ValueError):
-            consensus_step(SwarmState((0.0, 1.0)), bad)
+            consensus_step((0.0, 1.0), bad)
 
 
 def test_swarm_needs_two_agents():
-    with pytest.raises(ValueError):
-        SwarmState((0.1,))
+    with pytest.raises(ValueError, match="a swarm needs at least two agents"):
+        swarm_headings((0.1,))
+    assert swarm_headings(np.array([0.1, 0.2])) == (0.1, 0.2)
 
 
 @given(headings_strategy, st.floats(0.01, 1.99))
 def test_mean_preserved(headings, k):
-    before = SwarmState(tuple(headings))
-    after = consensus_step(before, k)
-    assert after.mean == pytest.approx(before.mean, rel=1e-12, abs=1e-12)
+    after = consensus_step(headings, k)
+    assert mean_heading(after) == pytest.approx(mean_heading(headings),
+                                                rel=1e-12, abs=1e-12)
 
 
 @given(headings_strategy, st.floats(0.01, 1.99))
 def test_pairwise_contraction(headings, k):
-    before = SwarmState(tuple(headings))
-    after = consensus_step(before, k)
+    after = consensus_step(headings, k)
     for i in range(len(headings)):
         for j in range(i + 1, len(headings)):
-            want = (1 - k) * (before.headings[i] - before.headings[j])
-            got = after.headings[i] - after.headings[j]
+            want = (1 - k) * (headings[i] - headings[j])
+            got = after[i] - after[j]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_spread_contracts_geometrically_over_fifty_rounds():
-    state = SwarmState((0.9, -0.7, 0.35, -0.15, 0.2, -0.3))
+    headings = (0.9, -0.7, 0.35, -0.15, 0.2, -0.3)
     k = 0.2
-    initial = state.spread
+    initial = spread(headings)
     for _ in range(50):
-        state = consensus_step(state, k)
-    assert state.spread == pytest.approx(abs(1 - k) ** 50 * initial, rel=1e-12)
+        headings = consensus_step(headings, k)
+    assert spread(headings) == pytest.approx(abs(1 - k) ** 50 * initial, rel=1e-12)
 
 
 def test_fixed_point_iff_equal():
-    moved = consensus_step(SwarmState((0.1, 0.1, 0.100001)), 0.5)
-    assert moved.headings != (0.1, 0.1, 0.100001)
-    fixed = consensus_step(SwarmState((0.25, 0.25)), 0.5)
-    assert fixed.headings == (0.25, 0.25)
+    moved = consensus_step((0.1, 0.1, 0.100001), 0.5)
+    assert moved.tolist() != [0.1, 0.1, 0.100001]
+    fixed = consensus_step((0.25, 0.25), 0.5)
+    assert fixed.tolist() == [0.25, 0.25]
 
 
 # --- synchronous runner ------------------------------------------------------------
@@ -129,6 +128,83 @@ def test_synchronous_respects_max_rounds():
     result = run_synchronous_consensus((0.0, 1.0), cfg)
     assert not result.converged
     assert result.rounds == 40
+
+
+# --- oracle: a frozen swarm state stepped as tuples -----------------------------------
+
+
+@dataclass(frozen=True)
+class _SwarmState:
+    headings: tuple[float, ...]
+    round: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "headings", tuple(float(h) for h in self.headings))
+        if len(self.headings) < 2:
+            raise ValueError("a swarm needs at least two agents")
+
+    @property
+    def mean(self) -> float:
+        return mean_heading(self.headings)
+
+    @property
+    def spread(self) -> float:
+        return spread(self.headings)
+
+
+def _tuple_step(state: _SwarmState, k: float) -> _SwarmState:
+    if not 0.0 < k < 2.0:
+        raise ValueError("consensus gain must lie in (0, 2)")
+    m = state.mean
+    return _SwarmState(tuple(h + k * (m - h) for h in state.headings), state.round + 1)
+
+
+def reference_synchronous_consensus(initial_headings, cfg):
+    """The synchronous rounds with every heading a float of a tuple."""
+    state = _SwarmState(tuple(initial_headings))
+    period_s = cfg.round_period_ms / 1e3
+    trace = [RoundRecord(0.0, state.headings, state.mean, state.spread)]
+    streak = _check_settled(0, state.spread, cfg)
+    while state.round < cfg.max_rounds and streak < cfg.settle_rounds:
+        state = _tuple_step(state, cfg.k)
+        trace.append(RoundRecord(state.round * period_s, state.headings,
+                                 state.mean, state.spread))
+        streak = _check_settled(streak, state.spread, cfg)
+    converged = streak >= cfg.settle_rounds
+    return ConsensusResult(converged, state.round * period_s, state.round, trace)
+
+
+def _outcome(run, *args):
+    """The bits of run(*args)'s result, or the type and text of its error."""
+    try:
+        return _result_bits(run(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(headings=st.lists(st.one_of(st.floats(-12.0, 12.0), st.floats(-1e300, 1e300)),
+                         min_size=2, max_size=64),
+       k=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       epsilon=st.one_of(st.floats(1e-12, 0.5), st.just(1e-300)),
+       settle_rounds=st.integers(1, 12), max_rounds=st.integers(1, 300),
+       round_period_ms=st.sampled_from((70.0, 70.5, 33.3)))
+@example(headings=[-1.2, -0.7, -0.2, 0.3, 0.8, 1.3], k=0.2, epsilon=0.01,
+         settle_rounds=10, max_rounds=2000, round_period_ms=70.0)
+@example(headings=[0.4, 0.4, 0.4], k=0.5, epsilon=0.01, settle_rounds=10,
+         max_rounds=2000, round_period_ms=70.0)
+@example(headings=[0.0, -0.0, 5e-324], k=1.0, epsilon=1e-300, settle_rounds=3,
+         max_rounds=5, round_period_ms=70.0)
+# The steps overflow to infinities, whose mean fsum then rejects.
+@example(headings=[1.7e308, -1.7e308, -1.7e308], k=1.9, epsilon=0.01,
+         settle_rounds=10, max_rounds=20, round_period_ms=70.0)
+def test_synchronous_consensus_matches_the_tuple_oracle(
+        headings, k, epsilon, settle_rounds, max_rounds, round_period_ms):
+    cfg = ConsensusConfig(k=k, epsilon=epsilon, max_rounds=max_rounds,
+                          mode="synchronous", round_period_ms=round_period_ms,
+                          settle_rounds=settle_rounds)
+    assert (_outcome(run_synchronous_consensus, headings, cfg)
+            == _outcome(reference_synchronous_consensus, headings, cfg))
 
 
 # --- networked runner ---------------------------------------------------------------
