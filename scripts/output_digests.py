@@ -128,6 +128,8 @@ INVOCATIONS = (
      ("--override", "robot.noiseless=true")),
     ("localize slip nothing delivered", "localize", "localize_slip.yaml",
      ("--override", "channel.loss_prob=1.0")),
+    ("consensus nothing delivered", "consensus", "consensus_demo.yaml",
+     ("--override", "channel.loss_prob=1.0")),
     ("localize slip out of world", "localize", "localize_slip.yaml",
      ("--override", "world={bounds: [-300,-300,300,300]}")),
     # Validation: non-finite numbers and cross-field rules exit 2.
