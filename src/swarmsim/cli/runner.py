@@ -325,6 +325,10 @@ def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
             seed=scenario.seed,
         )
     n = len(headings)
+    if not result.trace:
+        raise RuntimeFault(
+            f"no consensus round ran: not every one of the {n} robots reached "
+            f"the server within max_rounds={cfg.max_rounds} rounds")
     header = ["t", "round", "mean", "spread"] + [f"h{i}" for i in range(n)]
     rows = [(rec.t_s, i, rec.mean, rec.spread, *rec.headings)
             for i, rec in enumerate(result.trace)]
@@ -333,7 +337,7 @@ def run_consensus(scenario: Scenario, out_dir: Path) -> RunSummary:
         "converged": result.converged,
         "rounds": result.rounds,
         "time_s": result.time_s,
-        "final_spread_rad": result.trace[-1].spread if result.trace else 0.0,
+        "final_spread_rad": result.trace[-1].spread,
         "staleness_warnings": result.staleness_warnings,
     })
     summary.files.append(write_csv(out_dir / "consensus.csv", header, rows))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,8 +32,23 @@ from swarmsim.swarm import ConsensusConfig, swarm_headings
 
 KINDS = ("track", "localize", "consensus", "plan")
 
+# A YAML 1.2 core-schema float with a dot or an exponent. YAML 1.1 reads
+# the forms with an exponent but no dot (1e6) or no exponent sign (1.0e300)
+# as strings.
+_CORE_FLOAT = re.compile(
+    r"^[-+]?(?:(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)$")
+
+
+def with_core_floats(loader: type) -> type:
+    """A subclass of loader that also reads YAML 1.2 core-schema floats."""
+    cls = type(loader.__name__, (loader,), {})
+    cls.add_implicit_resolver("tag:yaml.org,2002:float", _CORE_FLOAT,
+                              list("-+.0123456789"))
+    return cls
+
+
 # libyaml's parser, ten times faster, where PyYAML was built with it.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+YAML_LOADER = with_core_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class ScenarioError(Exception):

@@ -404,37 +404,20 @@ def run_estimators(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
                    ) -> list[list[tuple[float, ...]]]:
     """run_estimator under each (adaptive, fixed_dt_s) setting, folded in
     lockstep report by report; a repeated setting gets the same list.
-
-    Settings whose beliefs are one object and whose next step is the same
-    (the interval fixed_dt_s or meas.dt, and the wheel inflation slip and
-    adaptive) share one filter_step, so their beliefs stay one object.
-    Settings that once split never merge again.
-    """
-    outs: dict[tuple, list[tuple[float, ...]]] = {
-        setting: [] for setting in settings}
-    # Settings whose beliefs are one object, with that belief; each
-    # setting as (adaptive, fixed_dt_s, its list of means).
-    groups = [(initial_belief(start),
-               [(adaptive, fixed_dt_s, out)
-                for (adaptive, fixed_dt_s), out in outs.items()])]
+    Settings that hold one belief object and take the same step (fixed_dt_s
+    or meas.dt, and the wheel inflation slip and adaptive) share one
+    filter_step and so keep one object; once split they never merge again."""
+    outs = {setting: [] for setting in settings}
+    beliefs = dict.fromkeys(outs, initial_belief(start))
     for meas, slip in zip(reports.measurements, reports.slip_flags):
-        stepped = []
-        for belief, members in groups:
-            if len(members) == 1:
-                splits = (members,)
-            else:
-                steps: dict[tuple, list[tuple]] = {}
-                for member in members:
-                    steps.setdefault((member[1] or meas.dt, slip and member[0]),
-                                     []).append(member)
-                splits = steps.values()
-            for split in splits:
-                adaptive, fixed_dt_s, _ = split[0]
-                after = filter_step(belief, meas, slip, cfg, adaptive, fixed_dt_s)
-                stepped.append((after, split))
-                for _, _, out in split:
-                    out.append(after.mean)
-        groups = stepped
+        steps: dict[tuple, EkfBelief] = {}
+        # The snapshot keeps every keyed belief alive, so no id is reused.
+        for (adaptive, fixed_dt_s), belief in list(beliefs.items()):
+            key = (id(belief), fixed_dt_s or meas.dt, slip and adaptive)
+            if key not in steps:
+                steps[key] = filter_step(belief, meas, slip, cfg, adaptive, fixed_dt_s)
+            beliefs[adaptive, fixed_dt_s] = steps[key]
+            outs[adaptive, fixed_dt_s].append(steps[key].mean)
     return [outs[setting] for setting in settings]
 
 
@@ -448,10 +431,7 @@ def dead_reckon(reports: ConvertedReports, start: Posture,
     pose = start
     states = []
     for meas in reports.measurements:
-        if wheels:
-            twist = Twist(meas.v_wheel, meas.w_wheel)
-        else:
-            twist = Twist(meas.v_flow, meas.w_flow)
-        pose = integrate_unicycle(pose, twist, meas.dt)
-        states.append((pose.x, pose.y, pose.theta, twist.v, twist.w))
+        v, w = (meas.v_wheel, meas.w_wheel) if wheels else (meas.v_flow, meas.w_flow)
+        pose = integrate_unicycle(pose, Twist(v, w), meas.dt)
+        states.append((pose.x, pose.y, pose.theta, v, w))
     return states

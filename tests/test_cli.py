@@ -32,6 +32,8 @@ from swarmsim.cli.scenario import (
     SeqOf,
     Str,
     load_scenario,
+    parse_scenario,
+    with_core_floats,
 )
 from swarmsim.estimation import (ConvertedReports, convert_reports, dead_reckon,
                                  run_estimator)
@@ -322,18 +324,25 @@ def test_plan_endpoint_inside_wall_faults(tmp_path, capsys):
     assert "fault:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["localize", "compare"])
+@pytest.mark.parametrize("command", ["localize", "compare", "consensus"])
 @pytest.mark.parametrize("override", ["channel.loss_prob=1.0",
                                       "channel.bit_flip_prob=1.0"])
 def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
                                               override):
-    assert main([command, SLIP, "--out", str(tmp_path),
-                 "--override", "duration_s=3.0", "--override", override]) == 3
+    if command == "consensus":
+        args = [CONSENSUS_DEMO, "--override", "consensus.max_rounds=50"]
+        named = ("6 robots", "max_rounds=50")
+    else:
+        args = [SLIP, "--override", "duration_s=3.0"]
+        named = ("sent", "undecodable")
+    assert main([command, *args, "--out", str(tmp_path),
+                 "--override", override]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("fault: ")
-    assert "sent" in lines[0] and "undecodable" in lines[0]
+    assert all(word in lines[0] for word in named)
+    assert not (tmp_path / "consensus.csv").exists()
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])
@@ -882,12 +891,41 @@ def _extremes(spec):
     return tuple(dict.fromkeys(bounds + EXTREME_NUMS))
 
 
-# (run, path, value): every Num, Int and NumSeq key, against every run that
-# reads its section, at each of its extremes.
+# A list key is swept as a one-entry list: one field of the entry at a
+# time at its extremes, the others as in the entry here. The boxes lie
+# inside the bounds of both worlds the sweep runs in; the slip scales from
+# 100 ms to past the end of any run.
+ENTRIES = {
+    "robot.slip": {"start_ms": 100.0, "end_ms": 1.7e308, "mode": "scale",
+                   "factor": 0.5},
+    "world.rects": [300.0, 300.0, 400.0, 400.0],
+    "world.segments": [300.0, 300.0, 400.0, 500.0],
+}
+
+
+def _one_entry_lists(path, spec):
+    base = ENTRIES[path]
+    if isinstance(spec.item, Map):
+        fields = [(key, field) for key, (field, _) in spec.item.fields.items()
+                  if isinstance(field, (Num, Int, NumSeq))]
+    else:
+        fields = [(i, spec.item.item) for i in range(spec.item.length)]
+    values = []
+    for key, field in fields:
+        for value in _extremes(field):
+            entry = base.copy()
+            entry[key] = value
+            values.append([entry])
+    return tuple(values)
+
+
+# (run, path, value): every Num, Int, NumSeq and list key, against every run
+# that reads its section, at each of its extremes.
 SWEEP = tuple((run, path, value) for path, spec in PATHS
-              if isinstance(spec, (Num, Int, NumSeq))
+              if isinstance(spec, (Num, Int, NumSeq, SeqOf))
               for run in READERS.get(path.split(".")[0], RUNS)
-              for value in _extremes(spec))
+              for value in (_one_entry_lists(path, spec) if isinstance(spec, SeqOf)
+                            else _extremes(spec)))
 
 
 def _yaml_text(value) -> str:
@@ -933,12 +971,34 @@ def test_every_numeric_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path
     assert not failures, "\n".join(failures)
 
 
+# YAML 1.2 core-schema floats that YAML 1.1 reads as strings, and near
+# misses that stay strings.
+EXPONENT_FORMS = ["1e6", "1.0e300", "-2.5e3", "+1E-3", ".5e1", "-.5", "1.e5",
+                  "-1e400", "[1e6, {a: 2E+3}]", "1_0e3", "1e", "e5", "0128"]
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_libyaml_reads_every_scenario_and_sweep_value_as_python_yaml_does():
-    assert YAML_LOADER is yaml.CSafeLoader
+    assert issubclass(YAML_LOADER, yaml.CSafeLoader)
+    python_loader = with_core_floats(yaml.SafeLoader)
     texts = [path.read_text() for path in sorted(SCENARIOS.glob("*.yaml"))]
     texts += sorted({_yaml_text(value) for _, _, value in SWEEP})
+    texts += EXPONENT_FORMS
     for text in texts:
         # repr, because nan != nan.
-        assert (repr(yaml.load(text, Loader=yaml.CSafeLoader))
-                == repr(yaml.load(text, Loader=yaml.SafeLoader))), text
+        assert (repr(yaml.load(text, Loader=YAML_LOADER))
+                == repr(yaml.load(text, Loader=python_loader))), text
+
+
+def test_exponent_forms_read_as_numbers(capsys):
+    values = [yaml.load(text, Loader=YAML_LOADER) for text in EXPONENT_FORMS]
+    assert values == [1e6, 1e300, -2500.0, 1e-3, 5.0, -0.5, 1e5, -math.inf,
+                      [1e6, {"a": 2000.0}], "1_0e3", "1e", "e5", "0128"]
+    # Files and overrides share the loader.
+    text = Path(CONSENSUS_DEMO).read_text().replace("epsilon: 0.01", "epsilon: 1e-2")
+    assert "epsilon: 1e-2" in text
+    assert parse_scenario(text).consensus.epsilon == 0.01
+    assert load_scenario(CONSENSUS_DEMO, ("consensus.turn_gain=1e6",)
+                         ).consensus.turn_gain == 1e6
+    assert_rejected(capsys, ["validate", CONSENSUS_DEMO, "--override", "name=1e5"],
+                    "name")
