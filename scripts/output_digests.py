@@ -185,6 +185,9 @@ INVOCATIONS = (
     # A seed of any size still runs.
     ("localize 42-digit seed", "localize", "localize_slip.yaml",
      ("--override", "seed=1" + "0" * 41)),
+    # An integer with a leading zero is decimal, as YAML 1.2 reads it.
+    ("validate seed with a leading zero", "validate", "consensus_demo.yaml",
+     ("--override", "seed=010")),
     # The benchmark's two plan surveys, and IR scans inside the sensor engine.
     ("plan noisy seed 11", "plan", "plan_arena.yaml",
      ("--seed", "11", "--override", "robot.noiseless=false")),
