@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter, sub
 from pathlib import Path
 
 import numpy as np
@@ -137,18 +138,30 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
     return SensorRun(delivered, sim.truth_at_send, digest.hexdigest(), channel)
 
 
-def position_errors(reports: ConvertedReports, means,
-                    truth_at: dict[int, Posture]) -> np.ndarray:
-    """Planar error of each mean against the truth at its report's send."""
+def report_truths(reports: ConvertedReports,
+                  truth_at: dict[int, Posture]) -> tuple[list[float], ...]:
+    """The x, y and theta of the truth at each converted report's send, as
+    three columns."""
+    truths = [truth_at[int(meas.t_ms)] for meas in reports.measurements]
+    return tuple(map(list, zip(*truths))) if truths else ([], [], [])
+
+
+def planar_errors(means, truths: tuple[list[float], ...]) -> np.ndarray:
+    """Planar error of each mean against the truth in the same entry of the
+    report_truths columns, by math.hypot (np.hypot need not round the same)."""
     if not means:
         # Only reports stamped 0 ms arrived: none postdates the start.
         raise RuntimeFault("no delivered report postdates the start time, "
                            "so none could be processed")
-    errors = []
-    for meas, mean in zip(reports.measurements, means):
-        truth = truth_at[int(meas.t_ms)]
-        errors.append(math.hypot(mean[0] - truth.x, mean[1] - truth.y))
-    return np.asarray(errors)
+    x, y = itemgetter(0), itemgetter(1)
+    return np.fromiter(map(math.hypot, map(sub, map(x, means), truths[0]),
+                           map(sub, map(y, means), truths[1])), float, len(means))
+
+
+def position_errors(reports: ConvertedReports, means,
+                    truth_at: dict[int, Posture]) -> np.ndarray:
+    """Planar error of each mean against the truth at its report's send."""
+    return planar_errors(means, report_truths(reports, truth_at))
 
 
 def _rmse(errors: np.ndarray) -> float:
@@ -262,14 +275,13 @@ def run_localize(scenario: Scenario, out_dir: Path) -> RunSummary:
     means = run_estimator(reports, scenario.start, scenario.ekf,
                           adaptive=scenario.adaptive,
                           fixed_dt_s=scenario.fixed_dt_s)
-    errors = position_errors(reports, means, run.truth_at_send)
-    rows = []
-    for meas, mean, slip, err in zip(reports.measurements, means,
-                                     reports.slip_flags, errors):
-        truth = run.truth_at_send[int(meas.t_ms)]
-        rows.append((meas.t_ms / 1e3, truth.x, truth.y, truth.theta,
-                     mean[0], mean[1], wrap_angle(mean[2]), float(err),
-                     int(slip)))
+    truths = report_truths(reports, run.truth_at_send)
+    errors = planar_errors(means, truths)
+    rows = [(meas.t_ms / 1e3, *truth, mean[0], mean[1], wrap_angle(mean[2]), err,
+             int(slip))
+            for meas, truth, mean, slip, err in zip(
+                reports.measurements, zip(*truths), means, reports.slip_flags,
+                errors.tolist())]
     summary = RunSummary(scenario, {
         "reports_sent": run.channel.sent,
         "reports_processed": len(rows),
@@ -293,9 +305,10 @@ def run_compare(scenario: Scenario, out_dir: Path,
     run = simulate_reports(scenario)
     reports = convert_reports(run.delivered, scenario.geometry, scenario.ekf)
     estimates = _variant_estimates(variants, reports, scenario)
+    truths = report_truths(reports, run.truth_at_send)
     rows = []
     for name in variants:
-        errors = position_errors(reports, estimates[name], run.truth_at_send)
+        errors = planar_errors(estimates[name], truths)
         rows.append((name, _rmse(errors), float(errors[-1]),
                      reports.stale_skipped))
     summary = RunSummary(scenario)

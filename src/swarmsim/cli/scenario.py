@@ -32,23 +32,43 @@ from swarmsim.swarm import ConsensusConfig, swarm_headings
 
 KINDS = ("track", "localize", "consensus", "plan")
 
-# A YAML 1.2 core-schema float with a dot or an exponent. YAML 1.1 reads
-# the forms with an exponent but no dot (1e6) or no exponent sign (1.0e300)
-# as strings.
+# The YAML 1.2 core-schema numbers. An int is decimal, leading zeros and
+# all, or 0o octal or 0x hex; a float has a dot or an exponent, or is
+# .inf or .nan. YAML 1.1 read 010 as octal 8 and 1:30 as base-60 90, and
+# 1e6 as a string; base-60, 0b binary and underscores are strings here.
+_CORE_INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
 _CORE_FLOAT = re.compile(
-    r"^[-+]?(?:(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)$")
+    r"^(?:[-+]?(?:(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)"
+    r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$")
+_INT_TAG, _FLOAT_TAG = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_DECIMAL = re.compile(r"[-+]?[0-9]+")
 
 
-def with_core_floats(loader: type) -> type:
-    """A subclass of loader that also reads YAML 1.2 core-schema floats."""
+def _construct_int(loader, node) -> int:
+    """A decimal int as such; PyYAML reads a leading 0 as octal. Every other
+    form, 0o and 0x included, the way PyYAML reads it."""
+    text = loader.construct_scalar(node)
+    if _DECIMAL.fullmatch(text):
+        return int(text)
+    return yaml.constructor.SafeConstructor.construct_yaml_int(loader, node)
+
+
+def with_core_numbers(loader: type) -> type:
+    """A subclass of loader that reads ints and floats as the YAML 1.2 core
+    schema does, in place of its YAML 1.1 forms."""
     cls = type(loader.__name__, (loader,), {})
-    cls.add_implicit_resolver("tag:yaml.org,2002:float", _CORE_FLOAT,
-                              list("-+.0123456789"))
+    cls.yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers
+                if tag not in (_INT_TAG, _FLOAT_TAG)]
+        for first, resolvers in loader.yaml_implicit_resolvers.items()}
+    cls.add_implicit_resolver(_INT_TAG, _CORE_INT, list("-+0123456789"))
+    cls.add_implicit_resolver(_FLOAT_TAG, _CORE_FLOAT, list("-+.0123456789"))
+    cls.add_constructor(_INT_TAG, _construct_int)
     return cls
 
 
 # libyaml's parser, ten times faster, where PyYAML was built with it.
-YAML_LOADER = with_core_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+YAML_LOADER = with_core_numbers(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class ScenarioError(Exception):

@@ -15,11 +15,15 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
 from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
-from .core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
-from .sim import ENCODER_HZ, FLOW_HZ, Rates
+from .core import (ARC_EPSILON, Posture, RobotGeometry, Twist, integrate_unicycle,
+                   wrap_angle)
+from .sim import ENCODER_HZ, FLOW_HZ, Rates, _wrapped_heading
 
 STATE_DIM = 5
 # The filter keeps the covariance as its upper triangle, row by row:
@@ -424,14 +428,45 @@ def run_estimators(reports: ConvertedReports, start: Posture, cfg: EkfConfig,
 def dead_reckon(reports: ConvertedReports, start: Posture,
                 source: str) -> list[tuple[float, ...]]:
     """Open-loop integration of the "wheels" or "flow" velocities alone:
-    (x, y, theta, v, omega) after each converted report."""
+    (x, y, theta, v, omega) after each converted report.
+
+    The stream is integrated as arrays, one integrate_unicycle step per
+    report with its float operations: each step's chord and heading, the
+    heading summed and wrapped as the steps do (_wrapped_heading), and x
+    and y as running sums.  The first step that integrate_unicycle rejects
+    (a non-finite twist or dt, a negative dt, or a pose beyond the floats)
+    is run by it, so it raises that error.
+    """
     if source not in ("wheels", "flow"):
         raise ValueError(f"unknown dead-reckoning source {source!r}")
-    wheels = source == "wheels"
-    pose = start
-    states = []
-    for meas in reports.measurements:
-        v, w = (meas.v_wheel, meas.w_wheel) if wheels else (meas.v_flow, meas.w_flow)
-        pose = integrate_unicycle(pose, Twist(v, w), meas.dt)
-        states.append((pose.x, pose.y, pose.theta, v, w))
-    return states
+    measurements = reports.measurements
+    size = len(measurements)
+    col_v, col_w = (1, 2) if source == "wheels" else (3, 4)
+    dt, v, w = (np.fromiter(map(itemgetter(col), measurements), float, size)
+                for col in (0, col_v, col_w))
+    with np.errstate(all="ignore"):
+        swept = w * dt
+        # The steps before the first with a non-finite twist, dt or turn,
+        # or a negative dt.
+        valid = (np.isfinite(v) & np.isfinite(w) & np.isfinite(dt) & (dt >= 0.0)
+                 & np.isfinite(swept))
+        steps = size if valid.all() else int(np.argmin(valid))
+        swept = swept[:steps]
+        travel = v[:steps] * dt[:steps]
+        arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
+        half = 0.5 * swept
+        chord = np.where(arc, travel * np.sin(half) / half, travel)
+        theta = np.empty(steps + 1)
+        _wrapped_heading(start.theta, swept, theta)
+        heading = np.where(arc, theta[:-1] + half, theta[:-1])
+        x = np.cumsum(np.concatenate(([start.x], chord * np.cos(heading))))
+        y = np.cumsum(np.concatenate(([start.y], chord * np.sin(heading))))
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        steps = int(np.argmin(finite)) - 1
+    if steps < size:
+        meas = measurements[steps]
+        integrate_unicycle(Posture(x.item(steps), y.item(steps), theta.item(steps)),
+                           Twist(meas[col_v], meas[col_w]), meas.dt)
+    return list(zip(x[1:].tolist(), y[1:].tolist(), theta[1:].tolist(),
+                    v.tolist(), w.tolist()))

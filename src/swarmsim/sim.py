@@ -682,6 +682,42 @@ class RobotSim:
 
     def advance_to(self, target_us: int) -> list[SensorPacket]:
         """Run plant and sensors up to target time; returns reports sent."""
+        # The ticks that start in [t_us, target_us) run in blocks when
+        # there are at least MIN_BLOCK_TICKS of them.
+        first_tick = self.t_us if self.t_us == self._tick_end else self._tick_end
+        if target_us - first_tick <= (MIN_BLOCK_TICKS - 1) * TICK_US:
+            return self._step_to(target_us)
+        sent = self._step_to(first_tick)   # the rest of the tick in hand
+        target_r, target_l = self._target
+        t_us, state = first_tick, self._state
+        next_report, window_us = self._next_report, self._window_us
+        while t_us < target_us:
+            rows = ticks = None   # free the last block first
+            block_start, block_end, rows, ticks = self._held_block(
+                t_us, target_us, target_r, target_l, state)
+            t_us = min(block_end, target_us)
+            # The block's report instants and windows, drawn in schedule
+            # order.
+            instants, windows = [], []
+            while next_report <= t_us:
+                instants.append(next_report)
+                windows.append(window_us)
+                window_us = self._report_interval()
+                next_report += window_us
+            if instants:
+                sent += self._block_reports(block_start, rows, ticks, instants, windows)
+            # rows[:, k] is the state at the start of tick k; at a boundary
+            # the tick in hand is the one that just ended.
+            k, into = divmod(t_us - block_start, TICK_US)
+            tick = k if into else k - 1
+            state = tuple(rows[:, k].tolist() + ticks[:, tick].tolist())
+        self.t_us, self._tick_end = t_us, block_start + (tick + 1) * TICK_US
+        self._state = state
+        self._next_report, self._window_us = next_report, window_us
+        return sent
+
+    def _step_to(self, target_us: int) -> list[SensorPacket]:
+        """advance_to, one tick at a time."""
         sent: list[SensorPacket] = []
         t_us = self.t_us
         kp, ki = PI_KP, PI_KI
@@ -699,42 +735,16 @@ class RobotSim:
         tick_end = self._tick_end
         next_report = self._next_report
         window_slips = ()
-        # The ticks that start in [t_us, target_us) run in blocks when
-        # there are at least MIN_BLOCK_TICKS of them.
-        first_tick = t_us if t_us == tick_end else tick_end
-        blocks = target_us - first_tick > (MIN_BLOCK_TICKS - 1) * tick_us
-        block_end = 0
         while t_us < target_us:
             stop = next_report if next_report < target_us else target_us
-            if slips and not blocks:
+            if slips:
                 # Events that can be active at a tick start in [t_us, stop);
-                # t / 1e3 is monotone in t.  A block finds its own.
+                # t / 1e3 is monotone in t.
                 lo_ms, hi_ms = t_us / 1e3, stop / 1e3
                 window_slips = tuple(e for e in slips
                                      if e[1] > lo_ms and e[0] <= hi_ms)
             while True:
                 if t_us == tick_end:
-                    if blocks:
-                        # Take the state from the block, at stop or at the
-                        # block's end, whichever comes first.
-                        if t_us >= block_end:
-                            rows = ticks = None   # free the last block first
-                            block_start, block_end, rows, ticks = self._held_block(
-                                t_us, target_us, target_r, target_l,
-                                (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
-                                 mean_l, v, w, act_r, act_l, int_r, int_l))
-                        t_us = stop if stop < block_end else block_end
-                        k, into = divmod(t_us - block_start, tick_us)
-                        # rows[:, k] is the state at the start of tick k; at a
-                        # boundary the tick in hand is the one that just ended.
-                        tick = k if into else k - 1
-                        tick_end = block_start + (tick + 1) * tick_us
-                        (x, y, wheel_r, wheel_l, path, turn, theta,
-                         mean_r, mean_l, v, w, act_r, act_l, int_r, int_l
-                         ) = rows[:, k].tolist() + ticks[:, tick].tolist()
-                        if t_us == stop:
-                            break
-                        continue
                     # Wheel speed loops: PI trim with anti-windup, then the
                     # held drive through the exact motor lag.
                     error = target_r - act_r
@@ -805,7 +815,12 @@ class RobotSim:
                 self.t_us, self._tick_end = t_us, tick_end
                 self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
                                mean_l, v, w, act_r, act_l, int_r, int_l)
-                sent.append(self._assemble_report())
+                # The running sums at t_us.
+                into = self._into_tick()
+                sent.append(self._sample_report(
+                    t_us, self._window_us, self.pose,
+                    (wheel_r + mean_r * into, wheel_l + mean_l * into,
+                     path + v * into, turn + w * into)))
                 self._window_us = self._report_interval()
                 next_report += self._window_us
         self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
@@ -906,11 +921,46 @@ class RobotSim:
         np.cumsum(rows[:6], axis=1, out=rows[:6])
         return t0, t0 + n * tick_us, rows, ticks
 
-    def _assemble_report(self) -> SensorPacket:
-        """Sample the window that closes at t_us, and snapshot the
-        free-running odometry counters at send time."""
-        pose = self.pose
-        t_us = self.t_us
+    def _block_reports(self, block_start: int, rows: np.ndarray, ticks: np.ndarray,
+                       instants: list[int], windows: list[int]) -> list[SensorPacket]:
+        """The reports at instants, each in (block_start, the block's end],
+        whose windows last windows microseconds.
+
+        Each report's pose and running sums are read from the block as
+        columns, with the float operations of pose and _step_to: the chord
+        step into the report's tick at its twist, and the tick's mean speeds
+        and twist times the time into it.  A report on a tick boundary
+        takes the tick-start values as they are, signed zeros included.
+        Each report is then sampled in turn.
+        """
+        k, into_us = np.divmod(np.array(instants) - block_start, TICK_US)
+        at_start = into_us == 0
+        x, y, wheel_r, wheel_l, path, turn, theta = rows[:, k]
+        # At a boundary the tick in hand is the one that just ended.
+        mean_r, mean_l, v, w = ticks[:4, k - at_start]
+        into = into_us / 1e6
+        with np.errstate(all="ignore"):
+            travel = v * into
+            swept = w * into
+            arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
+            half = 0.5 * swept
+            chord = np.where(arc, travel * np.sin(half) / half, travel)
+            heading = np.where(arc, theta + half, theta)
+            poses = zip(np.where(at_start, x, x + chord * np.cos(heading)).tolist(),
+                        np.where(at_start, y, y + chord * np.sin(heading)).tolist(),
+                        np.where(at_start, theta, theta + swept).tolist())
+            sums = zip((wheel_r + mean_r * into).tolist(), (wheel_l + mean_l * into).tolist(),
+                       (path + travel).tolist(), (turn + swept).tolist())
+        return [self._sample_report(t_us, window_us, Posture(*pose), window_sums)
+                for t_us, window_us, pose, window_sums
+                in zip(instants, windows, poses, sums)]
+
+    def _sample_report(self, t_us: int, window_us: int, pose: Posture,
+                       sums: tuple[float, float, float, float]) -> SensorPacket:
+        """Sample the window of window_us that closes at t_us, with the robot
+        at pose and the running sums (wheel travel right and left, ground
+        path and turn) there, and snapshot the free-running odometry
+        counters at send time."""
         if self.world is not None:
             if not self.world.bounds.contains(pose.x, pose.y):
                 raise RuntimeFault(
@@ -921,14 +971,11 @@ class RobotSim:
                                  self.geometry, self.noise, self.ir_rng).scans()[0])
         else:
             ir = (None,) * 5
-        # The running sums at t_us, and the window since the last report.
-        into = self._into_tick()
-        _, _, wheel_r, wheel_l, path, turn, _, mean_r, mean_l, v, w = self._state[:11]
-        wheel_r, wheel_l = wheel_r + mean_r * into, wheel_l + mean_l * into
-        path, turn = path + v * into, turn + w * into
+        # The window since the last report.
+        wheel_r, wheel_l, path, turn = sums
         wheel_r0, wheel_l0, path0, turn0 = self._at_report
-        self._at_report = (wheel_r, wheel_l, path, turn)
-        window_s = self._window_us / 1e6
+        self._at_report = sums
+        window_s = window_us / 1e6
         ticks_r, ticks_l = self._encoders.sample_speeds(
             wheel_r - wheel_r0, wheel_l - wheel_l0, window_s)
         self._ticks_r += ticks_r

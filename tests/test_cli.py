@@ -33,10 +33,11 @@ from swarmsim.cli.scenario import (
     Str,
     load_scenario,
     parse_scenario,
-    with_core_floats,
+    with_core_numbers,
 )
-from swarmsim.estimation import (ConvertedReports, convert_reports, dead_reckon,
-                                 run_estimator)
+from swarmsim.core import Posture
+from swarmsim.estimation import (ConvertedReports, VelocityMeasurement, convert_reports,
+                                 dead_reckon, run_estimator)
 
 # The module, which swarmsim.cli's main function shadows as an attribute.
 cli_main = importlib.import_module("swarmsim.cli.main")
@@ -289,6 +290,49 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
         assert row["rmse_mm"] == f"{runner._rmse(errors):.6g}"
         assert row["terminal_mm"] == f"{float(errors[-1]):.6g}"
         assert row["stale_skipped"] == str(converted.stale_skipped)
+
+
+def position_errors_loop(reports, means, truth_at):
+    """position_errors as one truth lookup and one math.hypot per
+    measurement: the oracle of the runner's scoring."""
+    if not means:
+        raise runner.RuntimeFault("no delivered report postdates the start time, "
+                                  "so none could be processed")
+    errors = []
+    for meas, mean in zip(reports.measurements, means):
+        truth = truth_at[int(meas.t_ms)]
+        errors.append(math.hypot(mean[0] - truth.x, mean[1] - truth.y))
+    return np.asarray(errors)
+
+
+coordinates = st.one_of(st.floats(-5e3, 5e3), st.sampled_from((0.0, -0.0, 1e308, -1e308)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.tuples(st.one_of(coordinates, st.floats()), st.one_of(coordinates, st.floats())),
+    st.tuples(coordinates, coordinates, st.floats(-3.0, 3.0))), max_size=40))
+def test_position_errors_match_the_per_measurement_loop(rows):
+    # Means against the truth at each measurement's send, signed zeros,
+    # non-finite and overflowing differences included; the runner scores
+    # each variant against one report_truths lookup.
+    means = [(*mean, 0.0, 0.0, 0.0) for mean, _ in rows]
+    truth_at = {70 * (k + 1): Posture(*truth) for k, (_, truth) in enumerate(rows)}
+    measurements = [VelocityMeasurement(0.07, 0.0, 0.0, 0.0, 0.0, 0.0, float(t_ms))
+                    for t_ms in truth_at]
+    reports = ConvertedReports(measurements, [False] * len(measurements))
+
+    def outcome(f, *args):
+        try:
+            errors = f(*args)
+        except runner.RuntimeFault as exc:
+            return str(exc)
+        return errors.dtype, errors.tolist()
+
+    expected = outcome(position_errors_loop, reports, means, truth_at)
+    assert repr(outcome(runner.position_errors, reports, means, truth_at)) == repr(expected)
+    truths = runner.report_truths(reports, truth_at)
+    assert repr(outcome(runner.planar_errors, means, truths)) == repr(expected)
 
 
 def test_sensor_run_channel_tallies_every_frame():
@@ -975,15 +1019,19 @@ def test_every_numeric_key_at_its_extremes_keeps_the_exit_code_contract(tmp_path
 # misses that stay strings.
 EXPONENT_FORMS = ["1e6", "1.0e300", "-2.5e3", "+1E-3", ".5e1", "-.5", "1.e5",
                   "-1e400", "[1e6, {a: 2E+3}]", "1_0e3", "1e", "e5", "0128"]
+# YAML 1.2 core-schema ints, and the YAML 1.1 number forms that stay strings.
+INTEGER_FORMS = ["010", "-010", "+7", "00", "0o17", "0x1F", "[010, {a: 0x10}]",
+                 ".inf", "-.inf", "+.INF", ".NaN", "1:30", "1:30.0", "0b1", "1_000",
+                 "1_000.5", "-0x10", "0o8", "+0o7"]
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_libyaml_reads_every_scenario_and_sweep_value_as_python_yaml_does():
     assert issubclass(YAML_LOADER, yaml.CSafeLoader)
-    python_loader = with_core_floats(yaml.SafeLoader)
+    python_loader = with_core_numbers(yaml.SafeLoader)
     texts = [path.read_text() for path in sorted(SCENARIOS.glob("*.yaml"))]
     texts += sorted({_yaml_text(value) for _, _, value in SWEEP})
-    texts += EXPONENT_FORMS
+    texts += EXPONENT_FORMS + INTEGER_FORMS
     for text in texts:
         # repr, because nan != nan.
         assert (repr(yaml.load(text, Loader=YAML_LOADER))
@@ -993,7 +1041,7 @@ def test_libyaml_reads_every_scenario_and_sweep_value_as_python_yaml_does():
 def test_exponent_forms_read_as_numbers(capsys):
     values = [yaml.load(text, Loader=YAML_LOADER) for text in EXPONENT_FORMS]
     assert values == [1e6, 1e300, -2500.0, 1e-3, 5.0, -0.5, 1e5, -math.inf,
-                      [1e6, {"a": 2000.0}], "1_0e3", "1e", "e5", "0128"]
+                      [1e6, {"a": 2000.0}], "1_0e3", "1e", "e5", 128]
     # Files and overrides share the loader.
     text = Path(CONSENSUS_DEMO).read_text().replace("epsilon: 0.01", "epsilon: 1e-2")
     assert "epsilon: 1e-2" in text
@@ -1002,3 +1050,20 @@ def test_exponent_forms_read_as_numbers(capsys):
                          ).consensus.turn_gain == 1e6
     assert_rejected(capsys, ["validate", CONSENSUS_DEMO, "--override", "name=1e5"],
                     "name")
+
+
+def test_integer_forms_read_as_yaml_1_2_core_numbers(capsys):
+    values = [yaml.load(text, Loader=YAML_LOADER) for text in INTEGER_FORMS]
+    assert repr(values) == repr([
+        10, -10, 7, 0, 15, 31, [10, {"a": 16}], math.inf, -math.inf, math.inf,
+        math.nan, "1:30", "1:30.0", "0b1", "1_000", "1_000.5", "-0x10", "0o8", "+0o7"])
+    # A leading zero is decimal, not octal, in files and overrides alike.
+    assert load_scenario(CONSENSUS_DEMO, ("seed=010",)).seed == 10
+    text = Path(CONSENSUS_DEMO).read_text().replace("seed: 3", "seed: 010")
+    assert "seed: 010" in text and parse_scenario(text).seed == 10
+    assert load_scenario(CONSENSUS_DEMO, ("seed=0x10",)).seed == 16
+    # Base-60, binary and underscored numbers are strings, which the schema
+    # rejects at their key path.
+    for override in ("duration_s=1:30", "duration_s=1:30.0", "seed=0b1", "seed=1_000"):
+        assert_rejected(capsys, ["validate", SLIP, "--override", override],
+                        override.partition("=")[0])

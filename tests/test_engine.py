@@ -364,6 +364,27 @@ block_windows = st.lists(
 @example(seed=1, command=(180.0, 180.0), schedule=[], rates=Rates(),
          noise=SensorNoise(), world=World(bounds=Rect(-250.0, -250.0, 250.0, 250.0)),
          windows=[(1_560_000, None)], heading=0.0)
+# A report on the boundary of the first two blocks, at 10.24 s.
+@example(seed=2, command=(150.0, 90.0), schedule=[], rates=Rates(report_period_ms=80.0),
+         noise=SensorNoise(), world=None, windows=[(12_000_000, None)], heading=0.3)
+# Reports at each call's target_us.
+@example(seed=3, command=(120.0, 60.0), schedule=[SlipEvent(300.0, 900.0)],
+         rates=Rates(), noise=SensorNoise(), world=None,
+         windows=[(700_000, None), (1_400_000, (100.0, 120.0))], heading=-2.0)
+# A call that starts inside a tick, at 1 ms, with reports at 1.6 and 2.4 ms
+# before its first block starts at 2.5 ms.
+@example(seed=4, command=(60.0, 60.0), schedule=[], rates=Rates(report_period_ms=0.8),
+         noise=SensorNoise(), world=None, windows=[(1_000, None), (700_000, (170.0, 60.0))],
+         heading=1.0)
+# A jittered call of three blocks, turning through wraps under slip, with
+# reports inside ticks.
+@example(seed=5, command=(180.0, 20.0),
+         schedule=[SlipEvent(9000.0, 11000.0, "scale", 0.5), SlipEvent(20000.0, 21000.0)],
+         rates=Rates(report_period_ms=70.3, report_jitter_ms=20.0), noise=SensorNoise(),
+         world=None, windows=[(25_000_000, None)], heading=3.0)
+# The robot leaves the default world at about 14 s, in the second block.
+@example(seed=6, command=(180.0, 180.0), schedule=[], rates=Rates(), noise=SensorNoise(),
+         world=World(), windows=[(20_000_000, None)], heading=0.0)
 def test_block_engine_matches_per_step_reference(seed, command, schedule, rates,
                                                  noise, world, windows, heading):
     start = Posture(0.0, 0.0, heading)
@@ -643,7 +664,9 @@ def test_truth_ignores_the_sensor_settings(jitter_ms):
                   "robot.noise.encoder_sigma=30") == noiseless
 
 
-def test_each_report_samples_each_sensor_model_once(monkeypatch):
+@pytest.mark.parametrize("scenario", [SLIP, SLIP.with_name("localize_jitter.yaml")],
+                         ids=lambda path: path.stem)
+def test_each_report_samples_each_sensor_model_once(monkeypatch, scenario):
     # The engine samples every report window through the sensor models:
     # one encoder, one flow and one gyro sample per report sent.
     calls = {}
@@ -660,7 +683,7 @@ def test_each_report_samples_each_sensor_model_once(monkeypatch):
     count(EncoderModel, "sample_speeds")
     count(FlowModel, "sample_vw")
     count(sim_module, "sample_gyro")
-    run = simulate_reports(load_scenario(SLIP, ()))
+    run = simulate_reports(load_scenario(scenario, ()))
     assert run.channel.sent >= 400
     assert calls == dict.fromkeys(("sample_speeds", "sample_vw", "sample_gyro"),
                                   run.channel.sent)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from swarmsim import estimation
 from swarmsim.comms import SensorPacket
-from swarmsim.core import Posture, RobotGeometry, wrap_angle
+from swarmsim.core import Posture, RobotGeometry, Twist, integrate_unicycle, wrap_angle
 from swarmsim.estimation import (
     EkfBelief,
     EkfConfig,
@@ -673,6 +673,79 @@ def test_dead_reckon_flow_ignores_spinning_wheels():
     assert flow[-1][0] == pytest.approx(0.0, abs=1e-9)
     wheels = dead_reckon(reports, Posture(0, 0, 0), "wheels")
     assert wheels[-1][0] == pytest.approx(140.0, abs=1e-6)
+
+
+def dead_reckon_loop(reports, start, source):
+    """dead_reckon as one integrate_unicycle step per report: the oracle of
+    the array integration."""
+    wheels = source == "wheels"
+    pose = start
+    states = []
+    for meas in reports.measurements:
+        v, w = (meas.v_wheel, meas.w_wheel) if wheels else (meas.v_flow, meas.w_flow)
+        pose = integrate_unicycle(pose, Twist(v, w), meas.dt)
+        states.append((pose.x, pose.y, pose.theta, v, w))
+    return states
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf)
+# Speeds, turn rates and intervals: zero turns (the ARC_EPSILON branch)
+# and turns that wrap the heading both ways, signed zeros, and now and
+# then a value integrate_unicycle rejects or one that overflows a pose.
+speeds = st.one_of(st.floats(-300.0, 300.0), st.sampled_from((0.0, -0.0, 1e308, -1e308)))
+turn_rates = st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0),
+                       st.sampled_from((0.0, -0.0, 1e-12, -1e-12, 1e-8, 1e308)))
+intervals = st.one_of(st.floats(0.001, 0.2), st.sampled_from((0.07, 0.0, -0.0, 5.0)))
+stream_values = st.tuples(intervals, speeds, turn_rates, speeds, turn_rates)
+
+
+@st.composite
+def measurement_streams(draw):
+    rows = draw(st.lists(stream_values, max_size=60))
+    if rows and draw(st.booleans()):
+        # One bad value: a non-finite or negative interval, or a
+        # non-finite twist component.
+        i, field = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 4))
+        value = draw(st.sampled_from(_SPECIALS[2:] + (-0.07,)))
+        rows[i] = rows[i][:field] + (value,) + rows[i][field + 1:]
+    return [meas(*row, heading=0.0, t_ms=70.0 * (k + 1)) for k, row in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=measurement_streams(), source=st.sampled_from(("wheels", "flow")),
+       start=st.builds(Posture, st.sampled_from((0.0, -0.0, 120.5, -3e5)),
+                       st.sampled_from((0.0, -0.0, -40.25)),
+                       st.one_of(st.floats(-math.pi, math.pi),
+                                 st.sampled_from((-0.0, math.pi, -math.pi)))))
+# A straight run from a signed-zero start, spins that wrap both ways, a
+# turn below ARC_EPSILON, and each rejected step.
+@example(stream=[meas(0.07, 100.0, 0.0, 100.0, -0.0)] * 3, source="wheels",
+         start=Posture(-0.0, -0.0, -0.0))
+@example(stream=[meas(0.07, 50.0, 40.0, 50.0, -40.0)] * 8, source="flow",
+         start=Posture(0.0, 0.0, 3.0))
+@example(stream=[meas(0.07, 50.0, 40.0, 50.0, -40.0)] * 8, source="wheels",
+         start=Posture(0.0, 0.0, -3.0))
+@example(stream=[meas(0.07, 80.0, 1e-9, 0.0, 0.0)] * 4, source="wheels",
+         start=Posture(1.0, 2.0, 0.5))
+@example(stream=[meas(0.07, 80.0, 1.0), meas(math.nan, 80.0, 1.0)], source="wheels",
+         start=Posture(0.0, 0.0, 0.0))
+@example(stream=[meas(0.07, 80.0, 1.0), meas(0.07, 80.0, math.inf)], source="wheels",
+         start=Posture(0.0, 0.0, 0.0))
+@example(stream=[meas(-0.07, 80.0, 1.0)], source="wheels", start=Posture(0.0, 0.0, 0.0))
+@example(stream=[meas(5.0, 80.0, 1e308)], source="wheels", start=Posture(0.0, 0.0, 0.0))
+@example(stream=[meas(5.0, 1e308, 0.0)] * 2, source="wheels", start=Posture(0.0, 0.0, 0.0))
+def test_dead_reckon_matches_the_per_report_loop(stream, source, start):
+    reports = estimation.ConvertedReports(stream, [False] * len(stream))
+    assert (repr(_outcome(dead_reckon, reports, start, source))
+            == repr(_outcome(dead_reckon_loop, reports, start, source)))
 
 
 def test_dead_reckon_rejects_unknown_source():
