@@ -446,10 +446,9 @@ def dead_reckon(reports: ConvertedReports, start: Posture,
                 for col in (0, col_v, col_w))
     with np.errstate(all="ignore"):
         swept = w * dt
-        # The steps before the first with a non-finite twist, dt or turn,
-        # or a negative dt.
-        valid = (np.isfinite(v) & np.isfinite(w) & np.isfinite(dt) & (dt >= 0.0)
-                 & np.isfinite(swept))
+        # The steps before the first with a non-finite v or turn (which a
+        # non-finite w or dt makes), or a negative dt.
+        valid = np.isfinite(v) & np.isfinite(swept) & (dt >= 0.0)
         steps = size if valid.all() else int(np.argmin(valid))
         swept = swept[:steps]
         travel = v[:steps] * dt[:steps]

@@ -584,24 +584,28 @@ class RobotSim:
     effect at the next tick boundary.  The robot is robot 0: its random
     streams and its packets carry that id.
 
-    ``advance_to`` is one fused loop: the reference tick
-    ``PlantLoop.advance`` and the slip lookup are written inline, float
-    operation for float operation, with the state held in locals between
-    reports.  Each report samples its window through
-    ``EncoderModel.sample_speeds``, ``FlowModel.sample_vw`` and
-    ``sample_gyro``.  A reference loop that calls ``PlantLoop.advance``
-    once per tick is the oracle of the engine equivalence test.  The
-    encoder, flow, gyro and jittered schedule streams are drawn in blocks
-    and read one value per draw (block_draws), the values scalar draws
-    would give.
+    ``advance_to`` steps a short call in one fused loop (``_step_to``):
+    the reference tick ``PlantLoop.advance`` and the slip lookup are
+    written inline, float operation for float operation, with the state
+    held in locals between reports.  A reference loop that calls
+    ``PlantLoop.advance`` once per tick is the oracle of the engine
+    equivalence test.
 
     The command in force at a call holds until its end, so a call that
-    runs at least MIN_BLOCK_TICKS ticks computes every tick that starts
-    before its target in blocks instead (``_held_block``): the wheel loops
-    tick by tick, then the twist, chord step, heading and sums as array
-    operations, the same float operations in the same order, so the same
-    doubles.  ``advance_to`` then reads the state at each report from the
-    block.
+    runs at least MIN_BLOCK_TICKS ticks finishes the tick in hand in that
+    loop and computes every later tick that starts before its target in
+    blocks instead (``_held_block``): the wheel loops tick by tick, then
+    the twist, chord step, heading and sums as array operations, the same
+    float operations in the same order, so the same doubles.  Each block
+    draws its reports' instants in schedule order and reads their poses
+    and running sums from its arrays as columns (``_block_reports``).
+
+    On either path each report goes through ``_sample_report``, which
+    samples its window through ``EncoderModel.sample_speeds``,
+    ``FlowModel.sample_vw`` and ``sample_gyro`` once each, and checks and
+    builds the packet and its truth.  The encoder, flow, gyro and
+    jittered schedule streams are drawn in blocks and read one value per
+    draw (block_draws), the values scalar draws would give.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -983,16 +987,11 @@ class RobotSim:
         flow_l, flow_r = self._flow.sample_vw(path - path0, turn - turn0, window_s)
         self._flow_l += flow_l
         self._flow_r += flow_r
+        # Robot 0's packet, its fields passed in order: robot_id, t_sent,
+        # ticks and flow left then right, gyro_heading, ir.
         packet = SensorPacket(
-            robot_id=0,
-            t_sent=t_us // 1000,
-            ticks_left=wrap_i16(self._ticks_l),
-            ticks_right=wrap_i16(self._ticks_r),
-            flow_dx_left=wrap_flow(self._flow_l),
-            flow_dx_right=wrap_flow(self._flow_r),
-            gyro_heading=sample_gyro(pose.theta, self.noise.gyro_sigma,
-                                     self._gyro_noise),
-            ir=ir,
-        )
+            0, t_us // 1000, wrap_i16(self._ticks_l), wrap_i16(self._ticks_r),
+            wrap_flow(self._flow_l), wrap_flow(self._flow_r),
+            sample_gyro(pose.theta, self.noise.gyro_sigma, self._gyro_noise), ir)
         self.truth_at_send[packet.t_sent] = pose
         return packet
