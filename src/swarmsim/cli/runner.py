@@ -153,9 +153,9 @@ def planar_errors(means, truths: tuple[list[float], ...]) -> np.ndarray:
         # Only reports stamped 0 ms arrived: none postdates the start.
         raise RuntimeFault("no delivered report postdates the start time, "
                            "so none could be processed")
-    x, y = itemgetter(0), itemgetter(1)
-    return np.fromiter(map(math.hypot, map(sub, map(x, means), truths[0]),
-                           map(sub, map(y, means), truths[1])), float, len(means))
+    mean_x, mean_y = map(itemgetter(0), means), map(itemgetter(1), means)
+    return np.fromiter(map(math.hypot, map(sub, mean_x, truths[0]),
+                           map(sub, mean_y, truths[1])), float, len(means))
 
 
 def position_errors(reports: ConvertedReports, means,

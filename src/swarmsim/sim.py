@@ -932,10 +932,11 @@ class RobotSim:
 
         Each report's pose and running sums are read from the block as
         columns, with the float operations of pose and _step_to: the chord
-        step into the report's tick at its twist, and the tick's mean speeds
-        and twist times the time into it.  A report on a tick boundary
-        takes the tick-start values as they are, signed zeros included.
-        Each report is then sampled in turn.
+        step into the report's tick at its twist (Posture wraps the heading,
+        as integrate_unicycle does), and the tick's mean speeds and twist
+        times the time into it.  A report on a tick boundary takes the
+        tick-start values as they are, signed zeros included.  Each report
+        is then sampled in turn.
         """
         k, into_us = np.divmod(np.array(instants) - block_start, TICK_US)
         at_start = into_us == 0
@@ -943,6 +944,8 @@ class RobotSim:
         # At a boundary the tick in hand is the one that just ended.
         mean_r, mean_l, v, w = ticks[:4, k - at_start]
         into = into_us / 1e6
+        # Quiet, as Python float arithmetic is: Posture rejects a non-finite
+        # pose at its report.
         with np.errstate(all="ignore"):
             travel = v * into
             swept = w * into

@@ -468,6 +468,27 @@ def test_block_engine_keeps_signed_zeros(monkeypatch):
     assert repr(blocked.truth_at_send) == repr(stepped.truth_at_send)
 
 
+def test_block_reports_keep_tick_start_zeros_on_a_boundary():
+    # A spin in place (v is exactly 0.0) from y = -0.0 at a heading whose
+    # midpoint stays negative through tick 27 while its end, the 70 ms
+    # report on a tick boundary, is positive: y stays -0.0 only if the
+    # report takes the tick-start pose instead of a zero-length chord step
+    # at the end heading, which would add +0.0.
+    start = Posture(-0.0, -0.0, -0.03602346816119946)
+    blocked = RobotSim(GEOM, SensorNoise(), start, 3)
+    stepped = RobotSim(GEOM, SensorNoise(), start, 3)
+    for sim in (blocked, stepped):
+        sim.set_command(WheelSpeeds(40.0, -40.0))
+    sent = blocked.advance_to(1_000_000)
+    stepped_sent = []
+    for t_us in range(TICK_US, 1_000_000 + 1, TICK_US):
+        stepped_sent += stepped.advance_to(t_us)
+    pose = blocked.truth_at_send[70]
+    assert (pose.x, math.copysign(1.0, pose.y)) == (0.0, -1.0) and pose.theta > 0.0
+    assert repr(sent) == repr(stepped_sent)
+    assert repr(blocked.truth_at_send) == repr(stepped.truth_at_send)
+
+
 @pytest.mark.parametrize("start_us", [0, 70_300])
 @pytest.mark.parametrize("ticks", [MIN_BLOCK_TICKS - 1, MIN_BLOCK_TICKS])
 @pytest.mark.parametrize("end_into", [1, TICK_US])
