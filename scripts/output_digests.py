@@ -188,6 +188,12 @@ INVOCATIONS = (
     # An integer with a leading zero is decimal, as YAML 1.2 reads it.
     ("validate seed with a leading zero", "validate", "consensus_demo.yaml",
      ("--override", "seed=010")),
+    # Only true and false, in three casings, are booleans, as YAML 1.2 reads
+    # them; on and yes are strings.
+    ("validate name spelled on", "validate", "localize_slip.yaml",
+     ("--override", "name=on")),
+    ("validate noiseless spelled yes", "validate", "localize_slip.yaml",
+     ("--override", "robot.noiseless=yes")),
     # The benchmark's two plan surveys, and IR scans inside the sensor engine.
     ("plan noisy seed 11", "plan", "plan_arena.yaml",
      ("--seed", "11", "--override", "robot.noiseless=false")),
