@@ -158,12 +158,6 @@ def planar_errors(means, truths: tuple[list[float], ...]) -> np.ndarray:
                            map(sub, mean_y, truths[1])), float, len(means))
 
 
-def position_errors(reports: ConvertedReports, means,
-                    truth_at: dict[int, Posture]) -> np.ndarray:
-    """Planar error of each mean against the truth at its report's send."""
-    return planar_errors(means, report_truths(reports, truth_at))
-
-
 def _rmse(errors: np.ndarray) -> float:
     return float(math.sqrt(float(np.mean(np.square(errors)))))
 

@@ -32,15 +32,19 @@ from swarmsim.swarm import ConsensusConfig, swarm_headings
 
 KINDS = ("track", "localize", "consensus", "plan")
 
-# The YAML 1.2 core-schema numbers. An int is decimal, leading zeros and
-# all, or 0o octal or 0x hex; a float has a dot or an exponent, or is
-# .inf or .nan. YAML 1.1 read 010 as octal 8 and 1:30 as base-60 90, and
-# 1e6 as a string; base-60, 0b binary and underscores are strings here.
+# The YAML 1.2 core-schema numbers and booleans. An int is decimal, leading
+# zeros and all, or 0o octal or 0x hex; a float has a dot or an exponent, or
+# is .inf or .nan; a bool is true or false, in three casings. YAML 1.1 read
+# 010 as octal 8, 1:30 as base-60 90, on and yes as true, and 1e6 as a
+# string; base-60, 0b binary, underscores, yes, no, on and off are strings
+# here.
 _CORE_INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
 _CORE_FLOAT = re.compile(
     r"^(?:[-+]?(?:(?:\.[0-9]+|[0-9]+\.[0-9]*)(?:[eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)"
     r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$")
+_CORE_BOOL = re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$")
 _INT_TAG, _FLOAT_TAG = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_BOOL_TAG = "tag:yaml.org,2002:bool"
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
 
 
@@ -53,14 +57,15 @@ def _construct_int(loader, node) -> int:
     return yaml.constructor.SafeConstructor.construct_yaml_int(loader, node)
 
 
-def with_core_numbers(loader: type) -> type:
-    """A subclass of loader that reads ints and floats as the YAML 1.2 core
-    schema does, in place of its YAML 1.1 forms."""
+def with_core_schema(loader: type) -> type:
+    """A subclass of loader that reads ints, floats and bools as the YAML 1.2
+    core schema does, in place of their YAML 1.1 forms."""
     cls = type(loader.__name__, (loader,), {})
     cls.yaml_implicit_resolvers = {
         first: [(tag, regexp) for tag, regexp in resolvers
-                if tag not in (_INT_TAG, _FLOAT_TAG)]
+                if tag not in (_INT_TAG, _FLOAT_TAG, _BOOL_TAG)]
         for first, resolvers in loader.yaml_implicit_resolvers.items()}
+    cls.add_implicit_resolver(_BOOL_TAG, _CORE_BOOL, list("tTfF"))
     cls.add_implicit_resolver(_INT_TAG, _CORE_INT, list("-+0123456789"))
     cls.add_implicit_resolver(_FLOAT_TAG, _CORE_FLOAT, list("-+.0123456789"))
     cls.add_constructor(_INT_TAG, _construct_int)
@@ -68,7 +73,7 @@ def with_core_numbers(loader: type) -> type:
 
 
 # libyaml's parser, ten times faster, where PyYAML was built with it.
-YAML_LOADER = with_core_numbers(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+YAML_LOADER = with_core_schema(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 class ScenarioError(Exception):

@@ -11,13 +11,15 @@ so runs are reproducible.
 ``PlantLoop`` is the reference plant, stepped one tick at a time;
 ``RobotSim``, the engine every run uses, repeats its arithmetic inline in
 one fused loop per robot or, over a long ``advance_to`` call, in blocks of
-ticks with the same float operations.  It samples each report window through
+ticks with the same float operations, where each wheel's response to the
+held command is memoized per process.  It samples each report window through
 ``EncoderModel``, ``FlowModel`` and ``sample_gyro``, on seed-derived
 per-robot noise streams.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections.abc import Sequence
@@ -533,6 +535,47 @@ def _doubles(*lists: list[float]) -> np.ndarray:
     return np.frombuffer(out)
 
 
+def _wheel_response(target: float, act: float, integral: float, n: int) -> np.ndarray:
+    """One wheel held at target for n ticks from speed act and PI integral
+    integral: a read-only (2, n + 1) array of its speed and integral at the
+    start of each tick and at the last one's end.
+
+    The response depends on nothing else, so it is memoized per process,
+    keyed on the floats' exact bits: lru_cache's own key would serve a
+    -0.0 from the entry of 0.0.  Only runs that repeat a command from the
+    same wheel state, such as the seeds of one scenario, hit it."""
+    return _wheel_memo(_WHEEL_KEY.pack(target, act, integral), n)
+
+
+_WHEEL_KEY = struct.Struct("<3d")
+# Entries of _wheel_memo, each 65.5 KB at HELD_BLOCK_TICKS.
+WHEEL_MEMO_SIZE = 16
+
+
+@functools.lru_cache(maxsize=WHEEL_MEMO_SIZE)
+def _wheel_memo(key: bytes, n: int) -> np.ndarray:
+    target, act, integral = _WHEEL_KEY.unpack(key)
+    kp, ki, lag_end, tick_s = PI_KP, PI_KI, LAG_END, TICK_S
+    v_max = MAX_WHEEL_SPEED
+    v_min = -v_max
+    acts, integrals = [act], [integral]
+    for _ in range(n):
+        error = target - act
+        drive = target + kp * error + ki * integral
+        if drive > v_max:
+            drive = v_max
+        elif drive < v_min:
+            drive = v_min
+        else:
+            integral += error * tick_s
+        act = drive + (act - drive) * lag_end
+        acts.append(act)
+        integrals.append(integral)
+    response = _doubles(acts, integrals).reshape(2, n + 1)
+    response.flags.writeable = False
+    return response
+
+
 def _wrapped_heading(start: float, swept: np.ndarray, out: np.ndarray) -> None:
     """out[0] = start and out[k + 1] = out[k] + swept[k], each sum that
     leaves (-pi, pi] wrapped by wrap_angle before the next is added."""
@@ -594,9 +637,13 @@ class RobotSim:
     The command in force at a call holds until its end, so a call that
     runs at least MIN_BLOCK_TICKS ticks finishes the tick in hand in that
     loop and computes every later tick that starts before its target in
-    blocks instead (``_held_block``): the wheel loops tick by tick, then
+    blocks instead (``_held_block``): each wheel's loop tick by tick, then
     the twist, chord step, heading and sums as array operations, the same
-    float operations in the same order, so the same doubles.  Each block
+    float operations in the same order, so the same doubles.  A wheel's
+    response to the held command depends only on the command, its speed
+    and integral and the tick count, so ``_wheel_response`` memoizes it
+    per process: the seeds of one scenario in one process share it, while
+    a single run computes each response once, as before.  Each block
     draws its reports' instants in schedule order and reads their poses
     and running sums from its arrays as columns (``_block_reports``).
 
@@ -844,51 +891,24 @@ class RobotSim:
         wheel_l, path, turn, theta) at the start of tick k, and ticks[:, k]
         holds (mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) of tick k,
         the speeds and integrals at its end.  Only the wheel speeds and
-        integrals are carried tick by tick; the rest are the array forms of
-        advance_to's float operations, in the same order.
+        integrals are carried tick by tick, one wheel at a time by
+        _wheel_response, which serves a repeated command from its
+        per-process memo; the rest are the array forms of advance_to's
+        float operations, in the same order.
         """
         tick_us, tick_s = TICK_US, TICK_S
         n = min(HELD_BLOCK_TICKS, -((t0 - end_us) // tick_us))
-        kp, ki, lag_end = PI_KP, PI_KI, LAG_END
-        v_max = MAX_WHEEL_SPEED
-        v_min = -v_max
-        # Each wheel's speed and integral at the start of each tick and at
-        # the block's end, the only state that must be carried tick by tick.
-        act_r, act_l, int_r, int_l = state[11:]
-        acts_r, acts_l, ints_r, ints_l = [act_r], [act_l], [int_r], [int_l]
-        for _ in range(n):
-            error = target_r - act_r
-            drive = target_r + kp * error + ki * int_r
-            if drive > v_max:
-                drive = v_max
-            elif drive < v_min:
-                drive = v_min
-            else:
-                int_r += error * tick_s
-            act_r = drive + (act_r - drive) * lag_end
-            error = target_l - act_l
-            drive = target_l + kp * error + ki * int_l
-            if drive > v_max:
-                drive = v_max
-            elif drive < v_min:
-                drive = v_min
-            else:
-                int_l += error * tick_s
-            act_l = drive + (act_l - drive) * lag_end
-            acts_r.append(act_r)
-            acts_l.append(act_l)
-            ints_r.append(int_r)
-            ints_l.append(int_l)
-        # Rows: speed right and left, then integral right and left.
-        carried = _doubles(acts_r, acts_l, ints_r, ints_l).reshape(4, n + 1)
-        del acts_r, acts_l, ints_r, ints_l
         ticks = np.empty((8, n))
-        ticks[4:] = carried[:, 1:]
-        # Each tick's drive again, then the wheels' mean speeds over it.
-        act, integral = carried[:2, :-1], carried[2:, :-1]
-        target = np.array([[target_r], [target_l]])
-        drive = np.clip(target + kp * (target - act) + ki * integral, v_min, v_max)
-        np.add(drive, (act - drive) * LAG_MEAN, out=ticks[:2])
+        for wheel, target, act, integral in ((0, target_r, state[11], state[13]),
+                                             (1, target_l, state[12], state[14])):
+            response = _wheel_response(target, act, integral, n)
+            ticks[4 + wheel] = response[0, 1:]
+            ticks[6 + wheel] = response[1, 1:]
+            # Each tick's drive again, then the wheel's mean speed over it.
+            act, integral = response[:, :-1]
+            drive = np.clip(target + PI_KP * (target - act) + PI_KI * integral,
+                            -MAX_WHEEL_SPEED, MAX_WHEEL_SPEED)
+            np.add(drive, (act - drive) * LAG_MEAN, out=ticks[wheel])
         mean_r, mean_l = ticks[0], ticks[1]
         # Ground contact under the first slip event active at each tick's
         # start: the events are laid on in reverse, so the first one wins.

@@ -29,11 +29,12 @@ from swarmsim.cli.scenario import (
     Map,
     Num,
     NumSeq,
+    ScenarioError,
     SeqOf,
     Str,
     load_scenario,
     parse_scenario,
-    with_core_numbers,
+    with_core_schema,
 )
 from swarmsim.core import Posture
 from swarmsim.estimation import (ConvertedReports, VelocityMeasurement, convert_reports,
@@ -286,14 +287,15 @@ def test_compare_simulates_once_and_matches_direct_runs(tmp_path, capsys,
     assert any(int(row["stale_skipped"]) > 0 for row in rows)
     for row in rows:
         converted, means = direct[row["variant"]]
-        errors = runner.position_errors(converted, means, stream.truth_at_send)
+        errors = runner.planar_errors(
+            means, runner.report_truths(converted, stream.truth_at_send))
         assert row["rmse_mm"] == f"{runner._rmse(errors):.6g}"
         assert row["terminal_mm"] == f"{float(errors[-1]):.6g}"
         assert row["stale_skipped"] == str(converted.stale_skipped)
 
 
 def position_errors_loop(reports, means, truth_at):
-    """position_errors as one truth lookup and one math.hypot per
+    """Planar errors as one truth lookup and one math.hypot per
     measurement: the oracle of the runner's scoring."""
     if not means:
         raise runner.RuntimeFault("no delivered report postdates the start time, "
@@ -330,7 +332,6 @@ def test_position_errors_match_the_per_measurement_loop(rows):
         return errors.dtype, errors.tolist()
 
     expected = outcome(position_errors_loop, reports, means, truth_at)
-    assert repr(outcome(runner.position_errors, reports, means, truth_at)) == repr(expected)
     truths = runner.report_truths(reports, truth_at)
     assert repr(outcome(runner.planar_errors, means, truths)) == repr(expected)
 
@@ -424,7 +425,7 @@ def test_run_without_processable_reports_faults(tmp_path, capsys):
                     "rates.report_period_ms")
     # The runner keeps its guard for a run that processed no report.
     with pytest.raises(runner.RuntimeFault, match="none could be processed"):
-        runner.position_errors(ConvertedReports(), [], {})
+        runner.planar_errors([], runner.report_truths(ConvertedReports(), {}))
 
 
 def test_robot_leaving_the_world_faults(tmp_path, capsys):
@@ -1023,15 +1024,18 @@ EXPONENT_FORMS = ["1e6", "1.0e300", "-2.5e3", "+1E-3", ".5e1", "-.5", "1.e5",
 INTEGER_FORMS = ["010", "-010", "+7", "00", "0o17", "0x1F", "[010, {a: 0x10}]",
                  ".inf", "-.inf", "+.INF", ".NaN", "1:30", "1:30.0", "0b1", "1_000",
                  "1_000.5", "-0x10", "0o8", "+0o7"]
+# YAML 1.2 core-schema booleans, and the YAML 1.1 ones that stay strings.
+BOOLEAN_FORMS = ["true", "True", "TRUE", "false", "False", "FALSE", "yes", "Yes",
+                 "NO", "on", "Off", "y", "n", "tRue", "[on, true, {yes: off}]"]
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_libyaml_reads_every_scenario_and_sweep_value_as_python_yaml_does():
     assert issubclass(YAML_LOADER, yaml.CSafeLoader)
-    python_loader = with_core_numbers(yaml.SafeLoader)
+    python_loader = with_core_schema(yaml.SafeLoader)
     texts = [path.read_text() for path in sorted(SCENARIOS.glob("*.yaml"))]
     texts += sorted({_yaml_text(value) for _, _, value in SWEEP})
-    texts += EXPONENT_FORMS + INTEGER_FORMS
+    texts += EXPONENT_FORMS + INTEGER_FORMS + BOOLEAN_FORMS
     for text in texts:
         # repr, because nan != nan.
         assert (repr(yaml.load(text, Loader=YAML_LOADER))
@@ -1067,3 +1071,26 @@ def test_integer_forms_read_as_yaml_1_2_core_numbers(capsys):
     for override in ("duration_s=1:30", "duration_s=1:30.0", "seed=0b1", "seed=1_000"):
         assert_rejected(capsys, ["validate", SLIP, "--override", override],
                         override.partition("=")[0])
+
+
+def test_only_true_and_false_read_as_booleans(capsys):
+    values = [yaml.load(text, Loader=YAML_LOADER) for text in BOOLEAN_FORMS]
+    assert values == [True, True, True, False, False, False, "yes", "Yes", "NO", "on",
+                      "Off", "y", "n", "tRue", ["on", True, {"yes": "off"}]]
+    # Files and overrides share the loader.
+    text = Path(CONSENSUS_DEMO).read_text()
+    assert "noiseless: true" in text
+    assert parse_scenario(text.replace("noiseless: true", "noiseless: FALSE")
+                          ).noise.encoder_sigma > 0.0
+    assert load_scenario(CONSENSUS_DEMO, ("robot.noiseless=False",)).noise.encoder_sigma > 0.0
+    assert load_scenario(CONSENSUS_DEMO, ("robot.noiseless=TRUE",)).noise.encoder_sigma == 0.0
+    # A YAML 1.1 boolean is a string: a name, and rejected where a boolean
+    # goes, at its key path.
+    assert load_scenario(SLIP, ("name=on",)).name == "on"
+    assert main(["validate", SLIP, "--override", "name=on"]) == 0
+    capsys.readouterr()
+    for override in ("robot.noiseless=yes", "robot.noiseless=off", "robot.noiseless=tRue"):
+        assert_rejected(capsys, ["validate", SLIP, "--override", override],
+                        "robot.noiseless")
+    with pytest.raises(ScenarioError, match=r"^robot\.noiseless: "):
+        parse_scenario(text.replace("noiseless: true", "noiseless: on"))

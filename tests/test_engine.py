@@ -49,6 +49,7 @@ from swarmsim.sim import (
     Rates,
     Rect,
     RobotSim,
+    _pi_wheel,
     _wrapped_heading,
     RuntimeFault,
     SensorNoise,
@@ -514,6 +515,85 @@ def test_call_length_selects_the_tick_path(monkeypatch, start_us, ticks, end_int
     assert len(built) == (ticks >= MIN_BLOCK_TICKS)
     assert repr(sim.truth_at_send) == repr(ref.truth_at_send)
     _assert_matches_reference(sim, ref)
+
+
+# --- the per-process memo of a held wheel's response ----------------------------
+
+
+def _wheel_loop(target: float, act: float, integral: float, n: int) -> list[list[float]]:
+    """_wheel_response as n reference ticks of _pi_wheel."""
+    rows = [[act], [integral]]
+    for _ in range(n):
+        act, _, integral = _pi_wheel(target, act, integral)
+        rows[0].append(act)
+        rows[1].append(integral)
+    return rows
+
+
+def test_held_blocks_match_the_reference_cold_and_warm():
+    # A 12 s run of two blocks under slip and jittered reports, first with
+    # an empty memo (two misses per block) and then again from it (two hits
+    # per block): both give the reference's bits.
+    schedule = (SlipEvent(3000.0, 4000.0, "scale", factor=0.5),
+                SlipEvent(10500.0, 11000.0, "stuck"))
+    rates_ = Rates(report_period_ms=70.3, report_jitter_ms=20.0)
+    start = Posture(0.0, 0.0, 0.7)
+    windows = [(12_000_000, None)]
+    ref = ReferenceSim(SensorNoise(), start, 8, schedule, rates_, None)
+    expected = _run(ref, windows, (170.0, 60.0))
+    memo = sim_module._wheel_memo
+    memo.cache_clear()
+    runs = []
+    for misses, hits in ((4, 0), (4, 4)):
+        sim = RobotSim(GEOM, SensorNoise(), start, 8, slip_schedule=schedule, rates=rates_)
+        sent, fault = _run(sim, windows, (170.0, 60.0))
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (misses, hits)
+        assert (sent, fault) == expected and fault is None
+        assert sim.truth_at_send == ref.truth_at_send
+        _assert_matches_reference(sim, ref)
+        runs.append(repr((sent, sim.truth_at_send, _engine_state(sim))))
+    assert runs[0] == runs[1]
+
+
+def test_wheel_memo_keeps_signed_zeros_apart():
+    # A warm entry for +0.0 must serve neither an all -0.0 state, whose
+    # response starts at -0.0, nor a -0.0 target.
+    memo = sim_module._wheel_memo
+    memo.cache_clear()
+    warm = sim_module._wheel_response(0.0, 0.0, 0.0, 8)
+    for key in ((-0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0)):
+        response = sim_module._wheel_response(*key, 8)
+        assert response is not warm
+        expected = _wheel_loop(*key, 8)
+        assert response.tolist() == expected
+        assert ([math.copysign(1.0, value) for value in response.flat]
+                == [math.copysign(1.0, value) for row in expected for value in row])
+    assert [math.copysign(1.0, value)
+            for value in sim_module._wheel_response(-0.0, -0.0, -0.0, 8)[:, 0]] == [-1.0, -1.0]
+    assert memo.cache_info().misses == 4
+
+
+def test_wheel_response_is_read_only_and_the_memo_bounded():
+    memo = sim_module._wheel_memo
+    memo.cache_clear()
+    response = sim_module._wheel_response(150.0, 20.0, 1.5, 5)
+    assert response.shape == (2, 6) and response.dtype == np.float64
+    assert response.tolist() == _wheel_loop(150.0, 20.0, 1.5, 5)
+    with pytest.raises(ValueError):
+        response[0, 1] = 0.0
+    with pytest.raises(ValueError):
+        response += 1.0
+    assert response.tolist() == _wheel_loop(150.0, 20.0, 1.5, 5)
+    size = sim_module.WHEEL_MEMO_SIZE
+    for k in range(size + 5):
+        sim_module._wheel_response(float(k), 0.0, 0.0, 3)
+        assert memo.cache_info().currsize == min(k + 2, size)
+    # The least recently used entries went first.
+    before = memo.cache_info().misses
+    sim_module._wheel_response(150.0, 20.0, 1.5, 5)
+    sim_module._wheel_response(float(size + 4), 0.0, 0.0, 3)
+    assert memo.cache_info().misses == before + 1
+    assert memo.cache_info().currsize == size
 
 
 def _stepped_reports(scenario):
