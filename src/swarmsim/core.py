@@ -165,6 +165,62 @@ def integrate_unicycle(pose: Posture, twist: Twist, dt: float) -> Posture:
     return Posture(x, y, wrap_angle(pose.theta + swept))
 
 
+def chord_steps(theta: np.ndarray, travel: np.ndarray,
+                swept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """integrate_unicycle's displacement (dx, dy) for each step from
+    heading theta with travel v * dt and turn w * dt, with its float
+    operations.  Quiet where a step is not finite: callers check."""
+    with np.errstate(all="ignore"):
+        arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
+        half = 0.5 * swept
+        chord = np.where(arc, travel * np.sin(half) / half, travel)
+        heading = np.where(arc, theta + half, theta)
+        return chord * np.cos(heading), chord * np.sin(heading)
+
+
+def unicycle_path(start: tuple[float, float, float], travel: np.ndarray,
+                  swept: np.ndarray) -> np.ndarray:
+    """The poses of n chained integrate_unicycle steps from start (x, y
+    and a wrapped theta), step k with travel v * dt = travel[k] and turn
+    w * dt = swept[k]: a (3, n + 1) array of x, y and theta, start first,
+    with the doubles of the n calls.  x and y are running sums of
+    chord_steps; the heading is summed and wrapped as the calls do."""
+    path = np.empty((3, len(swept) + 1))
+    path[:, 0] = start
+    _wrapped_heading(start[2], swept, path[2])
+    path[0, 1:], path[1, 1:] = chord_steps(path[2, :-1], travel, swept)
+    with np.errstate(all="ignore"):
+        np.cumsum(path[:2], axis=1, out=path[:2])
+    return path
+
+
+def _wrapped_heading(start: float, swept: np.ndarray, out: np.ndarray) -> None:
+    """out[0] = start and out[k + 1] = out[k] + swept[k], each sum that
+    leaves (-pi, pi] wrapped by wrap_angle before the next is added."""
+    pi = math.pi
+    out[0] = start
+    out[1:] = swept
+    # out[first] holds a heading, and out[first + 1:] the steps still to
+    # add.  A wrap restarts the sum, so each pass spans twice the steps
+    # the last wrap took: a fast spin does not redo the whole sequence.
+    first, size, span = 0, len(out), len(out)
+    while first < size - 1:
+        last = min(size, first + span)
+        part = np.cumsum(out[first:last])
+        sums = part[1:]
+        leaving = np.flatnonzero(~((sums > -pi) & (sums <= pi)))
+        if leaving.size:
+            wrap = 1 + int(leaving[0])
+            out[first:first + wrap] = part[:wrap]
+            first += wrap
+            out[first] = wrap_angle(part.item(wrap))
+            span = 2 * wrap + 1
+        else:
+            out[first:last] = part
+            first = last - 1
+            span *= 2
+
+
 def error_posture(reference: Posture, current: Posture) -> Posture:
     """Tracking error of `reference` expressed in the body frame of `current`.
 

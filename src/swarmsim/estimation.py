@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .comms import FLOW_WRAP_MM, SensorPacket, wrap_i16
-from .core import (ARC_EPSILON, Posture, RobotGeometry, Twist, integrate_unicycle,
+from .core import (Posture, RobotGeometry, Twist, integrate_unicycle, unicycle_path,
                    wrap_angle)
-from .sim import ENCODER_HZ, FLOW_HZ, Rates, _wrapped_heading
+from .sim import ENCODER_HZ, FLOW_HZ, Rates
 
 STATE_DIM = 5
 # The filter keeps the covariance as its upper triangle, row by row:
@@ -430,12 +430,10 @@ def dead_reckon(reports: ConvertedReports, start: Posture,
     """Open-loop integration of the "wheels" or "flow" velocities alone:
     (x, y, theta, v, omega) after each converted report.
 
-    The stream is integrated as arrays, one integrate_unicycle step per
-    report with its float operations: each step's chord and heading, the
-    heading summed and wrapped as the steps do (_wrapped_heading), and x
-    and y as running sums.  The first step that integrate_unicycle rejects
-    (a non-finite twist or dt, a negative dt, or a pose beyond the floats)
-    is run by it, so it raises that error.
+    The stream is integrated as arrays by unicycle_path, one
+    integrate_unicycle step per report.  The first step that
+    integrate_unicycle rejects (a non-finite twist or dt, a negative dt,
+    or a pose beyond the floats) is run by it, so it raises that error.
     """
     if source not in ("wheels", "flow"):
         raise ValueError(f"unknown dead-reckoning source {source!r}")
@@ -450,16 +448,7 @@ def dead_reckon(reports: ConvertedReports, start: Posture,
         # non-finite w or dt makes), or a negative dt.
         valid = np.isfinite(v) & np.isfinite(swept) & (dt >= 0.0)
         steps = size if valid.all() else int(np.argmin(valid))
-        swept = swept[:steps]
-        travel = v[:steps] * dt[:steps]
-        arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
-        half = 0.5 * swept
-        chord = np.where(arc, travel * np.sin(half) / half, travel)
-        theta = np.empty(steps + 1)
-        _wrapped_heading(start.theta, swept, theta)
-        heading = np.where(arc, theta[:-1] + half, theta[:-1])
-        x = np.cumsum(np.concatenate(([start.x], chord * np.cos(heading))))
-        y = np.cumsum(np.concatenate(([start.y], chord * np.sin(heading))))
+        x, y, theta = unicycle_path(start, v[:steps] * dt[:steps], swept[:steps])
     finite = np.isfinite(x) & np.isfinite(y)
     if not finite.all():
         steps = int(np.argmin(finite)) - 1

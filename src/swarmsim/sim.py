@@ -37,7 +37,9 @@ from .core import (
     RobotGeometry,
     Twist,
     WheelSpeeds,
+    chord_steps,
     integrate_unicycle,
+    unicycle_path,
     wheels_to_twist,
     wrap_angle,
 )
@@ -519,9 +521,6 @@ HELD_BLOCK_TICKS = 4096
 # blocks; a shorter one steps tick by tick, which costs less per tick
 # below about this length.
 MIN_BLOCK_TICKS = 256
-# A heading that wraps again within this many ticks is summed in Python:
-# a numpy pass costs about as much as a hundred Python additions.
-WRAP_PASS_TICKS = 64
 
 
 def _doubles(*lists: list[float]) -> np.ndarray:
@@ -537,8 +536,9 @@ def _doubles(*lists: list[float]) -> np.ndarray:
 
 def _wheel_response(target: float, act: float, integral: float, n: int) -> np.ndarray:
     """One wheel held at target for n ticks from speed act and PI integral
-    integral: a read-only (2, n + 1) array of its speed and integral at the
-    start of each tick and at the last one's end.
+    integral: a read-only (3, n) array whose column k is tick k's
+    _pi_wheel result, the speed at its end, the mean speed over it and the
+    integral.
 
     The response depends on nothing else, so it is memoized per process,
     keyed on the floats' exact bits: lru_cache's own key would serve a
@@ -548,17 +548,17 @@ def _wheel_response(target: float, act: float, integral: float, n: int) -> np.nd
 
 
 _WHEEL_KEY = struct.Struct("<3d")
-# Entries of _wheel_memo, each 65.5 KB at HELD_BLOCK_TICKS.
+# Entries of _wheel_memo, each 98.3 KB at HELD_BLOCK_TICKS.
 WHEEL_MEMO_SIZE = 16
 
 
 @functools.lru_cache(maxsize=WHEEL_MEMO_SIZE)
 def _wheel_memo(key: bytes, n: int) -> np.ndarray:
     target, act, integral = _WHEEL_KEY.unpack(key)
-    kp, ki, lag_end, tick_s = PI_KP, PI_KI, LAG_END, TICK_S
+    kp, ki, lag_end, lag_mean, tick_s = PI_KP, PI_KI, LAG_END, LAG_MEAN, TICK_S
     v_max = MAX_WHEEL_SPEED
     v_min = -v_max
-    acts, integrals = [act], [integral]
+    acts, means, integrals = [], [], []
     for _ in range(n):
         error = target - act
         drive = target + kp * error + ki * integral
@@ -568,51 +568,14 @@ def _wheel_memo(key: bytes, n: int) -> np.ndarray:
             drive = v_min
         else:
             integral += error * tick_s
-        act = drive + (act - drive) * lag_end
+        gap = act - drive
+        act = drive + gap * lag_end
         acts.append(act)
+        means.append(drive + gap * lag_mean)
         integrals.append(integral)
-    response = _doubles(acts, integrals).reshape(2, n + 1)
+    response = _doubles(acts, means, integrals).reshape(3, n)
     response.flags.writeable = False
     return response
-
-
-def _wrapped_heading(start: float, swept: np.ndarray, out: np.ndarray) -> None:
-    """out[0] = start and out[k + 1] = out[k] + swept[k], each sum that
-    leaves (-pi, pi] wrapped by wrap_angle before the next is added."""
-    pi = math.pi
-    out[0] = start
-    out[1:] = swept
-    # out[first] holds a heading, and out[first + 1:] the steps still to
-    # add.  A wrap restarts the sum, so each pass spans twice the ticks
-    # the last wrap took: a fast spin does not redo the whole block.
-    first, size, span = 0, len(out), len(out)
-    while first < size - 1:
-        last = min(size, first + span)
-        part = np.cumsum(out[first:last])
-        sums = part[1:]
-        leaving = np.flatnonzero(~((sums > -pi) & (sums <= pi)))
-        if leaving.size:
-            wrap = 1 + int(leaving[0])
-            out[first:first + wrap] = part[:wrap]
-            first += wrap
-            out[first] = wrap_angle(part.item(wrap))
-            span = 2 * wrap + 1
-            if wrap < WRAP_PASS_TICKS:
-                # Wraps come too fast for a numpy pass to pay: finish with
-                # the same additions, one at a time.
-                heading = out.item(first)
-                rest = out[first + 1:].tolist()
-                for k, step in enumerate(rest):
-                    heading += step
-                    if not -pi < heading <= pi:
-                        heading = wrap_angle(heading)
-                    rest[k] = heading
-                out[first + 1:] = rest
-                return
-        else:
-            out[first:last] = part
-            first = last - 1
-            span *= 2
 
 
 class RobotSim:
@@ -638,14 +601,14 @@ class RobotSim:
     runs at least MIN_BLOCK_TICKS ticks finishes the tick in hand in that
     loop and computes every later tick that starts before its target in
     blocks instead (``_held_block``): each wheel's loop tick by tick, then
-    the twist, chord step, heading and sums as array operations, the same
-    float operations in the same order, so the same doubles.  A wheel's
-    response to the held command depends only on the command, its speed
-    and integral and the tick count, so ``_wheel_response`` memoizes it
-    per process: the seeds of one scenario in one process share it, while
-    a single run computes each response once, as before.  Each block
-    draws its reports' instants in schedule order and reads their poses
-    and running sums from its arrays as columns (``_block_reports``).
+    the twist and sums as array operations and the pose by
+    ``unicycle_path``, the same float operations in the same order, so the
+    same doubles.  A wheel's response to the held command depends only on
+    the command, its speed and integral and the tick count, so
+    ``_wheel_response`` memoizes it per process: the seeds of one scenario
+    in one process share it.  Each block draws its reports' instants in
+    schedule order and reads their poses and running sums from its arrays
+    as columns (``_block_reports``).
 
     On either path each report goes through ``_sample_report``, which
     samples its window through ``EncoderModel.sample_speeds``,
@@ -890,25 +853,18 @@ class RobotSim:
         (t0, the block's end, rows, ticks): rows[:, k] holds (x, y, wheel_r,
         wheel_l, path, turn, theta) at the start of tick k, and ticks[:, k]
         holds (mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) of tick k,
-        the speeds and integrals at its end.  Only the wheel speeds and
-        integrals are carried tick by tick, one wheel at a time by
-        _wheel_response, which serves a repeated command from its
-        per-process memo; the rest are the array forms of advance_to's
-        float operations, in the same order.
+        the speeds and integrals at its end.  Only the wheels are stepped
+        tick by tick, one at a time by _wheel_response, which serves a
+        repeated command from its per-process memo; the rest are the array
+        forms of advance_to's float operations, in the same order.
         """
         tick_us, tick_s = TICK_US, TICK_S
         n = min(HELD_BLOCK_TICKS, -((t0 - end_us) // tick_us))
         ticks = np.empty((8, n))
         for wheel, target, act, integral in ((0, target_r, state[11], state[13]),
                                              (1, target_l, state[12], state[14])):
-            response = _wheel_response(target, act, integral, n)
-            ticks[4 + wheel] = response[0, 1:]
-            ticks[6 + wheel] = response[1, 1:]
-            # Each tick's drive again, then the wheel's mean speed over it.
-            act, integral = response[:, :-1]
-            drive = np.clip(target + PI_KP * (target - act) + PI_KI * integral,
-                            -MAX_WHEEL_SPEED, MAX_WHEEL_SPEED)
-            np.add(drive, (act - drive) * LAG_MEAN, out=ticks[wheel])
+            ticks[4 + wheel], ticks[wheel], ticks[6 + wheel] = _wheel_response(
+                target, act, integral, n)
         mean_r, mean_l = ticks[0], ticks[1]
         # Ground contact under the first slip event active at each tick's
         # start: the events are laid on in reverse, so the first one wins.
@@ -920,9 +876,9 @@ class RobotSim:
                 if active.any():
                     g_r = np.where(active, 0.0 if stuck else factor * mean_r, g_r)
                     g_l = np.where(active, 0.0 if stuck else factor * mean_l, g_l)
-        # rows[:, k] holds the sums at the start of tick k: the first six
-        # are running sums of the steps in rows[:6, k + 1], and the heading
-        # wraps.
+        # rows[:, k] holds the values at the start of tick k: the pose of
+        # the chained chord steps, and running sums of the steps in
+        # rows[2:6, k + 1].
         rows = np.empty((7, n + 1))
         rows[:, 0] = state[:7]
         steps = rows[:, 1:]
@@ -932,17 +888,8 @@ class RobotSim:
         np.multiply(ticks[:2], tick_s, out=steps[2:4])
         travel = np.multiply(v, tick_s, out=steps[4])
         swept = np.multiply(w, tick_s, out=steps[5])
-        # Body motion: the chord form of each tick's arc.
-        arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
-        half = 0.5 * swept
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chord = np.where(arc, travel * np.sin(half) / half, travel)
-        _wrapped_heading(state[6], swept, rows[6])
-        theta = rows[6, :-1]
-        heading = np.where(arc, theta + half, theta)
-        np.multiply(chord, np.cos(heading), out=steps[0])
-        np.multiply(chord, np.sin(heading), out=steps[1])
-        np.cumsum(rows[:6], axis=1, out=rows[:6])
+        rows[[0, 1, 6]] = unicycle_path((state[0], state[1], state[6]), travel, swept)
+        np.cumsum(rows[2:6], axis=1, out=rows[2:6])
         return t0, t0 + n * tick_us, rows, ticks
 
     def _block_reports(self, block_start: int, rows: np.ndarray, ticks: np.ndarray,
@@ -969,12 +916,9 @@ class RobotSim:
         with np.errstate(all="ignore"):
             travel = v * into
             swept = w * into
-            arc = (swept > ARC_EPSILON) | (swept < -ARC_EPSILON)
-            half = 0.5 * swept
-            chord = np.where(arc, travel * np.sin(half) / half, travel)
-            heading = np.where(arc, theta + half, theta)
-            poses = zip(np.where(at_start, x, x + chord * np.cos(heading)).tolist(),
-                        np.where(at_start, y, y + chord * np.sin(heading)).tolist(),
+            dx, dy = chord_steps(theta, travel, swept)
+            poses = zip(np.where(at_start, x, x + dx).tolist(),
+                        np.where(at_start, y, y + dy).tolist(),
                         np.where(at_start, theta, theta + swept).tolist())
             sums = zip((wheel_r + mean_r * into).tolist(), (wheel_l + mean_l * into).tolist(),
                        (path + travel).tolist(), (turn + swept).tolist())

@@ -15,6 +15,7 @@ from swarmsim.core import (
     WheelSpeeds,
     error_posture,
     integrate_unicycle,
+    unicycle_path,
     wheels_to_twist,
     wrap_angle,
     wrap_angles,
@@ -142,6 +143,31 @@ def test_flow_composability(x, y, theta, v, w, dt):
     assert abs(two_steps.x - one_step.x) <= 1e-9 * scale
     assert abs(two_steps.y - one_step.y) <= 1e-9 * scale
     assert wrap_angle(two_steps.theta - one_step.theta) == pytest.approx(0.0, abs=1e-9)
+
+
+path_steps = st.lists(st.tuples(speeds, rates | st.floats(-40.0, 40.0) | st.floats(-2e-9, 2e-9),
+                                st.floats(0.0, 1.0)), max_size=200)
+
+
+@given(coords, coords, angles, path_steps)
+@example(-0.0, -0.0, -0.0, [(-0.0, -0.0, 0.5), (0.0, 1.0, 0.0)])
+@example(0.0, 0.0, 0.0, [(100.0, w, 1.0) for w in (
+    ARC_EPSILON, math.nextafter(ARC_EPSILON, 1.0),
+    -ARC_EPSILON, math.nextafter(-ARC_EPSILON, -1.0))])
+# Sums of exactly -pi (wraps to +pi) and +pi (stays).
+@example(0.0, 0.0, 0.0, [(100.0, -math.pi, 1.0), (100.0, math.pi, 1.0),
+                         (100.0, math.pi, 1.0)])
+# A wrap on the first step, then one every 118 steps or so.
+@example(0.0, 0.0, 3.0, [(100.0, 0.5, 1.0)] + [(100.0, 0.05, 1.0)] * 299)
+def test_unicycle_path_is_chained_integrate_unicycle(x, y, theta, steps):
+    poses = [Posture(x, y, theta)]
+    for v, w, dt in steps:
+        poses.append(integrate_unicycle(poses[-1], Twist(v, w), dt))
+    v, w, dt = (np.array([step[i] for step in steps], dtype=float) for i in range(3))
+    path = unicycle_path(poses[0], v * dt, w * dt)
+    assert path.shape == (3, len(steps) + 1)
+    assert [[value.hex() for value in row] for row in path.tolist()] == [
+        [value.hex() for value in row] for row in zip(*poses)]
 
 
 # --- error_posture -------------------------------------------------------

@@ -30,8 +30,8 @@ from swarmsim.cli.runner import simulate_reports
 from swarmsim.cli.scenario import load_scenario
 from swarmsim.comms import SensorPacket, StarChannel, encode_frame, wrap_flow, wrap_i16
 from swarmsim.control import Gains, circle_trajectory, tracking_control
-from swarmsim.core import (Posture, RobotGeometry, WheelSpeeds, integrate_unicycle,
-                           wheels_to_twist, wrap_angle)
+from swarmsim.core import (Posture, RobotGeometry, WheelSpeeds, _wrapped_heading,
+                           integrate_unicycle, wheels_to_twist, wrap_angle)
 from swarmsim.estimation import EkfConfig, ReportConverter, filter_step, initial_belief
 from swarmsim.sim import (
     MIN_BLOCK_TICKS,
@@ -50,7 +50,6 @@ from swarmsim.sim import (
     Rect,
     RobotSim,
     _pi_wheel,
-    _wrapped_heading,
     RuntimeFault,
     SensorNoise,
     SlipEvent,
@@ -521,12 +520,14 @@ def test_call_length_selects_the_tick_path(monkeypatch, start_us, ticks, end_int
 
 
 def _wheel_loop(target: float, act: float, integral: float, n: int) -> list[list[float]]:
-    """_wheel_response as n reference ticks of _pi_wheel."""
-    rows = [[act], [integral]]
+    """_wheel_response as n reference ticks of _pi_wheel: the rows of
+    speeds, mean speeds and integrals."""
+    rows = [[], [], []]
     for _ in range(n):
-        act, _, integral = _pi_wheel(target, act, integral)
+        act, mean, integral = _pi_wheel(target, act, integral)
         rows[0].append(act)
-        rows[1].append(integral)
+        rows[1].append(mean)
+        rows[2].append(integral)
     return rows
 
 
@@ -556,8 +557,8 @@ def test_held_blocks_match_the_reference_cold_and_warm():
 
 
 def test_wheel_memo_keeps_signed_zeros_apart():
-    # A warm entry for +0.0 must serve neither an all -0.0 state, whose
-    # response starts at -0.0, nor a -0.0 target.
+    # A warm entry for +0.0 must serve neither an all -0.0 state nor a
+    # -0.0 target or speed: each is its own entry.
     memo = sim_module._wheel_memo
     memo.cache_clear()
     warm = sim_module._wheel_response(0.0, 0.0, 0.0, 8)
@@ -568,8 +569,6 @@ def test_wheel_memo_keeps_signed_zeros_apart():
         assert response.tolist() == expected
         assert ([math.copysign(1.0, value) for value in response.flat]
                 == [math.copysign(1.0, value) for row in expected for value in row])
-    assert [math.copysign(1.0, value)
-            for value in sim_module._wheel_response(-0.0, -0.0, -0.0, 8)[:, 0]] == [-1.0, -1.0]
     assert memo.cache_info().misses == 4
 
 
@@ -577,7 +576,7 @@ def test_wheel_response_is_read_only_and_the_memo_bounded():
     memo = sim_module._wheel_memo
     memo.cache_clear()
     response = sim_module._wheel_response(150.0, 20.0, 1.5, 5)
-    assert response.shape == (2, 6) and response.dtype == np.float64
+    assert response.shape == (3, 5) and response.dtype == np.float64
     assert response.tolist() == _wheel_loop(150.0, 20.0, 1.5, 5)
     with pytest.raises(ValueError):
         response[0, 1] = 0.0
@@ -661,6 +660,8 @@ def test_simulate_reports_matches_the_stepped_loop(name, overrides, late):
                       min_size=1, max_size=300))
 # A sum of exactly -pi leaves (-pi, pi] and wraps to +pi; +pi stays.
 @example(start=0.0, steps=[-math.pi, math.pi, math.pi])
+# A wrap on the first step, then one every 118 steps or so.
+@example(start=3.0, steps=[0.5] + [0.05] * 299)
 def test_wrapped_heading_matches_the_tick_loop(start, steps):
     # The loop of advance_to: add, then wrap a sum that leaves (-pi, pi].
     expected = [start]
