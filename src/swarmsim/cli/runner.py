@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from swarmsim.comms import SensorPacket, StarChannel, encode_frame
+from swarmsim.comms import SensorPacket, StarChannel, encode_frame, encode_frames
 from swarmsim.control import lyapunov_value, tracking_control
 from swarmsim.core import (Posture, error_posture, integrate_unicycle,
                            wheels_to_twist, wrap_angle)
@@ -124,18 +124,18 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
     sim.set_command(scenario.command)
     channel = StarChannel(scenario.channel,
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
-    digest = hashlib.sha256()
-    for packet in sim.advance_to(duration_us):
-        frame = encode_frame(packet)
-        digest.update(frame)
-        channel.send(frame, float(packet.t_sent), packet.robot_id)
+    packets = sim.advance_to(duration_us)
+    frames = encode_frames(packets)
+    channel.send_many(frames, [packet.t_sent for packet in packets],
+                      [packet.robot_id for packet in packets])
     delivered = channel.receive(duration_us / 1e3)
     if not delivered:
         raise RuntimeFault(
             f"no report reached the server: {channel.sent} sent, "
             f"{channel.dropped} lost, {channel.undecodable} undecodable, "
             f"{channel.pending} still in flight")
-    return SensorRun(delivered, sim.truth_at_send, digest.hexdigest(), channel)
+    return SensorRun(delivered, sim.truth_at_send, hashlib.sha256(frames).hexdigest(),
+                     channel)
 
 
 def report_truths(reports: ConvertedReports,

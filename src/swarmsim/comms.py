@@ -4,20 +4,31 @@ Frame layout: 0xAA 0x55 | length u8 | payload | crc_hi crc_lo, where the
 CRC-16 (CCITT-FALSE: poly 0x1021, init 0xFFFF, unreflected, no final xor)
 covers length byte plus payload and travels big-endian.  The payload is a
 little-endian packed sensor report, see SensorPacket.
+
+encode_frame, decode_frame and StarChannel.send handle one frame each and
+are the reference.  A batch goes through their array forms, with the same
+bytes, doubles and errors: encode_frames packs many reports into one
+buffer of 30-byte records, StarChannel.send_many draws each frame's loss,
+flip and latency doubles in send order, and decode_frames checks and
+unpacks many frames at once, which is how StarChannel.receive decodes a
+batch.
 """
 
 from __future__ import annotations
 
 import binascii
-import heapq
+import bisect
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 SYNC = b"\xaa\x55"
+_SYNC_WORD = int.from_bytes(SYNC, "big")
 
 # id u8 | t_sent u32 | ticks i16 x2 | flow i16 x2 | gyro i16 | ir u16 x5
 _PAYLOAD = struct.Struct("<BIhhhhh5H")
@@ -27,6 +38,10 @@ FRAME_SIZE = 2 + 1 + PAYLOAD_SIZE + 2
 MAX_ROBOTS = 0x100
 # sync | length | payload: everything the CRC trailer follows.
 _HEAD = struct.Struct("<2sB" + _PAYLOAD.format[1:])
+# One whole frame as a record, for the array forms of the codec.
+_FRAME = np.dtype([("sync", ">u2"), ("length", "u1"), ("robot_id", "u1"),
+                   ("t_sent", "<u4"), ("ticks", "<i2", (2,)), ("flow", "<i2", (2,)),
+                   ("gyro", "<i2"), ("ir", "<u2", (5,)), ("crc", ">u2")])
 
 IR_OUT_OF_RANGE = 0xFFFF
 # Largest IR range (mm) the u16 field carries; a longer reading saturates
@@ -58,6 +73,10 @@ class CrcMismatch(FrameError):
 
 class BadPayload(FrameError):
     """Checksum passed but the payload is not a valid sensor report."""
+
+
+# Every class of FrameError that decode_frame raises.
+FRAME_ERRORS = (BadSync, Truncated, CrcMismatch, BadPayload)
 
 
 def wrap_i16(value: int) -> int:
@@ -159,10 +178,62 @@ def _seal(head: bytes) -> bytes:
     return head + crc16(head[2:]).to_bytes(2, "big")
 
 
-def encode_heading_frames(t_sent: int, headings: np.ndarray) -> list[bytes]:
+def _pack_frames(robot_id, t_sent, ticks, flow, gyro, ir) -> bytes:
+    """The sealed frames of these wire fields, one per element of gyro:
+    ticks and flow hold left then right, ir the five readings of each
+    frame or one value for all; each field broadcasts as numpy does."""
+    records = np.empty(len(gyro), _FRAME)
+    records["sync"] = _SYNC_WORD
+    records["length"] = PAYLOAD_SIZE
+    records["robot_id"] = robot_id
+    records["t_sent"] = t_sent
+    records["ticks"] = ticks
+    records["flow"] = flow
+    records["gyro"] = gyro
+    records["ir"] = ir
+    head, crc_hqx = records.tobytes(), binascii.crc_hqx
+    records["crc"] = [crc_hqx(head[i:i + 1 + PAYLOAD_SIZE], 0xFFFF)
+                      for i in range(2, len(head), FRAME_SIZE)]
+    return records.tobytes()
+
+
+def encode_frames(packets: Sequence[SensorPacket]) -> bytes:
+    """b"".join(map(encode_frame, packets)), quantized and packed as
+    columns with the same float operations.  When a value does not fit its
+    wire field, or is not a float numpy can take, the packets go through
+    encode_frame one by one, which raises its error for the first such
+    packet."""
+    if not packets:
+        return b""
+    robot_id, t_sent, ticks_l, ticks_r, flow_l, flow_r, gyro, ir = zip(*packets)
+    # np.rint rounds half to even, as round does in _quantize; a NaN fails
+    # every range test.
+    try:
+        with np.errstate(all="ignore"):
+            gyro_q = np.rint(np.array(gyro, dtype=float) / GYRO_UNIT_RAD)
+            flow_q = np.rint(np.array((flow_l, flow_r), dtype=float) / FLOW_UNIT_MM)
+            fits = ((np.abs(gyro_q) <= 3142).all()
+                    and ((-0x8000 <= flow_q) & (flow_q <= 0x7FFF)).all())
+            if ir.count(_NO_IR) == len(ir):
+                ir_wire = IR_OUT_OF_RANGE
+            else:
+                missing = np.array([[r is None for r in row] for row in ir])
+                # None reads as NaN here; min(r, IR_MAX_MM) keeps a NaN too.
+                ir_q = np.rint(np.minimum(np.array(ir, dtype=float), IR_MAX_MM))
+                fits = fits and (missing | ((0 <= ir_q) & (ir_q <= IR_MAX_MM))).all()
+                ir_wire = np.where(missing, IR_OUT_OF_RANGE, ir_q)
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    if not fits:
+        return b"".join(map(encode_frame, packets))
+    return _pack_frames(robot_id, t_sent, np.transpose((ticks_l, ticks_r)), flow_q.T,
+                        gyro_q, ir_wire)
+
+
+def encode_heading_frames(t_sent: int, headings: np.ndarray) -> bytes:
     """The frames of robots 0, 1, ... reporting only their gyro headings at
-    t_sent: encode_frame of each one's SensorPacket with zero ticks and
-    flows and no IR readings, after the same checks."""
+    t_sent, in one buffer: encode_frame of each one's SensorPacket with
+    zero ticks and flows and no IR readings, after the same checks."""
     if len(headings) > MAX_ROBOTS:
         raise ValueError("robot_id must fit u8")
     if not 0 <= t_sent <= 0xFFFFFFFF:
@@ -175,8 +246,7 @@ def encode_heading_frames(t_sent: int, headings: np.ndarray) -> list[bytes]:
     if np.count_nonzero(misfit):
         value = float(headings[misfit.argmax()])
         raise ValueError(f"value {value!r} does not fit the wire field")
-    return [_seal(_HEAD.pack(SYNC, PAYLOAD_SIZE, robot_id, t_sent, 0, 0, 0, 0, q, *_NO_IR_WIRE))
-            for robot_id, q in enumerate(mrad.astype(int).tolist())]
+    return _pack_frames(np.arange(len(mrad)), t_sent, 0, 0, mrad, IR_OUT_OF_RANGE)
 
 
 def decode_frame(data: bytes) -> SensorPacket:
@@ -207,6 +277,61 @@ def decode_frame(data: bytes) -> SensorPacket:
     return tuple.__new__(SensorPacket, (
         fields[0], fields[1], fields[2], fields[3], fields[4] * FLOW_UNIT_MM,
         fields[5] * FLOW_UNIT_MM, gyro * GYRO_UNIT_RAD, ir))
+
+
+def _decoded(data: bytes) -> SensorPacket | FrameError:
+    """decode_frame's packet, or the FrameError it raises."""
+    try:
+        return decode_frame(data)
+    except FrameError as error:
+        return error
+
+
+# StarChannel.receive decodes fewer frames than this one at a time: below
+# about 16 frames decode_frames' fixed cost of some 20 us exceeds the 1-2 us
+# a frame it saves.
+MIN_DECODE_BATCH = 16
+
+
+def decode_frames(frames: Sequence[bytes]) -> list[SensorPacket | FrameError]:
+    """decode_frame of each frame, in order: its packet, or the FrameError
+    it raises.
+
+    The frames of FRAME_SIZE bytes are read as records of one array and
+    pass when the sync, length byte, CRC and gyro field all check, as in
+    decode_frame; a frame that fails, or has another size, goes through
+    decode_frame.
+    """
+    sized = [len(data) == FRAME_SIZE for data in frames]
+    wire = b"".join(compress(frames, sized))
+    records = np.frombuffer(wire, _FRAME)
+    gyro = records["gyro"]
+    passed = ((records["sync"] == _SYNC_WORD) & (records["length"] == PAYLOAD_SIZE)
+              & (-3142 <= gyro) & (gyro <= 3142))
+    # A sealed frame's CRC register ends at zero after its trailer.
+    crc_hqx = binascii.crc_hqx
+    residues = [crc_hqx(wire[i:i + FRAME_SIZE - 2], 0xFFFF)
+                for i in range(2, len(wire), FRAME_SIZE)]
+    if residues.count(0) < len(residues):
+        passed &= np.array(residues) == 0
+    good = records if passed.all() else records[passed]
+    ir = good["ir"]
+    if (ir == IR_OUT_OF_RANGE).all():
+        readings = repeat(_NO_IR)
+    else:
+        readings = [_NO_IR if row == _NO_IR_WIRE else tuple(
+            None if r == IR_OUT_OF_RANGE else float(r) for r in row)
+            for row in map(tuple, ir.tolist())]
+    ticks, flow = good["ticks"].T.tolist(), (good["flow"] * FLOW_UNIT_MM).T.tolist()
+    packets = map(tuple.__new__, repeat(SensorPacket), zip(
+        good["robot_id"].tolist(), good["t_sent"].tolist(), *ticks, *flow,
+        (good["gyro"] * GYRO_UNIT_RAD).tolist(), readings))
+    if len(good) == len(frames):
+        return list(packets)
+    # Each sized frame takes the next record's verdict.
+    verdicts = iter(passed.tolist())
+    return [next(packets) if is_sized and next(verdicts) else _decoded(data)
+            for data, is_sized in zip(frames, sized)]
 
 
 @dataclass(frozen=True)
@@ -257,7 +382,8 @@ class StarChannel:
     Latency jitter can reorder frames from the same robot when the jitter
     span exceeds the send period; the tie-break keeps delivery deterministic.
     Every frame sent is counted once: dropped in flight, undecodable on
-    receipt, returned by receive, or still pending.
+    receipt, returned by receive, or still pending.  rejected counts the
+    undecodable frames by the FrameError class decode_frame raises.
 
     Each frame takes the next doubles of rng's stream, in order: one for
     the loss test; then, if the frame survives, one per bit of it for
@@ -265,7 +391,8 @@ class StarChannel:
     lo + (hi - lo) * u, which is what rng.uniform(lo, hi) returns.  The
     doubles are drawn ahead in blocks, and numpy fills a block from the
     stream as it would fill one scalar draw after another, so every value
-    is the one a call per draw would give.
+    is the one a call per draw would give.  send_many takes a batch's
+    doubles in the order that one send per frame would.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
@@ -273,12 +400,27 @@ class StarChannel:
         self.rng = rng
         self.sent = 0
         self.dropped = 0
-        self.undecodable = 0
+        self.rejected = dict.fromkeys(FRAME_ERRORS, 0)
+        # Frames in flight, in delivery order.
         self._queue: list[Delivery] = []
         self._latency_lo = float(model.latency_min_ms)
         self._latency_span = float(model.latency_max_ms) - self._latency_lo
         self._draws = np.empty(0)
         self._next = 0
+
+    @property
+    def undecodable(self) -> int:
+        return sum(self.rejected.values())
+
+    def _doubles(self, count: int) -> tuple[int, np.ndarray]:
+        """The index of the next unread double and the doubles drawn so
+        far, with at least count unread."""
+        i, draws = self._next, self._draws
+        if i + count > len(draws):
+            draws = self._draws = np.concatenate(
+                (draws[i:], self.rng.random(max(count, _DRAW_BLOCK))))
+            i = 0
+        return i, draws
 
     def send(self, frame: bytes, t_now_ms: float, robot_id: int) -> None:
         self.sent += 1
@@ -287,9 +429,7 @@ class StarChannel:
         # Enough doubles for this frame's loss, flip and latency draws.
         i, draws = self._next, self._draws
         if i + flips + 2 > len(draws):
-            draws = self._draws = np.concatenate(
-                (draws[i:], self.rng.random(max(flips + 2, _DRAW_BLOCK))))
-            i = 0
+            i, draws = self._doubles(flips + 2)
         if draws.item(i) < model.loss_prob:
             self._next = i + 1
             self.dropped += 1
@@ -299,26 +439,68 @@ class StarChannel:
         i += flips + 1
         self._next = i + 1
         latency = self._latency_lo + self._latency_span * draws.item(i)
-        heapq.heappush(self._queue,
-                       Delivery(t_now_ms + latency, robot_id, self.sent, frame))
+        bisect.insort(self._queue, Delivery(t_now_ms + latency, robot_id, self.sent, frame))
+
+    def send_many(self, frames: bytes, t_now_ms: float | Sequence[float],
+                  robot_ids: Sequence[int]) -> None:
+        """send of each FRAME_SIZE frame of frames in turn, at t_now_ms (one
+        time for all, or one per frame) from robot_ids; the same doubles,
+        counts and deliveries, queued with one sort."""
+        count = len(frames) // FRAME_SIZE
+        model = self.model
+        flips = 8 * FRAME_SIZE if model.bit_flip_prob > 0.0 else 0
+        i, draws = self._doubles(count * (flips + 2))
+        double, loss_prob, flip_prob = draws.item, model.loss_prob, model.bit_flip_prob
+        lo, span = self._latency_lo, self._latency_span
+        times = repeat(t_now_ms) if isinstance(t_now_ms, (int, float)) else t_now_ms
+        seq, queued = self.sent, []
+        for start, t, robot_id in zip(range(0, len(frames), FRAME_SIZE), times, robot_ids):
+            seq += 1
+            if double(i) < loss_prob:
+                i += 1
+                continue
+            frame = frames[start:start + FRAME_SIZE]
+            if flips:
+                frame = corrupt(frame, flip_prob, draws[i + 1:i + 1 + flips])
+            i += flips + 1
+            queued.append(tuple.__new__(Delivery, (t + (lo + span * double(i)), robot_id,
+                                                   seq, frame)))
+            i += 1
+        self._next = i
+        self.sent = seq
+        self.dropped += count - len(queued)
+        self._queue += queued
+        self._queue.sort()
 
     def pop_due(self, t_now_ms: float) -> list[Delivery]:
         """All deliveries due at or before t_now_ms, in delivery order."""
         queue = self._queue
-        due = []
-        while queue and queue[0][0] <= t_now_ms:
-            due.append(heapq.heappop(queue))
-        return due
+        if not queue or queue[0][0] > t_now_ms:
+            return []
+        # Every delivery at t_now_ms sorts before (t_now_ms, inf).
+        due = bisect.bisect_right(queue, (t_now_ms, math.inf))
+        popped = queue[:due]
+        del queue[:due]
+        return popped
 
     def receive(self, t_now_ms: float) -> list[SensorPacket]:
         """Reports due at or before t_now_ms, decoded, in delivery order;
-        frames that fail to decode are counted in undecodable."""
+        frames that fail to decode are counted in rejected."""
+        due = self.pop_due(t_now_ms)
         packets = []
-        for delivery in self.pop_due(t_now_ms):
-            try:
-                packets.append(decode_frame(delivery.data))
-            except FrameError:
-                self.undecodable += 1
+        if len(due) < MIN_DECODE_BATCH:
+            # A few frames cost less decoded one at a time.
+            for delivery in due:
+                try:
+                    packets.append(decode_frame(delivery.data))
+                except FrameError as error:
+                    self.rejected[type(error)] += 1
+            return packets
+        for item in decode_frames([delivery.data for delivery in due]):
+            if type(item) is SensorPacket:
+                packets.append(item)
+            else:
+                self.rejected[type(item)] += 1
         return packets
 
     @property

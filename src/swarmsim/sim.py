@@ -13,23 +13,26 @@ so runs are reproducible.
 one fused loop per robot or, over a long ``advance_to`` call, in blocks of
 ticks with the same float operations, where each wheel's response to the
 held command is memoized per process.  It samples each report window through
-``EncoderModel``, ``FlowModel`` and ``sample_gyro``, on seed-derived
-per-robot noise streams.
+``EncoderModel``, ``FlowModel`` and ``sample_gyro``, or a block's windows
+at once through their array forms, on seed-derived per-robot noise
+streams.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .comms import SensorPacket, wrap_flow, wrap_i16
+from .comms import FLOW_UNIT_MM, SensorPacket, wrap_flow, wrap_i16
 from .core import (
     ARC_EPSILON,
     MAX_WHEEL_SPEED,
@@ -42,6 +45,7 @@ from .core import (
     unicycle_path,
     wheels_to_twist,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -193,14 +197,15 @@ ENCODER_HZ = 400.0
 FLOW_HZ = 1000.0
 
 
-def window_sigma(sigma: float, hz: float, window_s: float) -> float:
-    """Standard deviation of the summed displacement noise of one window.
+def window_sigma(sigma: float, hz: float, window_s: float, sqrt=math.sqrt) -> float:
+    """Standard deviation of the summed displacement noise of one window;
+    with sqrt=np.sqrt, of each window of a float array window_s.
 
     A sample of 1 / hz seconds carries sigma / hz mm of noise, and a window
     of window_s seconds holds window_s * hz such i.i.d. samples, so their
     sum is one normal of variance sigma**2 * window_s / hz.
     """
-    return sigma * math.sqrt(1.0 / hz * window_s)
+    return sigma * sqrt(1.0 / hz * window_s)
 
 
 def count_ticks(travel: float, mm_per_tick: float) -> int:
@@ -248,6 +253,31 @@ class EncoderModel:
         ticks[0], ticks[1] = right, left
         return counted
 
+    def sample_windows(self, right_mm: np.ndarray, left_mm: np.ndarray,
+                       window_s: np.ndarray, normals: np.ndarray) -> np.ndarray | None:
+        """sample_speeds over consecutive windows, as arrays: normals holds
+        the two normals of each window that sample_speeds would read, in
+        order.  Returns the (2, n) int64 cumulative counts (right, left) at
+        the end of each window, or None, leaving the model as it was, when
+        a count is not finite or does not fit an int64."""
+        travel = np.empty((2, len(window_s) + 1))
+        travel[:, 0] = self._travel
+        # travel += increment, one window after another: cumsum adds in
+        # sequence.
+        with np.errstate(all="ignore"):
+            sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s, np.sqrt)
+            travel[0, 1:] = right_mm + sigma * normals[0::2]
+            travel[1, 1:] = left_mm + sigma * normals[1::2]
+            np.cumsum(travel, axis=1, out=travel)
+            quotient = travel[:, 1:] / self.geometry.mm_per_tick
+            if not (np.abs(quotient) < 2.0 ** 62).all():
+                return None
+        # count_ticks: the quotient truncated toward zero.
+        counts = quotient.astype(np.int64)
+        self._travel = travel[:, -1].tolist()
+        self._ticks = counts[:, -1].tolist()
+        return counts
+
 
 class FlowModel:
     """Paired downward optical-flow sensors measuring ground motion.
@@ -279,6 +309,19 @@ class FlowModel:
             (path_mm + half) * scale + sigma * self.rng.standard_normal(),
         )
 
+    def sample_windows(self, path_mm: np.ndarray, turn_rad: np.ndarray,
+                       window_s: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """sample_vw over consecutive windows, as a (2, n) array of the
+        displacements (left, right); normals holds the two normals of
+        each window that sample_vw would read, in order.  Quiet where a
+        value is not finite: callers check."""
+        scale = self.noise.flow_scale
+        with np.errstate(all="ignore"):
+            half = 0.5 * self.geometry.flow_separation * turn_rad
+            sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s, np.sqrt)
+            return np.array(((path_mm - half) * scale + sigma * normals[0::2],
+                             (path_mm + half) * scale + sigma * normals[1::2]))
+
 
 @dataclass(frozen=True)
 class Rates:
@@ -309,6 +352,17 @@ def sample_gyro(heading: float, sigma: float, rng: np.random.Generator) -> float
     return wrap_angle(heading + sigma * rng.standard_normal())
 
 
+def sample_gyros(headings: np.ndarray, sigma: float,
+                 normals: np.ndarray) -> np.ndarray | None:
+    """sample_gyro of each heading, with normals the values it would read
+    in order, or None when a reading is not finite."""
+    with np.errstate(all="ignore"):
+        readings = headings + sigma * normals
+    if not np.isfinite(readings).all():
+        return None
+    return wrap_angles(readings)
+
+
 # Values per block of a noise stream read one value at a time.
 NOISE_BLOCK = 64
 
@@ -327,10 +381,26 @@ def block_draws(draw, size: int = NOISE_BLOCK):
 
 class BlockNormals:
     """A Generator read one standard_normal() at a time, whose normals are
-    drawn in blocks (see block_draws)."""
+    drawn in blocks (see block_draws), or take(k) at a time: the values of
+    one scalar draw each, in order, whichever way they are read."""
 
     def __init__(self, rng: np.random.Generator):
-        self.standard_normal = block_draws(rng.standard_normal).__next__
+        self._draw = rng.standard_normal
+        self._block = iter(())
+        self.standard_normal = self._values().__next__
+
+    def _values(self):
+        while True:
+            self._block = iter(self._draw(NOISE_BLOCK).tolist())
+            # take reads the same iterator, so the two never repeat a value.
+            yield from self._block
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k normals, as an array."""
+        head = list(itertools.islice(self._block, k))
+        if len(head) == k:
+            return np.array(head)
+        return np.concatenate((head, self._draw(k - len(head))))
 
 
 # --- world and range sensing --------------------------------------------------
@@ -610,12 +680,20 @@ class RobotSim:
     schedule order and reads their poses and running sums from its arrays
     as columns (``_block_reports``).
 
-    On either path each report goes through ``_sample_report``, which
+    On the tick path each report goes through ``_sample_report``, which
     samples its window through ``EncoderModel.sample_speeds``,
     ``FlowModel.sample_vw`` and ``sample_gyro`` once each, and checks and
-    builds the packet and its truth.  The encoder, flow, gyro and
-    jittered schedule streams are drawn in blocks and read one value per
-    draw (block_draws), the values scalar draws would give.
+    builds the packet and its truth.  A block takes its reports' normals
+    from each stream at once and samples them as columns
+    (``_sample_columns``) through ``EncoderModel.sample_windows``,
+    ``FlowModel.sample_windows`` and ``sample_gyros``: the same float
+    operations, the encoder travel and flow counters summed in sequence
+    by ``np.cumsum``.  Where a column is not finite or a counter outgrows
+    an int64, and in a world, where each report also scans its IR rays,
+    the block hands its reports to ``_sample_report`` one by one, reading
+    the normals it already drew.  The encoder, flow, gyro and jittered
+    schedule streams are drawn in blocks and read one value per draw
+    (block_draws, BlockNormals), the values scalar draws would give.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -902,8 +980,11 @@ class RobotSim:
         step into the report's tick at its twist (Posture wraps the heading,
         as integrate_unicycle does), and the tick's mean speeds and twist
         times the time into it.  A report on a tick boundary takes the
-        tick-start values as they are, signed zeros included.  Each report
-        is then sampled in turn.
+        tick-start values as they are, signed zeros included.  The block's
+        normals are drawn from each sensor stream at once, and the reports
+        sampled as columns (_sample_columns).  Where that path does not
+        apply, the reports are sampled in turn by _sample_report, from the
+        same normals.
         """
         k, into_us = np.divmod(np.array(instants) - block_start, TICK_US)
         at_start = into_us == 0
@@ -917,14 +998,79 @@ class RobotSim:
             travel = v * into
             swept = w * into
             dx, dy = chord_steps(theta, travel, swept)
-            poses = zip(np.where(at_start, x, x + dx).tolist(),
-                        np.where(at_start, y, y + dy).tolist(),
-                        np.where(at_start, theta, theta + swept).tolist())
-            sums = zip((wheel_r + mean_r * into).tolist(), (wheel_l + mean_l * into).tolist(),
-                       (path + travel).tolist(), (turn + swept).tolist())
-        return [self._sample_report(t_us, window_us, Posture(*pose), window_sums)
-                for t_us, window_us, pose, window_sums
-                in zip(instants, windows, poses, sums)]
+            poses = np.array((np.where(at_start, x, x + dx), np.where(at_start, y, y + dy),
+                              np.where(at_start, theta, theta + swept)))
+            sums = np.array((wheel_r + mean_r * into, wheel_l + mean_l * into,
+                             path + travel, turn + swept))
+        n = len(instants)
+        streams = self._encoders.rng, self._flow.rng, self._gyro_noise
+        normals = [stream.take(count) for stream, count in zip(streams, (2 * n, 2 * n, n))]
+        if self.world is None:
+            sent = self._sample_columns(instants, windows, poses, sums, *normals)
+            if sent is not None:
+                return sent
+        self._encoders.rng, self._flow.rng, self._gyro_noise = (
+            SimpleNamespace(standard_normal=iter(drawn.tolist()).__next__) for drawn in normals)
+        try:
+            return [self._sample_report(t_us, window_us, Posture(*pose), window_sums)
+                    for t_us, window_us, pose, window_sums
+                    in zip(instants, windows, zip(*poses.tolist()), zip(*sums.tolist()))]
+        finally:
+            self._encoders.rng, self._flow.rng, self._gyro_noise = streams
+
+    def _sample_columns(self, instants: list[int], windows: list[int], poses: np.ndarray,
+                        sums: np.ndarray, encoder_normals: np.ndarray,
+                        flow_normals: np.ndarray,
+                        gyro_normals: np.ndarray) -> list[SensorPacket] | None:
+        """_sample_report of each report in turn, as columns: poses holds
+        each report's x, y and unwrapped heading, sums its running sums,
+        and the normals are those the sensor models would read one report
+        after another.  The sensors' array forms take the same float
+        operations, so the same doubles.
+
+        Returns None, and changes nothing, where a pose or reading is not
+        finite, a counter does not fit an int64 or t_sent does not fit its
+        field: _sample_report then raises the error of the first such
+        report, or counts exactly (count_ticks' Fraction path).
+        """
+        with np.errstate(all="ignore"):
+            if not np.isfinite(poses).all():
+                return None
+            x, y, theta = poses
+            theta = wrap_angles(theta)
+            gyro = sample_gyros(theta, self.noise.gyro_sigma, gyro_normals)
+            window_s = np.array(windows) / 1e6
+            # The windows since the last report.
+            moved = np.diff(sums, axis=1, prepend=np.array(self._at_report)[:, None])
+            counters = np.empty((2, len(instants) + 1))
+            counters[:, 0] = self._flow_l, self._flow_r
+            counters[:, 1:] = self._flow.sample_windows(moved[2], moved[3], window_s,
+                                                        flow_normals)
+            np.cumsum(counters, axis=1, out=counters)
+            flow_steps = counters[:, 1:] / FLOW_UNIT_MM
+            t_sent = np.array(instants) // 1000
+            if (gyro is None or not (np.abs(flow_steps) < 2.0 ** 62).all()
+                    or t_sent[-1] > 0xFFFFFFFF):
+                return None
+        counts = self._encoders.sample_windows(moved[0], moved[1], window_s, encoder_normals)
+        if counts is None:
+            return None
+        self._at_report = tuple(sums[:, -1].tolist())
+        self._flow_l, self._flow_r = counters[:, -1].tolist()
+        self._ticks_r, self._ticks_l = counts[:, -1].tolist()
+        # wrap_i16 and wrap_flow, as arrays: np.rint rounds half to even,
+        # as round does.
+        ticks_r, ticks_l = wrap_i16(counts).tolist()
+        flow_l, flow_r = (wrap_i16(np.rint(flow_steps).astype(np.int64))
+                          * FLOW_UNIT_MM).tolist()
+        t_sent = t_sent.tolist()
+        self.truth_at_send.update(zip(t_sent, map(
+            tuple.__new__, itertools.repeat(Posture), zip(x.tolist(), y.tolist(),
+                                                          theta.tolist()))))
+        # The fields are checked above, as SensorPacket checks them.
+        return list(map(tuple.__new__, itertools.repeat(SensorPacket), zip(
+            itertools.repeat(0), t_sent, ticks_l, ticks_r, flow_l, flow_r, gyro.tolist(),
+            itertools.repeat((None,) * 5))))
 
     def _sample_report(self, t_us: int, window_us: int, pose: Posture,
                        sums: tuple[float, float, float, float]) -> SensorPacket:

@@ -223,8 +223,7 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
             if column == 0:
                 noise = np.array([rng.standard_normal(NOISE_BLOCK) for rng in streams])
             gyro = wrap_angles(theta + gyro_sigma * noise[:, column])
-        for robot_id, frame in enumerate(encode_heading_frames(int(round(t_ms)), gyro)):
-            channel.send(frame, t_ms, robot_id)
+        channel.send_many(encode_heading_frames(int(round(t_ms)), gyro), t_ms, expected_ids)
         for packet in channel.receive(t_ms):
             buffer.update(packet)
         if buffer.robot_ids() == expected_ids:

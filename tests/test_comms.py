@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.comms import (
+    FRAME_ERRORS,
     FRAME_SIZE,
     IR_MAX_MM,
     PAYLOAD_SIZE,
@@ -26,7 +27,10 @@ from swarmsim.comms import (
     corrupt,
     crc16,
     decode_frame,
+    decode_frames,
     encode_frame,
+    encode_frames,
+    encode_heading_frames,
     wrap_flow,
     wrap_i16,
 )
@@ -682,3 +686,143 @@ def test_channel_matches_the_scalar_draw_reference(loss_prob, bit_flip_prob, lat
         assert channel.dropped == 1200
     if 0.0 < loss_prob < 1.0 and bit_flip_prob > 0.0:
         assert min(channel.dropped, channel.undecodable, channel.pending) > 0
+
+
+# --- batched codec and channel ----------------------------------------------
+
+
+def _decoded_or_raised(data: bytes):
+    """repr of decode_frame's packet, or its exception's class and text."""
+    try:
+        return "packet", repr(decode_frame(data))
+    except FrameError as exc:
+        return type(exc), str(exc)
+
+
+def _batch_outcome(item):
+    if isinstance(item, FrameError):
+        return type(item), str(item)
+    return "packet", repr(item)
+
+
+_BAD_SYNC = b"\xab" + _valid_frame(1)[1:]
+_BAD_LENGTH = _reseal(_valid_frame(2)[:2] + bytes([24]) + _valid_frame(2)[3:])
+# Frames that pass the sync, length and CRC checks of a batch but not its
+# gyro check, one of each other check, and sizes other than FRAME_SIZE.
+_EDGE_FRAMES = (_sealed_frame(3143), _sealed_frame(-0x8000), _sealed_frame(3142),
+                _BAD_SYNC, _BAD_LENGTH, _valid_frame(3)[:-1], _valid_frame(4) + b"\x00",
+                _valid_frame(5) * 2, b"", b"\xaa\x55\x19")
+any_frames = st.lists(
+    st.binary(max_size=40) | mutated_frames | st.sampled_from(_EDGE_FRAMES)
+    | st.integers(min_value=-0x8000, max_value=0x7FFF).map(_sealed_frame)
+    | st.integers(min_value=0, max_value=10_000).map(_valid_frame),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_frames)
+@example(list(_EDGE_FRAMES))
+@example([_valid_frame(i) for i in range(30)])
+def test_decode_frames_is_decode_frame_of_each(frames):
+    assert ([_batch_outcome(item) for item in decode_frames(frames)]
+            == [_decoded_or_raised(data) for data in frames])
+
+
+def _encoded_or_raised(encode, packets):
+    try:
+        return "frames", encode(packets)
+    except Exception as exc:  # noqa: BLE001 - the class and text are the outcome
+        return type(exc), str(exc)
+
+
+# Valid reports with the values at the edge of each float wire field.
+_EDGE_FIELD_VALUES = st.fixed_dictionaries({
+    **_VALID_FIELDS,
+    "flow_dx_left": _VALID_FIELDS["flow_dx_left"] | st.sampled_from(_EDGE_FLOWS),
+    "flow_dx_right": _VALID_FIELDS["flow_dx_right"] | st.sampled_from(_EDGE_FLOWS),
+    "gyro_heading": _VALID_FIELDS["gyro_heading"] | st.sampled_from(
+        tuple(h for h in _EDGE_HEADINGS if not math.isnan(h))),
+    "ir": _VALID_FIELDS["ir"] | st.tuples(*[st.sampled_from(_EDGE_RANGES)] * 5),
+}).filter(lambda f: -3.142 <= f["gyro_heading"] <= 3.142)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EDGE_FIELD_VALUES.map(lambda f: SensorPacket(**f)), max_size=30))
+@example([SensorPacket(0, 0, 0, 0, 3276.7, -3276.8, 3.142, (None,) * 5),
+          SensorPacket(1, 2, -0x8000, 0x7FFF, 0.0, -0.0, -3.142,
+                       (None, 65534.4, 65534.6, 1e9, math.inf))])
+@example([SensorPacket(0, 0, 0, 0, 0.0, 0.0, 0.0),
+          SensorPacket(0, 1, 0, 0, 3276.75, 0.0, 0.0),
+          SensorPacket(0, 2, 0, 0, 0.0, math.nan, 0.0)])
+@example([SensorPacket(0, 0, 0, 0, 0.0, 0.0, 0.0, (-0.6, None, None, None, None)),
+          SensorPacket(0, 1, 0, 0, math.inf, 0.0, 0.0)])
+def test_encode_frames_is_encode_frame_joined(packets):
+    assert (_encoded_or_raised(encode_frames, packets)
+            == _encoded_or_raised(lambda ps: b"".join(map(encode_frame, ps)), packets))
+
+
+def test_heading_frames_are_the_packets_encoded():
+    headings = np.array([0.0, -0.0, 3.142, -3.142, 1.0005, -1.0005, 0.25])
+    packets = [SensorPacket(i, 70, 0, 0, 0.0, 0.0, h) for i, h in enumerate(headings.tolist())]
+    assert encode_heading_frames(70, headings) == encode_frames(packets)
+    assert encode_frames(packets) == b"".join(map(encode_frame, packets))
+
+
+def _queued(channel):
+    return [(d.deliver_ms.hex(), d.robot_id, d.seq, d.data) for d in channel.pop_due(1e12)]
+
+
+@pytest.mark.parametrize("loss_prob", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("bit_flip_prob", [0.0, 0.01])
+@pytest.mark.parametrize("latency_ms", [(50.0, 50.0), (0.0, 150.0)])
+def test_send_many_is_one_send_per_frame(loss_prob, bit_flip_prob, latency_ms):
+    # Batches of every size up to 2 x 4096 / 242 doubles, between single
+    # sends, so the draw blocks run out inside a batch and inside a frame.
+    model = ChannelModel(latency_min_ms=latency_ms[0], latency_max_ms=latency_ms[1],
+                         loss_prob=loss_prob, bit_flip_prob=bit_flip_prob)
+    batched = StarChannel(model, np.random.default_rng(19))
+    single = StarChannel(model, np.random.default_rng(19))
+    rng = np.random.default_rng(20)
+    sizes = [0, 1, 2, 7, 8, 33, 1] * 3
+    for size in sizes:
+        t_sent = rng.uniform(0.0, 1e4, size).tolist()
+        packets = [make_packet(rng, robot_id=i, t_sent=i) for i in range(size)]
+        frames = encode_frames(packets)
+        at = t_sent if size % 2 else 123.25
+        batched.send_many(frames, at, range(size))
+        for i in range(size):
+            single.send(frames[FRAME_SIZE * i:FRAME_SIZE * (i + 1)],
+                        t_sent[i] if size % 2 else 123.25, i)
+        frame = encode_frame(make_packet(rng))
+        batched.send(frame, 5.0, 9)
+        single.send(frame, 5.0, 9)
+        assert _counters(batched) == _counters(single)
+    assert _queued(batched) == _queued(single)
+    assert batched.sent == sum(sizes) + len(sizes)
+
+
+def test_receive_counts_each_reject_class_as_decode_frame_does():
+    # Batches large enough to decode as arrays, and single frames, through
+    # a channel that corrupts about one frame in three.
+    model = ChannelModel(latency_min_ms=0, latency_max_ms=50, bit_flip_prob=0.0015)
+    channel = StarChannel(model, np.random.default_rng(21))
+    twin = StarChannel(model, np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    counts = dict.fromkeys(FRAME_ERRORS, 0)
+    for step in range(300):
+        t = 10.0 * step
+        size = 40 if step % 3 else 1
+        frames = encode_frames([make_packet(rng, i % 256, step) for i in range(size)])
+        channel.send_many(frames, t, range(size))
+        twin.send_many(frames, t, range(size))
+        expected = []
+        for delivery in twin.pop_due(t + 25.0):
+            outcome = _decoded_or_raised(delivery.data)
+            if outcome[0] == "packet":
+                expected.append(outcome[1])
+            else:
+                counts[outcome[0]] += 1
+        assert [repr(p) for p in channel.receive(t + 25.0)] == expected
+        assert channel.rejected == counts
+    assert channel.undecodable == sum(counts.values())
+    assert min(counts[BadSync], counts[Truncated], counts[CrcMismatch]) > 0

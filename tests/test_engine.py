@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 import runpy
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -770,25 +771,94 @@ def test_truth_ignores_the_sensor_settings(jitter_ms):
                          ids=lambda path: path.stem)
 def test_each_report_samples_each_sensor_model_once(monkeypatch, scenario):
     # The engine samples every report window through the sensor models:
-    # one encoder, one flow and one gyro sample per report sent.
+    # one encoder, one flow and one gyro sample per report sent, here all
+    # through their array forms, one window per element.
     calls = {}
 
-    def count(owner, name):
+    def count(owner, name, windows):
         original = getattr(owner, name)
 
         def counting(*args):
-            calls[name] = calls.get(name, 0) + 1
+            key = f"{getattr(owner, '__name__', '')}.{name}"
+            calls[key] = calls.get(key, 0) + windows(args)
             return original(*args)
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(EncoderModel, "sample_speeds")
-    count(FlowModel, "sample_vw")
-    count(sim_module, "sample_gyro")
+    for owner, name in ((EncoderModel, "sample_speeds"), (FlowModel, "sample_vw"),
+                        (sim_module, "sample_gyro")):
+        count(owner, name, lambda args: 1)
+    # The windows are the window_s argument of a model's array form, and
+    # the headings of sample_gyros.
+    count(EncoderModel, "sample_windows", lambda args: len(args[-2]))
+    count(FlowModel, "sample_windows", lambda args: len(args[-2]))
+    count(sim_module, "sample_gyros", lambda args: len(args[0]))
     run = simulate_reports(load_scenario(scenario, ()))
     assert run.channel.sent >= 400
-    assert calls == dict.fromkeys(("sample_speeds", "sample_vw", "sample_gyro"),
-                                  run.channel.sent)
+    assert calls == dict.fromkeys(("EncoderModel.sample_windows", "FlowModel.sample_windows",
+                                   "swarmsim.sim.sample_gyros"), run.channel.sent)
+
+
+def _sampled(columns: bool, geometry=GEOM, noise=SensorNoise(), rates=Rates(),
+             slip=(SlipEvent(10_000.0, 12_000.0),), command=WheelSpeeds(160.0, 140.0),
+             world=None):
+    """A 12 s block-path run of the bundled localize_slip robot with some
+    settings replaced, its reports sampled as columns or one by one: the
+    packets, truth, counters and next normal of each stream, or the error
+    raised."""
+    sim = RobotSim(geometry, noise, Posture(0.0, 0.0, 0.0), 7, slip_schedule=slip,
+                   rates=rates, world=world)
+    sim.set_command(command)
+    if not columns:
+        sim._sample_columns = lambda *args: None
+    try:
+        packets = sim.advance_to(12_000_000)
+    except Exception as exc:  # noqa: BLE001 - the class and text are the outcome
+        return type(exc), str(exc)
+    streams = (sim._encoders.rng, sim._flow.rng, sim._gyro_noise)
+    return (repr(packets), repr(sim.truth_at_send),
+            repr((sim._at_report, sim._ticks_r, sim._ticks_l, sim._flow_l, sim._flow_r,
+                  sim._encoders._travel, sim._encoders._ticks)),
+            [stream.standard_normal().hex() for stream in streams])
+
+
+# The robustness probe's extremes, and settings that make a column
+# non-finite or overflow an int64 counter. Validation rejects several, so
+# they are set on the engine directly.
+EXTREME_ENGINES = {
+    "bundled": {},
+    "jitter": {"rates": Rates(75.0, 25.0)},
+    # Reports inside the ticks whose heading leaves (-pi, pi].
+    "fast spin, 3 ms reports": {"command": WheelSpeeds(180.0, -180.0),
+                                "rates": Rates(3.0, 1.0)},
+    "subnormal tick": {"geometry": RobotGeometry(mm_per_tick=5e-324)},
+    "smallest normal tick": {"geometry": RobotGeometry(mm_per_tick=sys.float_info.min)},
+    "command at 1e308": {"command": WheelSpeeds(1e308, 1e308)},
+    "command at +-1e308": {"command": WheelSpeeds(1e308, -1e308)},
+    "subnormal wheel base": {"geometry": RobotGeometry(wheel_base=5e-324)},
+    "subnormal flow separation": {"geometry": RobotGeometry(flow_separation=5e-324)},
+    "slip scale 1e308": {"slip": (SlipEvent(0.0, 1e308, "scale", 1e308),)},
+    "encoder noise 1e308": {"noise": SensorNoise(encoder_sigma=1e308)},
+    "encoder noise 1e290": {"noise": SensorNoise(encoder_sigma=1e290)},
+    # Counts between 2**63 and 2**70 ticks.
+    "encoder noise 1e21": {"noise": SensorNoise(encoder_sigma=1e21)},
+    "flow noise 1e300": {"noise": SensorNoise(flow_sigma=1e300)},
+    "flow scale 1e308": {"noise": SensorNoise(flow_scale=1e308)},
+    "gyro noise 1e308": {"noise": SensorNoise(gyro_sigma=1e308)},
+    "world": {"world": World()},
+}
+
+
+# The plant's own array steps warn on the non-finite twists of a few of
+# these settings, which validation keeps from any run.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("engine", EXTREME_ENGINES.values(), ids=EXTREME_ENGINES)
+def test_block_sampling_matches_the_per_report_path_at_the_extremes(engine):
+    # The same reports, truth, counters and stream positions, or the same
+    # error, whether the block samples its reports as columns or hands
+    # them to _sample_report one by one from the normals it drew.
+    columns = _sampled(True, **engine)
+    assert columns == _sampled(False, **engine)
 
 
 def _chi2_quantile(n: int, z: float) -> float:

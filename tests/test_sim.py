@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
 from swarmsim.sim import (
@@ -22,7 +22,9 @@ from swarmsim.sim import (
     World,
     _cast_rays,
     block_draws,
+    count_ticks,
     sample_gyro,
+    sample_gyros,
     sample_ir,
 )
 from test_engine import active_slip
@@ -327,6 +329,94 @@ def test_block_integers_continue_the_scalar_stream(size, lo, hi):
     draws = block_draws(lambda n: block.integers(lo, hi, size=n), size)
     assert ([next(draws) for _ in range(130)]
             == [int(scalar.integers(lo, hi)) for _ in range(130)])
+
+
+@pytest.mark.parametrize("reads", [
+    [1, 65, 3], [64, 0, 1], [63, 1, 200, 2, 1], [0, 5, 0, 1000, 64, 64, 1],
+])
+def test_block_normals_take_continues_the_scalar_stream(reads):
+    # Scalar reads and take(k) in turn, across and inside draw blocks.
+    scalar, block = np.random.default_rng(11), BlockNormals(np.random.default_rng(11))
+    got, want = [], []
+    for i, k in enumerate(reads):
+        if i % 2:
+            got += block.take(k).tolist()
+        else:
+            got += [block.standard_normal() for _ in range(k)]
+        want += [scalar.standard_normal() for _ in range(k)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# --- array forms of the sensor models -----------------------------------------------
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+windows = st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                             st.integers(1, 200_000)), min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows, st.sampled_from((0.5, 0.013, 3.0, 1e-300)),
+       st.sampled_from((0.0, 1.0, 40.0)), st.integers(0, 2**32))
+@example([(1e300, -1e300, 70_000)], 0.5, 1.0, 0)   # an int64 count overflows
+@example([(0.4, 0.1, 70_000)], 5e-324, 1.0, 0)      # count_ticks' Fraction path
+def test_encoder_windows_are_sample_speeds_in_turn(moves, mm_per_tick, sigma, seed):
+    geometry = RobotGeometry(mm_per_tick=mm_per_tick)
+    noise = SensorNoise(encoder_sigma=sigma)
+    scalar = EncoderModel(geometry, noise, np.random.default_rng(seed))
+    batch = EncoderModel(geometry, noise, None)
+    for model in (scalar, batch):   # a start away from zero
+        model._travel = [0.3, -0.7]
+        model._ticks = [count_ticks(0.3, mm_per_tick), count_ticks(-0.7, mm_per_tick)]
+    counts, quotients = [], []
+    for right, left, window_us in moves:
+        scalar.sample_speeds(right, left, window_us / 1e6)
+        counts.append(scalar._ticks[:])
+        quotients += [t / mm_per_tick for t in scalar._travel]
+    right, left, window_us = (np.array(c) for c in zip(*moves))
+    before = (batch._travel[:], batch._ticks[:])
+    got = batch.sample_windows(right, left, window_us / 1e6,
+                               np.random.default_rng(seed).standard_normal(2 * len(moves)))
+    if got is None:
+        # A count left int64, and the model is as it was.
+        assert not all(abs(q) < 2.0 ** 62 for q in quotients)
+        assert (batch._travel, batch._ticks) == before
+        return
+    assert got.T.tolist() == counts
+    assert _hexes(batch._travel) == _hexes(scalar._travel)
+    assert batch._ticks == scalar._ticks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-0.5, 0.5),
+                          st.integers(1, 200_000)), min_size=1, max_size=60),
+       st.sampled_from((0.0, 25.0)), st.sampled_from((1.0, 1.3)), st.integers(0, 2**32))
+def test_flow_windows_are_sample_vw_in_turn(moves, sigma, scale, seed):
+    noise = SensorNoise(flow_sigma=sigma, flow_scale=scale)
+    scalar = FlowModel(GEOM, noise, np.random.default_rng(seed))
+    want = [scalar.sample_vw(path, turn, window_us / 1e6) for path, turn, window_us in moves]
+    path, turn, window_us = (np.array(c) for c in zip(*moves))
+    got = FlowModel(GEOM, noise, None).sample_windows(
+        path, turn, window_us / 1e6, np.random.default_rng(seed).standard_normal(2 * len(moves)))
+    assert [_hexes(pair) for pair in got.T.tolist()] == [_hexes(pair) for pair in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-math.pi, math.pi) | st.sampled_from((math.pi, -0.0, 0.0)),
+                min_size=1, max_size=60),
+       st.sampled_from((0.0, 0.01, 3.0, 1e308)), st.integers(0, 2**32))
+def test_gyro_array_is_sample_gyro_in_turn(headings, sigma, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        want = _hexes(sample_gyro(h, sigma, rng) for h in headings)
+    except ValueError:
+        want = None   # a reading overflowed
+    got = sample_gyros(np.array(headings), sigma,
+                       np.random.default_rng(seed).standard_normal(len(headings)))
+    assert (got if got is None else _hexes(got)) == want
 
 
 # --- IR ranging -----------------------------------------------------------------
