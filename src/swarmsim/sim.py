@@ -11,11 +11,10 @@ so runs are reproducible.
 ``PlantLoop`` is the reference plant, stepped one tick at a time;
 ``RobotSim``, the engine every run uses, repeats its arithmetic inline in
 one fused loop per robot or, over a long ``advance_to`` call, in blocks of
-ticks with the same float operations, where each wheel's response to the
-held command is memoized per process.  It samples each report window through
-``EncoderModel``, ``FlowModel`` and ``sample_gyro``, or a block's windows
-at once through their array forms, on seed-derived per-robot noise
-streams.
+ticks with the same float operations, each block memoized per process.
+It samples each report window through ``EncoderModel``, ``FlowModel`` and
+``sample_gyro``, or a block's windows at once through their array forms,
+on seed-derived per-robot noise streams.
 """
 
 from __future__ import annotations
@@ -593,42 +592,15 @@ HELD_BLOCK_TICKS = 4096
 MIN_BLOCK_TICKS = 256
 
 
-def _doubles(*lists: list[float]) -> np.ndarray:
-    """The lists' floats, one list after another, as a float64 array;
-    packing them is several times faster than np.array on a list."""
-    size = len(lists[0])
-    out = bytearray(8 * size * len(lists))
-    row = struct.Struct(f"{size}d")
-    for i, values in enumerate(lists):
-        row.pack_into(out, 8 * size * i, *values)
-    return np.frombuffer(out)
-
-
-def _wheel_response(target: float, act: float, integral: float, n: int) -> np.ndarray:
+def _wheel_response(target: float, act: float, integral: float,
+                    n: int) -> tuple[list[float], float, float]:
     """One wheel held at target for n ticks from speed act and PI integral
-    integral: a read-only (3, n) array whose column k is tick k's
-    _pi_wheel result, the speed at its end, the mean speed over it and the
-    integral.
-
-    The response depends on nothing else, so it is memoized per process,
-    keyed on the floats' exact bits: lru_cache's own key would serve a
-    -0.0 from the entry of 0.0.  Only runs that repeat a command from the
-    same wheel state, such as the seeds of one scenario, hit it."""
-    return _wheel_memo(_WHEEL_KEY.pack(target, act, integral), n)
-
-
-_WHEEL_KEY = struct.Struct("<3d")
-# Entries of _wheel_memo, each 98.3 KB at HELD_BLOCK_TICKS.
-WHEEL_MEMO_SIZE = 16
-
-
-@functools.lru_cache(maxsize=WHEEL_MEMO_SIZE)
-def _wheel_memo(key: bytes, n: int) -> np.ndarray:
-    target, act, integral = _WHEEL_KEY.unpack(key)
+    integral, as n ticks of _pi_wheel: the mean speed over each tick, and
+    the speed and integral at the end of the last."""
     kp, ki, lag_end, lag_mean, tick_s = PI_KP, PI_KI, LAG_END, LAG_MEAN, TICK_S
     v_max = MAX_WHEEL_SPEED
     v_min = -v_max
-    acts, means, integrals = [], [], []
+    means = []
     for _ in range(n):
         error = target - act
         drive = target + kp * error + ki * integral
@@ -640,12 +612,67 @@ def _wheel_memo(key: bytes, n: int) -> np.ndarray:
             integral += error * tick_s
         gap = act - drive
         act = drive + gap * lag_end
-        acts.append(act)
         means.append(drive + gap * lag_mean)
-        integrals.append(integral)
-    response = _doubles(acts, means, integrals).reshape(3, n)
-    response.flags.writeable = False
-    return response
+    return means, act, integral
+
+
+# Entries of _block_memo, each about 360 KB at HELD_BLOCK_TICKS: a
+# bundled localize run holds a command for 3 blocks.
+BLOCK_MEMO_SIZE = 8
+# The wheel targets (right, left) and the loop state of a block's key.
+_LOOP_KEY = struct.Struct("<17d")
+
+
+@functools.lru_cache(maxsize=BLOCK_MEMO_SIZE)
+def _block_memo(t0: int, n: int, loop: bytes, plant: bytes) -> tuple:
+    """RobotSim._held_block's n ticks from t0, memoized per process.
+
+    loop packs the wheel targets and the loop state, and plant the wheel
+    base and the slip schedule, (start_ms, end_ms, stuck, factor) per
+    event, as doubles: keyed on their exact bits, as lru_cache's own key
+    would serve a -0.0 from the entry of 0.0.  The block depends on
+    nothing else, so the seeds of one scenario share its entries.
+    """
+    target_r, target_l, *state = _LOOP_KEY.unpack(loop)
+    wheel_base, *events = struct.unpack(f"<{len(plant) // 8}d", plant)
+    tick_us, tick_s = TICK_US, TICK_S
+    means_r, act_r, int_r = _wheel_response(target_r, state[11], state[13], n)
+    means_l, act_l, int_l = _wheel_response(target_l, state[12], state[14], n)
+    # ticks[:, k] holds (mean_r, mean_l, v, w) of tick k.
+    ticks = np.empty((4, n))
+    ticks[:2] = means_r, means_l
+    mean_r, mean_l = ticks[0], ticks[1]
+    # rows[:, k] holds the values at the start of tick k: the pose of the
+    # chained chord steps, and running sums of the steps in
+    # rows[2:6, k + 1].
+    rows = np.empty((7, n + 1))
+    rows[:, 0] = state[:7]
+    steps = rows[:, 1:]
+    v, w = ticks[2], ticks[3]
+    # Quiet, as Python float arithmetic is: Posture rejects a non-finite
+    # pose at its report.
+    with np.errstate(all="ignore"):
+        # Ground contact under the first slip event active at each tick's
+        # start: the events are laid on in reverse, so the first one wins.
+        g_r, g_l = mean_r, mean_l
+        if events:
+            t_ms = (t0 + tick_us * np.arange(n)) / 1e3
+            for start_ms, end_ms, stuck, factor in reversed(
+                    [events[k:k + 4] for k in range(0, len(events), 4)]):
+                active = (start_ms <= t_ms) & (t_ms < end_ms)
+                if active.any():
+                    g_r = np.where(active, 0.0 if stuck else factor * mean_r, g_r)
+                    g_l = np.where(active, 0.0 if stuck else factor * mean_l, g_l)
+        np.multiply(0.5, g_r + g_l, out=v)
+        np.divide(g_r - g_l, wheel_base, out=w)
+        np.multiply(ticks[:2], tick_s, out=steps[2:4])
+        travel = np.multiply(v, tick_s, out=steps[4])
+        swept = np.multiply(w, tick_s, out=steps[5])
+        rows[[0, 1, 6]] = unicycle_path((state[0], state[1], state[6]), travel, swept)
+        np.cumsum(rows[2:6], axis=1, out=rows[2:6])
+    rows.flags.writeable = ticks.flags.writeable = False
+    last = (*ticks[:, -1].tolist(), act_r, act_l, int_r, int_l)
+    return t0, t0 + n * tick_us, rows, ticks, last
 
 
 class RobotSim:
@@ -671,14 +698,15 @@ class RobotSim:
     runs at least MIN_BLOCK_TICKS ticks finishes the tick in hand in that
     loop and computes every later tick that starts before its target in
     blocks instead (``_held_block``): each wheel's loop tick by tick, then
-    the twist and sums as array operations and the pose by
+    the slip, twist and sums as array operations and the pose by
     ``unicycle_path``, the same float operations in the same order, so the
-    same doubles.  A wheel's response to the held command depends only on
-    the command, its speed and integral and the tick count, so
-    ``_wheel_response`` memoizes it per process: the seeds of one scenario
-    in one process share it.  Each block draws its reports' instants in
-    schedule order and reads their poses and running sums from its arrays
-    as columns (``_block_reports``).
+    same doubles.  A block depends only on its start tick, length, command
+    and loop state, the wheel base and the slip schedule, never on the
+    noise, so ``_block_memo`` keeps it per process, keyed on their exact
+    bits: the seeds of one scenario in one process share its blocks.  Each
+    block takes its reports' instants in schedule order, as a range when
+    the schedule has no jitter, and reads their poses and running sums from
+    its arrays as columns (``_block_reports``).
 
     On the tick path each report goes through ``_sample_report``, which
     samples its window through ``EncoderModel.sample_speeds``,
@@ -705,6 +733,9 @@ class RobotSim:
         self.world = world
         self._slips = tuple((e.start_ms, e.end_ms, e.mode == "stuck", e.factor)
                             for e in slip_schedule)
+        # The plant of a held block's memo key (see _block_memo).
+        self._plant_key = struct.pack(f"<{1 + 4 * len(self._slips)}d", geometry.wheel_base,
+                                      *itertools.chain.from_iterable(self._slips))
         self._encoders = EncoderModel(geometry, noise, BlockNormals(
             stream_rng(seed, 0, STREAM_ENCODER)))
         self._flow = FlowModel(geometry, noise, BlockNormals(
@@ -723,7 +754,7 @@ class RobotSim:
         self.t_us = 0
         # Saturated wheel targets (right, left).
         self._target = (0.0, 0.0)
-        # The loop state, a block's rows[:, k] then ticks[:, k] (see
+        # The loop state, a block's rows[:, k] then its last tick (see
         # _held_block): the pose and running sums at the start of the
         # current tick, or at t_us when that is a tick boundary (t_us ==
         # _tick_end), namely wheel travel (mm), and the ground path length
@@ -784,26 +815,29 @@ class RobotSim:
         t_us, state = first_tick, self._state
         next_report, window_us = self._next_report, self._window_us
         while t_us < target_us:
-            rows = ticks = None   # free the last block first
-            block_start, block_end, rows, ticks = self._held_block(
+            block_start, block_end, rows, ticks, last = self._held_block(
                 t_us, target_us, target_r, target_l, state)
             t_us = min(block_end, target_us)
             # The block's report instants and windows, drawn in schedule
-            # order.
-            instants, windows = [], []
-            while next_report <= t_us:
-                instants.append(next_report)
-                windows.append(window_us)
-                window_us = self._report_interval()
-                next_report += window_us
+            # order; an unjittered schedule is an arithmetic range.
+            if self._jitter_us:
+                instants, windows = [], []
+                while next_report <= t_us:
+                    instants.append(next_report)
+                    windows.append(window_us)
+                    window_us = self._report_interval()
+                    next_report += window_us
+            else:
+                instants = list(range(next_report, t_us + 1, window_us))
+                windows = [window_us] * len(instants)
+                next_report += len(instants) * window_us
             if instants:
                 sent += self._block_reports(block_start, rows, ticks, instants, windows)
-            # rows[:, k] is the state at the start of tick k; at a boundary
-            # the tick in hand is the one that just ended.
-            k, into = divmod(t_us - block_start, TICK_US)
-            tick = k if into else k - 1
-            state = tuple(rows[:, k].tolist() + ticks[:, tick].tolist())
-        self.t_us, self._tick_end = t_us, block_start + (tick + 1) * TICK_US
+            # rows[:, k] is the state at the start of tick k, and the
+            # block's last tick is the one in hand, or on a boundary the one
+            # that just ended.
+            state = tuple(rows[:, (t_us - block_start) // TICK_US].tolist()) + last
+        self.t_us, self._tick_end = t_us, block_end
         self._state = state
         self._next_report, self._window_us = next_report, window_us
         return sent
@@ -928,47 +962,18 @@ class RobotSim:
         those that start before end_us, at most HELD_BLOCK_TICKS of them.
 
         state is the loop state at t0, in the layout of _state.  Returns
-        (t0, the block's end, rows, ticks): rows[:, k] holds (x, y, wheel_r,
-        wheel_l, path, turn, theta) at the start of tick k, and ticks[:, k]
-        holds (mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) of tick k,
-        the speeds and integrals at its end.  Only the wheels are stepped
-        tick by tick, one at a time by _wheel_response, which serves a
-        repeated command from its per-process memo; the rest are the array
-        forms of advance_to's float operations, in the same order.
+        (t0, the block's end, rows, ticks, last), read-only: rows[:, k]
+        holds (x, y, wheel_r, wheel_l, path, turn, theta) at the start of
+        tick k, ticks[:, k] holds (mean_r, mean_l, v, w) of tick k, and
+        last the last tick's (mean_r, mean_l, v, w, act_r, act_l, int_r,
+        int_l), the speeds and integrals at its end.  Only the wheels are
+        stepped tick by tick, one at a time by _wheel_response; the rest
+        are the array forms of advance_to's float operations, in the same
+        order.  The block is served from _block_memo.
         """
-        tick_us, tick_s = TICK_US, TICK_S
-        n = min(HELD_BLOCK_TICKS, -((t0 - end_us) // tick_us))
-        ticks = np.empty((8, n))
-        for wheel, target, act, integral in ((0, target_r, state[11], state[13]),
-                                             (1, target_l, state[12], state[14])):
-            ticks[4 + wheel], ticks[wheel], ticks[6 + wheel] = _wheel_response(
-                target, act, integral, n)
-        mean_r, mean_l = ticks[0], ticks[1]
-        # Ground contact under the first slip event active at each tick's
-        # start: the events are laid on in reverse, so the first one wins.
-        g_r, g_l = mean_r, mean_l
-        if self._slips:
-            t_ms = (t0 + tick_us * np.arange(n)) / 1e3
-            for start_ms, end_ms, stuck, factor in reversed(self._slips):
-                active = (start_ms <= t_ms) & (t_ms < end_ms)
-                if active.any():
-                    g_r = np.where(active, 0.0 if stuck else factor * mean_r, g_r)
-                    g_l = np.where(active, 0.0 if stuck else factor * mean_l, g_l)
-        # rows[:, k] holds the values at the start of tick k: the pose of
-        # the chained chord steps, and running sums of the steps in
-        # rows[2:6, k + 1].
-        rows = np.empty((7, n + 1))
-        rows[:, 0] = state[:7]
-        steps = rows[:, 1:]
-        v, w = ticks[2], ticks[3]
-        np.multiply(0.5, g_r + g_l, out=v)
-        np.divide(g_r - g_l, self.geometry.wheel_base, out=w)
-        np.multiply(ticks[:2], tick_s, out=steps[2:4])
-        travel = np.multiply(v, tick_s, out=steps[4])
-        swept = np.multiply(w, tick_s, out=steps[5])
-        rows[[0, 1, 6]] = unicycle_path((state[0], state[1], state[6]), travel, swept)
-        np.cumsum(rows[2:6], axis=1, out=rows[2:6])
-        return t0, t0 + n * tick_us, rows, ticks
+        n = min(HELD_BLOCK_TICKS, -((t0 - end_us) // TICK_US))
+        return _block_memo(t0, n, _LOOP_KEY.pack(target_r, target_l, *state),
+                           self._plant_key)
 
     def _block_reports(self, block_start: int, rows: np.ndarray, ticks: np.ndarray,
                        instants: list[int], windows: list[int]) -> list[SensorPacket]:
@@ -990,7 +995,7 @@ class RobotSim:
         at_start = into_us == 0
         x, y, wheel_r, wheel_l, path, turn, theta = rows[:, k]
         # At a boundary the tick in hand is the one that just ended.
-        mean_r, mean_l, v, w = ticks[:4, k - at_start]
+        mean_r, mean_l, v, w = ticks[:, k - at_start]
         into = into_us / 1e6
         # Quiet, as Python float arithmetic is: Posture rejects a non-finite
         # pose at its report.

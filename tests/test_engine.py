@@ -18,6 +18,7 @@ import hashlib
 import math
 import runpy
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -50,7 +51,6 @@ from swarmsim.sim import (
     Rates,
     Rect,
     RobotSim,
-    _pi_wheel,
     RuntimeFault,
     SensorNoise,
     SlipEvent,
@@ -456,7 +456,7 @@ def test_block_engine_keeps_signed_zeros(monkeypatch):
     stepped.set_command(WheelSpeeds(120.0, 120.0))
     sent = blocked.advance_to(1_000_000)
     assert len(built) == 1
-    _, _, rows, _ = built[0]
+    _, _, rows, *_ = built[0]
     assert math.copysign(1.0, rows[1, 1]) == -1.0
     stepped_sent = []
     for t_us in range(TICK_US, 1_000_000 + 1, TICK_US):
@@ -517,25 +517,60 @@ def test_call_length_selects_the_tick_path(monkeypatch, start_us, ticks, end_int
     _assert_matches_reference(sim, ref)
 
 
-# --- the per-process memo of a held wheel's response ----------------------------
+# --- the per-process memo of a held block -------------------------------------
 
 
-def _wheel_loop(target: float, act: float, integral: float, n: int) -> list[list[float]]:
-    """_wheel_response as n reference ticks of _pi_wheel: the rows of
-    speeds, mean speeds and integrals."""
-    rows = [[], [], []]
-    for _ in range(n):
-        act, mean, integral = _pi_wheel(target, act, integral)
-        rows[0].append(act)
-        rows[1].append(mean)
-        rows[2].append(integral)
-    return rows
+def _reference_block(geometry: RobotGeometry, schedule: tuple[SlipEvent, ...], t0: int,
+                     n: int, targets: tuple[float, float],
+                     state: tuple[float, ...]) -> tuple[list, list, list]:
+    """_held_block's rows, ticks and last as n PlantLoop.advance calls from
+    the tick boundary t0, with the running sums of ReferenceSim."""
+    x, y, wheel_r, wheel_l, path, turn, theta = state[:7]
+    loop = PlantLoop(Posture(x, y, theta), geometry, WheelSpeeds(*targets),
+                     WheelSpeeds(*state[11:13]), tuple(state[13:15]))
+    rows, ticks = [state[:7]], []
+    for k in range(n):
+        loop.advance(active_slip(schedule, (t0 + k * TICK_US) / 1e3))
+        twist = wheels_to_twist(loop.ground, geometry)
+        ticks.append((loop.wheels.right, loop.wheels.left, twist.v, twist.w))
+        wheel_r += loop.wheels.right * TICK_S
+        wheel_l += loop.wheels.left * TICK_S
+        path += twist.v * TICK_S
+        turn += twist.w * TICK_S
+        rows.append((loop.pose.x, loop.pose.y, wheel_r, wheel_l, path, turn, loop.pose.theta))
+    last = [*ticks[-1], *loop.actual, *loop.integral]
+    return [list(row) for row in zip(*rows)], [list(row) for row in zip(*ticks)], last
+
+
+def _bits(values) -> list[str]:
+    """Each float of a nested list as its hex form: exact, signed zeros
+    included."""
+    if isinstance(values, float):
+        return values.hex()
+    return [_bits(value) for value in values]
+
+
+def _assert_block_is_the_reference(block, sim, schedule, t0, n, targets, state) -> None:
+    """A _held_block result is _reference_block's, bit for bit."""
+    block_t0, end, rows, ticks, last = block
+    assert (block_t0, end) == (t0, t0 + n * TICK_US)
+    rows_ref, ticks_ref, last_ref = _reference_block(sim.geometry, schedule, t0, n,
+                                                     targets, state)
+    assert _bits(rows.tolist()) == _bits(rows_ref)
+    assert _bits(ticks.tolist()) == _bits(ticks_ref)
+    assert _bits(list(last)) == _bits(last_ref)
+    assert ([math.copysign(1.0, v) for v in rows.flat]
+            == [math.copysign(1.0, v) for row in rows_ref for v in row])
+
+
+# The loop state of a block's key: at rest on a tick boundary, heading 0.7.
+REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7) + (0.0,) * 8
 
 
 def test_held_blocks_match_the_reference_cold_and_warm():
     # A 12 s run of two blocks under slip and jittered reports, first with
-    # an empty memo (two misses per block) and then again from it (two hits
-    # per block): both give the reference's bits.
+    # an empty memo (a miss per block) and then again from it (a hit per
+    # block): both give the reference's bits.
     schedule = (SlipEvent(3000.0, 4000.0, "scale", factor=0.5),
                 SlipEvent(10500.0, 11000.0, "stuck"))
     rates_ = Rates(report_period_ms=70.3, report_jitter_ms=20.0)
@@ -543,57 +578,120 @@ def test_held_blocks_match_the_reference_cold_and_warm():
     windows = [(12_000_000, None)]
     ref = ReferenceSim(SensorNoise(), start, 8, schedule, rates_, None)
     expected = _run(ref, windows, (170.0, 60.0))
-    memo = sim_module._wheel_memo
+    truth = [(t, _bits(list(pose))) for t, pose in sorted(ref.truth_at_send.items())]
+    memo = sim_module._block_memo
     memo.cache_clear()
     runs = []
-    for misses, hits in ((4, 0), (4, 4)):
+    for misses, hits in ((2, 0), (2, 2)):
         sim = RobotSim(GEOM, SensorNoise(), start, 8, slip_schedule=schedule, rates=rates_)
         sent, fault = _run(sim, windows, (170.0, 60.0))
         assert (memo.cache_info().misses, memo.cache_info().hits) == (misses, hits)
         assert (sent, fault) == expected and fault is None
-        assert sim.truth_at_send == ref.truth_at_send
+        assert repr(sent) == repr(expected[0])
+        assert [(t, _bits(list(pose))) for t, pose in sorted(sim.truth_at_send.items())] == truth
         _assert_matches_reference(sim, ref)
+        assert _bits(list(sim.pose)) == _bits(list(ref.pose))
         runs.append(repr((sent, sim.truth_at_send, _engine_state(sim))))
     assert runs[0] == runs[1]
 
 
-def test_wheel_memo_keeps_signed_zeros_apart():
-    # A warm entry for +0.0 must serve neither an all -0.0 state nor a
-    # -0.0 target or speed: each is its own entry.
-    memo = sim_module._wheel_memo
+def test_block_memo_keeps_signed_zeros_apart():
+    # A warm entry for +0.0 serves neither an all -0.0 key nor a -0.0
+    # target, speed or position: each is its own entry, with the bits of
+    # its own reference.
+    memo = sim_module._block_memo
     memo.cache_clear()
-    warm = sim_module._wheel_response(0.0, 0.0, 0.0, 8)
-    for key in ((-0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0)):
-        response = sim_module._wheel_response(*key, 8)
-        assert response is not warm
-        expected = _wheel_loop(*key, 8)
-        assert response.tolist() == expected
-        assert ([math.copysign(1.0, value) for value in response.flat]
-                == [math.copysign(1.0, value) for row in expected for value in row])
-    assert memo.cache_info().misses == 4
+    sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1)
+    zeros = (0.0,) * 15
+    warm = sim._held_block(0, 8 * TICK_US, 0.0, 0.0, zeros)
+    keys = (((-0.0, -0.0), (-0.0,) * 15),
+            ((-0.0, 0.0), zeros),
+            ((0.0, 0.0), zeros[:11] + (-0.0,) + zeros[12:]),
+            ((0.0, 0.0), (-0.0,) + zeros[1:]))
+    for targets, state in keys:
+        block = sim._held_block(0, 8 * TICK_US, *targets, state)
+        assert block is not warm
+        _assert_block_is_the_reference(block, sim, (), 0, 8, targets, state)
+    assert math.copysign(1.0, block[2][0, 0]) == -1.0
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (5, 0)
 
 
-def test_wheel_response_is_read_only_and_the_memo_bounded():
-    memo = sim_module._wheel_memo
+def test_block_memo_keys_apart_slip_wheel_base_and_t0():
+    # Blocks that differ only in the slip schedule (a signed-zero factor
+    # included), the wheel base or the start tick never share an entry.
+    memo = sim_module._block_memo
     memo.cache_clear()
-    response = sim_module._wheel_response(150.0, 20.0, 1.5, 5)
-    assert response.shape == (3, 5) and response.dtype == np.float64
-    assert response.tolist() == _wheel_loop(150.0, 20.0, 1.5, 5)
-    with pytest.raises(ValueError):
-        response[0, 1] = 0.0
-    with pytest.raises(ValueError):
-        response += 1.0
-    assert response.tolist() == _wheel_loop(150.0, 20.0, 1.5, 5)
-    size = sim_module.WHEEL_MEMO_SIZE
+    start = Posture(0.0, 0.0, 0.7)
+    base = (SlipEvent(0.0, 5.0, "scale", 0.5),)
+    blocks = [(GEOM, base, 0), (GEOM, (SlipEvent(0.0, 5.0, "scale", 0.25),), 0),
+              (GEOM, (SlipEvent(0.0, 5.0, "scale", 0.0),), 0),
+              (GEOM, (SlipEvent(0.0, 5.0, "scale", -0.0),), 0),
+              (GEOM, (SlipEvent(0.0, 5.0, "stuck"),), 0), (GEOM, (), 0),
+              (GEOM, (SlipEvent(0.0, 7.5, "scale", 0.5),), 0),
+              (RobotGeometry(wheel_base=1.5 * GEOM.wheel_base), base, 0),
+              (GEOM, base, TICK_US)]
+    state = REST[:11] + (20.0, -30.0, 1.5, -0.5)
+    for geometry, schedule, t0 in blocks:
+        sim = RobotSim(geometry, SensorNoise(), start, 1, slip_schedule=schedule)
+        block = sim._held_block(t0, t0 + 6 * TICK_US, 150.0, 90.0, state)
+        _assert_block_is_the_reference(block, sim, schedule, t0, 6, (150.0, 90.0), state)
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (len(blocks), 0)
+    # The last block again, from a new engine, is served from the memo.
+    sim = RobotSim(GEOM, SensorNoise(), start, 2, slip_schedule=base)
+    sim._held_block(TICK_US, 7 * TICK_US, 150.0, 90.0, state)
+    assert memo.cache_info().hits == 1
+
+
+def test_held_block_is_read_only_and_the_memo_bounded():
+    memo = sim_module._block_memo
+    memo.cache_clear()
+    sim = RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.7), 1)
+    state = REST[:11] + (20.0, 20.0, 1.5, 1.5)
+    block = sim._held_block(0, 5 * TICK_US, 150.0, 20.0, state)
+    _, _, rows, ticks, last = block
+    assert rows.shape == (7, 6) and ticks.shape == (4, 5) and len(last) == 8
+    assert rows.dtype == ticks.dtype == np.float64
+    _assert_block_is_the_reference(block, sim, (), 0, 5, (150.0, 20.0), state)
+    for array in (rows, ticks):
+        with pytest.raises(ValueError):
+            array[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            array += 1.0
+    _assert_block_is_the_reference(block, sim, (), 0, 5, (150.0, 20.0), state)
+    size = sim_module.BLOCK_MEMO_SIZE
     for k in range(size + 5):
-        sim_module._wheel_response(float(k), 0.0, 0.0, 3)
+        sim._held_block(k * TICK_US, (k + 3) * TICK_US, float(k), 0.0, REST)
         assert memo.cache_info().currsize == min(k + 2, size)
     # The least recently used entries went first.
     before = memo.cache_info().misses
-    sim_module._wheel_response(150.0, 20.0, 1.5, 5)
-    sim_module._wheel_response(float(size + 4), 0.0, 0.0, 3)
+    sim._held_block(0, 5 * TICK_US, 150.0, 20.0, state)
+    sim._held_block((size + 4) * TICK_US, (size + 7) * TICK_US, float(size + 4), 0.0, REST)
     assert memo.cache_info().misses == before + 1
     assert memo.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("name", ["localize_slip.yaml", "localize_jitter.yaml"])
+def test_seed_sweep_outputs_are_the_same_from_a_warm_memo(tmp_path, name):
+    # Five seeds of a bundled localize scenario, each compared after
+    # cache_clear() and then all again in one sweep, in which the later
+    # seeds take every block from the memo: the same bytes.
+    memo = sim_module._block_memo
+
+    def compare(seed: int) -> tuple[str, bytes]:
+        summary = runner.run_compare(load_scenario(SCENARIOS / name, (f"seed={seed}",)),
+                                     tmp_path)
+        return repr(summary.metrics), (tmp_path / "compare.csv").read_bytes()
+
+    cold = []
+    for seed in range(1, 6):
+        memo.cache_clear()
+        cold.append(compare(seed))
+        assert memo.cache_info().hits == 0
+    memo.cache_clear()
+    assert [compare(seed) for seed in range(1, 6)] == cold
+    info = memo.cache_info()
+    assert info.hits == 4 * info.misses > 0
+    assert len(set(cold)) == 5
 
 
 def _stepped_reports(scenario):
@@ -849,16 +947,18 @@ EXTREME_ENGINES = {
 }
 
 
-# The plant's own array steps warn on the non-finite twists of a few of
-# these settings, which validation keeps from any run.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("engine", EXTREME_ENGINES.values(), ids=EXTREME_ENGINES)
 def test_block_sampling_matches_the_per_report_path_at_the_extremes(engine):
     # The same reports, truth, counters and stream positions, or the same
     # error, whether the block samples its reports as columns or hands
-    # them to _sample_report one by one from the normals it drew.
-    columns = _sampled(True, **engine)
-    assert columns == _sampled(False, **engine)
+    # them to _sample_report one by one from the normals it drew.  Numpy
+    # warns on none of them: _sampled would return a warning raised here as
+    # the outcome.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        columns = _sampled(True, **engine)
+        assert columns == _sampled(False, **engine)
+    assert columns[0] is not RuntimeWarning
 
 
 def _chi2_quantile(n: int, z: float) -> float:
