@@ -1,7 +1,7 @@
 """Print one sha256 per fixed CLI invocation, to compare two trees' outputs.
 
-    python3 scripts/output_digests.py > digests.txt
-    python3 scripts/output_digests.py --against digests.txt
+    python3 scripts/output_digests.py > scripts/digests.txt
+    python3 scripts/output_digests.py --against scripts/digests.txt
 
 Each invocation runs `python -m swarmsim` from this tree's `src/` in a fresh
 process with its own `--out` directory. The digest covers the exit code,
@@ -10,8 +10,12 @@ path masked, and the name and bytes of every file written under `--out`.
 Run it in two checkouts and `diff` the two listings: a line that matches
 means that invocation's outputs are byte-identical. With `--against FILE`
 the listing is also compared with one saved earlier: each label whose
-digest differs is printed after the listing, and the exit status is 1 if
-any does. Labels the saved listing lacks are named but do not count.
+digest differs, or that only one of the two listings holds, is printed
+after the listing, and the exit status is 1 if there is any.
+
+`scripts/digests.txt` is the committed listing of this tree. A change that
+alters output bytes on purpose regenerates it in the same commit, so its
+diff names the labels that changed.
 """
 
 from __future__ import annotations
@@ -326,22 +330,26 @@ def read_listing(path: Path) -> dict[str, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Digest fixed CLI invocations.")
     parser.add_argument("--against", type=Path, metavar="FILE",
-                        help="a saved listing; exit 1 if any digest differs")
+                        help="a saved listing; exit 1 if any label differs or is "
+                             "in only one of the two listings")
     args = parser.parse_args(argv)
-    saved = read_listing(args.against) if args.against else None
+    saved = read_listing(args.against) if args.against else {}
     differs, new = [], []
     for label, command, scenario, extra in INVOCATIONS:
         sha, code = digest(command, scenario, extra)
         print(f"{sha}  exit={code}  {label}", flush=True)
-        if saved is not None and label not in saved:
+        if args.against and label not in saved:
             new.append(label)
-        elif saved is not None and saved[label] != sha:
+        elif args.against and saved[label] != sha:
             differs.append(label)
+    dropped = sorted(set(saved) - {invocation[0] for invocation in INVOCATIONS})
     for label in new:
         print(f"not in {args.against}: {label}")
+    for label in dropped:
+        print(f"only in {args.against}: {label}")
     for label in differs:
         print(f"differs from {args.against}: {label}")
-    return 1 if differs else 0
+    return 1 if differs or new or dropped else 0
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ are the reference.  A batch goes through their array forms, with the same
 bytes, doubles and errors: encode_frames packs many reports into one
 buffer of 30-byte records, StarChannel.send_many draws each frame's loss,
 flip and latency doubles in send order, and decode_frames checks and
-unpacks many frames at once, which is how StarChannel.receive decodes a
-batch.
+unpacks a batch of many frames at once; StarChannel.receive decodes
+through decode_frames alone.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from itertools import compress, repeat
 from typing import NamedTuple
 
 import numpy as np
+
+from .core import BlockStream
 
 SYNC = b"\xaa\x55"
 _SYNC_WORD = int.from_bytes(SYNC, "big")
@@ -287,9 +289,9 @@ def _decoded(data: bytes) -> SensorPacket | FrameError:
         return error
 
 
-# StarChannel.receive decodes fewer frames than this one at a time: below
-# about 16 frames decode_frames' fixed cost of some 20 us exceeds the 1-2 us
-# a frame it saves.
+# decode_frames decodes fewer frames than this one at a time: below about
+# 16 frames the array path's fixed cost of some 20 us exceeds the 1-2 us a
+# frame it saves.
 MIN_DECODE_BATCH = 16
 
 
@@ -297,11 +299,13 @@ def decode_frames(frames: Sequence[bytes]) -> list[SensorPacket | FrameError]:
     """decode_frame of each frame, in order: its packet, or the FrameError
     it raises.
 
-    The frames of FRAME_SIZE bytes are read as records of one array and
-    pass when the sync, length byte, CRC and gyro field all check, as in
-    decode_frame; a frame that fails, or has another size, goes through
-    decode_frame.
+    In a batch of at least MIN_DECODE_BATCH, the frames of FRAME_SIZE
+    bytes are read as records of one array and pass when the sync, length
+    byte, CRC and gyro field all check, as in decode_frame; any other
+    frame goes through decode_frame.
     """
+    if len(frames) < MIN_DECODE_BATCH:
+        return list(map(_decoded, frames))
     sized = [len(data) == FRAME_SIZE for data in frames]
     wire = b"".join(compress(frames, sized))
     records = np.frombuffer(wire, _FRAME)
@@ -364,10 +368,6 @@ class Delivery(NamedTuple):
     data: bytes
 
 
-# Doubles a channel draws from its generator at a time.
-_DRAW_BLOCK = 4096
-
-
 def corrupt(data: bytes, bit_flip_prob: float, uniforms: np.ndarray) -> bytes:
     """Flip bit k of data (most significant bit of each byte first) where
     uniforms[k] < bit_flip_prob; uniforms holds 8 * len(data) doubles."""
@@ -389,15 +389,13 @@ class StarChannel:
     the loss test; then, if the frame survives, one per bit of it for
     corrupt when bit_flip_prob > 0, and one u for the latency
     lo + (hi - lo) * u, which is what rng.uniform(lo, hi) returns.  The
-    doubles are drawn ahead in blocks, and numpy fills a block from the
-    stream as it would fill one scalar draw after another, so every value
+    doubles are read through a BlockStream of rng.random, so every value
     is the one a call per draw would give.  send_many takes a batch's
     doubles in the order that one send per frame would.
     """
 
     def __init__(self, model: ChannelModel, rng: np.random.Generator):
         self.model = model
-        self.rng = rng
         self.sent = 0
         self.dropped = 0
         self.rejected = dict.fromkeys(FRAME_ERRORS, 0)
@@ -405,40 +403,21 @@ class StarChannel:
         self._queue: list[Delivery] = []
         self._latency_lo = float(model.latency_min_ms)
         self._latency_span = float(model.latency_max_ms) - self._latency_lo
-        self._draws = np.empty(0)
-        self._next = 0
+        self._uniforms = BlockStream(rng.random)
 
     @property
     def undecodable(self) -> int:
         return sum(self.rejected.values())
 
-    def _doubles(self, count: int) -> tuple[int, np.ndarray]:
-        """The index of the next unread double and the doubles drawn so
-        far, with at least count unread."""
-        i, draws = self._next, self._draws
-        if i + count > len(draws):
-            draws = self._draws = np.concatenate(
-                (draws[i:], self.rng.random(max(count, _DRAW_BLOCK))))
-            i = 0
-        return i, draws
-
     def send(self, frame: bytes, t_now_ms: float, robot_id: int) -> None:
         self.sent += 1
-        model = self.model
-        flips = 8 * len(frame) if model.bit_flip_prob > 0.0 else 0
-        # Enough doubles for this frame's loss, flip and latency draws.
-        i, draws = self._next, self._draws
-        if i + flips + 2 > len(draws):
-            i, draws = self._doubles(flips + 2)
-        if draws.item(i) < model.loss_prob:
-            self._next = i + 1
+        model, uniforms = self.model, self._uniforms
+        if uniforms.next() < model.loss_prob:
             self.dropped += 1
             return
-        if flips:
-            frame = corrupt(frame, model.bit_flip_prob, draws[i + 1:i + 1 + flips])
-        i += flips + 1
-        self._next = i + 1
-        latency = self._latency_lo + self._latency_span * draws.item(i)
+        if model.bit_flip_prob > 0.0:
+            frame = corrupt(frame, model.bit_flip_prob, uniforms.take(8 * len(frame)))
+        latency = self._latency_lo + self._latency_span * uniforms.next()
         bisect.insort(self._queue, Delivery(t_now_ms + latency, robot_id, self.sent, frame))
 
     def send_many(self, frames: bytes, t_now_ms: float | Sequence[float],
@@ -448,25 +427,20 @@ class StarChannel:
         counts and deliveries, queued with one sort."""
         count = len(frames) // FRAME_SIZE
         model = self.model
-        flips = 8 * FRAME_SIZE if model.bit_flip_prob > 0.0 else 0
-        i, draws = self._doubles(count * (flips + 2))
-        double, loss_prob, flip_prob = draws.item, model.loss_prob, model.bit_flip_prob
+        double, take = self._uniforms.next, self._uniforms.take
+        loss_prob, flip_prob = model.loss_prob, model.bit_flip_prob
         lo, span = self._latency_lo, self._latency_span
         times = repeat(t_now_ms) if isinstance(t_now_ms, (int, float)) else t_now_ms
         seq, queued = self.sent, []
         for start, t, robot_id in zip(range(0, len(frames), FRAME_SIZE), times, robot_ids):
             seq += 1
-            if double(i) < loss_prob:
-                i += 1
+            if double() < loss_prob:
                 continue
             frame = frames[start:start + FRAME_SIZE]
-            if flips:
-                frame = corrupt(frame, flip_prob, draws[i + 1:i + 1 + flips])
-            i += flips + 1
-            queued.append(tuple.__new__(Delivery, (t + (lo + span * double(i)), robot_id,
+            if flip_prob > 0.0:
+                frame = corrupt(frame, flip_prob, take(8 * FRAME_SIZE))
+            queued.append(tuple.__new__(Delivery, (t + (lo + span * double()), robot_id,
                                                    seq, frame)))
-            i += 1
-        self._next = i
         self.sent = seq
         self.dropped += count - len(queued)
         self._queue += queued
@@ -487,15 +461,9 @@ class StarChannel:
         """Reports due at or before t_now_ms, decoded, in delivery order;
         frames that fail to decode are counted in rejected."""
         due = self.pop_due(t_now_ms)
+        if not due:
+            return []
         packets = []
-        if len(due) < MIN_DECODE_BATCH:
-            # A few frames cost less decoded one at a time.
-            for delivery in due:
-                try:
-                    packets.append(decode_frame(delivery.data))
-                except FrameError as error:
-                    self.rejected[type(error)] += 1
-            return packets
         for item in decode_frames([delivery.data for delivery in due]):
             if type(item) is SensorPacket:
                 packets.append(item)

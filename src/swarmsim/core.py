@@ -4,10 +4,12 @@ Conventions used throughout the package: lengths in mm, angles in radians,
 time in seconds unless a field is explicitly a millisecond timestamp.
 Headings are counterclockwise-positive and wrapped to (-pi, pi].  Wheel
 speeds are ground-contact speeds in mm/s, right wheel first.
+``BlockStream`` reads a seeded random stream in order, drawn in blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -219,6 +221,40 @@ def _wrapped_heading(start: float, swept: np.ndarray, out: np.ndarray) -> None:
             out[first:last] = part
             first = last - 1
             span *= 2
+
+
+# Values per block of a seeded stream read in order.
+NOISE_BLOCK = 64
+
+
+class BlockStream:
+    """The values of draw(size), draw(size), ... read in order: one at a
+    time by next(), aliased standard_normal so that a stream of normals
+    stands in for a Generator, or k at a time by take(k).
+
+    An array draw of a numpy Generator continues its scalar stream, so
+    with draw a Generator method the values are those of one scalar draw
+    each, in order, whichever way they are read.
+    """
+
+    def __init__(self, draw, size: int = NOISE_BLOCK):
+        self._draw = draw
+        self._block = iter(())
+        self.next = self.standard_normal = self._values(size).__next__
+
+    def _values(self, size: int):
+        while True:
+            self._block = iter(self._draw(size).tolist())
+            # take reads the same iterator, so the two never repeat a value.
+            yield from self._block
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k values, as an array of the draw's dtype."""
+        head = list(itertools.islice(self._block, k))
+        if len(head) == k:
+            return np.array(head)
+        tail = self._draw(k - len(head))
+        return np.concatenate((np.array(head, tail.dtype), tail))
 
 
 def error_posture(reference: Posture, current: Posture) -> Posture:

@@ -5,8 +5,8 @@ through a digital PI loop and a first-order motor lag, on one fixed tick.
 Slip decouples wheel motion from ground motion: encoders sense the wheels
 (slip-blind) while the paired optical-flow sensors sense true ground
 motion (slip-immune).  Sensors are sampled once per report window, in
-closed form.  All sensor models draw from caller-supplied numpy generators
-so runs are reproducible.
+closed form.  All sensor models draw from caller-supplied numpy generators,
+or ``BlockStream``s of their normals, so runs are reproducible.
 
 ``PlantLoop`` is the reference plant, stepped one tick at a time;
 ``RobotSim``, the engine every run uses, repeats its arithmetic inline in
@@ -14,11 +14,12 @@ one fused loop per robot or, over a long ``advance_to`` call, in blocks of
 ticks with the same float operations, each block memoized per process.
 It samples each report window through ``EncoderModel``, ``FlowModel`` and
 ``sample_gyro``, or a block's windows at once through their array forms,
-on seed-derived per-robot noise streams.
+on seed-derived per-robot noise streams, at the instants of one clock.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -35,6 +36,8 @@ from .comms import FLOW_UNIT_MM, SensorPacket, wrap_flow, wrap_i16
 from .core import (
     ARC_EPSILON,
     MAX_WHEEL_SPEED,
+    NOISE_BLOCK,
+    BlockStream,
     Posture,
     RobotGeometry,
     Twist,
@@ -223,7 +226,7 @@ class EncoderModel:
     """Incremental wheel encoders: quantized, noisy, and slip-blind.
 
     Sampled once per report window in closed form, as ENCODER_HZ samples
-    per second; rng is a Generator or a BlockNormals over one.
+    per second; rng is a Generator or a BlockStream of its normals.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -282,7 +285,7 @@ class FlowModel:
     """Paired downward optical-flow sensors measuring ground motion.
 
     Sampled once per report window in closed form, as FLOW_HZ samples per
-    second; rng is a Generator or a BlockNormals over one.
+    second; rng is a Generator or a BlockStream of its normals.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -347,7 +350,7 @@ class Rates:
 
 def sample_gyro(heading: float, sigma: float, rng: np.random.Generator) -> float:
     """Absolute heading with Gaussian noise of deviation sigma, wrapped to
-    (-pi, pi].  rng is a Generator or a BlockNormals over one."""
+    (-pi, pi].  rng is a Generator or a BlockStream of its normals."""
     return wrap_angle(heading + sigma * rng.standard_normal())
 
 
@@ -360,46 +363,6 @@ def sample_gyros(headings: np.ndarray, sigma: float,
     if not np.isfinite(readings).all():
         return None
     return wrap_angles(readings)
-
-
-# Values per block of a noise stream read one value at a time.
-NOISE_BLOCK = 64
-
-
-def block_draws(draw, size: int = NOISE_BLOCK):
-    """Yield the values of draw(size), draw(size), ... one by one, as
-    Python scalars.
-
-    An array draw of a numpy Generator continues its scalar stream, so
-    with draw a Generator method the values are those of one scalar draw
-    each, in order.
-    """
-    while True:
-        yield from draw(size).tolist()
-
-
-class BlockNormals:
-    """A Generator read one standard_normal() at a time, whose normals are
-    drawn in blocks (see block_draws), or take(k) at a time: the values of
-    one scalar draw each, in order, whichever way they are read."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._draw = rng.standard_normal
-        self._block = iter(())
-        self.standard_normal = self._values().__next__
-
-    def _values(self):
-        while True:
-            self._block = iter(self._draw(NOISE_BLOCK).tolist())
-            # take reads the same iterator, so the two never repeat a value.
-            yield from self._block
-
-    def take(self, k: int) -> np.ndarray:
-        """The next k normals, as an array."""
-        head = list(itertools.islice(self._block, k))
-        if len(head) == k:
-            return np.array(head)
-        return np.concatenate((head, self._draw(k - len(head))))
 
 
 # --- world and range sensing --------------------------------------------------
@@ -704,9 +667,14 @@ class RobotSim:
     and loop state, the wheel base and the slip schedule, never on the
     noise, so ``_block_memo`` keeps it per process, keyed on their exact
     bits: the seeds of one scenario in one process share its blocks.  Each
-    block takes its reports' instants in schedule order, as a range when
-    the schedule has no jitter, and reads their poses and running sums from
-    its arrays as columns (``_block_reports``).
+    block reads its reports' poses and running sums from its arrays as
+    columns (``_block_reports``).
+
+    Report instants come from one clock, a list of the upcoming instants
+    and their windows, drawn NOISE_BLOCK windows at a time from the
+    schedule stream (an unjittered one draws the constant window
+    integers(p, p + 1)).  The tick path pops each report's instant, and a
+    block those up to its end, by one bisect (``_reports_due``).
 
     On the tick path each report goes through ``_sample_report``, which
     samples its window through ``EncoderModel.sample_speeds``,
@@ -719,9 +687,7 @@ class RobotSim:
     by ``np.cumsum``.  Where a column is not finite or a counter outgrows
     an int64, and in a world, where each report also scans its IR rays,
     the block hands its reports to ``_sample_report`` one by one, reading
-    the normals it already drew.  The encoder, flow, gyro and jittered
-    schedule streams are drawn in blocks and read one value per draw
-    (block_draws, BlockNormals), the values scalar draws would give.
+    the normals it already drew.  Each noise stream is a ``BlockStream``.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -736,20 +702,19 @@ class RobotSim:
         # The plant of a held block's memo key (see _block_memo).
         self._plant_key = struct.pack(f"<{1 + 4 * len(self._slips)}d", geometry.wheel_base,
                                       *itertools.chain.from_iterable(self._slips))
-        self._encoders = EncoderModel(geometry, noise, BlockNormals(
-            stream_rng(seed, 0, STREAM_ENCODER)))
-        self._flow = FlowModel(geometry, noise, BlockNormals(
-            stream_rng(seed, 0, STREAM_FLOW)))
-        self._gyro_noise = BlockNormals(stream_rng(seed, 0, STREAM_GYRO))
+        self._encoders = EncoderModel(geometry, noise, BlockStream(
+            stream_rng(seed, 0, STREAM_ENCODER).standard_normal))
+        self._flow = FlowModel(geometry, noise, BlockStream(
+            stream_rng(seed, 0, STREAM_FLOW).standard_normal))
+        self._gyro_noise = BlockStream(stream_rng(seed, 0, STREAM_GYRO).standard_normal)
         self.ir_rng = stream_rng(seed, 0, STREAM_IR)
-        self._report_us = rates.report_period_us
-        self._jitter_us = rates.report_jitter_us
-        if self._jitter_us:
-            schedule_rng = stream_rng(seed, 0, STREAM_SCHEDULE)
-            lo = self._report_us - self._jitter_us
-            hi = self._report_us + self._jitter_us + 1
-            self._jittered = block_draws(
-                lambda size: schedule_rng.integers(lo, hi, size=size))
+        lo = rates.report_period_us - rates.report_jitter_us
+        if lo < 1:
+            # Scenario validation rejects these first; a stalled clock hangs.
+            raise ValueError(f"report interval must be at least 1 us, got {lo}")
+        hi = rates.report_period_us + rates.report_jitter_us + 1
+        schedule_rng = stream_rng(seed, 0, STREAM_SCHEDULE)
+        self._schedule = BlockStream(lambda size: schedule_rng.integers(lo, hi, size=size))
         self.truth_at_send: dict[int, Posture] = {}
         self.t_us = 0
         # Saturated wheel targets (right, left).
@@ -763,24 +728,29 @@ class RobotSim:
         # speeds and PI integrals at its end.
         self._state = (start.x, start.y, 0.0, 0.0, 0.0, 0.0, start.theta) + (0.0,) * 8
         self._tick_end = 0
-        # The report windows: the open window's length and the sums at its
-        # start, and the counters the reports carry.
-        self._window_us = self._report_interval()
-        self._next_report = self._window_us
+        # The report clock: the upcoming report instants, the next first,
+        # and the window each closes; instant 0 only starts the first one.
+        self._instants, self._windows = [0], [0]
+        self._reports_due(0)
+        # The sums at the open window's start, and the counters the reports
+        # carry.
         self._at_report = (0.0, 0.0, 0.0, 0.0)
         self._ticks_r = self._ticks_l = 0
         self._flow_l = self._flow_r = 0.0
 
-    def _report_interval(self) -> int:
-        if self._jitter_us == 0:
-            interval = self._report_us
-        else:
-            interval = next(self._jittered)
-        if interval < 1:
-            # Scenario validation rejects such rates first; a report clock
-            # that does not advance would otherwise never let time pass.
-            raise ValueError(f"report interval must be at least 1 us, got {interval}")
-        return interval
+    def _reports_due(self, t_us: int) -> tuple[list[int], list[int]]:
+        """Pop the report instants at or before t_us, and their windows,
+        first drawing the schedule NOISE_BLOCK windows at a time until an
+        instant after t_us is drawn."""
+        instants, windows = self._instants, self._windows
+        while instants[-1] <= t_us:
+            drawn = self._schedule.take(NOISE_BLOCK)
+            windows += drawn.tolist()
+            instants += (instants[-1] + drawn.cumsum()).tolist()
+        due = bisect.bisect_right(instants, t_us)
+        popped = instants[:due], windows[:due]
+        del instants[:due], windows[:due]
+        return popped
 
     def set_command(self, wheels: WheelSpeeds) -> None:
         """Command the wheels from the next tick boundary on."""
@@ -813,24 +783,11 @@ class RobotSim:
         sent = self._step_to(first_tick)   # the rest of the tick in hand
         target_r, target_l = self._target
         t_us, state = first_tick, self._state
-        next_report, window_us = self._next_report, self._window_us
         while t_us < target_us:
             block_start, block_end, rows, ticks, last = self._held_block(
                 t_us, target_us, target_r, target_l, state)
             t_us = min(block_end, target_us)
-            # The block's report instants and windows, drawn in schedule
-            # order; an unjittered schedule is an arithmetic range.
-            if self._jitter_us:
-                instants, windows = [], []
-                while next_report <= t_us:
-                    instants.append(next_report)
-                    windows.append(window_us)
-                    window_us = self._report_interval()
-                    next_report += window_us
-            else:
-                instants = list(range(next_report, t_us + 1, window_us))
-                windows = [window_us] * len(instants)
-                next_report += len(instants) * window_us
+            instants, windows = self._reports_due(t_us)
             if instants:
                 sent += self._block_reports(block_start, rows, ticks, instants, windows)
             # rows[:, k] is the state at the start of tick k, and the
@@ -839,7 +796,6 @@ class RobotSim:
             state = tuple(rows[:, (t_us - block_start) // TICK_US].tolist()) + last
         self.t_us, self._tick_end = t_us, block_end
         self._state = state
-        self._next_report, self._window_us = next_report, window_us
         return sent
 
     def _step_to(self, target_us: int) -> list[SensorPacket]:
@@ -859,7 +815,8 @@ class RobotSim:
         (x, y, wheel_r, wheel_l, path, turn, theta,
          mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) = self._state
         tick_end = self._tick_end
-        next_report = self._next_report
+        instants, windows = self._instants, self._windows
+        next_report = instants[0]
         window_slips = ()
         while t_us < target_us:
             stop = next_report if next_report < target_us else target_us
@@ -941,18 +898,21 @@ class RobotSim:
                 self.t_us, self._tick_end = t_us, tick_end
                 self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
                                mean_l, v, w, act_r, act_l, int_r, int_l)
+                if len(instants) > 1:
+                    del instants[0]
+                    window_us = windows.pop(0)
+                else:   # the last instant drawn
+                    _, (window_us,) = self._reports_due(t_us)
                 # The running sums at t_us.
                 into = self._into_tick()
                 sent.append(self._sample_report(
-                    t_us, self._window_us, self.pose,
+                    t_us, window_us, self.pose,
                     (wheel_r + mean_r * into, wheel_l + mean_l * into,
                      path + v * into, turn + w * into)))
-                self._window_us = self._report_interval()
-                next_report += self._window_us
+                next_report = instants[0]
         self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
                        mean_l, v, w, act_r, act_l, int_r, int_l)
         self._tick_end = tick_end
-        self._next_report = next_report
         self.t_us = t_us
         return sent
 

@@ -25,8 +25,7 @@ import numpy as np
 from .comms import ChannelModel, FreshnessBuffer, StarChannel, encode_heading_frames
 # Unused, but bench/tests/test_bench_tracing.py traces it in this module.
 from .comms import encode_frame  # noqa: F401
-from .core import MAX_WHEEL_SPEED, RobotGeometry, wrap_angles
-from .sim import NOISE_BLOCK
+from .core import MAX_WHEEL_SPEED, BlockStream, RobotGeometry, wrap_angles
 
 __all__ = [
     "ConsensusConfig",
@@ -205,7 +204,7 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
     # Each robot's gyro noise is its own stream, read one normal a round.
     # A noiseless gyro reads theta plus a signed zero, which quantizes to
     # the same frame, so it needs no stream.
-    streams = [np.random.default_rng([seed, i, 1])
+    streams = [BlockStream(np.random.default_rng([seed, i, 1]).standard_normal)
                for i in range(len(headings))] if gyro_sigma else []
     buffer = FreshnessBuffer()
     expected_ids = list(range(len(headings)))
@@ -219,10 +218,7 @@ def run_networked_consensus(initial_headings, cfg: ConsensusConfig,
         t_ms = round_idx * cfg.round_period_ms
         gyro = theta
         if streams:
-            column = (round_idx - 1) % NOISE_BLOCK
-            if column == 0:
-                noise = np.array([rng.standard_normal(NOISE_BLOCK) for rng in streams])
-            gyro = wrap_angles(theta + gyro_sigma * noise[:, column])
+            gyro = wrap_angles(theta + gyro_sigma * np.array([s.next() for s in streams]))
         channel.send_many(encode_heading_frames(int(round(t_ms)), gyro), t_ms, expected_ids)
         for packet in channel.receive(t_ms):
             buffer.update(packet)

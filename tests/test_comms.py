@@ -5,11 +5,13 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from swarmsim import comms
 from swarmsim.comms import (
     FRAME_ERRORS,
     FRAME_SIZE,
@@ -724,8 +726,12 @@ any_frames = st.lists(
 @example(list(_EDGE_FRAMES))
 @example([_valid_frame(i) for i in range(30)])
 def test_decode_frames_is_decode_frame_of_each(frames):
-    assert ([_batch_outcome(item) for item in decode_frames(frames)]
-            == [_decoded_or_raised(data) for data in frames])
+    want = [_decoded_or_raised(data) for data in frames]
+    assert [_batch_outcome(item) for item in decode_frames(frames)] == want
+    # The array path, which a batch of fewer than MIN_DECODE_BATCH frames
+    # skips.
+    with mock.patch.object(comms, "MIN_DECODE_BATCH", 0):
+        assert [_batch_outcome(item) for item in decode_frames(frames)] == want
 
 
 def _encoded_or_raised(encode, packets):

@@ -270,7 +270,7 @@ def test_fused_engine_matches_per_step_reference(seed, command, schedule,
         return   # a fault ends the run; the engine state after it is unused
     assert sim.pose == ref.pose
     assert sim.t_us == ref.t_us
-    assert (sim._next_report, sim._window_us) == (ref.next_report, ref.window_us)
+    assert (sim._instants[0], sim._windows[0]) == (ref.next_report, ref.window_us)
     loop = ref.loop
     mean_r, mean_l, _, _, act_r, act_l, int_r, int_l = sim._state[7:]
     assert ((act_r, act_l, int_r, int_l)
@@ -303,7 +303,7 @@ def test_fused_engine_matches_reference_over_a_long_turning_run_with_slip():
 def _engine_state(sim: RobotSim) -> tuple:
     """Every private state field of the engine that outlives a call."""
     return (sim.t_us, sim._tick_end, sim._state,
-            sim._next_report, sim._window_us, sim._at_report,
+            sim._instants, sim._windows, sim._at_report,
             sim._encoders._travel, sim._ticks_r, sim._ticks_l,
             sim._flow_l, sim._flow_r)
 
@@ -312,7 +312,7 @@ def _assert_matches_reference(sim: RobotSim, ref: ReferenceSim) -> None:
     """The engine's state after a run equals the reference's."""
     assert sim.pose == ref.pose
     assert sim.t_us == ref.t_us
-    assert (sim._next_report, sim._window_us) == (ref.next_report, ref.window_us)
+    assert (sim._instants[0], sim._windows[0]) == (ref.next_report, ref.window_us)
     (x, y, wheel_r, wheel_l, path, turn, theta,
      mean_r, mean_l, v, w, act_r, act_l, int_r, int_l) = sim._state
     loop = ref.loop
@@ -817,6 +817,18 @@ def test_engine_rejects_a_report_clock_that_does_not_advance(rates_):
     with pytest.raises(ValueError, match="report interval must be at least 1 us"):
         RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1,
                  rates=rates_).advance_to(1_000_000)
+
+
+@pytest.mark.parametrize("rates_", [
+    Rates(1.0, 1.0),                   # a jittered window of 0 us
+    Rates(1.0, 1.5),                   # one of -500 us
+    Rates(report_period_ms=0.0004, report_jitter_ms=0.0006),   # a 0 us clock, 1 us jitter
+])
+def test_engine_rejects_a_window_under_1_us_at_construction(rates_):
+    # The check is on the shortest window the schedule can draw, before
+    # any is drawn, so a seed whose first windows are long raises too.
+    with pytest.raises(ValueError, match="report interval must be at least 1 us"):
+        RobotSim(GEOM, SensorNoise(), Posture(0.0, 0.0, 0.0), 1, rates=rates_)
 
 
 def test_estimator_feedback_keeps_the_engine_on_python_floats():

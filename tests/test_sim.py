@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmsim.core import Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
+from swarmsim.core import BlockStream, Posture, RobotGeometry, WheelSpeeds, wheels_to_twist
 from swarmsim.sim import (
     LAG_END,
     LAG_MEAN,
     TICK_S,
-    BlockNormals,
     EncoderModel,
     FlowModel,
     PlantLoop,
@@ -21,7 +20,6 @@ from swarmsim.sim import (
     SlipEvent,
     World,
     _cast_rays,
-    block_draws,
     count_ticks,
     sample_gyro,
     sample_gyros,
@@ -305,19 +303,20 @@ def test_gyro_wraps_near_pi():
     assert all(-math.pi < s <= math.pi for s in samples)
 
 
-# --- block draws -------------------------------------------------------------------
+# --- block streams -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("size", [1, 3, 64])
 def test_block_normals_continue_the_scalar_stream(size):
     scalar, block = np.random.default_rng([3, 0, 1]), np.random.default_rng([3, 0, 1])
     pairs = [v for _ in range(50) for v in scalar.standard_normal(2).tolist()]
-    draws = block_draws(block.standard_normal, size)
-    assert [next(draws) for _ in range(100)] == pairs
+    stream = BlockStream(block.standard_normal, size)
+    assert [stream.next() for _ in range(100)] == pairs
 
 
 def test_block_normals_stand_in_for_the_generator():
-    scalar, block = np.random.default_rng(9), BlockNormals(np.random.default_rng(9))
+    scalar = np.random.default_rng(9)
+    block = BlockStream(np.random.default_rng(9).standard_normal)
     assert ([sample_gyro(0.5, 0.1, block) for _ in range(150)]
             == [sample_gyro(0.5, 0.1, scalar) for _ in range(150)])
 
@@ -326,9 +325,19 @@ def test_block_normals_stand_in_for_the_generator():
 @pytest.mark.parametrize("lo, hi", [(50_000, 100_001), (-3, 4), (0, 2**40)])
 def test_block_integers_continue_the_scalar_stream(size, lo, hi):
     scalar, block = np.random.default_rng([3, 0, 5]), np.random.default_rng([3, 0, 5])
-    draws = block_draws(lambda n: block.integers(lo, hi, size=n), size)
-    assert ([next(draws) for _ in range(130)]
+    stream = BlockStream(lambda n: block.integers(lo, hi, size=n), size)
+    assert ([stream.next() for _ in range(130)]
             == [int(scalar.integers(lo, hi)) for _ in range(130)])
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_block_doubles_continue_the_scalar_stream(size):
+    # The channel's loss, flip and latency doubles: one at a time and
+    # 240 at a time, as a frame's bit flips take them.
+    scalar, block = np.random.default_rng(13), BlockStream(np.random.default_rng(13).random,
+                                                           size)
+    got = [block.next() for _ in range(3)] + block.take(240).tolist() + [block.next()]
+    assert [v.hex() for v in got] == [scalar.random().hex() for _ in range(244)]
 
 
 @pytest.mark.parametrize("reads", [
@@ -336,7 +345,8 @@ def test_block_integers_continue_the_scalar_stream(size, lo, hi):
 ])
 def test_block_normals_take_continues_the_scalar_stream(reads):
     # Scalar reads and take(k) in turn, across and inside draw blocks.
-    scalar, block = np.random.default_rng(11), BlockNormals(np.random.default_rng(11))
+    scalar = np.random.default_rng(11)
+    block = BlockStream(np.random.default_rng(11).standard_normal)
     got, want = [], []
     for i, k in enumerate(reads):
         if i % 2:
@@ -345,6 +355,20 @@ def test_block_normals_take_continues_the_scalar_stream(reads):
             got += [block.standard_normal() for _ in range(k)]
         want += [scalar.standard_normal() for _ in range(k)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("first", [0, 1, 60, 64])
+def test_block_integers_take_crosses_a_block_as_int64(first):
+    # The report clock's windows: a take after `first` scalar reads, which
+    # leave 64 - first values of the block (none at 0 and 64), reaches
+    # into the next draw and stays int64.
+    scalar, block = np.random.default_rng(17), np.random.default_rng(17)
+    stream = BlockStream(lambda n: block.integers(50_000, 90_001, size=n))
+    head = [stream.next() for _ in range(first)]
+    taken = stream.take(64)
+    assert taken.dtype == np.int64
+    assert head + taken.tolist() + [stream.next()] == [
+        int(scalar.integers(50_000, 90_001)) for _ in range(first + 65)]
 
 
 # --- array forms of the sensor models -----------------------------------------------

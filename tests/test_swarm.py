@@ -13,9 +13,9 @@ from swarmsim import swarm
 from swarmsim.comms import (ChannelModel, FreshnessBuffer, SensorPacket, StarChannel,
                             encode_frame)
 from swarmsim.control import Gains, tracking_control
-from swarmsim.core import (Posture, RobotGeometry, integrate_unicycle, saturate,
-                           wheels_to_twist, wrap_angle)
-from swarmsim.sim import BlockNormals, sample_gyro
+from swarmsim.core import (BlockStream, Posture, RobotGeometry, integrate_unicycle,
+                           saturate, wheels_to_twist, wrap_angle)
+from swarmsim.sim import sample_gyro
 from swarmsim.swarm import (
     ConsensusConfig,
     ConsensusResult,
@@ -318,7 +318,7 @@ class _TurningRobot:
     """Robot that holds position and turns in place toward a target heading."""
 
     def __init__(self, robot_id: int, heading: float, wheel_base: float,
-                 gyro_sigma: float, rng: BlockNormals):
+                 gyro_sigma: float, rng: BlockStream):
         self.robot_id = robot_id
         self.theta = wrap_angle(heading)
         self.target = heading
@@ -349,7 +349,7 @@ def reference_consensus(headings, cfg, channel_model, geometry, gyro_sigma, seed
     """The per-robot round loop; returns the result and its channel."""
     robots = [
         _TurningRobot(i, float(h), geometry.wheel_base, gyro_sigma,
-                      BlockNormals(np.random.default_rng([seed, i, 1])))
+                      BlockStream(np.random.default_rng([seed, i, 1]).standard_normal))
         for i, h in enumerate(headings)
     ]
     channel = StarChannel(channel_model, np.random.default_rng([seed, 0xFFFF, 2]))
