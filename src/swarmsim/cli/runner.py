@@ -130,12 +130,16 @@ def simulate_reports(scenario: Scenario) -> SensorRun:
                       [packet.robot_id for packet in packets])
     delivered = channel.receive(duration_us / 1e3)
     if not delivered:
-        raise RuntimeFault(
-            f"no report reached the server: {channel.sent} sent, "
-            f"{channel.dropped} lost, {channel.undecodable} undecodable, "
-            f"{channel.pending} still in flight")
+        raise _no_report_fault(channel)
     return SensorRun(delivered, sim.truth_at_send, hashlib.sha256(frames).hexdigest(),
                      channel)
+
+
+def _no_report_fault(channel: StarChannel) -> RuntimeFault:
+    return RuntimeFault(
+        f"no report reached the server: {channel.sent} sent, "
+        f"{channel.dropped} lost, {channel.undecodable} undecodable, "
+        f"{channel.pending} still in flight")
 
 
 def report_truths(reports: ConvertedReports,
@@ -207,7 +211,8 @@ def _track_truth_loop(scenario: Scenario, steps: int):
 
 
 def _track_estimator_loop(scenario: Scenario, steps: int):
-    """Full plant with the filter in the loop; commands use the estimate."""
+    """Full plant with the filter in the loop; commands use the estimate.
+    A run that folds no report, and so steers on its start belief, faults."""
     traj, gains, geometry = scenario.trajectory, scenario.gains, scenario.geometry
     period_s = scenario.control_period_s
     sim = RobotSim(geometry, scenario.noise, scenario.start, scenario.seed,
@@ -215,7 +220,7 @@ def _track_estimator_loop(scenario: Scenario, steps: int):
     channel = StarChannel(scenario.channel,
                           stream_rng(scenario.seed, 0, STREAM_CHANNEL))
     converter = ReportConverter(geometry, scenario.ekf)
-    belief = initial_belief(scenario.start)
+    start = belief = initial_belief(scenario.start)
     period_us = round(period_s * 1e6)
     rows = []
     for i in range(steps):
@@ -237,6 +242,8 @@ def _track_estimator_loop(scenario: Scenario, steps: int):
         rows.append((t, ref.x, ref.y, ref.theta, truth.x, truth.y, truth.theta,
                      err.x, err.y, err.theta, wheels.right, wheels.left,
                      lyapunov_value(err)))
+    if belief is start:
+        raise _no_report_fault(channel)
     return rows
 
 

@@ -229,8 +229,7 @@ NOISE_BLOCK = 64
 
 class BlockStream:
     """The values of draw(size), draw(size), ... read in order: one at a
-    time by next(), aliased standard_normal so that a stream of normals
-    stands in for a Generator, or k at a time by take(k).
+    time by next() or k at a time by take(k).
 
     An array draw of a numpy Generator continues its scalar stream, so
     with draw a Generator method the values are those of one scalar draw
@@ -240,7 +239,7 @@ class BlockStream:
     def __init__(self, draw, size: int = NOISE_BLOCK):
         self._draw = draw
         self._block = iter(())
-        self.next = self.standard_normal = self._values(size).__next__
+        self.next = self._values(size).__next__
 
     def _values(self, size: int):
         while True:

@@ -5,8 +5,8 @@ through a digital PI loop and a first-order motor lag, on one fixed tick.
 Slip decouples wheel motion from ground motion: encoders sense the wheels
 (slip-blind) while the paired optical-flow sensors sense true ground
 motion (slip-immune).  Sensors are sampled once per report window, in
-closed form.  All sensor models draw from caller-supplied numpy generators,
-or ``BlockStream``s of their normals, so runs are reproducible.
+closed form, the encoder, flow and gyro models from the standard normals
+they are handed and the IR scan from a numpy generator, so runs reproduce.
 
 ``PlantLoop`` is the reference plant, stepped one tick at a time;
 ``RobotSim``, the engine every run uses, repeats its arithmetic inline in
@@ -14,7 +14,7 @@ one fused loop per robot or, over a long ``advance_to`` call, in blocks of
 ticks with the same float operations, each block memoized per process.
 It samples each report window through ``EncoderModel``, ``FlowModel`` and
 ``sample_gyro``, or a block's windows at once through their array forms,
-on seed-derived per-robot noise streams, at the instants of one clock.
+on the normals of seed-derived per-robot streams, at one clock's instants.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -226,42 +225,37 @@ class EncoderModel:
     """Incremental wheel encoders: quantized, noisy, and slip-blind.
 
     Sampled once per report window in closed form, as ENCODER_HZ samples
-    per second; rng is a Generator or a BlockStream of its normals.
+    per second, from the window's standard normals, right wheel first.
     """
 
-    def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
-                 rng: np.random.Generator):
+    def __init__(self, geometry: RobotGeometry, noise: SensorNoise):
         self.geometry = geometry
         self.noise = noise
-        self.rng = rng
         self._travel = [0.0, 0.0]   # cumulative noisy travel (mm), right, left
-        self._ticks = [0, 0]
 
-    def sample_speeds(self, right_mm: float, left_mm: float,
-                      window_s: float) -> tuple[int, int]:
-        """Ticks (right, left) counted over one report window of window_s
-        seconds in which the wheels travelled right_mm and left_mm.
+    def sample_speeds(self, right_mm: float, left_mm: float, window_s: float,
+                      normal_r: float, normal_l: float) -> tuple[int, int]:
+        """Cumulative ticks (right, left) at the end of one report window
+        of window_s seconds in which the wheels travelled right_mm and
+        left_mm, with normal_r and normal_l the window's standard normals.
 
         The count is the truncation toward zero of the cumulative noisy
         travel, so forward and reverse motion quantize symmetrically and
-        the cumulative count never drifts a quantum from the travel.
+        the count never drifts a quantum from the travel.
         """
         sigma = window_sigma(self.noise.encoder_sigma, ENCODER_HZ, window_s)
-        travel, ticks, mm_per_tick = self._travel, self._ticks, self.geometry.mm_per_tick
-        travel[0] += right_mm + sigma * self.rng.standard_normal()
-        travel[1] += left_mm + sigma * self.rng.standard_normal()
-        right, left = count_ticks(travel[0], mm_per_tick), count_ticks(travel[1], mm_per_tick)
-        counted = right - ticks[0], left - ticks[1]
-        ticks[0], ticks[1] = right, left
-        return counted
+        travel, mm_per_tick = self._travel, self.geometry.mm_per_tick
+        travel[0] += right_mm + sigma * normal_r
+        travel[1] += left_mm + sigma * normal_l
+        return count_ticks(travel[0], mm_per_tick), count_ticks(travel[1], mm_per_tick)
 
     def sample_windows(self, right_mm: np.ndarray, left_mm: np.ndarray,
                        window_s: np.ndarray, normals: np.ndarray) -> np.ndarray | None:
         """sample_speeds over consecutive windows, as arrays: normals holds
-        the two normals of each window that sample_speeds would read, in
-        order.  Returns the (2, n) int64 cumulative counts (right, left) at
-        the end of each window, or None, leaving the model as it was, when
-        a count is not finite or does not fit an int64."""
+        each window's two normals in turn, right then left.  Returns the
+        (2, n) int64 cumulative counts (right, left) at the end of each
+        window, or None, leaving the model as it was, when a count is not
+        finite or does not fit an int64."""
         travel = np.empty((2, len(window_s) + 1))
         travel[:, 0] = self._travel
         # travel += increment, one window after another: cumsum adds in
@@ -277,7 +271,6 @@ class EncoderModel:
         # count_ticks: the quotient truncated toward zero.
         counts = quotient.astype(np.int64)
         self._travel = travel[:, -1].tolist()
-        self._ticks = counts[:, -1].tolist()
         return counts
 
 
@@ -285,20 +278,18 @@ class FlowModel:
     """Paired downward optical-flow sensors measuring ground motion.
 
     Sampled once per report window in closed form, as FLOW_HZ samples per
-    second; rng is a Generator or a BlockStream of its normals.
+    second, from the window's standard normals, left sensor first.
     """
 
-    def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
-                 rng: np.random.Generator):
+    def __init__(self, geometry: RobotGeometry, noise: SensorNoise):
         self.geometry = geometry
         self.noise = noise
-        self.rng = rng
 
-    def sample_vw(self, path_mm: float, turn_rad: float,
-                  window_s: float) -> tuple[float, float]:
+    def sample_vw(self, path_mm: float, turn_rad: float, window_s: float,
+                  normal_l: float, normal_r: float) -> tuple[float, float]:
         """Displacements (left, right) over one report window of window_s
         seconds in which the body moved path_mm along its heading and
-        turned turn_rad.
+        turned turn_rad, with standard normals normal_l and normal_r.
 
         The sensors sit half the sensor separation to each side of the body
         axis, so a counterclockwise turn slows the left one.
@@ -306,17 +297,15 @@ class FlowModel:
         half = 0.5 * self.geometry.flow_separation * turn_rad
         sigma = window_sigma(self.noise.flow_sigma, FLOW_HZ, window_s)
         scale = self.noise.flow_scale
-        return (
-            (path_mm - half) * scale + sigma * self.rng.standard_normal(),
-            (path_mm + half) * scale + sigma * self.rng.standard_normal(),
-        )
+        return ((path_mm - half) * scale + sigma * normal_l,
+                (path_mm + half) * scale + sigma * normal_r)
 
     def sample_windows(self, path_mm: np.ndarray, turn_rad: np.ndarray,
                        window_s: np.ndarray, normals: np.ndarray) -> np.ndarray:
         """sample_vw over consecutive windows, as a (2, n) array of the
-        displacements (left, right); normals holds the two normals of
-        each window that sample_vw would read, in order.  Quiet where a
-        value is not finite: callers check."""
+        displacements (left, right); normals holds each window's two
+        normals in turn, left then right.  Quiet where a value is not
+        finite: callers check."""
         scale = self.noise.flow_scale
         with np.errstate(all="ignore"):
             half = 0.5 * self.geometry.flow_separation * turn_rad
@@ -348,16 +337,16 @@ class Rates:
         return round(1e3 * self.report_jitter_ms)
 
 
-def sample_gyro(heading: float, sigma: float, rng: np.random.Generator) -> float:
+def sample_gyro(heading: float, sigma: float, normal: float) -> float:
     """Absolute heading with Gaussian noise of deviation sigma, wrapped to
-    (-pi, pi].  rng is a Generator or a BlockStream of its normals."""
-    return wrap_angle(heading + sigma * rng.standard_normal())
+    (-pi, pi]: normal is the reading's standard normal."""
+    return wrap_angle(heading + sigma * normal)
 
 
 def sample_gyros(headings: np.ndarray, sigma: float,
                  normals: np.ndarray) -> np.ndarray | None:
-    """sample_gyro of each heading, with normals the values it would read
-    in order, or None when a reading is not finite."""
+    """sample_gyro of each heading with the normal of the same entry, or
+    None when a reading is not finite."""
     with np.errstate(all="ignore"):
         readings = headings + sigma * normals
     if not np.isfinite(readings).all():
@@ -676,18 +665,20 @@ class RobotSim:
     integers(p, p + 1)).  The tick path pops each report's instant, and a
     block those up to its end, by one bisect (``_reports_due``).
 
-    On the tick path each report goes through ``_sample_report``, which
-    samples its window through ``EncoderModel.sample_speeds``,
-    ``FlowModel.sample_vw`` and ``sample_gyro`` once each, and checks and
-    builds the packet and its truth.  A block takes its reports' normals
-    from each stream at once and samples them as columns
-    (``_sample_columns``) through ``EncoderModel.sample_windows``,
-    ``FlowModel.sample_windows`` and ``sample_gyros``: the same float
-    operations, the encoder travel and flow counters summed in sequence
-    by ``np.cumsum``.  Where a column is not finite or a counter outgrows
-    an int64, and in a world, where each report also scans its IR rays,
-    the block hands its reports to ``_sample_report`` one by one, reading
-    the normals it already drew.  Each noise stream is a ``BlockStream``.
+    The engine alone reads the encoder, flow and gyro streams of standard
+    normals, each a ``BlockStream``, and hands the sensor models their
+    normals.  On the tick path each report reads 2, 2 and 1 of them and
+    goes through ``_sample_report``, which samples its window through
+    ``EncoderModel.sample_speeds``, ``FlowModel.sample_vw`` and
+    ``sample_gyro`` once each, and checks and builds the packet and its
+    truth.  A block takes its reports' normals from each stream at once
+    and samples them as columns (``_sample_columns``) through
+    ``EncoderModel.sample_windows``, ``FlowModel.sample_windows`` and
+    ``sample_gyros``: the same float operations, the encoder travel and
+    flow counters summed in sequence by ``np.cumsum``.  Where a column is
+    not finite or a counter outgrows an int64, and in a world, where each
+    report also scans its IR rays, each report goes to ``_sample_report``
+    in turn with its slice of the block's normals.
     """
 
     def __init__(self, geometry: RobotGeometry, noise: SensorNoise,
@@ -702,11 +693,11 @@ class RobotSim:
         # The plant of a held block's memo key (see _block_memo).
         self._plant_key = struct.pack(f"<{1 + 4 * len(self._slips)}d", geometry.wheel_base,
                                       *itertools.chain.from_iterable(self._slips))
-        self._encoders = EncoderModel(geometry, noise, BlockStream(
-            stream_rng(seed, 0, STREAM_ENCODER).standard_normal))
-        self._flow = FlowModel(geometry, noise, BlockStream(
-            stream_rng(seed, 0, STREAM_FLOW).standard_normal))
-        self._gyro_noise = BlockStream(stream_rng(seed, 0, STREAM_GYRO).standard_normal)
+        self._encoders = EncoderModel(geometry, noise)
+        self._flow = FlowModel(geometry, noise)
+        # The standard normals of the encoders, flow sensors and gyro.
+        self._normals = tuple(BlockStream(stream_rng(seed, 0, purpose).standard_normal)
+                              for purpose in (STREAM_ENCODER, STREAM_FLOW, STREAM_GYRO))
         self.ir_rng = stream_rng(seed, 0, STREAM_IR)
         lo = rates.report_period_us - rates.report_jitter_us
         if lo < 1:
@@ -732,10 +723,9 @@ class RobotSim:
         # and the window each closes; instant 0 only starts the first one.
         self._instants, self._windows = [0], [0]
         self._reports_due(0)
-        # The sums at the open window's start, and the counters the reports
-        # carry.
+        # The sums at the open window's start, and the flow counters the
+        # reports carry; their tick counts are the encoders' own.
         self._at_report = (0.0, 0.0, 0.0, 0.0)
-        self._ticks_r = self._ticks_l = 0
         self._flow_l = self._flow_r = 0.0
 
     def _reports_due(self, t_us: int) -> tuple[list[int], list[int]]:
@@ -903,12 +893,14 @@ class RobotSim:
                     window_us = windows.pop(0)
                 else:   # the last instant drawn
                     _, (window_us,) = self._reports_due(t_us)
-                # The running sums at t_us.
+                # The running sums at t_us, and the window's normals.
                 into = self._into_tick()
+                encoder, flow, gyro = self._normals
                 sent.append(self._sample_report(
                     t_us, window_us, self.pose,
                     (wheel_r + mean_r * into, wheel_l + mean_l * into,
-                     path + v * into, turn + w * into)))
+                     path + v * into, turn + w * into),
+                    (encoder.next(), encoder.next(), flow.next(), flow.next(), gyro.next())))
                 next_report = instants[0]
         self._state = (x, y, wheel_r, wheel_l, path, turn, theta, mean_r,
                        mean_l, v, w, act_r, act_l, int_r, int_l)
@@ -948,8 +940,8 @@ class RobotSim:
         tick-start values as they are, signed zeros included.  The block's
         normals are drawn from each sensor stream at once, and the reports
         sampled as columns (_sample_columns).  Where that path does not
-        apply, the reports are sampled in turn by _sample_report, from the
-        same normals.
+        apply, the reports are sampled in turn by _sample_report, each
+        from its slice of the same normals.
         """
         k, into_us = np.divmod(np.array(instants) - block_start, TICK_US)
         at_start = into_us == 0
@@ -968,29 +960,24 @@ class RobotSim:
             sums = np.array((wheel_r + mean_r * into, wheel_l + mean_l * into,
                              path + travel, turn + swept))
         n = len(instants)
-        streams = self._encoders.rng, self._flow.rng, self._gyro_noise
-        normals = [stream.take(count) for stream, count in zip(streams, (2 * n, 2 * n, n))]
+        normals = [stream.take(count)
+                   for stream, count in zip(self._normals, (2 * n, 2 * n, n))]
         if self.world is None:
-            sent = self._sample_columns(instants, windows, poses, sums, *normals)
+            sent = self._sample_columns(instants, windows, poses, sums, normals)
             if sent is not None:
                 return sent
-        self._encoders.rng, self._flow.rng, self._gyro_noise = (
-            SimpleNamespace(standard_normal=iter(drawn.tolist()).__next__) for drawn in normals)
-        try:
-            return [self._sample_report(t_us, window_us, Posture(*pose), window_sums)
-                    for t_us, window_us, pose, window_sums
-                    in zip(instants, windows, zip(*poses.tolist()), zip(*sums.tolist()))]
-        finally:
-            self._encoders.rng, self._flow.rng, self._gyro_noise = streams
+        encoder, flow, gyro = (drawn.tolist() for drawn in normals)
+        return [self._sample_report(t_us, window_us, Posture(*pose), window_sums, window_normals)
+                for t_us, window_us, pose, window_sums, window_normals
+                in zip(instants, windows, zip(*poses.tolist()), zip(*sums.tolist()),
+                       zip(encoder[0::2], encoder[1::2], flow[0::2], flow[1::2], gyro))]
 
     def _sample_columns(self, instants: list[int], windows: list[int], poses: np.ndarray,
-                        sums: np.ndarray, encoder_normals: np.ndarray,
-                        flow_normals: np.ndarray,
-                        gyro_normals: np.ndarray) -> list[SensorPacket] | None:
+                        sums: np.ndarray, normals: list[np.ndarray]) -> list[SensorPacket] | None:
         """_sample_report of each report in turn, as columns: poses holds
         each report's x, y and unwrapped heading, sums its running sums,
-        and the normals are those the sensor models would read one report
-        after another.  The sensors' array forms take the same float
+        and normals the encoder, flow and gyro streams' normals for these
+        reports, in order.  The sensors' array forms take the same float
         operations, so the same doubles.
 
         Returns None, and changes nothing, where a pose or reading is not
@@ -998,6 +985,7 @@ class RobotSim:
         field: _sample_report then raises the error of the first such
         report, or counts exactly (count_ticks' Fraction path).
         """
+        encoder_normals, flow_normals, gyro_normals = normals
         with np.errstate(all="ignore"):
             if not np.isfinite(poses).all():
                 return None
@@ -1022,7 +1010,6 @@ class RobotSim:
             return None
         self._at_report = tuple(sums[:, -1].tolist())
         self._flow_l, self._flow_r = counters[:, -1].tolist()
-        self._ticks_r, self._ticks_l = counts[:, -1].tolist()
         # wrap_i16 and wrap_flow, as arrays: np.rint rounds half to even,
         # as round does.
         ticks_r, ticks_l = wrap_i16(counts).tolist()
@@ -1038,11 +1025,13 @@ class RobotSim:
             itertools.repeat((None,) * 5))))
 
     def _sample_report(self, t_us: int, window_us: int, pose: Posture,
-                       sums: tuple[float, float, float, float]) -> SensorPacket:
+                       sums: tuple[float, float, float, float],
+                       normals: tuple[float, float, float, float, float]) -> SensorPacket:
         """Sample the window of window_us that closes at t_us, with the robot
         at pose and the running sums (wheel travel right and left, ground
-        path and turn) there, and snapshot the free-running odometry
-        counters at send time."""
+        path and turn) there, from the window's normals (encoder right and
+        left, flow left and right, gyro), and snapshot the free-running
+        odometry counters at send time."""
         if self.world is not None:
             if not self.world.bounds.contains(pose.x, pose.y):
                 raise RuntimeFault(
@@ -1058,18 +1047,18 @@ class RobotSim:
         wheel_r0, wheel_l0, path0, turn0 = self._at_report
         self._at_report = sums
         window_s = window_us / 1e6
+        encoder_r, encoder_l, flow_nl, flow_nr, gyro = normals
         ticks_r, ticks_l = self._encoders.sample_speeds(
-            wheel_r - wheel_r0, wheel_l - wheel_l0, window_s)
-        self._ticks_r += ticks_r
-        self._ticks_l += ticks_l
-        flow_l, flow_r = self._flow.sample_vw(path - path0, turn - turn0, window_s)
+            wheel_r - wheel_r0, wheel_l - wheel_l0, window_s, encoder_r, encoder_l)
+        flow_l, flow_r = self._flow.sample_vw(path - path0, turn - turn0, window_s,
+                                              flow_nl, flow_nr)
         self._flow_l += flow_l
         self._flow_r += flow_r
         # Robot 0's packet, its fields passed in order: robot_id, t_sent,
         # ticks and flow left then right, gyro_heading, ir.
         packet = SensorPacket(
-            0, t_us // 1000, wrap_i16(self._ticks_l), wrap_i16(self._ticks_r),
+            0, t_us // 1000, wrap_i16(ticks_l), wrap_i16(ticks_r),
             wrap_flow(self._flow_l), wrap_flow(self._flow_r),
-            sample_gyro(pose.theta, self.noise.gyro_sigma, self._gyro_noise), ir)
+            sample_gyro(pose.theta, self.noise.gyro_sigma, gyro), ir)
         self.truth_at_send[packet.t_sent] = pose
         return packet

@@ -369,7 +369,7 @@ def test_plan_endpoint_inside_wall_faults(tmp_path, capsys):
     assert "fault:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["localize", "compare", "consensus"])
+@pytest.mark.parametrize("command", ["localize", "compare", "consensus", "track"])
 @pytest.mark.parametrize("override", ["channel.loss_prob=1.0",
                                       "channel.bit_flip_prob=1.0"])
 def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
@@ -377,6 +377,11 @@ def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
     if command == "consensus":
         args = [CONSENSUS_DEMO, "--override", "consensus.max_rounds=50"]
         named = ("6 robots", "max_rounds=50")
+    elif command == "track":
+        # The estimator-fed loop, which would steer on its initial belief.
+        args = [CIRCLE, "--override", "control.feedback=estimator",
+                "--override", "duration_s=3.0"]
+        named = ("no report reached the server", "sent", "undecodable")
     else:
         args = [SLIP, "--override", "duration_s=3.0"]
         named = ("sent", "undecodable")
@@ -388,6 +393,7 @@ def test_run_without_delivered_reports_faults(tmp_path, capsys, command,
     assert len(lines) == 1 and lines[0].startswith("fault: ")
     assert all(word in lines[0] for word in named)
     assert not (tmp_path / "consensus.csv").exists()
+    assert not (tmp_path / "track.csv").exists()
 
 
 @pytest.mark.parametrize("out", ["file", "file/sub"])

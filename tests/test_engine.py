@@ -7,7 +7,7 @@ block-drawn noise. `ReferenceSim` below is the engine as one call per tick
 and per window: it calls `PlantLoop.advance` once per tick,
 `integrate_unicycle` for a pose inside a tick, `EncoderModel.sample_speeds`
 and `FlowModel.sample_vw` once per report window, and `sample_gyro` and
-`sample_ir`, with scalar noise draws.
+`sample_ir`, with normals it draws one at a time from its own Generators.
 Both must produce the same packets, truth, pose, wheel state and counters,
 bit for bit.
 """
@@ -81,9 +81,10 @@ class ReferenceSim:
         self.world = world
         self.slip_schedule = slip_schedule
         self.loop = PlantLoop(start, GEOM)
-        self.encoders = EncoderModel(GEOM, noise,
-                                     stream_rng(seed, 0, STREAM_ENCODER))
-        self.flow = FlowModel(GEOM, noise, stream_rng(seed, 0, STREAM_FLOW))
+        self.encoders = EncoderModel(GEOM, noise)
+        self.encoder_rng = stream_rng(seed, 0, STREAM_ENCODER)
+        self.flow = FlowModel(GEOM, noise)
+        self.flow_rng = stream_rng(seed, 0, STREAM_FLOW)
         self.gyro_rng = stream_rng(seed, 0, STREAM_GYRO)
         self.ir_rng = stream_rng(seed, 0, STREAM_IR)
         self.schedule_rng = stream_rng(seed, 0, STREAM_SCHEDULE)
@@ -100,7 +101,6 @@ class ReferenceSim:
         self.jitter_us = rates.report_jitter_us
         self.window_us = self.report_interval()
         self.next_report = self.window_us
-        self.ticks_l = self.ticks_r = 0
         self.flow_l = self.flow_r = 0.0
 
     def report_interval(self) -> int:
@@ -171,22 +171,23 @@ class ReferenceSim:
         window = [b - a for a, b in zip(self.at_report, now)]
         self.at_report = now
         window_s = self.window_us / 1e6
-        ticks_r, ticks_l = self.encoders.sample_speeds(window[0], window[1],
-                                                       window_s)
-        self.ticks_r += ticks_r
-        self.ticks_l += ticks_l
-        flow_l, flow_r = self.flow.sample_vw(window[2], window[3], window_s)
+        encoder, flow = self.encoder_rng, self.flow_rng
+        ticks_r, ticks_l = self.encoders.sample_speeds(
+            window[0], window[1], window_s, encoder.standard_normal(),
+            encoder.standard_normal())
+        flow_l, flow_r = self.flow.sample_vw(window[2], window[3], window_s,
+                                             flow.standard_normal(), flow.standard_normal())
         self.flow_l += flow_l
         self.flow_r += flow_r
         packet = SensorPacket(
             robot_id=0,
             t_sent=self.t_us // 1000,
-            ticks_left=wrap_i16(self.ticks_l),
-            ticks_right=wrap_i16(self.ticks_r),
+            ticks_left=wrap_i16(ticks_l),
+            ticks_right=wrap_i16(ticks_r),
             flow_dx_left=wrap_flow(self.flow_l),
             flow_dx_right=wrap_flow(self.flow_r),
             gyro_heading=sample_gyro(pose.theta, self.noise.gyro_sigma,
-                                     self.gyro_rng),
+                                     self.gyro_rng.standard_normal()),
             ir=ir,
         )
         self.truth_at_send[packet.t_sent] = pose
@@ -304,8 +305,7 @@ def _engine_state(sim: RobotSim) -> tuple:
     """Every private state field of the engine that outlives a call."""
     return (sim.t_us, sim._tick_end, sim._state,
             sim._instants, sim._windows, sim._at_report,
-            sim._encoders._travel, sim._ticks_r, sim._ticks_l,
-            sim._flow_l, sim._flow_r)
+            sim._encoders._travel, sim._flow_l, sim._flow_r)
 
 
 def _assert_matches_reference(sim: RobotSim, ref: ReferenceSim) -> None:
@@ -925,11 +925,9 @@ def _sampled(columns: bool, geometry=GEOM, noise=SensorNoise(), rates=Rates(),
         packets = sim.advance_to(12_000_000)
     except Exception as exc:  # noqa: BLE001 - the class and text are the outcome
         return type(exc), str(exc)
-    streams = (sim._encoders.rng, sim._flow.rng, sim._gyro_noise)
     return (repr(packets), repr(sim.truth_at_send),
-            repr((sim._at_report, sim._ticks_r, sim._ticks_l, sim._flow_l, sim._flow_r,
-                  sim._encoders._travel, sim._encoders._ticks)),
-            [stream.standard_normal().hex() for stream in streams])
+            repr((sim._at_report, sim._flow_l, sim._flow_r, sim._encoders._travel)),
+            [stream.next().hex() for stream in sim._normals])
 
 
 # The robustness probe's extremes, and settings that make a column
@@ -963,7 +961,8 @@ EXTREME_ENGINES = {
 def test_block_sampling_matches_the_per_report_path_at_the_extremes(engine):
     # The same reports, truth, counters and stream positions, or the same
     # error, whether the block samples its reports as columns or hands
-    # them to _sample_report one by one from the normals it drew.  Numpy
+    # them to _sample_report one by one, each with its slice of the
+    # normals it drew.  Numpy
     # warns on none of them: _sampled would return a warning raised here as
     # the outcome.
     with warnings.catch_warnings():

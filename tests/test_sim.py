@@ -20,7 +20,6 @@ from swarmsim.sim import (
     SlipEvent,
     World,
     _cast_rays,
-    count_ticks,
     sample_gyro,
     sample_gyros,
     sample_ir,
@@ -47,12 +46,16 @@ def _rolling(speed: float = 100.0, left: float | None = None) -> PlantLoop:
                      actual=WheelSpeeds(speed, left))
 
 
-def _encoders(noise: SensorNoise = QUIET, seed: int = 0) -> EncoderModel:
-    return EncoderModel(GEOM, noise, np.random.default_rng(seed))
+def _encoders(noise: SensorNoise = QUIET) -> EncoderModel:
+    return EncoderModel(GEOM, noise)
 
 
-def _flow(noise: SensorNoise = QUIET, seed: int = 0) -> FlowModel:
-    return FlowModel(GEOM, noise, np.random.default_rng(seed))
+def _flow(noise: SensorNoise = QUIET) -> FlowModel:
+    return FlowModel(GEOM, noise)
+
+
+# The normals of a noiseless window, which it scales by zero.
+NO_NORMALS = (0.0, 0.0)
 
 
 # --- wheel PI loop -----------------------------------------------------------
@@ -186,17 +189,17 @@ def test_encoder_tick_hand_values():
     # Noiseless windows; travel in mm, 0.5 mm ticks. The count truncates
     # the cumulative travel toward zero.
     enc = _encoders()
-    assert enc.sample_speeds(1.3, 0.2, 1.0) == (2, 0)
+    assert enc.sample_speeds(1.3, 0.2, 1.0, *NO_NORMALS) == (2, 0)
     assert enc._travel == [pytest.approx(1.3), pytest.approx(0.2)]
-    assert enc.sample_speeds(0.0, 0.4, 1.0) == (0, 1)
+    assert enc.sample_speeds(0.0, 0.4, 1.0, *NO_NORMALS) == (2, 1)   # (0, 1) more
     assert enc._travel[1] == pytest.approx(0.6)
     enc = _encoders()
-    assert enc.sample_speeds(-1.3, 0.0, 1.0) == (-2, 0)
+    assert enc.sample_speeds(-1.3, 0.0, 1.0, *NO_NORMALS) == (-2, 0)
     assert enc._travel[0] == pytest.approx(-1.3)
     # A reversal: 0.6 mm forward then 0.2 mm back leaves 0.4 mm, no tick.
     enc = _encoders()
-    assert enc.sample_speeds(0.6, 0.0, 1.0) == (1, 0)
-    assert enc.sample_speeds(-0.2, 0.0, 1.0) == (-1, 0)
+    assert enc.sample_speeds(0.6, 0.0, 1.0, *NO_NORMALS) == (1, 0)
+    assert enc.sample_speeds(-0.2, 0.0, 1.0, *NO_NORMALS) == (0, 0)   # (-1, 0) more
 
 
 @given(st.lists(st.floats(min_value=-0.6, max_value=0.6), min_size=1, max_size=300))
@@ -204,43 +207,40 @@ def test_tick_carry_telescopes(displacements):
     # Cumulative ticks times the quantum never drifts more than one quantum
     # from the true cumulative displacement.
     enc = _encoders()
-    total_ticks, total_disp = 0, 0.0
+    total_disp = 0.0
     for d in displacements:
-        ticks, _ = enc.sample_speeds(d, d, 1.0)
-        total_ticks += ticks
+        total_ticks, _ = enc.sample_speeds(d, d, 1.0, *NO_NORMALS)
         total_disp += d
         assert abs(total_disp - total_ticks * 0.5) < 0.5 + 1e-9
 
 
 def test_encoder_counts_constant_speed():
     enc = _encoders()
-    total = 0
     for _ in range(400):           # 1 s of 2.5 ms windows at 100 mm/s
-        r, l = enc.sample_speeds(0.25, 0.25, 0.0025)
+        r, l = enc.sample_speeds(0.25, 0.25, 0.0025, *NO_NORMALS)
         assert l == r
-        total += r
     # 100 mm of travel at 0.5 mm per tick.
-    assert total == 200
+    assert r == 200
 
 
 def test_encoder_is_slip_blind():
     # Wheels spinning while the body is stuck still produce ticks.
-    enc = _encoders(seed=1)
+    enc = _encoders()
     loop = _rolling(150.0)
     stuck = SlipEvent(0.0, 1e9, "stuck")
-    ticks = 0
     for _ in range(400):
         loop.advance(slip=stuck)
-        ticks += enc.sample_speeds(loop.wheels.right * TICK_S,
-                                   loop.wheels.left * TICK_S, TICK_S)[0]
+        ticks = enc.sample_speeds(loop.wheels.right * TICK_S,
+                                  loop.wheels.left * TICK_S, TICK_S, *NO_NORMALS)[0]
     assert (loop.pose.x, loop.pose.y) == (0.0, 0.0)
     assert ticks * GEOM.mm_per_tick == pytest.approx(150.0, abs=0.5)
 
 
 def test_encoder_determinism():
     def run(seed):
-        enc = _encoders(SensorNoise(), seed)
-        return [enc.sample_speeds(8.61, 8.61, 0.07) for _ in range(200)]
+        enc, rng = _encoders(SensorNoise()), np.random.default_rng(seed)
+        return [enc.sample_speeds(8.61, 8.61, 0.07, rng.standard_normal(), rng.standard_normal())
+                for _ in range(200)]
 
     assert run(7) == run(7)
     assert run(7) != run(8)
@@ -250,13 +250,13 @@ def test_encoder_determinism():
 
 
 def test_flow_pure_translation():
-    dx_l, dx_r = _flow().sample_vw(10.0, 0.0, 0.1)
+    dx_l, dx_r = _flow().sample_vw(10.0, 0.0, 0.1, *NO_NORMALS)
     assert dx_l == dx_r == pytest.approx(10.0)
 
 
 def test_flow_pure_rotation():
     # A 0.1 rad turn in place with 60 mm sensor separation.
-    dx_l, dx_r = _flow(seed=1).sample_vw(0.0, 0.1, 0.1)
+    dx_l, dx_r = _flow().sample_vw(0.0, 0.1, 0.1, *NO_NORMALS)
     assert dx_l == pytest.approx(-3.0, abs=1e-12)
     assert dx_r == pytest.approx(3.0, abs=1e-12)
 
@@ -265,23 +265,24 @@ def test_flow_is_slip_immune():
     loop = _rolling(150.0)
     loop.advance(SlipEvent(0, 1e9, "stuck"))
     stuck_twist = wheels_to_twist(loop.ground, GEOM)
-    flow = _flow(seed=2)
+    flow = _flow()
     assert flow.sample_vw(stuck_twist.v * TICK_S, stuck_twist.w * TICK_S,
-                          TICK_S) == (0.0, 0.0)
+                          TICK_S, *NO_NORMALS) == (0.0, 0.0)
 
 
 def test_flow_scale_factor():
     noise = SensorNoise(encoder_sigma=0, flow_sigma=0, gyro_sigma=0, ir_sigma=0,
                         flow_scale=1.1)
-    dx_l, dx_r = _flow(noise, seed=3).sample_vw(1.0, 0.0, 0.01)
+    dx_l, dx_r = _flow(noise).sample_vw(1.0, 0.0, 0.01, *NO_NORMALS)
     assert dx_l == pytest.approx(1.1, abs=1e-12)
 
 
 def test_flow_noise_statistics():
     # A 70 ms window of 1 ms samples at 25 mm/s each: one normal of sd
     # 25 * sqrt(0.001 * 0.07) mm.
-    flow = _flow(SensorNoise(flow_sigma=25.0), seed=4)
-    samples = np.array([flow.sample_vw(0.0, 0.0, 0.07) for _ in range(20_000)])
+    flow, rng = _flow(SensorNoise(flow_sigma=25.0)), np.random.default_rng(4)
+    samples = np.array([flow.sample_vw(0.0, 0.0, 0.07, rng.standard_normal(),
+                                       rng.standard_normal()) for _ in range(20_000)])
     assert abs(samples.mean()) < 0.01
     assert samples.std() == pytest.approx(25.0 * math.sqrt(0.001 * 0.07), rel=0.05)
 
@@ -291,7 +292,7 @@ def test_flow_noise_statistics():
 
 def test_gyro_statistics():
     rng = np.random.default_rng(5)
-    samples = np.array([sample_gyro(1.0, 0.01, rng) for _ in range(20_000)])
+    samples = np.array([sample_gyro(1.0, 0.01, rng.standard_normal()) for _ in range(20_000)])
     assert samples.mean() == pytest.approx(1.0, abs=0.001)
     assert samples.std() == pytest.approx(0.01, rel=0.05)
     assert np.all(samples > -math.pi) and np.all(samples <= math.pi)
@@ -299,7 +300,7 @@ def test_gyro_statistics():
 
 def test_gyro_wraps_near_pi():
     rng = np.random.default_rng(6)
-    samples = [sample_gyro(math.pi, 0.1, rng) for _ in range(100)]
+    samples = [sample_gyro(math.pi, 0.1, rng.standard_normal()) for _ in range(100)]
     assert all(-math.pi < s <= math.pi for s in samples)
 
 
@@ -312,13 +313,6 @@ def test_block_normals_continue_the_scalar_stream(size):
     pairs = [v for _ in range(50) for v in scalar.standard_normal(2).tolist()]
     stream = BlockStream(block.standard_normal, size)
     assert [stream.next() for _ in range(100)] == pairs
-
-
-def test_block_normals_stand_in_for_the_generator():
-    scalar = np.random.default_rng(9)
-    block = BlockStream(np.random.default_rng(9).standard_normal)
-    assert ([sample_gyro(0.5, 0.1, block) for _ in range(150)]
-            == [sample_gyro(0.5, 0.1, scalar) for _ in range(150)])
 
 
 @pytest.mark.parametrize("size", [1, 5, 64])
@@ -352,7 +346,7 @@ def test_block_normals_take_continues_the_scalar_stream(reads):
         if i % 2:
             got += block.take(k).tolist()
         else:
-            got += [block.standard_normal() for _ in range(k)]
+            got += [block.next() for _ in range(k)]
         want += [scalar.standard_normal() for _ in range(k)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -390,28 +384,26 @@ windows = st.lists(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
 def test_encoder_windows_are_sample_speeds_in_turn(moves, mm_per_tick, sigma, seed):
     geometry = RobotGeometry(mm_per_tick=mm_per_tick)
     noise = SensorNoise(encoder_sigma=sigma)
-    scalar = EncoderModel(geometry, noise, np.random.default_rng(seed))
-    batch = EncoderModel(geometry, noise, None)
+    scalar, batch = EncoderModel(geometry, noise), EncoderModel(geometry, noise)
     for model in (scalar, batch):   # a start away from zero
         model._travel = [0.3, -0.7]
-        model._ticks = [count_ticks(0.3, mm_per_tick), count_ticks(-0.7, mm_per_tick)]
+    normals = np.random.default_rng(seed).standard_normal(2 * len(moves))
     counts, quotients = [], []
-    for right, left, window_us in moves:
-        scalar.sample_speeds(right, left, window_us / 1e6)
-        counts.append(scalar._ticks[:])
+    for (right, left, window_us), normal_r, normal_l in zip(
+            moves, normals[0::2].tolist(), normals[1::2].tolist()):
+        counts.append(list(scalar.sample_speeds(right, left, window_us / 1e6,
+                                                normal_r, normal_l)))
         quotients += [t / mm_per_tick for t in scalar._travel]
     right, left, window_us = (np.array(c) for c in zip(*moves))
-    before = (batch._travel[:], batch._ticks[:])
-    got = batch.sample_windows(right, left, window_us / 1e6,
-                               np.random.default_rng(seed).standard_normal(2 * len(moves)))
+    before = batch._travel[:]
+    got = batch.sample_windows(right, left, window_us / 1e6, normals)
     if got is None:
         # A count left int64, and the model is as it was.
         assert not all(abs(q) < 2.0 ** 62 for q in quotients)
-        assert (batch._travel, batch._ticks) == before
+        assert batch._travel == before
         return
     assert got.T.tolist() == counts
     assert _hexes(batch._travel) == _hexes(scalar._travel)
-    assert batch._ticks == scalar._ticks
 
 
 @settings(max_examples=200, deadline=None)
@@ -420,11 +412,13 @@ def test_encoder_windows_are_sample_speeds_in_turn(moves, mm_per_tick, sigma, se
        st.sampled_from((0.0, 25.0)), st.sampled_from((1.0, 1.3)), st.integers(0, 2**32))
 def test_flow_windows_are_sample_vw_in_turn(moves, sigma, scale, seed):
     noise = SensorNoise(flow_sigma=sigma, flow_scale=scale)
-    scalar = FlowModel(GEOM, noise, np.random.default_rng(seed))
-    want = [scalar.sample_vw(path, turn, window_us / 1e6) for path, turn, window_us in moves]
+    flow = FlowModel(GEOM, noise)
+    normals = np.random.default_rng(seed).standard_normal(2 * len(moves))
+    want = [flow.sample_vw(path, turn, window_us / 1e6, normal_l, normal_r)
+            for (path, turn, window_us), normal_l, normal_r
+            in zip(moves, normals[0::2].tolist(), normals[1::2].tolist())]
     path, turn, window_us = (np.array(c) for c in zip(*moves))
-    got = FlowModel(GEOM, noise, None).sample_windows(
-        path, turn, window_us / 1e6, np.random.default_rng(seed).standard_normal(2 * len(moves)))
+    got = flow.sample_windows(path, turn, window_us / 1e6, normals)
     assert [_hexes(pair) for pair in got.T.tolist()] == [_hexes(pair) for pair in want]
 
 
@@ -433,13 +427,12 @@ def test_flow_windows_are_sample_vw_in_turn(moves, sigma, scale, seed):
                 min_size=1, max_size=60),
        st.sampled_from((0.0, 0.01, 3.0, 1e308)), st.integers(0, 2**32))
 def test_gyro_array_is_sample_gyro_in_turn(headings, sigma, seed):
-    rng = np.random.default_rng(seed)
+    normals = np.random.default_rng(seed).standard_normal(len(headings))
     try:
-        want = _hexes(sample_gyro(h, sigma, rng) for h in headings)
+        want = _hexes(sample_gyro(h, sigma, n) for h, n in zip(headings, normals.tolist()))
     except ValueError:
         want = None   # a reading overflowed
-    got = sample_gyros(np.array(headings), sigma,
-                       np.random.default_rng(seed).standard_normal(len(headings)))
+    got = sample_gyros(np.array(headings), sigma, normals)
     assert (got if got is None else _hexes(got)) == want
 
 
@@ -510,19 +503,19 @@ def test_cast_rays_hit_bounds():
 def test_stuck_interval_discrepancy():
     # During a stuck interval encoder-implied speed stays high while
     # flow-implied speed is zero: the signature slip detection keys on.
-    enc = _encoders(seed=13)
-    flow = _flow(seed=14)
+    enc = _encoders()
+    flow = _flow()
     loop = _rolling(150.0)
     stuck = SlipEvent(0.0, 1e9, "stuck")
-    enc_disp = flow_disp = 0.0
+    flow_disp = 0.0
     for _ in range(400):
         loop.advance(slip=stuck)
         ticks_r, _ = enc.sample_speeds(loop.wheels.right * TICK_S,
-                                       loop.wheels.left * TICK_S, TICK_S)
-        enc_disp += ticks_r * GEOM.mm_per_tick
+                                       loop.wheels.left * TICK_S, TICK_S, *NO_NORMALS)
         twist = wheels_to_twist(loop.ground, GEOM)
         flow_disp += sum(flow.sample_vw(twist.v * TICK_S, twist.w * TICK_S,
-                                        TICK_S)) / 2
+                                        TICK_S, *NO_NORMALS)) / 2
+    enc_disp = ticks_r * GEOM.mm_per_tick
     assert enc_disp / 1.0 > 100.0   # implied speed, mm/s
     assert flow_disp == 0.0
 
@@ -530,13 +523,12 @@ def test_stuck_interval_discrepancy():
 def test_straight_dead_reckoning_quantization_limited():
     # Noiseless encoders reconstruct a straight 10 s run to within one
     # tick quantum.
-    enc = _encoders(seed=15)
+    enc = _encoders()
     loop = _rolling(123.43)
-    total_ticks = 0
     for _ in range(4000):
         loop.advance()
-        total_ticks += enc.sample_speeds(loop.wheels.right * TICK_S,
-                                         loop.wheels.left * TICK_S, TICK_S)[0]
+        total_ticks = enc.sample_speeds(loop.wheels.right * TICK_S,
+                                        loop.wheels.left * TICK_S, TICK_S, *NO_NORMALS)[0]
     reconstructed = total_ticks * GEOM.mm_per_tick
     assert abs(reconstructed - loop.pose.x) < 0.5
 

@@ -331,7 +331,7 @@ class _TurningRobot:
             robot_id=self.robot_id, t_sent=t_sent,
             ticks_left=0, ticks_right=0,
             flow_dx_left=0.0, flow_dx_right=0.0,
-            gyro_heading=sample_gyro(self.theta, self.gyro_sigma, self.rng),
+            gyro_heading=sample_gyro(self.theta, self.gyro_sigma, self.rng.next()),
         )
         return encode_frame(packet)
 
